@@ -15,7 +15,16 @@ between an instance and its body, which is the point of the exercise.
 
 Normalization evaluates the sequence helpers (`drop_last`, `take_last`)
 and all sequence/arithmetic/constructor operators on literal operands,
-so programs over concrete sequences are fully decidable.
+so programs over concrete sequences are fully decidable.  Each term is
+normalised once per substitution: a state carries a version token that
+changes whenever its substitution grows, and `norm` memoises on
+(version, term), a normal form being its own normal form.  The state
+keeps its path facts normalised next to the path, so `decide` and
+`assume` normalise only facts appended since, or all of them after the
+substitution changed.  Permissions, heap cells and predicate instances
+are stored under normalised keys, so a lookup probes the normalised key
+and scans, normalising every stored key, only when the substitution
+changed while the state held keys.
 
 On a failed access the checker reports once and then repairs the state
 (adds the missing permission or carries on past the missing instance) so
@@ -42,32 +51,51 @@ class SymVal:
     pass
 
 
+def _hash_once(self) -> int:
+    # compound terms are immutable and often deep: hash each one once
+    h = self.__dict__.get("_hash")
+    if h is None:
+        h = self.__dict__["_hash"] = hash(tuple(self.__dict__.values()))
+    return h
+
+
 @dataclass(frozen=True)
 class Sym(SymVal):
     id: int
     hint: str = field(default="", compare=False, repr=False)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Lit(SymVal):
     value: object  # int or bool
+
+    # 1 and True are different literals: equal terms must render alike
+    def __eq__(self, other):
+        return (isinstance(other, Lit) and self.value == other.value
+                and type(self.value) is type(other.value))
+
+    def __hash__(self):  # not hash(value): hash(-1) == hash(-2)
+        return hash(repr(self.value))
 
 
 @dataclass(frozen=True)
 class Ctor(SymVal):
     name: str
     args: tuple = ()
+    __hash__ = _hash_once
 
 
 @dataclass(frozen=True)
 class SeqV(SymVal):
     elems: tuple = ()
+    __hash__ = _hash_once
 
 
 @dataclass(frozen=True)
 class App(SymVal):
     name: str
     args: tuple = ()
+    __hash__ = _hash_once
 
 
 TRUE = Lit(True)
@@ -105,11 +133,17 @@ class SymState:
     path: list = field(default_factory=list)  # [normalized bool SymVal]
     store: dict = field(default_factory=dict)  # {var: SymVal}
     subst: dict = field(default_factory=dict)  # {sym id: SymVal}
+    version: object = field(default_factory=object)  # replaced as subst grows
+    # (version, len(path) covered, set of those facts normalised)
+    facts: tuple = (None, 0, frozenset())
+    stale: bool = False  # subst grew while keys were held: scan on lookup
 
     def clone(self) -> "SymState":
+        version, done, facts = self.facts
         return SymState(set(self.perms), Counter(self.preds),
                         dict(self.heap), list(self.path), dict(self.store),
-                        dict(self.subst))
+                        dict(self.subst), self.version,
+                        (version, done, set(facts)), self.stale)
 
 
 class _Mode(Enum):
@@ -146,6 +180,7 @@ class Checker:
                 for p, _ in c.params:
                     self.projections[p] = c.name
         self._ids = itertools.count()
+        self._memo: dict = {}  # (version, term) -> normal form
         self.diags: list[Diagnostic] = []
 
     def fresh(self, hint: str = "") -> Sym:
@@ -159,14 +194,23 @@ class Checker:
             return v if repl is None else self.norm(repl, st)
         if isinstance(v, Lit):
             return v
+        key = (st.version, v)
+        n = self._memo.get(key)
+        if n is not None:
+            return n
         if isinstance(v, Ctor):
-            return Ctor(v.name, tuple(self.norm(a, st) for a in v.args))
-        if isinstance(v, SeqV):
-            return SeqV(tuple(self.norm(a, st) for a in v.elems))
-        if isinstance(v, App):
             args = tuple(self.norm(a, st) for a in v.args)
-            return self._simplify(v.name, args)
-        raise TypeError(type(v).__name__)
+            n = v if args == v.args else Ctor(v.name, args)
+        elif isinstance(v, SeqV):
+            elems = tuple(self.norm(a, st) for a in v.elems)
+            n = v if elems == v.elems else SeqV(elems)
+        elif isinstance(v, App):
+            args = tuple(self.norm(a, st) for a in v.args)
+            n = self._simplify(v.name, args)
+        else:
+            raise TypeError(type(v).__name__)
+        self._memo[key] = self._memo[(st.version, n)] = n
+        return n
 
     def _simplify(self, name: str, args: tuple) -> SymVal:
         if name == "++":
@@ -313,11 +357,20 @@ class Checker:
 
     # -- deciding and assuming ------------------------------------------------
 
+    def _facts(self, st: SymState) -> set:
+        """The path facts normalised under the current substitution."""
+        version, done, facts = st.facts
+        if version is not st.version:
+            done, facts = 0, set()
+        facts.update(self.norm(f, st) for f in st.path[done:])
+        st.facts = (st.version, len(st.path), facts)
+        return facts
+
     def decide(self, st: SymState, v: SymVal) -> bool | None:
         n = self.norm(v, st)
         if isinstance(n, Lit):
             return bool(n.value)
-        facts = [self.norm(f, st) for f in st.path]
+        facts = self._facts(st)
         if n in facts:
             return True
         neg = self._simplify("not", (n,))
@@ -340,7 +393,7 @@ class Checker:
         self._refine(st, n)
         # a refinement can fold an earlier fact to a constant; a state
         # with a false fact is infeasible, not merely undecided
-        return all(self.norm(f, st) != FALSE for f in st.path)
+        return FALSE not in self._facts(st)
 
     def _refine(self, st: SymState, n: SymVal) -> None:
         if not isinstance(n, App):
@@ -351,7 +404,7 @@ class Checker:
                 if isinstance(lhs, Sym) and lhs.id not in st.subst:
                     rhs_n = self.norm(rhs, st)
                     if not _occurs(lhs, rhs_n):
-                        st.subst[lhs.id] = rhs_n
+                        self._bind(st, lhs, rhs_n)
                         return
         elif n.name.startswith("is#"):
             ctor = n.name[3:]
@@ -360,7 +413,7 @@ class Checker:
                 params = self.ctor_params.get(ctor)
                 if params is not None:
                     payload = tuple(self.fresh(p) for p in params)
-                    st.subst[target.id] = Ctor(ctor, payload)
+                    self._bind(st, target, Ctor(ctor, payload))
         elif n.name == "not":
             inner = n.args[0]
             if isinstance(inner, App) and inner.name.startswith("is#"):
@@ -373,12 +426,20 @@ class Checker:
                     other = others[0]
                     payload = tuple(self.fresh(p)
                                     for p in self.ctor_params[other])
-                    st.subst[target.id] = Ctor(other, payload)
+                    self._bind(st, target, Ctor(other, payload))
+
+    @staticmethod
+    def _bind(st: SymState, s: Sym, v: SymVal) -> None:
+        st.subst[s.id] = v
+        st.version = object()
+        st.stale = st.stale or bool(st.perms or st.preds or st.heap)
 
     # -- permission and instance bookkeeping -----------------------------------
 
     def _find_perm(self, st: SymState, rec: SymVal, fld: str):
         rec_n = self.norm(rec, st)
+        if not st.stale:
+            return (rec_n, fld) if (rec_n, fld) in st.perms else None
         for entry in st.perms:
             if entry[1] == fld and self.norm(entry[0], st) == rec_n:
                 return entry
@@ -386,6 +447,8 @@ class Checker:
 
     def _find_instance(self, st: SymState, name: str, args: tuple):
         args_n = tuple(self.norm(a, st) for a in args)
+        if not st.stale:
+            return (name, args_n) if st.preds[(name, args_n)] > 0 else None
         for key, count in st.preds.items():
             if count <= 0 or key[0] != name:
                 continue
@@ -394,14 +457,20 @@ class Checker:
         return None
 
     def _heap_read(self, st: SymState, heap: dict, rec: SymVal, fld: str,
-                   cache_live: bool) -> SymVal:
+                   keyed: bool = True) -> SymVal:
+        """`keyed` says that `heap` was filled under `st`'s substitution
+        (the produce scratch cache is shared by sibling forks)."""
         rec_n = self.norm(rec, st)
-        for (r, f), val in heap.items():
-            if f == fld and self.norm(r, st) == rec_n:
+        if keyed and not st.stale:
+            val = heap.get((rec_n, fld))
+            if val is not None:
                 return val
+        else:
+            for (r, f), val in heap.items():
+                if f == fld and self.norm(r, st) == rec_n:
+                    return val
         val = self.fresh(fld)
-        if cache_live:
-            heap[(rec_n, fld)] = val
+        heap[(rec_n, fld)] = val
         return val
 
     # -- expression evaluation ---------------------------------------------------
@@ -484,13 +553,13 @@ class Checker:
                           f"no permission to read {V.expr_str(src)}", span)
                 base_n = self.norm(base, st)
                 st.perms.add((base_n, fld))  # repair, keep going
-            return self._heap_read(st, st.heap, base, fld, cache_live=True)
+            return self._heap_read(st, st.heap, base, fld)
         if mode is _Mode.CONSUME:
-            return self._heap_read(st, heap, base, fld, cache_live=True)
+            return self._heap_read(st, heap, base, fld)
         # produce: prefer live heap, never materialize unframed locations
         if self._find_perm(st, base, fld) is not None:
-            return self._heap_read(st, st.heap, base, fld, cache_live=True)
-        return self._heap_read(st, heap, base, fld, cache_live=True)
+            return self._heap_read(st, st.heap, base, fld)
+        return self._heap_read(st, heap, base, fld, keyed=False)
 
     # -- produce / consume -------------------------------------------------------
 
@@ -805,6 +874,7 @@ class Checker:
         if m.body is None:
             return []
         self._ids = itertools.count()
+        self._memo.clear()
         self.diags = []
         st = SymState()
         for name, _ in m.params:
