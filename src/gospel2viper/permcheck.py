@@ -757,12 +757,18 @@ class Checker:
 
     def _exec_block(self, st: SymState, stmts: list[V.VStmt]
                     ) -> list[SymState]:
-        states = [st]
-        for s in stmts:
+        return self._step_all([st], stmts, self.exec_stmt)
+
+    def _step_all(self, states: list[SymState], steps, step,
+                  at=None) -> list[SymState]:
+        """Apply `step(state, item)` to every state for each item in turn,
+        capping the states after each item (reported at `at`, else at the
+        item)."""
+        for item in steps:
             nxt: list[SymState] = []
             for cur in states:
-                nxt.extend(self.exec_stmt(cur, s))
-            states = self._capped(nxt, s)
+                nxt.extend(step(cur, item))
+            states = self._capped(nxt, item if at is None else at)
         return states
 
     def _capped(self, states: list[SymState], at) -> list[SymState]:
@@ -857,13 +863,9 @@ class Checker:
                         in zip(decl.returns, ret_vals)})
         for target, val in zip(s.targets, ret_vals):
             st.store[target] = val
-        states = [st]
-        for post in decl.posts:
-            nxt: list[SymState] = []
-            for cur in states:
-                nxt.extend(self.produce(cur, post, binding))
-            states = self._capped(nxt, s)
-        return states
+        return self._step_all(
+            [st], decl.posts,
+            lambda cur, post: self.produce(cur, post, binding), at=s)
 
     # -- whole-method checking ----------------------------------------------------
 
@@ -881,17 +883,10 @@ class Checker:
             st.store[name] = self.fresh(name)
         for name, _ in m.returns:
             st.store[name] = self.fresh(name)
-        states = [st]
-        for pre in m.pres:
-            nxt: list[SymState] = []
-            for cur in states:
-                nxt.extend(self.produce(cur, pre, cur.store))
-            states = self._capped(nxt, m)
-        for s in m.body:
-            nxt = []
-            for cur in states:
-                nxt.extend(self.exec_stmt(cur, s))
-            states = self._capped(nxt, s)
+        states = self._step_all(
+            [st], m.pres, lambda cur, pre: self.produce(cur, pre, cur.store),
+            at=m)
+        states = self._step_all(states, m.body, self.exec_stmt)
         leaks: list[Diagnostic] = []
         mspan = getattr(m, "span", None)
         ctx = _ConsumeCtx(Category.CONTRACT_VIOLATION,
