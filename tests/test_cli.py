@@ -3,9 +3,12 @@ through RunConfig/run with captured streams; one test exercises the
 installed console entry point for real."""
 
 import io
+import os
 import subprocess
 import sys
+from pathlib import Path
 
+import gospel2viper
 from gospel2viper.cli import RunConfig, run
 
 GOOD = """\
@@ -203,3 +206,21 @@ def test_console_entry_point(tmp_path):
         capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip().endswith("good.vpr")
+
+
+def test_diagnostics_do_not_depend_on_the_hash_seed(tmp_path, corpus):
+    # the checker keeps permissions in sets; their iteration order must
+    # never reach the verdict or the wording of a diagnostic
+    files = sorted(str(p) for p in corpus.glob("*.ml"))
+    src = Path(gospel2viper.__file__).resolve().parent.parent
+    path = os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])
+    seen = set()
+    for seed in range(4):
+        env = dict(os.environ, PYTHONHASHSEED=str(seed), PYTHONPATH=path)
+        proc = subprocess.run(
+            [sys.executable, "-m", "gospel2viper.cli", *files, "--check",
+             "-o", str(tmp_path / f"out{seed}")],
+            capture_output=True, text=True, env=env)
+        assert proc.returncode == 1, proc.stderr  # foo_missing_unfold
+        seen.add(proc.stderr)
+    assert len(seen) == 1

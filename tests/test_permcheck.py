@@ -2,14 +2,18 @@
 decision procedure, produce/consume, statement execution, and whole-method
 verdicts.  States are built by hand so each behavior is pinned in isolation."""
 
+from collections import Counter
+
 from gospel2viper import viper_ast as V
 from gospel2viper.diagnostics import Category, Severity
 from gospel2viper.permcheck import (App, Checker, Ctor, Lit, SeqV, Sym,
                                     SymState, _ConsumeCtx, check_program,
                                     FALSE, TRUE, MAX_PATHS, sym_str)
+from gospel2viper.translate import translate_source
 from gospel2viper.viper_parser import reparse
 
 import pytest
+from hypothesis import given, settings, strategies as hs
 
 PROGRAM = reparse("""
 adt Cell { Nil() Cons(cell: Ref) }
@@ -219,6 +223,106 @@ def test_occurs_check_blocks_cyclic_substitution(ck):
     x = ck.fresh("x")
     assert ck.assume(st, App("==", (x, App("+", (x, Lit(1))))))
     assert ck.norm(x, st) == x  # no substitution was recorded
+
+
+# -- memoised normal forms and keyed lookups ----------------------------------
+
+# terms over four symbols (ids 0-3, allocated first by each checker below)
+_ATOMS = hs.one_of(
+    hs.builds(lambda i: Sym(i, f"s{i}"), hs.integers(0, 3)),
+    hs.builds(Lit, hs.integers(-2, 2)), hs.builds(Lit, hs.booleans()))
+_OPS = ["++", "len", "index", "drop", "take", "drop_last", "take_last",
+        "+", "-", "*", "/", "neg", "<", "<=", ">", ">=", "==", "!=", "not",
+        "&&", "||", "ite", "is#Nil", "is#Cons", "proj#cell"]
+_ARITY = {"len": 1, "drop_last": 1, "take_last": 1, "neg": 1, "not": 1,
+          "is#Nil": 1, "is#Cons": 1, "proj#cell": 1, "ite": 3}
+TERMS = hs.recursive(_ATOMS, lambda sub: hs.one_of(
+    hs.builds(lambda a: Ctor("Cons", (a,)), sub),
+    hs.just(Ctor("Nil")),
+    hs.builds(lambda xs: SeqV(tuple(xs)), hs.lists(sub, max_size=3)),
+    hs.sampled_from(_OPS).flatmap(lambda op: hs.builds(
+        lambda xs: App(op, tuple(xs)),
+        hs.lists(sub, min_size=_ARITY.get(op, 2),
+                 max_size=_ARITY.get(op, 2))))), max_leaves=12)
+FACTS = hs.one_of(
+    hs.builds(lambda i, t: App("==", (Sym(i, f"s{i}"), t)),
+              hs.integers(0, 3), TERMS),
+    hs.builds(lambda i: App("is#Cons", (Sym(i, f"s{i}"),)),
+              hs.integers(0, 3)))
+
+
+def fresh_checker():
+    ck = Checker(PROGRAM)
+    for i in range(4):
+        ck.fresh(f"s{i}")
+    return ck
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(TERMS, hs.lists(FACTS, max_size=3))
+def test_memoised_norm_is_idempotent_and_matches_a_fresh_checker(t, facts):
+    ck = fresh_checker()
+    st = SymState()
+    for fact in [None] + facts:
+        if fact is not None:
+            ck._refine(st, ck.norm(fact, st))
+        n = ck.norm(t, st)
+        assert ck.norm(n, st) == n
+        assert fresh_checker().norm(t, st) == n
+        assert sym_str(fresh_checker().norm(t, st)) == sym_str(n)
+
+
+def test_lookups_see_through_a_later_substitution(ck):
+    # stored under x, looked up through y after x == y binds x to y: the
+    # stored keys are no longer normal, so the lookups must scan
+    st = SymState()
+    x, y = ck.fresh("x"), ck.fresh("y")
+    st.store.update(x=x, y=y)
+    st.perms.add((x, "val"))
+    st.heap[(x, "val")] = Lit(7)
+    st.preds[("P", (x,))] = 1
+    assert ck.assume(st, App("==", (x, y)))
+    assert ck.norm(x, st) == y
+    ck.exec_stmt(st, V.VarDeclS("t", V.INT, V.FieldAcc(V.Var("y"), "val")))
+    assert st.store["t"] == Lit(7)
+    ck.exec_stmt(st, V.AssignS(V.FieldAcc(V.Var("y"), "val"), V.IntLit(8)))
+    assert st.heap == {(x, "val"): Lit(8)}
+    assert st.perms == {(x, "val")}
+    ck.exec_stmt(st, V.UnfoldS(pred("P", "y")))
+    assert not ck.diags
+    assert not st.preds
+
+
+def bump_chain(bounds):
+    lines = ["type t = { mutable f0 : int }", "",
+             "(*@ predicate p (r: t) = r ~> {f0} *)", "",
+             "let bump (r: t) =", "  (*@ unfold p r *)"]
+    lines += [f"  if r.f0 > {b} then r.f0 <- r.f0 + 1;" for b in bounds]
+    lines += ["  (*@ fold p r *)", "(*@ bump r requires p r ensures p r *)"]
+    program, diags = translate_source("\n".join(lines) + "\n")
+    assert program is not None and not diags
+    return program
+
+
+def test_normalisation_work_stays_small(monkeypatch):
+    # nine sequential guarded increments: 477 decisions, and each term is
+    # normalised about once (the old checker made 50,319 norm calls)
+    counts = Counter()
+    norm, decide = Checker.norm, Checker.decide
+
+    def counted_norm(self, v, st):
+        counts["norm"] += 1
+        return norm(self, v, st)
+
+    def counted_decide(self, st, v):
+        counts["decide"] += 1
+        return decide(self, st, v)
+
+    monkeypatch.setattr(Checker, "norm", counted_norm)
+    monkeypatch.setattr(Checker, "decide", counted_decide)
+    check_program(bump_chain(range(0, 90, 10)))
+    assert counts["decide"] == 477
+    assert counts["norm"] <= 5000
 
 
 # -- produce ------------------------------------------------------------------
