@@ -118,8 +118,17 @@ def sym_str(v: SymVal) -> str:
             return "Seq[Int]()"
         return "Seq(" + ", ".join(sym_str(a) for a in v.elems) + ")"
     if isinstance(v, App):
+        if _infix(v):
+            prec = V._PREC[v.name]
+            return f" {v.name} ".join(
+                f"({sym_str(a)})" if _infix(a) and V._PREC[a.name] <= prec
+                else sym_str(a) for a in v.args)
         return f"{v.name}(" + ", ".join(sym_str(a) for a in v.args) + ")"
     raise TypeError(type(v).__name__)
+
+
+def _infix(v: SymVal) -> bool:
+    return isinstance(v, App) and v.name in V._PREC and len(v.args) > 1
 
 
 # -- symbolic state --------------------------------------------------------------

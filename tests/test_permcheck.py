@@ -669,3 +669,12 @@ def test_sym_str_is_readable(ck):
     assert sym_str(Lit(3)) == "3"
     assert sym_str(Ctor("Cons", (x,))).startswith("Cons(")
     assert sym_str(seq(1, 2)) == "Seq(1, 2)"
+    v = ck.fresh("v")
+    assert sym_str(App("drop_last", (App("++", (v, SeqV((x,)))),))) \
+        == "drop_last(v ++ Seq(x))"
+    # operands that bind as tight or looser than their operator get parens
+    assert sym_str(App("&&", (App("==", (x, Lit(1))), App("<", (v, x))))) \
+        == "x == 1 && v < x"
+    assert sym_str(App("*", (App("+", (x, v)), Lit(2)))) == "(x + v) * 2"
+    assert sym_str(App("-", (x, App("-", (v, Lit(1)))))) == "x - (v - 1)"
+    assert sym_str(App("not", (x,))) == "not(x)"
