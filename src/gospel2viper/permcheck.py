@@ -22,9 +22,10 @@ changes whenever its substitution grows, and `norm` memoises on
 keeps its path facts normalised next to the path, so `decide` and
 `assume` normalise only facts appended since, or all of them after the
 substitution changed.  Permissions, heap cells and predicate instances
-are stored under normalised keys, so a lookup probes the normalised key
-and scans, normalising every stored key, only when the substitution
-changed while the state held keys.
+are stored under normalised keys, so a lookup probes the normalised key.
+It scans, normalising every stored key, only once the substitution has
+bound a symbol that a stored key mentions, and in the produce-time cache
+of unframed reads, which sibling forks share.
 
 On a failed access the checker reports once and then repairs the state
 (adds the missing permission or carries on past the missing instance) so
@@ -145,7 +146,7 @@ class SymState:
     version: object = field(default_factory=object)  # replaced as subst grows
     # (version, len(path) covered, set of those facts normalised)
     facts: tuple = (None, 0, frozenset())
-    stale: bool = False  # subst grew while keys were held: scan on lookup
+    stale: bool = False  # subst bound a symbol of a stored key: scan
 
     def clone(self) -> "SymState":
         version, done, facts = self.facts
@@ -441,7 +442,11 @@ class Checker:
     def _bind(st: SymState, s: Sym, v: SymVal) -> None:
         st.subst[s.id] = v
         st.version = object()
-        st.stale = st.stale or bool(st.perms or st.preds or st.heap)
+        # a stored key stays normal unless it mentions s
+        keys = itertools.chain((r for r, _ in st.perms),
+                               (r for r, _ in st.heap),
+                               (a for _, args in st.preds for a in args))
+        st.stale = st.stale or any(_occurs(s, k) for k in keys)
 
     # -- permission and instance bookkeeping -----------------------------------
 
@@ -467,8 +472,9 @@ class Checker:
 
     def _heap_read(self, st: SymState, heap: dict, rec: SymVal, fld: str,
                    keyed: bool = True) -> SymVal:
-        """`keyed` says that `heap` was filled under `st`'s substitution
-        (the produce scratch cache is shared by sibling forks)."""
+        """`keyed` is False for the produce-time cache of unframed reads:
+        sibling forks share it, so its keys may be normal under another
+        state's substitution."""
         rec_n = self.norm(rec, st)
         if keyed and not st.stale:
             val = heap.get((rec_n, fld))

@@ -293,6 +293,18 @@ def test_lookups_see_through_a_later_substitution(ck):
     assert not st.preds
 
 
+def test_instance_lookup_sees_through_a_later_substitution(ck):
+    # as above, with an instance the only key that mentions x
+    st = SymState()
+    x, y = ck.fresh("x"), ck.fresh("y")
+    st.store.update(x=x, y=y)
+    st.preds[("P", (x,))] = 1
+    assert ck.assume(st, App("==", (x, y)))
+    ck.exec_stmt(st, V.UnfoldS(pred("P", "y")))
+    assert not ck.diags
+    assert not st.preds
+
+
 def bump_chain(bounds):
     lines = ["type t = { mutable f0 : int }", "",
              "(*@ predicate p (r: t) = r ~> {f0} *)", "",
