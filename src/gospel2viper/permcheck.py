@@ -155,6 +155,16 @@ class SymState:
                         dict(self.subst), self.version,
                         (version, done, set(facts)), self.stale)
 
+    def bind(self, s: Sym, v: SymVal) -> None:
+        """Substitute the normal form `v` for `s` from now on."""
+        self.subst[s.id] = v
+        self.version = object()
+        # a stored key stays normal unless it mentions s
+        keys = itertools.chain((r for r, _ in self.perms),
+                               (r for r, _ in self.heap),
+                               (a for _, args in self.preds for a in args))
+        self.stale = self.stale or any(_occurs(s, k) for k in keys)
+
 
 class _Mode(Enum):
     EXEC = "exec"  # reads require permission, writes go to the live heap
@@ -414,7 +424,7 @@ class Checker:
                 if isinstance(lhs, Sym) and lhs.id not in st.subst:
                     rhs_n = self.norm(rhs, st)
                     if not _occurs(lhs, rhs_n):
-                        self._bind(st, lhs, rhs_n)
+                        st.bind(lhs, rhs_n)
                         return
         elif n.name.startswith("is#"):
             ctor = n.name[3:]
@@ -423,7 +433,7 @@ class Checker:
                 params = self.ctor_params.get(ctor)
                 if params is not None:
                     payload = tuple(self.fresh(p) for p in params)
-                    self._bind(st, target, Ctor(ctor, payload))
+                    st.bind(target, Ctor(ctor, payload))
         elif n.name == "not":
             inner = n.args[0]
             if isinstance(inner, App) and inner.name.startswith("is#"):
@@ -436,17 +446,7 @@ class Checker:
                     other = others[0]
                     payload = tuple(self.fresh(p)
                                     for p in self.ctor_params[other])
-                    self._bind(st, target, Ctor(other, payload))
-
-    @staticmethod
-    def _bind(st: SymState, s: Sym, v: SymVal) -> None:
-        st.subst[s.id] = v
-        st.version = object()
-        # a stored key stays normal unless it mentions s
-        keys = itertools.chain((r for r, _ in st.perms),
-                               (r for r, _ in st.heap),
-                               (a for _, args in st.preds for a in args))
-        st.stale = st.stale or any(_occurs(s, k) for k in keys)
+                    st.bind(target, Ctor(other, payload))
 
     # -- permission and instance bookkeeping -----------------------------------
 
