@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Span:
     start: int
     end: int

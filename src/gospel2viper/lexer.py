@@ -1,5 +1,16 @@
 """Lexer for the OCaml-light surface language.
 
+One compiled master pattern reads each token together with the
+whitespace before it, as the stdlib `tokenize` and `re.Scanner` modules
+do.  The token classes are:
+
+* whitespace: ASCII space, tab, CR and LF only, so a no-break space or
+  a form feed is an unexpected character;
+* integers: runs of Unicode decimal digits, the ones `int` reads, so a
+  superscript `²` is an unexpected character;
+* identifiers: a letter or `_`, then letters, digits, `_` and `'`;
+* the punctuation in PUNCT, longest match first.
+
 Ordinary ``(* ... *)`` comments nest and are discarded.  Annotation
 comments ``(*@ ... *)`` become a single ANNOTATION token that keeps the
 raw payload text and its offset, so the payload can be re-lexed in
@@ -10,13 +21,11 @@ are hard keywords; in program mode they are plain identifiers.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from enum import Enum, auto
 
 from .diagnostics import Category, Diagnostic, Span, error
-
-# Both the unicode wiggle arrows and the ASCII digraph denote ownership.
-OWNS_ARROWS = ("⇝", "↝", "⤳")
 
 
 class T(Enum):
@@ -60,37 +69,52 @@ SPEC_KEYWORDS = {
     "fold": T.FOLD, "unfold": T.UNFOLD, "apply": T.APPLY,
 }
 
-PUNCT = [
-    ("~>", T.OWNS), ("<-", T.LARROW), ("->", T.ARROW),
-    ("++", T.PLUSPLUS), ("&&", T.AMPAMP), ("||", T.BARBAR),
-    ("..", T.DOTDOT), ("<>", T.NEQ), ("<=", T.LE), (">=", T.GE),
-    ("(", T.LPAREN), (")", T.RPAREN), ("{", T.LBRACE), ("}", T.RBRACE),
-    ("[", T.LBRACKET), ("]", T.RBRACKET),
-    (";", T.SEMI), (":", T.COLON), (",", T.COMMA), (".", T.DOT),
-    ("|", T.PIPE), ("=", T.EQ), ("<", T.LT), (">", T.GT),
-    ("+", T.PLUS), ("-", T.MINUS), ("*", T.STAR), ("/", T.SLASH),
-]
+# The ASCII digraph and the unicode wiggle arrows all denote ownership.
+PUNCT = {
+    "~>": T.OWNS, "⇝": T.OWNS, "↝": T.OWNS, "⤳": T.OWNS,
+    "<-": T.LARROW, "->": T.ARROW,
+    "++": T.PLUSPLUS, "&&": T.AMPAMP, "||": T.BARBAR,
+    "..": T.DOTDOT, "<>": T.NEQ, "<=": T.LE, ">=": T.GE,
+    "(": T.LPAREN, ")": T.RPAREN, "{": T.LBRACE, "}": T.RBRACE,
+    "[": T.LBRACKET, "]": T.RBRACKET,
+    ";": T.SEMI, ":": T.COLON, ",": T.COMMA, ".": T.DOT,
+    "|": T.PIPE, "=": T.EQ, "<": T.LT, ">": T.GT,
+    "+": T.PLUS, "-": T.MINUS, "*": T.STAR, "/": T.SLASH,
+}
+
+_ALL_KEYWORDS = {**SPEC_KEYWORDS, **KEYWORDS}
+
+# Leading whitespace, then one token: a comment opener, an integer, an
+# identifier (the caller rejects a non-letter start) or punctuation,
+# longest first.  No group matches at end of input or a stray character.
+_INT, _IDENT, _PUNCT = 2, 3, 4  # group 1 is the comment opener
+_INT_KIND, _IDENT_KIND = T.INT, T.IDENT  # enum lookups are slow
+_TOKEN = re.compile(r"[ \t\r\n]*(?:(\(\*@?)|(\d+)|([^\W\d][\w']*)|(%s))?"
+                    % "|".join(map(re.escape,
+                                   sorted(PUNCT, key=len, reverse=True))))
+_COMMENT_EDGE = re.compile(r"\(\*|\*\)")
 
 
-@dataclass
+@dataclass(slots=True)
 class Token:
     kind: T
     text: str
-    span: Span
+    start: int  # offset in the file; most spans are never asked for
     # only set on ANNOTATION tokens
     payload: str | None = field(default=None, repr=False)
     payload_offset: int = field(default=0, repr=False)
+
+    @property
+    def span(self) -> Span:
+        return Span(self.start, self.start + len(self.text))
 
     def is_upper_ident(self) -> bool:
         return self.kind is T.IDENT and self.text[:1].isupper()
 
 
-def _ident_start(ch: str) -> bool:
-    return ch.isalpha() or ch == "_"
-
-
-def _ident_cont(ch: str) -> bool:
-    return ch.isalnum() or ch in "_'"
+def _unexpected(ch: str, at: int) -> Diagnostic:
+    return error(Category.PARSE, f"unexpected character {ch!r}",
+                 Span(at, at + 1))
 
 
 def lex(source: str, base: int = 0, spec_mode: bool = False
@@ -99,74 +123,42 @@ def lex(source: str, base: int = 0, spec_mode: bool = False
 
     `base` shifts all spans, so annotation payloads keep file positions.
     """
+    keywords = _ALL_KEYWORDS if spec_mode else KEYWORDS
     toks: list[Token] = []
+    append, match = toks.append, _TOKEN.match
     i, n = 0, len(source)
-
-    def tok(kind: T, start: int, end: int, **kw) -> None:
-        toks.append(Token(kind, source[start:end],
-                          Span(base + start, base + end), **kw))
-
-    while i < n:
-        ch = source[i]
-        if ch in " \t\r\n":
-            i += 1
-            continue
-
-        if source.startswith("(*", i):
-            start = i
-            is_annot = source.startswith("(*@", i)
-            depth, j = 1, i + (3 if is_annot else 2)
-            while j < n and depth:
-                if source.startswith("(*", j):
-                    depth += 1; j += 2
-                elif source.startswith("*)", j):
-                    depth -= 1; j += 2
-                else:
-                    j += 1
-            if depth:
+    while True:
+        m = match(source, i)
+        group = m.lastindex
+        if group is None:
+            i = m.end()
+            if i == n:
+                break
+            return [], [_unexpected(source[i], base + i)]
+        start, i = m.span(group)
+        text = source[start:i]
+        if group == _IDENT:
+            if not (text[0].isalpha() or text[0] == "_"):
+                return [], [_unexpected(text[0], base + start)]
+            kind = keywords.get(text, _IDENT_KIND)
+        elif group == _PUNCT:
+            kind = PUNCT[text]
+        elif group == _INT:
+            kind = _INT_KIND
+        else:
+            depth = 1
+            for edge in _COMMENT_EDGE.finditer(source, i):
+                depth += 1 if edge.group() == "(*" else -1
+                if not depth:
+                    break
+            else:
                 return [], [error(Category.PARSE, "unterminated comment",
                                   Span(base + start, base + n))]
-            if is_annot:
-                payload_start = start + 3
-                tok(T.ANNOTATION, start, j,
-                    payload=source[payload_start:j - 2],
-                    payload_offset=base + payload_start)
-            i = j
+            i = edge.end()
+            if len(text) == 3:
+                append(Token(T.ANNOTATION, source[start:i], base + start,
+                             source[start + 3:i - 2], base + start + 3))
             continue
-
-        if ch in OWNS_ARROWS:
-            tok(T.OWNS, i, i + 1)
-            i += 1
-            continue
-
-        if ch.isdigit():
-            j = i
-            while j < n and source[j].isdigit():
-                j += 1
-            tok(T.INT, i, j)
-            i = j
-            continue
-
-        if _ident_start(ch):
-            j = i
-            while j < n and _ident_cont(source[j]):
-                j += 1
-            word = source[i:j]
-            kind = KEYWORDS.get(word)
-            if kind is None and spec_mode:
-                kind = SPEC_KEYWORDS.get(word)
-            tok(kind or T.IDENT, i, j)
-            i = j
-            continue
-
-        for text, kind in PUNCT:
-            if source.startswith(text, i):
-                tok(kind, i, i + len(text))
-                i += len(text)
-                break
-        else:
-            return [], [error(Category.PARSE, f"unexpected character {ch!r}",
-                              Span(base + i, base + i + 1))]
-
-    toks.append(Token(T.EOF, "", Span(base + n, base + n)))
+        append(Token(kind, text, base + start))
+    append(Token(T.EOF, "", base + n))
     return toks, []

@@ -224,3 +224,13 @@ def test_diagnostics_do_not_depend_on_the_hash_seed(tmp_path, corpus):
         assert proc.returncode == 1, proc.stderr  # foo_missing_unfold
         seen.add(proc.stderr)
     assert len(seen) == 1
+
+
+def test_non_decimal_digit_is_a_parse_error(tmp_path):
+    # str.isdigit accepts '²' but int() does not
+    src = tmp_path / "sup.ml"
+    src.write_text(GOOD.replace("c.v <- 0", "c.v <- ²"), encoding="utf-8")
+    status, out, err = invoke(src, check=True)
+    assert status == 1 and out == ""
+    assert err == f"{src}:5:10: error[parse]: unexpected character '²'\n"
+
