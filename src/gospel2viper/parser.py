@@ -54,11 +54,13 @@ class _P:
     # -- cursor helpers ----------------------------------------------------
 
     def peek(self, ahead: int = 0) -> Token:
-        i = min(self.pos + ahead, len(self.toks) - 1)
-        return self.toks[i]
+        # `next` never moves past EOF, so only a lookahead needs the clamp
+        if ahead:
+            return self.toks[min(self.pos + ahead, len(self.toks) - 1)]
+        return self.toks[self.pos]
 
     def at(self, *kinds: T) -> bool:
-        return self.peek().kind in kinds
+        return self.toks[self.pos].kind in kinds
 
     def next(self) -> Token:
         t = self.toks[self.pos]
