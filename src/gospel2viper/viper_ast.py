@@ -9,6 +9,7 @@ split one conjunct per line once a line would run past 80 columns.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 
 WIDTH = 80
@@ -594,8 +595,15 @@ _SYMBOLS = ("==>", "==", "!=", "<=", ">=", "&&", "||", "++", ":=", "..",
             "?", ":", "(", ")", "{", "}", "[", "]", ",", ".", "|", "=",
             "<", ">", "+", "-", "*", "/", "!")
 
+# Trivia, then one token: an identifier (the caller rejects a non-letter
+# start), an integer, an unterminated comment opener, or a symbol.
+_VTOKEN = re.compile(r"(?:[\s;]+|//[^\n]*\n?|/\*.*?\*/)*"
+                     r"(?:([^\W\d][\w']*)|(\d+)|(/\*)|(%s))?"
+                     % "|".join(map(re.escape, _SYMBOLS)), re.S)
+_VKINDS = (None, "ident", "int", None, "sym")
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, slots=True)
 class VToken:
     kind: str  # "ident", "int", "sym"
     text: str
@@ -609,47 +617,27 @@ class ViperLexError(ValueError):
 
 
 def lex_viper(text: str) -> list[VToken]:
-    """Tokenize Viper text.  Whitespace, semicolons and // comments are
-    trivia; stray semicolons in hand-written goldens never matter."""
+    """Tokenize Viper text.  Whitespace, semicolons and // and /* */
+    comments are trivia; stray semicolons in hand-written goldens never
+    matter.  Integers are decimal digits only, as `int` reads them."""
     toks: list[VToken] = []
+    append, match = toks.append, _VTOKEN.match
     i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c.isspace() or c == ";":
-            i += 1
-            continue
-        if text.startswith("//", i):
-            j = text.find("\n", i)
-            i = n if j < 0 else j + 1
-            continue
-        if text.startswith("/*", i):
-            j = text.find("*/", i + 2)
-            if j < 0:
-                raise ViperLexError("unterminated comment", i)
-            i = j + 2
-            continue
-        if c.isalpha() or c == "_":
-            j = i + 1
-            while j < n and (text[j].isalnum() or text[j] in "_'"):
-                j += 1
-            toks.append(VToken("ident", text[i:j], i))
-            i = j
-            continue
-        if c.isdigit():
-            j = i + 1
-            while j < n and text[j].isdigit():
-                j += 1
-            toks.append(VToken("int", text[i:j], i))
-            i = j
-            continue
-        for sym in _SYMBOLS:
-            if text.startswith(sym, i):
-                toks.append(VToken("sym", sym, i))
-                i += len(sym)
-                break
-        else:
-            raise ViperLexError(f"unexpected character {c!r}", i)
-    return toks
+    while True:
+        m = match(text, i)
+        group = m.lastindex
+        if group is None:
+            i = m.end()
+            if i == n:
+                return toks
+            raise ViperLexError(f"unexpected character {text[i]!r}", i)
+        start, i = m.span(group)
+        word = text[start:i]
+        if group == 3:
+            raise ViperLexError("unterminated comment", start)
+        if group == 1 and not (word[0].isalpha() or word[0] == "_"):
+            raise ViperLexError(f"unexpected character {word[0]!r}", start)
+        append(VToken(_VKINDS[group], word, start))
 
 
 def token_texts(text: str) -> list[str]:
