@@ -22,9 +22,9 @@ from .surface import (AppE, Assertion, AssignE, BinE, BoolLit, BoolT,
                       GospelAnnotation, IfA, IfE, IndexE, IntLit, IntT,
                       LemmaDef, LetIn, LetPatA, LogicalFunctionDef, MatchArm,
                       MatchE, NamedT, OwnsA, PredA, PredicateDef, PureA,
-                      RecordAlloc, SeqE, SeqT, SepA, SliceFromE, SurfaceDecl,
-                      SurfaceExpr, SurfaceModule, SurfaceType, TypeDecl,
-                      UnE, UnitLit, VarE)
+                      RecordAlloc, RecordKind, SeqE, SeqT, SepA, SliceFromE,
+                      SurfaceDecl, SurfaceExpr, SurfaceModule, SurfaceType,
+                      TypeDecl, UnE, UnitLit, VarE)
 
 
 class ParseError(Exception):
@@ -652,7 +652,7 @@ class _ModuleParser(_P):
             self.fail("type names are lowercase")
         self.expect(T.EQ, "'='")
         if self.at(T.LBRACE):
-            kind = RecordKindParser.parse(self)
+            kind = self._record_kind()
         else:
             kind = self._variant()
         return TypeDecl(name.text, kind, span=start.span)
@@ -674,8 +674,29 @@ class _ModuleParser(_P):
         payload: list[FieldDef] = []
         if self.at(T.OF):
             self.next()
-            payload = RecordKindParser.parse(self).fields
+            payload = self._record_kind().fields
         return CtorDef(name.text, payload, span=name.span)
+
+    def _record_kind(self) -> RecordKind:
+        self.expect(T.LBRACE, "'{'")
+        fields: list[FieldDef] = []
+        while not self.at(T.RBRACE):
+            mutable = False
+            if self.at(T.MUTABLE):
+                self.next()
+                mutable = True
+            name = self.ident("field name")
+            self.expect(T.COLON, "':'")
+            fields.append(FieldDef(name.text, self.parse_type(), mutable,
+                                   span=name.span))
+            if self.at(T.SEMI):
+                self.next()
+            elif not self.at(T.RBRACE):
+                self.fail("expected ';' or '}' in record declaration")
+        self.next()
+        if not fields:
+            self.fail("record declarations need at least one field")
+        return RecordKind(fields)
 
     def _fun_decl(self) -> FunDecl:
         start = self.expect(T.LET, "'let'")
@@ -699,31 +720,6 @@ class _ModuleParser(_P):
         self.expect(T.EQ, "'='")
         body = self.parse_body()
         return FunDecl(name.text, params, ret, body, span=start.span)
-
-
-class RecordKindParser:
-    @staticmethod
-    def parse(p: _P):
-        from .surface import RecordKind
-        p.expect(T.LBRACE, "'{'")
-        fields: list[FieldDef] = []
-        while not p.at(T.RBRACE):
-            mutable = False
-            if p.at(T.MUTABLE):
-                p.next()
-                mutable = True
-            name = p.ident("field name")
-            p.expect(T.COLON, "':'")
-            fields.append(FieldDef(name.text, p.parse_type(), mutable,
-                                   span=name.span))
-            if p.at(T.SEMI):
-                p.next()
-            elif not p.at(T.RBRACE):
-                p.fail("expected ';' or '}' in record declaration")
-        p.next()
-        if not fields:
-            p.fail("record declarations need at least one field")
-        return RecordKind(fields)
 
 
 # --------------------------------------------------------------------------
@@ -778,7 +774,6 @@ def resolve_spec_name(name: str, table: dict) -> str | None:
 def _validate(m: SurfaceModule, diags: list[Diagnostic]) -> None:
     preds = m.predicates()
     lemmas = m.lemmas()
-    logical = m.logical_functions()
 
     seen: dict[tuple[str, str], Span | None] = {}
 
@@ -877,7 +872,6 @@ def _validate(m: SurfaceModule, diags: list[Diagnostic]) -> None:
                                for a in d.spec.requires]
             d.spec.ensures = [_resolve_assertion(a, known)
                               for a in d.spec.ensures]
-    _ = logical
 
 
 def parse_module(tokens: list[Token]) -> tuple[SurfaceModule | None, list[Diagnostic]]:
