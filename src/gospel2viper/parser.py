@@ -38,18 +38,26 @@ _ADD_OPS = {T.PLUS: "+", T.MINUS: "-"}
 _MUL_OPS = {T.STAR: "*", T.SLASH: "/"}
 _ATOM_START = (T.INT, T.TRUE, T.FALSE, T.IDENT, T.LPAREN, T.LBRACE)
 
+# Expressions, prefix minus, assertion atoms and parenthesised statements
+# nest at most this deep inside the outermost one, so the recursive parser
+# and the stages after it stay inside Python's default recursion limit.
+MAX_NESTING = 64
+
 
 class _P:
     """Token cursor with shared expression machinery.
 
     `spec` toggles the two grammar dialects: spec terms have sequence
     indexing/slicing, program terms have ghost-argument brackets.
+    `depth` counts open nesting levels; a ParseError leaves it raised, so
+    whoever catches one and parses on restores it together with `pos`.
     """
 
     def __init__(self, tokens: list[Token], spec: bool):
         self.toks = tokens
         self.pos = 0
         self.spec = spec
+        self.depth = 0
 
     # -- cursor helpers ----------------------------------------------------
 
@@ -80,6 +88,12 @@ class _P:
     def ident(self, what: str = "identifier") -> Token:
         return self.expect(T.IDENT, what)
 
+    def enter(self) -> None:
+        """Open one nesting level; the caller closes it with depth -= 1."""
+        if self.depth > MAX_NESTING:
+            self.fail(f"nesting deeper than {MAX_NESTING} levels")
+        self.depth += 1
+
     # -- types -------------------------------------------------------------
 
     def parse_type(self) -> SurfaceType:
@@ -101,10 +115,12 @@ class _P:
     # -- expressions -------------------------------------------------------
 
     def parse_expr(self) -> SurfaceExpr:
+        self.enter()
         e = self.parse_and()
         while self.at(T.BARBAR):
             self.next()
             e = BinE("||", e, self.parse_and(), span=_sp(e))
+        self.depth -= 1
         return e
 
     def parse_and(self) -> SurfaceExpr:
@@ -145,7 +161,10 @@ class _P:
     def parse_unary(self) -> SurfaceExpr:
         if self.at(T.MINUS):
             start = self.next().span
-            return UnE("-", self.parse_unary(), span=start)
+            self.enter()
+            e = UnE("-", self.parse_unary(), span=start)
+            self.depth -= 1
+            return e
         return self.parse_app()
 
     def parse_app(self) -> SurfaceExpr:
@@ -403,7 +422,9 @@ _EXPR_CONT = (T.DOT, T.LBRACKET, T.PLUSPLUS, T.PLUS, T.MINUS, T.STAR,
 
 
 def _assertion(p: _P) -> Assertion:
+    p.enter()
     a = _assertion_atom(p)
+    p.depth -= 1
     if p.at(T.AMPAMP):
         p.next()
         return SepA(a, _assertion(p), span=_sp(a))
@@ -430,7 +451,7 @@ def _assertion_atom(p: _P) -> Assertion:
         p.expect(T.IN, "'in'")
         return LetPatA(ctor.text, binder, scrut, _assertion(p), span=t.span)
     if t.kind is T.LPAREN:
-        mark = p.pos
+        mark = p.pos, p.depth
         p.next()
         try:
             inner = _assertion(p)
@@ -439,7 +460,7 @@ def _assertion_atom(p: _P) -> Assertion:
                 return inner
         except ParseError:
             pass
-        p.pos = mark
+        p.pos, p.depth = mark
     e = p.parse_cmp()
     if p.at(T.OWNS):
         p.next()
@@ -544,7 +565,9 @@ class _ModuleParser(_P):
             return IfE(cond, then, els, span=t.span)
         if t.kind is T.LPAREN and not self._unit_ahead():
             self.next()
+            self.enter()
             items = self._stmt_seq()
+            self.depth -= 1
             self.expect(T.RPAREN, "')'")
             if not items:
                 self.fail("empty parenthesized statement")

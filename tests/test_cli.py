@@ -9,7 +9,9 @@ import sys
 from pathlib import Path
 
 import gospel2viper
+import pytest
 from gospel2viper.cli import RunConfig, run
+from gospel2viper.parser import MAX_NESTING
 
 GOOD = """\
 type t = { mutable v : int }
@@ -234,3 +236,38 @@ def test_non_decimal_digit_is_a_parse_error(tmp_path):
     assert status == 1 and out == ""
     assert err == f"{src}:5:10: error[parse]: unexpected character '²'\n"
 
+
+NESTED = """\
+type t = {{ mutable v : int }}
+(*@ predicate p (c: t) = c ~> {{v}} *)
+let zero (c: t) =
+  (*@ unfold p c *)
+  c.v <- {value}
+  (*@ fold p c *)
+(*@ zero c requires {pre} ensures p c *)
+"""
+
+NESTINGS = {
+    "parentheses": lambda n: dict(value="(" * n + "0" + ")" * n, pre="p c"),
+    "requires": lambda n: dict(value="0", pre="(" * n + "p c" + ")" * n),
+    "prefix-minus": lambda n: dict(value="-" * n + "0", pre="p c"),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(NESTINGS))
+def test_nesting_at_the_limit_checks_and_prints(tmp_path, shape):
+    src = tmp_path / "deep.ml"
+    src.write_text(NESTED.format(**NESTINGS[shape](MAX_NESTING)))
+    status, out, err = invoke(src, check=True)
+    assert (status, err) == (0, "")
+    assert (tmp_path / "deep.vpr").read_text().startswith("field v: Int")
+
+
+@pytest.mark.parametrize("shape", sorted(NESTINGS))
+def test_nesting_past_the_limit_is_one_parse_error(tmp_path, shape):
+    src = tmp_path / "deep.ml"
+    src.write_text(NESTED.format(**NESTINGS[shape](MAX_NESTING + 1)))
+    status, out, err = invoke(src, check=True)
+    assert status == 1 and out == ""
+    assert err.count("error[parse]") == 1
+    assert f"nesting deeper than {MAX_NESTING} levels" in err
