@@ -16,12 +16,12 @@ between an instance and its body, which is the point of the exercise.
 Normalization evaluates the sequence helpers (`drop_last`, `take_last`)
 and all sequence/arithmetic/constructor operators on literal operands,
 so programs over concrete sequences are fully decidable.  Each term is
-normalised once per substitution: a state carries a version token that
-changes whenever its substitution grows, and `norm` memoises on
-(version, term), a normal form being its own normal form.  The state
-keeps its path facts normalised next to the path, so `decide` and
-`assume` normalise only facts appended since, or all of them after the
-substitution changed.  Permissions, heap cells and predicate instances
+normalised once per substitution: `norm` memoises in the state's `memo`,
+a normal form being its own normal form; clones share it, and `bind`
+starts a fresh one, so it lives only as long as the states that use it.
+The state keeps its path facts normalised next to the path, so `decide`
+and `assume` normalise only facts appended since, or all of them after
+the substitution changed.  Permissions, heap cells and predicate instances
 are stored under normalised keys, so a lookup probes the normalised key.
 It scans, normalising every stored key, only once the substitution has
 bound a symbol that a stored key mentions, and in the produce-time cache
@@ -143,22 +143,23 @@ class SymState:
     path: list = field(default_factory=list)  # [normalized bool SymVal]
     store: dict = field(default_factory=dict)  # {var: SymVal}
     subst: dict = field(default_factory=dict)  # {sym id: SymVal}
-    version: object = field(default_factory=object)  # replaced as subst grows
-    # (version, len(path) covered, set of those facts normalised)
+    # {term: normal form} under subst, replaced as subst grows
+    memo: dict = field(default_factory=dict, compare=False, repr=False)
+    # (memo, len(path) covered, set of those facts normalised)
     facts: tuple = (None, 0, frozenset())
     stale: bool = False  # subst bound a symbol of a stored key: scan
 
     def clone(self) -> "SymState":
-        version, done, facts = self.facts
+        memo, done, facts = self.facts
         return SymState(set(self.perms), Counter(self.preds),
                         dict(self.heap), list(self.path), dict(self.store),
-                        dict(self.subst), self.version,
-                        (version, done, set(facts)), self.stale)
+                        dict(self.subst), self.memo,
+                        (memo, done, set(facts)), self.stale)
 
     def bind(self, s: Sym, v: SymVal) -> None:
         """Substitute the normal form `v` for `s` from now on."""
         self.subst[s.id] = v
-        self.version = object()
+        self.memo = {}
         # a stored key stays normal unless it mentions s
         keys = itertools.chain((r for r, _ in self.perms),
                                (r for r, _ in self.heap),
@@ -200,7 +201,6 @@ class Checker:
                 for p, _ in c.params:
                     self.projections[p] = c.name
         self._ids = itertools.count()
-        self._memo: dict = {}  # (version, term) -> normal form
         self.diags: list[Diagnostic] = []
 
     def fresh(self, hint: str = "") -> Sym:
@@ -214,8 +214,8 @@ class Checker:
             return v if repl is None else self.norm(repl, st)
         if isinstance(v, Lit):
             return v
-        key = (st.version, v)
-        n = self._memo.get(key)
+        memo = st.memo
+        n = memo.get(v)
         if n is not None:
             return n
         if isinstance(v, Ctor):
@@ -229,7 +229,7 @@ class Checker:
             n = self._simplify(v.name, args)
         else:
             raise TypeError(type(v).__name__)
-        self._memo[key] = self._memo[(st.version, n)] = n
+        memo[v] = memo[n] = n
         return n
 
     def _simplify(self, name: str, args: tuple) -> SymVal:
@@ -379,11 +379,11 @@ class Checker:
 
     def _facts(self, st: SymState) -> set:
         """The path facts normalised under the current substitution."""
-        version, done, facts = st.facts
-        if version is not st.version:
+        memo, done, facts = st.facts
+        if memo is not st.memo:
             done, facts = 0, set()
         facts.update(self.norm(f, st) for f in st.path[done:])
-        st.facts = (st.version, len(st.path), facts)
+        st.facts = (st.memo, len(st.path), facts)
         return facts
 
     def decide(self, st: SymState, v: SymVal) -> bool | None:
@@ -891,7 +891,6 @@ class Checker:
         if m.body is None:
             return []
         self._ids = itertools.count()
-        self._memo.clear()
         self.diags = []
         st = SymState()
         for name, _ in m.params:

@@ -2,14 +2,17 @@
 decision procedure, produce/consume, statement execution, and whole-method
 verdicts.  States are built by hand so each behavior is pinned in isolation."""
 
+import gc
+import tracemalloc
 from collections import Counter
 
 from gospel2viper import viper_ast as V
 from gospel2viper.diagnostics import Category, Severity
 from gospel2viper.permcheck import (App, Checker, Ctor, Lit, SeqV, Sym,
-                                    SymState, _ConsumeCtx, check_program,
+                                    SymState, _ConsumeCtx, _Mode,
+                                    check_program,
                                     FALSE, TRUE, MAX_PATHS, sym_str)
-from gospel2viper.translate import translate_source
+from gospel2viper.translate import prelude_decls, translate_source
 from gospel2viper.viper_parser import reparse
 
 import pytest
@@ -689,3 +692,25 @@ def test_sym_str_is_readable(ck):
     assert sym_str(App("*", (App("+", (x, v)), Lit(2)))) == "(x + v) * 2"
     assert sym_str(App("-", (x, App("-", (v, Lit(1)))))) == "x - (v - 1)"
     assert sym_str(App("not", (x,))) == "not(x)"
+
+
+def test_norm_memo_lives_only_as_long_as_its_states():
+    # one checker evaluates for many short-lived states: what it keeps
+    # must not grow with their number
+    ck = Checker(V.ViperProgram(list(prelude_decls())))
+    body = {d.name: d.body for d in prelude_decls()}["drop_last"]
+
+    def retained(states):
+        tracemalloc.start()
+        for i in range(states):
+            st = SymState()
+            ck.eval(st, body, {"v": SeqV((Lit(i), Lit(-i)))},
+                    _Mode.PRODUCE, st.heap)
+        gc.collect()  # also empties the allocator's free lists
+        size = tracemalloc.get_traced_memory()[0]
+        tracemalloc.stop()
+        return size
+
+    retained(10)
+    few, many = retained(100), retained(1000)
+    assert many < 3 * few
