@@ -87,7 +87,7 @@ _ALL_KEYWORDS = {**SPEC_KEYWORDS, **KEYWORDS}
 # Leading whitespace, then one token: a comment opener, an integer, an
 # identifier (the caller rejects a non-letter start) or punctuation,
 # longest first.  No group matches at end of input or a stray character.
-_INT, _IDENT, _PUNCT = 2, 3, 4  # group 1 is the comment opener
+_INT, _IDENT, _PUNCT = 2, 3, 4  # group numbers; 1 is the comment opener
 _INT_KIND, _IDENT_KIND = T.INT, T.IDENT  # enum lookups are slow
 _TOKEN = re.compile(r"[ \t\r\n]*(?:(\(\*@?)|(\d+)|([^\W\d][\w']*)|(%s))?"
                     % "|".join(map(re.escape,

@@ -137,6 +137,7 @@ EDITS = hs.lists(hs.tuples(hs.sampled_from(["insert", "delete", "replace"]),
 
 
 def mutate(source, edits):
+    # a delete removes as many characters as its piece has
     for op, where, piece in edits:
         at = int(where * len(source))
         if op == "insert":
