@@ -56,6 +56,8 @@ def _out_path(inp: str, config: RunConfig) -> Path:
 
 def _report(diags: list[Diagnostic], path: str, source: str | None,
             err) -> None:
+    if not diags:
+        return
     index = LineIndex(source) if source is not None else None
     for d in sorted(diags, key=sort_key):
         print(d.render(path, index), file=err)

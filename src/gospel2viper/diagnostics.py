@@ -59,9 +59,10 @@ class LineIndex:
 
     def __init__(self, source: str):
         self._starts = [0]
-        for i, ch in enumerate(source):
-            if ch == "\n":
-                self._starts.append(i + 1)
+        i = source.find("\n")
+        while i >= 0:
+            self._starts.append(i + 1)
+            i = source.find("\n", i + 1)
 
     def position(self, offset: int) -> tuple[int, int]:
         row = bisect.bisect_right(self._starts, offset) - 1

@@ -13,12 +13,35 @@ branch instead, because exhaling must pick a side.  Predicate instances
 never unroll on their own: only explicit fold/unfold statements move
 between an instance and its body, which is the point of the exercise.
 
+An `if` with an unknown guard `c` runs both sides, then joins them into
+one state when each side ends in one state whose path is the path before
+the `if` plus its guard, and the two agree on the substitution, the
+permissions, the instances and the heap and store keys, differing only in
+the values of Int or Bool fields and locals.  Each differing value becomes
+`ite(c, then's, else's)` and the guard leaves the path, since `c || !c`
+holds.  A joined Ref would match no held permission, so Ref values are
+never joined.  Otherwise both states go on, and past MAX_PATHS states the
+excess is dropped with a warning (an error under `strict`).  A chain of K
+joins costs time linear in K, not 2^K paths.
+
 Normalization evaluates the sequence helpers (`drop_last`, `take_last`)
 and all sequence/arithmetic/constructor operators on literal operands,
-so programs over concrete sequences are fully decidable.  Each term is
-normalised once per substitution: `norm` memoises in the state's `memo`,
-a normal form being its own normal form; clones share it, and `bind`
-starts a fresh one, so it lives only as long as the states that use it.
+so programs over concrete sequences are fully decidable.  An operator
+applied to an `ite` whose arms are literals is lifted over it, so that
+`ite(c, 1, 2) > 0` folds to true; `ite(c, true, false)` is `c`.
+
+A value that K joins built is a term of K levels that shares its
+subterms; walked as a tree it has 2^K nodes.  So every walk over terms
+visits each node once: the arguments of `==`, `&&` and `||` are sorted by
+a structural key cached on each term (`_key`), not by `repr`; hashes are
+cached; the occurs check remembers the nodes it saw; and normalising an
+unchanged term returns the term itself, so equal terms are mostly one
+object and compare by identity.
+
+Each term is normalised once per substitution: `norm` memoises in the
+state's `memo`, a normal form being its own normal form; clones share it,
+and `bind` starts a fresh one, so it lives only as long as the states
+that use it.
 The state keeps its path facts normalised next to the path, so `decide`
 and `assume` normalise only facts appended since, or all of them after
 the substitution changed.  Permissions, heap cells and predicate instances
@@ -35,6 +58,7 @@ one mistake does not cascade into a wall of noise.
 from __future__ import annotations
 
 import itertools
+import operator
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
@@ -44,6 +68,7 @@ from .diagnostics import (Category, Diagnostic, Severity, error, obligation,
                           warning)
 
 MAX_PATHS = 32
+_SCALAR = frozenset({"Int", "Bool"})  # types whose values a join merges
 
 # -- symbolic values -----------------------------------------------------------
 
@@ -52,11 +77,21 @@ class SymVal:
     pass
 
 
+# Compound terms are immutable and often deep, so each caches its hash
+# and its sort key (`_key`) in `__dict__`.  The hash covers the declared
+# fields only: a cached key must not change the hash of equal terms.
+
 def _hash_once(self) -> int:
-    # compound terms are immutable and often deep: hash each one once
     h = self.__dict__.get("_hash")
     if h is None:
-        h = self.__dict__["_hash"] = hash(tuple(self.__dict__.values()))
+        h = self.__dict__["_hash"] = hash((self.name, self.args))
+    return h
+
+
+def _hash_elems(self) -> int:  # the tuple of declared fields, as above
+    h = self.__dict__.get("_hash")
+    if h is None:
+        h = self.__dict__["_hash"] = hash((self.elems,))
     return h
 
 
@@ -89,7 +124,7 @@ class Ctor(SymVal):
 @dataclass(frozen=True)
 class SeqV(SymVal):
     elems: tuple = ()
-    __hash__ = _hash_once
+    __hash__ = _hash_elems
 
 
 @dataclass(frozen=True)
@@ -102,7 +137,27 @@ class App(SymVal):
 TRUE = Lit(True)
 FALSE = Lit(False)
 
-_COMMUTATIVE = ("==", "!=", "&&", "||")
+
+def _key(v: SymVal) -> tuple:
+    """A structural sort key, total on terms and cached on compound ones.
+
+    It orders the arguments of commutative operators.  Unlike `repr`, it
+    costs one step per distinct node of a shared term, and it uses no
+    `hash()`, so the order does not depend on the hash seed.  The ranks
+    follow the class names, as the order by `repr` did."""
+    if isinstance(v, Sym):
+        return (4, v.id)
+    if isinstance(v, Lit):
+        return (2, type(v.value).__name__, v.value)
+    k = v.__dict__.get("_key")
+    if k is None:
+        if isinstance(v, SeqV):
+            k = (3, "", tuple(map(_key, v.elems)))
+        else:
+            k = (0 if isinstance(v, App) else 1, v.name,
+                 tuple(map(_key, v.args)))
+        v.__dict__["_key"] = k
+    return k
 
 
 def sym_str(v: SymVal) -> str:
@@ -190,6 +245,10 @@ class Checker:
         self.predicates = program.predicates()
         self.methods = program.methods()
         self.fields = set(program.fields())
+        # joins may merge values of these fields and locals (see _join)
+        self.scalar_fields = {n for n, d in program.fields().items()
+                              if d.typ.name in _SCALAR}
+        self.scalar_locals: set[str] = set()
         self.projections: dict[str, str] = {}  # proj name -> ctor name
         self.ctor_params: dict[str, list[str]] = {}
         self.siblings: dict[str, list[str]] = {}  # ctor -> all ctors of adt
@@ -227,6 +286,12 @@ class Checker:
         elif isinstance(v, App):
             args = tuple(self.norm(a, st) for a in v.args)
             n = self._simplify(v.name, args)
+            if (isinstance(n, App) and n.name == v.name
+                    and len(n.args) == len(v.args)
+                    and all(map(operator.is_, n.args, v.args))):
+                # keep the object: equal terms that share their subterms
+                # compare in one step, distinct copies node by node
+                n = v
         else:
             raise TypeError(type(v).__name__)
         memo[v] = memo[n] = n
@@ -298,7 +363,7 @@ class Checker:
                 return TRUE
             if len(parts) == 1:
                 return parts[0]
-            return App("&&", tuple(sorted(parts, key=repr)))
+            return App("&&", tuple(sorted(parts, key=_key)))
         if name == "||":
             parts = []
             for a in _flat(args, "||"):
@@ -310,13 +375,18 @@ class Checker:
                 return FALSE
             if len(parts) == 1:
                 return parts[0]
-            return App("||", tuple(sorted(parts, key=repr)))
+            return App("||", tuple(sorted(parts, key=_key)))
         if name == "ite":
             cond, then, els = args
             if isinstance(cond, Lit):
                 return then if cond.value else els
             if then == els:
                 return then
+            if then == TRUE and els == FALSE:
+                return cond
+            if then == FALSE and els == TRUE:
+                return self._simplify("not", (cond,))
+            return App(name, args)
         if name.startswith("is#"):
             ctor = name[3:]
             if isinstance(args[0], Ctor):
@@ -328,8 +398,19 @@ class Checker:
                 params = self.ctor_params.get(target.name, [])
                 if pname in params:
                     return target.args[params.index(pname)]
-        if name in _COMMUTATIVE:
-            args = tuple(sorted(args, key=repr))
+        return self._lifted(name, args)
+
+    def _lifted(self, name: str, args: tuple) -> SymVal:
+        """`name(args)`, lifted over an argument that is an `ite` with
+        literal arms, as a join leaves: `ite(c, 1, 2) > 0` folds to true."""
+        for i, a in enumerate(args):
+            if isinstance(a, App) and a.name == "ite" \
+                    and isinstance(a.args[1], Lit) \
+                    and isinstance(a.args[2], Lit):
+                c, x, y = a.args
+                return self._simplify("ite", (
+                    c, self._simplify(name, args[:i] + (x,) + args[i + 1:]),
+                    self._simplify(name, args[:i] + (y,) + args[i + 1:])))
         return App(name, args)
 
     def _concat(self, args: tuple) -> SymVal:
@@ -373,7 +454,7 @@ class Checker:
                             if isinstance(p, SeqV))
                 if known > len(lit.elems):
                     return FALSE
-        return App("==", tuple(sorted((a, b), key=repr)))
+        return self._lifted("==", tuple(sorted((a, b), key=_key)))
 
     # -- deciding and assuming ------------------------------------------------
 
@@ -713,8 +794,6 @@ class Checker:
     # -- statements ------------------------------------------------------------------
 
     def exec_stmt(self, st: SymState, s: V.VStmt) -> list[SymState]:
-        if isinstance(s, V.CommentS):
-            return [st]
         if isinstance(s, V.VarDeclS):
             if s.init is None:
                 st.store[s.name] = self.fresh(s.name)
@@ -756,12 +835,16 @@ class Checker:
             if verdict is False:
                 return self._exec_block(st, s.els)
             other = st.clone()
-            out: list[SymState] = []
-            if self.assume(st, cond):
-                out.extend(self._exec_block(st, s.then))
-            if self.assume(other, App("not", (cond,))):
-                out.extend(self._exec_block(other, s.els))
-            return out
+            mark = len(st.path)
+            then = (self._exec_block(st, s.then)
+                    if self.assume(st, cond) else [])
+            els = (self._exec_block(other, s.els)
+                   if self.assume(other, App("not", (cond,))) else [])
+            if len(then) == 1 and len(els) == 1:
+                joined = self._join(cond, mark, then[0], els[0])
+                if joined is not None:
+                    return [joined]
+            return then + els
         if isinstance(s, V.FoldS):
             return self._fold(st, s)
         if isinstance(s, V.UnfoldS):
@@ -769,6 +852,43 @@ class Checker:
         if isinstance(s, V.CallS):
             return self._call(st, s)
         raise TypeError(f"cannot execute {type(s).__name__}")
+
+    def _join(self, cond: SymVal, mark: int, a: SymState,
+              b: SymState) -> SymState | None:
+        """Merge the two sides of an `if` on `cond` into `a`, or None.
+
+        They merge when each path is the `mark` facts before the `if` plus
+        its guard, and they differ only in the values of Int or Bool heap
+        cells and locals; each such value becomes `ite(cond, a's, b's)`.
+        The guards are dropped from the path: `cond || !cond` holds."""
+        if (len(a.path) != mark + 1 or len(b.path) != mark + 1
+                or a.subst != b.subst or a.perms != b.perms
+                or a.preds != b.preds or a.stale != b.stale
+                or a.heap.keys() != b.heap.keys()
+                or a.store.keys() != b.store.keys()):
+            return None
+        heap = self._join_values(cond, a, a.heap, b.heap,
+                                 lambda k: k[1] in self.scalar_fields)
+        store = None if heap is None else self._join_values(
+            cond, a, a.store, b.store, lambda k: k in self.scalar_locals)
+        if store is None:
+            return None
+        a.heap, a.store = heap, store
+        del a.path[mark:]
+        a.facts = (None, 0, frozenset())
+        return a
+
+    def _join_values(self, cond: SymVal, st: SymState, x: dict, y: dict,
+                     scalar) -> dict | None:
+        out = {}
+        for k, v in x.items():
+            w = y[k]
+            if v != w:
+                if not scalar(k):
+                    return None
+                v = self.norm(App("ite", (cond, v, w)), st)
+            out[k] = v
+        return out
 
     def _exec_block(self, st: SymState, stmts: list[V.VStmt]
                     ) -> list[SymState]:
@@ -892,6 +1012,7 @@ class Checker:
             return []
         self._ids = itertools.count()
         self.diags = []
+        self.scalar_locals = _scalar_locals(m)
         st = SymState()
         for name, _ in m.params:
             st.store[name] = self.fresh(name)
@@ -928,6 +1049,24 @@ class Checker:
         return _dedupe(self.diags)
 
 
+def _scalar_locals(m: V.MethodDecl) -> set[str]:
+    """The parameters, returns and locals of `m` declared Int or Bool, and
+    never declared with another type."""
+    types: dict[str, set] = {}
+    for name, typ in itertools.chain(m.params, m.returns):
+        types.setdefault(name, set()).add(typ.name)
+    todo = list(m.body or ())
+    while todo:
+        s = todo.pop()
+        if isinstance(s, V.VarDeclS):
+            types.setdefault(s.name, set()).add(s.typ.name)
+        elif isinstance(s, V.IfS):
+            todo.extend(s.then)
+            todo.extend(s.els)
+    return {n for n, ts in types.items()
+            if len(ts) == 1 and ts <= _SCALAR}
+
+
 def _flat(args: tuple, op: str):
     for a in args:
         if isinstance(a, App) and a.name == op:
@@ -937,12 +1076,18 @@ def _flat(args: tuple, op: str):
 
 
 def _occurs(s: Sym, v: SymVal) -> bool:
-    if v == s:
-        return True
-    if isinstance(v, (Ctor, App)):
-        return any(_occurs(s, a) for a in v.args)
-    if isinstance(v, SeqV):
-        return any(_occurs(s, a) for a in v.elems)
+    """Whether `s` occurs in `v`; each node of a shared term is visited
+    once, since a chain of joins shares its subterms."""
+    seen = set()
+    todo = [v]
+    while todo:
+        v = todo.pop()
+        if isinstance(v, Sym):
+            if v.id == s.id:
+                return True
+        elif not isinstance(v, Lit) and id(v) not in seen:
+            seen.add(id(v))
+            todo.extend(v.elems if isinstance(v, SeqV) else v.args)
     return False
 
 

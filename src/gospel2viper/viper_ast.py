@@ -261,12 +261,6 @@ class CallS(VStmt):
     span: object = field(default=None, compare=False, repr=False)
 
 
-@dataclass
-class CommentS(VStmt):
-    text: str
-    span: object = field(default=None, compare=False, repr=False)
-
-
 # -- declarations --------------------------------------------------------------
 
 
@@ -522,8 +516,6 @@ def stmt_lines(s: VStmt, indent: str) -> list[str]:
         if s.targets:
             return [f"{indent}{', '.join(s.targets)} := {call}"]
         return [f"{indent}{call}"]
-    if isinstance(s, CommentS):
-        return [f"{indent}// {s.text}"]
     raise TypeError(f"unknown statement node {type(s).__name__}")
 
 

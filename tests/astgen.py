@@ -9,7 +9,6 @@ form or the round trip cannot be the identity:
 - negative numbers are IntLit values, never unary minus on a literal,
 - a Pure never wraps a bare conditional, let or && at conjunct level
   (those exist as assertion forms),
-- comments are trivia to the Viper lexer, so no CommentS,
 - name pools are disjoint, because the reparser classifies applications
   by declared name.
 """

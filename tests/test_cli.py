@@ -210,10 +210,30 @@ def test_console_entry_point(tmp_path):
     assert proc.stdout.strip().endswith("good.vpr")
 
 
+JOINS = """\
+type t = { mutable f0 : int }
+(*@ predicate p (r: t) = r ~> {f0} *)
+(*@ predicate q (r: t) (n: int) = r ~> {f0} && r.f0 = n *)
+let bump (r: t) (a: int) =
+  (*@ unfold p r *)
+  if a > 1 then r.f0 <- r.f0 + 1;
+  if a > 2 then r.f0 <- r.f0 + 2;
+  if a > 3 then r.f0 <- r.f0 + 3;
+  if 1000 = r.f0 then r.f0 <- 0;
+  (*@ fold q r r.f0 *)
+  ()
+(*@ bump r a requires p r *)
+"""
+
+
 def test_diagnostics_do_not_depend_on_the_hash_seed(tmp_path, corpus):
     # the checker keeps permissions in sets; their iteration order must
-    # never reach the verdict or the wording of a diagnostic
+    # never reach the verdict or the wording of a diagnostic.  joins.ml
+    # joins every if and leaks an instance whose argument, the joined
+    # value, holds an `==` whose operands the checker sorted
+    (tmp_path / "joins.ml").write_text(JOINS, encoding="utf-8")
     files = sorted(str(p) for p in corpus.glob("*.ml"))
+    files.append(str(tmp_path / "joins.ml"))
     src = Path(gospel2viper.__file__).resolve().parent.parent
     path = os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])
     seen = set()
@@ -224,6 +244,7 @@ def test_diagnostics_do_not_depend_on_the_hash_seed(tmp_path, corpus):
              "-o", str(tmp_path / f"out{seed}")],
             capture_output=True, text=True, env=env)
         assert proc.returncode == 1, proc.stderr  # foo_missing_unfold
+        assert "leaks 1 instance(s) of Q(r, ite(" in proc.stderr
         seen.add(proc.stderr)
     assert len(seen) == 1
 

@@ -1,6 +1,7 @@
 from gospel2viper.diagnostics import (Category, Diagnostic, LineIndex,
                                       Severity, Span, error, has_errors,
                                       obligation, sort_key, warning)
+from hypothesis import given, settings, strategies as hs
 
 
 def test_line_index_positions():
@@ -10,6 +11,22 @@ def test_line_index_positions():
     assert idx.position(3) == (2, 1)
     assert idx.position(6) == (3, 1)
     assert idx.position(7) == (4, 1)
+
+
+def reference_position(source, offset):
+    """Line and column by walking the characters before `offset`."""
+    line, col = 1, 1
+    for ch in source[:offset]:
+        line, col = (line + 1, 1) if ch == "\n" else (line, col + 1)
+    return line, col
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(hs.text(alphabet="ab\r\n\u2028é"), hs.data())
+def test_line_index_matches_a_character_walk(source, data):
+    idx = LineIndex(source)
+    for offset in (0, len(source), data.draw(hs.integers(0, len(source)))):
+        assert idx.position(offset) == reference_position(source, offset)
 
 
 def test_render_with_and_without_span():

@@ -3,13 +3,14 @@ decision procedure, produce/consume, statement execution, and whole-method
 verdicts.  States are built by hand so each behavior is pinned in isolation."""
 
 import gc
+import time
 import tracemalloc
 from collections import Counter
 
 from gospel2viper import viper_ast as V
 from gospel2viper.diagnostics import Category, Severity
 from gospel2viper.permcheck import (App, Checker, Ctor, Lit, SeqV, Sym,
-                                    SymState, _ConsumeCtx, _Mode,
+                                    SymState, _ConsumeCtx, _Mode, _key,
                                     check_program,
                                     FALSE, TRUE, MAX_PATHS, sym_str)
 from gospel2viper.translate import prelude_decls, translate_source
@@ -142,6 +143,41 @@ def test_ctor_tests_and_projections_fold(ck):
     assert ck.norm(App("is#Cons", (c,)), st) == TRUE
     assert ck.norm(App("is#Nil", (c,)), st) == FALSE
     assert ck.norm(App("proj#cell", (c,)), st) == Lit(3)
+
+
+def test_ite_with_literal_arms_folds(ck):
+    st = SymState()
+    c, x = ck.fresh("c"), ck.fresh("x")
+    assert ck.norm(App("ite", (c, TRUE, FALSE)), st) == c
+    assert ck.norm(App("ite", (c, FALSE, TRUE)), st) == App("not", (c,))
+    # an operator over an ite with literal arms is lifted over it
+    two = App("ite", (c, Lit(1), Lit(2)))
+    assert ck.norm(App(">", (two, Lit(0))), st) == TRUE
+    assert ck.norm(App("+", (two, Lit(1))), st) \
+        == App("ite", (c, Lit(2), Lit(3)))
+    assert ck.norm(App("<", (two, Lit(2))), st) == c
+    assert ck.norm(App(">", (two, Lit(1))), st) == App("not", (c,))
+    assert ck.norm(App("==", (Lit(2), two)), st) == App("not", (c,))
+    assert ck.norm(App("!=", (two, Lit(3))), st) == TRUE
+    # symbolic arms are left alone
+    sym = App("ite", (c, x, Lit(2)))
+    assert ck.norm(App(">", (sym, Lit(0))), st) == App(">", (sym, Lit(0)))
+
+
+def test_sorting_leaves_hash_and_key_alone(ck):
+    # the sort caches a key on the term; equal terms must still hash alike
+    x, y = ck.fresh("x"), ck.fresh("y")
+
+    def term():
+        return App("+", (App("*", (x, Lit(2))), Lit(1)))
+
+    t = term()
+    ck._simplify("==", (t, y))  # keyed before it is ever hashed
+    assert hash(t) == hash(term()) and _key(t) == _key(term())
+    u = term()
+    before = hash(u), _key(u)
+    ck._simplify("==", (y, u))
+    assert (hash(u), _key(u)) == before
 
 
 def test_commutative_args_are_sorted(ck):
@@ -307,20 +343,25 @@ def test_instance_lookup_sees_through_a_later_substitution(ck):
     assert not st.preds
 
 
-def bump_chain(bounds):
+def bump_chain(bounds, ints=(), guard="r.f0 > {b}", step="r.f0 + 1",
+               tail=()):
+    """`if guard then r.f0 <- step` for each bound b, then `tail`; `ints`
+    names extra int parameters."""
+    params = "".join(f" ({n}: int)" for n in ints)
     lines = ["type t = { mutable f0 : int }", "",
              "(*@ predicate p (r: t) = r ~> {f0} *)", "",
-             "let bump (r: t) =", "  (*@ unfold p r *)"]
-    lines += [f"  if r.f0 > {b} then r.f0 <- r.f0 + 1;" for b in bounds]
-    lines += ["  (*@ fold p r *)", "(*@ bump r requires p r ensures p r *)"]
+             f"let bump (r: t){params} =", "  (*@ unfold p r *)"]
+    lines += [f"  if {guard.format(b=b)} then r.f0 <- {step.format(b=b)};"
+              for b in bounds]
+    lines += list(tail)
+    lines += ["  (*@ fold p r *)",
+              f"(*@ bump r {' '.join(ints)} requires p r ensures p r *)"]
     program, diags = translate_source("\n".join(lines) + "\n")
     assert program is not None and not diags
     return program
 
 
-def test_normalisation_work_stays_small(monkeypatch):
-    # nine sequential guarded increments: 477 decisions, and each term is
-    # normalised about once per substitution
+def count_work(monkeypatch):
     counts = Counter()
     norm, decide = Checker.norm, Checker.decide
 
@@ -334,9 +375,17 @@ def test_normalisation_work_stays_small(monkeypatch):
 
     monkeypatch.setattr(Checker, "norm", counted_norm)
     monkeypatch.setattr(Checker, "decide", counted_decide)
+    return counts
+
+
+def test_normalisation_work_stays_small(monkeypatch):
+    # nine sequential guarded increments join at every if: 27 decisions
+    # (477 when every path was walked), 215 norm calls, and each term is
+    # normalised about once per substitution
+    counts = count_work(monkeypatch)
     check_program(bump_chain(range(0, 90, 10)))
-    assert counts["decide"] == 477
-    assert counts["norm"] <= 5000
+    assert counts["decide"] == 27
+    assert counts["norm"] <= 450
 
 
 # -- produce ------------------------------------------------------------------
@@ -510,14 +559,34 @@ def test_new_grants_all_listed_fields(ck):
 
 
 def test_if_forks_on_unknown_condition(ck):
+    # the then side binds a := 0, so the sides cannot be joined
     st = SymState()
     st.store["a"] = ck.fresh("a")
-    s = V.IfS(V.BinOp(">", V.Var("a"), V.IntLit(0)), [], [])
+    s = V.IfS(V.BinOp("==", V.Var("a"), V.IntLit(0)), [], [])
     out = ck.exec_stmt(st, s)
     assert len(out) == 2
-    verdicts = {ck.decide(s2, App(">", (s2.store["a"], Lit(0))))
+    verdicts = {ck.decide(s2, App("==", (s2.store["a"], Lit(0))))
                 for s2 in out}
     assert verdicts == {True, False}
+
+
+def test_if_joins_sides_that_differ_in_int_values(ck):
+    st = SymState()
+    a, x = ck.fresh("a"), ck.fresh("x")
+    st.store.update(a=a, x=x)
+    st.perms.add((x, "val"))
+    st.heap[(x, "val")] = ck.fresh("val")
+    guard = App(">", (a, Lit(0)))
+
+    def write(n):
+        return [V.AssignS(V.FieldAcc(V.Var("x"), "val"), V.IntLit(n))]
+
+    out = ck.exec_stmt(st, V.IfS(V.BinOp(">", V.Var("a"), V.IntLit(0)),
+                                 write(1), write(2)))
+    assert len(out) == 1
+    assert out[0].heap[(x, "val")] == App("ite", (guard, Lit(1), Lit(2)))
+    assert out[0].path == []
+    assert ck.decide(out[0], guard) is None
 
 
 def test_fold_trades_body_for_instance(ck):
@@ -646,9 +715,10 @@ def test_leak_warnings_suppressed_after_errors():
 
 
 def test_path_explosion_is_capped_and_reported():
+    # `c == 0` binds c on the then side, so no two sides join
     conds = "abcdef"
     params = ", ".join(f"{c}: Int" for c in conds)
-    body = "\n".join(f"if ({c} > 0) {{\n}} else {{\n}}" for c in conds)
+    body = "\n".join(f"if ({c} == 0) {{\n}} else {{\n}}" for c in conds)
     prog = method_over(f"method wide({params})", body)
     diags = check_program(prog)
     assert any(f"more than {MAX_PATHS} symbolic paths" in d.message
@@ -660,11 +730,86 @@ def test_path_explosion_is_capped_and_reported():
 def test_path_cap_is_an_error_when_strict():
     conds = "abcdef"
     params = ", ".join(f"{c}: Int" for c in conds)
-    body = "\n".join(f"if ({c} > 0) {{\n}} else {{\n}}" for c in conds)
+    body = "\n".join(f"if ({c} == 0) {{\n}} else {{\n}}" for c in conds)
     prog = method_over(f"method wide({params})", body)
     diags = check_program(prog, strict=True)
     assert any(d.severity is Severity.ERROR and "paths" in d.message
                for d in diags)
+
+
+def test_long_if_chain_joins_in_linear_work(monkeypatch):
+    counts = count_work(monkeypatch)
+    norms = {}
+    for k in (8, 64):
+        counts.clear()
+        diags = check_program(bump_chain(range(0, 10 * k, 10)))
+        assert diags == []  # no cap warning
+        norms[k] = counts["norm"]
+    assert norms == {8: 192, 64: 1480}
+    assert norms[64] <= 10 * norms[8]
+
+
+SETQ = """\
+type t = { mutable f0 : int }
+(*@ predicate q (r: t) = r ~> {f0} && r.f0 > 0 && r.f0 <> 3 *)
+let setq (r: t) (a: int) =
+  (*@ unfold q r *)
+  if a > 0 then r.f0 <- 1 else r.f0 <- 2;
+  (*@ fold q r *)
+  ()
+(*@ setq r a requires q r ensures q r *)
+"""
+
+
+def test_joined_literal_values_still_decide_a_fold():
+    # r.f0 is ite(a > 0, 1, 2) at the fold, which is > 0 and <> 3
+    program, diags = translate_source(SETQ)
+    assert program is not None and not diags
+    assert check_program(program, strict=True) == []
+
+
+def test_condition_false_on_one_side_of_a_join_is_not_proved():
+    # r.f0 == 1 holds only on the then side; the joined state knows it
+    # only as the guard a > 0, so it is no longer a definite failure
+    program, diags = translate_source(SETQ.replace(
+        "r.f0 > 0 && r.f0 <> 3", "r.f0 = 1"))
+    assert program is not None and not diags
+    lenient = check_program(program)
+    assert [d.severity for d in lenient] == [Severity.OBLIGATION]
+    strict = check_program(program, strict=True)
+    assert [(d.severity, d.category) for d in strict] \
+        == [(Severity.ERROR, Category.PURE_OBLIGATION)]
+
+
+def test_if_joins_int_locals():
+    # six ifs that each may bump an Int return: one path, so no cap
+    body = "n := 0\n" + "\n".join(
+        f"if (c > {k}) {{\nn := n + 1\n}} else {{\n}}" for k in range(6))
+    prog = method_over("method count(c: Int) returns (n: Int)", body)
+    assert check_program(prog) == []
+
+
+def test_if_does_not_join_different_refs():
+    # ite(c > 0, a, b) would match neither acc(a.val) nor acc(b.val)
+    prog = method_over(
+        "method pick(a: Ref, b: Ref, c: Int)\n"
+        "  requires acc(a.val) && acc(b.val)\n"
+        "  ensures acc(a.val) && acc(b.val)",
+        "var x: Ref\nif (c > 0) {\nx := a\n} else {\nx := b\n}\n"
+        "x.val := 0")
+    assert check_program(prog) == []
+
+
+@pytest.mark.parametrize("test", ["1000 = r.f0", "b = r.f0"])
+def test_shared_joined_values_stay_cheap(test):
+    # after K joins r.f0 is a term of K levels that shares its subterms:
+    # ordering, comparing or scanning it tree-wise takes 2^K steps
+    program = bump_chain(range(1, 23), ints=("a", "b"),
+                         guard="a > {b}", step="r.f0 + {b}",
+                         tail=[f"  if {test} then r.f0 <- 0;"])
+    start = time.perf_counter()
+    assert check_program(program) == []
+    assert time.perf_counter() - start < 1.0
 
 
 def test_duplicate_diagnostics_are_merged():
