@@ -24,6 +24,14 @@ never joined.  Otherwise both states go on, and past MAX_PATHS states the
 excess is dropped with a warning (an error under `strict`).  A chain of K
 joins costs time linear in K, not 2^K paths.
 
+The state records the guards of its joins.  A consumed condition that the
+joined state leaves undecided is decided on each side of a join whose
+guard it mentions, with that join's ites resolved and the guard or its
+negation assumed, down to MAX_PATHS sides; false on any side is false,
+as on the two paths the join replaced.  When a conditional assertion
+takes a different branch on each side, the consuming step (a fold, a
+call, the postcondition) runs on each side instead.
+
 Normalization evaluates the sequence helpers (`drop_last`, `take_last`)
 and all sequence/arithmetic/constructor operators on literal operands,
 so programs over concrete sequences are fully decidable.  An operator
@@ -36,7 +44,8 @@ visits each node once: the arguments of `==`, `&&` and `||` are sorted by
 a structural key cached on each term (`_key`), not by `repr`; hashes are
 cached; the occurs check remembers the nodes it saw; and normalising an
 unchanged term returns the term itself, so equal terms are mostly one
-object and compare by identity.
+object and compare by identity.  Diagnostics print an ite nested in two
+others as "...".
 
 Each term is normalised once per substitution: `norm` memoises in the
 state's `memo`, a normal form being its own normal form; clones share it,
@@ -77,22 +86,19 @@ class SymVal:
     pass
 
 
-# Compound terms are immutable and often deep, so each caches its hash
-# and its sort key (`_key`) in `__dict__`.  The hash covers the declared
-# fields only: a cached key must not change the hash of equal terms.
+def _cached_hash(fields):
+    """A `__hash__` over `fields(self)`, the tuple of declared fields,
+    cached in `__dict__`.
 
-def _hash_once(self) -> int:
-    h = self.__dict__.get("_hash")
-    if h is None:
-        h = self.__dict__["_hash"] = hash((self.name, self.args))
-    return h
-
-
-def _hash_elems(self) -> int:  # the tuple of declared fields, as above
-    h = self.__dict__.get("_hash")
-    if h is None:
-        h = self.__dict__["_hash"] = hash((self.elems,))
-    return h
+    Compound terms are immutable and often deep, so each caches its hash
+    and its sort key (`_key`).  The hash covers the declared fields only:
+    a cached key must not change the hash of equal terms."""
+    def __hash__(self) -> int:
+        h = self.__dict__.get("_hash")
+        if h is None:
+            h = self.__dict__["_hash"] = hash(fields(self))
+        return h
+    return __hash__
 
 
 @dataclass(frozen=True)
@@ -118,20 +124,20 @@ class Lit(SymVal):
 class Ctor(SymVal):
     name: str
     args: tuple = ()
-    __hash__ = _hash_once
+    __hash__ = _cached_hash(lambda t: (t.name, t.args))
 
 
 @dataclass(frozen=True)
 class SeqV(SymVal):
     elems: tuple = ()
-    __hash__ = _hash_elems
+    __hash__ = _cached_hash(lambda t: (t.elems,))
 
 
 @dataclass(frozen=True)
 class App(SymVal):
     name: str
     args: tuple = ()
-    __hash__ = _hash_once
+    __hash__ = _cached_hash(lambda t: (t.name, t.args))
 
 
 TRUE = Lit(True)
@@ -160,26 +166,35 @@ def _key(v: SymVal) -> tuple:
     return k
 
 
-def sym_str(v: SymVal) -> str:
+_ITE_DEPTH = 2  # sym_str prints an ite inside this many ites as "..."
+
+
+def sym_str(v: SymVal, ites: int = 0) -> str:
+    """`v` for a diagnostic; `ites` counts the ites around it.
+
+    A value that K joins built nests K ites that share their arms, so
+    printed in full it is 2^K long: past `_ITE_DEPTH` an ite is "..."."""
     if isinstance(v, Sym):
         return v.hint if v.hint else f"_{v.id}"
     if isinstance(v, Lit):
         if isinstance(v.value, bool):
             return "true" if v.value else "false"
         return str(v.value)
-    if isinstance(v, Ctor):
-        return f"{v.name}(" + ", ".join(sym_str(a) for a in v.args) + ")"
     if isinstance(v, SeqV):
         if not v.elems:
             return "Seq[Int]()"
-        return "Seq(" + ", ".join(sym_str(a) for a in v.elems) + ")"
-    if isinstance(v, App):
-        if _infix(v):
-            prec = V._PREC[v.name]
-            return f" {v.name} ".join(
-                f"({sym_str(a)})" if _infix(a) and V._PREC[a.name] <= prec
-                else sym_str(a) for a in v.args)
-        return f"{v.name}(" + ", ".join(sym_str(a) for a in v.args) + ")"
+        return "Seq(" + ", ".join(sym_str(a, ites) for a in v.elems) + ")"
+    if isinstance(v, App) and v.name == "ite":
+        if ites >= _ITE_DEPTH:
+            return "..."
+        ites += 1
+    if isinstance(v, App) and _infix(v):
+        prec = V._PREC[v.name]
+        return f" {v.name} ".join(
+            f"({sym_str(a, ites)})" if _infix(a) and V._PREC[a.name] <= prec
+            else sym_str(a, ites) for a in v.args)
+    if isinstance(v, (Ctor, App)):
+        return f"{v.name}(" + ", ".join(sym_str(a, ites) for a in v.args) + ")"
     raise TypeError(type(v).__name__)
 
 
@@ -203,13 +218,14 @@ class SymState:
     # (memo, len(path) covered, set of those facts normalised)
     facts: tuple = (None, 0, frozenset())
     stale: bool = False  # subst bound a symbol of a stored key: scan
+    joins: tuple = ()  # the guards of the joins whose ites values hold
 
     def clone(self) -> "SymState":
         memo, done, facts = self.facts
         return SymState(set(self.perms), Counter(self.preds),
                         dict(self.heap), list(self.path), dict(self.store),
                         dict(self.subst), self.memo,
-                        (memo, done, set(facts)), self.stale)
+                        (memo, done, set(facts)), self.stale, self.joins)
 
     def bind(self, s: Sym, v: SymVal) -> None:
         """Substitute the normal form `v` for `s` from now on."""
@@ -220,6 +236,15 @@ class SymState:
                                (r for r, _ in self.heap),
                                (a for _, args in self.preds for a in args))
         self.stale = self.stale or any(_occurs(s, k) for k in keys)
+
+
+class _Unjoin(Exception):
+    """A consume must pick a different branch on each side of the join on
+    `guard`; `Checker._split_run` catches it and splits the state."""
+
+    def __init__(self, guard: SymVal):
+        super().__init__(guard)
+        self.guard = guard
 
 
 class _Mode(Enum):
@@ -261,6 +286,7 @@ class Checker:
                     self.projections[p] = c.name
         self._ids = itertools.count()
         self.diags: list[Diagnostic] = []
+        self._splits = 0  # sides a consume may still split into (_Unjoin)
 
     def fresh(self, hint: str = "") -> Sym:
         return Sym(next(self._ids), hint)
@@ -480,6 +506,71 @@ class Checker:
         if isinstance(n, App) and n.name == "not" and n.args[0] in facts:
             return False
         return None
+
+    def _sides(self, st: SymState, v: SymVal, budget: int = MAX_PATHS
+               ) -> set:
+        """The verdicts on `v`, undecided in `st`, on each side of the joins
+        whose ites it holds, down to at most `budget` sides; {None} if it
+        holds none.  A join dropped its guard from the path, so this is
+        how a condition false on one side is still found false."""
+        if not st.joins or budget < 2:
+            return {None}
+        v = self.norm(v, st)
+        guard = self._join_guard(st, v)
+        if guard is None:
+            return {None}
+        out = set()
+        for side in (True, False):
+            found = self._side(st, guard, side, v)
+            if found is not None:
+                s, w = found
+                verdict = self.decide(s, w)
+                out |= ({verdict} if verdict is not None
+                        else self._sides(s, w, budget // 2))
+        return out
+
+    def _join_guard(self, st: SymState, v: SymVal) -> SymVal | None:
+        """The first guard of a join in normal `v`, in pre-order: as the
+        condition of an ite, or itself, as a lift over an ite leaves it."""
+        guards = {self.norm(g, st) for g in st.joins}
+        seen = set()
+        todo = [v]
+        while todo:
+            t = todo.pop()
+            if isinstance(t, Lit) or id(t) in seen:
+                continue
+            if t in guards:
+                return t
+            seen.add(id(t))
+            if not isinstance(t, Sym):
+                todo.extend(reversed(t.elems if isinstance(t, SeqV)
+                                     else t.args))
+        return None
+
+    def _side(self, st: SymState, guard: SymVal, side: bool,
+              v: SymVal = TRUE) -> tuple | None:
+        """A copy of `st`, and `v`, on one side of the join on `guard`:
+        each `ite(guard, x, y)` is x on the true side and y on the false
+        side, and the guard or its negation is assumed.  None if that side
+        is infeasible."""
+        s = st.clone()
+        memo: dict = {}
+
+        def pick(t):
+            return self.norm(_resolve(t, guard, side, memo), s)
+
+        s.heap = {k: pick(t) for k, t in s.heap.items()}
+        s.store = {k: pick(t) for k, t in s.store.items()}
+        preds: Counter = Counter()
+        for (name, args), count in s.preds.items():
+            preds[(name, tuple(map(pick, args)))] += count
+        s.preds = preds
+        s.path = [pick(f) for f in s.path]
+        s.facts = (None, 0, frozenset())
+        s.joins = tuple(g for g in s.joins if self.norm(g, s) != guard)
+        if not self.assume(s, guard if side else App("not", (guard,))):
+            return None
+        return s, pick(v)
 
     def assume(self, st: SymState, v: SymVal) -> bool:
         """Add a fact; returns False when the state became infeasible."""
@@ -727,6 +818,10 @@ class Checker:
         if isinstance(a, V.Pure):
             val = self.eval(st, a.expr, store, _Mode.CONSUME, snapshot, at)
             verdict = self.decide(st, val)
+            if verdict is None:
+                sides = self._sides(st, val)
+                verdict = (False if False in sides
+                           else None if None in sides else True)
             if verdict is True:
                 return True
             if verdict is False:
@@ -777,6 +872,12 @@ class Checker:
         if isinstance(a, V.CondA):
             cond = self.eval(st, a.cond, store, _Mode.CONSUME, snapshot, at)
             verdict = self.decide(st, cond)
+            if verdict is None:
+                sides = self._sides(st, cond)
+                if sides == {True, False} and self._splits > 1:
+                    raise _Unjoin(self._join_guard(st, self.norm(cond, st)))
+                if None not in sides and len(sides) < 2:
+                    verdict = False not in sides
             if verdict is None:
                 self._err(Category.UNDECIDABLE_BRANCH,
                           f"{ctx.what}: cannot decide "
@@ -846,11 +947,11 @@ class Checker:
                     return [joined]
             return then + els
         if isinstance(s, V.FoldS):
-            return self._fold(st, s)
+            return self._split_run(st, lambda cur: self._fold(cur, s))
         if isinstance(s, V.UnfoldS):
             return self._unfold(st, s)
         if isinstance(s, V.CallS):
-            return self._call(st, s)
+            return self._split_run(st, lambda cur: self._call(cur, s))
         raise TypeError(f"cannot execute {type(s).__name__}")
 
     def _join(self, cond: SymVal, mark: int, a: SymState,
@@ -874,6 +975,8 @@ class Checker:
         if store is None:
             return None
         a.heap, a.store = heap, store
+        # the then side assumed the guard in normal form
+        a.joins = tuple(dict.fromkeys(a.joins + b.joins + (a.path[mark],)))
         del a.path[mark:]
         a.facts = (None, 0, frozenset())
         return a
@@ -889,6 +992,29 @@ class Checker:
                 v = self.norm(App("ite", (cond, v, w)), st)
             out[k] = v
         return out
+
+    def _split_run(self, st: SymState, run, budget: int = MAX_PATHS
+                   ) -> list[SymState]:
+        """`run(st)`, a step that consumes.  If a conditional assertion it
+        consumes takes a different branch on the two sides of a join, the
+        step instead runs on each side, as if that `if` had forked, down to
+        at most `budget` sides."""
+        if not st.joins:
+            return run(st)
+        saved, mark, outer = st.clone(), len(self.diags), self._splits
+        self._splits = budget
+        try:
+            return run(st)
+        except _Unjoin as e:
+            del self.diags[mark:]
+            out = []
+            for side in (True, False):
+                found = self._side(saved, e.guard, side)
+                if found is not None:
+                    out.extend(self._split_run(found[0], run, budget // 2))
+            return out
+        finally:
+            self._splits = outer
 
     def _exec_block(self, st: SymState, stmts: list[V.VStmt]
                     ) -> list[SymState]:
@@ -1026,17 +1152,24 @@ class Checker:
         mspan = getattr(m, "span", None)
         ctx = _ConsumeCtx(Category.CONTRACT_VIOLATION,
                           f"postcondition of {m.name}")
-        for cur in states:
+
+        def consume_posts(cur: SymState) -> list[SymState]:
             for post in m.posts:
                 self.consume(cur, post, cur.store, ctx, mspan)
+            return [cur]
+
+        states = [s for cur in states
+                  for s in self._split_run(cur, consume_posts)]
+        for cur in states:
             for rec, fld in sorted(cur.perms,
-                                   key=lambda p: (p[1], repr(p[0]))):
+                                   key=lambda p: (p[1], _key(p[0]))):
                 leaks.append(warning(
                     Category.PERMISSION,
                     f"{m.name} leaks permission to "
                     f"{sym_str(self.norm(rec, cur))}.{fld}", mspan))
-            for (name, args), count in sorted(cur.preds.items(),
-                                              key=repr):
+            for (name, args), count in sorted(
+                    cur.preds.items(),
+                    key=lambda kv: (kv[0][0], tuple(map(_key, kv[0][1])))):
                 if count > 0:
                     leaks.append(warning(
                         Category.PERMISSION,
@@ -1089,6 +1222,26 @@ def _occurs(s: Sym, v: SymVal) -> bool:
             seen.add(id(v))
             todo.extend(v.elems if isinstance(v, SeqV) else v.args)
     return False
+
+
+def _resolve(v: SymVal, guard: SymVal, side: bool, memo: dict) -> SymVal:
+    """`v` with each `ite(guard, x, y)` replaced by x if `side`, else y;
+    `memo` maps the id of each node seen to its result, so a shared
+    subterm is rebuilt once and an untouched one is kept."""
+    if isinstance(v, (Sym, Lit)):
+        return v
+    r = memo.get(id(v))
+    if r is None:
+        if isinstance(v, App) and v.name == "ite" and v.args[0] == guard:
+            r = _resolve(v.args[1] if side else v.args[2], guard, side, memo)
+        else:
+            kids = v.elems if isinstance(v, SeqV) else v.args
+            new = tuple(_resolve(a, guard, side, memo) for a in kids)
+            r = (v if all(map(operator.is_, new, kids))
+                 else SeqV(new) if isinstance(v, SeqV)
+                 else type(v)(v.name, new))
+        memo[id(v)] = r
+    return r
 
 
 def _dedupe(diags: list[Diagnostic]) -> list[Diagnostic]:
