@@ -37,7 +37,6 @@ class RunConfig:
     check: bool = False
     strict: bool = False
     no_prelude: bool = False
-    prelude_always: bool = False  # no flag; kept for API callers
     verifier: str | None = None
     stdout: object = field(default=None, repr=False)
     stderr: object = field(default=None, repr=False)
@@ -86,9 +85,8 @@ def run(config: RunConfig) -> int:
             print(f"gospel2viper: error: cannot read {inp}: {exc}",
                   file=err)
             return 2
-        program, diags = translate_source(
-            source, prelude_always=config.prelude_always,
-            no_prelude=config.no_prelude)
+        program, diags = translate_source(source,
+                                          no_prelude=config.no_prelude)
         if program is not None and config.check:
             diags = diags + check_program(program, strict=config.strict)
         _report(diags, inp, source, err)

@@ -36,7 +36,6 @@ class Category(Enum):
     UNDECIDABLE_BRANCH = "undecidable-branch"
     CONTRACT_VIOLATION = "contract-violation"
     PURE_OBLIGATION = "pure-obligation"
-    IO = "io"
 
 
 @dataclass

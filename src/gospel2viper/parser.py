@@ -1,5 +1,9 @@
 """Recursive-descent parser for OCaml-light modules and Gospel annotations.
 
+Binary operators are parsed by precedence climbing (Pratt's "Top Down
+Operator Precedence") in one loop, `_P.parse_binary`, over the table
+`_BINOPS` of operators and their precedences.
+
 Annotation payloads are re-lexed in spec mode and dispatched on their
 leading keyword: predicate / function / lemma introduce top-level ghost
 declarations, fold / unfold / apply are ghost commands legal only inside
@@ -33,9 +37,15 @@ class ParseError(Exception):
         self.diag = diag
 
 
-_CMP_OPS = {T.EQ: "=", T.NEQ: "<>", T.LT: "<", T.LE: "<=", T.GT: ">", T.GE: ">="}
-_ADD_OPS = {T.PLUS: "+", T.MINUS: "-"}
-_MUL_OPS = {T.STAR: "*", T.SLASH: "/"}
+# Binary operators by token kind: (operator, precedence), loosest first.
+# `++` is right-associative, the comparisons do not associate, and the
+# rest are left-associative.
+_CMP, _TIGHTEST = 3, 6
+_BINOPS = {T.BARBAR: ("||", 1), T.AMPAMP: ("&&", 2),
+           T.EQ: ("=", _CMP), T.NEQ: ("<>", _CMP), T.LT: ("<", _CMP),
+           T.LE: ("<=", _CMP), T.GT: (">", _CMP), T.GE: (">=", _CMP),
+           T.PLUSPLUS: ("++", 4), T.PLUS: ("+", 5), T.MINUS: ("-", 5),
+           T.STAR: ("*", 6), T.SLASH: ("/", 6)}
 _ATOM_START = (T.INT, T.TRUE, T.FALSE, T.IDENT, T.LPAREN, T.LBRACE)
 
 # Expressions, prefix minus, assertion atoms and parenthesised statements
@@ -116,47 +126,25 @@ class _P:
 
     def parse_expr(self) -> SurfaceExpr:
         self.enter()
-        e = self.parse_and()
-        while self.at(T.BARBAR):
-            self.next()
-            e = BinE("||", e, self.parse_and(), span=_sp(e))
+        e = self.parse_binary(1)
         self.depth -= 1
         return e
 
-    def parse_and(self) -> SurfaceExpr:
-        e = self.parse_cmp()
-        while self.at(T.AMPAMP):
+    def parse_binary(self, floor: int) -> SurfaceExpr:
+        """Precedence climbing over `_BINOPS`: an operand followed by
+        operators of precedence `floor` and tighter."""
+        e, ceil = self.parse_unary(), _TIGHTEST
+        while True:
+            op = _BINOPS.get(self.toks[self.pos].kind)
+            if op is None or not floor <= op[1] <= ceil:
+                return e
             self.next()
-            e = BinE("&&", e, self.parse_cmp(), span=_sp(e))
-        return e
-
-    def parse_cmp(self) -> SurfaceExpr:
-        e = self.parse_concat()
-        if self.peek().kind in _CMP_OPS:
-            op = _CMP_OPS[self.next().kind]
-            e = BinE(op, e, self.parse_concat(), span=_sp(e))
-        return e
-
-    def parse_concat(self) -> SurfaceExpr:
-        e = self.parse_additive()
-        if self.at(T.PLUSPLUS):
-            self.next()
-            return BinE("++", e, self.parse_concat(), span=_sp(e))
-        return e
-
-    def parse_additive(self) -> SurfaceExpr:
-        e = self.parse_mult()
-        while self.peek().kind in _ADD_OPS:
-            op = _ADD_OPS[self.next().kind]
-            e = BinE(op, e, self.parse_mult(), span=_sp(e))
-        return e
-
-    def parse_mult(self) -> SurfaceExpr:
-        e = self.parse_unary()
-        while self.peek().kind in _MUL_OPS:
-            op = _MUL_OPS[self.next().kind]
-            e = BinE(op, e, self.parse_unary(), span=_sp(e))
-        return e
+            sym, prec = op
+            # after a comparison only tighter operators may follow, so a
+            # second comparison is left to the caller, which rejects it
+            ceil = prec - 1 if prec == _CMP else prec
+            right = self.parse_binary(prec if sym == "++" else prec + 1)
+            e = BinE(sym, e, right, span=_sp(e))
 
     def parse_unary(self) -> SurfaceExpr:
         if self.at(T.MINUS):
@@ -417,8 +405,8 @@ def _clauses(p: _P) -> tuple[list[Assertion], list[Assertion]]:
 
 # -- assertions -------------------------------------------------------------
 
-_EXPR_CONT = (T.DOT, T.LBRACKET, T.PLUSPLUS, T.PLUS, T.MINUS, T.STAR,
-              T.SLASH, T.EQ, T.NEQ, T.LT, T.LE, T.GT, T.GE, T.OWNS)
+_EXPR_CONT = (T.DOT, T.LBRACKET, T.OWNS,
+              *(k for k, (_, prec) in _BINOPS.items() if prec >= _CMP))
 
 
 def _assertion(p: _P) -> Assertion:
@@ -435,7 +423,7 @@ def _assertion_atom(p: _P) -> Assertion:
     t = p.peek()
     if t.kind is T.IF:
         p.next()
-        cond = p.parse_cmp()
+        cond = p.parse_binary(_CMP)
         p.expect(T.THEN, "'then'")
         then = _assertion(p)
         p.expect(T.ELSE, "'else'")
@@ -447,7 +435,7 @@ def _assertion_atom(p: _P) -> Assertion:
             p.fail("assertion let expects a constructor pattern")
         binder = p.ident("binder name").text
         p.expect(T.EQ, "'='")
-        scrut = p.parse_cmp()
+        scrut = p.parse_binary(_CMP)
         p.expect(T.IN, "'in'")
         return LetPatA(ctor.text, binder, scrut, _assertion(p), span=t.span)
     if t.kind is T.LPAREN:
@@ -461,7 +449,7 @@ def _assertion_atom(p: _P) -> Assertion:
         except ParseError:
             pass
         p.pos, p.depth = mark
-    e = p.parse_cmp()
+    e = p.parse_binary(_CMP)
     if p.at(T.OWNS):
         p.next()
         p.expect(T.LBRACE, "'{'")

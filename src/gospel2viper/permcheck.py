@@ -727,8 +727,6 @@ class Checker:
             inner = dict(store)
             inner[e.name] = self.eval(st, e.bound, store, mode, heap, span)
             return self.eval(st, e.body, inner, mode, heap, span)
-        if isinstance(e, V.Unfolding):
-            return self.eval(st, e.body, store, mode, heap, span)
         raise TypeError(f"cannot evaluate {type(e).__name__}")
 
     def _read_field(self, st: SymState, base: SymVal, fld: str,

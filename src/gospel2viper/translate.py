@@ -82,11 +82,9 @@ class _CtorInfo:
 
 
 class _Tr:
-    def __init__(self, module: SurfaceModule, prelude_always: bool,
-                 no_prelude: bool):
+    def __init__(self, module: SurfaceModule, no_prelude: bool):
         self.module = module
         self.diags: list[Diagnostic] = []
-        self.prelude_always = prelude_always
         self.no_prelude = no_prelude
         self.prelude_used: set[str] = set()
 
@@ -564,10 +562,9 @@ class _Tr:
             fields.append(V.FieldDecl(fname, typ))
 
         if not self.no_prelude:
-            wanted = (set(PRELUDE_NAMES) if self.prelude_always
-                      else self.prelude_used)
             pre = [f for f in prelude_decls()
-                   if f.name in wanted and f.name not in self.logical]
+                   if f.name in self.prelude_used
+                   and f.name not in self.logical]
             functions = pre + functions
 
         if has_errors(self.diags):
@@ -745,20 +742,18 @@ def _walk_order(e: SurfaceExpr):
         yield from _walk_order(c)
 
 
-def translate(module: SurfaceModule, prelude_always: bool = False,
-              no_prelude: bool = False
+def translate(module: SurfaceModule, no_prelude: bool = False
               ) -> tuple[V.ViperProgram | None, list[Diagnostic]]:
-    tr = _Tr(module, prelude_always, no_prelude)
+    tr = _Tr(module, no_prelude)
     program = tr.run()
     return program, tr.diags
 
 
-def translate_source(source: str, prelude_always: bool = False,
-                     no_prelude: bool = False
+def translate_source(source: str, no_prelude: bool = False
                      ) -> tuple[V.ViperProgram | None, list[Diagnostic]]:
     from .parser import parse_source
     module, diags = parse_source(source)
     if module is None:
         return None, diags
-    program, more = translate(module, prelude_always, no_prelude)
+    program, more = translate(module, no_prelude)
     return program, diags + more

@@ -132,12 +132,6 @@ class LetExpr(VExpr):
     body: VExpr
 
 
-@dataclass
-class Unfolding(VExpr):
-    pred: "PredApp"
-    body: VExpr
-
-
 # -- assertions ----------------------------------------------------------------
 
 
@@ -402,9 +396,6 @@ def _expr(e: VExpr) -> tuple[str, int]:
                 f"{expr_str(e.els, 1)}"), 1
     if isinstance(e, LetExpr):
         return (f"let {e.name} == ({expr_str(e.bound)}) in "
-                f"{expr_str(e.body)}"), 1
-    if isinstance(e, Unfolding):
-        return (f"unfolding {_pred_str(e.pred)} in "
                 f"{expr_str(e.body)}"), 1
     raise TypeError(f"unknown expression node {type(e).__name__}")
 

@@ -7,6 +7,11 @@ without type checking: a whole conjunct applying a predicate name is a
 predicate instance, a capitalized call in expression position is an ADT
 constructor, and a statement-level call naming a method is a method call
 rather than an assignment.
+
+Binary operators are parsed by precedence climbing in one loop,
+`_R._binary`, over the printer's own table in `viper_ast` (`_PREC`,
+`_RIGHT_ASSOC`, `_NON_ASSOC`), so printer and reparser cannot disagree
+about precedence or associativity.
 """
 
 from __future__ import annotations
@@ -16,9 +21,9 @@ from .viper_ast import (SEQ_INT, Acc, AdtDecl, AssignS, BinOp, BoolLit,
                         FieldDecl, FoldS, FunApp, FunctionDecl, IfS, IntLit,
                         IsTest, LetA, LetExpr, MethodDecl, NewS, PredApp,
                         PredicateDecl, Pure, SeqDrop, SeqIndex, SeqLen,
-                        SeqLit, SeqTake, UnOp, UnfoldS, Unfolding,
-                        VAssertion, Var, VarDeclS, VDecl, VExpr,
-                        ViperProgram, VStmt, VToken, VType, and_all,
+                        SeqLit, SeqTake, UnOp, UnfoldS, VAssertion, Var,
+                        VarDeclS, VDecl, VExpr, ViperProgram, VStmt, VToken,
+                        VType, _NON_ASSOC, _PREC, _RIGHT_ASSOC, and_all,
                         lex_viper)
 
 
@@ -63,8 +68,8 @@ def _scan_names(toks: list[VToken]) -> tuple[set, set, set, set]:
     return preds, methods, functions, ctors
 
 
-_EXPR_CONT = {".", "[", "++", "+", "-", "*", "/",
-              "==", "!=", "<", "<=", ">", ">=", "?"}
+_TIGHTEST = max(_PREC.values())
+_EXPR_CONT = {".", "[", "?", *_PREC} - {"&&", "||"}
 
 
 class _R:
@@ -138,15 +143,10 @@ class _R:
     def parse_expr(self) -> VExpr:
         if self.at("let"):
             return self._let_expr()
-        if self.at("unfolding"):
-            self.next()
-            pred = self._pred_app()
-            self.expect("in")
-            return Unfolding(pred, self.parse_expr())
-        cond = self._or()
+        cond = self._binary(_PREC["||"])
         if self.at("?"):
             self.next()
-            then = self._and()
+            then = self._binary(_PREC["&&"])
             self.expect(":")
             return CondExpr(cond, then, self.parse_expr())
         return cond
@@ -161,48 +161,19 @@ class _R:
         self.expect("in")
         return LetExpr(name, bound, self.parse_expr())
 
-    def _or(self) -> VExpr:
-        e = self._and()
-        while self.at("||"):
+    def _binary(self, floor: int) -> VExpr:
+        """Precedence climbing over the printer's `_PREC`: an operand
+        followed by operators of precedence `floor` and tighter."""
+        e, ceil = self._unary(), _TIGHTEST
+        while True:
+            t = self.peek()
+            prec = _PREC.get(t.text) if t is not None else None
+            if prec is None or not floor <= prec <= ceil:
+                return e
             self.next()
-            e = BinOp("||", e, self._and())
-        return e
-
-    def _and(self) -> VExpr:
-        e = self._cmp()
-        while self.at("&&"):
-            self.next()
-            e = BinOp("&&", e, self._cmp())
-        return e
-
-    def _cmp(self) -> VExpr:
-        e = self._concat()
-        t = self.peek()
-        if t is not None and t.text in ("==", "!=", "<", "<=", ">", ">="):
-            self.next()
-            return BinOp(t.text, e, self._concat())
-        return e
-
-    def _concat(self) -> VExpr:
-        e = self._add()
-        if self.at("++"):
-            self.next()
-            return BinOp("++", e, self._concat())
-        return e
-
-    def _add(self) -> VExpr:
-        e = self._mul()
-        while self.at("+") or self.at("-"):
-            op = self.next().text
-            e = BinOp(op, e, self._mul())
-        return e
-
-    def _mul(self) -> VExpr:
-        e = self._unary()
-        while self.at("*") or self.at("/"):
-            op = self.next().text
-            e = BinOp(op, e, self._unary())
-        return e
+            ceil = prec - 1 if t.text in _NON_ASSOC else prec
+            right = self._binary(prec if t.text in _RIGHT_ASSOC else prec + 1)
+            e = BinOp(t.text, e, right)
 
     def _unary(self) -> VExpr:
         if self.at("-"):
@@ -276,10 +247,6 @@ class _R:
                 self.expect(")")
                 return SeqLit([])
             return SeqLit(self._call_args())
-        if t.text == "let":
-            return self._let_expr()
-        if t.text == "unfolding":
-            return self.parse_expr()
         if t.kind == "ident":
             self.next()
             if self.at("("):
@@ -352,7 +319,7 @@ class _R:
             except ViperParseError:
                 pass
             self.pos = mark
-        return Pure(self._cmp())
+        return Pure(self._binary(_PREC["=="]))
 
     def _pred_app(self) -> PredApp:
         name = self.ident()

@@ -24,9 +24,9 @@ from gospel2viper.viper_ast import (INT, REF, SEQ_INT, Acc, AdtDecl, AndA,
                                     IfS, IntLit, IsTest, LetA, LetExpr,
                                     MethodDecl, NewS, PredApp, PredicateDecl,
                                     Pure, SeqDrop, SeqIndex, SeqLen, SeqLit,
-                                    SeqTake, UnOp, UnfoldS, Unfolding, Var,
-                                    VarDeclS, VAssertion, VExpr, ViperProgram,
-                                    VStmt, and_all)
+                                    SeqTake, UnOp, UnfoldS, Var, VarDeclS,
+                                    VAssertion, VExpr, ViperProgram, VStmt,
+                                    and_all)
 
 VARS = ("a", "b", "q", "r", "x", "y")
 FIELDS = ("val", "nxt", "fst", "lst")
@@ -47,7 +47,7 @@ def gen_expr(rng: random.Random, depth: int = 3) -> VExpr:
             BoolLit(rng.random() < 0.5),
             Var(rng.choice(VARS)),
         ])
-    pick = rng.randrange(14)
+    pick = rng.randrange(13)
     sub = depth - 1
     if pick == 0:
         return IntLit(rng.randint(-99, 99))
@@ -88,10 +88,8 @@ def gen_expr(rng: random.Random, depth: int = 3) -> VExpr:
     if pick == 11:
         return CondExpr(gen_expr(rng, sub), gen_expr(rng, sub),
                         gen_expr(rng, sub))
-    if pick == 12:
-        return LetExpr(rng.choice(LET_NAMES), gen_expr(rng, sub),
-                       gen_expr(rng, sub))
-    return Unfolding(_pred_app(rng, sub), gen_expr(rng, sub))
+    return LetExpr(rng.choice(LET_NAMES), gen_expr(rng, sub),
+                   gen_expr(rng, sub))
 
 
 def _pred_app(rng: random.Random, depth: int) -> PredApp:

@@ -33,8 +33,8 @@ def test_render_with_and_without_span():
     d = error(Category.PERMISSION, "boom", Span(3, 4))
     assert d.render("f.ml", LineIndex("ab\ncd")) == \
         "f.ml:2:1: error[permission]: boom"
-    assert error(Category.IO, "gone").render("f.ml") == \
-        "f.ml:0:0: error[io]: gone"
+    assert error(Category.PARSE, "gone").render("f.ml") == \
+        "f.ml:0:0: error[parse]: gone"
 
 
 def test_sort_key_orders_spanless_last():

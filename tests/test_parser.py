@@ -5,7 +5,7 @@ from gospel2viper.parser import parse_source
 from gospel2viper.surface import (AppE, AssignE, BinE, CtorE, FieldE,
                                   GhostE, GhostKind, IfA, IntLit, LetIn,
                                   LetPatA, MatchE, OwnsA, PredA, PureA,
-                                  RecordAlloc, SeqE, SepA, VarE)
+                                  RecordAlloc, SeqE, SepA, UnE, VarE)
 
 import pytest
 
@@ -277,3 +277,62 @@ def test_annotation_span_points_into_file():
     span = diags[0].span
     assert span is not None
     assert source[span.start:span.end]  # inside the file, not the payload
+
+
+# -- binary operators ----------------------------------------------------------
+
+# The surface operators from loosest to tightest, written out here rather
+# than read from the parser.  `++` associates to the right, comparisons do
+# not associate, and the rest associate to the left.
+LADDER = (("||",), ("&&",), ("=", "<>", "<", "<=", ">", ">="), ("++",),
+          ("+", "-"), ("*", "/"))
+LEVEL = {op: i for i, ops in enumerate(LADDER) for op in ops}
+BINOPS = list(LEVEL)
+COMPARISONS = LADDER[2]
+
+
+def spec_function_body(expr):
+    source = ("(*@ function f (a: int) (b: int) (c: int) (d: int) : int = "
+              + expr + " *)")
+    module, diags = parse_source(source)
+    if module is None:
+        return None, source, [d.message for d in diags]
+    return module.logical_functions()["f"].body, source, []
+
+
+def assert_spans_start_at_left_operand(e):
+    if isinstance(e, BinE):
+        left = e.left
+        while isinstance(left, BinE):
+            left = left.left
+        assert e.span == left.span
+        assert_spans_start_at_left_operand(e.left)
+        assert_spans_start_at_left_operand(e.right)
+
+
+@pytest.mark.parametrize("op1", BINOPS)
+@pytest.mark.parametrize("op2", BINOPS)
+def test_binary_operator_pair(op1, op2):
+    body, _, diags = spec_function_body(f"a {op1} b {op2} c")
+    a, b, c = VarE("a"), VarE("b"), VarE("c")
+    if op1 in COMPARISONS and op2 in COMPARISONS:
+        assert body is None and diags, "comparisons do not associate"
+        return
+    assert body is not None, diags
+    if LEVEL[op1] > LEVEL[op2] or (LEVEL[op1] == LEVEL[op2] and op1 != "++"):
+        assert body == BinE(op2, BinE(op1, a, b), c)
+    else:
+        assert body == BinE(op1, a, BinE(op2, b, c))
+    assert_spans_start_at_left_operand(body)
+
+
+def test_comparison_after_a_looser_operator_does_not_associate():
+    body, _, diags = spec_function_body("a && b < c < d")
+    assert body is None and diags
+
+
+def test_prefix_minus_binds_tighter_than_multiplication():
+    body, source, _ = spec_function_body("- a * b")
+    assert body == BinE("*", UnE("-", VarE("a")), VarE("b"))
+    assert source[body.span.start:body.span.end] == "-"
+

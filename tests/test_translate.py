@@ -336,12 +336,9 @@ def test_prelude_not_emitted_when_unused():
 
 
 def test_prelude_rules_can_be_overridden():
-    src = "(*@ predicate p (v: int sequence) = v = empty *)"
-    prog, _ = translate_source(src, prelude_always=True)
-    assert list(prog.functions()) == ["drop_last", "take_last"]
-    src2 = "(*@ predicate p (v: int sequence) = drop_last v = empty *)"
-    prog2, _ = translate_source(src2, no_prelude=True)
-    assert not prog2.functions()
+    src = "(*@ predicate p (v: int sequence) = drop_last v = empty *)"
+    prog, _ = translate_source(src, no_prelude=True)
+    assert not prog.functions()
 
 
 def test_declaration_groups_are_ordered():
