@@ -20,10 +20,10 @@ from __future__ import annotations
 
 from .diagnostics import Category, Diagnostic, Span, error
 from .lexer import T, Token, lex
-from .surface import (AppE, Assertion, AssignE, BinE, BoolLit, BoolT,
-                      ContractSpec, CtorDef, CtorE, FieldDef, FieldE, FunDecl,
-                      GhostCommand, GhostDecl, GhostE, GhostKind,
-                      GospelAnnotation, IfA, IfE, IndexE, IntLit, IntT,
+from .surface import (AnnotationPayload, AppE, Assertion, AssignE, BinE,
+                      BoolLit, BoolT, ContractSpec, CtorDef, CtorE, FieldDef,
+                      FieldE, FunDecl, GhostCommand, GhostDecl, GhostE,
+                      GhostKind, IfA, IfE, IndexE, IntLit, IntT,
                       LemmaDef, LetIn, LetPatA, LogicalFunctionDef, MatchArm,
                       MatchE, NamedT, OwnsA, PredA, PredicateDef, PureA,
                       RecordAlloc, RecordKind, SeqE, SeqT, SepA, SliceFromE,
@@ -291,8 +291,10 @@ def _sp(e) -> Span | None:
 # --------------------------------------------------------------------------
 # annotation parsing
 
-def parse_annotation(token: Token) -> tuple[GospelAnnotation | None, list[Diagnostic]]:
-    """Parse one ANNOTATION token's payload into a GospelAnnotation."""
+def parse_annotation(token: Token) -> tuple[AnnotationPayload | None,
+                                            list[Diagnostic]]:
+    """Parse one ANNOTATION token's payload; the payload's span is the
+    token's."""
     assert token.payload is not None
     toks, diags = lex(token.payload, base=token.payload_offset, spec_mode=True)
     if diags:
@@ -302,7 +304,7 @@ def parse_annotation(token: Token) -> tuple[GospelAnnotation | None, list[Diagno
         payload = _annotation_payload(p, token.span)
         if not p.at(T.EOF):
             p.fail(f"unexpected {p.peek().text!r} at end of annotation")
-        return GospelAnnotation(payload, span=token.span), []
+        return payload, []
     except ParseError as e:
         return None, [e.diag]
 
@@ -410,13 +412,14 @@ _EXPR_CONT = (T.DOT, T.LBRACKET, T.OWNS,
 
 
 def _assertion(p: _P) -> Assertion:
+    # one nesting level for the whole chain: parentheses count, length not
     p.enter()
-    a = _assertion_atom(p)
-    p.depth -= 1
-    if p.at(T.AMPAMP):
+    parts = [_assertion_atom(p)]
+    while p.at(T.AMPAMP):
         p.next()
-        return SepA(a, _assertion(p), span=_sp(a))
-    return a
+        parts.append(_assertion_atom(p))
+    p.depth -= 1
+    return parts[0] if len(parts) == 1 else SepA(parts, span=_sp(parts[0]))
 
 
 def _assertion_atom(p: _P) -> Assertion:
@@ -494,11 +497,11 @@ class _ModuleParser(_P):
                 if not _annotation_is_ghost(t):
                     break  # a contract or the next top-level declaration
                 self.next()
-                ann, diags = parse_annotation(t)
+                cmd, diags = parse_annotation(t)
                 self.diags.extend(diags)
-                if ann is not None:
-                    assert isinstance(ann.payload, GhostCommand)
-                    items.append(GhostE(ann.payload, span=ann.span))
+                if cmd is not None:
+                    assert isinstance(cmd, GhostCommand)
+                    items.append(GhostE(cmd, span=cmd.span))
                 continue
             if t.kind in (T.EOF, T.RPAREN, T.PIPE, T.TYPE, T.ELSE):
                 break
@@ -626,35 +629,36 @@ class _ModuleParser(_P):
                 decls.append(self._fun_decl())
             elif t.kind is T.ANNOTATION:
                 self.next()
-                ann, diags = parse_annotation(t)
+                payload, diags = parse_annotation(t)
                 self.diags.extend(diags)
-                if ann is not None:
-                    self._place_annotation(ann, decls)
+                if payload is not None:
+                    self._place_annotation(payload, decls)
             else:
                 self.fail(f"expected a declaration, found {t.text!r}")
         return SurfaceModule(decls)
 
-    def _place_annotation(self, ann: GospelAnnotation,
+    def _place_annotation(self, payload: AnnotationPayload,
                           decls: list[SurfaceDecl]) -> None:
-        payload = ann.payload
         if isinstance(payload, (PredicateDef, LogicalFunctionDef, LemmaDef)):
-            decls.append(GhostDecl(payload, span=ann.span))
+            decls.append(GhostDecl(payload, span=payload.span))
         elif isinstance(payload, ContractSpec):
             host = decls[-1] if decls else None
             if not isinstance(host, FunDecl):
                 self.diags.append(error(
                     Category.PARSE,
-                    "contract annotation has no preceding function", ann.span))
+                    "contract annotation has no preceding function",
+                    payload.span))
             elif host.spec is not None:
                 self.diags.append(error(
                     Category.PARSE,
-                    f"function '{host.name}' already has a contract", ann.span))
+                    f"function '{host.name}' already has a contract",
+                    payload.span))
             else:
                 host.spec = payload
         else:
             self.diags.append(error(
                 Category.PARSE,
-                "ghost command outside a function body", ann.span))
+                "ghost command outside a function body", payload.span))
 
     def _type_decl(self) -> TypeDecl:
         start = self.expect(T.TYPE, "'type'")
@@ -742,8 +746,7 @@ def _resolve_assertion(a: Assertion, preds: dict) -> Assertion:
         if e.fn in preds and not e.ghost_args:
             return PredA(e.fn, e.args, span=a.span)
     if isinstance(a, SepA):
-        a.left = _resolve_assertion(a.left, preds)
-        a.right = _resolve_assertion(a.right, preds)
+        a.parts = [_resolve_assertion(x, preds) for x in a.parts]
     elif isinstance(a, IfA):
         a.then = _resolve_assertion(a.then, preds)
         a.els = _resolve_assertion(a.els, preds)

@@ -717,16 +717,6 @@ class Checker:
             return self.norm(App("take", (
                 self.eval(st, e.seq, store, mode, heap, span),
                 self.eval(st, e.hi, store, mode, heap, span))), st)
-        if isinstance(e, V.CondExpr):
-            cond = self.eval(st, e.cond, store, mode, heap, span)
-            return self.norm(App("ite", (
-                cond,
-                self.eval(st, e.then, store, mode, heap, span),
-                self.eval(st, e.els, store, mode, heap, span))), st)
-        if isinstance(e, V.LetExpr):
-            inner = dict(store)
-            inner[e.name] = self.eval(st, e.bound, store, mode, heap, span)
-            return self.eval(st, e.body, inner, mode, heap, span)
         raise TypeError(f"cannot evaluate {type(e).__name__}")
 
     def _read_field(self, st: SymState, base: SymVal, fld: str,
@@ -776,10 +766,17 @@ class Checker:
             st.preds[(a.name, args)] += 1
             return [st]
         if isinstance(a, V.AndA):
-            states = self._produce(st, a.left, store, scratch)
+            # depth first: each state takes all remaining parts before the
+            # next state starts, which fixes the order of fresh symbols
             out: list[SymState] = []
-            for s in states:
-                out.extend(self._produce(s, a.right, store, scratch))
+            todo = [(st, 0)]
+            while todo:
+                s, i = todo.pop()
+                if i == len(a.parts):
+                    out.append(s)
+                else:
+                    nxt = self._produce(s, a.parts[i], store, scratch)
+                    todo.extend((t, i + 1) for t in reversed(nxt))
             return out
         if isinstance(a, V.CondA):
             cond = self.eval(st, a.cond, store, _Mode.PRODUCE, scratch,
@@ -864,9 +861,11 @@ class Checker:
                 del st.preds[key]
             return True
         if isinstance(a, V.AndA):
-            ok = self._consume(st, a.left, store, snapshot, ctx, span)
-            return self._consume(st, a.right, store, snapshot, ctx,
-                                 span) and ok
+            ok = True
+            for part in a.parts:  # keep going after a failure: report all
+                ok = self._consume(st, part, store, snapshot, ctx,
+                                   span) and ok
+            return ok
         if isinstance(a, V.CondA):
             cond = self.eval(st, a.cond, store, _Mode.CONSUME, snapshot, at)
             verdict = self.decide(st, cond)

@@ -217,8 +217,8 @@ class PredA(Assertion):
 
 @dataclass
 class SepA(Assertion):
-    left: Assertion
-    right: Assertion
+    """A && chain of two or more assertions, kept flat."""
+    parts: list[Assertion]
     span: Span | None = _span()
 
 
@@ -296,12 +296,6 @@ class LemmaDef:
 
 AnnotationPayload = (ContractSpec | PredicateDef | LogicalFunctionDef
                      | LemmaDef | GhostCommand)
-
-
-@dataclass
-class GospelAnnotation:
-    payload: AnnotationPayload
-    span: Span | None = _span()
 
 
 # --------------------------------------------------------------------------

@@ -19,7 +19,7 @@ Shape of the mapping:
   order.
 
 Sequence helpers `drop_last` and `take_last` are emitted as Viper
-functions once, and only when referenced (unless forced or suppressed).
+functions once, and only when referenced (unless suppressed).
 
 Translation is total: it accumulates diagnostics and returns
 (None, diags) when any is an error, never raising.
@@ -55,11 +55,7 @@ def prelude_decls() -> list[V.FunctionDecl]:
         V.FunctionDecl("drop_last", [("v", V.SEQ_INT)], V.SEQ_INT,
                        pres=[nonempty], body=V.SeqTake(v, last)),
         V.FunctionDecl("take_last", [("v", V.SEQ_INT)], V.SEQ_INT,
-                       pres=[V.Pure(V.BinOp(">", V.SeqLen(V.Var("v")),
-                                            V.IntLit(0)))],
-                       body=V.SeqDrop(V.Var("v"),
-                                      V.BinOp("-", V.SeqLen(V.Var("v")),
-                                              V.IntLit(1)))),
+                       pres=[nonempty], body=V.SeqDrop(v, last)),
     ]
 
 
@@ -180,7 +176,7 @@ class _Tr:
             inner = self.tr_expr(e.operand, env)
             if e.op == "-" and isinstance(inner, V.IntLit):
                 return V.IntLit(-inner.value)
-            return V.UnOp(e.op if e.op != "not" else "!", inner)
+            return V.UnOp(e.op, inner)
         if isinstance(e, IndexE):
             return V.SeqIndex(self.tr_expr(e.seq, env),
                               self.tr_expr(e.index, env))
@@ -277,9 +273,7 @@ class _Tr:
                 accs.append(V.Acc(V.FieldAcc(target, f), span=a.span))
             return V.and_all(accs)
         if isinstance(a, SepA):
-            left = self.tr_assertion(a.left, env)
-            right = self.tr_assertion(a.right, env)
-            return V.and_all(V.conjuncts(left) + V.conjuncts(right))
+            return V.and_all([self.tr_assertion(x, env) for x in a.parts])
         if isinstance(a, IfA):
             return V.CondA(self.tr_expr(a.cond, env),
                            self.tr_assertion(a.then, env),
@@ -300,7 +294,8 @@ class _Tr:
             guard = V.Pure(V.IsTest(scrut, a.ctor))
             bound = V.FieldAcc(scrut, info.proj)
             guard.span = a.span
-            return V.AndA(guard, V.LetA(a.binder, bound, body, span=a.span))
+            let = V.LetA(a.binder, bound, body, span=a.span)
+            return V.AndA([guard, let])
         raise TypeError(f"unknown assertion {type(a).__name__}")
 
     # -- statements --------------------------------------------------------------
@@ -485,12 +480,7 @@ class _Tr:
             cond = V.IsTest(scrut, arm.ctor)
             return [V.IfS(cond, body, build(tail), span=e.span)]
 
-        if len(arms) == 1:
-            return build(arms)
-        (first_arm, first_info) = arms[0]
-        cond = V.IsTest(scrut, first_arm.ctor)
-        then = self._tr_arm(first_arm, first_info, scrut, e, ctx)
-        return [V.IfS(cond, then, build(arms[1:]), span=e.span)]
+        return build(arms)
 
     def _tr_arm(self, arm, info: _CtorInfo, scrut: V.VExpr, m: MatchE,
                 ctx: "_FnCtx") -> list[V.VStmt]:

@@ -118,20 +118,6 @@ class SeqTake(VExpr):
     hi: VExpr  # v[.. hi]
 
 
-@dataclass
-class CondExpr(VExpr):
-    cond: VExpr
-    then: VExpr
-    els: VExpr
-
-
-@dataclass
-class LetExpr(VExpr):
-    name: str
-    bound: VExpr
-    body: VExpr
-
-
 # -- assertions ----------------------------------------------------------------
 
 
@@ -160,8 +146,9 @@ class PredApp(VAssertion):
 
 @dataclass
 class AndA(VAssertion):
-    left: VAssertion
-    right: VAssertion
+    """A conjunction of two or more parts, none of them an AndA; build it
+    with `and_all`."""
+    parts: list[VAssertion]
     span: object = field(default=None, compare=False, repr=False)
 
 
@@ -182,19 +169,18 @@ class LetA(VAssertion):
 
 
 def and_all(parts: list[VAssertion]) -> VAssertion:
-    """Right-nested conjunction; empty list means `true`."""
-    if not parts:
+    """The conjunction of `parts`, splicing nested AndAs; an empty list
+    means `true` and a single part stands alone."""
+    flat: list[VAssertion] = []
+    for a in parts:
+        flat.extend(conjuncts(a))
+    if not flat:
         return Pure(BoolLit(True))
-    out = parts[-1]
-    for a in reversed(parts[:-1]):
-        out = AndA(a, out)
-    return out
+    return flat[0] if len(flat) == 1 else AndA(flat)
 
 
 def conjuncts(a: VAssertion) -> list[VAssertion]:
-    if isinstance(a, AndA):
-        return conjuncts(a.left) + conjuncts(a.right)
-    return [a]
+    return a.parts if isinstance(a, AndA) else [a]
 
 
 # -- statements ----------------------------------------------------------------
@@ -391,12 +377,6 @@ def _expr(e: VExpr) -> tuple[str, int]:
         return f"{expr_str(e.seq, _ATOM)}[{expr_str(e.lo)} ..]", _ATOM
     if isinstance(e, SeqTake):
         return f"{expr_str(e.seq, _ATOM)}[.. {expr_str(e.hi)}]", _ATOM
-    if isinstance(e, CondExpr):
-        return (f"{expr_str(e.cond, 4)} ? {expr_str(e.then, 4)} : "
-                f"{expr_str(e.els, 1)}"), 1
-    if isinstance(e, LetExpr):
-        return (f"let {e.name} == ({expr_str(e.bound)}) in "
-                f"{expr_str(e.body)}"), 1
     raise TypeError(f"unknown expression node {type(e).__name__}")
 
 

@@ -16,15 +16,14 @@ about precedence or associativity.
 
 from __future__ import annotations
 
-from .viper_ast import (SEQ_INT, Acc, AdtDecl, AssignS, BinOp, BoolLit,
-                        CallS, CondA, CondExpr, CtorCall, CtorSig, FieldAcc,
-                        FieldDecl, FoldS, FunApp, FunctionDecl, IfS, IntLit,
-                        IsTest, LetA, LetExpr, MethodDecl, NewS, PredApp,
-                        PredicateDecl, Pure, SeqDrop, SeqIndex, SeqLen,
-                        SeqLit, SeqTake, UnOp, UnfoldS, VAssertion, Var,
-                        VarDeclS, VDecl, VExpr, ViperProgram, VStmt, VToken,
-                        VType, _NON_ASSOC, _PREC, _RIGHT_ASSOC, and_all,
-                        lex_viper)
+from .viper_ast import (Acc, AdtDecl, AssignS, BinOp, BoolLit, CallS, CondA,
+                        CtorCall, CtorSig, FieldAcc, FieldDecl, FoldS, FunApp,
+                        FunctionDecl, IfS, IntLit, IsTest, LetA, MethodDecl,
+                        NewS, PredApp, PredicateDecl, Pure, SeqDrop, SeqIndex,
+                        SeqLen, SeqLit, SeqTake, UnOp, UnfoldS, VAssertion,
+                        Var, VarDeclS, VDecl, VExpr, ViperProgram, VStmt,
+                        VToken, VType, _NON_ASSOC, _PREC, _RIGHT_ASSOC,
+                        and_all, lex_viper)
 
 
 class ViperParseError(ValueError):
@@ -141,25 +140,7 @@ class _R:
     # expressions -----------------------------------------------------------
 
     def parse_expr(self) -> VExpr:
-        if self.at("let"):
-            return self._let_expr()
-        cond = self._binary(_PREC["||"])
-        if self.at("?"):
-            self.next()
-            then = self._binary(_PREC["&&"])
-            self.expect(":")
-            return CondExpr(cond, then, self.parse_expr())
-        return cond
-
-    def _let_expr(self) -> LetExpr:
-        self.expect("let")
-        name = self.ident()
-        self.expect("==")
-        self.expect("(")
-        bound = self.parse_expr()
-        self.expect(")")
-        self.expect("in")
-        return LetExpr(name, bound, self.parse_expr())
+        return self._binary(_PREC["||"])
 
     def _binary(self, floor: int) -> VExpr:
         """Precedence climbing over the printer's `_PREC`: an operand

@@ -4,11 +4,11 @@ properties.
 The printer canonicalizes, so generated trees must already be in canonical
 form or the round trip cannot be the identity:
 
-- conjunctions are right-nested (build through ``and_all``, never nest an
-  AndA directly under another),
+- conjunctions are built through ``and_all``, which splices nested ones
+  into one flat list, as the reparser does,
 - negative numbers are IntLit values, never unary minus on a literal,
-- a Pure never wraps a bare conditional, let or && at conjunct level
-  (those exist as assertion forms),
+- a Pure never wraps a bare && at conjunct level (that is an assertion
+  form),
 - name pools are disjoint, because the reparser classifies applications
   by declared name.
 """
@@ -17,16 +17,15 @@ from __future__ import annotations
 
 import random
 
-from gospel2viper.viper_ast import (INT, REF, SEQ_INT, Acc, AdtDecl, AndA,
+from gospel2viper.viper_ast import (INT, REF, SEQ_INT, Acc, AdtDecl,
                                     AssignS, BinOp, BoolLit, CallS, CondA,
-                                    CondExpr, CtorCall, CtorSig, FieldAcc,
-                                    FieldDecl, FoldS, FunApp, FunctionDecl,
-                                    IfS, IntLit, IsTest, LetA, LetExpr,
-                                    MethodDecl, NewS, PredApp, PredicateDecl,
-                                    Pure, SeqDrop, SeqIndex, SeqLen, SeqLit,
-                                    SeqTake, UnOp, UnfoldS, Var, VarDeclS,
-                                    VAssertion, VExpr, ViperProgram, VStmt,
-                                    and_all)
+                                    CtorCall, CtorSig, FieldAcc, FieldDecl,
+                                    FoldS, FunApp, FunctionDecl, IfS, IntLit,
+                                    IsTest, LetA, MethodDecl, NewS, PredApp,
+                                    PredicateDecl, Pure, SeqDrop, SeqIndex,
+                                    SeqLen, SeqLit, SeqTake, UnOp, UnfoldS,
+                                    Var, VarDeclS, VAssertion, VExpr,
+                                    ViperProgram, VStmt, and_all)
 
 VARS = ("a", "b", "q", "r", "x", "y")
 FIELDS = ("val", "nxt", "fst", "lst")
@@ -47,7 +46,7 @@ def gen_expr(rng: random.Random, depth: int = 3) -> VExpr:
             BoolLit(rng.random() < 0.5),
             Var(rng.choice(VARS)),
         ])
-    pick = rng.randrange(13)
+    pick = rng.randrange(11)
     sub = depth - 1
     if pick == 0:
         return IntLit(rng.randint(-99, 99))
@@ -77,19 +76,13 @@ def gen_expr(rng: random.Random, depth: int = 3) -> VExpr:
         op = rng.choice(("-", "!"))
         inner = Var(rng.choice(VARS)) if op == "-" else gen_expr(rng, sub)
         return UnOp(op, inner)
-    if pick == 10:
-        kind = rng.randrange(3)
-        seq = gen_expr(rng, sub)
-        if kind == 0:
-            return SeqIndex(seq, gen_expr(rng, sub))
-        if kind == 1:
-            return SeqDrop(seq, gen_expr(rng, sub))
-        return SeqTake(seq, gen_expr(rng, sub))
-    if pick == 11:
-        return CondExpr(gen_expr(rng, sub), gen_expr(rng, sub),
-                        gen_expr(rng, sub))
-    return LetExpr(rng.choice(LET_NAMES), gen_expr(rng, sub),
-                   gen_expr(rng, sub))
+    kind = rng.randrange(3)
+    seq = gen_expr(rng, sub)
+    if kind == 0:
+        return SeqIndex(seq, gen_expr(rng, sub))
+    if kind == 1:
+        return SeqDrop(seq, gen_expr(rng, sub))
+    return SeqTake(seq, gen_expr(rng, sub))
 
 
 def _pred_app(rng: random.Random, depth: int) -> PredApp:
@@ -99,8 +92,7 @@ def _pred_app(rng: random.Random, depth: int) -> PredApp:
 
 def _top_pure_clash(e: VExpr) -> bool:
     """Shapes that read back as assertion forms, not as a Pure."""
-    return (isinstance(e, (LetExpr, CondExpr))
-            or (isinstance(e, BinOp) and e.op == "&&"))
+    return isinstance(e, BinOp) and e.op == "&&"
 
 
 def _atom_assertion(rng: random.Random, depth: int) -> VAssertion:
@@ -124,15 +116,8 @@ def gen_assertion(rng: random.Random, depth: int = 3) -> VAssertion:
     if pick <= 2:
         return _atom_assertion(rng, sub)
     if pick == 3:
-        # conjunct parts must not themselves be AndA or the reparse
-        # flattening changes the tree
-        parts = []
-        for _ in range(rng.randint(2, 4)):
-            part = gen_assertion(rng, sub)
-            if isinstance(part, AndA):
-                part = _atom_assertion(rng, sub)
-            parts.append(part)
-        return and_all(parts)
+        return and_all([gen_assertion(rng, sub)
+                        for _ in range(rng.randint(2, 4))])
     if pick == 4:
         return CondA(gen_expr(rng, sub), gen_assertion(rng, sub),
                      gen_assertion(rng, sub))
@@ -231,13 +216,8 @@ def gen_dual_assertion(rng: random.Random, used: set, depth: int = 3,
         # bind an arithmetic value; the binder feeds pures, never an acc
         return LetA(names[0], gen_scalar(rng, 1),
                     gen_dual_assertion(rng, used, sub, names[1:]))
-    parts = []
-    for _ in range(rng.randint(2, 3)):
-        p = gen_dual_assertion(rng, used, sub, names)
-        if isinstance(p, AndA):
-            p = Pure(_gen_cond(rng))
-        parts.append(p)
-    return and_all(parts)
+    return and_all([gen_dual_assertion(rng, used, sub, names)
+                    for _ in range(rng.randint(2, 3))])
 
 
 def gen_program(rng: random.Random) -> ViperProgram:

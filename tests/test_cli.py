@@ -12,6 +12,8 @@ import gospel2viper
 import pytest
 from gospel2viper.cli import RunConfig, run
 from gospel2viper.parser import MAX_NESTING
+from gospel2viper.viper_ast import pretty
+from gospel2viper.viper_parser import reparse
 
 GOOD = """\
 type t = { mutable v : int }
@@ -292,3 +294,33 @@ def test_nesting_past_the_limit_is_one_parse_error(tmp_path, shape):
     assert status == 1 and out == ""
     assert err.count("error[parse]") == 1
     assert f"nesting deeper than {MAX_NESTING} levels" in err
+
+
+def _wide_record(n):
+    fields = [f"f{i}" for i in range(n)]
+    decl = "; ".join(f"mutable {f} : int" for f in fields)
+    return (f"type t = {{ {decl} }}\n"
+            f"(*@ predicate p (c: t) = c ~> {{{'; '.join(fields)}}} *)\n"
+            "let zero (c: t) =\n"
+            "  (*@ unfold p c *)\n"
+            "  c.f0 <- 0\n"
+            "  (*@ fold p c *)\n"
+            "(*@ zero c requires p c ensures p c *)\n")
+
+
+# A conjunction is a list, not nesting: its length never meets MAX_NESTING.
+CONJUNCTIONS = {
+    "requires": lambda n: NESTED.format(
+        value="0", pre=" && ".join(["p c"] + ["0 <= 1"] * (n - 1))),
+    "record": _wide_record,
+}
+
+
+@pytest.mark.parametrize("shape,n", [("requires", 10_000), ("record", 1_000)])
+def test_long_conjunctions_check_and_round_trip(tmp_path, shape, n):
+    src = tmp_path / "long.ml"
+    src.write_text(CONJUNCTIONS[shape](n))
+    status, out, err = invoke(src, check=True)
+    assert (status, err) == (0, "")
+    text = (tmp_path / "long.vpr").read_text()
+    assert pretty(reparse(text)) == text

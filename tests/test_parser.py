@@ -135,16 +135,14 @@ def test_predicate_definition_shape():
     assert body.els.ctor == "Cons" and body.els.binder == "c"
     inner = body.els.body
     assert isinstance(inner, SepA)
-    assert isinstance(inner.left, OwnsA)
-    assert inner.left.fields == ["content", "next"]
+    assert isinstance(inner.parts[0], OwnsA)
+    assert inner.parts[0].fields == ["content", "next"]
 
 
 def test_whole_conjunct_application_resolves_to_predicate():
     m = ok(PRED)
     body = m.predicates()["seg"].body
-    last = body.els.body
-    while isinstance(last, SepA):
-        last = last.right
+    last = body.els.body.parts[-1]
     assert isinstance(last, PredA)
     assert last.name == "seg"
 
@@ -208,7 +206,8 @@ type cell = Nil | Cons of { mutable next : cell }
     lem = m.lemmas()["seg_trans"]
     req = lem.requires[0]
     assert isinstance(req, SepA)
-    assert isinstance(req.left, PredA) and req.left.name == "seg"
+    assert [type(a) for a in req.parts] == [PredA, PredA]
+    assert req.parts[0].name == "seg"
 
 
 def test_ghost_commands_in_statement_position():

@@ -458,7 +458,7 @@ def test_consume_undoes_produce(ck):
     st = SymState()
     x = ck.fresh("x")
     store = {"x": x}
-    a = V.AndA(acc("x", "val"), pred("P", "x"))
+    a = V.AndA([acc("x", "val"), pred("P", "x")])
     ck.produce(st, a, store)
     assert ck.consume(st, a, store, CTX)
     assert not st.perms and not st.preds and not ck.diags
@@ -516,9 +516,9 @@ def test_consume_reads_the_entry_snapshot(ck):
     store = {"x": x}
     ck.produce(st, acc("x", "val"), store)
     st.heap[(x, "val")] = Lit(5)
-    a = V.AndA(acc("x", "val"),
-               V.Pure(V.BinOp("==", V.FieldAcc(V.Var("x"), "val"),
-                              V.IntLit(5))))
+    a = V.AndA([acc("x", "val"),
+                V.Pure(V.BinOp("==", V.FieldAcc(V.Var("x"), "val"),
+                               V.IntLit(5)))])
     assert ck.consume(st, a, store, CTX)
     assert not ck.diags
 

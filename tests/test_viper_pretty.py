@@ -3,9 +3,9 @@ golden equality."""
 
 from gospel2viper.viper_ast import (INT, REF, SEQ_INT, Acc, AdtDecl, AndA,
                                     AssignS, BinOp, BoolLit, CallS, CondA,
-                                    CondExpr, CtorCall, CtorSig, FieldAcc,
+                                    CtorCall, CtorSig, FieldAcc,
                                     FieldDecl, FoldS, FunApp, FunctionDecl,
-                                    IfS, IntLit, IsTest, LetA, LetExpr,
+                                    IfS, IntLit, IsTest, LetA,
                                     MethodDecl, NewS, PredApp,
                                     PredicateDecl, Pure, SeqLen, SeqLit,
                                     UnOp, Var, VarDeclS, ViperProgram,
@@ -40,12 +40,6 @@ X, Y, Z = Var("x"), Var("y"), Var("z")
     (UnOp("!", b("&&", X, Y)), "!(x && y)"),
     (IntLit(-3), "-3"),
     (b("+", X, IntLit(-3)), "x + -3"),
-    (CondExpr(X, Y, Z), "x ? y : z"),
-    (CondExpr(X, Y, CondExpr(Z, X, Y)), "x ? y : z ? x : y"),
-    (CondExpr(CondExpr(X, Y, Z), X, Y), "(x ? y : z) ? x : y"),
-    (b("+", X, CondExpr(X, Y, Z)), "x + (x ? y : z)"),
-    (LetExpr("t", b("+", X, Y), b("*", Var("t"), Z)),
-     "let t == (x + y) in t * z"),
 ])
 def test_expr_rendering(expr, text):
     assert expr_str(expr) == text
@@ -86,6 +80,14 @@ def test_and_chain_is_flat():
     assert asrt(a) == "x && acc(x.f) && P(x)"
     assert conjuncts(a) == [Pure(X), Acc(FieldAcc(X, "f")),
                             PredApp("P", [X])]
+
+
+def test_and_all_splices_nested_conjunctions():
+    assert and_all([]) == Pure(BoolLit(True))
+    assert and_all([Pure(X)]) == Pure(X)
+    inner = and_all([Pure(Y), Pure(Z)])
+    assert and_all([inner, Pure(X), inner]) == AndA(
+        [Pure(Y), Pure(Z), Pure(X), Pure(Y), Pure(Z)])
 
 
 def test_cond_assertion_branches_are_bare():

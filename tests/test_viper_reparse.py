@@ -38,9 +38,10 @@ def parse_pred_body(assertion_text):
 def test_whole_conjunct_pred_name_is_a_predicate_instance():
     body = parse_pred_body("P(r) && size(r) == 1")
     assert isinstance(body, AndA)
-    assert isinstance(body.left, PredApp)
+    first, second = body.parts
+    assert isinstance(first, PredApp)
     # size is not declared, so it stays a pure function application
-    assert isinstance(body.right, Pure)
+    assert isinstance(second, Pure)
 
 
 def test_call_statement_vs_assignment():
@@ -64,15 +65,15 @@ def test_new_forms():
 
 
 def test_is_test_needs_a_declared_ctor():
-    body = parse_pred_body("r.isCons && r.isopen")
-    assert isinstance(body.left.expr, IsTest)
-    assert isinstance(body.right.expr, FieldAcc)  # no `open` constructor
+    first, second = parse_pred_body("r.isCons && r.isopen").parts
+    assert isinstance(first.expr, IsTest)
+    assert isinstance(second.expr, FieldAcc)  # no `open` constructor
 
 
 def test_negative_literal_folds():
-    body = parse_pred_body("r == -3 && r == -x")
-    assert body.left.expr.right == IntLit(-3)
-    assert body.right.expr.right == UnOp("-", Var("x"))
+    first, second = parse_pred_body("r == -3 && r == -x").parts
+    assert first.expr.right == IntLit(-3)
+    assert second.expr.right == UnOp("-", Var("x"))
 
 
 # -- assertion grammar ------------------------------------------------------------
@@ -94,7 +95,7 @@ def test_trailing_let_swallows_the_rest():
     body = parse_pred_body("acc(r.val) && let c == (r.nxt) in "
                            "acc(c.val) && c.val == 0")
     assert isinstance(body, AndA)
-    let = body.right
+    _, let = body.parts
     assert isinstance(let, LetA)
     assert isinstance(let.body, AndA)
 
@@ -102,12 +103,7 @@ def test_trailing_let_swallows_the_rest():
 def test_parenthesized_let_conjunct_stays_inner():
     body = parse_pred_body("acc(r.val) && (let c == (r.nxt) in c == r) && "
                            "r.val == 0")
-    parts = []
-    a = body
-    while isinstance(a, AndA):
-        parts.append(a.left)
-        a = a.right
-    parts.append(a)
+    parts = body.parts
     assert isinstance(parts[1], LetA)
     assert isinstance(parts[1].body, Pure)
     assert len(parts) == 3
@@ -119,9 +115,9 @@ def test_parenthesized_pure_with_continuation_is_an_expression():
 
 
 def test_or_at_conjunct_level_is_pure():
-    body = parse_pred_body("(x == 1 || x == 2) && acc(r.val)")
-    assert isinstance(body.left, Pure)
-    assert body.left.expr.op == "||"
+    first, _ = parse_pred_body("(x == 1 || x == 2) && acc(r.val)").parts
+    assert isinstance(first, Pure)
+    assert first.expr.op == "||"
 
 
 def test_acc_requires_a_field_location():
