@@ -17,42 +17,34 @@ raw payload text and its offset, so the payload can be re-lexed in
 annotation mode later.  In annotation mode the contract keywords
 (requires, ensures, predicate, function, lemma, fold, unfold, apply)
 are hard keywords; in program mode they are plain identifiers.
+
+Token kinds are plain ints, the constants of class `T`; compare them
+with `==`.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from enum import Enum, auto
 
 from .diagnostics import Category, Diagnostic, Span, error
 
 
-class T(Enum):
-    IDENT = auto()
-    INT = auto()
-    ANNOTATION = auto()
-    # punctuation
-    LPAREN = auto(); RPAREN = auto()
-    LBRACE = auto(); RBRACE = auto()
-    LBRACKET = auto(); RBRACKET = auto()
-    SEMI = auto(); COLON = auto(); COMMA = auto()
-    DOT = auto(); DOTDOT = auto()
-    PIPE = auto(); ARROW = auto(); LARROW = auto(); OWNS = auto()
-    EQ = auto(); NEQ = auto(); LT = auto(); LE = auto(); GT = auto(); GE = auto()
-    PLUS = auto(); MINUS = auto(); STAR = auto(); SLASH = auto()
-    PLUSPLUS = auto(); AMPAMP = auto(); BARBAR = auto()
-    # program keywords
-    TYPE = auto(); OF = auto(); MUTABLE = auto()
-    LET = auto(); IN = auto()
-    IF = auto(); THEN = auto(); ELSE = auto()
-    MATCH = auto(); WITH = auto()
-    TRUE = auto(); FALSE = auto()
-    # annotation-mode keywords
-    REQUIRES = auto(); ENSURES = auto()
-    PREDICATE = auto(); FUNCTION = auto(); LEMMA = auto()
-    FOLD = auto(); UNFOLD = auto(); APPLY = auto()
-    EOF = auto()
+class T:
+    """Token kinds: distinct ints, which the parser compares far faster
+    than `Enum` members."""
+    (IDENT, INT, ANNOTATION,
+     # punctuation
+     LPAREN, RPAREN, LBRACE, RBRACE, LBRACKET, RBRACKET,
+     SEMI, COLON, COMMA, DOT, DOTDOT,
+     PIPE, ARROW, LARROW, OWNS,
+     EQ, NEQ, LT, LE, GT, GE,
+     PLUS, MINUS, STAR, SLASH, PLUSPLUS, AMPAMP, BARBAR,
+     # program keywords
+     TYPE, OF, MUTABLE, LET, IN, IF, THEN, ELSE, MATCH, WITH, TRUE, FALSE,
+     # annotation-mode keywords
+     REQUIRES, ENSURES, PREDICATE, FUNCTION, LEMMA, FOLD, UNFOLD, APPLY,
+     EOF) = range(52)
 
 
 KEYWORDS = {
@@ -88,7 +80,6 @@ _ALL_KEYWORDS = {**SPEC_KEYWORDS, **KEYWORDS}
 # identifier (the caller rejects a non-letter start) or punctuation,
 # longest first.  No group matches at end of input or a stray character.
 _INT, _IDENT, _PUNCT = 2, 3, 4  # group numbers; 1 is the comment opener
-_INT_KIND, _IDENT_KIND = T.INT, T.IDENT  # enum lookups are slow
 _TOKEN = re.compile(r"[ \t\r\n]*(?:(\(\*@?)|(\d+)|([^\W\d][\w']*)|(%s))?"
                     % "|".join(map(re.escape,
                                    sorted(PUNCT, key=len, reverse=True))))
@@ -97,7 +88,7 @@ _COMMENT_EDGE = re.compile(r"\(\*|\*\)")
 
 @dataclass(slots=True)
 class Token:
-    kind: T
+    kind: int  # a T constant
     text: str
     start: int  # offset in the file; most spans are never asked for
     # only set on ANNOTATION tokens
@@ -109,7 +100,7 @@ class Token:
         return Span(self.start, self.start + len(self.text))
 
     def is_upper_ident(self) -> bool:
-        return self.kind is T.IDENT and self.text[:1].isupper()
+        return self.kind == T.IDENT and self.text[:1].isupper()
 
 
 def _unexpected(ch: str, at: int) -> Diagnostic:
@@ -140,11 +131,11 @@ def lex(source: str, base: int = 0, spec_mode: bool = False
         if group == _IDENT:
             if not (text[0].isalpha() or text[0] == "_"):
                 return [], [_unexpected(text[0], base + start)]
-            kind = keywords.get(text, _IDENT_KIND)
+            kind = keywords.get(text, T.IDENT)
         elif group == _PUNCT:
             kind = PUNCT[text]
         elif group == _INT:
-            kind = _INT_KIND
+            kind = T.INT
         else:
             depth = 1
             for edge in _COMMENT_EDGE.finditer(source, i):

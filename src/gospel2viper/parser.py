@@ -1,5 +1,6 @@
 """Recursive-descent parser for OCaml-light modules and Gospel annotations.
 
+Token kinds are the plain ints of `lexer.T`, compared with `==`.
 Binary operators are parsed by precedence climbing (Pratt's "Top Down
 Operator Precedence") in one loop, `_P.parse_binary`, over the table
 `_BINOPS` of operators and their precedences.
@@ -18,7 +19,7 @@ ghost arguments.
 
 from __future__ import annotations
 
-from .diagnostics import Category, Diagnostic, Span, error
+from .diagnostics import Category, Diagnostic, Span, error, has_errors
 from .lexer import T, Token, lex
 from .surface import (AnnotationPayload, AppE, Assertion, AssignE, BinE,
                       BoolLit, BoolT, ContractSpec, CtorDef, CtorE, FieldDef,
@@ -28,7 +29,7 @@ from .surface import (AnnotationPayload, AppE, Assertion, AssignE, BinE,
                       MatchE, NamedT, OwnsA, PredA, PredicateDef, PureA,
                       RecordAlloc, RecordKind, SeqE, SeqT, SepA, SliceFromE,
                       SurfaceDecl, SurfaceExpr, SurfaceModule, SurfaceType,
-                      TypeDecl, UnE, UnitLit, VarE)
+                      TypeDecl, UnE, UnitLit, VarE, VariantKind)
 
 
 class ParseError(Exception):
@@ -46,7 +47,7 @@ _BINOPS = {T.BARBAR: ("||", 1), T.AMPAMP: ("&&", 2),
            T.LE: ("<=", _CMP), T.GT: (">", _CMP), T.GE: (">=", _CMP),
            T.PLUSPLUS: ("++", 4), T.PLUS: ("+", 5), T.MINUS: ("-", 5),
            T.STAR: ("*", 6), T.SLASH: ("/", 6)}
-_ATOM_START = (T.INT, T.TRUE, T.FALSE, T.IDENT, T.LPAREN, T.LBRACE)
+_ATOM_START = frozenset((T.INT, T.TRUE, T.FALSE, T.IDENT, T.LPAREN, T.LBRACE))
 
 # Expressions, prefix minus, assertion atoms and parenthesised statements
 # nest at most this deep inside the outermost one, so the recursive parser
@@ -61,6 +62,7 @@ class _P:
     indexing/slicing, program terms have ghost-argument brackets.
     `depth` counts open nesting levels; a ParseError leaves it raised, so
     whoever catches one and parses on restores it together with `pos`.
+    Hot paths read `toks[pos]` inline: a call costs more than its test.
     """
 
     def __init__(self, tokens: list[Token], spec: bool):
@@ -77,20 +79,22 @@ class _P:
             return self.toks[min(self.pos + ahead, len(self.toks) - 1)]
         return self.toks[self.pos]
 
-    def at(self, *kinds: T) -> bool:
+    def at(self, *kinds: int) -> bool:
         return self.toks[self.pos].kind in kinds
 
     def next(self) -> Token:
         t = self.toks[self.pos]
-        if t.kind is not T.EOF:
+        if t.kind != T.EOF:
             self.pos += 1
         return t
 
-    def expect(self, kind: T, what: str) -> Token:
-        t = self.peek()
-        if t.kind is not kind:
+    def expect(self, kind: int, what: str) -> Token:
+        """Step past a token of `kind`, which is never EOF."""
+        t = self.toks[self.pos]
+        if t.kind != kind:
             self.fail(f"expected {what}, found {t.text or 'end of input'!r}")
-        return self.next()
+        self.pos += 1
+        return t
 
     def fail(self, message: str) -> None:
         raise ParseError(error(Category.PARSE, message, self.peek().span))
@@ -125,7 +129,9 @@ class _P:
     # -- expressions -------------------------------------------------------
 
     def parse_expr(self) -> SurfaceExpr:
-        self.enter()
+        if self.depth > MAX_NESTING:
+            self.fail(f"nesting deeper than {MAX_NESTING} levels")
+        self.depth += 1
         e = self.parse_binary(1)
         self.depth -= 1
         return e
@@ -133,49 +139,50 @@ class _P:
     def parse_binary(self, floor: int) -> SurfaceExpr:
         """Precedence climbing over `_BINOPS`: an operand followed by
         operators of precedence `floor` and tighter."""
-        e, ceil = self.parse_unary(), _TIGHTEST
+        toks = self.toks
+        e = (self.parse_unary() if toks[self.pos].kind == T.MINUS
+             else self.parse_app())
+        ceil = _TIGHTEST
         while True:
-            op = _BINOPS.get(self.toks[self.pos].kind)
+            op = _BINOPS.get(toks[self.pos].kind)
             if op is None or not floor <= op[1] <= ceil:
                 return e
-            self.next()
+            self.pos += 1
             sym, prec = op
             # after a comparison only tighter operators may follow, so a
             # second comparison is left to the caller, which rejects it
             ceil = prec - 1 if prec == _CMP else prec
             right = self.parse_binary(prec if sym == "++" else prec + 1)
-            e = BinE(sym, e, right, span=_sp(e))
+            e = BinE(sym, e, right, span=e.span)
 
     def parse_unary(self) -> SurfaceExpr:
-        if self.at(T.MINUS):
-            start = self.next().span
-            self.enter()
-            e = UnE("-", self.parse_unary(), span=start)
-            self.depth -= 1
-            return e
-        return self.parse_app()
+        """A prefix minus and its operand, itself possibly negated."""
+        start = self.next().span
+        self.enter()
+        e = UnE("-", self.parse_unary() if self.at(T.MINUS)
+                else self.parse_app(), span=start)
+        self.depth -= 1
+        return e
 
     def parse_app(self) -> SurfaceExpr:
+        """A postfix term, applied to the atoms after it when it is a bare
+        name: `f x (y + 1) z.a`, `f (x, y)` or `f ()`."""
         head = self.parse_postfix()
-        if not isinstance(head, (VarE, CtorE)):
+        toks = self.toks
+        if (toks[self.pos].kind not in _ATOM_START
+                or not isinstance(head, (VarE, CtorE))):
             return head
-        name = head.name
-        if not self._at_atom():
-            return head
-        args, done = self._paren_args_or_none()
-        if args is None:
-            args = []
-            while self._at_atom():
-                if self.at(T.LPAREN):
-                    inner, closed = self._paren_args_or_none()
-                    if inner is not None:  # comma form mid-stream: malformed
-                        args.extend(inner)
-                        done = closed
-                        break
-                    args.append(self._paren_expr())
-                else:
-                    args.append(self.parse_postfix())
-        app = AppE(name, args, span=_sp(head))
+        args: list[SurfaceExpr] = []
+        done = False
+        while toks[self.pos].kind in _ATOM_START:
+            if toks[self.pos].kind == T.LPAREN:
+                inner, done = self._paren_args()
+                args.extend(inner)
+                if done:  # `f (x, y)` and `f ()` take nothing after them
+                    break
+            else:
+                args.append(self.parse_postfix())
+        app = AppE(head.name, args, span=head.span)
         if not self.spec and not done:
             while self.at(T.LBRACKET):
                 self.next()
@@ -186,88 +193,78 @@ class _P:
                 self.expect(T.RBRACKET, "']'")
         return app
 
-    def _at_atom(self) -> bool:
-        return self.peek().kind in _ATOM_START
-
-    def _paren_args_or_none(self) -> tuple[list[SurfaceExpr] | None, bool]:
-        """Distinguish `f(a, b)` and `f ()` from a curried `f (e)`.
-
-        Returns (args, True) when a complete parenthesized argument list
-        was consumed, else (None, False) having consumed nothing.
-        """
-        if not self.at(T.LPAREN):
-            return None, False
-        mark = self.pos
-        self.next()
-        if self.at(T.RPAREN):
-            self.next()
+    def _paren_args(self) -> tuple[list[SurfaceExpr], bool]:
+        """The group at the cursor: ([a, b], True) for `(a, b)`, ([], True)
+        for `()` and ([e], False) for one curried argument `(e)`."""
+        toks = self.toks
+        self.pos += 1
+        if toks[self.pos].kind == T.RPAREN:
+            self.pos += 1
             return [], True
-        first = self.parse_expr()
-        if self.at(T.COMMA):
-            args = [first]
-            while self.at(T.COMMA):
-                self.next()
-                args.append(self.parse_expr())
-            self.expect(T.RPAREN, "')'")
-            return args, True
-        self.pos = mark
-        return None, False
-
-    def _paren_expr(self) -> SurfaceExpr:
-        self.expect(T.LPAREN, "'('")
-        e = self.parse_expr()
+        args = [self.parse_expr()]
+        closed = toks[self.pos].kind == T.COMMA
+        while toks[self.pos].kind == T.COMMA:
+            self.pos += 1
+            args.append(self.parse_expr())
         self.expect(T.RPAREN, "')'")
-        return e
+        return args, closed
 
     def parse_postfix(self) -> SurfaceExpr:
-        e = self.parse_atom()
+        """An atom, then `.field` and, in spec terms, `[i]` and `[i ..]`."""
+        toks = self.toks
+        t = toks[self.pos]
+        kind = t.kind
+        e: SurfaceExpr
+        if kind == T.IDENT:
+            self.pos += 1
+            if not t.text[0].isupper():
+                e = VarE(t.text, span=t.span)
+            elif toks[self.pos].kind == T.LBRACE:
+                e = self._record_body(t.text, t.span)
+            else:
+                e = CtorE(t.text, span=t.span)
+        elif kind == T.INT:
+            self.pos += 1
+            e = IntLit(int(t.text), span=t.span)
+        elif kind == T.TRUE or kind == T.FALSE:
+            self.pos += 1
+            e = BoolLit(kind == T.TRUE, span=t.span)
+        elif kind == T.LBRACE:
+            e = self._record_body(None, t.span)
+        elif kind == T.LPAREN:
+            self.pos += 1
+            if toks[self.pos].kind == T.RPAREN:
+                self.pos += 1
+                e = UnitLit(span=t.span)
+            else:
+                e = self.parse_expr()
+                self.expect(T.RPAREN, "')'")
+        else:
+            self.fail("expected an expression, found "
+                      f"{t.text or 'end of input'!r}")
         while True:
-            if self.at(T.DOT):
-                self.next()
-                f = self.ident("field name")
-                e = FieldE(e, f.text, span=_sp(e))
-            elif self.spec and self.at(T.LBRACKET):
-                self.next()
+            kind = toks[self.pos].kind
+            if kind == T.DOT:
+                self.pos += 1
+                f = toks[self.pos]
+                if f.kind != T.IDENT:
+                    self.ident("field name")  # raises
+                self.pos += 1
+                e = FieldE(e, f.text, span=e.span)
+            elif kind == T.LBRACKET and self.spec:
+                self.pos += 1
                 if self.at(T.DOTDOT):
                     self.fail("prefix slices are not part of the surface language")
                 idx = self.parse_expr()
                 if self.at(T.DOTDOT):
                     self.next()
                     self.expect(T.RBRACKET, "']'")
-                    e = SliceFromE(e, idx, span=_sp(e))
+                    e = SliceFromE(e, idx, span=e.span)
                 else:
                     self.expect(T.RBRACKET, "']'")
-                    e = IndexE(e, idx, span=_sp(e))
+                    e = IndexE(e, idx, span=e.span)
             else:
                 return e
-
-    def parse_atom(self) -> SurfaceExpr:
-        t = self.peek()
-        if t.kind is T.INT:
-            self.next()
-            return IntLit(int(t.text), span=t.span)
-        if t.kind is T.TRUE or t.kind is T.FALSE:
-            self.next()
-            return BoolLit(t.kind is T.TRUE, span=t.span)
-        if t.kind is T.IDENT:
-            self.next()
-            if t.is_upper_ident():
-                if self.at(T.LBRACE):
-                    return self._record_body(t.text, t.span)
-                return CtorE(t.text, span=t.span)
-            return VarE(t.text, span=t.span)
-        if t.kind is T.LBRACE:
-            return self._record_body(None, t.span)
-        if t.kind is T.LPAREN:
-            self.next()
-            if self.at(T.RPAREN):
-                self.next()
-                return UnitLit(span=t.span)
-            e = self.parse_expr()
-            self.expect(T.RPAREN, "')'")
-            return e
-        self.fail(f"expected an expression, found {t.text or 'end of input'!r}")
-        raise AssertionError  # unreachable
 
     def _record_body(self, ctor: str | None, span: Span) -> RecordAlloc:
         self.expect(T.LBRACE, "'{'")
@@ -282,10 +279,6 @@ class _P:
                 self.fail("expected ';' or '}' in record literal")
         self.next()
         return RecordAlloc(ctor, inits, span=span)
-
-
-def _sp(e) -> Span | None:
-    return getattr(e, "span", None)
 
 
 # --------------------------------------------------------------------------
@@ -311,13 +304,13 @@ def parse_annotation(token: Token) -> tuple[AnnotationPayload | None,
 
 def _annotation_payload(p: _P, span: Span):
     t = p.peek()
-    if t.kind is T.PREDICATE:
+    if t.kind == T.PREDICATE:
         p.next()
         name = p.ident("predicate name").text
         params = _spec_params(p)
         p.expect(T.EQ, "'='")
         return PredicateDef(name, params, _assertion(p), span=span)
-    if t.kind is T.FUNCTION:
+    if t.kind == T.FUNCTION:
         p.next()
         name = p.ident("function name").text
         params = _spec_params(p)
@@ -325,7 +318,7 @@ def _annotation_payload(p: _P, span: Span):
         ret = p.parse_type()
         p.expect(T.EQ, "'='")
         return LogicalFunctionDef(name, params, ret, p.parse_expr(), span=span)
-    if t.kind is T.LEMMA:
+    if t.kind == T.LEMMA:
         p.next()
         name = p.ident("lemma name").text
         params = _spec_params(p)
@@ -352,13 +345,17 @@ def _spec_params(p: _P) -> list[tuple[str, SurfaceType]]:
 
 
 def _command_args(p: _P) -> list[SurfaceExpr]:
-    args, done = p._paren_args_or_none()
-    if args is not None:
-        return args
-    args = []
-    while p._at_atom():
+    """`(a, b)`, `()` or curried arguments; only the first may be a list."""
+    args: list[SurfaceExpr] = []
+    if p.at(T.LPAREN):
+        args, closed = p._paren_args()
+        if closed:
+            return args
+    while p.peek().kind in _ATOM_START:
         if p.at(T.LPAREN):
-            args.append(p._paren_expr())
+            p.next()
+            args.append(p.parse_expr())
+            p.expect(T.RPAREN, "')'")
         else:
             args.append(p.parse_postfix())
     return args
@@ -378,7 +375,7 @@ def _contract(p: _P, span: Span) -> ContractSpec:
         fn = first
     param_names: list[str] = []
     while True:
-        if p.at(T.LPAREN) and p.peek(1).kind is T.RPAREN:
+        if p.at(T.LPAREN) and p.peek(1).kind == T.RPAREN:
             p.next(); p.next()  # `()`: explicitly no parameters
         elif p.at(T.IDENT):
             param_names.append(p.next().text)
@@ -400,7 +397,7 @@ def _clauses(p: _P) -> tuple[list[Assertion], list[Assertion]]:
     req: list[Assertion] = []
     ens: list[Assertion] = []
     while p.at(T.REQUIRES, T.ENSURES):
-        into = req if p.next().kind is T.REQUIRES else ens
+        into = req if p.next().kind == T.REQUIRES else ens
         into.append(_assertion(p))
     return req, ens
 
@@ -419,19 +416,19 @@ def _assertion(p: _P) -> Assertion:
         p.next()
         parts.append(_assertion_atom(p))
     p.depth -= 1
-    return parts[0] if len(parts) == 1 else SepA(parts, span=_sp(parts[0]))
+    return parts[0] if len(parts) == 1 else SepA(parts, span=parts[0].span)
 
 
 def _assertion_atom(p: _P) -> Assertion:
     t = p.peek()
-    if t.kind is T.IF:
+    if t.kind == T.IF:
         p.next()
         cond = p.parse_binary(_CMP)
         p.expect(T.THEN, "'then'")
         then = _assertion(p)
         p.expect(T.ELSE, "'else'")
         return IfA(cond, then, _assertion(p), span=t.span)
-    if t.kind is T.LET:
+    if t.kind == T.LET:
         p.next()
         ctor = p.ident("constructor pattern")
         if not ctor.is_upper_ident():
@@ -441,7 +438,7 @@ def _assertion_atom(p: _P) -> Assertion:
         scrut = p.parse_binary(_CMP)
         p.expect(T.IN, "'in'")
         return LetPatA(ctor.text, binder, scrut, _assertion(p), span=t.span)
-    if t.kind is T.LPAREN:
+    if t.kind == T.LPAREN:
         mark = p.pos, p.depth
         p.next()
         try:
@@ -461,8 +458,8 @@ def _assertion_atom(p: _P) -> Assertion:
             p.next()
             fields.append(p.ident("field name").text)
         p.expect(T.RBRACE, "'}'")
-        return OwnsA(e, fields, span=_sp(e))
-    return PureA(e, span=_sp(e))
+        return OwnsA(e, fields, span=e.span)
+    return PureA(e, span=e.span)
 
 
 # --------------------------------------------------------------------------
@@ -472,14 +469,27 @@ _GHOST_LEADS = ("fold", "unfold", "apply")
 
 
 def _annotation_is_ghost(tok: Token) -> bool:
+    """Whether a payload that does not parse starts like a ghost command."""
     head = (tok.payload or "").split(None, 1)
     return bool(head) and head[0] in _GHOST_LEADS
+
+
+_STMT_END = frozenset((T.EOF, T.RPAREN, T.PIPE, T.TYPE, T.ELSE))
 
 
 class _ModuleParser(_P):
     def __init__(self, tokens: list[Token]):
         super().__init__(tokens, spec=False)
         self.diags: list[Diagnostic] = []
+        self.payloads: dict[int, tuple] = {}
+
+    def _annotation(self) -> tuple[AnnotationPayload | None, list[Diagnostic]]:
+        """parse_annotation of the token at the cursor, parsed once: an
+        annotation that ends a body is parsed there and placed by
+        parse_module.  Whoever steps past it reports its diagnostics."""
+        if self.pos not in self.payloads:
+            self.payloads[self.pos] = parse_annotation(self.toks[self.pos])
+        return self.payloads[self.pos]
 
     # statement sequences ---------------------------------------------------
 
@@ -487,35 +497,36 @@ class _ModuleParser(_P):
         items = self._stmt_seq()
         if not items:
             self.fail("expected a function body")
-        return items[0] if len(items) == 1 else SeqE(items, span=_sp(items[0]))
+        return items[0] if len(items) == 1 else SeqE(items, span=items[0].span)
 
     def _stmt_seq(self) -> list[SurfaceExpr]:
         items: list[SurfaceExpr] = []
+        toks = self.toks
         while True:
-            t = self.peek()
-            if t.kind is T.ANNOTATION:
-                if not _annotation_is_ghost(t):
+            t = toks[self.pos]
+            if t.kind == T.ANNOTATION:
+                payload, diags = self._annotation()
+                if not (_annotation_is_ghost(t) if payload is None
+                        else isinstance(payload, GhostCommand)):
                     break  # a contract or the next top-level declaration
-                self.next()
-                cmd, diags = parse_annotation(t)
+                self.pos += 1
                 self.diags.extend(diags)
-                if cmd is not None:
-                    assert isinstance(cmd, GhostCommand)
-                    items.append(GhostE(cmd, span=cmd.span))
+                if payload is not None:
+                    items.append(GhostE(payload, span=payload.span))
                 continue
-            if t.kind in (T.EOF, T.RPAREN, T.PIPE, T.TYPE, T.ELSE):
+            if t.kind in _STMT_END:
                 break
             item = self._stmt_item()
             if item is None:
                 break
             items.append(item)
-            while self.at(T.SEMI):
-                self.next()
+            while toks[self.pos].kind == T.SEMI:
+                self.pos += 1
         return items
 
     def _stmt_item(self) -> SurfaceExpr | None:
         t = self.peek()
-        if t.kind is T.LET:
+        if t.kind == T.LET:
             mark = self.pos
             self.next()
             name = self.ident("binder name")
@@ -537,14 +548,14 @@ class _ModuleParser(_P):
                     name.span))
             self.next()
             body_items = self._stmt_seq()
-            body = (body_items[0] if len(body_items) == 1
-                    else SeqE(body_items, span=_sp(body_items[0]) if body_items else t.span))
             if not body_items:
                 self.fail("expected an expression after 'in'")
+            body = (body_items[0] if len(body_items) == 1
+                    else SeqE(body_items, span=body_items[0].span))
             return LetIn(name.text, typ, rhs, body, span=t.span)
-        if t.kind is T.MATCH:
+        if t.kind == T.MATCH:
             return self._match()
-        if t.kind is T.IF:
+        if t.kind == T.IF:
             self.next()
             cond = self.parse_expr()
             self.expect(T.THEN, "'then'")
@@ -554,7 +565,7 @@ class _ModuleParser(_P):
                 self.next()
                 els = self._branch_item()
             return IfE(cond, then, els, span=t.span)
-        if t.kind is T.LPAREN and not self._unit_ahead():
+        if t.kind == T.LPAREN and not self._unit_ahead():
             self.next()
             self.enter()
             items = self._stmt_seq()
@@ -574,12 +585,12 @@ class _ModuleParser(_P):
         return item
 
     def _unit_ahead(self) -> bool:
-        return self.at(T.LPAREN) and self.peek(1).kind is T.RPAREN
+        return self.at(T.LPAREN) and self.peek(1).kind == T.RPAREN
 
     def _postfix_tail(self, e: SurfaceExpr) -> SurfaceExpr:
         while self.at(T.DOT):
             self.next()
-            e = FieldE(e, self.ident("field name").text, span=_sp(e))
+            e = FieldE(e, self.ident("field name").text, span=e.span)
         return e
 
     def _maybe_assign(self, e: SurfaceExpr) -> SurfaceExpr:
@@ -588,7 +599,7 @@ class _ModuleParser(_P):
             if not isinstance(e, FieldE):
                 raise ParseError(error(Category.PARSE,
                                        "only fields can be assigned", arrow.span))
-            return AssignE(e, self.parse_expr(), span=_sp(e))
+            return AssignE(e, self.parse_expr(), span=e.span)
         return e
 
     def _match(self) -> MatchE:
@@ -609,7 +620,7 @@ class _ModuleParser(_P):
             items = self._stmt_seq()
             if not items:
                 self.fail("empty match arm")
-            body = items[0] if len(items) == 1 else SeqE(items, span=_sp(items[0]))
+            body = items[0] if len(items) == 1 else SeqE(items, span=items[0].span)
             arms.append(MatchArm(ctor.text, binder, body, span=ctor.span))
             if self.at(T.PIPE):
                 self.next()
@@ -623,13 +634,13 @@ class _ModuleParser(_P):
         decls: list[SurfaceDecl] = []
         while not self.at(T.EOF):
             t = self.peek()
-            if t.kind is T.TYPE:
+            if t.kind == T.TYPE:
                 decls.append(self._type_decl())
-            elif t.kind is T.LET:
+            elif t.kind == T.LET:
                 decls.append(self._fun_decl())
-            elif t.kind is T.ANNOTATION:
-                self.next()
-                payload, diags = parse_annotation(t)
+            elif t.kind == T.ANNOTATION:
+                payload, diags = self._annotation()
+                self.pos += 1
                 self.diags.extend(diags)
                 if payload is not None:
                     self._place_annotation(payload, decls)
@@ -673,7 +684,6 @@ class _ModuleParser(_P):
         return TypeDecl(name.text, kind, span=start.span)
 
     def _variant(self):
-        from .surface import VariantKind
         if self.at(T.PIPE):
             self.next()
         ctors = [self._ctor()]
@@ -802,7 +812,6 @@ def _validate(m: SurfaceModule, diags: list[Diagnostic]) -> None:
     for d in m.decls:
         if isinstance(d, TypeDecl):
             unique("type", d.name, d.span)
-            from .surface import VariantKind
             if isinstance(d.kind, VariantKind):
                 for c in d.kind.ctors:
                     if c.name in ctor_owner:
@@ -895,7 +904,6 @@ def parse_module(tokens: list[Token]) -> tuple[SurfaceModule | None, list[Diagno
     except ParseError as e:
         return None, p.diags + [e.diag]
     _validate(module, p.diags)
-    from .diagnostics import has_errors
     if has_errors(p.diags):
         return None, p.diags
     return module, p.diags

@@ -31,6 +31,7 @@ from dataclasses import dataclass
 
 from . import viper_ast as V
 from .diagnostics import Category, Diagnostic, Span, error, has_errors, warning
+from .parser import parse_source
 from .surface import (AppE, AssignE, Assertion, BinE, BoolLit, BoolT,
                       ContractSpec, CtorE, FieldDef, FieldE, FunDecl,
                       GhostCommand, GhostDecl, GhostE, GhostKind, IfA, IfE,
@@ -741,7 +742,6 @@ def translate(module: SurfaceModule, no_prelude: bool = False
 
 def translate_source(source: str, no_prelude: bool = False
                      ) -> tuple[V.ViperProgram | None, list[Diagnostic]]:
-    from .parser import parse_source
     module, diags = parse_source(source)
     if module is None:
         return None, diags

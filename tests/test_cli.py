@@ -144,6 +144,14 @@ def test_parse_failure_exits_one_without_output(tmp_path):
     assert not (tmp_path / "broken.vpr").exists()
 
 
+def test_ghost_command_may_start_with_a_comment(tmp_path):
+    # classified by its parsed payload, not by its first word
+    src = tmp_path / "commented.ml"
+    src.write_text(GOOD.replace("(*@ unfold", "(*@ (* open it *) unfold"))
+    status, _, err = invoke(src, check=True)
+    assert status == 0 and err == ""
+
+
 def test_missing_input_exits_two(tmp_path):
     status, _, err = invoke(tmp_path / "absent.ml")
     assert status == 2

@@ -1,13 +1,22 @@
 """Surface parser tests: declarations, annotations, and the validation
 pass that resolves specification names against the program."""
 
-from gospel2viper.parser import parse_source
-from gospel2viper.surface import (AppE, AssignE, BinE, CtorE, FieldE,
-                                  GhostE, GhostKind, IfA, IntLit, LetIn,
-                                  LetPatA, MatchE, OwnsA, PredA, PureA,
-                                  RecordAlloc, SeqE, SepA, UnE, VarE)
+import dataclasses
+import sys
+from pathlib import Path
+
+from gospel2viper.diagnostics import Span
+from gospel2viper.lexer import KEYWORDS, PUNCT, SPEC_KEYWORDS, T, lex
+from gospel2viper.parser import _BINOPS, parse_module, parse_source
+from gospel2viper.surface import (AppE, AssignE, BinE, BoolLit, CtorE,
+                                  FieldE, GhostE, GhostKind, IfA, IndexE,
+                                  IntLit, LetIn, LetPatA, MatchE, OwnsA,
+                                  PredA, PureA, RecordAlloc, SeqE, SepA,
+                                  SliceFromE, UnE, VarE)
 
 import pytest
+
+CORPUS = Path(__file__).parent / "corpus"
 
 
 def ok(source):
@@ -335,3 +344,115 @@ def test_prefix_minus_binds_tighter_than_multiplication():
     assert body == BinE("*", UnE("-", VarE("a")), VarE("b"))
     assert source[body.span.start:body.span.end] == "-"
 
+
+
+# -- token kinds and spans -----------------------------------------------------
+
+
+def test_token_kinds_are_distinct_ints():
+    kinds = {name: v for name, v in vars(T).items() if name.isupper()}
+    assert all(type(v) is int for v in kinds.values())
+    assert len(set(kinds.values())) == len(kinds)
+    for table in (PUNCT, KEYWORDS, SPEC_KEYWORDS):
+        assert set(table.values()) <= set(kinds.values())
+    assert set(_BINOPS) == {T.BARBAR, T.AMPAMP, T.EQ, T.NEQ, T.LT, T.LE,
+                            T.GT, T.GE, T.PLUSPLUS, T.PLUS, T.MINUS,
+                            T.STAR, T.SLASH}
+
+
+def nodes(tree):
+    """Every syntax node under `tree`, spans excluded."""
+    todo = [tree]
+    while todo:
+        x = todo.pop()
+        if isinstance(x, (list, tuple)):
+            todo.extend(x)
+        elif dataclasses.is_dataclass(x) and not isinstance(x, Span):
+            yield x
+            todo.extend(getattr(x, f.name) for f in dataclasses.fields(x))
+
+
+LEAF_TEXT = {VarE: lambda e: e.name, CtorE: lambda e: e.name,
+             AppE: lambda e: e.fn, IntLit: lambda e: str(e.value),
+             BoolLit: lambda e: "true" if e.value else "false"}
+LEFTMOST = {FieldE: lambda e: e.base, BinE: lambda e: e.left,
+            IndexE: lambda e: e.seq, SliceFromE: lambda e: e.seq}
+
+
+def test_corpus_spans_cover_names_and_leftmost_operands():
+    seen = set()
+    for path in sorted(CORPUS.glob("*.ml")):
+        source = path.read_text(encoding="utf-8")
+        module = ok(source)
+        for e in nodes(module):
+            if type(e) in LEAF_TEXT:
+                assert source[e.span.start:e.span.end] == LEAF_TEXT[type(e)](e)
+            elif type(e) in LEFTMOST:
+                assert e.span == LEFTMOST[type(e)](e).span
+            else:
+                continue
+            seen.add(type(e))
+    # the corpus has no boolean literal
+    assert seen == set(LEAF_TEXT) - {BoolLit} | set(LEFTMOST)
+
+
+# -- parser work per token -------------------------------------------------------
+
+
+def wide_module(n_fields=64, n_methods=2):
+    """The benchmark's `wide` shape: a record behind one predicate and
+    methods that rewrite every field from one to three others."""
+    fields = [f"f{j}" for j in range(n_fields)]
+    methods = [f"rewrite_{i}" for i in range(n_methods)]
+    lines = ["type t = { " + "; ".join(f"mutable {x} : int" for x in fields)
+             + " }",
+             "(*@ predicate p (r: t) = r ~> {" + "; ".join(fields) + "} *)"]
+    for m in methods:
+        lines += [f"let {m} (r: t) =", "  (*@ unfold p r *)"]
+        for j, x in enumerate(fields):
+            srcs = [fields[(j + 7 * d + 1) % n_fields]
+                    for d in range(1 + j % 3)]
+            lines.append(f"  r.{x} <- " + " + ".join(f"r.{s}" for s in srcs)
+                         + ";")
+        lines += ["  (*@ fold p r *)", f"(*@ {m} r requires p r ensures p r *)"]
+    lines.append("let caller (r: t) =")
+    lines += [f"  {m} r;" for m in methods]
+    lines += ["  ()", "(*@ caller r requires p r ensures p r *)"]
+    return "\n".join(lines) + "\n"
+
+
+def calls_per_token(source):
+    """Python-level calls made by parse_module, per source token.  A count
+    of calls, unlike a time, does not depend on the machine."""
+    tokens, diags = lex(source)
+    assert not diags
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        calls += event == "call"
+
+    sys.setprofile(count)
+    try:
+        module, diags = parse_module(tokens)
+    finally:
+        sys.setprofile(None)
+    assert module is not None, [d.message for d in diags]
+    return calls / len(tokens), len(tokens)
+
+
+def test_parser_calls_per_token_on_a_wide_module():
+    # `Enum` token kinds and a six-function descent per operand made 7.3
+    per_token, n = calls_per_token(wide_module())
+    assert n == 1893
+    assert per_token <= 4.5
+
+
+def test_parenthesized_arguments_are_parsed_once():
+    # telling `f (e)` from `f (a, b)` by reparsing `(e)` made the work
+    # triple with each level of `f (f (... x))`
+    e = "x"
+    for _ in range(10):
+        e = f"f ({e})"
+    per_token, _ = calls_per_token(f"let g (x: int) : int =\n  {e}\n")
+    assert per_token <= 10
