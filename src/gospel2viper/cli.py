@@ -6,10 +6,11 @@ sorted within each file, and written files are announced on stdout one
 path per line.
 
 Exit status: 0 when no error-severity diagnostics were produced, 1 when
-some were, 2 on I/O or usage failures.  An external verifier named by
-$GOSPEL2VIPER_VERIFIER is invoked as `<command> <file.vpr>` for every
-written file; its status is reported on stderr and never changes the
-exit status of this tool.
+some were, 2 on I/O or usage failures.  Two inputs that map to one output
+path are a usage failure, found before anything is written.  An external
+verifier named by $GOSPEL2VIPER_VERIFIER is invoked as
+`<command> <file.vpr>` for every written file; its status is reported on
+stderr and never changes the exit status of this tool.
 """
 
 from __future__ import annotations
@@ -77,8 +78,16 @@ def _run_verifier(command: str, target: Path, err) -> None:
 def run(config: RunConfig) -> int:
     out = config.stdout if config.stdout is not None else sys.stdout
     err = config.stderr if config.stderr is not None else sys.stderr
-    any_errors = False
+    targets: dict[Path, str] = {}  # output path -> its input
     for inp in config.inputs:
+        target = _out_path(inp, config)
+        if target in targets:
+            print(f"gospel2viper: error: {targets[target]} and {inp} "
+                  f"would both be written to {target}", file=err)
+            return 2
+        targets[target] = inp
+    any_errors = False
+    for target, inp in targets.items():
         try:
             source = Path(inp).read_text(encoding="utf-8")
         except OSError as exc:
@@ -93,7 +102,6 @@ def run(config: RunConfig) -> int:
         any_errors = any_errors or has_errors(diags)
         if program is None:
             continue
-        target = _out_path(inp, config)
         try:
             if target.parent != Path(""):
                 target.parent.mkdir(parents=True, exist_ok=True)

@@ -49,15 +49,15 @@ others as "...".
 
 Each term is normalised once per substitution: `norm` memoises in the
 state's `memo`, a normal form being its own normal form; clones share it,
-and `bind` starts a fresh one, so it lives only as long as the states
+and a binding starts a fresh one, so it lives only as long as the states
 that use it.
-The state keeps its path facts normalised next to the path, so `decide`
-and `assume` normalise only facts appended since, or all of them after
-the substitution changed.  Permissions, heap cells and predicate instances
-are stored under normalised keys, so a lookup probes the normalised key.
-It scans, normalising every stored key, only once the substitution has
-bound a symbol that a stored key mentions, and in the produce-time cache
-of unframed reads, which sibling forks share.
+Every permission key, heap key, instance argument and path fact of a
+state is in normal form under the state's own substitution, as in
+Smallfoot's symbolic heaps.  `Checker._bind` alone grows the substitution,
+and it restores that invariant: it renormalises the path, and the stored
+keys when one mentions the bound symbol.  So a lookup is one probe of
+the normalised key, and `facts`, the set of the path's facts, answers
+`decide` without normalising them again.
 
 On a failed access the checker reports once and then repairs the state
 (adds the missing permission or carries on past the missing instance) so
@@ -215,27 +215,14 @@ class SymState:
     subst: dict = field(default_factory=dict)  # {sym id: SymVal}
     # {term: normal form} under subst, replaced as subst grows
     memo: dict = field(default_factory=dict, compare=False, repr=False)
-    # (memo, len(path) covered, set of those facts normalised)
-    facts: tuple = (None, 0, frozenset())
-    stale: bool = False  # subst bound a symbol of a stored key: scan
+    facts: set = field(default_factory=set)  # set(path), FALSE if infeasible
     joins: tuple = ()  # the guards of the joins whose ites values hold
 
     def clone(self) -> "SymState":
-        memo, done, facts = self.facts
         return SymState(set(self.perms), Counter(self.preds),
                         dict(self.heap), list(self.path), dict(self.store),
-                        dict(self.subst), self.memo,
-                        (memo, done, set(facts)), self.stale, self.joins)
-
-    def bind(self, s: Sym, v: SymVal) -> None:
-        """Substitute the normal form `v` for `s` from now on."""
-        self.subst[s.id] = v
-        self.memo = {}
-        # a stored key stays normal unless it mentions s
-        keys = itertools.chain((r for r, _ in self.perms),
-                               (r for r, _ in self.heap),
-                               (a for _, args in self.preds for a in args))
-        self.stale = self.stale or any(_occurs(s, k) for k in keys)
+                        dict(self.subst), self.memo, set(self.facts),
+                        self.joins)
 
 
 class _Unjoin(Exception):
@@ -484,26 +471,16 @@ class Checker:
 
     # -- deciding and assuming ------------------------------------------------
 
-    def _facts(self, st: SymState) -> set:
-        """The path facts normalised under the current substitution."""
-        memo, done, facts = st.facts
-        if memo is not st.memo:
-            done, facts = 0, set()
-        facts.update(self.norm(f, st) for f in st.path[done:])
-        st.facts = (st.memo, len(st.path), facts)
-        return facts
-
     def decide(self, st: SymState, v: SymVal) -> bool | None:
         n = self.norm(v, st)
         if isinstance(n, Lit):
             return bool(n.value)
-        facts = self._facts(st)
-        if n in facts:
+        if n in st.facts:
             return True
         neg = self._simplify("not", (n,))
-        if neg in facts:
+        if neg in st.facts:
             return False
-        if isinstance(n, App) and n.name == "not" and n.args[0] in facts:
+        if isinstance(n, App) and n.name == "not" and n.args[0] in st.facts:
             return False
         return None
 
@@ -566,7 +543,7 @@ class Checker:
             preds[(name, tuple(map(pick, args)))] += count
         s.preds = preds
         s.path = [pick(f) for f in s.path]
-        s.facts = (None, 0, frozenset())
+        s.facts = set(s.path)
         s.joins = tuple(g for g in s.joins if self.norm(g, s) != guard)
         if not self.assume(s, guard if side else App("not", (guard,))):
             return None
@@ -582,30 +559,31 @@ class Checker:
         if self.decide(st, n) is False:
             return False
         st.path.append(n)
+        st.facts.add(n)
         self._refine(st, n)
         # a refinement can fold an earlier fact to a constant; a state
         # with a false fact is infeasible, not merely undecided
-        return FALSE not in self._facts(st)
+        return FALSE not in st.facts
 
     def _refine(self, st: SymState, n: SymVal) -> None:
+        """Bind a symbol that the new fact `n` determines.  `n` is in
+        normal form, so every symbol in it is unbound."""
         if not isinstance(n, App):
             return
         if n.name == "==":
             a, b = n.args
             for lhs, rhs in ((a, b), (b, a)):
-                if isinstance(lhs, Sym) and lhs.id not in st.subst:
-                    rhs_n = self.norm(rhs, st)
-                    if not _occurs(lhs, rhs_n):
-                        st.bind(lhs, rhs_n)
-                        return
+                if isinstance(lhs, Sym) and not _occurs(lhs, rhs):
+                    self._bind(st, lhs, rhs)
+                    return
         elif n.name.startswith("is#"):
             ctor = n.name[3:]
             target = n.args[0]
-            if isinstance(target, Sym) and target.id not in st.subst:
+            if isinstance(target, Sym):
                 params = self.ctor_params.get(ctor)
                 if params is not None:
                     payload = tuple(self.fresh(p) for p in params)
-                    st.bind(target, Ctor(ctor, payload))
+                    self._bind(st, target, Ctor(ctor, payload))
         elif n.name == "not":
             inner = n.args[0]
             if isinstance(inner, App) and inner.name.startswith("is#"):
@@ -613,51 +591,53 @@ class Checker:
                 target = inner.args[0]
                 others = [c for c in self.siblings.get(ctor, [])
                           if c != ctor]
-                if isinstance(target, Sym) and len(others) == 1 \
-                        and target.id not in st.subst:
+                if isinstance(target, Sym) and len(others) == 1:
                     other = others[0]
                     payload = tuple(self.fresh(p)
                                     for p in self.ctor_params[other])
-                    st.bind(target, Ctor(other, payload))
+                    self._bind(st, target, Ctor(other, payload))
+
+    def _bind(self, st: SymState, s: Sym, v: SymVal) -> None:
+        """Substitute the normal form `v` for `s` from now on, and bring
+        the path facts and the stored keys back to normal form.  Two
+        permissions that fall on one key make the state infeasible."""
+        st.subst[s.id] = v
+        st.memo = {}
+        st.path = [self.norm(f, st) for f in st.path]
+        st.facts = set(st.path)
+        # a stored key stays normal unless it mentions s
+        keys = itertools.chain((r for r, _ in st.perms),
+                               (r for r, _ in st.heap),
+                               (a for _, args in st.preds for a in args))
+        if not any(_occurs(s, k) for k in keys):
+            return
+        perms = {(self.norm(r, st), f) for r, f in st.perms}
+        if len(perms) < len(st.perms):
+            st.facts.add(FALSE)
+        st.perms = perms
+        st.heap = {(self.norm(r, st), f): val
+                   for (r, f), val in st.heap.items()}
+        preds: Counter = Counter()
+        for (name, args), count in st.preds.items():
+            preds[(name, tuple(self.norm(a, st) for a in args))] += count
+        st.preds = preds
 
     # -- permission and instance bookkeeping -----------------------------------
 
     def _find_perm(self, st: SymState, rec: SymVal, fld: str):
-        rec_n = self.norm(rec, st)
-        if not st.stale:
-            return (rec_n, fld) if (rec_n, fld) in st.perms else None
-        for entry in st.perms:
-            if entry[1] == fld and self.norm(entry[0], st) == rec_n:
-                return entry
-        return None
+        key = (self.norm(rec, st), fld)
+        return key if key in st.perms else None
 
     def _find_instance(self, st: SymState, name: str, args: tuple):
-        args_n = tuple(self.norm(a, st) for a in args)
-        if not st.stale:
-            return (name, args_n) if st.preds[(name, args_n)] > 0 else None
-        for key, count in st.preds.items():
-            if count <= 0 or key[0] != name:
-                continue
-            if tuple(self.norm(a, st) for a in key[1]) == args_n:
-                return key
-        return None
+        key = (name, tuple(self.norm(a, st) for a in args))
+        return key if key in st.preds else None
 
-    def _heap_read(self, st: SymState, heap: dict, rec: SymVal, fld: str,
-                   keyed: bool = True) -> SymVal:
-        """`keyed` is False for the produce-time cache of unframed reads:
-        sibling forks share it, so its keys may be normal under another
-        state's substitution."""
-        rec_n = self.norm(rec, st)
-        if keyed and not st.stale:
-            val = heap.get((rec_n, fld))
-            if val is not None:
-                return val
-        else:
-            for (r, f), val in heap.items():
-                if f == fld and self.norm(r, st) == rec_n:
-                    return val
-        val = self.fresh(fld)
-        heap[(rec_n, fld)] = val
+    def _heap_read(self, st: SymState, heap: dict, rec: SymVal,
+                   fld: str) -> SymVal:
+        key = (self.norm(rec, st), fld)
+        val = heap.get(key)
+        if val is None:
+            val = heap[key] = self.fresh(fld)
         return val
 
     # -- expression evaluation ---------------------------------------------------
@@ -734,7 +714,7 @@ class Checker:
         # produce: prefer live heap, never materialize unframed locations
         if self._find_perm(st, base, fld) is not None:
             return self._heap_read(st, st.heap, base, fld)
-        return self._heap_read(st, heap, base, fld, keyed=False)
+        return self._heap_read(st, heap, base, fld)
 
     # -- produce / consume -------------------------------------------------------
 
@@ -752,12 +732,11 @@ class Checker:
         if isinstance(a, V.Acc):
             base = self.eval(st, a.loc.base, store, _Mode.PRODUCE, scratch,
                              a.span)
-            fld = a.loc.fieldname
-            if self._find_perm(st, base, fld) is not None:
+            key = (self.norm(base, st), a.loc.fieldname)
+            if key in st.perms:
                 return []  # a second whole permission cannot exist
-            base_n = self.norm(base, st)
-            st.perms.add((base_n, fld))
-            st.heap[(base_n, fld)] = self.fresh(fld)
+            st.perms.add(key)
+            st.heap[key] = self.fresh(key[1])
             return [st]
         if isinstance(a, V.PredApp):
             args = tuple(self.norm(
@@ -961,7 +940,7 @@ class Checker:
         The guards are dropped from the path: `cond || !cond` holds."""
         if (len(a.path) != mark + 1 or len(b.path) != mark + 1
                 or a.subst != b.subst or a.perms != b.perms
-                or a.preds != b.preds or a.stale != b.stale
+                or a.preds != b.preds
                 or a.heap.keys() != b.heap.keys()
                 or a.store.keys() != b.store.keys()):
             return None
@@ -975,7 +954,7 @@ class Checker:
         # the then side assumed the guard in normal form
         a.joins = tuple(dict.fromkeys(a.joins + b.joins + (a.path[mark],)))
         del a.path[mark:]
-        a.facts = (None, 0, frozenset())
+        a.facts = set(a.path)
         return a
 
     def _join_values(self, cond: SymVal, st: SymState, x: dict, y: dict,
@@ -1163,16 +1142,15 @@ class Checker:
                 leaks.append(warning(
                     Category.PERMISSION,
                     f"{m.name} leaks permission to "
-                    f"{sym_str(self.norm(rec, cur))}.{fld}", mspan))
+                    f"{sym_str(rec)}.{fld}", mspan))
             for (name, args), count in sorted(
                     cur.preds.items(),
                     key=lambda kv: (kv[0][0], tuple(map(_key, kv[0][1])))):
-                if count > 0:
-                    leaks.append(warning(
-                        Category.PERMISSION,
-                        f"{m.name} leaks {count} instance(s) of "
-                        f"{name}(" + ", ".join(sym_str(a) for a in args)
-                        + ")", mspan))
+                leaks.append(warning(
+                    Category.PERMISSION,
+                    f"{m.name} leaks {count} instance(s) of "
+                    f"{name}(" + ", ".join(sym_str(a) for a in args)
+                    + ")", mspan))
         had_errors = any(d.severity is Severity.ERROR for d in self.diags)
         if not had_errors:
             self.diags.extend(leaks)

@@ -76,6 +76,20 @@ def test_output_directory_for_multiple_inputs(tmp_path):
                                 str(tmp_path / "gen" / "b.vpr")]
 
 
+def test_two_inputs_for_one_output_path_write_nothing(tmp_path):
+    a, b = tmp_path / "a" / "x.ml", tmp_path / "b" / "x.ml"
+    for src in (a, b):
+        src.parent.mkdir()
+        src.write_text(GOOD)
+    gen = tmp_path / "gen"
+    status, out, err = invoke(a, b, output=str(gen))
+    assert status == 2
+    assert out == ""
+    assert err == (f"gospel2viper: error: {a} and {b} would both be "
+                   f"written to {gen / 'x.vpr'}\n")
+    assert not gen.exists()
+
+
 def test_existing_directory_wins_over_file_mode(tmp_path):
     src = tmp_path / "good.ml"
     src.write_text(GOOD)
@@ -236,11 +250,40 @@ let bump (r: t) (a: int) =
 """
 
 
+# `python -c COUNTED_RUN OUT FILE...`: checks FILE... into OUT and prints
+# how many times the checker normalised and decided
+COUNTED_RUN = """\
+import io, sys
+from collections import Counter
+from gospel2viper.cli import RunConfig, run
+from gospel2viper.permcheck import Checker
+
+counts = Counter()
+
+
+def counted(name):
+    inner = getattr(Checker, name)
+
+    def wrapper(self, *args):
+        counts[name] += 1
+        return inner(self, *args)
+    setattr(Checker, name, wrapper)
+
+
+counted("norm")
+counted("decide")
+status = run(RunConfig(sys.argv[2:], output=sys.argv[1], check=True,
+                       stdout=io.StringIO()))
+print(sorted(counts.items()))
+sys.exit(status)
+"""
+
+
 def test_diagnostics_do_not_depend_on_the_hash_seed(tmp_path, corpus):
     # the checker keeps permissions in sets; their iteration order must
-    # never reach the verdict or the wording of a diagnostic.  joins.ml
-    # joins every if and leaks an instance whose argument, the joined
-    # value, holds an `==` whose operands the checker sorted
+    # never reach the verdict, the wording of a diagnostic or the work
+    # done.  joins.ml joins every if and leaks an instance whose argument,
+    # the joined value, holds an `==` whose operands the checker sorted
     (tmp_path / "joins.ml").write_text(JOINS, encoding="utf-8")
     files = sorted(str(p) for p in corpus.glob("*.ml"))
     files.append(str(tmp_path / "joins.ml"))
@@ -250,12 +293,13 @@ def test_diagnostics_do_not_depend_on_the_hash_seed(tmp_path, corpus):
     for seed in range(4):
         env = dict(os.environ, PYTHONHASHSEED=str(seed), PYTHONPATH=path)
         proc = subprocess.run(
-            [sys.executable, "-m", "gospel2viper.cli", *files, "--check",
-             "-o", str(tmp_path / f"out{seed}")],
+            [sys.executable, "-c", COUNTED_RUN, str(tmp_path / f"out{seed}"),
+             *files],
             capture_output=True, text=True, env=env)
         assert proc.returncode == 1, proc.stderr  # foo_missing_unfold
         assert "leaks 1 instance(s) of Q(r, ite(" in proc.stderr
-        seen.add(proc.stderr)
+        assert "('norm', " in proc.stdout
+        seen.add((proc.stderr, proc.stdout))
     assert len(seen) == 1
 
 

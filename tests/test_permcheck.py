@@ -312,7 +312,7 @@ def test_memoised_norm_is_idempotent_and_matches_a_fresh_checker(t, facts):
 
 def test_lookups_see_through_a_later_substitution(ck):
     # stored under x, looked up through y after x == y binds x to y: the
-    # stored keys are no longer normal, so the lookups must scan
+    # binding re-keys the stored entries under y, so the lookups probe
     st = SymState()
     x, y = ck.fresh("x"), ck.fresh("y")
     st.store.update(x=x, y=y)
@@ -324,8 +324,8 @@ def test_lookups_see_through_a_later_substitution(ck):
     ck.exec_stmt(st, V.VarDeclS("t", V.INT, V.FieldAcc(V.Var("y"), "val")))
     assert st.store["t"] == Lit(7)
     ck.exec_stmt(st, V.AssignS(V.FieldAcc(V.Var("y"), "val"), V.IntLit(8)))
-    assert st.heap == {(x, "val"): Lit(8)}
-    assert st.perms == {(x, "val")}
+    assert st.heap == {(y, "val"): Lit(8)}
+    assert st.perms == {(y, "val")}
     ck.exec_stmt(st, V.UnfoldS(pred("P", "y")))
     assert not ck.diags
     assert not st.preds
@@ -341,6 +341,50 @@ def test_instance_lookup_sees_through_a_later_substitution(ck):
     ck.exec_stmt(st, V.UnfoldS(pred("P", "y")))
     assert not ck.diags
     assert not st.preds
+
+
+def test_permissions_that_fall_on_one_key_are_infeasible(ck):
+    # x == y would make acc(x.val) and acc(y.val) two whole permissions to
+    # one location, which cannot both be held
+    st = SymState()
+    x, y = ck.fresh("x"), ck.fresh("y")
+    store = {"x": x, "y": y}
+    assert ck.produce(st, V.AndA([acc("x", "val"), acc("y", "val")]),
+                      store) == [st]
+    assert not ck.assume(st, App("==", (x, y)))
+
+
+def scan(ck, st, keys, q):
+    """How many of the original `keys` normalise to `q`'s normal form: the
+    lookup by scanning every stored key, as the reference for a probe."""
+    q_n = ck.norm(q, st)
+    return sum(ck.norm(k, st) == q_n for k in keys)
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(hs.lists(TERMS, min_size=1, max_size=4), hs.lists(TERMS, max_size=3),
+       hs.lists(FACTS, min_size=1, max_size=4))
+def test_bindings_keep_keys_normal_and_lookups_match_a_scan(keys, queries,
+                                                            facts):
+    ck = fresh_checker()
+    st = SymState()
+    keys = list(dict.fromkeys(ck.norm(k, st) for k in keys))
+    for i, k in enumerate(keys):
+        st.perms.add((k, "val"))
+        st.heap[(k, "val")] = Lit(i)
+        st.preds[("P", (k,))] += 1
+    for fact in facts:
+        if not ck.assume(st, fact):
+            break
+        stored = [r for r, _ in st.perms] + [r for r, _ in st.heap] \
+            + [a for _, args in st.preds for a in args] + st.path
+        assert all(ck.norm(t, st) == t for t in stored)
+        assert st.facts == set(st.path)
+        for q in keys + queries:
+            found = scan(ck, st, keys, q)
+            assert (ck._find_perm(st, q, "val") is not None) == (found > 0)
+            key = ck._find_instance(st, "P", (q,))
+            assert (st.preds[key] if key else 0) == found
 
 
 def bump_chain(bounds, ints=(), guard="r.f0 > {b}", step="r.f0 + 1",
@@ -414,6 +458,16 @@ def test_produce_second_whole_permission_is_infeasible(ck):
     store = {"x": x}
     ck.produce(st, acc("x", "val"), store)
     assert ck.produce(st, acc("x", "val"), store) == []
+
+
+def test_unframed_reads_in_one_produce_share_a_symbol(ck):
+    # without acc(x.val) both reads of x.val come from the produce-time
+    # cache, so x.val > 0 and !(x.val > 0) contradict each other
+    st = SymState()
+    x = ck.fresh("x")
+    gt = V.BinOp(">", V.FieldAcc(V.Var("x"), "val"), V.IntLit(0))
+    a = V.AndA([V.Pure(gt), V.Pure(V.UnOp("!", gt))])
+    assert ck.produce(st, a, {"x": x}) == []
 
 
 def test_produce_predicate_counts_instances(ck):
@@ -745,7 +799,7 @@ def test_long_if_chain_joins_in_linear_work(monkeypatch):
         diags = check_program(bump_chain(range(0, 10 * k, 10)))
         assert diags == []  # no cap warning
         norms[k] = counts["norm"]
-    assert norms == {8: 192, 64: 1480}
+    assert norms == {8: 175, 64: 1351}
     assert norms[64] <= 10 * norms[8]
 
 
