@@ -11,6 +11,13 @@ declarations, fold / unfold / apply are ghost commands legal only inside
 a function body, and anything else is parsed as a contract attached to
 the preceding function.
 
+A block is a function body, a match arm, a parenthesised statement, or
+an `if` branch that starts with `let`; it holds a flat list of items.  A
+local `let x : t = e in` is one item of its block, and `x` is bound from
+the next item to the end of that block: `if c then let x : t = e in a; b`
+keeps `b` in the then-branch, and a name bound inside parentheses is
+unbound after the `)`.
+
 The explicit-typing rule is enforced here: a local `let` without a type
 annotation is a parse diagnostic.  Sequence indexing and slicing only
 exist in spec mode; in program mode a bracket group after a call denotes
@@ -23,7 +30,7 @@ from .diagnostics import Category, Diagnostic, Span, error, has_errors
 from .lexer import T, Token, lex
 from .surface import (AnnotationPayload, AppE, Assertion, AssignE, BinE,
                       BoolLit, BoolT, ContractSpec, CtorDef, CtorE, FieldDef,
-                      FieldE, FunDecl, GhostCommand, GhostDecl, GhostE,
+                      FieldE, FunDecl, GhostCommand, GhostDecl,
                       GhostKind, IfA, IfE, IndexE, IntLit, IntT,
                       LemmaDef, LetIn, LetPatA, LogicalFunctionDef, MatchArm,
                       MatchE, NamedT, OwnsA, PredA, PredicateDef, PureA,
@@ -49,9 +56,10 @@ _BINOPS = {T.BARBAR: ("||", 1), T.AMPAMP: ("&&", 2),
            T.STAR: ("*", 6), T.SLASH: ("/", 6)}
 _ATOM_START = frozenset((T.INT, T.TRUE, T.FALSE, T.IDENT, T.LPAREN, T.LBRACE))
 
-# Expressions, prefix minus, assertion atoms and parenthesised statements
-# nest at most this deep inside the outermost one, so the recursive parser
-# and the stages after it stay inside Python's default recursion limit.
+# Expressions, prefix minus, assertion atoms, and parenthesised, `if` and
+# `match` statements nest at most this deep inside the outermost one, so the
+# recursive parser and the stages after it stay inside Python's default
+# recursion limit.  Chains (`&&` parts, block items, lets too) are lists.
 MAX_NESTING = 64
 
 
@@ -493,14 +501,24 @@ class _ModuleParser(_P):
 
     # statement sequences ---------------------------------------------------
 
-    def parse_body(self) -> SurfaceExpr:
+    def _block(self, empty: str, opener: Token | None = None
+               ) -> SurfaceExpr | GhostCommand:
+        """A block that must not be empty: its one item, or a SeqE of its
+        items.  A block opened by `(` ends at the matching `)`, and its
+        SeqE takes the `(` token's span."""
         items = self._stmt_seq()
+        if opener is not None:
+            self.expect(T.RPAREN, "')'")
         if not items:
-            self.fail("expected a function body")
-        return items[0] if len(items) == 1 else SeqE(items, span=items[0].span)
+            self.fail(empty)
+        if len(items) == 1:
+            return items[0]
+        return SeqE(items, span=(opener or items[0]).span)
 
-    def _stmt_seq(self) -> list[SurfaceExpr]:
-        items: list[SurfaceExpr] = []
+    def _stmt_seq(self) -> list[SurfaceExpr | GhostCommand]:
+        """The items of a block, up to the token that ends it.  A `let … in`
+        is one item; no `;` may follow its `in`."""
+        items: list[SurfaceExpr | GhostCommand] = []
         toks = self.toks
         while True:
             t = toks[self.pos]
@@ -512,7 +530,7 @@ class _ModuleParser(_P):
                 self.pos += 1
                 self.diags.extend(diags)
                 if payload is not None:
-                    items.append(GhostE(payload, span=payload.span))
+                    items.append(payload)
                 continue
             if t.kind in _STMT_END:
                 break
@@ -520,8 +538,11 @@ class _ModuleParser(_P):
             if item is None:
                 break
             items.append(item)
-            while toks[self.pos].kind == T.SEMI:
-                self.pos += 1
+            if not isinstance(item, LetIn):
+                while toks[self.pos].kind == T.SEMI:
+                    self.pos += 1
+        if items and isinstance(items[-1], LetIn):
+            self.fail("expected an expression after 'in'")
         return items
 
     def _stmt_item(self) -> SurfaceExpr | None:
@@ -547,45 +568,35 @@ class _ModuleParser(_P):
                     f"local '{name.text}' needs an explicit type annotation",
                     name.span))
             self.next()
-            body_items = self._stmt_seq()
-            if not body_items:
-                self.fail("expected an expression after 'in'")
-            body = (body_items[0] if len(body_items) == 1
-                    else SeqE(body_items, span=body_items[0].span))
-            return LetIn(name.text, typ, rhs, body, span=t.span)
+            return LetIn(name.text, typ, rhs, span=t.span)
         if t.kind == T.MATCH:
             return self._match()
         if t.kind == T.IF:
+            self.enter()
             self.next()
             cond = self.parse_expr()
             self.expect(T.THEN, "'then'")
-            then = self._branch_item()
+            then = self._branch()
             els = None
             if self.at(T.ELSE):
                 self.next()
-                els = self._branch_item()
+                els = self._branch()
+            self.depth -= 1
             return IfE(cond, then, els, span=t.span)
-        if t.kind == T.LPAREN and not self._unit_ahead():
+        if t.kind == T.LPAREN and self.peek(1).kind != T.RPAREN:
             self.next()
             self.enter()
-            items = self._stmt_seq()
+            inner = self._block("empty parenthesized statement", opener=t)
             self.depth -= 1
-            self.expect(T.RPAREN, "')'")
-            if not items:
-                self.fail("empty parenthesized statement")
-            inner = items[0] if len(items) == 1 else SeqE(items, span=t.span)
             return self._maybe_assign(self._postfix_tail(inner))
         e = self.parse_expr()
         return self._maybe_assign(e)
 
-    def _branch_item(self) -> SurfaceExpr:
-        item = self._stmt_item()
-        if item is None:
-            self.fail("expected a branch body")
-        return item
-
-    def _unit_ahead(self) -> bool:
-        return self.at(T.LPAREN) and self.peek(1).kind == T.RPAREN
+    def _branch(self) -> SurfaceExpr:
+        """An `if` branch: one item, or a block when it starts with `let`."""
+        if self.at(T.LET):
+            return self._block("expected a branch body")
+        return self._stmt_item()
 
     def _postfix_tail(self, e: SurfaceExpr) -> SurfaceExpr:
         while self.at(T.DOT):
@@ -603,6 +614,7 @@ class _ModuleParser(_P):
         return e
 
     def _match(self) -> MatchE:
+        self.enter()
         start = self.expect(T.MATCH, "'match'")
         scrut = self.parse_expr()
         self.expect(T.WITH, "'with'")
@@ -617,15 +629,14 @@ class _ModuleParser(_P):
             if self.at(T.IDENT) and not self.peek().is_upper_ident():
                 binder = self.next().text
             self.expect(T.ARROW, "'->'")
-            items = self._stmt_seq()
-            if not items:
-                self.fail("empty match arm")
-            body = items[0] if len(items) == 1 else SeqE(items, span=items[0].span)
-            arms.append(MatchArm(ctor.text, binder, body, span=ctor.span))
+            arms.append(MatchArm(ctor.text, binder,
+                                 self._block("empty match arm"),
+                                 span=ctor.span))
             if self.at(T.PIPE):
                 self.next()
             else:
                 break
+        self.depth -= 1
         return MatchE(scrut, arms, span=start.span)
 
     # declarations ----------------------------------------------------------
@@ -743,7 +754,7 @@ class _ModuleParser(_P):
             self.next()
             ret = self.parse_type()
         self.expect(T.EQ, "'='")
-        body = self.parse_body()
+        body = self._block("expected a function body")
         return FunDecl(name.text, params, ret, body, span=start.span)
 
 
@@ -765,14 +776,12 @@ def _resolve_assertion(a: Assertion, preds: dict) -> Assertion:
     return a
 
 
-def _walk_ghosts(e: SurfaceExpr):
-    if isinstance(e, GhostE):
-        yield e.cmd
+def _walk_ghosts(e: SurfaceExpr | GhostCommand):
+    if isinstance(e, GhostCommand):
+        yield e
     elif isinstance(e, SeqE):
         for item in e.items:
             yield from _walk_ghosts(item)
-    elif isinstance(e, LetIn):
-        yield from _walk_ghosts(e.body)
     elif isinstance(e, IfE):
         yield from _walk_ghosts(e.then)
         if e.els is not None:

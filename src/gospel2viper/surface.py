@@ -136,10 +136,11 @@ class SliceFromE(SurfaceExpr):
 
 @dataclass
 class LetIn(SurfaceExpr):
+    """`let name : typ = rhs in`, an item of its block: it binds `name`
+    from the next item to the end of that block."""
     name: str
     typ: SurfaceType | None
     rhs: SurfaceExpr
-    body: SurfaceExpr
     span: Span | None = _span()
 
 
@@ -155,7 +156,7 @@ class IfE(SurfaceExpr):
 class MatchArm:
     ctor: str
     binder: str | None
-    body: SurfaceExpr
+    body: SurfaceExpr | GhostCommand
     span: Span | None = _span()
 
 
@@ -175,15 +176,9 @@ class AssignE(SurfaceExpr):
 
 @dataclass
 class SeqE(SurfaceExpr):
-    """A statement sequence; the last item may be the result expression."""
-    items: list[SurfaceExpr]
-    span: Span | None = _span()
-
-
-@dataclass
-class GhostE(SurfaceExpr):
-    """A ghost command used in statement position."""
-    cmd: "GhostCommand"
+    """A block: a statement sequence, and the scope of the lets in it.
+    Ghost commands are items too; the last item may be the result."""
+    items: list[SurfaceExpr | GhostCommand]
     span: Span | None = _span()
 
 
@@ -338,7 +333,7 @@ class FunDecl:
     name: str
     params: list[tuple[str, SurfaceType]]
     ret: SurfaceType | None  # None means unit
-    body: SurfaceExpr
+    body: SurfaceExpr | GhostCommand
     spec: ContractSpec | None = None
     span: Span | None = _span()
 

@@ -34,7 +34,7 @@ from .diagnostics import Category, Diagnostic, Span, error, has_errors, warning
 from .parser import parse_source
 from .surface import (AppE, AssignE, Assertion, BinE, BoolLit, BoolT,
                       ContractSpec, CtorE, FieldDef, FieldE, FunDecl,
-                      GhostCommand, GhostDecl, GhostE, GhostKind, IfA, IfE,
+                      GhostCommand, GhostDecl, GhostKind, IfA, IfE,
                       IndexE, IntLit, IntT, LemmaDef, LetIn, LetPatA,
                       LogicalFunctionDef, MatchE, NamedT, OwnsA, PredA,
                       PredicateDef, PureA, RecordAlloc, RecordKind, SeqE,
@@ -193,8 +193,7 @@ class _Tr:
         if isinstance(e, RecordAlloc):
             self.err("allocation must be bound by a let", e.span)
             return V.IntLit(0)
-        self.err(f"{type(e).__name__} cannot appear in this position",
-                 getattr(e, "span", None))
+        self.err("a statement cannot be used as a value", e.span)
         return V.IntLit(0)
 
     def _tr_bin(self, e: BinE, env: dict[str, V.VExpr]) -> V.VExpr:
@@ -301,11 +300,12 @@ class _Tr:
 
     # -- statements --------------------------------------------------------------
 
-    def tr_stmts(self, e: SurfaceExpr, ctx: "_FnCtx") -> list[V.VStmt]:
-        if isinstance(e, SeqE):
-            out: list[V.VStmt] = []
-            for item in e.items:
-                out.extend(self.tr_stmts(item, ctx))
+    def tr_stmts(self, e: SurfaceExpr | GhostCommand,
+                 ctx: "_FnCtx") -> list[V.VStmt]:
+        if isinstance(e, SeqE):  # a block is a scope: its lets end with it
+            saved, ctx.env = ctx.env, dict(ctx.env)
+            out = [s for item in e.items for s in self.tr_stmts(item, ctx)]
+            ctx.env = saved
             return out
         if isinstance(e, UnitLit):
             return []
@@ -314,8 +314,8 @@ class _Tr:
                 return []
             self.warn(f"value '{e.name}' is discarded", e.span)
             return []
-        if isinstance(e, GhostE):
-            return self._tr_ghost(e.cmd, ctx)
+        if isinstance(e, GhostCommand):
+            return self._tr_ghost(e, ctx)
         if isinstance(e, AssignE):
             target = self.tr_expr(e.target, ctx.env)
             return [V.AssignS(target, self.tr_expr(e.value, ctx.env),
@@ -380,13 +380,7 @@ class _Tr:
                 out.append(V.AssignS(V.Var(name), init, span=e.span))
             else:
                 out.append(V.VarDeclS(name, typ, init, span=e.span))
-        saved = ctx.env.get(e.name)
         ctx.env[e.name] = V.Var(name)
-        out.extend(self.tr_stmts(e.body, ctx))
-        if saved is not None:
-            ctx.env[e.name] = saved
-        else:
-            del ctx.env[e.name]
         return out
 
     def _tr_alloc(self, name: str, typ: SurfaceType | None,
@@ -492,13 +486,10 @@ class _Tr:
                      arm.span)
             return self.tr_stmts(arm.body, ctx)
         self._check_substitution(arm, m)
-        saved = ctx.env.get(arm.binder)
-        ctx.env[arm.binder] = V.FieldAcc(scrut, info.proj)
+        saved = ctx.env
+        ctx.env = {**saved, arm.binder: V.FieldAcc(scrut, info.proj)}
         body = self.tr_stmts(arm.body, ctx)
-        if saved is not None:
-            ctx.env[arm.binder] = saved
-        else:
-            del ctx.env[arm.binder]
+        ctx.env = saved
         return body
 
     def _check_substitution(self, arm, m: MatchE) -> None:
@@ -657,7 +648,7 @@ class _Tr:
         posts = [self.tr_assertion(a, env) for a in spec.ensures]
 
         ctx = _FnCtx(env=env, result=result,
-                     used={n for n, _ in params} | {r for r, _ in returns})
+                     used=dict.fromkeys([n for n, _ in params + returns], 1))
         body = self.tr_stmts(d.body, ctx)
         return V.MethodDecl(d.name, params, returns, pres, posts, body)
 
@@ -666,17 +657,20 @@ class _Tr:
 class _FnCtx:
     env: dict[str, V.VExpr]
     result: str | None
-    used: set[str]
+    # every name taken in the method, and the lowest suffix that may still
+    # be free after it; names are never released, so that never goes down
+    used: dict[str, int]
 
     def fresh(self, base: str) -> str:
-        if base not in self.used:
-            self.used.add(base)
-            return base
-        i = 1
-        while f"{base}{i}" in self.used:
-            i += 1
-        self.used.add(f"{base}{i}")
-        return f"{base}{i}"
+        """`base`, or `base` with the lowest numeric suffix not taken."""
+        i = self.used.setdefault(base, 0)
+        if i:
+            while f"{base}{i}" in self.used:
+                i += 1
+            self.used[base] = i + 1
+            base = f"{base}{i}"
+        self.used[base] = 1
+        return base
 
 
 def _path_of(e: SurfaceExpr) -> tuple[str, ...] | None:
@@ -694,7 +688,7 @@ def _is_prefix(p: tuple[str, ...], of: tuple[str, ...]) -> bool:
     return len(p) <= len(of) and of[:len(p)] == p
 
 
-def _walk_order(e: SurfaceExpr):
+def _walk_order(e: SurfaceExpr | GhostCommand):
     """All nodes in evaluation order (approximate but order-faithful for
     statements).  An assignment's value is read before the write takes
     effect, so it is yielded before the AssignE node; the target after."""
@@ -708,7 +702,7 @@ def _walk_order(e: SurfaceExpr):
     if isinstance(e, SeqE):
         children = e.items
     elif isinstance(e, LetIn):
-        children = [e.rhs, e.body]
+        children = [e.rhs]
     elif isinstance(e, IfE):
         children = [e.cond, e.then] + ([e.els] if e.els is not None else [])
     elif isinstance(e, MatchE):
@@ -727,8 +721,8 @@ def _walk_order(e: SurfaceExpr):
         children = [e.seq, e.lo]
     elif isinstance(e, RecordAlloc):
         children = [v for _, v in e.inits]
-    elif isinstance(e, GhostE):
-        children = list(e.cmd.args)
+    elif isinstance(e, GhostCommand):
+        children = list(e.args)
     for c in children:
         yield from _walk_order(c)
 

@@ -314,18 +314,26 @@ def test_non_decimal_digit_is_a_parse_error(tmp_path):
 
 NESTED = """\
 type t = {{ mutable v : int }}
+type u = A | B
 (*@ predicate p (c: t) = c ~> {{v}} *)
 let zero (c: t) =
   (*@ unfold p c *)
-  c.v <- {value}
+  {body}
   (*@ fold p c *)
 (*@ zero c requires {pre} ensures p c *)
 """
 
 NESTINGS = {
-    "parentheses": lambda n: dict(value="(" * n + "0" + ")" * n, pre="p c"),
-    "requires": lambda n: dict(value="0", pre="(" * n + "p c" + ")" * n),
-    "prefix-minus": lambda n: dict(value="-" * n + "0", pre="p c"),
+    "parentheses": lambda n: dict(body="c.v <- " + "(" * n + "0" + ")" * n,
+                                  pre="p c"),
+    "requires": lambda n: dict(body="c.v <- 0", pre="(" * n + "p c" + ")" * n),
+    "prefix-minus": lambda n: dict(body="c.v <- " + "-" * n + "0", pre="p c"),
+    "if": lambda n: dict(body="if true then " * n + "c.v <- 0", pre="p c"),
+    "else-if": lambda n: dict(
+        body="if c.v = 0 then c.v <- 0 else " * n + "c.v <- 0", pre="p c"),
+    "match": lambda n: dict(
+        body="match A with B -> c.v <- 0 | A -> " * n + "c.v <- 0",
+        pre="p c"),
 }
 
 
@@ -335,7 +343,7 @@ def test_nesting_at_the_limit_checks_and_prints(tmp_path, shape):
     src.write_text(NESTED.format(**NESTINGS[shape](MAX_NESTING)))
     status, out, err = invoke(src, check=True)
     assert (status, err) == (0, "")
-    assert (tmp_path / "deep.vpr").read_text().startswith("field v: Int")
+    assert "\nmethod zero(c: Ref)\n" in (tmp_path / "deep.vpr").read_text()
 
 
 @pytest.mark.parametrize("shape", sorted(NESTINGS))
@@ -360,18 +368,23 @@ def _wide_record(n):
             "(*@ zero c requires p c ensures p c *)\n")
 
 
-# A conjunction is a list, not nesting: its length never meets MAX_NESTING.
-CONJUNCTIONS = {
+# Chains are lists, not nesting: their length never meets MAX_NESTING.  A
+# conjunction is a list of parts and a block a list of items, so a chain of
+# `let … in` (all of one name here, each shadowing the last) is one block.
+CHAINS = {
     "requires": lambda n: NESTED.format(
-        value="0", pre=" && ".join(["p c"] + ["0 <= 1"] * (n - 1))),
+        body="c.v <- 0", pre=" && ".join(["p c"] + ["0 <= 1"] * (n - 1))),
     "record": _wide_record,
+    "let": lambda n: NESTED.format(
+        body="let x : int = c.v in " * n + "c.v <- x", pre="p c"),
 }
 
 
-@pytest.mark.parametrize("shape,n", [("requires", 10_000), ("record", 1_000)])
+@pytest.mark.parametrize("shape,n", [("requires", 10_000), ("record", 1_000),
+                                     ("let", 10_000)])
 def test_long_conjunctions_check_and_round_trip(tmp_path, shape, n):
     src = tmp_path / "long.ml"
-    src.write_text(CONJUNCTIONS[shape](n))
+    src.write_text(CHAINS[shape](n))
     status, out, err = invoke(src, check=True)
     assert (status, err) == (0, "")
     text = (tmp_path / "long.vpr").read_text()

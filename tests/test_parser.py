@@ -9,10 +9,10 @@ from gospel2viper.diagnostics import Span
 from gospel2viper.lexer import KEYWORDS, PUNCT, SPEC_KEYWORDS, T, lex
 from gospel2viper.parser import _BINOPS, parse_module, parse_source
 from gospel2viper.surface import (AppE, AssignE, BinE, BoolLit, CtorE,
-                                  FieldE, GhostE, GhostKind, IfA, IndexE,
-                                  IntLit, LetIn, LetPatA, MatchE, OwnsA,
-                                  PredA, PureA, RecordAlloc, SeqE, SepA,
-                                  SliceFromE, UnE, VarE)
+                                  FieldE, GhostCommand, GhostKind, IfA,
+                                  IndexE, IntLit, LetIn, LetPatA, MatchE,
+                                  OwnsA, PredA, PureA, RecordAlloc, SeqE,
+                                  SepA, SliceFromE, UnE, VarE)
 
 import pytest
 
@@ -110,7 +110,9 @@ def test_parenthesized_sequence_keeps_tail():
 
 def test_record_allocation_with_ctor_prefix():
     m = ok("let f () = let c : cell = Cons { content = 1; next = Nil } in c")
-    let = m.functions()["f"].body
+    body = m.functions()["f"].body
+    assert isinstance(body, SeqE)
+    let = body.items[0]
     assert isinstance(let, LetIn)
     assert isinstance(let.rhs, RecordAlloc)
     assert let.rhs.ctor == "Cons"
@@ -119,7 +121,7 @@ def test_record_allocation_with_ctor_prefix():
 
 def test_bare_record_allocation():
     m = ok("let f () = let q : queue = { length = 0 } in q")
-    assert m.functions()["f"].body.rhs.ctor is None
+    assert m.functions()["f"].body.items[0].rhs.ctor is None
 
 
 # -- annotations ---------------------------------------------------------------
@@ -230,7 +232,7 @@ let f (x: t) =
 """)
     body = m.functions()["f"].body
     assert isinstance(body, SeqE)
-    kinds = [i.cmd.kind for i in body.items if isinstance(i, GhostE)]
+    kinds = [i.kind for i in body.items if isinstance(i, GhostCommand)]
     assert kinds == [GhostKind.UNFOLD, GhostKind.FOLD]
 
 
@@ -254,7 +256,8 @@ let f (c: cell) =
 """)
     body = m.functions()["f"].body
     ghost = body.items[0] if isinstance(body, SeqE) else body
-    assert ghost.cmd.target == "seg_refl"
+    assert isinstance(ghost, GhostCommand)
+    assert ghost.target == "seg_refl"
 
 
 def test_ghost_argument_brackets_after_call():

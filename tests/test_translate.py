@@ -2,7 +2,9 @@
 declaration it must produce.  Token-level comparisons use golden_equal
 so layout never matters."""
 
+import pytest
 from gospel2viper import translate_source
+from gospel2viper.diagnostics import Severity
 from gospel2viper.viper_ast import (AssignS, CallS, FoldS, IfS, IsTest,
                                     MethodDecl, NewS, UnfoldS, golden_equal,
                                     pretty, pretty_stmts)
@@ -210,6 +212,44 @@ let f (x: t) =
     body = prog.methods()["f"].body
     assert isinstance(body[0], IfS)
     assert body[0].els != []
+
+
+SCOPED = """\
+type t = { mutable v : int; mutable w : int }
+type u = A | B
+let f (c: t) =
+  """
+
+VALUE = "a statement cannot be used as a value"
+
+# A `let … in` binds to the end of its block, and a statement is no value.
+# Each case gives a body and its errors, each with the text whose last
+# occurrence starts the error's span.
+BLOCKS = {
+    "semicolon-after-in": ("let x : int = 1 in ; c.v <- x",
+                           [("expected an expression, found ';'", ";")]),
+    "let-headed-branch": ("if c.v = 0 then let x : int = 1 in c.v <- x; "
+                          "c.w <- x", []),
+    "paren-ends-scope": ("(let x : int = 1 in c.v <- x); c.w <- x",
+                         [("unbound name 'x'", "x")]),
+    "let-ends-block": ("(c.v <- 1; let x : int = 1 in)",
+                       [("expected an expression after 'in'", ")")]),
+    "paren-span": ("(c.v <- 1; c.w <- 2).v <- 3", [(VALUE, "(")]),
+    "if-value": ("(if c.v = 0 then c.v <- 1).v <- 3", [(VALUE, "if")]),
+    "match-value": ("(match A with A -> c.v <- 1 | B -> c.w <- 1).v <- 3",
+                    [(VALUE, "match")]),
+    "assign-value": ("(c.v <- 1).v <- 3", [(VALUE, "c.v <- 1")]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BLOCKS))
+def test_block_scopes_and_statement_values(case):
+    body, expected = BLOCKS[case]
+    source = SCOPED + body + "\n"
+    _, diags = translate_source(source)
+    got = [(d.message, d.span.start) for d in diags
+           if d.severity is Severity.ERROR]
+    assert got == [(m, source.rindex(at)) for m, at in expected]
 
 
 # -- contracts and ghosts ----------------------------------------------------------
