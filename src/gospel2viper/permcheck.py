@@ -41,11 +41,18 @@ applied to an `ite` whose arms are literals is lifted over it, so that
 A value that K joins built is a term of K levels that shares its
 subterms; walked as a tree it has 2^K nodes.  So every walk over terms
 visits each node once: the arguments of `==`, `&&` and `||` are sorted by
-a structural key cached on each term (`_key`), not by `repr`; hashes are
-cached; the occurs check remembers the nodes it saw; and normalising an
-unchanged term returns the term itself, so equal terms are mostly one
-object and compare by identity.  Diagnostics print an ite nested in two
-others as "...".
+a structural key cached on each term (`_key`), not by `repr`; the occurs
+check remembers the nodes it saw; and normalising an unchanged term
+returns the term itself, so the sharing survives.  Diagnostics print an
+ite nested in two others as "...".
+
+A statement costs a few calls per node of its expressions.  `eval` finds
+the handler for a node's class in one table (`_EVAL`).  A symbol is an
+`int`, its id, so it hashes and compares without a Python frame; a
+compound term computes its hash once and caches it.  A field read
+normalises its receiver once, for the permission probe and the heap read
+alike.  `_simplify` tries the arithmetic operators first, and lifts an
+operator over an `ite` only in a method that has built one.
 
 Each term is normalised once per substitution: `norm` memoises in the
 state's `memo`, a normal form being its own normal form; clones share it,
@@ -101,10 +108,18 @@ def _cached_hash(fields):
     return __hash__
 
 
-@dataclass(frozen=True)
-class Sym(SymVal):
-    id: int
-    hint: str = field(default="", compare=False, repr=False)
+class Sym(int, SymVal):
+    """A symbol, equal to its id as an `int`, so it hashes and compares in
+    C, without a Python frame, and its hash does not depend on the hash
+    seed.  `hint` names it in diagnostics and takes no part in equality."""
+
+    def __new__(cls, id: int, hint: str = ""):
+        s = super().__new__(cls, id)
+        s.id, s.hint = int(id), hint
+        return s
+
+    def __repr__(self) -> str:
+        return f"Sym(id={self.id})"
 
 
 @dataclass(frozen=True, eq=False)
@@ -116,8 +131,10 @@ class Lit(SymVal):
         return (isinstance(other, Lit) and self.value == other.value
                 and type(self.value) is type(other.value))
 
-    def __hash__(self):  # not hash(value): hash(-1) == hash(-2)
-        return hash(repr(self.value))
+    # 1 and True, and -1 and -2, share a hash, which costs one __eq__; the
+    # complement keeps non-negative literals apart from symbols
+    def __hash__(self):
+        return ~hash(self.value)
 
 
 @dataclass(frozen=True)
@@ -244,7 +261,18 @@ class _Mode(Enum):
 class _ConsumeCtx:
     """What a failed consume should be reported as."""
     pred_category: Category
-    what: str  # e.g. "fold CellSeg(...)" or "postcondition"
+    what: object  # printed by str(): "postcondition of m", or a _FoldName
+
+
+@dataclass
+class _FoldName:
+    """`fold P(args)`, rendered only when a diagnostic prints it: most
+    folds never fail."""
+    pred: V.PredApp
+
+    def __str__(self) -> str:
+        call = V.FunApp(self.pred.name, self.pred.args)
+        return f"fold {V.expr_str(call)}"
 
 
 # -- checker ------------------------------------------------------------------------
@@ -274,6 +302,7 @@ class Checker:
         self._ids = itertools.count()
         self.diags: list[Diagnostic] = []
         self._splits = 0  # sides a consume may still split into (_Unjoin)
+        self._ites = False  # whether _simplify has built an ite (_lifted)
 
     def fresh(self, hint: str = "") -> Sym:
         return Sym(next(self._ids), hint)
@@ -307,10 +336,28 @@ class Checker:
                 n = v
         else:
             raise TypeError(type(v).__name__)
-        memo[v] = memo[n] = n
+        memo[v] = n
+        if n is not v:
+            memo[n] = n  # a normal form is its own
         return n
 
     def _simplify(self, name: str, args: tuple) -> SymVal:
+        if name in ("+", "-", "*", "/"):
+            a, b = args
+            if not (isinstance(a, Lit) and isinstance(a.value, int)
+                    and isinstance(b, Lit) and isinstance(b.value, int)):
+                return self._lifted(name, args)
+            a, b = a.value, b.value
+            if name == "+":
+                return Lit(a + b)
+            if name == "-":
+                return Lit(a - b)
+            if name == "*":
+                return Lit(a * b)
+            if b == 0:
+                return App(name, args)
+            q = abs(a) // abs(b)  # truncating division
+            return Lit(q if (a < 0) == (b < 0) else -q)
         if name == "++":
             return self._concat(args)
         if name == "len" and isinstance(args[0], SeqV):
@@ -332,19 +379,6 @@ class Checker:
             elems = args[0].elems
             if elems:
                 return SeqV(elems[:-1] if name == "drop_last" else elems[-1:])
-        if name in ("+", "-", "*", "/") and all(
-                isinstance(a, Lit) and isinstance(a.value, int)
-                for a in args):
-            a, b = args[0].value, args[1].value
-            if name == "+":
-                return Lit(a + b)
-            if name == "-":
-                return Lit(a - b)
-            if name == "*":
-                return Lit(a * b)
-            if b != 0:
-                q = abs(a) // abs(b)  # truncating division
-                return Lit(q if (a < 0) == (b < 0) else -q)
         if name == "neg" and isinstance(args[0], Lit) \
                 and isinstance(args[0].value, int):
             return Lit(-args[0].value)
@@ -399,6 +433,7 @@ class Checker:
                 return cond
             if then == FALSE and els == TRUE:
                 return self._simplify("not", (cond,))
+            self._ites = True
             return App(name, args)
         if name.startswith("is#"):
             ctor = name[3:]
@@ -415,7 +450,11 @@ class Checker:
 
     def _lifted(self, name: str, args: tuple) -> SymVal:
         """`name(args)`, lifted over an argument that is an `ite` with
-        literal arms, as a join leaves: `ite(c, 1, 2) > 0` folds to true."""
+        literal arms, as a join leaves: `ite(c, 1, 2) > 0` folds to true.
+        Every ite in a normal form was built by `_simplify`, so until it
+        builds one there is none to look for."""
+        if not self._ites:
+            return App(name, args)
         for i, a in enumerate(args):
             if isinstance(a, App) and a.name == "ite" \
                     and isinstance(a.args[1], Lit) \
@@ -632,89 +671,106 @@ class Checker:
         key = (name, tuple(self.norm(a, st) for a in args))
         return key if key in st.preds else None
 
-    def _heap_read(self, st: SymState, heap: dict, rec: SymVal,
-                   fld: str) -> SymVal:
-        key = (self.norm(rec, st), fld)
-        val = heap.get(key)
-        if val is None:
-            val = heap[key] = self.fresh(fld)
-        return val
-
     # -- expression evaluation ---------------------------------------------------
 
     def eval(self, st: SymState, e: V.VExpr, store: dict, mode: _Mode,
              heap: dict, span=None) -> SymVal:
-        if isinstance(e, V.IntLit):
-            return Lit(e.value)
-        if isinstance(e, V.BoolLit):
-            return Lit(e.value)
-        if isinstance(e, V.Var):
-            if e.name not in store:
-                self._err(Category.TRANSLATION,
-                          f"use of undeclared variable '{e.name}'", span)
-                store[e.name] = self.fresh(e.name)
-            return store[e.name]
-        if isinstance(e, V.FieldAcc):
-            base = self.eval(st, e.base, store, mode, heap, span)
-            if e.fieldname in self.projections \
-                    and e.fieldname not in self.fields:
-                return self.norm(App(f"proj#{e.fieldname}", (base,)), st)
-            return self._read_field(st, base, e.fieldname, e, mode, heap,
-                                    span)
-        if isinstance(e, V.IsTest):
-            base = self.eval(st, e.base, store, mode, heap, span)
-            return self.norm(App(f"is#{e.ctor}", (base,)), st)
-        if isinstance(e, V.CtorCall):
-            return Ctor(e.name, tuple(self.eval(st, a, store, mode, heap,
-                                                span) for a in e.args))
-        if isinstance(e, V.FunApp):
-            args = tuple(self.eval(st, a, store, mode, heap, span)
-                         for a in e.args)
-            return self.norm(App(e.name, args), st)
-        if isinstance(e, V.SeqLit):
-            return SeqV(tuple(self.eval(st, a, store, mode, heap, span)
-                              for a in e.items))
-        if isinstance(e, V.SeqLen):
-            return self.norm(App("len", (self.eval(st, e.seq, store, mode,
-                                                   heap, span),)), st)
-        if isinstance(e, V.BinOp):
-            left = self.eval(st, e.left, store, mode, heap, span)
-            right = self.eval(st, e.right, store, mode, heap, span)
-            return self.norm(App(e.op, (left, right)), st)
-        if isinstance(e, V.UnOp):
-            inner = self.eval(st, e.operand, store, mode, heap, span)
-            op = "not" if e.op == "!" else "neg"
-            return self.norm(App(op, (inner,)), st)
-        if isinstance(e, V.SeqIndex):
-            return self.norm(App("index", (
-                self.eval(st, e.seq, store, mode, heap, span),
-                self.eval(st, e.index, store, mode, heap, span))), st)
-        if isinstance(e, V.SeqDrop):
-            return self.norm(App("drop", (
-                self.eval(st, e.seq, store, mode, heap, span),
-                self.eval(st, e.lo, store, mode, heap, span))), st)
-        if isinstance(e, V.SeqTake):
-            return self.norm(App("take", (
-                self.eval(st, e.seq, store, mode, heap, span),
-                self.eval(st, e.hi, store, mode, heap, span))), st)
-        raise TypeError(f"cannot evaluate {type(e).__name__}")
+        try:
+            handler = self._EVAL[type(e)]
+        except KeyError:
+            raise TypeError(f"cannot evaluate {type(e).__name__}") from None
+        return handler(self, st, e, store, mode, heap, span)
 
-    def _read_field(self, st: SymState, base: SymVal, fld: str,
-                    src: V.FieldAcc, mode: _Mode, heap: dict,
-                    span) -> SymVal:
+    # One handler per expression class, looked up by `eval` in `_EVAL`.
+    # Each takes eval's arguments: (st, e, store, mode, heap, span).
+
+    def _eval_lit(self, st, e, store, mode, heap, span) -> SymVal:
+        return Lit(e.value)
+
+    def _eval_var(self, st, e, store, mode, heap, span) -> SymVal:
+        if e.name not in store:
+            self._err(Category.TRANSLATION,
+                      f"use of undeclared variable '{e.name}'", span)
+            store[e.name] = self.fresh(e.name)
+        return store[e.name]
+
+    def _eval_field(self, st, e, store, mode, heap, span) -> SymVal:
+        base = self.eval(st, e.base, store, mode, heap, span)
+        if e.fieldname in self.projections \
+                and e.fieldname not in self.fields:
+            return self.norm(App(f"proj#{e.fieldname}", (base,)), st)
+        return self._read_field(st, base, e, mode, heap, span)
+
+    def _eval_is(self, st, e, store, mode, heap, span) -> SymVal:
+        base = self.eval(st, e.base, store, mode, heap, span)
+        return self.norm(App(f"is#{e.ctor}", (base,)), st)
+
+    def _eval_ctor(self, st, e, store, mode, heap, span) -> SymVal:
+        return Ctor(e.name, tuple(self.eval(st, a, store, mode, heap, span)
+                                  for a in e.args))
+
+    def _eval_fun(self, st, e, store, mode, heap, span) -> SymVal:
+        args = tuple(self.eval(st, a, store, mode, heap, span)
+                     for a in e.args)
+        return self.norm(App(e.name, args), st)
+
+    def _eval_seq(self, st, e, store, mode, heap, span) -> SymVal:
+        return SeqV(tuple(self.eval(st, a, store, mode, heap, span)
+                          for a in e.items))
+
+    def _eval_len(self, st, e, store, mode, heap, span) -> SymVal:
+        seq = self.eval(st, e.seq, store, mode, heap, span)
+        return self.norm(App("len", (seq,)), st)
+
+    def _eval_binop(self, st, e, store, mode, heap, span) -> SymVal:
+        left = self.eval(st, e.left, store, mode, heap, span)
+        right = self.eval(st, e.right, store, mode, heap, span)
+        return self.norm(App(e.op, (left, right)), st)
+
+    def _eval_unop(self, st, e, store, mode, heap, span) -> SymVal:
+        inner = self.eval(st, e.operand, store, mode, heap, span)
+        return self.norm(App("not" if e.op == "!" else "neg", (inner,)), st)
+
+    def _eval_index(self, st, e, store, mode, heap, span) -> SymVal:
+        return self.norm(App("index", (
+            self.eval(st, e.seq, store, mode, heap, span),
+            self.eval(st, e.index, store, mode, heap, span))), st)
+
+    def _eval_drop(self, st, e, store, mode, heap, span) -> SymVal:
+        return self.norm(App("drop", (
+            self.eval(st, e.seq, store, mode, heap, span),
+            self.eval(st, e.lo, store, mode, heap, span))), st)
+
+    def _eval_take(self, st, e, store, mode, heap, span) -> SymVal:
+        return self.norm(App("take", (
+            self.eval(st, e.seq, store, mode, heap, span),
+            self.eval(st, e.hi, store, mode, heap, span))), st)
+
+    _EVAL = {V.IntLit: _eval_lit, V.BoolLit: _eval_lit, V.Var: _eval_var,
+             V.FieldAcc: _eval_field, V.IsTest: _eval_is,
+             V.CtorCall: _eval_ctor, V.FunApp: _eval_fun,
+             V.SeqLit: _eval_seq, V.SeqLen: _eval_len, V.BinOp: _eval_binop,
+             V.UnOp: _eval_unop, V.SeqIndex: _eval_index,
+             V.SeqDrop: _eval_drop, V.SeqTake: _eval_take}
+
+    def _read_field(self, st: SymState, base: SymVal, src: V.FieldAcc,
+                    mode: _Mode, heap: dict, span) -> SymVal:
+        """The field `src` reads from `base`, the value of `src.base`.
+        The receiver is normalised once, for both the permission probe
+        and the heap read."""
+        key = (self.norm(base, st), src.fieldname)
         if mode is _Mode.EXEC:
-            if self._find_perm(st, base, fld) is None:
+            if key not in st.perms:
                 self._err(Category.PERMISSION,
                           f"no permission to read {V.expr_str(src)}", span)
-                base_n = self.norm(base, st)
-                st.perms.add((base_n, fld))  # repair, keep going
-            return self._heap_read(st, st.heap, base, fld)
-        if mode is _Mode.CONSUME:
-            return self._heap_read(st, heap, base, fld)
-        # produce: prefer live heap, never materialize unframed locations
-        if self._find_perm(st, base, fld) is not None:
-            return self._heap_read(st, st.heap, base, fld)
-        return self._heap_read(st, heap, base, fld)
+                st.perms.add(key)  # repair, keep going
+            heap = st.heap
+        elif mode is _Mode.PRODUCE and key in st.perms:
+            heap = st.heap  # prefer the live heap to the unframed cache
+        val = heap.get(key)
+        if val is None:
+            val = heap[key] = self.fresh(src.fieldname)
+        return val
 
     # -- produce / consume -------------------------------------------------------
 
@@ -1039,8 +1095,7 @@ class Checker:
                       s.span)
             return [st]
         binding = self._pred_binding(decl, st, s.pred.args, s.span)
-        ctx = _ConsumeCtx(Category.FOLD_MISMATCH,
-                          f"fold {V.expr_str(V.FunApp(s.pred.name, s.pred.args))}")
+        ctx = _ConsumeCtx(Category.FOLD_MISMATCH, _FoldName(s.pred))
         self.consume(st, decl.body, binding, ctx, s.span)
         args = tuple(self.norm(binding[n], st) for n, _ in decl.params)
         st.preds[(s.pred.name, args)] += 1
@@ -1113,6 +1168,7 @@ class Checker:
         if m.body is None:
             return []
         self._ids = itertools.count()
+        self._ites = False  # terms do not outlive the method
         self.diags = []
         self.scalar_locals = _scalar_locals(m)
         st = SymState()

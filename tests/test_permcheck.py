@@ -3,6 +3,7 @@ decision procedure, produce/consume, statement execution, and whole-method
 verdicts.  States are built by hand so each behavior is pinned in isolation."""
 
 import gc
+import sys
 import time
 import tracemalloc
 from collections import Counter
@@ -18,6 +19,7 @@ from gospel2viper.viper_parser import reparse
 
 import pytest
 from hypothesis import given, settings, strategies as hs
+from test_parser import wide_module
 
 PROGRAM = reparse("""
 adt Cell { Nil() Cons(cell: Ref) }
@@ -162,6 +164,18 @@ def test_ite_with_literal_arms_folds(ck):
     # symbolic arms are left alone
     sym = App("ite", (c, x, Lit(2)))
     assert ck.norm(App(">", (sym, Lit(0))), st) == App(">", (sym, Lit(0)))
+
+
+def test_symbols_compare_and_hash_by_id_alone():
+    # the hint only names a symbol in diagnostics
+    assert Sym(3, "a") == Sym(3, "b")
+    assert hash(Sym(3, "a")) == hash(Sym(3, "b"))
+    assert len({Sym(3, "a"), Sym(3, "b")}) == 1
+    assert Sym(3) != Sym(4)
+    # a symbol is never a literal, and 1 is not true
+    assert Sym(3) != Lit(3) and Lit(3) != Sym(3)
+    assert Sym(1) != TRUE and Lit(1) != TRUE
+    assert sym_str(Sym(3, "a")) == "a" and sym_str(Sym(3)) == "_3"
 
 
 def test_sorting_leaves_hash_and_key_alone(ck):
@@ -430,6 +444,31 @@ def test_normalisation_work_stays_small(monkeypatch):
     check_program(bump_chain(range(0, 90, 10)))
     assert counts["decide"] == 27
     assert counts["norm"] <= 450
+
+
+def test_checker_calls_per_statement_on_a_wide_module():
+    # Python and C calls per method-body statement: a count of calls,
+    # unlike a time, does not depend on the machine.  An `isinstance`
+    # ladder in `eval`, symbols hashed by a Python method, a field's
+    # receiver normalised twice per read and an eager fold message made
+    # 168.6 (22,594 calls)
+    program, diags = translate_source(wide_module())
+    assert program is not None and not diags
+    stmts = sum(len(m.body or ()) for m in program.methods().values())
+    assert stmts == 134
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        calls += event in ("call", "c_call")
+
+    sys.setprofile(count)
+    try:
+        diags = check_program(program)
+    finally:
+        sys.setprofile(None)
+    assert diags == []
+    assert calls / stmts <= 116
 
 
 # -- produce ------------------------------------------------------------------
@@ -799,7 +838,7 @@ def test_long_if_chain_joins_in_linear_work(monkeypatch):
         diags = check_program(bump_chain(range(0, 10 * k, 10)))
         assert diags == []  # no cap warning
         norms[k] = counts["norm"]
-    assert norms == {8: 175, 64: 1351}
+    assert norms == {8: 159, 64: 1223}
     assert norms[64] <= 10 * norms[8]
 
 
