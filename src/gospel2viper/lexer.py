@@ -1,8 +1,11 @@
 """Lexer for the OCaml-light surface language.
 
-One compiled master pattern reads each token together with the
-whitespace before it, as the stdlib `tokenize` and `re.Scanner` modules
-do.  The token classes are:
+Each file is lexed once, into a `Tokens` stream: three parallel lists of
+token kinds, start offsets and texts.  No object is built per token.
+The code between two comments is read by one `split` over a compiled
+pattern of all tokens, which yields the gaps between tokens and the
+token texts alternately; the offsets are the running sums of their
+lengths, and every gap must be whitespace.  The token classes are:
 
 * whitespace: ASCII space, tab, CR and LF only, so a no-break space or
   a form feed is an unexpected character;
@@ -11,12 +14,20 @@ do.  The token classes are:
 * identifiers: a letter or `_`, then letters, digits, `_` and `'`;
 * the punctuation in PUNCT, longest match first.
 
-Ordinary ``(* ... *)`` comments nest and are discarded.  Annotation
-comments ``(*@ ... *)`` become a single ANNOTATION token that keeps the
-raw payload text and its offset, so the payload can be re-lexed in
-annotation mode later.  In annotation mode the contract keywords
-(requires, ensures, predicate, function, lemma, fold, unfold, apply)
-are hard keywords; in program mode they are plain identifiers.
+Ordinary ``(* ... *)`` comments nest and are discarded.  An annotation
+comment ``(*@ ... *)`` becomes an ANNOTATION token whose text is the
+whole comment, followed at once by the tokens of its payload, lexed in
+spec mode, and an EOF token at the closing ``*)``; the parser reads an
+annotation as that slice of the stream.  A lexical error in a payload
+does not fail the file: its payload tokens are dropped and the error is
+kept in `Tokens.errors` under the ANNOTATION token's index, for the
+parser to report if it reaches that annotation.
+
+In spec mode, the contract keywords (requires, ensures, predicate,
+function, lemma, fold, unfold, apply) are hard keywords; in program mode
+they are plain identifiers.  `lex(..., spec_mode=True)` lexes one payload
+on its own, as the file's lexer does inline; an annotation nested in a
+payload stays a single ANNOTATION token.
 
 Token kinds are plain ints, the constants of class `T`; compare them
 with `==`.
@@ -25,7 +36,7 @@ with `==`.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from itertools import accumulate
 
 from .diagnostics import Category, Diagnostic, Span, error
 
@@ -74,33 +85,47 @@ PUNCT = {
     "+": T.PLUS, "-": T.MINUS, "*": T.STAR, "/": T.SLASH,
 }
 
-_ALL_KEYWORDS = {**SPEC_KEYWORDS, **KEYWORDS}
+# Kind by token text, for all but identifiers and integers.
+_KINDS = {**PUNCT, **KEYWORDS}
+_SPEC_KINDS = {**_KINDS, **SPEC_KEYWORDS}
+_IDENT_OR_INT = (T.IDENT, T.INT)  # indexed by `text.isdecimal()`
 
-# Leading whitespace, then one token: a comment opener, an integer, an
-# identifier (the caller rejects a non-letter start) or punctuation,
-# longest first.  No group matches at end of input or a stray character.
-_INT, _IDENT, _PUNCT = 2, 3, 4  # group numbers; 1 is the comment opener
-_TOKEN = re.compile(r"[ \t\r\n]*(?:(\(\*@?)|(\d+)|([^\W\d][\w']*)|(%s))?"
+# One token: an identifier (which must still start with a letter or `_`),
+# punctuation, longest first, or an integer.  `split` keeps the group, so
+# it yields [gap, token, gap, token, ..., gap]; a gap that is not blank
+# holds a character that starts no token.
+_SPLIT = re.compile(r"([^\W\d][\w']*|%s|\d+)"
                     % "|".join(map(re.escape,
                                    sorted(PUNCT, key=len, reverse=True))))
+_BLANK = re.compile(r"[ \t\r\n]*")
 _COMMENT_EDGE = re.compile(r"\(\*|\*\)")
 
 
-@dataclass(slots=True)
-class Token:
-    kind: int  # a T constant
-    text: str
-    start: int  # offset in the file; most spans are never asked for
-    # only set on ANNOTATION tokens
-    payload: str | None = field(default=None, repr=False)
-    payload_offset: int = field(default=0, repr=False)
+class Tokens:
+    """A token stream as parallel lists: token i has kind `kinds[i]` (a T
+    constant), text `texts[i]` and its first character at offset
+    `starts[i]` of the file.  `len` is the number of tokens."""
 
-    @property
-    def span(self) -> Span:
-        return Span(self.start, self.start + len(self.text))
+    __slots__ = ("kinds", "starts", "texts", "errors")
 
-    def is_upper_ident(self) -> bool:
-        return self.kind == T.IDENT and self.text[:1].isupper()
+    def __init__(self) -> None:
+        self.kinds: list[int] = []
+        self.starts: list[int] = []
+        self.texts: list[str] = []
+        # index of an ANNOTATION token -> the lexical error in its payload
+        self.errors: dict[int, Diagnostic] = {}
+
+    def __len__(self) -> int:
+        return len(self.kinds)
+
+    def add(self, kind: int, start: int, text: str) -> None:
+        self.kinds.append(kind)
+        self.starts.append(start)
+        self.texts.append(text)
+
+    def span(self, i: int) -> Span:
+        start = self.starts[i]
+        return Span(start, start + len(self.texts[i]))
 
 
 def _unexpected(ch: str, at: int) -> Diagnostic:
@@ -109,47 +134,83 @@ def _unexpected(ch: str, at: int) -> Diagnostic:
 
 
 def lex(source: str, base: int = 0, spec_mode: bool = False
-        ) -> tuple[list[Token], list[Diagnostic]]:
-    """Tokenize `source`.  Returns ([], [diagnostic]) on a lexical error.
+        ) -> tuple[Tokens, list[Diagnostic]]:
+    """Tokenize `source`.  Returns (empty stream, [diagnostic]) on a
+    lexical error outside every annotation.
 
-    `base` shifts all spans, so annotation payloads keep file positions.
+    `base` shifts all offsets, so a payload lexed on its own keeps file
+    positions.
     """
-    keywords = _ALL_KEYWORDS if spec_mode else KEYWORDS
-    toks: list[Token] = []
-    append, match = toks.append, _TOKEN.match
-    i, n = 0, len(source)
-    while True:
-        m = match(source, i)
-        group = m.lastindex
-        if group is None:
-            i = m.end()
-            if i == n:
-                break
-            return [], [_unexpected(source[i], base + i)]
-        start, i = m.span(group)
-        text = source[start:i]
-        if group == _IDENT:
-            if not (text[0].isalpha() or text[0] == "_"):
-                return [], [_unexpected(text[0], base + start)]
-            kind = keywords.get(text, T.IDENT)
-        elif group == _PUNCT:
-            kind = PUNCT[text]
-        elif group == _INT:
-            kind = T.INT
-        else:
-            depth = 1
-            for edge in _COMMENT_EDGE.finditer(source, i):
-                depth += 1 if edge.group() == "(*" else -1
-                if not depth:
-                    break
-            else:
-                return [], [error(Category.PARSE, "unterminated comment",
-                                  Span(base + start, base + n))]
-            i = edge.end()
-            if len(text) == 3:
-                append(Token(T.ANNOTATION, source[start:i], base + start,
-                             source[start + 3:i - 2], base + start + 3))
-            continue
-        append(Token(kind, text, base + start))
-    append(Token(T.EOF, "", base + n))
+    toks = Tokens()
+    diag = _lex(toks, source, 0, len(source), base, spec_mode)
+    if diag is not None:
+        return Tokens(), [diag]
     return toks, []
+
+
+def _lex(toks: Tokens, source: str, i: int, n: int, base: int,
+         spec: bool) -> Diagnostic | None:
+    """Append the tokens of source[i:n] and an EOF at its end, or return
+    the first lexical error."""
+    kinds = _SPEC_KINDS if spec else _KINDS
+    while True:
+        opener = source.find("(*", i, n)
+        end = n if opener < 0 else opener
+        bad = _code(toks, source[i:end], base + i, kinds)
+        if bad is not None:
+            return _unexpected(source[bad - base], bad)
+        if opener < 0:
+            break
+        depth = 1
+        for edge in _COMMENT_EDGE.finditer(source, opener + 2, n):
+            depth += 1 if edge.group() == "(*" else -1
+            if not depth:
+                break
+        else:
+            return error(Category.PARSE, "unterminated comment",
+                         Span(base + opener, base + n))
+        i = edge.end()
+        if source.startswith("(*@", opener, n):
+            at = len(toks)
+            toks.add(T.ANNOTATION, base + opener, source[opener:i])
+            if not spec:
+                diag = _lex(toks, source, opener + 3, i - 2, base, True)
+                if diag is not None:  # keep only the ANNOTATION token
+                    del toks.kinds[at + 1:], toks.starts[at + 1:], \
+                        toks.texts[at + 1:]
+                    toks.errors[at] = diag
+                    toks.add(T.EOF, base + i - 2, "")
+    toks.add(T.EOF, base + n, "")
+    return None
+
+
+def _code(toks: Tokens, code: str, offset: int, kinds: dict) -> int | None:
+    """Append the tokens of `code`, which holds no comment and starts at
+    file offset `offset`; return the offset of the first character that
+    starts no token, if there is one."""
+    parts = _SPLIT.split(code)
+    texts = parts[1::2]
+    offsets = list(accumulate(map(len, parts), initial=offset))
+    new = list(map(kinds.get, texts,
+                   map(_IDENT_OR_INT.__getitem__, map(str.isdecimal, texts))))
+    if not (code.isascii() and _BLANK.fullmatch("".join(parts[::2]))):
+        bad = _first_bad(parts, offsets, new)
+        if bad is not None:
+            return bad
+    toks.kinds += new
+    toks.starts += offsets[1:-1:2]
+    toks.texts += texts
+    return None
+
+
+def _first_bad(parts: list[str], offsets: list[int], kinds: list[int]
+               ) -> int | None:
+    """The offset of the first character that starts no token: one in a
+    gap, or the first of an identifier that is not a letter or `_` (such
+    as `Ⅷ`, `½` or `²`, which `[^\\W\\d]` lets through)."""
+    bad = [offsets[g] + _BLANK.match(parts[g]).end()
+           for g in range(0, len(parts), 2) if not _BLANK.fullmatch(parts[g])]
+    bad += [offsets[t] for t, kind in zip(range(1, len(parts), 2), kinds)
+            if kind == T.IDENT and not (parts[t][0].isalpha()
+                                        or parts[t][0] == "_")]
+    return min(bad, default=None)

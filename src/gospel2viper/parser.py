@@ -5,11 +5,15 @@ Binary operators are parsed by precedence climbing (Pratt's "Top Down
 Operator Precedence") in one loop, `_P.parse_binary`, over the table
 `_BINOPS` of operators and their precedences.
 
-Annotation payloads are re-lexed in spec mode and dispatched on their
-leading keyword: predicate / function / lemma introduce top-level ghost
-declarations, fold / unfold / apply are ghost commands legal only inside
-a function body, and anything else is parsed as a contract attached to
-the preceding function.
+The parser reads the file's one token stream (`lexer.Tokens`) by index:
+`kinds[pos]` and `texts[pos]`, and a `Span` built from the start offset
+only where a node keeps one.  An annotation is the slice of that stream
+from its ANNOTATION token to the EOF that ends its payload, which the
+lexer has already lexed in spec mode; nothing is lexed here.  A payload
+is dispatched on its leading keyword: predicate / function / lemma
+introduce top-level ghost declarations, fold / unfold / apply are ghost
+commands legal only inside a function body, and anything else is parsed
+as a contract attached to the preceding function.
 
 A block is a function body, a match arm, a parenthesised statement, or
 an `if` branch that starts with `let`; it holds a flat list of items.  A
@@ -27,7 +31,7 @@ ghost arguments.
 from __future__ import annotations
 
 from .diagnostics import Category, Diagnostic, Span, error, has_errors
-from .lexer import T, Token, lex
+from .lexer import T, Tokens, lex
 from .surface import (AnnotationPayload, AppE, Assertion, AssignE, BinE,
                       BoolLit, BoolT, ContractSpec, CtorDef, CtorE, FieldDef,
                       FieldE, FunDecl, GhostCommand, GhostDecl,
@@ -70,45 +74,49 @@ class _P:
     indexing/slicing, program terms have ghost-argument brackets.
     `depth` counts open nesting levels; a ParseError leaves it raised, so
     whoever catches one and parses on restores it together with `pos`.
-    Hot paths read `toks[pos]` inline: a call costs more than its test.
+    Hot paths read `kinds[pos]` inline: a call costs more than its test.
+    Every slice the parser reads ends in an EOF, which `next` never steps
+    past, so a lookahead of one from any other token stays in the slice.
     """
 
-    def __init__(self, tokens: list[Token], spec: bool):
+    def __init__(self, tokens: Tokens, spec: bool, pos: int = 0):
         self.toks = tokens
-        self.pos = 0
+        self.kinds = tokens.kinds
+        self.starts = tokens.starts
+        self.texts = tokens.texts
+        self.pos = pos
         self.spec = spec
         self.depth = 0
 
     # -- cursor helpers ----------------------------------------------------
 
-    def peek(self, ahead: int = 0) -> Token:
-        # `next` never moves past EOF, so only a lookahead needs the clamp
-        if ahead:
-            return self.toks[min(self.pos + ahead, len(self.toks) - 1)]
-        return self.toks[self.pos]
-
     def at(self, *kinds: int) -> bool:
-        return self.toks[self.pos].kind in kinds
+        return self.kinds[self.pos] in kinds
 
-    def next(self) -> Token:
-        t = self.toks[self.pos]
-        if t.kind != T.EOF:
-            self.pos += 1
-        return t
+    def next(self) -> int:
+        """Step past the token at the cursor; return its index."""
+        i = self.pos
+        if self.kinds[i] != T.EOF:
+            self.pos = i + 1
+        return i
 
-    def expect(self, kind: int, what: str) -> Token:
-        """Step past a token of `kind`, which is never EOF."""
-        t = self.toks[self.pos]
-        if t.kind != kind:
-            self.fail(f"expected {what}, found {t.text or 'end of input'!r}")
-        self.pos += 1
-        return t
+    def expect(self, kind: int, what: str) -> int:
+        """Step past a token of `kind`, which is never EOF; return its
+        index."""
+        i = self.pos
+        if self.kinds[i] != kind:
+            self.fail(f"expected {what}, found "
+                      f"{self.texts[i] or 'end of input'!r}")
+        self.pos = i + 1
+        return i
 
     def fail(self, message: str) -> None:
-        raise ParseError(error(Category.PARSE, message, self.peek().span))
+        raise ParseError(error(Category.PARSE, message,
+                               self.toks.span(self.pos)))
 
-    def ident(self, what: str = "identifier") -> Token:
-        return self.expect(T.IDENT, what)
+    def ident(self, what: str = "identifier") -> str:
+        """Step past an identifier; return its text."""
+        return self.texts[self.expect(T.IDENT, what)]
 
     def enter(self) -> None:
         """Open one nesting level; the caller closes it with depth -= 1."""
@@ -119,16 +127,16 @@ class _P:
     # -- types -------------------------------------------------------------
 
     def parse_type(self) -> SurfaceType:
-        t = self.ident("type name")
+        name = self.ident("type name")
         base: SurfaceType
-        if t.text == "int":
+        if name == "int":
             base = IntT()
-        elif t.text == "bool":
+        elif name == "bool":
             base = BoolT()
         else:
-            base = NamedT(t.text)
-        if self.at(T.IDENT) and self.peek().text == "sequence":
-            self.next()
+            base = NamedT(name)
+        if self.at(T.IDENT) and self.texts[self.pos] == "sequence":
+            self.pos += 1
             if not isinstance(base, IntT):
                 self.fail("only int sequences are supported")
             return SeqT()
@@ -147,12 +155,12 @@ class _P:
     def parse_binary(self, floor: int) -> SurfaceExpr:
         """Precedence climbing over `_BINOPS`: an operand followed by
         operators of precedence `floor` and tighter."""
-        toks = self.toks
-        e = (self.parse_unary() if toks[self.pos].kind == T.MINUS
+        kinds = self.kinds
+        e = (self.parse_unary() if kinds[self.pos] == T.MINUS
              else self.parse_app())
         ceil = _TIGHTEST
         while True:
-            op = _BINOPS.get(toks[self.pos].kind)
+            op = _BINOPS.get(kinds[self.pos])
             if op is None or not floor <= op[1] <= ceil:
                 return e
             self.pos += 1
@@ -161,11 +169,11 @@ class _P:
             # second comparison is left to the caller, which rejects it
             ceil = prec - 1 if prec == _CMP else prec
             right = self.parse_binary(prec if sym == "++" else prec + 1)
-            e = BinE(sym, e, right, span=e.span)
+            e = BinE(sym, e, right, e.span)
 
     def parse_unary(self) -> SurfaceExpr:
         """A prefix minus and its operand, itself possibly negated."""
-        start = self.next().span
+        start = self.toks.span(self.next())
         self.enter()
         e = UnE("-", self.parse_unary() if self.at(T.MINUS)
                 else self.parse_app(), span=start)
@@ -176,14 +184,14 @@ class _P:
         """A postfix term, applied to the atoms after it when it is a bare
         name: `f x (y + 1) z.a`, `f (x, y)` or `f ()`."""
         head = self.parse_postfix()
-        toks = self.toks
-        if (toks[self.pos].kind not in _ATOM_START
+        kinds = self.kinds
+        if (kinds[self.pos] not in _ATOM_START
                 or not isinstance(head, (VarE, CtorE))):
             return head
         args: list[SurfaceExpr] = []
         done = False
-        while toks[self.pos].kind in _ATOM_START:
-            if toks[self.pos].kind == T.LPAREN:
+        while kinds[self.pos] in _ATOM_START:
+            if kinds[self.pos] == T.LPAREN:
                 inner, done = self._paren_args()
                 args.extend(inner)
                 if done:  # `f (x, y)` and `f ()` take nothing after them
@@ -193,7 +201,7 @@ class _P:
         app = AppE(head.name, args, span=head.span)
         if not self.spec and not done:
             while self.at(T.LBRACKET):
-                self.next()
+                self.pos += 1
                 was = self.spec
                 self.spec = True
                 app.ghost_args.append(self.parse_expr())
@@ -204,14 +212,14 @@ class _P:
     def _paren_args(self) -> tuple[list[SurfaceExpr], bool]:
         """The group at the cursor: ([a, b], True) for `(a, b)`, ([], True)
         for `()` and ([e], False) for one curried argument `(e)`."""
-        toks = self.toks
+        kinds = self.kinds
         self.pos += 1
-        if toks[self.pos].kind == T.RPAREN:
+        if kinds[self.pos] == T.RPAREN:
             self.pos += 1
             return [], True
         args = [self.parse_expr()]
-        closed = toks[self.pos].kind == T.COMMA
-        while toks[self.pos].kind == T.COMMA:
+        closed = kinds[self.pos] == T.COMMA
+        while kinds[self.pos] == T.COMMA:
             self.pos += 1
             args.append(self.parse_expr())
         self.expect(T.RPAREN, "')'")
@@ -219,53 +227,55 @@ class _P:
 
     def parse_postfix(self) -> SurfaceExpr:
         """An atom, then `.field` and, in spec terms, `[i]` and `[i ..]`."""
-        toks = self.toks
-        t = toks[self.pos]
-        kind = t.kind
+        kinds = self.kinds
+        pos = self.pos
+        kind = kinds[pos]
         e: SurfaceExpr
-        if kind == T.IDENT:
-            self.pos += 1
-            if not t.text[0].isupper():
-                e = VarE(t.text, span=t.span)
-            elif toks[self.pos].kind == T.LBRACE:
-                e = self._record_body(t.text, t.span)
+        if kind == T.LPAREN and kinds[pos + 1] != T.RPAREN:
+            self.pos = pos + 1
+            e = self.parse_expr()
+            self.expect(T.RPAREN, "')'")
+        elif kind in _ATOM_START:
+            text = self.texts[pos]
+            start = self.starts[pos]
+            span = Span(start, start + len(text))
+            if kind == T.LBRACE:
+                e = self._record_body(None, span)
             else:
-                e = CtorE(t.text, span=t.span)
-        elif kind == T.INT:
-            self.pos += 1
-            e = IntLit(int(t.text), span=t.span)
-        elif kind == T.TRUE or kind == T.FALSE:
-            self.pos += 1
-            e = BoolLit(kind == T.TRUE, span=t.span)
-        elif kind == T.LBRACE:
-            e = self._record_body(None, t.span)
-        elif kind == T.LPAREN:
-            self.pos += 1
-            if toks[self.pos].kind == T.RPAREN:
-                self.pos += 1
-                e = UnitLit(span=t.span)
-            else:
-                e = self.parse_expr()
-                self.expect(T.RPAREN, "')'")
+                self.pos = pos + 1
+                if kind == T.IDENT:
+                    if not text[0].isupper():
+                        e = VarE(text, span)
+                    elif kinds[pos + 1] == T.LBRACE:
+                        e = self._record_body(text, span)
+                    else:
+                        e = CtorE(text, span)
+                elif kind == T.INT:
+                    e = IntLit(int(text), span)
+                elif kind == T.LPAREN:
+                    self.pos = pos + 2
+                    e = UnitLit(span)  # `()`
+                else:
+                    e = BoolLit(kind == T.TRUE, span)
         else:
             self.fail("expected an expression, found "
-                      f"{t.text or 'end of input'!r}")
+                      f"{self.texts[pos] or 'end of input'!r}")
         while True:
-            kind = toks[self.pos].kind
+            kind = kinds[self.pos]
             if kind == T.DOT:
-                self.pos += 1
-                f = toks[self.pos]
-                if f.kind != T.IDENT:
+                pos = self.pos + 1
+                if kinds[pos] != T.IDENT:
+                    self.pos = pos
                     self.ident("field name")  # raises
-                self.pos += 1
-                e = FieldE(e, f.text, span=e.span)
+                self.pos = pos + 1
+                e = FieldE(e, self.texts[pos], e.span)
             elif kind == T.LBRACKET and self.spec:
                 self.pos += 1
                 if self.at(T.DOTDOT):
                     self.fail("prefix slices are not part of the surface language")
                 idx = self.parse_expr()
                 if self.at(T.DOTDOT):
-                    self.next()
+                    self.pos += 1
                     self.expect(T.RBRACKET, "']'")
                     e = SliceFromE(e, idx, span=e.span)
                 else:
@@ -280,64 +290,67 @@ class _P:
         while not self.at(T.RBRACE):
             f = self.ident("field name")
             self.expect(T.EQ, "'='")
-            inits.append((f.text, self.parse_expr()))
+            inits.append((f, self.parse_expr()))
             if self.at(T.SEMI):
-                self.next()
+                self.pos += 1
             elif not self.at(T.RBRACE):
                 self.fail("expected ';' or '}' in record literal")
-        self.next()
+        self.pos += 1
         return RecordAlloc(ctor, inits, span=span)
 
 
 # --------------------------------------------------------------------------
 # annotation parsing
 
-def parse_annotation(token: Token) -> tuple[AnnotationPayload | None,
-                                            list[Diagnostic]]:
-    """Parse one ANNOTATION token's payload; the payload's span is the
+def parse_annotation(toks: Tokens, at: int
+                     ) -> tuple[AnnotationPayload | None, list[Diagnostic]]:
+    """Parse the annotation whose ANNOTATION token is `toks[at]`, from the
+    payload tokens that follow it up to their EOF, or report the lexical
+    error found in its payload.  The payload's span is the ANNOTATION
     token's."""
-    assert token.payload is not None
-    toks, diags = lex(token.payload, base=token.payload_offset, spec_mode=True)
-    if diags:
-        return None, diags
-    p = _P(toks, spec=True)
+    if at in toks.errors:
+        return None, [toks.errors[at]]
+    p = _P(toks, spec=True, pos=at + 1)
     try:
-        payload = _annotation_payload(p, token.span)
+        payload = _annotation_payload(p, toks.span(at))
         if not p.at(T.EOF):
-            p.fail(f"unexpected {p.peek().text!r} at end of annotation")
+            p.fail(f"unexpected {p.texts[p.pos]!r} at end of annotation")
         return payload, []
     except ParseError as e:
         return None, [e.diag]
 
 
+_GHOST_KINDS = {T.FOLD: GhostKind.FOLD, T.UNFOLD: GhostKind.UNFOLD,
+                T.APPLY: GhostKind.APPLY}
+
+
 def _annotation_payload(p: _P, span: Span):
-    t = p.peek()
-    if t.kind == T.PREDICATE:
+    kind = p.kinds[p.pos]
+    if kind == T.PREDICATE:
         p.next()
-        name = p.ident("predicate name").text
+        name = p.ident("predicate name")
         params = _spec_params(p)
         p.expect(T.EQ, "'='")
         return PredicateDef(name, params, _assertion(p), span=span)
-    if t.kind == T.FUNCTION:
+    if kind == T.FUNCTION:
         p.next()
-        name = p.ident("function name").text
+        name = p.ident("function name")
         params = _spec_params(p)
         p.expect(T.COLON, "':'")
         ret = p.parse_type()
         p.expect(T.EQ, "'='")
         return LogicalFunctionDef(name, params, ret, p.parse_expr(), span=span)
-    if t.kind == T.LEMMA:
+    if kind == T.LEMMA:
         p.next()
-        name = p.ident("lemma name").text
+        name = p.ident("lemma name")
         params = _spec_params(p)
         req, ens = _clauses(p)
         return LemmaDef(name, params, req, ens, span=span)
-    if t.kind in (T.FOLD, T.UNFOLD, T.APPLY):
-        kind = {T.FOLD: GhostKind.FOLD, T.UNFOLD: GhostKind.UNFOLD,
-                T.APPLY: GhostKind.APPLY}[p.next().kind]
-        target = p.ident("fold/unfold/apply target").text
+    if kind in _GHOST_KINDS:
+        p.next()
+        target = p.ident("fold/unfold/apply target")
         args = _command_args(p)
-        return GhostCommand(kind, target, args, span=span)
+        return GhostCommand(_GHOST_KINDS[kind], target, args, span=span)
     return _contract(p, span)
 
 
@@ -345,7 +358,7 @@ def _spec_params(p: _P) -> list[tuple[str, SurfaceType]]:
     params = []
     while p.at(T.LPAREN):
         p.next()
-        name = p.ident("parameter name").text
+        name = p.ident("parameter name")
         p.expect(T.COLON, "':'")
         params.append((name, p.parse_type()))
         p.expect(T.RPAREN, "')'")
@@ -359,7 +372,7 @@ def _command_args(p: _P) -> list[SurfaceExpr]:
         args, closed = p._paren_args()
         if closed:
             return args
-    while p.peek().kind in _ATOM_START:
+    while p.kinds[p.pos] in _ATOM_START:
         if p.at(T.LPAREN):
             p.next()
             args.append(p.parse_expr())
@@ -370,29 +383,29 @@ def _command_args(p: _P) -> list[SurfaceExpr]:
 
 
 def _contract(p: _P, span: Span) -> ContractSpec:
-    first = p.ident("contract header").text
+    first = p.ident("contract header")
     results: list[str] = []
     if p.at(T.COMMA) or p.at(T.EQ):
         results = [first]
         while p.at(T.COMMA):
             p.next()
-            results.append(p.ident("result name").text)
+            results.append(p.ident("result name"))
         p.expect(T.EQ, "'='")
-        fn = p.ident("function name").text
+        fn = p.ident("function name")
     else:
         fn = first
     param_names: list[str] = []
     while True:
-        if p.at(T.LPAREN) and p.peek(1).kind == T.RPAREN:
-            p.next(); p.next()  # `()`: explicitly no parameters
+        if p.at(T.LPAREN) and p.kinds[p.pos + 1] == T.RPAREN:
+            p.pos += 2  # `()`: explicitly no parameters
         elif p.at(T.IDENT):
-            param_names.append(p.next().text)
+            param_names.append(p.texts[p.next()])
         else:
             break
     ghost_params: list[tuple[str, SurfaceType]] = []
     while p.at(T.LBRACKET):
         p.next()
-        name = p.ident("ghost parameter name").text
+        name = p.ident("ghost parameter name")
         p.expect(T.COLON, "':'")
         ghost_params.append((name, p.parse_type()))
         p.expect(T.RBRACKET, "']'")
@@ -405,7 +418,7 @@ def _clauses(p: _P) -> tuple[list[Assertion], list[Assertion]]:
     req: list[Assertion] = []
     ens: list[Assertion] = []
     while p.at(T.REQUIRES, T.ENSURES):
-        into = req if p.next().kind == T.REQUIRES else ens
+        into = req if p.kinds[p.next()] == T.REQUIRES else ens
         into.append(_assertion(p))
     return req, ens
 
@@ -428,25 +441,25 @@ def _assertion(p: _P) -> Assertion:
 
 
 def _assertion_atom(p: _P) -> Assertion:
-    t = p.peek()
-    if t.kind == T.IF:
-        p.next()
+    kind = p.kinds[p.pos]
+    if kind == T.IF:
+        span = p.toks.span(p.next())
         cond = p.parse_binary(_CMP)
         p.expect(T.THEN, "'then'")
         then = _assertion(p)
         p.expect(T.ELSE, "'else'")
-        return IfA(cond, then, _assertion(p), span=t.span)
-    if t.kind == T.LET:
-        p.next()
+        return IfA(cond, then, _assertion(p), span=span)
+    if kind == T.LET:
+        span = p.toks.span(p.next())
         ctor = p.ident("constructor pattern")
-        if not ctor.is_upper_ident():
+        if not ctor[0].isupper():
             p.fail("assertion let expects a constructor pattern")
-        binder = p.ident("binder name").text
+        binder = p.ident("binder name")
         p.expect(T.EQ, "'='")
         scrut = p.parse_binary(_CMP)
         p.expect(T.IN, "'in'")
-        return LetPatA(ctor.text, binder, scrut, _assertion(p), span=t.span)
-    if t.kind == T.LPAREN:
+        return LetPatA(ctor, binder, scrut, _assertion(p), span=span)
+    if kind == T.LPAREN:
         mark = p.pos, p.depth
         p.next()
         try:
@@ -461,10 +474,10 @@ def _assertion_atom(p: _P) -> Assertion:
     if p.at(T.OWNS):
         p.next()
         p.expect(T.LBRACE, "'{'")
-        fields = [p.ident("field name").text]
+        fields = [p.ident("field name")]
         while p.at(T.SEMI):
             p.next()
-            fields.append(p.ident("field name").text)
+            fields.append(p.ident("field name"))
         p.expect(T.RBRACE, "'}'")
         return OwnsA(e, fields, span=e.span)
     return PureA(e, span=e.span)
@@ -476,9 +489,10 @@ def _assertion_atom(p: _P) -> Assertion:
 _GHOST_LEADS = ("fold", "unfold", "apply")
 
 
-def _annotation_is_ghost(tok: Token) -> bool:
-    """Whether a payload that does not parse starts like a ghost command."""
-    head = (tok.payload or "").split(None, 1)
+def _annotation_is_ghost(text: str) -> bool:
+    """Whether an annotation (its whole text, `(*@ ... *)`) whose payload
+    does not parse starts like a ghost command."""
+    head = text[3:-2].split(None, 1)
     return bool(head) and head[0] in _GHOST_LEADS
 
 
@@ -486,26 +500,30 @@ _STMT_END = frozenset((T.EOF, T.RPAREN, T.PIPE, T.TYPE, T.ELSE))
 
 
 class _ModuleParser(_P):
-    def __init__(self, tokens: list[Token]):
+    def __init__(self, tokens: Tokens):
         super().__init__(tokens, spec=False)
         self.diags: list[Diagnostic] = []
         self.payloads: dict[int, tuple] = {}
 
     def _annotation(self) -> tuple[AnnotationPayload | None, list[Diagnostic]]:
-        """parse_annotation of the token at the cursor, parsed once: an
-        annotation that ends a body is parsed there and placed by
+        """parse_annotation of the annotation at the cursor, parsed once:
+        an annotation that ends a body is parsed there and placed by
         parse_module.  Whoever steps past it reports its diagnostics."""
         if self.pos not in self.payloads:
-            self.payloads[self.pos] = parse_annotation(self.toks[self.pos])
+            self.payloads[self.pos] = parse_annotation(self.toks, self.pos)
         return self.payloads[self.pos]
+
+    def _skip_annotation(self) -> None:
+        """Step past the annotation at the cursor and its payload."""
+        self.pos = self.kinds.index(T.EOF, self.pos + 1) + 1
 
     # statement sequences ---------------------------------------------------
 
-    def _block(self, empty: str, opener: Token | None = None
+    def _block(self, empty: str, opener: int | None = None
                ) -> SurfaceExpr | GhostCommand:
         """A block that must not be empty: its one item, or a SeqE of its
-        items.  A block opened by `(` ends at the matching `)`, and its
-        SeqE takes the `(` token's span."""
+        items.  A block opened by `(` (the index of that token) ends at the
+        matching `)`, and its SeqE takes the `(` token's span."""
         items = self._stmt_seq()
         if opener is not None:
             self.expect(T.RPAREN, "')'")
@@ -513,45 +531,48 @@ class _ModuleParser(_P):
             self.fail(empty)
         if len(items) == 1:
             return items[0]
-        return SeqE(items, span=(opener or items[0]).span)
+        return SeqE(items, span=items[0].span if opener is None
+                    else self.toks.span(opener))
 
     def _stmt_seq(self) -> list[SurfaceExpr | GhostCommand]:
         """The items of a block, up to the token that ends it.  A `let … in`
         is one item; no `;` may follow its `in`."""
         items: list[SurfaceExpr | GhostCommand] = []
-        toks = self.toks
+        kinds = self.kinds
         while True:
-            t = toks[self.pos]
-            if t.kind == T.ANNOTATION:
+            kind = kinds[self.pos]
+            if kind == T.ANNOTATION:
                 payload, diags = self._annotation()
-                if not (_annotation_is_ghost(t) if payload is None
+                if not (_annotation_is_ghost(self.texts[self.pos])
+                        if payload is None
                         else isinstance(payload, GhostCommand)):
                     break  # a contract or the next top-level declaration
-                self.pos += 1
+                self._skip_annotation()
                 self.diags.extend(diags)
                 if payload is not None:
                     items.append(payload)
                 continue
-            if t.kind in _STMT_END:
+            if kind in _STMT_END:
                 break
             item = self._stmt_item()
             if item is None:
                 break
             items.append(item)
             if not isinstance(item, LetIn):
-                while toks[self.pos].kind == T.SEMI:
+                while kinds[self.pos] == T.SEMI:
                     self.pos += 1
         if items and isinstance(items[-1], LetIn):
             self.fail("expected an expression after 'in'")
         return items
 
     def _stmt_item(self) -> SurfaceExpr | None:
-        t = self.peek()
-        if t.kind == T.LET:
-            mark = self.pos
-            self.next()
+        start = self.pos
+        kind = self.kinds[start]
+        if kind == T.LET:
+            self.pos += 1
+            at = self.pos
             name = self.ident("binder name")
-            if name.is_upper_ident():
+            if name[0].isupper():
                 self.fail("constructor patterns are only allowed in assertions")
             typ = None
             if self.at(T.COLON):
@@ -560,18 +581,18 @@ class _ModuleParser(_P):
             self.expect(T.EQ, "'='")
             rhs = self.parse_expr()
             if not self.at(T.IN):
-                self.pos = mark  # a new top-level declaration begins here
+                self.pos = start  # a new top-level declaration begins here
                 return None
             if typ is None:
                 self.diags.append(error(
                     Category.PARSE,
-                    f"local '{name.text}' needs an explicit type annotation",
-                    name.span))
+                    f"local '{name}' needs an explicit type annotation",
+                    self.toks.span(at)))
             self.next()
-            return LetIn(name.text, typ, rhs, span=t.span)
-        if t.kind == T.MATCH:
+            return LetIn(name, typ, rhs, span=self.toks.span(start))
+        if kind == T.MATCH:
             return self._match()
-        if t.kind == T.IF:
+        if kind == T.IF:
             self.enter()
             self.next()
             cond = self.parse_expr()
@@ -582,11 +603,11 @@ class _ModuleParser(_P):
                 self.next()
                 els = self._branch()
             self.depth -= 1
-            return IfE(cond, then, els, span=t.span)
-        if t.kind == T.LPAREN and self.peek(1).kind != T.RPAREN:
+            return IfE(cond, then, els, span=self.toks.span(start))
+        if kind == T.LPAREN and self.kinds[start + 1] != T.RPAREN:
             self.next()
             self.enter()
-            inner = self._block("empty parenthesized statement", opener=t)
+            inner = self._block("empty parenthesized statement", opener=start)
             self.depth -= 1
             return self._maybe_assign(self._postfix_tail(inner))
         e = self.parse_expr()
@@ -601,7 +622,7 @@ class _ModuleParser(_P):
     def _postfix_tail(self, e: SurfaceExpr) -> SurfaceExpr:
         while self.at(T.DOT):
             self.next()
-            e = FieldE(e, self.ident("field name").text, span=e.span)
+            e = FieldE(e, self.ident("field name"), span=e.span)
         return e
 
     def _maybe_assign(self, e: SurfaceExpr) -> SurfaceExpr:
@@ -609,7 +630,8 @@ class _ModuleParser(_P):
             arrow = self.next()
             if not isinstance(e, FieldE):
                 raise ParseError(error(Category.PARSE,
-                                       "only fields can be assigned", arrow.span))
+                                       "only fields can be assigned",
+                                       self.toks.span(arrow)))
             return AssignE(e, self.parse_expr(), span=e.span)
         return e
 
@@ -622,41 +644,43 @@ class _ModuleParser(_P):
         if self.at(T.PIPE):
             self.next()
         while True:
+            at = self.pos
             ctor = self.ident("constructor name")
-            if not ctor.is_upper_ident():
+            if not ctor[0].isupper():
                 self.fail("match arms must start with a constructor")
             binder = None
-            if self.at(T.IDENT) and not self.peek().is_upper_ident():
-                binder = self.next().text
+            if self.at(T.IDENT) and not self.texts[self.pos][0].isupper():
+                binder = self.texts[self.next()]
             self.expect(T.ARROW, "'->'")
-            arms.append(MatchArm(ctor.text, binder,
+            arms.append(MatchArm(ctor, binder,
                                  self._block("empty match arm"),
-                                 span=ctor.span))
+                                 span=self.toks.span(at)))
             if self.at(T.PIPE):
                 self.next()
             else:
                 break
         self.depth -= 1
-        return MatchE(scrut, arms, span=start.span)
+        return MatchE(scrut, arms, span=self.toks.span(start))
 
     # declarations ----------------------------------------------------------
 
     def parse_module(self) -> SurfaceModule:
         decls: list[SurfaceDecl] = []
         while not self.at(T.EOF):
-            t = self.peek()
-            if t.kind == T.TYPE:
+            kind = self.kinds[self.pos]
+            if kind == T.TYPE:
                 decls.append(self._type_decl())
-            elif t.kind == T.LET:
+            elif kind == T.LET:
                 decls.append(self._fun_decl())
-            elif t.kind == T.ANNOTATION:
+            elif kind == T.ANNOTATION:
                 payload, diags = self._annotation()
-                self.pos += 1
+                self._skip_annotation()
                 self.diags.extend(diags)
                 if payload is not None:
                     self._place_annotation(payload, decls)
             else:
-                self.fail(f"expected a declaration, found {t.text!r}")
+                self.fail("expected a declaration, found "
+                          f"{self.texts[self.pos]!r}")
         return SurfaceModule(decls)
 
     def _place_annotation(self, payload: AnnotationPayload,
@@ -685,14 +709,14 @@ class _ModuleParser(_P):
     def _type_decl(self) -> TypeDecl:
         start = self.expect(T.TYPE, "'type'")
         name = self.ident("type name")
-        if name.is_upper_ident():
+        if name[0].isupper():
             self.fail("type names are lowercase")
         self.expect(T.EQ, "'='")
         if self.at(T.LBRACE):
             kind = self._record_kind()
         else:
             kind = self._variant()
-        return TypeDecl(name.text, kind, span=start.span)
+        return TypeDecl(name, kind, span=self.toks.span(start))
 
     def _variant(self):
         if self.at(T.PIPE):
@@ -704,14 +728,15 @@ class _ModuleParser(_P):
         return VariantKind(ctors)
 
     def _ctor(self) -> CtorDef:
+        at = self.pos
         name = self.ident("constructor name")
-        if not name.is_upper_ident():
+        if not name[0].isupper():
             self.fail("constructor names are capitalized")
         payload: list[FieldDef] = []
         if self.at(T.OF):
             self.next()
             payload = self._record_kind().fields
-        return CtorDef(name.text, payload, span=name.span)
+        return CtorDef(name, payload, span=self.toks.span(at))
 
     def _record_kind(self) -> RecordKind:
         self.expect(T.LBRACE, "'{'")
@@ -721,10 +746,11 @@ class _ModuleParser(_P):
             if self.at(T.MUTABLE):
                 self.next()
                 mutable = True
+            at = self.pos
             name = self.ident("field name")
             self.expect(T.COLON, "':'")
-            fields.append(FieldDef(name.text, self.parse_type(), mutable,
-                                   span=name.span))
+            fields.append(FieldDef(name, self.parse_type(), mutable,
+                                   span=self.toks.span(at)))
             if self.at(T.SEMI):
                 self.next()
             elif not self.at(T.RBRACE):
@@ -745,17 +771,17 @@ class _ModuleParser(_P):
                 continue  # unit parameter: contributes nothing
             pname = self.ident("parameter name")
             self.expect(T.COLON,
-                        f"a type annotation on parameter '{pname.text}'")
+                        f"a type annotation on parameter '{pname}'")
             ptype = self.parse_type()
             self.expect(T.RPAREN, "')'")
-            params.append((pname.text, ptype))
+            params.append((pname, ptype))
         ret = None
         if self.at(T.COLON):
             self.next()
             ret = self.parse_type()
         self.expect(T.EQ, "'='")
         body = self._block("expected a function body")
-        return FunDecl(name.text, params, ret, body, span=start.span)
+        return FunDecl(name, params, ret, body, span=self.toks.span(start))
 
 
 # --------------------------------------------------------------------------
@@ -906,7 +932,7 @@ def _validate(m: SurfaceModule, diags: list[Diagnostic]) -> None:
                               for a in d.spec.ensures]
 
 
-def parse_module(tokens: list[Token]) -> tuple[SurfaceModule | None, list[Diagnostic]]:
+def parse_module(tokens: Tokens) -> tuple[SurfaceModule | None, list[Diagnostic]]:
     p = _ModuleParser(tokens)
     try:
         module = p.parse_module()

@@ -312,6 +312,43 @@ def test_non_decimal_digit_is_a_parse_error(tmp_path):
     assert err == f"{src}:5:10: error[parse]: unexpected character '²'\n"
 
 
+# Annotation edge cases, each with the one diagnostic it must give.  An
+# error inside an annotation is reported where the parser reaches it, and
+# the rest of the file parses on; one after the first parse error is never
+# reached.
+FUN = "let f (x: int) : int =\n  x\n"
+ANNOTATION_EDGES = {
+    "bad character in a contract": (
+        FUN + "(*@ r = f x requires x > 0 # ensures r = x *)\n",
+        "3:28: error[parse]: unexpected character '#'"),
+    "empty annotation": (
+        FUN + "(*@*)\n",
+        "3:4: error[parse]: expected contract header, found 'end of input'"),
+    "nested annotation": (
+        FUN + "(*@ r = f x requires (*@ x > 0 *) *)\n",
+        "3:22: error[parse]: expected an expression, found '(*@ x > 0 *)'"),
+    "clause cut off at the close": (
+        FUN + "(*@ r = f x requires *)\n",
+        "3:22: error[parse]: expected an expression, found 'end of input'"),
+    "bad character in a ghost command": (
+        GOOD.replace("(*@ unfold p c *)", "(*@ unfold p c # *)"),
+        "4:18: error[parse]: unexpected character '#'"),
+    "bad annotation after a parse error": (
+        FUN + "type =\n(*@ predicate q (x: int) = x # 1 *)\n",
+        "3:6: error[parse]: expected type name, found '='"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ANNOTATION_EDGES))
+def test_annotation_edge_case_gives_one_diagnostic(tmp_path, case):
+    source, line = ANNOTATION_EDGES[case]
+    src = tmp_path / "edge.ml"
+    src.write_text(source, encoding="utf-8")
+    status, _, err = invoke(src, check=True)
+    assert status == 1
+    assert err == f"{src}:{line}\n"
+
+
 NESTED = """\
 type t = {{ mutable v : int }}
 type u = A | B

@@ -3,7 +3,7 @@ mutants of the corpus files go through every stage without raising."""
 
 from pathlib import Path
 
-from gospel2viper.lexer import lex
+from gospel2viper.lexer import T, lex
 from gospel2viper.parser import parse_module
 from gospel2viper.permcheck import check_program
 from gospel2viper.translate import translate
@@ -17,16 +17,27 @@ CORPUS = Path(__file__).parent / "corpus"
 STRIDE = 3
 
 
+def outer_tokens(toks):
+    """Indices of the tokens outside every annotation payload, the last EOF
+    excluded: an annotation counts as one token."""
+    i = 0
+    while toks.kinds[i] != T.EOF:
+        yield i
+        i = (toks.kinds.index(T.EOF, i + 1) if toks.kinds[i] == T.ANNOTATION
+             else i) + 1
+
+
 def mutants():
     """(name, source) for each token of each corpus file, deleted and then
     duplicated."""
     for path in sorted(CORPUS.glob("*.ml")):
         source = path.read_text(encoding="utf-8")
         toks, _ = lex(source)
-        for i, t in enumerate(toks[:-1]):
-            end = t.start + len(t.text)
-            yield f"{path.name}:del{i}", source[:t.start] + source[end:]
-            yield f"{path.name}:dup{i}", source[:end] + " " + source[t.start:]
+        for n, i in enumerate(outer_tokens(toks)):
+            start = toks.starts[i]
+            end = start + len(toks.texts[i])
+            yield f"{path.name}:del{n}", source[:start] + source[end:]
+            yield f"{path.name}:dup{n}", source[:end] + " " + source[start:]
 
 
 def stages(source):
