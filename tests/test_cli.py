@@ -426,3 +426,20 @@ def test_long_conjunctions_check_and_round_trip(tmp_path, shape, n):
     assert (status, err) == (0, "")
     text = (tmp_path / "long.vpr").read_text()
     assert pretty(reparse(text)) == text
+
+
+def test_corpus_check_stderr_matches_golden(tmp_path, corpus, golden):
+    # the argparse wiring of `main`, run as the README shows, with the
+    # diagnostics of every corpus file pinned byte for byte
+    root = corpus.parent.parent
+    files = sorted(str(p.relative_to(root)) for p in corpus.glob("*.ml"))
+    src = Path(gospel2viper.__file__).resolve().parent.parent
+    path = os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])
+    proc = subprocess.run(
+        [sys.executable, "-m", "gospel2viper.cli", *files, "--check",
+         "-o", str(tmp_path) + os.sep],
+        capture_output=True, text=True, cwd=root,
+        env=dict(os.environ, PYTHONPATH=path))
+    assert proc.returncode == 1, proc.stderr
+    expected = (golden / "corpus_check.stderr").read_text(encoding="utf-8")
+    assert proc.stderr == expected
