@@ -1,26 +1,30 @@
 """Symbolic permission accounting for translated programs, without a solver.
 
 The checker walks each method body over a set of symbolic states.  A
-state tracks held field permissions (whole permissions only), a multiset
-of folded predicate instances, the heap values of held locations, a list
-of assumed boolean facts, the local store, and an equality substitution
-used to propagate facts like `q.length == 0` into later queries.
+state is a heap of held cells, a multiset of folded predicate instances,
+an ordered table of assumed boolean facts, the local store, and an
+equality substitution used to propagate facts like `q.length == 0` into
+later queries.  As in Viper's heap chunks, a cell `(receiver, field) ->
+value` is both the value and the whole permission to it: a location is
+held exactly when it is a key of the heap.
 
 A three-valued `decide` settles guards: literal after normalization,
-assumed in the path, or unknown.  Producing a conditional assertion with
-an unknown guard forks the state; consuming one reports an undecidable
-branch instead, because exhaling must pick a side.  Predicate instances
-never unroll on their own: only explicit fold/unfold statements move
-between an instance and its body, which is the point of the exercise.
+assumed in the fact table, or unknown.  Producing a conditional
+assertion with an unknown guard forks the state; consuming one reports an
+undecidable branch instead, because exhaling must pick a side.  Predicate
+instances never unroll on their own: `fold P(a)` consumes the body and
+produces the instance, `unfold P(a)` consumes the instance and produces
+the body, so an instance is added only by `produce` and removed only by
+`consume`.
 
 An `if` with an unknown guard `c` runs both sides, then joins them into
-one state when each side ends in one state whose path is the path before
-the `if` plus its guard, and the two agree on the substitution, the
-permissions, the instances and the heap and store keys, differing only in
-the values of Int or Bool fields and locals.  Each differing value becomes
-`ite(c, then's, else's)` and the guard leaves the path, since `c || !c`
-holds.  A joined Ref would match no held permission, so Ref values are
-never joined.  Otherwise both states go on, and past MAX_PATHS states the
+one state when each side ends in one state whose facts are the facts
+before the `if` plus its guard, and the two agree on the substitution,
+the instances and the heap and store keys, differing only in the values
+of Int or Bool fields and locals.  Each differing value becomes
+`ite(c, then's, else's)` and the guard leaves the facts, since `c || !c`
+holds.  A joined Ref would match no held cell, so Ref values are never
+joined.  Otherwise both states go on, and past MAX_PATHS states the
 excess is dropped with a warning (an error under `strict`).  A chain of K
 joins costs time linear in K, not 2^K paths.
 
@@ -58,17 +62,16 @@ Each term is normalised once per substitution: `norm` memoises in the
 state's `memo`, a normal form being its own normal form; clones share it,
 and a binding starts a fresh one, so it lives only as long as the states
 that use it.
-Every permission key, heap key, instance argument and path fact of a
-state is in normal form under the state's own substitution, as in
-Smallfoot's symbolic heaps.  `Checker._bind` alone grows the substitution,
-and it restores that invariant: it renormalises the path, and the stored
-keys when one mentions the bound symbol.  So a lookup is one probe of
-the normalised key, and `facts`, the set of the path's facts, answers
-`decide` without normalising them again.
+Every heap key, instance argument and fact of a state is in normal form
+under the state's own substitution, as in Smallfoot's symbolic heaps.
+`Checker._bind` alone grows the substitution, and it restores that
+invariant: it renormalises the facts, and the stored keys when one
+mentions the bound symbol.  So a lookup is one probe of the normalised
+key, and `decide` finds a fact without normalising the table again.
 
 On a failed access the checker reports once and then repairs the state
-(adds the missing permission or carries on past the missing instance) so
-one mistake does not cascade into a wall of noise.
+(adds the missing cell or carries on past the missing instance) so one
+mistake does not cascade into a wall of noise.
 """
 
 from __future__ import annotations
@@ -224,22 +227,22 @@ def _infix(v: SymVal) -> bool:
 
 @dataclass
 class SymState:
-    perms: set = field(default_factory=set)  # {(recv: SymVal, field: str)}
-    preds: Counter = field(default_factory=Counter)  # {(name, args): n}
+    # the held cells: a key is a whole permission, its value the field's
     heap: dict = field(default_factory=dict)  # {(recv, field): SymVal}
-    path: list = field(default_factory=list)  # [normalized bool SymVal]
+    preds: Counter = field(default_factory=Counter)  # {(name, args): n}
+    # the assumed facts, in normal form, in the order they were assumed;
+    # FALSE if the state is infeasible
+    facts: dict = field(default_factory=dict)  # {bool SymVal: None}
     store: dict = field(default_factory=dict)  # {var: SymVal}
     subst: dict = field(default_factory=dict)  # {sym id: SymVal}
     # {term: normal form} under subst, replaced as subst grows
     memo: dict = field(default_factory=dict, compare=False, repr=False)
-    facts: set = field(default_factory=set)  # set(path), FALSE if infeasible
     joins: tuple = ()  # the guards of the joins whose ites values hold
 
     def clone(self) -> "SymState":
-        return SymState(set(self.perms), Counter(self.preds),
-                        dict(self.heap), list(self.path), dict(self.store),
-                        dict(self.subst), self.memo, set(self.facts),
-                        self.joins)
+        return SymState(dict(self.heap), Counter(self.preds),
+                        dict(self.facts), dict(self.store), dict(self.subst),
+                        self.memo, self.joins)
 
 
 class _Unjoin(Exception):
@@ -527,7 +530,7 @@ class Checker:
                ) -> set:
         """The verdicts on `v`, undecided in `st`, on each side of the joins
         whose ites it holds, down to at most `budget` sides; {None} if it
-        holds none.  A join dropped its guard from the path, so this is
+        holds none.  A join dropped its guard from the facts, so this is
         how a condition false on one side is still found false."""
         if not st.joins or budget < 2:
             return {None}
@@ -581,8 +584,7 @@ class Checker:
         for (name, args), count in s.preds.items():
             preds[(name, tuple(map(pick, args)))] += count
         s.preds = preds
-        s.path = [pick(f) for f in s.path]
-        s.facts = set(s.path)
+        s.facts = dict.fromkeys(map(pick, s.facts))
         s.joins = tuple(g for g in s.joins if self.norm(g, s) != guard)
         if not self.assume(s, guard if side else App("not", (guard,))):
             return None
@@ -597,8 +599,7 @@ class Checker:
             return all(self.assume(st, part) for part in n.args)
         if self.decide(st, n) is False:
             return False
-        st.path.append(n)
-        st.facts.add(n)
+        st.facts[n] = None
         self._refine(st, n)
         # a refinement can fold an earlier fact to a constant; a state
         # with a false fact is infeasible, not merely undecided
@@ -638,38 +639,25 @@ class Checker:
 
     def _bind(self, st: SymState, s: Sym, v: SymVal) -> None:
         """Substitute the normal form `v` for `s` from now on, and bring
-        the path facts and the stored keys back to normal form.  Two
-        permissions that fall on one key make the state infeasible."""
+        the facts and the stored keys back to normal form.  Two cells that
+        fall on one key make the state infeasible."""
         st.subst[s.id] = v
         st.memo = {}
-        st.path = [self.norm(f, st) for f in st.path]
-        st.facts = set(st.path)
+        st.facts = dict.fromkeys(self.norm(f, st) for f in st.facts)
         # a stored key stays normal unless it mentions s
-        keys = itertools.chain((r for r, _ in st.perms),
-                               (r for r, _ in st.heap),
+        keys = itertools.chain((r for r, _ in st.heap),
                                (a for _, args in st.preds for a in args))
         if not any(_occurs(s, k) for k in keys):
             return
-        perms = {(self.norm(r, st), f) for r, f in st.perms}
-        if len(perms) < len(st.perms):
-            st.facts.add(FALSE)
-        st.perms = perms
-        st.heap = {(self.norm(r, st), f): val
-                   for (r, f), val in st.heap.items()}
+        heap = {(self.norm(r, st), f): val
+                for (r, f), val in st.heap.items()}
+        if len(heap) < len(st.heap):
+            st.facts[FALSE] = None
+        st.heap = heap
         preds: Counter = Counter()
         for (name, args), count in st.preds.items():
             preds[(name, tuple(self.norm(a, st) for a in args))] += count
         st.preds = preds
-
-    # -- permission and instance bookkeeping -----------------------------------
-
-    def _find_perm(self, st: SymState, rec: SymVal, fld: str):
-        key = (self.norm(rec, st), fld)
-        return key if key in st.perms else None
-
-    def _find_instance(self, st: SymState, name: str, args: tuple):
-        key = (name, tuple(self.norm(a, st) for a in args))
-        return key if key in st.preds else None
 
     # -- expression evaluation ---------------------------------------------------
 
@@ -760,12 +748,11 @@ class Checker:
         and the heap read."""
         key = (self.norm(base, st), src.fieldname)
         if mode is _Mode.EXEC:
-            if key not in st.perms:
+            heap = st.heap
+            if key not in heap:  # the read below adds the cell: repair
                 self._err(Category.PERMISSION,
                           f"no permission to read {V.expr_str(src)}", span)
-                st.perms.add(key)  # repair, keep going
-            heap = st.heap
-        elif mode is _Mode.PRODUCE and key in st.perms:
+        elif mode is _Mode.PRODUCE and key in st.heap:
             heap = st.heap  # prefer the live heap to the unframed cache
         val = heap.get(key)
         if val is None:
@@ -789,9 +776,8 @@ class Checker:
             base = self.eval(st, a.loc.base, store, _Mode.PRODUCE, scratch,
                              a.span)
             key = (self.norm(base, st), a.loc.fieldname)
-            if key in st.perms:
+            if key in st.heap:
                 return []  # a second whole permission cannot exist
-            st.perms.add(key)
             st.heap[key] = self.fresh(key[1])
             return [st]
         if isinstance(a, V.PredApp):
@@ -871,25 +857,23 @@ class Checker:
         if isinstance(a, V.Acc):
             base = self.eval(st, a.loc.base, store, _Mode.CONSUME, snapshot,
                              at)
-            entry = self._find_perm(st, base, a.loc.fieldname)
-            if entry is None:
+            key = (self.norm(base, st), a.loc.fieldname)
+            if key not in st.heap:
                 self._err(Category.PERMISSION,
                           f"{ctx.what}: no permission to give up "
                           f"{V.expr_str(a.loc)}", at)
                 return False
-            st.perms.discard(entry)
-            st.heap.pop(entry, None)
+            del st.heap[key]
             return True
         if isinstance(a, V.PredApp):
             args = tuple(self.eval(st, x, store, _Mode.CONSUME, snapshot,
                                    at) for x in a.args)
-            key = self._find_instance(st, a.name, args)
-            if key is None:
+            key = (a.name, tuple(self.norm(x, st) for x in args))
+            if key not in st.preds:
                 self._err(ctx.pred_category,
                           f"{ctx.what}: missing predicate instance "
-                          f"{a.name}("
-                          + ", ".join(sym_str(self.norm(x, st))
-                                      for x in args) + ")", at)
+                          f"{a.name}(" + ", ".join(map(sym_str, key[1]))
+                          + ")", at)
                 return False
             st.preds[key] -= 1
             if st.preds[key] == 0:
@@ -943,20 +927,17 @@ class Checker:
             assert isinstance(s.target, V.FieldAcc)
             base = self.eval(st, s.target.base, st.store, _Mode.EXEC,
                              st.heap, s.span)
-            entry = self._find_perm(st, base, s.target.fieldname)
-            if entry is None:
+            key = (self.norm(base, st), s.target.fieldname)
+            if key not in st.heap:  # the write adds the cell: repair
                 self._err(Category.PERMISSION,
                           f"no permission to write {V.expr_str(s.target)}",
                           s.span)
-                entry = (self.norm(base, st), s.target.fieldname)
-                st.perms.add(entry)  # repair, keep going
-            st.heap[entry] = value
+            st.heap[key] = value
             return [st]
         if isinstance(s, V.NewS):
             ref = self.fresh(s.target)
             st.store[s.target] = ref
             for fld in s.fields:
-                st.perms.add((ref, fld))
                 st.heap[(ref, fld)] = self.fresh(fld)
             return [st]
         if isinstance(s, V.IfS):
@@ -968,7 +949,7 @@ class Checker:
             if verdict is False:
                 return self._exec_block(st, s.els)
             other = st.clone()
-            mark = len(st.path)
+            mark = len(st.facts)
             then = (self._exec_block(st, s.then)
                     if self.assume(st, cond) else [])
             els = (self._exec_block(other, s.els)
@@ -990,13 +971,12 @@ class Checker:
               b: SymState) -> SymState | None:
         """Merge the two sides of an `if` on `cond` into `a`, or None.
 
-        They merge when each path is the `mark` facts before the `if` plus
+        They merge when each holds the `mark` facts before the `if` plus
         its guard, and they differ only in the values of Int or Bool heap
         cells and locals; each such value becomes `ite(cond, a's, b's)`.
-        The guards are dropped from the path: `cond || !cond` holds."""
-        if (len(a.path) != mark + 1 or len(b.path) != mark + 1
-                or a.subst != b.subst or a.perms != b.perms
-                or a.preds != b.preds
+        The guards are dropped from the facts: `cond || !cond` holds."""
+        if (len(a.facts) != mark + 1 or len(b.facts) != mark + 1
+                or a.subst != b.subst or a.preds != b.preds
                 or a.heap.keys() != b.heap.keys()
                 or a.store.keys() != b.store.keys()):
             return None
@@ -1007,10 +987,9 @@ class Checker:
         if store is None:
             return None
         a.heap, a.store = heap, store
-        # the then side assumed the guard in normal form
-        a.joins = tuple(dict.fromkeys(a.joins + b.joins + (a.path[mark],)))
-        del a.path[mark:]
-        a.facts = set(a.path)
+        # the then side assumed the guard, in normal form, last
+        guard, _ = a.facts.popitem()
+        a.joins = tuple(dict.fromkeys(a.joins + b.joins + (guard,)))
         return a
 
     def _join_values(self, cond: SymVal, st: SymState, x: dict, y: dict,
@@ -1077,54 +1056,43 @@ class Checker:
                                       span))
         return states[:MAX_PATHS]
 
-    def _pred_binding(self, decl: V.PredicateDecl, st: SymState,
-                      args: list[V.VExpr], span) -> dict:
-        vals = [self.eval(st, a, st.store, _Mode.EXEC, st.heap, span)
-                for a in args]
-        return dict(zip((n for n, _ in decl.params), vals))
+    def _instance(self, st: SymState, s: V.FoldS | V.UnfoldS,
+                  verb: str) -> tuple | None:
+        """For the `verb` ("fold" or "unfold") statement `s`: the
+        predicate's declaration, its parameters bound to the values of the
+        arguments, and its instance over those parameters.  None, after
+        reporting, for an unknown predicate or a wrong arity."""
+        decl = self.predicates.get(s.pred.name)
+        if decl is None:
+            self._err(Category.FOLD_MISMATCH,
+                      f"{verb} of unknown predicate '{s.pred.name}'", s.span)
+            return None
+        if len(s.pred.args) != len(decl.params):
+            self._err(Category.FOLD_MISMATCH,
+                      f"{s.pred.name} takes {len(decl.params)} arguments",
+                      s.span)
+            return None
+        names = [n for n, _ in decl.params]
+        binding = {n: self.eval(st, a, st.store, _Mode.EXEC, st.heap, s.span)
+                   for n, a in zip(names, s.pred.args)}
+        return decl, binding, V.PredApp(decl.name, list(map(V.Var, names)))
 
     def _fold(self, st: SymState, s: V.FoldS) -> list[SymState]:
-        decl = self.predicates.get(s.pred.name)
-        if decl is None:
-            self._err(Category.FOLD_MISMATCH,
-                      f"fold of unknown predicate '{s.pred.name}'", s.span)
+        found = self._instance(st, s, "fold")
+        if found is None:
             return [st]
-        if len(s.pred.args) != len(decl.params):
-            self._err(Category.FOLD_MISMATCH,
-                      f"{s.pred.name} takes {len(decl.params)} arguments",
-                      s.span)
-            return [st]
-        binding = self._pred_binding(decl, st, s.pred.args, s.span)
+        decl, binding, inst = found
         ctx = _ConsumeCtx(Category.FOLD_MISMATCH, _FoldName(s.pred))
         self.consume(st, decl.body, binding, ctx, s.span)
-        args = tuple(self.norm(binding[n], st) for n, _ in decl.params)
-        st.preds[(s.pred.name, args)] += 1
-        return [st]
+        return self.produce(st, inst, binding)
 
     def _unfold(self, st: SymState, s: V.UnfoldS) -> list[SymState]:
-        decl = self.predicates.get(s.pred.name)
-        if decl is None:
-            self._err(Category.FOLD_MISMATCH,
-                      f"unfold of unknown predicate '{s.pred.name}'",
-                      s.span)
+        found = self._instance(st, s, "unfold")
+        if found is None:
             return [st]
-        if len(s.pred.args) != len(decl.params):
-            self._err(Category.FOLD_MISMATCH,
-                      f"{s.pred.name} takes {len(decl.params)} arguments",
-                      s.span)
-            return [st]
-        binding = self._pred_binding(decl, st, s.pred.args, s.span)
-        args = tuple(self.norm(v, st) for v in binding.values())
-        key = self._find_instance(st, s.pred.name, args)
-        if key is None:
-            self._err(Category.FOLD_MISMATCH,
-                      f"unfold: missing predicate instance "
-                      f"{s.pred.name}("
-                      + ", ".join(sym_str(a) for a in args) + ")", s.span)
-        else:
-            st.preds[key] -= 1
-            if st.preds[key] == 0:
-                del st.preds[key]
+        decl, binding, inst = found
+        ctx = _ConsumeCtx(Category.FOLD_MISMATCH, "unfold")
+        self.consume(st, inst, binding, ctx, s.span)
         return self.produce(st, decl.body, binding)
 
     def _call(self, st: SymState, s: V.CallS) -> list[SymState]:
@@ -1193,7 +1161,7 @@ class Checker:
         states = [s for cur in states
                   for s in self._split_run(cur, consume_posts)]
         for cur in states:
-            for rec, fld in sorted(cur.perms,
+            for rec, fld in sorted(cur.heap,
                                    key=lambda p: (p[1], _key(p[0]))):
                 leaks.append(warning(
                     Category.PERMISSION,

@@ -135,7 +135,7 @@ def test_duality_500():
         ctx = _ConsumeCtx(Category.CONTRACT_VIOLATION, "duality")
         for st in states:
             assert ck.consume(st, a, dict(store), ctx), f"seed {seed}"
-            assert not st.perms and not st.preds and not st.heap, \
+            assert not st.preds and not st.heap, \
                 f"seed {seed}"
         assert not [d for d in ck.diags
                     if d.severity is Severity.ERROR], f"seed {seed}"
@@ -177,12 +177,10 @@ def test_frame_200():
         st = SymState()
         x, y = ck.fresh("x"), ck.fresh("y")
         st.store.update(x=x, y=y)
-        st.perms.add((x, "val"))
         held = Lit(rng.randint(-99, 99))
         st.heap[(x, "val")] = held
         extra_fld = rng.choice(FIELDS)
         kept = Lit(rng.randint(-99, 99))
-        st.perms.add((y, extra_fld))
         st.heap[(y, extra_fld)] = kept
         st.preds[("Seg", (y,))] = 1
         call = harness.methods()["driver"].body[0]
@@ -190,7 +188,7 @@ def test_frame_200():
         assert not [d for d in ck.diags
                     if d.severity is Severity.ERROR], f"seed {seed}"
         for st2 in out:
-            assert (y, extra_fld) in st2.perms, f"seed {seed}"
+            assert (y, extra_fld) in st2.heap, f"seed {seed}"
             assert st2.heap[(y, extra_fld)] == kept, f"seed {seed}"
             assert st2.preds[("Seg", (y,))] == 1, f"seed {seed}"
             assert st2.heap[(x, "val")] != held, f"seed {seed}"

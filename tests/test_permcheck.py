@@ -330,7 +330,6 @@ def test_lookups_see_through_a_later_substitution(ck):
     st = SymState()
     x, y = ck.fresh("x"), ck.fresh("y")
     st.store.update(x=x, y=y)
-    st.perms.add((x, "val"))
     st.heap[(x, "val")] = Lit(7)
     st.preds[("P", (x,))] = 1
     assert ck.assume(st, App("==", (x, y)))
@@ -339,7 +338,6 @@ def test_lookups_see_through_a_later_substitution(ck):
     assert st.store["t"] == Lit(7)
     ck.exec_stmt(st, V.AssignS(V.FieldAcc(V.Var("y"), "val"), V.IntLit(8)))
     assert st.heap == {(y, "val"): Lit(8)}
-    assert st.perms == {(y, "val")}
     ck.exec_stmt(st, V.UnfoldS(pred("P", "y")))
     assert not ck.diags
     assert not st.preds
@@ -384,21 +382,19 @@ def test_bindings_keep_keys_normal_and_lookups_match_a_scan(keys, queries,
     st = SymState()
     keys = list(dict.fromkeys(ck.norm(k, st) for k in keys))
     for i, k in enumerate(keys):
-        st.perms.add((k, "val"))
         st.heap[(k, "val")] = Lit(i)
         st.preds[("P", (k,))] += 1
     for fact in facts:
         if not ck.assume(st, fact):
             break
-        stored = [r for r, _ in st.perms] + [r for r, _ in st.heap] \
-            + [a for _, args in st.preds for a in args] + st.path
+        stored = [r for r, _ in st.heap] + list(st.facts) \
+            + [a for _, args in st.preds for a in args]
         assert all(ck.norm(t, st) == t for t in stored)
-        assert st.facts == set(st.path)
         for q in keys + queries:
             found = scan(ck, st, keys, q)
-            assert (ck._find_perm(st, q, "val") is not None) == (found > 0)
-            key = ck._find_instance(st, "P", (q,))
-            assert (st.preds[key] if key else 0) == found
+            q_n = ck.norm(q, st)
+            assert ((q_n, "val") in st.heap) == (found > 0)
+            assert st.preds.get(("P", (q_n,)), 0) == found
 
 
 def bump_chain(bounds, ints=(), guard="r.f0 > {b}", step="r.f0 + 1",
@@ -487,7 +483,6 @@ def test_produce_acc_grants_permission_and_value(ck):
     x = ck.fresh("x")
     out = ck.produce(st, acc("x", "val"), {"x": x})
     assert out == [st]
-    assert (x, "val") in st.perms
     assert isinstance(st.heap[(x, "val")], Sym)
 
 
@@ -529,7 +524,7 @@ def test_produce_undecidable_conditional_forks(ck):
                 acc("x", "val"), acc("x", "nxt"))
     out = ck.produce(st, a, {"x": x})
     assert len(out) == 2
-    granted = {fld for s in out for _, fld in s.perms}
+    granted = {fld for s in out for _, fld in s.heap}
     assert granted == {"val", "nxt"}
 
 
@@ -541,7 +536,7 @@ def test_produce_decided_conditional_takes_one_branch(ck):
                 acc("x", "val"), acc("x", "nxt"))
     out = ck.produce(st, a, {"x": x})
     assert len(out) == 1
-    assert {fld for _, fld in out[0].perms} == {"val"}
+    assert {fld for _, fld in out[0].heap} == {"val"}
 
 
 # -- consume ------------------------------------------------------------------
@@ -554,7 +549,7 @@ def test_consume_undoes_produce(ck):
     a = V.AndA([acc("x", "val"), pred("P", "x")])
     ck.produce(st, a, store)
     assert ck.consume(st, a, store, CTX)
-    assert not st.perms and not st.preds and not ck.diags
+    assert not st.heap and not st.preds and not ck.diags
 
 
 def test_consume_missing_permission_reports(ck):
@@ -648,7 +643,7 @@ def test_new_grants_all_listed_fields(ck):
     st = SymState()
     ck.exec_stmt(st, V.NewS("r", ["val", "nxt"]))
     r = st.store["r"]
-    assert st.perms == {(r, "val"), (r, "nxt")}
+    assert st.heap.keys() == {(r, "val"), (r, "nxt")}
 
 
 def test_if_forks_on_unknown_condition(ck):
@@ -667,7 +662,6 @@ def test_if_joins_sides_that_differ_in_int_values(ck):
     st = SymState()
     a, x = ck.fresh("a"), ck.fresh("x")
     st.store.update(a=a, x=x)
-    st.perms.add((x, "val"))
     st.heap[(x, "val")] = ck.fresh("val")
     guard = App(">", (a, Lit(0)))
 
@@ -678,7 +672,7 @@ def test_if_joins_sides_that_differ_in_int_values(ck):
                                  write(1), write(2)))
     assert len(out) == 1
     assert out[0].heap[(x, "val")] == App("ite", (guard, Lit(1), Lit(2)))
-    assert out[0].path == []
+    assert out[0].facts == {}
     assert ck.decide(out[0], guard) is None
 
 
@@ -689,7 +683,7 @@ def test_fold_trades_body_for_instance(ck):
     ck.produce(st, acc("x", "val"), st.store)
     ck.exec_stmt(st, V.FoldS(pred("P", "x")))
     assert not ck.diags
-    assert not st.perms
+    assert not st.heap
     assert st.preds[("P", (x,))] == 1
 
 
@@ -720,7 +714,7 @@ def test_unfold_trades_instance_for_body(ck):
     ck.exec_stmt(st, V.UnfoldS(pred("P", "x")))
     assert not ck.diags
     assert not st.preds
-    assert (x, "val") in st.perms
+    assert (x, "val") in st.heap
 
 
 def test_unfold_missing_instance_reports_and_repairs(ck):
@@ -729,7 +723,7 @@ def test_unfold_missing_instance_reports_and_repairs(ck):
     st.store["x"] = x
     ck.exec_stmt(st, V.UnfoldS(pred("P", "x")))
     assert errors(ck, Category.FOLD_MISMATCH)
-    assert (x, "val") in st.perms  # body granted anyway to keep going
+    assert (x, "val") in st.heap  # body granted anyway to keep going
 
 
 def test_unfold_matches_instances_up_to_substitution(ck):
@@ -753,7 +747,7 @@ def test_call_consumes_pre_havocs_and_produces_post(ck):
     assert not ck.diags
     assert len(out) == 1
     after = out[0].heap[(x, "val")]
-    assert (x, "val") in out[0].perms
+    assert (x, "val") in out[0].heap
     assert after != before  # the callee may have changed the field
 
 
@@ -838,7 +832,7 @@ def test_long_if_chain_joins_in_linear_work(monkeypatch):
         diags = check_program(bump_chain(range(0, 10 * k, 10)))
         assert diags == []  # no cap warning
         norms[k] = counts["norm"]
-    assert norms == {8: 159, 64: 1223}
+    assert norms == {8: 158, 64: 1222}
     assert norms[64] <= 10 * norms[8]
 
 

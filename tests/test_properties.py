@@ -60,7 +60,7 @@ def test_produce_consume_duality():
         ctx = _ConsumeCtx(Category.CONTRACT_VIOLATION, "duality")
         for st in states:
             assert ck.consume(st, a, dict(store), ctx), f"seed {seed}"
-            assert not st.perms and not st.preds and not st.heap, \
+            assert not st.preds and not st.heap, \
                 f"seed {seed} left state behind"
         assert no_errors(ck), (seed, [d.message for d in ck.diags])
     # contradictory guards make a few cases vacuously true, never many
@@ -91,12 +91,10 @@ def test_calls_frame_unrelated_permissions():
         st = SymState()
         x, y = ck.fresh("x"), ck.fresh("y")
         st.store.update(x=x, y=y)
-        st.perms.add((x, "val"))
         st.heap[(x, "val")] = Lit(rng.randint(-99, 99))
         held = st.heap[(x, "val")]
         extra_fld = rng.choice(FIELDS)
         kept = Lit(rng.randint(-99, 99))
-        st.perms.add((y, extra_fld))
         st.heap[(y, extra_fld)] = kept
         extra_pred = rng.choice(("P", "Q", "Seg"))
         st.preds[(extra_pred, (y,))] = 1
@@ -108,7 +106,7 @@ def test_calls_frame_unrelated_permissions():
         out = ck.exec_stmt(st, call_stmt(method))
         assert no_errors(ck), (seed, [d.message for d in ck.diags])
         for st2 in out:
-            assert (y, extra_fld) in st2.perms, f"seed {seed}"
+            assert (y, extra_fld) in st2.heap, f"seed {seed}"
             assert st2.heap[(y, extra_fld)] == kept, f"seed {seed}"
             assert st2.preds[(extra_pred, (y,))] >= 1, f"seed {seed}"
             if method == "mov":
