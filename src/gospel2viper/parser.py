@@ -37,7 +37,7 @@ from .surface import (AnnotationPayload, AppE, Assertion, AssignE, BinE,
                       FieldE, FunDecl, GhostCommand, GhostDecl,
                       GhostKind, IfA, IfE, IndexE, IntLit, IntT,
                       LemmaDef, LetIn, LetPatA, LogicalFunctionDef, MatchArm,
-                      MatchE, NamedT, OwnsA, PredA, PredicateDef, PureA,
+                      MatchE, NamedT, OwnsA, PredicateDef, PureA,
                       RecordAlloc, RecordKind, SeqE, SeqT, SepA, SliceFromE,
                       SurfaceDecl, SurfaceExpr, SurfaceModule, SurfaceType,
                       TypeDecl, UnE, UnitLit, VarE, VariantKind)
@@ -787,21 +787,6 @@ class _ModuleParser(_P):
 # --------------------------------------------------------------------------
 # post-parse resolution and validation
 
-def _resolve_assertion(a: Assertion, preds: dict) -> Assertion:
-    if isinstance(a, PureA) and isinstance(a.expr, AppE):
-        e = a.expr
-        if e.fn in preds and not e.ghost_args:
-            return PredA(e.fn, e.args, span=a.span)
-    if isinstance(a, SepA):
-        a.parts = [_resolve_assertion(x, preds) for x in a.parts]
-    elif isinstance(a, IfA):
-        a.then = _resolve_assertion(a.then, preds)
-        a.els = _resolve_assertion(a.els, preds)
-    elif isinstance(a, LetPatA):
-        a.body = _resolve_assertion(a.body, preds)
-    return a
-
-
 def _walk_ghosts(e: SurfaceExpr | GhostCommand):
     if isinstance(e, GhostCommand):
         yield e
@@ -914,22 +899,6 @@ def _validate(m: SurfaceModule, diags: list[Diagnostic]) -> None:
                     Category.PARSE,
                     f"'{cmd.target}' takes {arity} arguments, "
                     f"got {len(cmd.args)}", cmd.span))
-
-    # classify whole-conjunct applications of declared predicates
-    known = dict(preds)
-    for d in m.decls:
-        if isinstance(d, GhostDecl) and isinstance(d.payload, PredicateDef):
-            d.payload.body = _resolve_assertion(d.payload.body, known)
-        elif isinstance(d, GhostDecl) and isinstance(d.payload, LemmaDef):
-            d.payload.requires = [_resolve_assertion(a, known)
-                                  for a in d.payload.requires]
-            d.payload.ensures = [_resolve_assertion(a, known)
-                                 for a in d.payload.ensures]
-        elif isinstance(d, FunDecl) and d.spec is not None:
-            d.spec.requires = [_resolve_assertion(a, known)
-                               for a in d.spec.requires]
-            d.spec.ensures = [_resolve_assertion(a, known)
-                              for a in d.spec.ensures]
 
 
 def parse_module(tokens: Tokens) -> tuple[SurfaceModule | None, list[Diagnostic]]:

@@ -204,13 +204,6 @@ class OwnsA(Assertion):
 
 
 @dataclass
-class PredA(Assertion):
-    name: str
-    args: list[SurfaceExpr]
-    span: Span | None = _span()
-
-
-@dataclass
 class SepA(Assertion):
     """A && chain of two or more assertions, kept flat."""
     parts: list[Assertion]

@@ -36,7 +36,7 @@ from .surface import (AppE, AssignE, Assertion, BinE, BoolLit, BoolT,
                       ContractSpec, CtorE, FieldDef, FieldE, FunDecl,
                       GhostCommand, GhostDecl, GhostKind, IfA, IfE,
                       IndexE, IntLit, IntT, LemmaDef, LetIn, LetPatA,
-                      LogicalFunctionDef, MatchE, NamedT, OwnsA, PredA,
+                      LogicalFunctionDef, MatchE, NamedT, OwnsA,
                       PredicateDef, PureA, RecordAlloc, RecordKind, SeqE,
                       SeqT, SepA, SliceFromE, SurfaceExpr, SurfaceModule,
                       SurfaceType, TypeDecl, UnE, UnitLit, VariantKind, VarE)
@@ -88,7 +88,6 @@ class _Tr:
         self.types: dict[str, _TypeInfo] = {}
         self.ctors: dict[str, _CtorInfo] = {}
         self.fields: dict[str, SurfaceType] = {}
-        self.field_order: list[str] = []
         self.preds = module.predicates()
         self.lemmas = module.lemmas()
         self.logical = module.logical_functions()
@@ -125,7 +124,6 @@ class _Tr:
                              f"type", f.span)
                 continue
             self.fields[f.name] = f.typ
-            self.field_order.append(f.name)
 
     def map_type(self, t: SurfaceType, span: Span | None) -> V.VType:
         if isinstance(t, IntT):
@@ -259,11 +257,14 @@ class _Tr:
     def tr_assertion(self, a: Assertion,
                      env: dict[str, V.VExpr]) -> V.VAssertion:
         if isinstance(a, PureA):
-            return V.Pure(self.tr_expr(a.expr, env), span=a.span)
-        if isinstance(a, PredA):
-            return V.PredApp(_cap(a.name),
-                             [self.tr_expr(x, env) for x in a.args],
-                             span=a.span)
+            e = a.expr
+            # a whole conjunct that applies a predicate is an instance;
+            # specs are parsed in spec mode, so it has no ghost arguments
+            if isinstance(e, AppE) and e.fn in self.preds:
+                return V.PredApp(_cap(e.fn),
+                                 [self.tr_expr(x, env) for x in e.args],
+                                 span=a.span)
+            return V.Pure(self.tr_expr(e, env), span=a.span)
         if isinstance(a, OwnsA):
             target = self.tr_expr(a.target, env)
             accs: list[V.VAssertion] = []
@@ -355,6 +356,16 @@ class _Tr:
             return []
         args = [self.tr_expr(a, ctx.env) for a in e.args]
         args += [self.tr_expr(a, ctx.env) for a in e.ghost_args]
+        callee = self.funs[e.fn]
+        spec = callee.spec
+        arity = len(callee.params) + (len(spec.ghost_params) if spec else 0)
+        if len(args) != arity:
+            self.err(f"'{e.fn}' takes {arity} arguments, got {len(args)}",
+                     e.span)
+            return []
+        if target is not None and not (spec and spec.results):
+            self.err(f"'{e.fn}' has no result to bind", e.span)
+            return []
         out: list[V.VStmt] = []
         targets: list[str] = []
         if target is not None:
@@ -539,9 +550,8 @@ class _Tr:
             elif isinstance(d, FunDecl):
                 methods.append(self._tr_fun(d))
 
-        for fname in self.field_order:
-            typ = self.map_type(self.fields[fname], None)
-            fields.append(V.FieldDecl(fname, typ))
+        for fname, ftyp in self.fields.items():
+            fields.append(V.FieldDecl(fname, self.map_type(ftyp, None)))
 
         if not self.no_prelude:
             pre = [f for f in prelude_decls()

@@ -224,6 +224,28 @@ def test_verifier_receives_the_target_path(tmp_path):
     assert log.read_text().strip() == str(tmp_path / "good.vpr")
 
 
+WRONG_CALL = """\
+type c = { mutable v : int }
+let zero (x: c) =
+  x.v <- 0
+(*@ zero x requires x ~> {v} ensures x ~> {v} *)
+let twice (x: c) =
+  zero x x
+(*@ twice x requires x ~> {v} ensures x ~> {v} *)
+"""
+
+
+@pytest.mark.parametrize("check", [False, True])
+def test_call_with_an_extra_argument_is_not_written(tmp_path, check):
+    src = tmp_path / "call.ml"
+    src.write_text(WRONG_CALL)
+    status, out, err = invoke(src, check=check)
+    assert status == 1 and out == ""
+    assert err == (f"{src}:6:3: error[translation]: 'zero' takes 1 "
+                   f"arguments, got 2\n")
+    assert not (tmp_path / "call.vpr").exists()
+
+
 def test_console_entry_point(tmp_path):
     src = tmp_path / "good.ml"
     src.write_text(GOOD)

@@ -12,7 +12,7 @@ from gospel2viper.parser import _BINOPS, parse_module, parse_source
 from gospel2viper.surface import (AppE, AssignE, BinE, BoolLit, CtorE,
                                   FieldE, GhostCommand, GhostKind, IfA,
                                   IndexE, IntLit, LetIn, LetPatA, MatchE,
-                                  OwnsA, PredA, PureA, RecordAlloc, SeqE,
+                                  OwnsA, PureA, RecordAlloc, SeqE,
                                   SepA, SliceFromE, UnE, VarE)
 from gospel2viper.translate import translate_source
 
@@ -152,14 +152,6 @@ def test_predicate_definition_shape():
     assert inner.parts[0].fields == ["content", "next"]
 
 
-def test_whole_conjunct_application_resolves_to_predicate():
-    m = ok(PRED)
-    body = m.predicates()["seg"].body
-    last = body.els.body.parts[-1]
-    assert isinstance(last, PredA)
-    assert last.name == "seg"
-
-
 def test_contract_attaches_to_preceding_function():
     m = ok("""
 let f (q: int) = q
@@ -219,8 +211,9 @@ type cell = Nil | Cons of { mutable next : cell }
     lem = m.lemmas()["seg_trans"]
     req = lem.requires[0]
     assert isinstance(req, SepA)
-    assert [type(a) for a in req.parts] == [PredA, PredA]
-    assert req.parts[0].name == "seg"
+    assert [type(a) for a in req.parts] == [PureA, PureA]
+    assert req.parts[0].expr.fn == "seg"
+    assert [type(x) for x in req.parts[0].expr.args] == [VarE, VarE]
 
 
 def test_ghost_commands_in_statement_position():

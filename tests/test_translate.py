@@ -4,10 +4,11 @@ so layout never matters."""
 
 import pytest
 from gospel2viper import translate_source
-from gospel2viper.diagnostics import Severity
+from gospel2viper.diagnostics import Category, Severity
+from gospel2viper.permcheck import check_program
 from gospel2viper.viper_ast import (AssignS, CallS, FoldS, IfS, IsTest,
-                                    MethodDecl, NewS, UnfoldS, golden_equal,
-                                    pretty, pretty_stmts)
+                                    MethodDecl, NewS, PredApp, UnfoldS,
+                                    golden_equal, pretty, pretty_stmts)
 
 CELL = ("type cell = Nil | Cons of "
         "{ mutable content : int; mutable next : cell }\n")
@@ -82,6 +83,31 @@ def test_nullary_comparison_becomes_is_test():
     prog = tr(CELL + "(*@ predicate p (c: cell) = c = Nil *)")
     body = prog.predicates()["P"].body
     assert body.expr == IsTest(body.expr.base, "Nil")
+
+
+def test_whole_conjunct_application_is_a_predicate_instance():
+    prog = tr(CELL + """
+(*@ predicate seg (from: cell) (v: int sequence) (to: cell) =
+      if v = empty then to = from
+      else let Cons c = from in c ~> {content; next} &&
+           seg c.next (v[1 ..]) to *)
+""")
+    body = prog.predicates()["Seg"].body
+    last = body.els.parts[-1].body.parts[-1]
+    assert isinstance(last, PredApp)
+    assert last.name == "Seg" and len(last.args) == 3
+
+
+def test_lemma_applications_are_predicate_instances():
+    prog = tr(CELL + """
+(*@ predicate seg (a: cell) (b: cell) = a = b *)
+(*@ lemma seg_trans (a: cell) (b: cell) (c: cell)
+    requires seg(a, b) && seg(b, c)
+    ensures seg(a, c) *)
+""")
+    req = prog.methods()["Seg_trans"].pres[0]
+    assert [type(a) for a in req.parts] == [PredApp, PredApp]
+    assert req.parts[0].name == "Seg"
 
 
 def test_sequence_builtins():
@@ -202,6 +228,50 @@ let bump (q: cell) =
     assert msgs
 
 
+BOX = CELL + """type box = { mutable item : cell }
+(*@ predicate own (c: cell) (v: int sequence) = c = c *)
+"""
+
+
+def in_cons_arm(body):
+    """`bump` matches `b.item` and runs `body` in its `Cons last` arm."""
+    return BOX + f"""
+let bump (b: box) (s: int sequence) =
+  match b.item with
+  | Nil -> ()
+  | Cons last ->
+{body}
+(*@ bump b s requires b = b ensures b = b *)
+"""
+
+
+REASSIGNED = ("binder 'last' is used after its scrutinee path was "
+              "reassigned")
+
+
+@pytest.mark.parametrize("body", [
+    "    if last.content > 0 then (b.item <- Nil; last.content <- 0)",
+    "    b.item <- Nil;\n"
+    "    let a : int = - last.content in\n"
+    "    b.item <- Nil",
+], ids=["if-branch", "let-rhs"])
+def test_binder_use_after_a_nested_scrutinee_write_is_reported(body):
+    assert [m for m in failures(in_cons_arm(body))] == [REASSIGNED +
+        "; bind the payload before mutating it"]
+
+
+def test_binder_uses_before_the_scrutinee_write_are_not_reported():
+    # last is read in a let, an allocation, a nested match and the
+    # arguments of ghost commands, all before b.item is written
+    tr(in_cons_arm("""\
+    let a : int = - last.content in
+    let n : cell = Cons { content = a; next = last.next } in
+    (match last.next with Nil -> () | Cons d -> d.content <- a);
+    (*@ fold own n (s[1 ..]) *)
+    (*@ unfold own n (singleton (s[0])) *)
+    b.item <- n"""))
+
+
 def test_if_statement_translation():
     prog = tr("""
 type t = { mutable a : int }
@@ -301,6 +371,58 @@ def test_lemma_is_a_bodyless_capitalized_method():
     lem = prog.methods()["Seg_trans"]
     assert lem.body is None
     assert isinstance(lem, MethodDecl)
+
+
+VALUE_CELL = """
+type c = { mutable v : int }
+let get (x: c) : int =
+  let r : int = x.v in
+  r
+(*@ r = get x requires x ~> {v} ensures x ~> {v} *)
+let zero (x: c) =
+  x.v <- 0
+(*@ zero x requires x ~> {v} ensures x ~> {v} *)
+let keep (x: c) =
+  x.v <- x.v
+(*@ keep x [n: int] requires x ~> {v} ensures x ~> {v} *)
+"""
+
+
+def test_let_bound_call_declares_its_target_and_checks_clean():
+    prog = tr(VALUE_CELL + """
+let bump (x: c) : int =
+  let a : int = get x in
+  x.v <- a + 1;
+  let s : int = get x in
+  s
+(*@ s = bump x requires x ~> {v} ensures x ~> {v} *)
+""")
+    # a local target is declared first; the result is assigned directly
+    assert golden_equal(pretty_stmts(prog.methods()["bump"].body), """
+var a: Int
+a := get(x)
+x.v := a + 1
+s := get(x)
+""")
+    assert check_program(prog) == []
+    assert check_program(prog, strict=True) == []
+
+
+@pytest.mark.parametrize("caller, message", [
+    ("let f (x: c) =\n  zero x x\n", "'zero' takes 1 arguments, got 2"),
+    ("let f (x: c) =\n  keep x\n", "'keep' takes 2 arguments, got 1"),
+    ("let f (x: c) : int =\n  let r : int = zero x in\n  r\n",
+     "'zero' has no result to bind"),
+], ids=["extra-argument", "missing-ghost-argument", "bound-unit-call"])
+def test_call_of_the_wrong_shape_is_a_translation_error(caller, message):
+    # Viper rejects a call whose arity or targets do not fit the method
+    result = "r = " if "let r" in caller else ""
+    source = (VALUE_CELL + caller
+              + f"(*@ {result}f x requires x ~> {{v}} ensures x ~> {{v}} *)\n")
+    prog, diags = translate_source(source)
+    assert prog is None
+    assert [(d.severity, d.category, d.message) for d in diags] == [
+        (Severity.ERROR, Category.TRANSLATION, message)]
 
 
 def test_apply_becomes_a_call():
