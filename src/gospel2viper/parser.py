@@ -828,6 +828,16 @@ def _validate(m: SurfaceModule, diags: list[Diagnostic]) -> None:
                                f"duplicate {namespace} name '{name}'", span))
         seen[key] = span
 
+    def distinct(params: list[tuple[str, SurfaceType]],
+                 span: Span | None) -> None:
+        names: set[str] = set()
+        for name, _ in params:
+            if name in names:
+                diags.append(error(
+                    Category.PARSE, f"duplicate parameter name '{name}'",
+                    span))
+            names.add(name)
+
     ctor_owner: dict[str, str] = {}
     for d in m.decls:
         if isinstance(d, TypeDecl):
@@ -842,10 +852,12 @@ def _validate(m: SurfaceModule, diags: list[Diagnostic]) -> None:
                     ctor_owner[c.name] = d.name
         elif isinstance(d, FunDecl):
             unique("function", d.name, d.span)
+            distinct(d.params, d.span)
         elif isinstance(d, GhostDecl):
             kind = {PredicateDef: "predicate", LemmaDef: "lemma",
                     LogicalFunctionDef: "logical function"}[type(d.payload)]
             unique(kind, d.payload.name, d.span)
+            distinct(d.payload.params, d.span)
 
     for d in m.decls:
         if not isinstance(d, FunDecl):

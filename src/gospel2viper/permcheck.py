@@ -42,26 +42,39 @@ so programs over concrete sequences are fully decidable.  An operator
 applied to an `ite` whose arms are literals is lifted over it, so that
 `ite(c, 1, 2) > 0` folds to true; `ite(c, true, false)` is `c`.
 
+Terms are hash-consed (Filliâtre and Conchon, "Type-Safe Modular
+Hash-Consing"): `Lit`, `Ctor`, `SeqV` and `App` are built through one
+table, `_TERMS`, keyed by class and fields, so equal terms are one object
+that hashes and compares by identity, in C.  A symbol is an `int`, its
+id, so it too hashes and compares in C.  Symbol ids restart in every
+method and a symbol's hint takes no part in equality, so the table hands
+out a term only when its children are the very objects asked for: a term
+that outlives its method never stands in for one over another method's
+symbols.  The table holds its terms by weak references whose callback
+removes the entry, so it keeps no term alive: a term leaves the table
+when nothing else refers to it.  Every checker in the process shares the
+table, which takes no lock: checkers run in one thread.
+
 A value that K joins built is a term of K levels that shares its
 subterms; walked as a tree it has 2^K nodes.  So every walk over terms
 visits each node once: the arguments of `==`, `&&` and `||` are sorted by
-a structural key cached on each term (`_key`), not by `repr`; the occurs
-check remembers the nodes it saw; and normalising an unchanged term
-returns the term itself, so the sharing survives.  Diagnostics print an
-ite nested in two others as "...".
+a structural key cached on each compound term (`_key`), not by `repr`;
+the occurs check remembers the nodes it saw; and normalising an unchanged
+term returns the term itself, as interning must, so the sharing survives.
+Diagnostics print an ite nested in two others as "...".
 
-A statement costs a few calls per node of its expressions.  `eval` finds
-the handler for a node's class in one table (`_EVAL`).  A symbol is an
-`int`, its id, so it hashes and compares without a Python frame; a
-compound term computes its hash once and caches it.  A field read
-normalises its receiver once, for the permission probe and the heap read
-alike.  `_simplify` tries the arithmetic operators first, and lifts an
-operator over an `ite` only in a method that has built one.
+A statement costs a few calls per node of its expressions.  `eval`,
+`_produce`, `_consume` and `exec_stmt` each find the handler for a node's
+class in one table (`_EVAL`, `_PRODUCE`, `_CONSUME`, `_EXEC`).  A field
+read normalises its receiver once, for the permission probe and the heap
+read alike.  `_simplify` tries the arithmetic operators first, and lifts
+an operator over an `ite` only in a method that has built one.
 
-Each term is normalised once per substitution: `norm` memoises in the
-state's `memo`, a normal form being its own normal form; clones share it,
-and a binding starts a fresh one, so it lives only as long as the states
-that use it.
+Each term is normalised once per substitution: `norm` first probes the
+state's `memo`, for every kind of term, so a term already normalised costs
+one dict probe.  It memoises a symbol too (an unbound one to itself), and
+a normal form to itself; clones share the memo, and a binding starts a
+fresh one, so it lives only as long as the states that use it.
 Every heap key, instance argument and fact of a state is in normal form
 under the state's own substitution, as in Smallfoot's symbolic heaps.
 `Checker._bind` alone grows the substitution, and it restores that
@@ -78,6 +91,7 @@ from __future__ import annotations
 
 import itertools
 import operator
+import weakref
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
@@ -93,22 +107,7 @@ _SCALAR = frozenset({"Int", "Bool"})  # types whose values a join merges
 
 
 class SymVal:
-    pass
-
-
-def _cached_hash(fields):
-    """A `__hash__` over `fields(self)`, the tuple of declared fields,
-    cached in `__dict__`.
-
-    Compound terms are immutable and often deep, so each caches its hash
-    and its sort key (`_key`).  The hash covers the declared fields only:
-    a cached key must not change the hash of equal terms."""
-    def __hash__(self) -> int:
-        h = self.__dict__.get("_hash")
-        if h is None:
-            h = self.__dict__["_hash"] = hash(fields(self))
-        return h
-    return __hash__
+    __slots__ = ()
 
 
 class Sym(int, SymVal):
@@ -125,39 +124,102 @@ class Sym(int, SymVal):
         return f"Sym(id={self.id})"
 
 
-@dataclass(frozen=True, eq=False)
+class _Ref(weakref.ref):
+    """An entry of `_TERMS`: a weak reference to a term and its key."""
+    __slots__ = ("key",)
+
+
+_TERMS: dict = {}  # {(class, fields...): _Ref(term)}
+
+
+def _forget(ref: _Ref, terms: dict = _TERMS) -> None:
+    """Drop the entry of a term that died, unless a newer term took its
+    key (see `_live`)."""
+    if terms.get(ref.key) is ref:
+        del terms[ref.key]
+
+
+def _live(key: tuple):
+    """The live term interned under `key` whose children (the last field
+    of a key) are the very objects in `key`, else None.  A symbol equals
+    every symbol with its id and ids restart in every method, so a term
+    that outlives its method must not stand in for one over the new
+    method's symbols."""
+    ref = _TERMS.get(key)
+    if ref is not None:
+        t = ref()
+        if t is not None and all(map(operator.is_, ref.key[-1], key[-1])):
+            return t
+    return None
+
+
+def _intern(t: SymVal, key: tuple) -> None:
+    ref = _Ref(t, _forget)
+    ref.key = key
+    _TERMS[key] = ref
+
+
 class Lit(SymVal):
-    value: object  # int or bool
+    """An int or bool literal.  1 and True are different literals: equal
+    terms must render alike."""
+    __slots__ = ("value", "__weakref__")
 
-    # 1 and True are different literals: equal terms must render alike
-    def __eq__(self, other):
-        return (isinstance(other, Lit) and self.value == other.value
-                and type(self.value) is type(other.value))
+    def __new__(cls, value):
+        key = (cls, value, type(value))
+        ref = _TERMS.get(key)
+        t = None if ref is None else ref()
+        if t is None:
+            t = object.__new__(cls)
+            t.value = value
+            _intern(t, key)
+        return t
 
-    # 1 and True, and -1 and -2, share a hash, which costs one __eq__; the
-    # complement keeps non-negative literals apart from symbols
-    def __hash__(self):
-        return ~hash(self.value)
-
-
-@dataclass(frozen=True)
-class Ctor(SymVal):
-    name: str
-    args: tuple = ()
-    __hash__ = _cached_hash(lambda t: (t.name, t.args))
+    def __repr__(self) -> str:
+        return f"Lit({self.value!r})"
 
 
-@dataclass(frozen=True)
+class _Node(SymVal):
+    """A compound term `name(args)`; `sortkey` caches `_key`."""
+    __slots__ = ("name", "args", "sortkey", "__weakref__")
+
+    def __new__(cls, name: str, args: tuple = ()):
+        key = (cls, name, args)
+        t = _live(key)
+        if t is None:
+            t = object.__new__(cls)
+            t.name, t.args, t.sortkey = name, args, None
+            _intern(t, key)
+        return t
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self.name!r}, {self.args!r})"
+
+
+class Ctor(_Node):
+    """A constructor of an ADT applied to its payload."""
+    __slots__ = ()
+
+
+class App(_Node):
+    """An operator or function applied to its arguments."""
+    __slots__ = ()
+
+
 class SeqV(SymVal):
-    elems: tuple = ()
-    __hash__ = _cached_hash(lambda t: (t.elems,))
+    """A literal sequence."""
+    __slots__ = ("elems", "sortkey", "__weakref__")
 
+    def __new__(cls, elems: tuple = ()):
+        key = (cls, elems)
+        t = _live(key)
+        if t is None:
+            t = object.__new__(cls)
+            t.elems, t.sortkey = elems, None
+            _intern(t, key)
+        return t
 
-@dataclass(frozen=True)
-class App(SymVal):
-    name: str
-    args: tuple = ()
-    __hash__ = _cached_hash(lambda t: (t.name, t.args))
+    def __repr__(self) -> str:
+        return f"SeqV({self.elems!r})"
 
 
 TRUE = Lit(True)
@@ -175,14 +237,14 @@ def _key(v: SymVal) -> tuple:
         return (4, v.id)
     if isinstance(v, Lit):
         return (2, type(v.value).__name__, v.value)
-    k = v.__dict__.get("_key")
+    k = v.sortkey
     if k is None:
         if isinstance(v, SeqV):
             k = (3, "", tuple(map(_key, v.elems)))
         else:
             k = (0 if isinstance(v, App) else 1, v.name,
                  tuple(map(_key, v.args)))
-        v.__dict__["_key"] = k
+        v.sortkey = k
     return k
 
 
@@ -313,32 +375,25 @@ class Checker:
     # -- normalization ------------------------------------------------------
 
     def norm(self, v: SymVal, st: SymState) -> SymVal:
-        if isinstance(v, Sym):
-            repl = st.subst.get(v.id)
-            return v if repl is None else self.norm(repl, st)
-        if isinstance(v, Lit):
-            return v
         memo = st.memo
         n = memo.get(v)
         if n is not None:
             return n
-        if isinstance(v, Ctor):
-            args = tuple(self.norm(a, st) for a in v.args)
-            n = v if args == v.args else Ctor(v.name, args)
-        elif isinstance(v, SeqV):
-            elems = tuple(self.norm(a, st) for a in v.elems)
-            n = v if elems == v.elems else SeqV(elems)
-        elif isinstance(v, App):
-            args = tuple(self.norm(a, st) for a in v.args)
-            n = self._simplify(v.name, args)
-            if (isinstance(n, App) and n.name == v.name
-                    and len(n.args) == len(v.args)
-                    and all(map(operator.is_, n.args, v.args))):
-                # keep the object: equal terms that share their subterms
-                # compare in one step, distinct copies node by node
-                n = v
+        cls = type(v)
+        if cls is App:
+            n = self._simplify(v.name, tuple([self.norm(a, st)
+                                              for a in v.args]))
+        elif cls is Sym:
+            repl = st.subst.get(v)
+            n = v if repl is None else self.norm(repl, st)
+        elif cls is Lit:
+            n = v
+        elif cls is Ctor:
+            n = Ctor(v.name, tuple([self.norm(a, st) for a in v.args]))
+        elif cls is SeqV:
+            n = SeqV(tuple([self.norm(a, st) for a in v.elems]))
         else:
-            raise TypeError(type(v).__name__)
+            raise TypeError(cls.__name__)
         memo[v] = n
         if n is not v:
             memo[n] = n  # a normal form is its own
@@ -556,11 +611,11 @@ class Checker:
         todo = [v]
         while todo:
             t = todo.pop()
-            if isinstance(t, Lit) or id(t) in seen:
+            if isinstance(t, Lit) or t in seen:
                 continue
             if t in guards:
                 return t
-            seen.add(id(t))
+            seen.add(t)
             if not isinstance(t, Sym):
                 todo.extend(reversed(t.elems if isinstance(t, SeqV)
                                      else t.args))
@@ -768,58 +823,73 @@ class Checker:
 
     def _produce(self, st: SymState, a: V.VAssertion, store: dict,
                  scratch: dict) -> list[SymState]:
-        if isinstance(a, V.Pure):
-            val = self.eval(st, a.expr, store, _Mode.PRODUCE, scratch,
-                            a.span)
-            return [st] if self.assume(st, val) else []
-        if isinstance(a, V.Acc):
-            base = self.eval(st, a.loc.base, store, _Mode.PRODUCE, scratch,
-                             a.span)
-            key = (self.norm(base, st), a.loc.fieldname)
-            if key in st.heap:
-                return []  # a second whole permission cannot exist
-            st.heap[key] = self.fresh(key[1])
-            return [st]
-        if isinstance(a, V.PredApp):
-            args = tuple(self.norm(
-                self.eval(st, x, store, _Mode.PRODUCE, scratch, a.span), st)
-                for x in a.args)
-            st.preds[(a.name, args)] += 1
-            return [st]
-        if isinstance(a, V.AndA):
-            # depth first: each state takes all remaining parts before the
-            # next state starts, which fixes the order of fresh symbols
-            out: list[SymState] = []
-            todo = [(st, 0)]
-            while todo:
-                s, i = todo.pop()
-                if i == len(a.parts):
-                    out.append(s)
-                else:
-                    nxt = self._produce(s, a.parts[i], store, scratch)
-                    todo.extend((t, i + 1) for t in reversed(nxt))
-            return out
-        if isinstance(a, V.CondA):
-            cond = self.eval(st, a.cond, store, _Mode.PRODUCE, scratch,
-                             a.span)
-            verdict = self.decide(st, cond)
-            if verdict is True:
-                return self._produce(st, a.then, store, scratch)
-            if verdict is False:
-                return self._produce(st, a.els, store, scratch)
-            other = st.clone()
-            out = []
-            if self.assume(st, cond):
-                out.extend(self._produce(st, a.then, store, scratch))
-            if self.assume(other, App("not", (cond,))):
-                out.extend(self._produce(other, a.els, store, scratch))
-            return out
-        if isinstance(a, V.LetA):
-            inner = dict(store)
-            inner[a.name] = self.eval(st, a.bound, store, _Mode.PRODUCE,
-                                      scratch, a.span)
-            return self._produce(st, a.body, inner, scratch)
-        raise TypeError(f"cannot produce {type(a).__name__}")
+        try:
+            handler = self._PRODUCE[type(a)]
+        except KeyError:
+            raise TypeError(f"cannot produce {type(a).__name__}") from None
+        return handler(self, st, a, store, scratch)
+
+    # One handler per assertion class, looked up by `_produce` in
+    # `_PRODUCE`.  Each takes _produce's arguments: (st, a, store, scratch).
+
+    def _produce_pure(self, st, a, store, scratch) -> list[SymState]:
+        val = self.eval(st, a.expr, store, _Mode.PRODUCE, scratch, a.span)
+        return [st] if self.assume(st, val) else []
+
+    def _produce_acc(self, st, a, store, scratch) -> list[SymState]:
+        base = self.eval(st, a.loc.base, store, _Mode.PRODUCE, scratch,
+                         a.span)
+        key = (self.norm(base, st), a.loc.fieldname)
+        if key in st.heap:
+            return []  # a second whole permission cannot exist
+        st.heap[key] = self.fresh(key[1])
+        return [st]
+
+    def _produce_pred(self, st, a, store, scratch) -> list[SymState]:
+        args = tuple(self.norm(
+            self.eval(st, x, store, _Mode.PRODUCE, scratch, a.span), st)
+            for x in a.args)
+        st.preds[(a.name, args)] += 1
+        return [st]
+
+    def _produce_and(self, st, a, store, scratch) -> list[SymState]:
+        # depth first: each state takes all remaining parts before the
+        # next state starts, which fixes the order of fresh symbols
+        out: list[SymState] = []
+        todo = [(st, 0)]
+        while todo:
+            s, i = todo.pop()
+            if i == len(a.parts):
+                out.append(s)
+            else:
+                nxt = self._produce(s, a.parts[i], store, scratch)
+                todo.extend((t, i + 1) for t in reversed(nxt))
+        return out
+
+    def _produce_cond(self, st, a, store, scratch) -> list[SymState]:
+        cond = self.eval(st, a.cond, store, _Mode.PRODUCE, scratch, a.span)
+        verdict = self.decide(st, cond)
+        if verdict is True:
+            return self._produce(st, a.then, store, scratch)
+        if verdict is False:
+            return self._produce(st, a.els, store, scratch)
+        other = st.clone()
+        out = []
+        if self.assume(st, cond):
+            out.extend(self._produce(st, a.then, store, scratch))
+        if self.assume(other, App("not", (cond,))):
+            out.extend(self._produce(other, a.els, store, scratch))
+        return out
+
+    def _produce_let(self, st, a, store, scratch) -> list[SymState]:
+        inner = dict(store)
+        inner[a.name] = self.eval(st, a.bound, store, _Mode.PRODUCE,
+                                  scratch, a.span)
+        return self._produce(st, a.body, inner, scratch)
+
+    _PRODUCE = {V.Pure: _produce_pure, V.Acc: _produce_acc,
+                V.PredApp: _produce_pred, V.AndA: _produce_and,
+                V.CondA: _produce_cond, V.LetA: _produce_let}
 
     def consume(self, st: SymState, a: V.VAssertion, store: dict,
                 ctx: _ConsumeCtx, span=None) -> bool:
@@ -830,142 +900,172 @@ class Checker:
 
     def _consume(self, st: SymState, a: V.VAssertion, store: dict,
                  snapshot: dict, ctx: _ConsumeCtx, span) -> bool:
+        try:
+            handler = self._CONSUME[type(a)]
+        except KeyError:
+            raise TypeError(f"cannot consume {type(a).__name__}") from None
+        return handler(self, st, a, store, snapshot, ctx, span)
+
+    # One handler per assertion class, looked up by `_consume` in
+    # `_CONSUME`.  Each takes _consume's arguments: (st, a, store, snapshot,
+    # ctx, span), `span` being the enclosing one; each reports at `a.span`,
+    # else at `span`.
+
+    def _consume_pure(self, st, a, store, snapshot, ctx, span) -> bool:
         at = a.span or span
-        if isinstance(a, V.Pure):
-            val = self.eval(st, a.expr, store, _Mode.CONSUME, snapshot, at)
-            verdict = self.decide(st, val)
-            if verdict is None:
-                sides = self._sides(st, val)
-                verdict = (False if False in sides
-                           else None if None in sides else True)
-            if verdict is True:
-                return True
-            if verdict is False:
-                self._err(ctx.pred_category,
-                          f"{ctx.what}: condition {V.expr_str(a.expr)} "
-                          f"is false", at)
-                return False
-            if self.strict:
-                self._err(Category.PURE_OBLIGATION,
-                          f"{ctx.what}: cannot establish "
-                          f"{V.expr_str(a.expr)}", at)
-                return False
-            self.diags.append(obligation(
-                f"{ctx.what}: {V.expr_str(a.expr)} is assumed, not proved",
-                at))
+        val = self.eval(st, a.expr, store, _Mode.CONSUME, snapshot, at)
+        verdict = self.decide(st, val)
+        if verdict is None:
+            sides = self._sides(st, val)
+            verdict = (False if False in sides
+                       else None if None in sides else True)
+        if verdict is True:
             return True
-        if isinstance(a, V.Acc):
-            base = self.eval(st, a.loc.base, store, _Mode.CONSUME, snapshot,
-                             at)
-            key = (self.norm(base, st), a.loc.fieldname)
-            if key not in st.heap:
-                self._err(Category.PERMISSION,
-                          f"{ctx.what}: no permission to give up "
-                          f"{V.expr_str(a.loc)}", at)
-                return False
-            del st.heap[key]
-            return True
-        if isinstance(a, V.PredApp):
-            args = tuple(self.eval(st, x, store, _Mode.CONSUME, snapshot,
-                                   at) for x in a.args)
-            key = (a.name, tuple(self.norm(x, st) for x in args))
-            if key not in st.preds:
-                self._err(ctx.pred_category,
-                          f"{ctx.what}: missing predicate instance "
-                          f"{a.name}(" + ", ".join(map(sym_str, key[1]))
-                          + ")", at)
-                return False
-            st.preds[key] -= 1
-            if st.preds[key] == 0:
-                del st.preds[key]
-            return True
-        if isinstance(a, V.AndA):
-            ok = True
-            for part in a.parts:  # keep going after a failure: report all
-                ok = self._consume(st, part, store, snapshot, ctx,
-                                   span) and ok
-            return ok
-        if isinstance(a, V.CondA):
-            cond = self.eval(st, a.cond, store, _Mode.CONSUME, snapshot, at)
-            verdict = self.decide(st, cond)
-            if verdict is None:
-                sides = self._sides(st, cond)
-                if sides == {True, False} and self._splits > 1:
-                    raise _Unjoin(self._join_guard(st, self.norm(cond, st)))
-                if None not in sides and len(sides) < 2:
-                    verdict = False not in sides
-            if verdict is None:
-                self._err(Category.UNDECIDABLE_BRANCH,
-                          f"{ctx.what}: cannot decide "
-                          f"{V.expr_str(a.cond)} to pick a branch", at)
-                return False
-            branch = a.then if verdict else a.els
-            return self._consume(st, branch, store, snapshot, ctx, span)
-        if isinstance(a, V.LetA):
-            inner = dict(store)
-            inner[a.name] = self.eval(st, a.bound, store, _Mode.CONSUME,
-                                      snapshot, at)
-            return self._consume(st, a.body, inner, snapshot, ctx, span)
-        raise TypeError(f"cannot consume {type(a).__name__}")
+        if verdict is False:
+            self._err(ctx.pred_category,
+                      f"{ctx.what}: condition {V.expr_str(a.expr)} "
+                      f"is false", at)
+            return False
+        if self.strict:
+            self._err(Category.PURE_OBLIGATION,
+                      f"{ctx.what}: cannot establish "
+                      f"{V.expr_str(a.expr)}", at)
+            return False
+        self.diags.append(obligation(
+            f"{ctx.what}: {V.expr_str(a.expr)} is assumed, not proved",
+            at))
+        return True
+
+    def _consume_acc(self, st, a, store, snapshot, ctx, span) -> bool:
+        at = a.span or span
+        base = self.eval(st, a.loc.base, store, _Mode.CONSUME, snapshot, at)
+        key = (self.norm(base, st), a.loc.fieldname)
+        if key not in st.heap:
+            self._err(Category.PERMISSION,
+                      f"{ctx.what}: no permission to give up "
+                      f"{V.expr_str(a.loc)}", at)
+            return False
+        del st.heap[key]
+        return True
+
+    def _consume_pred(self, st, a, store, snapshot, ctx, span) -> bool:
+        at = a.span or span
+        args = tuple(self.eval(st, x, store, _Mode.CONSUME, snapshot, at)
+                     for x in a.args)
+        key = (a.name, tuple(self.norm(x, st) for x in args))
+        if key not in st.preds:
+            self._err(ctx.pred_category,
+                      f"{ctx.what}: missing predicate instance "
+                      f"{a.name}(" + ", ".join(map(sym_str, key[1]))
+                      + ")", at)
+            return False
+        st.preds[key] -= 1
+        if st.preds[key] == 0:
+            del st.preds[key]
+        return True
+
+    def _consume_and(self, st, a, store, snapshot, ctx, span) -> bool:
+        ok = True
+        for part in a.parts:  # keep going after a failure: report all
+            ok = self._consume(st, part, store, snapshot, ctx, span) and ok
+        return ok
+
+    def _consume_cond(self, st, a, store, snapshot, ctx, span) -> bool:
+        at = a.span or span
+        cond = self.eval(st, a.cond, store, _Mode.CONSUME, snapshot, at)
+        verdict = self.decide(st, cond)
+        if verdict is None:
+            sides = self._sides(st, cond)
+            if sides == {True, False} and self._splits > 1:
+                raise _Unjoin(self._join_guard(st, self.norm(cond, st)))
+            if None not in sides and len(sides) < 2:
+                verdict = False not in sides
+        if verdict is None:
+            self._err(Category.UNDECIDABLE_BRANCH,
+                      f"{ctx.what}: cannot decide "
+                      f"{V.expr_str(a.cond)} to pick a branch", at)
+            return False
+        branch = a.then if verdict else a.els
+        return self._consume(st, branch, store, snapshot, ctx, span)
+
+    def _consume_let(self, st, a, store, snapshot, ctx, span) -> bool:
+        at = a.span or span
+        inner = dict(store)
+        inner[a.name] = self.eval(st, a.bound, store, _Mode.CONSUME,
+                                  snapshot, at)
+        return self._consume(st, a.body, inner, snapshot, ctx, span)
+
+    _CONSUME = {V.Pure: _consume_pure, V.Acc: _consume_acc,
+                V.PredApp: _consume_pred, V.AndA: _consume_and,
+                V.CondA: _consume_cond, V.LetA: _consume_let}
 
     # -- statements ------------------------------------------------------------------
 
     def exec_stmt(self, st: SymState, s: V.VStmt) -> list[SymState]:
-        if isinstance(s, V.VarDeclS):
-            if s.init is None:
-                st.store[s.name] = self.fresh(s.name)
-            else:
-                st.store[s.name] = self.eval(st, s.init, st.store,
-                                             _Mode.EXEC, st.heap, s.span)
+        try:
+            handler = self._EXEC[type(s)]
+        except KeyError:
+            raise TypeError(f"cannot execute {type(s).__name__}") from None
+        return handler(self, st, s)
+
+    # One handler per statement class, looked up by `exec_stmt` in `_EXEC`
+    # (defined after `_call`).  Each takes (st, s).
+
+    def _exec_var(self, st, s) -> list[SymState]:
+        if s.init is None:
+            st.store[s.name] = self.fresh(s.name)
+        else:
+            st.store[s.name] = self.eval(st, s.init, st.store, _Mode.EXEC,
+                                         st.heap, s.span)
+        return [st]
+
+    def _exec_assign(self, st, s) -> list[SymState]:
+        value = self.eval(st, s.value, st.store, _Mode.EXEC, st.heap, s.span)
+        if isinstance(s.target, V.Var):
+            st.store[s.target.name] = value
             return [st]
-        if isinstance(s, V.AssignS):
-            value = self.eval(st, s.value, st.store, _Mode.EXEC, st.heap,
-                              s.span)
-            if isinstance(s.target, V.Var):
-                st.store[s.target.name] = value
-                return [st]
-            assert isinstance(s.target, V.FieldAcc)
-            base = self.eval(st, s.target.base, st.store, _Mode.EXEC,
-                             st.heap, s.span)
-            key = (self.norm(base, st), s.target.fieldname)
-            if key not in st.heap:  # the write adds the cell: repair
-                self._err(Category.PERMISSION,
-                          f"no permission to write {V.expr_str(s.target)}",
-                          s.span)
-            st.heap[key] = value
-            return [st]
-        if isinstance(s, V.NewS):
-            ref = self.fresh(s.target)
-            st.store[s.target] = ref
-            for fld in s.fields:
-                st.heap[(ref, fld)] = self.fresh(fld)
-            return [st]
-        if isinstance(s, V.IfS):
-            cond = self.eval(st, s.cond, st.store, _Mode.EXEC, st.heap,
-                             s.span)
-            verdict = self.decide(st, cond)
-            if verdict is True:
-                return self._exec_block(st, s.then)
-            if verdict is False:
-                return self._exec_block(st, s.els)
-            other = st.clone()
-            mark = len(st.facts)
-            then = (self._exec_block(st, s.then)
-                    if self.assume(st, cond) else [])
-            els = (self._exec_block(other, s.els)
-                   if self.assume(other, App("not", (cond,))) else [])
-            if len(then) == 1 and len(els) == 1:
-                joined = self._join(cond, mark, then[0], els[0])
-                if joined is not None:
-                    return [joined]
-            return then + els
-        if isinstance(s, V.FoldS):
-            return self._split_run(st, lambda cur: self._fold(cur, s))
-        if isinstance(s, V.UnfoldS):
-            return self._unfold(st, s)
-        if isinstance(s, V.CallS):
-            return self._split_run(st, lambda cur: self._call(cur, s))
-        raise TypeError(f"cannot execute {type(s).__name__}")
+        assert isinstance(s.target, V.FieldAcc)
+        base = self.eval(st, s.target.base, st.store, _Mode.EXEC, st.heap,
+                         s.span)
+        key = (self.norm(base, st), s.target.fieldname)
+        if key not in st.heap:  # the write adds the cell: repair
+            self._err(Category.PERMISSION,
+                      f"no permission to write {V.expr_str(s.target)}",
+                      s.span)
+        st.heap[key] = value
+        return [st]
+
+    def _exec_new(self, st, s) -> list[SymState]:
+        ref = self.fresh(s.target)
+        st.store[s.target] = ref
+        for fld in s.fields:
+            st.heap[(ref, fld)] = self.fresh(fld)
+        return [st]
+
+    def _exec_if(self, st, s) -> list[SymState]:
+        cond = self.eval(st, s.cond, st.store, _Mode.EXEC, st.heap, s.span)
+        verdict = self.decide(st, cond)
+        if verdict is True:
+            return self._exec_block(st, s.then)
+        if verdict is False:
+            return self._exec_block(st, s.els)
+        other = st.clone()
+        mark = len(st.facts)
+        then = (self._exec_block(st, s.then)
+                if self.assume(st, cond) else [])
+        els = (self._exec_block(other, s.els)
+               if self.assume(other, App("not", (cond,))) else [])
+        if len(then) == 1 and len(els) == 1:
+            joined = self._join(cond, mark, then[0], els[0])
+            if joined is not None:
+                return [joined]
+        return then + els
+
+    def _exec_fold(self, st, s) -> list[SymState]:
+        return self._split_run(st, lambda cur: self._fold(cur, s))
+
+    def _exec_call(self, st, s) -> list[SymState]:
+        return self._split_run(st, lambda cur: self._call(cur, s))
 
     def _join(self, cond: SymVal, mark: int, a: SymState,
               b: SymState) -> SymState | None:
@@ -1127,6 +1227,10 @@ class Checker:
             [st], decl.posts,
             lambda cur, post: self.produce(cur, post, binding), at=s)
 
+    _EXEC = {V.VarDeclS: _exec_var, V.AssignS: _exec_assign,
+             V.NewS: _exec_new, V.IfS: _exec_if, V.FoldS: _exec_fold,
+             V.UnfoldS: _unfold, V.CallS: _exec_call}
+
     # -- whole-method checking ----------------------------------------------------
 
     def _err(self, category: Category, message: str, span) -> None:
@@ -1217,29 +1321,27 @@ def _occurs(s: Sym, v: SymVal) -> bool:
         if isinstance(v, Sym):
             if v.id == s.id:
                 return True
-        elif not isinstance(v, Lit) and id(v) not in seen:
-            seen.add(id(v))
+        elif not isinstance(v, Lit) and v not in seen:
+            seen.add(v)
             todo.extend(v.elems if isinstance(v, SeqV) else v.args)
     return False
 
 
 def _resolve(v: SymVal, guard: SymVal, side: bool, memo: dict) -> SymVal:
     """`v` with each `ite(guard, x, y)` replaced by x if `side`, else y;
-    `memo` maps the id of each node seen to its result, so a shared
-    subterm is rebuilt once and an untouched one is kept."""
+    `memo` maps each node seen to its result, so a shared subterm is
+    rebuilt once and an untouched one is kept."""
     if isinstance(v, (Sym, Lit)):
         return v
-    r = memo.get(id(v))
+    r = memo.get(v)
     if r is None:
         if isinstance(v, App) and v.name == "ite" and v.args[0] == guard:
             r = _resolve(v.args[1] if side else v.args[2], guard, side, memo)
         else:
             kids = v.elems if isinstance(v, SeqV) else v.args
             new = tuple(_resolve(a, guard, side, memo) for a in kids)
-            r = (v if all(map(operator.is_, new, kids))
-                 else SeqV(new) if isinstance(v, SeqV)
-                 else type(v)(v.name, new))
-        memo[id(v)] = r
+            r = SeqV(new) if isinstance(v, SeqV) else type(v)(v.name, new)
+        memo[v] = r
     return r
 
 

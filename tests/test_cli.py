@@ -158,6 +158,26 @@ def test_parse_failure_exits_one_without_output(tmp_path):
     assert not (tmp_path / "broken.vpr").exists()
 
 
+@pytest.mark.parametrize("decl, name, repeats", [
+    ("let f (a: t) (b: t) (a: t) (a: t) =\n  a.v <- 0", "a", 2),
+    ("(*@ predicate p (x: t) (x: t) = x ~> {v} *)", "x", 1),
+    ("(*@ lemma l (n: int) (n: int) requires n = 0 ensures n = 0 *)", "n",
+     1),
+    ("(*@ function g (n: int) (n: int) : int = n *)", "n", 1),
+], ids=["function", "predicate", "lemma", "logical-function"])
+def test_duplicate_parameter_names_are_rejected(tmp_path, decl, name,
+                                                repeats):
+    # one error per repeat, at the declaration on line 2
+    src = tmp_path / "dup.ml"
+    src.write_text("type t = { mutable v : int }\n" + decl + "\n")
+    status, out, err = invoke(src, check=True)
+    assert status == 1
+    line = f"{src}:2:1: error[parse]: duplicate parameter name '{name}'\n"
+    assert err == line * repeats
+    assert out == ""
+    assert not (tmp_path / "dup.vpr").exists()
+
+
 def test_ghost_command_may_start_with_a_comment(tmp_path):
     # classified by its parsed payload, not by its first word
     src = tmp_path / "commented.ml"

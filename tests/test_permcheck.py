@@ -7,8 +7,9 @@ import sys
 import time
 import tracemalloc
 from collections import Counter
+from pathlib import Path
 
-from gospel2viper import viper_ast as V
+from gospel2viper import permcheck, viper_ast as V
 from gospel2viper.diagnostics import Category, Severity
 from gospel2viper.permcheck import (App, Checker, Ctor, Lit, SeqV, Sym,
                                     SymState, _ConsumeCtx, _Mode, _key,
@@ -20,6 +21,8 @@ from gospel2viper.viper_parser import reparse
 import pytest
 from hypothesis import given, settings, strategies as hs
 from test_parser import wide_module
+
+CORPUS = Path(__file__).parent / "corpus"
 
 PROGRAM = reparse("""
 adt Cell { Nil() Cons(cell: Ref) }
@@ -447,7 +450,9 @@ def test_checker_calls_per_statement_on_a_wide_module():
     # unlike a time, does not depend on the machine.  An `isinstance`
     # ladder in `eval`, symbols hashed by a Python method, a field's
     # receiver normalised twice per read and an eager fold message made
-    # 168.6 (22,594 calls)
+    # 168.6 (22,594 calls); Python-level term hashing and `isinstance`
+    # ladders in `_produce`, `_consume` and `exec_stmt` made 96.2; 77.4
+    # with interned terms and class dispatch (76.3 on Python 3.13)
     program, diags = translate_source(wide_module())
     assert program is not None and not diags
     stmts = sum(len(m.body or ()) for m in program.methods().values())
@@ -464,7 +469,24 @@ def test_checker_calls_per_statement_on_a_wide_module():
     finally:
         sys.setprofile(None)
     assert diags == []
-    assert calls / stmts <= 116
+    assert calls / stmts <= 89
+
+
+def test_walks_reject_a_node_class_they_do_not_know(ck):
+    class Odd:
+        span = None
+
+    st = SymState()
+    with pytest.raises(TypeError, match="cannot evaluate Odd"):
+        ck.eval(st, Odd(), {}, _Mode.EXEC, st.heap)
+    with pytest.raises(TypeError, match="cannot produce Odd"):
+        ck.produce(st, Odd(), {})
+    with pytest.raises(TypeError, match="cannot consume Odd"):
+        ck.consume(st, Odd(), {}, CTX)
+    with pytest.raises(TypeError, match="cannot execute Odd"):
+        ck.exec_stmt(st, Odd())
+    with pytest.raises(TypeError, match="Odd"):
+        ck.norm(Odd(), st)
 
 
 # -- produce ------------------------------------------------------------------
@@ -1039,3 +1061,62 @@ def test_norm_memo_lives_only_as_long_as_its_states():
     retained(10)
     few, many = retained(100), retained(1000)
     assert many < 3 * few
+
+
+# -- interned terms -------------------------------------------------------------
+
+
+def test_equal_terms_are_one_object(ck):
+    x = ck.fresh("x")
+    assert App("f", (x,)) is App("f", (x,))
+    assert Ctor("Cons", (x,)) is Ctor("Cons", (x,))
+    assert SeqV((x, Lit(1))) is SeqV((x, Lit(1)))
+    assert Lit(1) is Lit(1) and Lit(True) is TRUE
+    # 1 == True, but they render differently
+    assert Lit(1) is not Lit(True) and Lit(0) is not FALSE
+    assert App("f", (x,)) is not Ctor("f", (x,))
+
+
+def test_the_term_table_keeps_no_term_of_a_finished_check():
+    before = dict(permcheck._TERMS)
+    program, diags = translate_source(
+        (CORPUS / "checker_queue.ml").read_text(encoding="utf-8"))
+    assert program is not None
+    check_program(program)
+    gc.collect()
+    assert all(before.get(k) is ref for k, ref in permcheck._TERMS.items())
+
+
+def test_a_term_that_outlives_its_method_keeps_its_names(monkeypatch):
+    # both methods' first symbols have id 0 and `n + 1` is their second;
+    # keeping every normal form alive lets m1's `a + 1` and `n + 1` meet
+    # m2's, which must print m2's names
+    kept = []
+    norm = Checker.norm
+
+    def keeping_norm(self, v, st):
+        kept.append(norm(self, v, st))
+        return kept[-1]
+
+    monkeypatch.setattr(Checker, "norm", keeping_norm)
+    prog = method_over(
+        "predicate Q(x: Ref, n: Int) { acc(x.val) }\n"
+        "method m1(a: Ref, n: Int) requires Q(a, n + 1) {}\n"
+        "method m2(b: Ref, k: Int) requires Q(b, k + 1)", "")
+    assert [d.message for d in check_program(prog)] == [
+        "m1 leaks 1 instance(s) of Q(a, n + 1)",
+        "m2 leaks 1 instance(s) of Q(b, k + 1)"]
+    assert kept
+
+
+def test_checking_twice_in_one_process_gives_the_same_diagnostics():
+    def diagnostics(name):
+        program, _ = translate_source(
+            (CORPUS / name).read_text(encoding="utf-8"))
+        return [(d.severity, d.category, d.message, d.span)
+                for d in check_program(program)]
+
+    first = diagnostics("queue.ml")
+    assert first
+    assert diagnostics("foo_missing_unfold.ml")
+    assert diagnostics("queue.ml") == first
