@@ -12,8 +12,12 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Span:
+    """Equal and hashed by value; never assigned after it is built, but not
+    frozen, because a frozen dataclass sets each field through
+    `object.__setattr__` and costs twice as much to build."""
+
     start: int
     end: int
 

@@ -1,7 +1,10 @@
 """Surface AST: OCaml-light declarations plus Gospel annotation payloads.
 
-Span fields never participate in structural equality, so tests can build
-expected trees without positions.
+Every node is a slots dataclass and the abstract bases declare no slots,
+so a node has no `__dict__`: it is smaller and cheaper to build, and no
+stage can hang an undeclared attribute on it.  Span fields never
+participate in structural equality, so tests can build expected trees
+without positions.
 """
 
 from __future__ import annotations
@@ -20,25 +23,25 @@ def _span():
 # types
 
 class SurfaceType:
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IntT(SurfaceType):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BoolT(SurfaceType):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SeqT(SurfaceType):
     """Integer sequences; the only sequence element type in the subset."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NamedT(SurfaceType):
     name: str
 
@@ -47,47 +50,47 @@ class NamedT(SurfaceType):
 # expressions (shared by program code and specification terms)
 
 class SurfaceExpr:
-    pass
+    __slots__ = ()
 
 
-@dataclass
+@dataclass(slots=True)
 class IntLit(SurfaceExpr):
     value: int
     span: Span | None = _span()
 
 
-@dataclass
+@dataclass(slots=True)
 class BoolLit(SurfaceExpr):
     value: bool
     span: Span | None = _span()
 
 
-@dataclass
+@dataclass(slots=True)
 class UnitLit(SurfaceExpr):
     span: Span | None = _span()
 
 
-@dataclass
+@dataclass(slots=True)
 class VarE(SurfaceExpr):
     name: str
     span: Span | None = _span()
 
 
-@dataclass
+@dataclass(slots=True)
 class FieldE(SurfaceExpr):
     base: SurfaceExpr
     fieldname: str
     span: Span | None = _span()
 
 
-@dataclass
+@dataclass(slots=True)
 class CtorE(SurfaceExpr):
     """A bare constructor value, e.g. Nil."""
     name: str
     span: Span | None = _span()
 
 
-@dataclass
+@dataclass(slots=True)
 class RecordAlloc(SurfaceExpr):
     """A record literal, optionally prefixed by a constructor name."""
     ctor: str | None
@@ -95,7 +98,7 @@ class RecordAlloc(SurfaceExpr):
     span: Span | None = _span()
 
 
-@dataclass
+@dataclass(slots=True)
 class AppE(SurfaceExpr):
     """Application of a named head: builtin, predicate, function or lemma."""
     fn: str
@@ -104,7 +107,7 @@ class AppE(SurfaceExpr):
     span: Span | None = _span()
 
 
-@dataclass
+@dataclass(slots=True)
 class BinE(SurfaceExpr):
     op: str
     left: SurfaceExpr
@@ -112,21 +115,21 @@ class BinE(SurfaceExpr):
     span: Span | None = _span()
 
 
-@dataclass
+@dataclass(slots=True)
 class UnE(SurfaceExpr):
     op: str
     operand: SurfaceExpr
     span: Span | None = _span()
 
 
-@dataclass
+@dataclass(slots=True)
 class IndexE(SurfaceExpr):
     seq: SurfaceExpr
     index: SurfaceExpr
     span: Span | None = _span()
 
 
-@dataclass
+@dataclass(slots=True)
 class SliceFromE(SurfaceExpr):
     """v[k ..] : the suffix of v starting at k."""
     seq: SurfaceExpr
@@ -134,7 +137,7 @@ class SliceFromE(SurfaceExpr):
     span: Span | None = _span()
 
 
-@dataclass
+@dataclass(slots=True)
 class LetIn(SurfaceExpr):
     """`let name : typ = rhs in`, an item of its block: it binds `name`
     from the next item to the end of that block."""
@@ -144,7 +147,7 @@ class LetIn(SurfaceExpr):
     span: Span | None = _span()
 
 
-@dataclass
+@dataclass(slots=True)
 class IfE(SurfaceExpr):
     cond: SurfaceExpr
     then: SurfaceExpr
@@ -152,7 +155,7 @@ class IfE(SurfaceExpr):
     span: Span | None = _span()
 
 
-@dataclass
+@dataclass(slots=True)
 class MatchArm:
     ctor: str
     binder: str | None
@@ -160,21 +163,21 @@ class MatchArm:
     span: Span | None = _span()
 
 
-@dataclass
+@dataclass(slots=True)
 class MatchE(SurfaceExpr):
     scrutinee: SurfaceExpr
     arms: list[MatchArm]
     span: Span | None = _span()
 
 
-@dataclass
+@dataclass(slots=True)
 class AssignE(SurfaceExpr):
     target: FieldE
     value: SurfaceExpr
     span: Span | None = _span()
 
 
-@dataclass
+@dataclass(slots=True)
 class SeqE(SurfaceExpr):
     """A block: a statement sequence, and the scope of the lets in it.
     Ghost commands are items too; the last item may be the result."""
@@ -186,16 +189,16 @@ class SeqE(SurfaceExpr):
 # assertions
 
 class Assertion:
-    pass
+    __slots__ = ()
 
 
-@dataclass
+@dataclass(slots=True)
 class PureA(Assertion):
     expr: SurfaceExpr
     span: Span | None = _span()
 
 
-@dataclass
+@dataclass(slots=True)
 class OwnsA(Assertion):
     """target ~> {f1; ...; fn}: whole permission to the listed fields."""
     target: SurfaceExpr
@@ -203,14 +206,14 @@ class OwnsA(Assertion):
     span: Span | None = _span()
 
 
-@dataclass
+@dataclass(slots=True)
 class SepA(Assertion):
     """A && chain of two or more assertions, kept flat."""
     parts: list[Assertion]
     span: Span | None = _span()
 
 
-@dataclass
+@dataclass(slots=True)
 class IfA(Assertion):
     cond: SurfaceExpr
     then: Assertion
@@ -218,7 +221,7 @@ class IfA(Assertion):
     span: Span | None = _span()
 
 
-@dataclass
+@dataclass(slots=True)
 class LetPatA(Assertion):
     """let C b = scrutinee in body, destructing a payload constructor."""
     ctor: str
@@ -237,7 +240,7 @@ class GhostKind(Enum):
     APPLY = "apply"
 
 
-@dataclass
+@dataclass(slots=True)
 class GhostCommand:
     kind: GhostKind
     target: str
@@ -245,7 +248,7 @@ class GhostCommand:
     span: Span | None = _span()
 
 
-@dataclass
+@dataclass(slots=True)
 class ContractSpec:
     results: list[str]
     fn_name: str
@@ -256,7 +259,7 @@ class ContractSpec:
     span: Span | None = _span()
 
 
-@dataclass
+@dataclass(slots=True)
 class PredicateDef:
     name: str
     params: list[tuple[str, SurfaceType]]
@@ -264,7 +267,7 @@ class PredicateDef:
     span: Span | None = _span()
 
 
-@dataclass
+@dataclass(slots=True)
 class LogicalFunctionDef:
     name: str
     params: list[tuple[str, SurfaceType]]
@@ -273,7 +276,7 @@ class LogicalFunctionDef:
     span: Span | None = _span()
 
 
-@dataclass
+@dataclass(slots=True)
 class LemmaDef:
     name: str
     params: list[tuple[str, SurfaceType]]
@@ -289,7 +292,7 @@ AnnotationPayload = (ContractSpec | PredicateDef | LogicalFunctionDef
 # --------------------------------------------------------------------------
 # declarations
 
-@dataclass
+@dataclass(slots=True)
 class FieldDef:
     name: str
     typ: SurfaceType
@@ -297,31 +300,31 @@ class FieldDef:
     span: Span | None = _span()
 
 
-@dataclass
+@dataclass(slots=True)
 class RecordKind:
     fields: list[FieldDef]
 
 
-@dataclass
+@dataclass(slots=True)
 class CtorDef:
     name: str
     payload: list[FieldDef]  # empty for nullary constructors
     span: Span | None = _span()
 
 
-@dataclass
+@dataclass(slots=True)
 class VariantKind:
     ctors: list[CtorDef]
 
 
-@dataclass
+@dataclass(slots=True)
 class TypeDecl:
     name: str
     kind: RecordKind | VariantKind
     span: Span | None = _span()
 
 
-@dataclass
+@dataclass(slots=True)
 class FunDecl:
     name: str
     params: list[tuple[str, SurfaceType]]
@@ -331,7 +334,7 @@ class FunDecl:
     span: Span | None = _span()
 
 
-@dataclass
+@dataclass(slots=True)
 class GhostDecl:
     payload: PredicateDef | LogicalFunctionDef | LemmaDef
     span: Span | None = _span()
@@ -340,7 +343,7 @@ class GhostDecl:
 SurfaceDecl = TypeDecl | FunDecl | GhostDecl
 
 
-@dataclass
+@dataclass(slots=True)
 class SurfaceModule:
     decls: list[SurfaceDecl]
 

@@ -23,6 +23,13 @@ functions once, and only when referenced (unless suppressed).
 
 Translation is total: it accumulates diagnostics and returns
 (None, diags) when any is an error, never raising.
+
+Each walk looks up the handler for a node's class in one table, as the
+checker's `eval` does: `tr_expr` in `_Tr._EXPR`, `tr_stmts` in
+`_Tr._STMTS` and `tr_assertion` in `_Tr._ASSERTION`.  A class missing
+from `_EXPR` is a statement used as a value, one missing from `_STMTS` a
+value without effect; both are diagnosed.  Only an unknown assertion class,
+which no parse produces, raises TypeError.
 """
 
 from __future__ import annotations
@@ -145,53 +152,64 @@ class _Tr:
     # -- expressions ------------------------------------------------------
 
     def tr_expr(self, e: SurfaceExpr, env: dict[str, V.VExpr]) -> V.VExpr:
-        if isinstance(e, IntLit):
-            return V.IntLit(e.value)
-        if isinstance(e, BoolLit):
-            return V.BoolLit(e.value)
-        if isinstance(e, VarE):
-            if e.name in env:
-                return env[e.name]
-            if e.name == "empty":
-                return V.SeqLit([])
-            self.err(f"unbound name '{e.name}'", e.span)
-            return V.Var(e.name)
-        if isinstance(e, CtorE):
-            info = self.ctors.get(e.name)
-            if info is None:
-                self.err(f"unknown constructor '{e.name}'", e.span)
-            elif info.proj is not None:
-                self.err(f"constructor '{e.name}' carries a payload and "
-                         f"cannot appear bare", e.span)
-            return V.CtorCall(e.name, [])
-        if isinstance(e, FieldE):
-            base = self.tr_expr(e.base, env)
-            if e.fieldname not in self.fields:
-                self.err(f"unknown field '{e.fieldname}'", e.span)
-            return V.FieldAcc(base, e.fieldname)
-        if isinstance(e, BinE):
-            return self._tr_bin(e, env)
-        if isinstance(e, UnE):
-            inner = self.tr_expr(e.operand, env)
-            if e.op == "-" and isinstance(inner, V.IntLit):
-                return V.IntLit(-inner.value)
-            return V.UnOp(e.op, inner)
-        if isinstance(e, IndexE):
-            return V.SeqIndex(self.tr_expr(e.seq, env),
-                              self.tr_expr(e.index, env))
-        if isinstance(e, SliceFromE):
-            return V.SeqDrop(self.tr_expr(e.seq, env),
-                             self.tr_expr(e.lo, env))
-        if isinstance(e, AppE):
-            return self._tr_app(e, env)
-        if isinstance(e, UnitLit):
-            self.err("unit value has no translation in this position",
-                     e.span)
+        try:
+            handler = self._EXPR[type(e)]
+        except KeyError:  # AssignE, LetIn, IfE, MatchE, SeqE, GhostCommand
+            self.err("a statement cannot be used as a value", e.span)
             return V.IntLit(0)
-        if isinstance(e, RecordAlloc):
-            self.err("allocation must be bound by a let", e.span)
-            return V.IntLit(0)
-        self.err("a statement cannot be used as a value", e.span)
+        return handler(self, e, env)
+
+    # One handler per expression class, looked up by `tr_expr` in `_EXPR`;
+    # each takes tr_expr's arguments (e, env).
+
+    def _tr_int(self, e: IntLit, env: dict[str, V.VExpr]) -> V.VExpr:
+        return V.IntLit(e.value)
+
+    def _tr_bool(self, e: BoolLit, env: dict[str, V.VExpr]) -> V.VExpr:
+        return V.BoolLit(e.value)
+
+    def _tr_var(self, e: VarE, env: dict[str, V.VExpr]) -> V.VExpr:
+        if e.name in env:
+            return env[e.name]
+        if e.name == "empty":
+            return V.SeqLit([])
+        self.err(f"unbound name '{e.name}'", e.span)
+        return V.Var(e.name)
+
+    def _tr_ctor(self, e: CtorE, env: dict[str, V.VExpr]) -> V.VExpr:
+        info = self.ctors.get(e.name)
+        if info is None:
+            self.err(f"unknown constructor '{e.name}'", e.span)
+        elif info.proj is not None:
+            self.err(f"constructor '{e.name}' carries a payload and "
+                     f"cannot appear bare", e.span)
+        return V.CtorCall(e.name, [])
+
+    def _tr_field(self, e: FieldE, env: dict[str, V.VExpr]) -> V.VExpr:
+        base = self.tr_expr(e.base, env)
+        if e.fieldname not in self.fields:
+            self.err(f"unknown field '{e.fieldname}'", e.span)
+        return V.FieldAcc(base, e.fieldname)
+
+    def _tr_un(self, e: UnE, env: dict[str, V.VExpr]) -> V.VExpr:
+        inner = self.tr_expr(e.operand, env)
+        if e.op == "-" and isinstance(inner, V.IntLit):
+            return V.IntLit(-inner.value)
+        return V.UnOp(e.op, inner)
+
+    def _tr_index(self, e: IndexE, env: dict[str, V.VExpr]) -> V.VExpr:
+        return V.SeqIndex(self.tr_expr(e.seq, env), self.tr_expr(e.index, env))
+
+    def _tr_slice(self, e: SliceFromE, env: dict[str, V.VExpr]) -> V.VExpr:
+        return V.SeqDrop(self.tr_expr(e.seq, env), self.tr_expr(e.lo, env))
+
+    def _tr_unit(self, e: UnitLit, env: dict[str, V.VExpr]) -> V.VExpr:
+        self.err("unit value has no translation in this position", e.span)
+        return V.IntLit(0)
+
+    def _tr_alloc_value(self, e: RecordAlloc,
+                        env: dict[str, V.VExpr]) -> V.VExpr:
+        self.err("allocation must be bound by a let", e.span)
         return V.IntLit(0)
 
     def _tr_bin(self, e: BinE, env: dict[str, V.VExpr]) -> V.VExpr:
@@ -252,91 +270,124 @@ class _Tr:
         self.err(f"unknown function '{e.fn}'", e.span)
         return V.FunApp(e.fn, args)
 
+    _EXPR = {IntLit: _tr_int, BoolLit: _tr_bool, VarE: _tr_var,
+             CtorE: _tr_ctor, FieldE: _tr_field, BinE: _tr_bin, UnE: _tr_un,
+             IndexE: _tr_index, SliceFromE: _tr_slice, AppE: _tr_app,
+             UnitLit: _tr_unit, RecordAlloc: _tr_alloc_value}
+
     # -- assertions -----------------------------------------------------------
 
     def tr_assertion(self, a: Assertion,
                      env: dict[str, V.VExpr]) -> V.VAssertion:
-        if isinstance(a, PureA):
-            e = a.expr
-            # a whole conjunct that applies a predicate is an instance;
-            # specs are parsed in spec mode, so it has no ghost arguments
-            if isinstance(e, AppE) and e.fn in self.preds:
-                return V.PredApp(_cap(e.fn),
-                                 [self.tr_expr(x, env) for x in e.args],
-                                 span=a.span)
-            return V.Pure(self.tr_expr(e, env), span=a.span)
-        if isinstance(a, OwnsA):
-            target = self.tr_expr(a.target, env)
-            accs: list[V.VAssertion] = []
-            for f in a.fields:
-                if f not in self.fields:
-                    self.err(f"unknown field '{f}'", a.span)
-                accs.append(V.Acc(V.FieldAcc(target, f), span=a.span))
-            return V.and_all(accs)
-        if isinstance(a, SepA):
-            return V.and_all([self.tr_assertion(x, env) for x in a.parts])
-        if isinstance(a, IfA):
-            return V.CondA(self.tr_expr(a.cond, env),
-                           self.tr_assertion(a.then, env),
-                           self.tr_assertion(a.els, env), span=a.span)
-        if isinstance(a, LetPatA):
-            info = self.ctors.get(a.ctor)
-            scrut = self.tr_expr(a.scrutinee, env)
-            if info is None:
-                self.err(f"unknown constructor '{a.ctor}'", a.span)
-                return V.Pure(V.BoolLit(True))
-            if info.proj is None:
-                self.err(f"constructor '{a.ctor}' has no payload to bind",
-                         a.span)
-                return V.Pure(V.BoolLit(True))
-            inner_env = dict(env)
-            inner_env[a.binder] = V.Var(a.binder)
-            body = self.tr_assertion(a.body, inner_env)
-            guard = V.Pure(V.IsTest(scrut, a.ctor))
-            bound = V.FieldAcc(scrut, info.proj)
-            guard.span = a.span
-            let = V.LetA(a.binder, bound, body, span=a.span)
-            return V.AndA([guard, let])
-        raise TypeError(f"unknown assertion {type(a).__name__}")
+        try:
+            handler = self._ASSERTION[type(a)]
+        except KeyError:
+            raise TypeError(f"unknown assertion {type(a).__name__}") from None
+        return handler(self, a, env)
+
+    # One handler per assertion class, looked up by `tr_assertion` in
+    # `_ASSERTION`; each takes (a, env).
+
+    def _tr_pure(self, a: PureA, env: dict[str, V.VExpr]) -> V.VAssertion:
+        e = a.expr
+        # a whole conjunct that applies a predicate is an instance;
+        # specs are parsed in spec mode, so it has no ghost arguments
+        if isinstance(e, AppE) and e.fn in self.preds:
+            return V.PredApp(_cap(e.fn),
+                             [self.tr_expr(x, env) for x in e.args],
+                             span=a.span)
+        return V.Pure(self.tr_expr(e, env), span=a.span)
+
+    def _tr_owns(self, a: OwnsA, env: dict[str, V.VExpr]) -> V.VAssertion:
+        target = self.tr_expr(a.target, env)
+        accs: list[V.VAssertion] = []
+        for f in a.fields:
+            if f not in self.fields:
+                self.err(f"unknown field '{f}'", a.span)
+            accs.append(V.Acc(V.FieldAcc(target, f), span=a.span))
+        return V.and_all(accs)
+
+    def _tr_sep(self, a: SepA, env: dict[str, V.VExpr]) -> V.VAssertion:
+        return V.and_all([self.tr_assertion(x, env) for x in a.parts])
+
+    def _tr_if_a(self, a: IfA, env: dict[str, V.VExpr]) -> V.VAssertion:
+        return V.CondA(self.tr_expr(a.cond, env),
+                       self.tr_assertion(a.then, env),
+                       self.tr_assertion(a.els, env), span=a.span)
+
+    def _tr_let_pat(self, a: LetPatA,
+                    env: dict[str, V.VExpr]) -> V.VAssertion:
+        info = self.ctors.get(a.ctor)
+        scrut = self.tr_expr(a.scrutinee, env)
+        if info is None:
+            self.err(f"unknown constructor '{a.ctor}'", a.span)
+            return V.Pure(V.BoolLit(True))
+        if info.proj is None:
+            self.err(f"constructor '{a.ctor}' has no payload to bind",
+                     a.span)
+            return V.Pure(V.BoolLit(True))
+        inner_env = dict(env)
+        inner_env[a.binder] = V.Var(a.binder)
+        body = self.tr_assertion(a.body, inner_env)
+        guard = V.Pure(V.IsTest(scrut, a.ctor))
+        bound = V.FieldAcc(scrut, info.proj)
+        guard.span = a.span
+        let = V.LetA(a.binder, bound, body, span=a.span)
+        return V.AndA([guard, let])
+
+    _ASSERTION = {PureA: _tr_pure, OwnsA: _tr_owns, SepA: _tr_sep,
+                  IfA: _tr_if_a, LetPatA: _tr_let_pat}
 
     # -- statements --------------------------------------------------------------
 
     def tr_stmts(self, e: SurfaceExpr | GhostCommand,
                  ctx: "_FnCtx") -> list[V.VStmt]:
-        if isinstance(e, SeqE):  # a block is a scope: its lets end with it
-            saved, ctx.env = ctx.env, dict(ctx.env)
-            out = [s for item in e.items for s in self.tr_stmts(item, ctx)]
-            ctx.env = saved
-            return out
-        if isinstance(e, UnitLit):
+        try:
+            handler = self._STMTS[type(e)]
+        except KeyError:  # a value whose only effect is its diagnostics
+            self.warn("statement has no effect", getattr(e, "span", None))
+            self.tr_expr(e, ctx.env)
             return []
-        if isinstance(e, VarE):
-            if ctx.result is not None and e.name == ctx.result:
-                return []
+        return handler(self, e, ctx)
+
+    # One handler per statement class, looked up by `tr_stmts` in `_STMTS`
+    # (the table follows `_tr_match`); each takes (e, ctx).
+
+    def _tr_block(self, e: SeqE, ctx: "_FnCtx") -> list[V.VStmt]:
+        # a block is a scope: its lets end with it.  Items go to their
+        # handlers directly (to tr_stmts only when a class has none), so a
+        # block adds no frame to the depth of the expressions in it.
+        saved, ctx.env = ctx.env, dict(ctx.env)
+        out: list[V.VStmt] = []
+        for item in e.items:
+            out += self._STMTS.get(type(item), _Tr.tr_stmts)(self, item, ctx)
+        ctx.env = saved
+        return out
+
+    def _tr_unit_stmt(self, e: UnitLit, ctx: "_FnCtx") -> list[V.VStmt]:
+        return []
+
+    def _tr_discard(self, e: VarE, ctx: "_FnCtx") -> list[V.VStmt]:
+        if ctx.result is None or e.name != ctx.result:
             self.warn(f"value '{e.name}' is discarded", e.span)
-            return []
-        if isinstance(e, GhostCommand):
-            return self._tr_ghost(e, ctx)
-        if isinstance(e, AssignE):
-            target = self.tr_expr(e.target, ctx.env)
-            return [V.AssignS(target, self.tr_expr(e.value, ctx.env),
-                              span=e.span)]
-        if isinstance(e, LetIn):
-            return self._tr_let(e, ctx)
-        if isinstance(e, IfE):
-            cond = self.tr_expr(e.cond, ctx.env)
-            then = self.tr_stmts(e.then, ctx)
-            els = self.tr_stmts(e.els, ctx) if e.els is not None else []
-            return [V.IfS(cond, then, els, span=e.span)]
-        if isinstance(e, MatchE):
-            return self._tr_match(e, ctx)
-        if isinstance(e, AppE):
-            return self._tr_call(e, None, None, ctx)
-        if isinstance(e, RecordAlloc):
-            self.err("allocation must be bound by a let", e.span)
-            return []
-        self.warn("statement has no effect", getattr(e, "span", None))
-        self.tr_expr(e, ctx.env)
+        return []
+
+    def _tr_assign(self, e: AssignE, ctx: "_FnCtx") -> list[V.VStmt]:
+        target = self.tr_expr(e.target, ctx.env)
+        return [V.AssignS(target, self.tr_expr(e.value, ctx.env),
+                          span=e.span)]
+
+    def _tr_if(self, e: IfE, ctx: "_FnCtx") -> list[V.VStmt]:
+        cond = self.tr_expr(e.cond, ctx.env)
+        then = self.tr_stmts(e.then, ctx)
+        els = self.tr_stmts(e.els, ctx) if e.els is not None else []
+        return [V.IfS(cond, then, els, span=e.span)]
+
+    def _tr_call_stmt(self, e: AppE, ctx: "_FnCtx") -> list[V.VStmt]:
+        return self._tr_call(e, None, None, ctx)
+
+    def _tr_alloc_stmt(self, e: RecordAlloc, ctx: "_FnCtx") -> list[V.VStmt]:
+        self.err("allocation must be bound by a let", e.span)
         return []
 
     def _tr_ghost(self, cmd: GhostCommand, ctx: "_FnCtx") -> list[V.VStmt]:
@@ -478,15 +529,17 @@ class _Tr:
             if infos[0].proj is not None:  # test the nullary side first
                 arms.reverse()
 
-        def build(rest: list) -> list[V.VStmt]:
-            (arm, info), tail = rest[0], rest[1:]
-            body = self._tr_arm(arm, info, scrut, e, ctx)
-            if not tail:
-                return body
-            cond = V.IsTest(scrut, arm.ctor)
-            return [V.IfS(cond, body, build(tail), span=e.span)]
+        # arms are translated in order, then chained from the last one out
+        bodies = [self._tr_arm(arm, info, scrut, e, ctx) for arm, info in arms]
+        out = bodies.pop()
+        for (arm, _), body in zip(reversed(arms[:-1]), reversed(bodies)):
+            out = [V.IfS(V.IsTest(scrut, arm.ctor), body, out, span=e.span)]
+        return out
 
-        return build(arms)
+    _STMTS = {SeqE: _tr_block, UnitLit: _tr_unit_stmt, VarE: _tr_discard,
+              GhostCommand: _tr_ghost, AssignE: _tr_assign, LetIn: _tr_let,
+              IfE: _tr_if, MatchE: _tr_match, AppE: _tr_call_stmt,
+              RecordAlloc: _tr_alloc_stmt}
 
     def _tr_arm(self, arm, info: _CtorInfo, scrut: V.VExpr, m: MatchE,
                 ctx: "_FnCtx") -> list[V.VStmt]:

@@ -1,5 +1,12 @@
 """Viper output language: AST, pretty printer, tokenizer, golden equality.
 
+Every node is a slots dataclass, and the abstract bases declare no slots,
+so no node has a `__dict__`.  The printers (`expr_str`, `_assertion_str`,
+`stmt_lines`, `decl_lines`) find a node's handler by its class in one
+table each, with one lookup per printed node; an expression handler adds
+the parentheses its own precedence level needs, so printing a node costs
+one call into the printer and one into the handler.
+
 Golden comparisons are token-stream equality of pretty-printed text, so
 layout (indentation, line breaks, stray semicolons, comments) never
 affects a test verdict.  The printer still aims for readable output:
@@ -17,7 +24,7 @@ WIDTH = 80
 # -- types -------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VType:
     name: str
 
@@ -35,84 +42,84 @@ SEQ_INT = VType("Seq[Int]")
 
 
 class VExpr:
-    pass
+    __slots__ = ()
 
 
-@dataclass
+@dataclass(slots=True)
 class IntLit(VExpr):
     value: int
 
 
-@dataclass
+@dataclass(slots=True)
 class BoolLit(VExpr):
     value: bool
 
 
-@dataclass
+@dataclass(slots=True)
 class Var(VExpr):
     name: str
 
 
-@dataclass
+@dataclass(slots=True)
 class FieldAcc(VExpr):
     base: VExpr
     fieldname: str
 
 
-@dataclass
+@dataclass(slots=True)
 class IsTest(VExpr):
     base: VExpr
     ctor: str  # prints `.is<Ctor>`
 
 
-@dataclass
+@dataclass(slots=True)
 class CtorCall(VExpr):
     name: str
     args: list[VExpr]
 
 
-@dataclass
+@dataclass(slots=True)
 class FunApp(VExpr):
     name: str
     args: list[VExpr]
 
 
-@dataclass
+@dataclass(slots=True)
 class SeqLit(VExpr):
     items: list[VExpr]  # [] prints Seq[Int]()
 
 
-@dataclass
+@dataclass(slots=True)
 class SeqLen(VExpr):
     seq: VExpr
 
 
-@dataclass
+@dataclass(slots=True)
 class BinOp(VExpr):
     op: str
     left: VExpr
     right: VExpr
 
 
-@dataclass
+@dataclass(slots=True)
 class UnOp(VExpr):
     op: str
     operand: VExpr
 
 
-@dataclass
+@dataclass(slots=True)
 class SeqIndex(VExpr):
     seq: VExpr
     index: VExpr
 
 
-@dataclass
+@dataclass(slots=True)
 class SeqDrop(VExpr):
     seq: VExpr
     lo: VExpr  # v[lo ..]
 
 
-@dataclass
+@dataclass(slots=True)
 class SeqTake(VExpr):
     seq: VExpr
     hi: VExpr  # v[.. hi]
@@ -122,29 +129,29 @@ class SeqTake(VExpr):
 
 
 class VAssertion:
-    pass
+    __slots__ = ()
 
 
-@dataclass
+@dataclass(slots=True)
 class Pure(VAssertion):
     expr: VExpr
     span: object = field(default=None, compare=False, repr=False)
 
 
-@dataclass
+@dataclass(slots=True)
 class Acc(VAssertion):
     loc: FieldAcc
     span: object = field(default=None, compare=False, repr=False)
 
 
-@dataclass
+@dataclass(slots=True)
 class PredApp(VAssertion):
     name: str
     args: list[VExpr]
     span: object = field(default=None, compare=False, repr=False)
 
 
-@dataclass
+@dataclass(slots=True)
 class AndA(VAssertion):
     """A conjunction of two or more parts, none of them an AndA; build it
     with `and_all`."""
@@ -152,7 +159,7 @@ class AndA(VAssertion):
     span: object = field(default=None, compare=False, repr=False)
 
 
-@dataclass
+@dataclass(slots=True)
 class CondA(VAssertion):
     cond: VExpr
     then: VAssertion
@@ -160,7 +167,7 @@ class CondA(VAssertion):
     span: object = field(default=None, compare=False, repr=False)
 
 
-@dataclass
+@dataclass(slots=True)
 class LetA(VAssertion):
     name: str
     bound: VExpr
@@ -187,10 +194,10 @@ def conjuncts(a: VAssertion) -> list[VAssertion]:
 
 
 class VStmt:
-    pass
+    __slots__ = ()
 
 
-@dataclass
+@dataclass(slots=True)
 class VarDeclS(VStmt):
     name: str
     typ: VType
@@ -198,14 +205,14 @@ class VarDeclS(VStmt):
     span: object = field(default=None, compare=False, repr=False)
 
 
-@dataclass
+@dataclass(slots=True)
 class AssignS(VStmt):
     target: VExpr  # Var or FieldAcc
     value: VExpr
     span: object = field(default=None, compare=False, repr=False)
 
 
-@dataclass
+@dataclass(slots=True)
 class NewS(VStmt):
     target: str
     fields: list[str]
@@ -213,7 +220,7 @@ class NewS(VStmt):
     span: object = field(default=None, compare=False, repr=False)
 
 
-@dataclass
+@dataclass(slots=True)
 class IfS(VStmt):
     cond: VExpr
     then: list[VStmt]
@@ -221,19 +228,19 @@ class IfS(VStmt):
     span: object = field(default=None, compare=False, repr=False)
 
 
-@dataclass
+@dataclass(slots=True)
 class FoldS(VStmt):
     pred: PredApp
     span: object = field(default=None, compare=False, repr=False)
 
 
-@dataclass
+@dataclass(slots=True)
 class UnfoldS(VStmt):
     pred: PredApp
     span: object = field(default=None, compare=False, repr=False)
 
 
-@dataclass
+@dataclass(slots=True)
 class CallS(VStmt):
     targets: list[str]
     method: str
@@ -244,25 +251,25 @@ class CallS(VStmt):
 # -- declarations --------------------------------------------------------------
 
 
-@dataclass
+@dataclass(slots=True)
 class CtorSig:
     name: str
     params: list[tuple[str, VType]]
 
 
-@dataclass
+@dataclass(slots=True)
 class AdtDecl:
     name: str
     ctors: list[CtorSig]
 
 
-@dataclass
+@dataclass(slots=True)
 class FieldDecl:
     name: str
     typ: VType
 
 
-@dataclass
+@dataclass(slots=True)
 class FunctionDecl:
     name: str
     params: list[tuple[str, VType]]
@@ -272,14 +279,14 @@ class FunctionDecl:
     body: VExpr | None = None
 
 
-@dataclass
+@dataclass(slots=True)
 class PredicateDecl:
     name: str
     params: list[tuple[str, VType]]
     body: VAssertion
 
 
-@dataclass
+@dataclass(slots=True)
 class MethodDecl:
     name: str
     params: list[tuple[str, VType]]
@@ -292,7 +299,7 @@ class MethodDecl:
 VDecl = AdtDecl | FieldDecl | FunctionDecl | PredicateDecl | MethodDecl
 
 
-@dataclass
+@dataclass(slots=True)
 class ViperProgram:
     decls: list[VDecl]
 
@@ -325,95 +332,158 @@ _UNARY = 9
 _LOW = 0
 
 
+def _levels(op: str) -> tuple[int, int, int]:
+    """The level of `op` and the floors of its left and right operands."""
+    p = _PREC[op]
+    if op in _RIGHT_ASSOC:
+        return p, p + 1, p
+    if op in _NON_ASSOC:
+        return p, p + 1, p + 1
+    return p, p, p + 1
+
+
+_BIN_LEVELS = {op: _levels(op) for op in _PREC}
+
+
 def expr_str(e: VExpr, parent: int = _LOW) -> str:
-    text, prec = _expr(e)
-    if prec < parent:
-        return f"({text})"
-    return text
+    """`e` as text, parenthesized when its level is below `parent`."""
+    try:
+        show = _EXPR[type(e)]
+    except KeyError:
+        raise TypeError(
+            f"unknown expression node {type(e).__name__}") from None
+    return show(e, parent)
 
 
-def _expr(e: VExpr) -> tuple[str, int]:
-    if isinstance(e, IntLit):
-        if e.value < 0:
-            return str(e.value), _UNARY
-        return str(e.value), _ATOM
-    if isinstance(e, BoolLit):
-        return ("true" if e.value else "false"), _ATOM
-    if isinstance(e, Var):
-        return e.name, _ATOM
-    if isinstance(e, FieldAcc):
-        return f"{expr_str(e.base, _ATOM)}.{e.fieldname}", _ATOM
-    if isinstance(e, IsTest):
-        return f"{expr_str(e.base, _ATOM)}.is{e.ctor}", _ATOM
-    if isinstance(e, (CtorCall, FunApp)):
-        args = ", ".join(expr_str(a) for a in e.args)
-        return f"{e.name}({args})", _ATOM
-    if isinstance(e, SeqLit):
-        if not e.items:
-            return "Seq[Int]()", _ATOM
-        return "Seq(" + ", ".join(expr_str(a) for a in e.items) + ")", _ATOM
-    if isinstance(e, SeqLen):
-        s = expr_str(e.seq)
-        # adjacent bars would lex as ||, so keep them apart
-        if s.startswith("|"):
-            s = " " + s
-        if s.endswith("|"):
-            s += " "
-        return f"|{s}|", _ATOM
-    if isinstance(e, BinOp):
-        p = _PREC[e.op]
-        if e.op in _RIGHT_ASSOC:
-            lf, rf = p + 1, p
-        elif e.op in _NON_ASSOC:
-            lf, rf = p + 1, p + 1
-        else:
-            lf, rf = p, p + 1
-        return f"{expr_str(e.left, lf)} {e.op} {expr_str(e.right, rf)}", p
-    if isinstance(e, UnOp):
-        return f"{e.op}{expr_str(e.operand, _ATOM)}", _UNARY
-    if isinstance(e, SeqIndex):
-        return f"{expr_str(e.seq, _ATOM)}[{expr_str(e.index)}]", _ATOM
-    if isinstance(e, SeqDrop):
-        return f"{expr_str(e.seq, _ATOM)}[{expr_str(e.lo)} ..]", _ATOM
-    if isinstance(e, SeqTake):
-        return f"{expr_str(e.seq, _ATOM)}[.. {expr_str(e.hi)}]", _ATOM
-    raise TypeError(f"unknown expression node {type(e).__name__}")
+# One handler per expression class, looked up by `expr_str` in `_EXPR`.
+# Each takes (e, parent) and adds the parentheses its own level needs;
+# atoms never need any.
+
+def _int_str(e: IntLit, parent: int) -> str:
+    if e.value < 0 and _UNARY < parent:
+        return f"({e.value})"
+    return str(e.value)
 
 
-def _pred_str(p: PredApp) -> str:
-    return f"{p.name}(" + ", ".join(expr_str(a) for a in p.args) + ")"
+def _bool_str(e: BoolLit, parent: int) -> str:
+    return "true" if e.value else "false"
+
+
+def _var_str(e: Var, parent: int) -> str:
+    return e.name
+
+
+def _field_str(e: FieldAcc, parent: int) -> str:
+    return f"{expr_str(e.base, _ATOM)}.{e.fieldname}"
+
+
+def _is_str(e: IsTest, parent: int) -> str:
+    return f"{expr_str(e.base, _ATOM)}.is{e.ctor}"
+
+
+def _app_str(e: CtorCall | FunApp | PredApp, parent: object = None) -> str:
+    # never parenthesized: it also prints a predicate instance, for
+    # `_ASSERTION` (whose second argument is `under_and`) and `fold`
+    return f"{e.name}({', '.join(map(expr_str, e.args))})"
+
+
+def _seq_str(e: SeqLit, parent: int) -> str:
+    if not e.items:
+        return "Seq[Int]()"
+    return f"Seq({', '.join(map(expr_str, e.items))})"
+
+
+def _len_str(e: SeqLen, parent: int) -> str:
+    s = expr_str(e.seq)
+    # adjacent bars would lex as ||, so keep them apart
+    if s.startswith("|"):
+        s = " " + s
+    if s.endswith("|"):
+        s += " "
+    return f"|{s}|"
+
+
+def _binop_str(e: BinOp, parent: int) -> str:
+    p, lf, rf = _BIN_LEVELS[e.op]
+    text = f"{expr_str(e.left, lf)} {e.op} {expr_str(e.right, rf)}"
+    return f"({text})" if p < parent else text
+
+
+def _unop_str(e: UnOp, parent: int) -> str:
+    text = f"{e.op}{expr_str(e.operand, _ATOM)}"
+    return f"({text})" if _UNARY < parent else text
+
+
+def _index_str(e: SeqIndex, parent: int) -> str:
+    return f"{expr_str(e.seq, _ATOM)}[{expr_str(e.index)}]"
+
+
+def _drop_str(e: SeqDrop, parent: int) -> str:
+    return f"{expr_str(e.seq, _ATOM)}[{expr_str(e.lo)} ..]"
+
+
+def _take_str(e: SeqTake, parent: int) -> str:
+    return f"{expr_str(e.seq, _ATOM)}[.. {expr_str(e.hi)}]"
+
+
+_EXPR = {IntLit: _int_str, BoolLit: _bool_str, Var: _var_str,
+         FieldAcc: _field_str, IsTest: _is_str, CtorCall: _app_str,
+         FunApp: _app_str, SeqLit: _seq_str, SeqLen: _len_str,
+         BinOp: _binop_str, UnOp: _unop_str, SeqIndex: _index_str,
+         SeqDrop: _drop_str, SeqTake: _take_str}
 
 
 # -- assertion printing ----------------------------------------------------------
 
 
 def _assertion_str(a: VAssertion, under_and: bool = False) -> str:
-    if isinstance(a, Pure):
-        # floor 5 keeps pure conjuncts unambiguous against && and ? :
-        return expr_str(a.expr, 5)
-    if isinstance(a, Acc):
-        return f"acc({expr_str(a.loc)})"
-    if isinstance(a, PredApp):
-        return _pred_str(a)
-    if isinstance(a, AndA):
-        parts = conjuncts(a)
-        rendered = []
-        for i, c in enumerate(parts):
-            # a trailing let can stay bare: its body just runs to the end
-            bare = i == len(parts) - 1 and isinstance(c, LetA)
-            rendered.append(_assertion_str(c, under_and=not bare))
-        text = " && ".join(rendered)
-        return f"({text})" if under_and else text
-    if isinstance(a, CondA):
-        # ?: binds loosest, so the branches never need parentheses
-        text = (f"{expr_str(a.cond, 5)} ? {_assertion_str(a.then)} : "
-                f"{_assertion_str(a.els)}")
-        return f"({text})" if under_and else text
-    if isinstance(a, LetA):
-        text = (f"let {a.name} == ({expr_str(a.bound)}) in "
-                f"{_assertion_str(a.body)}")
-        return f"({text})" if under_and else text
-    raise TypeError(f"unknown assertion node {type(a).__name__}")
+    """`a` as text, parenthesized when it is a conjunct (`under_and`) that
+    would otherwise swallow the conjuncts after it."""
+    try:
+        show = _ASSERTION[type(a)]
+    except KeyError:
+        raise TypeError(f"unknown assertion node {type(a).__name__}") from None
+    return show(a, under_and)
+
+
+# One handler per assertion class, looked up by `_assertion_str` in
+# `_ASSERTION`; each takes (a, under_and).
+
+def _pure_str(a: Pure, under_and: bool) -> str:
+    # floor 5 keeps pure conjuncts unambiguous against && and ? :
+    return expr_str(a.expr, 5)
+
+
+def _acc_str(a: Acc, under_and: bool) -> str:
+    return f"acc({expr_str(a.loc)})"
+
+
+def _and_str(a: AndA, under_and: bool) -> str:
+    parts = a.parts
+    rendered = []
+    for i, c in enumerate(parts):
+        # a trailing let can stay bare: its body just runs to the end
+        bare = i == len(parts) - 1 and isinstance(c, LetA)
+        rendered.append(_assertion_str(c, under_and=not bare))
+    text = " && ".join(rendered)
+    return f"({text})" if under_and else text
+
+
+def _cond_str(a: CondA, under_and: bool) -> str:
+    # ?: binds loosest, so the branches never need parentheses
+    text = (f"{expr_str(a.cond, 5)} ? {_assertion_str(a.then)} : "
+            f"{_assertion_str(a.els)}")
+    return f"({text})" if under_and else text
+
+
+def _let_str(a: LetA, under_and: bool) -> str:
+    text = (f"let {a.name} == ({expr_str(a.bound)}) in "
+            f"{_assertion_str(a.body)}")
+    return f"({text})" if under_and else text
+
+
+_ASSERTION = {Pure: _pure_str, Acc: _acc_str, PredApp: _app_str,
+              AndA: _and_str, CondA: _cond_str, LetA: _let_str}
 
 
 def _emit_assertion(out: list[str], a: VAssertion, indent: str,
@@ -457,43 +527,73 @@ def _emit_assertion(out: list[str], a: VAssertion, indent: str,
 
 
 def stmt_lines(s: VStmt, indent: str) -> list[str]:
-    if isinstance(s, VarDeclS):
-        if s.init is None:
-            return [f"{indent}var {s.name}: {s.typ}"]
-        return [f"{indent}var {s.name}: {s.typ} := {expr_str(s.init)}"]
-    if isinstance(s, AssignS):
-        return [f"{indent}{expr_str(s.target)} := {expr_str(s.value)}"]
-    if isinstance(s, NewS):
-        call = f"new({', '.join(s.fields)})"
-        if s.declare:
-            return [f"{indent}var {s.target}: Ref := {call}"]
-        return [f"{indent}{s.target} := {call}"]
-    if isinstance(s, IfS):
-        lines = [f"{indent}if ({expr_str(s.cond)}) {{"]
-        for inner in s.then:
-            lines.extend(stmt_lines(inner, indent + "  "))
-        if s.els:
-            lines.append(f"{indent}}} else {{")
-            for inner in s.els:
-                lines.extend(stmt_lines(inner, indent + "  "))
-        lines.append(f"{indent}}}")
-        return lines
-    if isinstance(s, FoldS):
-        return [f"{indent}fold {_pred_str(s.pred)}"]
-    if isinstance(s, UnfoldS):
-        return [f"{indent}unfold {_pred_str(s.pred)}"]
-    if isinstance(s, CallS):
-        call = f"{s.method}(" + ", ".join(expr_str(a) for a in s.args) + ")"
-        if s.targets:
-            return [f"{indent}{', '.join(s.targets)} := {call}"]
-        return [f"{indent}{call}"]
-    raise TypeError(f"unknown statement node {type(s).__name__}")
+    try:
+        show = _STMT[type(s)]
+    except KeyError:
+        raise TypeError(f"unknown statement node {type(s).__name__}") from None
+    return show(s, indent)
+
+
+# One handler per statement class, looked up by `stmt_lines` in `_STMT`;
+# each takes (s, indent).
+
+def _var_lines(s: VarDeclS, indent: str) -> list[str]:
+    if s.init is None:
+        return [f"{indent}var {s.name}: {s.typ}"]
+    return [f"{indent}var {s.name}: {s.typ} := {expr_str(s.init)}"]
+
+
+def _assign_lines(s: AssignS, indent: str) -> list[str]:
+    return [f"{indent}{expr_str(s.target)} := {expr_str(s.value)}"]
+
+
+def _new_lines(s: NewS, indent: str) -> list[str]:
+    call = f"new({', '.join(s.fields)})"
+    if s.declare:
+        return [f"{indent}var {s.target}: Ref := {call}"]
+    return [f"{indent}{s.target} := {call}"]
+
+
+def _if_lines(s: IfS, indent: str) -> list[str]:
+    # Inner statements go to their handlers directly (stmt_lines only when
+    # a class has none, to raise): a match nests one `if` per arm, and this
+    # keeps it to one frame per level, as the recursion does without tables.
+    inner = indent + "  "
+    lines = [f"{indent}if ({expr_str(s.cond)}) {{"]
+    for t in s.then:
+        lines += _STMT.get(type(t), stmt_lines)(t, inner)
+    if s.els:
+        lines.append(f"{indent}}} else {{")
+        for t in s.els:
+            lines += _STMT.get(type(t), stmt_lines)(t, inner)
+    lines.append(f"{indent}}}")
+    return lines
+
+
+def _fold_lines(s: FoldS, indent: str) -> list[str]:
+    return [f"{indent}fold {_app_str(s.pred)}"]
+
+
+def _unfold_lines(s: UnfoldS, indent: str) -> list[str]:
+    return [f"{indent}unfold {_app_str(s.pred)}"]
+
+
+def _call_lines(s: CallS, indent: str) -> list[str]:
+    call = f"{s.method}({', '.join(map(expr_str, s.args))})"
+    if s.targets:
+        return [f"{indent}{', '.join(s.targets)} := {call}"]
+    return [f"{indent}{call}"]
+
+
+_STMT = {VarDeclS: _var_lines, AssignS: _assign_lines, NewS: _new_lines,
+         IfS: _if_lines, FoldS: _fold_lines, UnfoldS: _unfold_lines,
+         CallS: _call_lines}
 
 
 def pretty_stmts(stmts: list[VStmt], indent: str = "") -> str:
     lines: list[str] = []
     for s in stmts:
-        lines.extend(stmt_lines(s, indent))
+        lines += stmt_lines(s, indent)
     return "\n".join(lines)
 
 
@@ -505,46 +605,67 @@ def _params_str(params: list[tuple[str, VType]]) -> str:
 
 
 def decl_lines(d: VDecl) -> list[str]:
-    if isinstance(d, AdtDecl):
-        lines = [f"adt {d.name} {{"]
-        for c in d.ctors:
-            lines.append(f"  {c.name}({_params_str(c.params)})")
+    try:
+        show = _DECL[type(d)]
+    except KeyError:
+        raise TypeError(
+            f"unknown declaration node {type(d).__name__}") from None
+    return show(d)
+
+
+# One handler per declaration class, looked up by `decl_lines` in `_DECL`.
+
+def _adt_lines(d: AdtDecl) -> list[str]:
+    lines = [f"adt {d.name} {{"]
+    for c in d.ctors:
+        lines.append(f"  {c.name}({_params_str(c.params)})")
+    lines.append("}")
+    return lines
+
+
+def _field_lines(d: FieldDecl) -> list[str]:
+    return [f"field {d.name}: {d.typ}"]
+
+
+def _emit_contract(lines: list[str], d: FunctionDecl | MethodDecl) -> None:
+    for a in d.pres:
+        _emit_assertion(lines, a, "  ", "requires ")
+    for a in d.posts:
+        _emit_assertion(lines, a, "  ", "ensures ")
+
+
+def _function_lines(d: FunctionDecl) -> list[str]:
+    lines = [f"function {d.name}({_params_str(d.params)}): {d.ret}"]
+    _emit_contract(lines, d)
+    if d.body is not None:
+        lines += ["{", f"  {expr_str(d.body)}", "}"]
+    return lines
+
+
+def _predicate_lines(d: PredicateDecl) -> list[str]:
+    lines = [f"predicate {d.name}({_params_str(d.params)}) {{"]
+    _emit_assertion(lines, d.body, "  ")
+    lines.append("}")
+    return lines
+
+
+def _method_lines(d: MethodDecl) -> list[str]:
+    sig = f"method {d.name}({_params_str(d.params)})"
+    if d.returns:
+        sig += f" returns ({_params_str(d.returns)})"
+    lines = [sig]
+    _emit_contract(lines, d)
+    if d.body is not None:
+        lines.append("{")
+        for s in d.body:
+            lines += stmt_lines(s, "  ")
         lines.append("}")
-        return lines
-    if isinstance(d, FieldDecl):
-        return [f"field {d.name}: {d.typ}"]
-    if isinstance(d, FunctionDecl):
-        lines = [f"function {d.name}({_params_str(d.params)}): {d.ret}"]
-        for a in d.pres:
-            _emit_assertion(lines, a, "  ", "requires ")
-        for a in d.posts:
-            _emit_assertion(lines, a, "  ", "ensures ")
-        if d.body is not None:
-            lines.append("{")
-            lines.append(f"  {expr_str(d.body)}")
-            lines.append("}")
-        return lines
-    if isinstance(d, PredicateDecl):
-        lines = [f"predicate {d.name}({_params_str(d.params)}) {{"]
-        _emit_assertion(lines, d.body, "  ")
-        lines.append("}")
-        return lines
-    if isinstance(d, MethodDecl):
-        sig = f"method {d.name}({_params_str(d.params)})"
-        if d.returns:
-            sig += f" returns ({_params_str(d.returns)})"
-        lines = [sig]
-        for a in d.pres:
-            _emit_assertion(lines, a, "  ", "requires ")
-        for a in d.posts:
-            _emit_assertion(lines, a, "  ", "ensures ")
-        if d.body is not None:
-            lines.append("{")
-            for s in d.body:
-                lines.extend(stmt_lines(s, "  "))
-            lines.append("}")
-        return lines
-    raise TypeError(f"unknown declaration node {type(d).__name__}")
+    return lines
+
+
+_DECL = {AdtDecl: _adt_lines, FieldDecl: _field_lines,
+         FunctionDecl: _function_lines, PredicateDecl: _predicate_lines,
+         MethodDecl: _method_lines}
 
 
 def pretty(program: ViperProgram) -> str:

@@ -2,6 +2,7 @@
 through RunConfig/run with captured streams; one test exercises the
 installed console entry point for real."""
 
+import gc
 import io
 import os
 import subprocess
@@ -468,6 +469,34 @@ def test_long_conjunctions_check_and_round_trip(tmp_path, shape, n):
     assert (status, err) == (0, "")
     text = (tmp_path / "long.vpr").read_text()
     assert pretty(reparse(text)) == text
+
+
+# `+` and `-` chains are loops in the parser, but the tree nests one level
+# per term, and the translator, the checker and the printer each walk it at
+# two frames a level; a printer at three frames a level fails at 400 terms.
+@pytest.mark.parametrize("op", ["+", "-"])
+def test_long_arithmetic_chain_checks_and_prints(tmp_path, op):
+    src = tmp_path / "sum.ml"
+    src.write_text(NESTED.format(body="c.v <- " + f" {op} ".join(["1"] * 400),
+                                 pre="p c"))
+    status, out, err = invoke(src, check=True)
+    assert (status, err) == (0, "")
+    assert f"c.v := 1 {op} 1 {op} 1" in (tmp_path / "sum.vpr").read_text()
+
+
+def test_a_run_leaves_no_cyclic_garbage(tmp_path, corpus):
+    # every object of a run is freed by reference counting; a cycle (such
+    # as a recursive closure over the translator) would keep the whole
+    # surface tree alive until the cyclic collector ran
+    for path in sorted(corpus.glob("*.ml")):
+        gc.collect()
+        gc.disable()
+        try:
+            invoke(path, check=True, output=str(tmp_path) + os.sep)
+            garbage = gc.collect()
+        finally:
+            gc.enable()
+        assert garbage == 0, path.name
 
 
 def test_corpus_check_stderr_matches_golden(tmp_path, corpus, golden):

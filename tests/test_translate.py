@@ -2,13 +2,19 @@
 declaration it must produce.  Token-level comparisons use golden_equal
 so layout never matters."""
 
+import dataclasses
+import sys
+
 import pytest
-from gospel2viper import translate_source
+from gospel2viper import surface, translate_source
 from gospel2viper.diagnostics import Category, Severity
+from gospel2viper.parser import parse_source
 from gospel2viper.permcheck import check_program
+from gospel2viper.translate import _Tr, translate
 from gospel2viper.viper_ast import (AssignS, CallS, FoldS, IfS, IsTest,
                                     MethodDecl, NewS, PredApp, UnfoldS,
-                                    golden_equal, pretty, pretty_stmts)
+                                    VType, golden_equal, pretty, pretty_stmts)
+from test_parser import nodes, wide_module
 
 CELL = ("type cell = Nil | Cons of "
         "{ mutable content : int; mutable next : cell }\n")
@@ -528,3 +534,80 @@ def test_empty_module_translates_to_empty_program():
     prog = tr("")
     assert prog.decls == []
     assert pretty(prog) == ""
+
+
+# -- node layout and dispatch ----------------------------------------------------
+
+
+def test_every_surface_node_class_has_a_handler():
+    def classes(base):
+        return {c for c in vars(surface).values()
+                if isinstance(c, type) and issubclass(c, base)
+                and c is not base}
+
+    exprs = classes(surface.SurfaceExpr)
+    # statements, which `tr_expr` rejects as values
+    statements = {surface.AssignE, surface.LetIn, surface.IfE,
+                  surface.MatchE, surface.SeqE}
+    assert set(_Tr._EXPR) == exprs - statements
+    assert set(_Tr._ASSERTION) == classes(surface.Assertion)
+    # the rest of the expressions are values without effect
+    assert statements | {surface.GhostCommand} <= set(_Tr._STMTS)
+    assert set(_Tr._STMTS) <= exprs | {surface.GhostCommand}
+
+
+def test_no_node_of_the_corpus_has_a_dict(corpus):
+    for path in sorted(corpus.glob("*.ml")):
+        module, diags = parse_source(path.read_text(encoding="utf-8"))
+        program, diags = translate(module)
+        assert program is not None, [d.message for d in diags]
+        for node in [*nodes(module), *nodes(program)]:
+            for x in (node, getattr(node, "span", None)):
+                assert not hasattr(x, "__dict__"), type(x).__name__
+
+
+def viper_nodes(program):
+    """Viper nodes as the benchmark counts them: every dataclass but a
+    type, spans included."""
+    count, todo = 0, [program]
+    while todo:
+        x = todo.pop()
+        if isinstance(x, (list, tuple)):
+            todo.extend(x)
+        elif dataclasses.is_dataclass(x) and not isinstance(x, VType):
+            count += 1
+            todo.extend(getattr(x, f.name) for f in dataclasses.fields(x))
+    return count
+
+
+def calls(fn, *args):
+    """fn(*args) and the Python and C calls it made.  A count of calls,
+    unlike a time, does not depend on the machine."""
+    n = 0
+
+    def count(frame, event, arg):
+        nonlocal n
+        n += event in ("call", "c_call")
+
+    sys.setprofile(count)
+    try:
+        result = fn(*args)
+    finally:
+        sys.setprofile(None)
+    return result, n
+
+
+def test_translator_and_printer_calls_per_node_on_a_wide_module():
+    # `isinstance` ladders in `tr_expr`, `tr_stmts` and `tr_assertion`, a
+    # `(text, precedence)` tuple from `_expr` under every `expr_str` and
+    # ladders in the other printers made 4.92 calls per node translating
+    # and 6.00 printing; 2.52 and 2.51 with class tables (Python 3.11)
+    module, diags = parse_source(wide_module())
+    assert not diags
+    (program, diags), translating = calls(translate, module)
+    assert program is not None and not diags
+    n = viper_nodes(program)
+    assert n == 1512
+    _, printing = calls(pretty, program)
+    assert translating / n <= 2.89
+    assert printing / n <= 2.88

@@ -1,6 +1,7 @@
 """Printer tests: precedence, canonical assertion layout, token-level
 golden equality."""
 
+from gospel2viper import viper_ast as V
 from gospel2viper.viper_ast import (INT, REF, SEQ_INT, Acc, AdtDecl, AndA,
                                     AssignS, BinOp, BoolLit, CallS, CondA,
                                     CtorCall, CtorSig, FieldAcc,
@@ -9,9 +10,9 @@ from gospel2viper.viper_ast import (INT, REF, SEQ_INT, Acc, AdtDecl, AndA,
                                     MethodDecl, NewS, PredApp,
                                     PredicateDecl, Pure, SeqLen, SeqLit,
                                     UnOp, Var, VarDeclS, ViperProgram,
-                                    and_all, conjuncts, expr_str,
-                                    golden_equal, pretty, pretty_stmts,
-                                    token_texts)
+                                    and_all, conjuncts, decl_lines,
+                                    expr_str, golden_equal, pretty,
+                                    pretty_stmts, stmt_lines, token_texts)
 
 import pytest
 
@@ -197,6 +198,32 @@ def test_bodyless_method_has_no_braces():
 def test_empty_body_prints_empty_block():
     d = MethodDecl("noop", [], [], [], [], [])
     assert pretty(ViperProgram([d])) == "method noop()\n{\n}\n"
+
+
+# -- dispatch ----------------------------------------------------------------------
+
+
+def test_printers_reject_a_node_class_they_do_not_know():
+    class Odd:
+        pass
+
+    for show in (expr_str, V._assertion_str, decl_lines,
+                 lambda x: stmt_lines(x, ""),
+                 lambda x: stmt_lines(IfS(X, [], [x]), "")):
+        with pytest.raises(TypeError, match=r"\bOdd\b"):
+            show(Odd())
+
+
+def test_every_viper_node_class_has_a_printer():
+    def classes(base):
+        return {c for c in vars(V).values()
+                if isinstance(c, type) and issubclass(c, base)
+                and c is not base}
+
+    assert set(V._EXPR) == classes(V.VExpr)
+    assert set(V._ASSERTION) == classes(V.VAssertion)
+    assert set(V._STMT) == classes(V.VStmt)
+    assert set(V._DECL) == set(V.VDecl.__args__)
 
 
 # -- token equality ---------------------------------------------------------------
