@@ -5,9 +5,18 @@ deterministic: inputs are processed in argument order, diagnostics are
 sorted within each file, and written files are announced on stdout one
 path per line.
 
+Each output is written in place: its file is opened without truncating
+it, the new text is written over the old bytes, and a regular file is
+then cut to the new length.  The write is not atomic, and truncating
+first would not be either: a crash mid-write can leave a torn `.vpr`,
+which the next run rewrites.  Each output directory is created once per
+run.
+
 Exit status: 0 when no error-severity diagnostics were produced, 1 when
-some were, 2 on I/O or usage failures.  Two inputs that map to one output
-path are a usage failure, found before anything is written.  An external
+some were, 2 on I/O or usage failures.  An input that is not UTF-8 is an
+I/O failure, reported as one that cannot be read.  Two inputs that map to
+one output path, and an output path that is the same file as an input,
+are usage failures, found before anything is written.  An external
 verifier named by $GOSPEL2VIPER_VERIFIER is invoked as
 `<command> <file.vpr>` for every written file; its status is reported on
 stderr and never changes the exit status of this tool.
@@ -22,6 +31,7 @@ import subprocess
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
+from stat import S_ISREG
 
 from .diagnostics import Diagnostic, LineIndex, has_errors, sort_key
 from .permcheck import check_program
@@ -75,6 +85,42 @@ def _run_verifier(command: str, target: Path, err) -> None:
           f"{proc.returncode} for {target}", file=err)
 
 
+def _target_is_an_input(targets: dict[Path, str],
+                        inputs: list[str]) -> str | None:
+    """Say which target is the same file as an input, if one is.  Files
+    are compared by device and inode: a target that does not exist yet
+    is no input, and a missing input is reported when it is read."""
+    files = {}  # (device, inode) -> input
+    for inp in inputs:
+        try:
+            st = os.stat(inp)
+        except OSError:
+            continue
+        files[st.st_dev, st.st_ino] = inp
+    for target, inp in targets.items():
+        try:
+            st = os.stat(target)
+        except OSError:
+            continue
+        src = files.get((st.st_dev, st.st_ino))
+        if src is not None:
+            return (f"{inp} would be written to {target}, which is the "
+                    f"input {src}")
+    return None
+
+
+def _overwrite(target: Path, text: str) -> None:
+    """Write `text` over the bytes of `target`, then cut it to length.
+    Truncating first would free the file's blocks only to allocate them
+    again.  Only a regular file is cut: a pipe, a terminal or /dev/null
+    has no length, and ftruncate fails on it."""
+    fd = os.open(target, os.O_WRONLY | os.O_CREAT, 0o666)
+    with open(fd, "w", encoding="utf-8") as fh:
+        fh.write(text)
+        if S_ISREG(os.fstat(fd).st_mode):
+            fh.truncate()
+
+
 def run(config: RunConfig) -> int:
     out = config.stdout if config.stdout is not None else sys.stdout
     err = config.stderr if config.stderr is not None else sys.stderr
@@ -86,11 +132,16 @@ def run(config: RunConfig) -> int:
                   f"would both be written to {target}", file=err)
             return 2
         targets[target] = inp
+    clash = _target_is_an_input(targets, config.inputs)
+    if clash is not None:
+        print(f"gospel2viper: error: {clash}", file=err)
+        return 2
+    made: set[Path] = {Path("")}  # output directories known to exist
     any_errors = False
     for target, inp in targets.items():
         try:
             source = Path(inp).read_text(encoding="utf-8")
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             print(f"gospel2viper: error: cannot read {inp}: {exc}",
                   file=err)
             return 2
@@ -103,9 +154,10 @@ def run(config: RunConfig) -> int:
         if program is None:
             continue
         try:
-            if target.parent != Path(""):
+            if target.parent not in made:
                 target.parent.mkdir(parents=True, exist_ok=True)
-            target.write_text(pretty(program), encoding="utf-8")
+                made.add(target.parent)
+            _overwrite(target, pretty(program))
         except OSError as exc:
             print(f"gospel2viper: error: cannot write {target}: {exc}",
                   file=err)

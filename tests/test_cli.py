@@ -193,6 +193,147 @@ def test_missing_input_exits_two(tmp_path):
     assert "cannot read" in err
 
 
+def test_input_that_is_not_utf8_exits_two(tmp_path):
+    src = tmp_path / "latin.ml"
+    src.write_bytes(b"let \xff = 0\n")
+    status, out, err = invoke(src, check=True)
+    assert (status, out) == (2, "")
+    assert err == (f"gospel2viper: error: cannot read {src}: 'utf-8' codec "
+                   f"can't decode byte 0xff in position 4: invalid start "
+                   f"byte\n")
+    assert not (tmp_path / "latin.vpr").exists()
+
+
+def _tree(root):
+    return {p: p.read_bytes() for p in sorted(root.rglob("*"))
+            if p.is_file()}
+
+
+# inputs, -o, and the (input, target, source) that the error names
+SAME_FILE = {
+    "output is the input": (["same.ml"], "same.ml",
+                            ("same.ml", "same.ml", "same.ml")),
+    "input is a .vpr": (["x.vpr"], None, ("x.vpr", "x.vpr", "x.vpr")),
+    "output links to the input": (["same.ml"], "link.vpr",
+                                  ("same.ml", "link.vpr", "same.ml")),
+    "output of one input links to another": (
+        ["a.ml", "b.ml"], "gen", ("a.ml", "gen/a.vpr", "b.ml")),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SAME_FILE))
+def test_output_that_is_an_input_is_refused(tmp_path, case):
+    inputs, output, (inp, target, src) = SAME_FILE[case]
+    for name in inputs:
+        (tmp_path / name).write_text(GOOD)
+    (tmp_path / "gen").mkdir()
+    (tmp_path / "link.vpr").symlink_to(tmp_path / "same.ml")
+    (tmp_path / "gen" / "a.vpr").symlink_to(tmp_path / "b.ml")
+    before = _tree(tmp_path)
+    status, out, err = invoke(
+        *(tmp_path / name for name in inputs), check=True,
+        output=None if output is None else str(tmp_path / output))
+    assert (status, out) == (2, "")
+    assert err == (f"gospel2viper: error: {tmp_path / inp} would be written "
+                   f"to {tmp_path / target}, which is the input "
+                   f"{tmp_path / src}\n")
+    assert _tree(tmp_path) == before
+
+
+def _fresh_output(tmp_path, src):
+    fresh = tmp_path / "fresh"
+    status, _, _ = invoke(src, check=True, output=str(fresh) + os.sep)
+    assert status == 0
+    return (fresh / (src.stem + ".vpr")).read_bytes()
+
+
+@pytest.mark.parametrize("before", ["longer", "shorter", "absent",
+                                    "an earlier run"])
+def test_rewrite_equals_a_fresh_write(tmp_path, corpus, before):
+    src = corpus / "checker_queue.ml"
+    expected = _fresh_output(tmp_path, src)
+    gen = tmp_path / "gen"
+    target = gen / "checker_queue.vpr"
+    gen.mkdir()
+    if before == "longer":
+        target.write_bytes(b"x" * (3 * len(expected)) + b"\n")
+    elif before == "shorter":
+        target.write_bytes(expected[:10])
+    elif before == "an earlier run":
+        invoke(src, check=True, output=str(gen))
+    status, out, _ = invoke(src, check=True, output=str(gen))
+    assert (status, out) == (0, f"{target}\n")
+    assert target.read_bytes() == expected
+
+
+def test_inputs_into_one_directory_create_it_once(tmp_path, monkeypatch):
+    made = []
+    mkdir = Path.mkdir
+
+    def counted(self, *args, **kw):
+        made.append(self)
+        return mkdir(self, *args, **kw)
+    monkeypatch.setattr(Path, "mkdir", counted)
+    srcs = [tmp_path / f"{name}.ml" for name in "abc"]
+    for src in srcs:
+        src.write_text(GOOD)
+    gen = tmp_path / "gen"
+    status, out, _ = invoke(*srcs, output=str(gen))
+    assert status == 0
+    assert out.splitlines() == [str(gen / f"{n}.vpr") for n in "abc"]
+    assert made == [gen]
+
+
+def test_output_into_a_pipe(tmp_path):
+    # /dev/stdout is a pipe here, which cannot be cut to length
+    src = tmp_path / "good.ml"
+    src.write_text(GOOD)
+    expected = _fresh_output(tmp_path, src)
+    root = Path(gospel2viper.__file__).resolve().parent.parent
+    path = os.pathsep.join([str(root), os.environ.get("PYTHONPATH", "")])
+    proc = subprocess.run(
+        [sys.executable, "-m", "gospel2viper.cli", str(src), "--check",
+         "-o", "/dev/stdout"],
+        capture_output=True, env=dict(os.environ, PYTHONPATH=path))
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert proc.stdout == expected + b"/dev/stdout\n"
+
+
+def test_output_into_dev_null(tmp_path):
+    # seekable, but it has no length to cut
+    src = tmp_path / "good.ml"
+    src.write_text(GOOD)
+    status, out, err = invoke(src, check=True, output=os.devnull)
+    assert (status, out, err) == (0, f"{os.devnull}\n", "")
+
+
+def test_target_that_is_a_directory_exits_two(tmp_path):
+    src = tmp_path / "good.ml"
+    src.write_text(GOOD)
+    target = tmp_path / "good.vpr"
+    target.mkdir()
+    status, out, err = invoke(src)
+    assert (status, out) == (2, "")
+    assert err.startswith(f"gospel2viper: error: cannot write {target}: ")
+    assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077, 0o002])
+def test_new_output_mode_follows_the_umask(tmp_path, umask):
+    src = tmp_path / "good.ml"
+    src.write_text(GOOD)
+    old = os.umask(umask)
+    try:
+        with open(tmp_path / "reference", "w"):
+            pass
+        status, _, _ = invoke(src)
+    finally:
+        os.umask(old)
+    assert status == 0
+    mode = (tmp_path / "good.vpr").stat().st_mode
+    assert mode == (tmp_path / "reference").stat().st_mode
+
+
 def test_strict_turns_obligations_into_errors(tmp_path):
     src = tmp_path / "obl.ml"
     src.write_text("""\
