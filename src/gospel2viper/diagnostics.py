@@ -3,20 +3,58 @@
 A Span is a half-open byte-offset interval into the original source text.
 Line/column numbers are only computed when a diagnostic is rendered, via
 LineIndex, so the rest of the pipeline can stay offset-based.
+
+`Record` is the base of the package's plain classes, the surface AST's
+among them: a `__slots__` class with a hand-written `__init__` costs far
+less to define at import than a dataclass, whose methods are generated
+and compiled from source text when its module is imported.
 """
 
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
+
+
+class Record:
+    """Base of the package's plain slots classes.  Equality and repr are
+    those a dataclass would generate: two records are equal when they are
+    of one class and their fields are, and the repr names each field.
+    Both go over the fields in `__slots__` order, except those a subclass
+    names in the class keyword `uncompared` (by default `span`, which
+    positions a node and never tells two apart).  `unshown` names the
+    fields left out of the repr, by default the uncompared ones.  As for
+    a dataclass that is equal by value but not frozen, defining `__eq__`
+    turns hashing off; a subclass that is hashable defines `__hash__`."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, uncompared=("span",), unshown=None):
+        super().__init_subclass__()
+        slots = cls.__dict__.get("__slots__", ())
+        cls._compared = tuple(f for f in slots if f not in uncompared)
+        hidden = uncompared if unshown is None else unshown
+        cls._shown = tuple(f for f in slots if f not in hidden)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ([getattr(self, f) for f in self._compared]
+                == [getattr(other, f) for f in self._compared])
+
+    def __repr__(self) -> str:
+        args = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._shown)
+        return f"{self.__class__.__qualname__}({args})"
 
 
 @dataclass(slots=True, unsafe_hash=True)
 class Span:
     """Equal and hashed by value; never assigned after it is built, but not
     frozen, because a frozen dataclass sets each field through
-    `object.__setattr__` and costs twice as much to build."""
+    `object.__setattr__` and costs twice as much to build.  Unlike the
+    other records it stays a dataclass: the benchmark counts the spans
+    held by Viper nodes among those nodes, through `dataclasses.fields`."""
 
     start: int
     end: int
@@ -42,12 +80,15 @@ class Category(Enum):
     PURE_OBLIGATION = "pure-obligation"
 
 
-@dataclass
-class Diagnostic:
-    severity: Severity
-    category: Category
-    message: str
-    span: Span | None = None
+class Diagnostic(Record, uncompared=()):
+    __slots__ = ("severity", "category", "message", "span")
+
+    def __init__(self, severity: Severity, category: Category, message: str,
+                 span: Span | None = None):
+        self.severity = severity
+        self.category = category
+        self.message = message
+        self.span = span
 
     def render(self, path: str, index: "LineIndex | None" = None) -> str:
         line, col = (0, 0)

@@ -93,12 +93,11 @@ import itertools
 import operator
 import weakref
 from collections import Counter
-from dataclasses import dataclass, field
 from enum import Enum
 
 from . import viper_ast as V
-from .diagnostics import (Category, Diagnostic, Severity, error, obligation,
-                          warning)
+from .diagnostics import (Category, Diagnostic, Record, Severity, error,
+                          obligation, warning)
 
 MAX_PATHS = 32
 _SCALAR = frozenset({"Int", "Bool"})  # types whose values a join merges
@@ -287,19 +286,24 @@ def _infix(v: SymVal) -> bool:
 # -- symbolic state --------------------------------------------------------------
 
 
-@dataclass
-class SymState:
-    # the held cells: a key is a whole permission, its value the field's
-    heap: dict = field(default_factory=dict)  # {(recv, field): SymVal}
-    preds: Counter = field(default_factory=Counter)  # {(name, args): n}
-    # the assumed facts, in normal form, in the order they were assumed;
-    # FALSE if the state is infeasible
-    facts: dict = field(default_factory=dict)  # {bool SymVal: None}
-    store: dict = field(default_factory=dict)  # {var: SymVal}
-    subst: dict = field(default_factory=dict)  # {sym id: SymVal}
-    # {term: normal form} under subst, replaced as subst grows
-    memo: dict = field(default_factory=dict, compare=False, repr=False)
-    joins: tuple = ()  # the guards of the joins whose ites values hold
+class SymState(Record, uncompared=("memo",)):
+    __slots__ = ("heap", "preds", "facts", "store", "subst", "memo", "joins")
+
+    def __init__(self, heap: dict | None = None, preds: Counter | None = None,
+                 facts: dict | None = None, store: dict | None = None,
+                 subst: dict | None = None, memo: dict | None = None,
+                 joins: tuple = ()):
+        # the held cells: a key is a whole permission, its value the field's
+        self.heap = {} if heap is None else heap  # {(recv, field): SymVal}
+        self.preds = Counter() if preds is None else preds  # {(name, args): n}
+        # the assumed facts, in normal form, in the order they were
+        # assumed; FALSE if the state is infeasible
+        self.facts = {} if facts is None else facts  # {bool SymVal: None}
+        self.store = {} if store is None else store  # {var: SymVal}
+        self.subst = {} if subst is None else subst  # {sym id: SymVal}
+        # {term: normal form} under subst, replaced as subst grows
+        self.memo = {} if memo is None else memo
+        self.joins = joins  # the guards of the joins whose ites values hold
 
     def clone(self) -> "SymState":
         return SymState(dict(self.heap), Counter(self.preds),
@@ -322,18 +326,23 @@ class _Mode(Enum):
     PRODUCE = "produce"  # reads prefer live heap, unframed reads get a cache
 
 
-@dataclass
-class _ConsumeCtx:
+class _ConsumeCtx(Record):
     """What a failed consume should be reported as."""
-    pred_category: Category
-    what: object  # printed by str(): "postcondition of m", or a _FoldName
+    __slots__ = ("pred_category", "what")
+
+    def __init__(self, pred_category: Category, what: object):
+        self.pred_category = pred_category
+        # printed by str(): "postcondition of m", or a _FoldName
+        self.what = what
 
 
-@dataclass
-class _FoldName:
+class _FoldName(Record):
     """`fold P(args)`, rendered only when a diagnostic prints it: most
     folds never fail."""
-    pred: V.PredApp
+    __slots__ = ("pred",)
+
+    def __init__(self, pred: V.PredApp):
+        self.pred = pred
 
     def __str__(self) -> str:
         call = V.FunApp(self.pred.name, self.pred.args)

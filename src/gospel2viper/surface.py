@@ -1,234 +1,301 @@
 """Surface AST: OCaml-light declarations plus Gospel annotation payloads.
 
-Every node is a slots dataclass and the abstract bases declare no slots,
-so a node has no `__dict__`: it is smaller and cheaper to build, and no
-stage can hang an undeclared attribute on it.  Span fields never
-participate in structural equality, so tests can build expected trees
-without positions.
+Every node is a plain class with `__slots__` and a hand-written
+`__init__`, and the abstract bases declare no slots, so a node has no
+`__dict__`: it is smaller and cheaper to build, and no stage can hang an
+undeclared attribute on it.  Equality and repr come from `Record` and are
+those a dataclass would give.  Span fields never participate in
+structural equality, so tests can build expected trees without positions.
+The types are hashable, like frozen dataclasses; the other nodes are not.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
 
-from .diagnostics import Span
-
-
-def _span():
-    return field(default=None, compare=False, repr=False)
+from .diagnostics import Record, Span
 
 
 # --------------------------------------------------------------------------
 # types
 
-class SurfaceType:
+class SurfaceType(Record):
+    __slots__ = ()
+
+    def __hash__(self) -> int:
+        return hash(())
+
+
+class IntT(SurfaceType):
     __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class IntT(SurfaceType):
-    pass
-
-
-@dataclass(frozen=True, slots=True)
 class BoolT(SurfaceType):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
 class SeqT(SurfaceType):
     """Integer sequences; the only sequence element type in the subset."""
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
 class NamedT(SurfaceType):
-    name: str
+    __slots__ = ("name",)
+
+    def __init__(self, name: str):
+        self.name = name
+
+    def __hash__(self) -> int:
+        return hash((self.name,))
 
 
 # --------------------------------------------------------------------------
 # expressions (shared by program code and specification terms)
 
-class SurfaceExpr:
+class SurfaceExpr(Record):
     __slots__ = ()
 
 
-@dataclass(slots=True)
 class IntLit(SurfaceExpr):
-    value: int
-    span: Span | None = _span()
+    __slots__ = ("value", "span")
+
+    def __init__(self, value: int, span: Span | None = None):
+        self.value = value
+        self.span = span
 
 
-@dataclass(slots=True)
 class BoolLit(SurfaceExpr):
-    value: bool
-    span: Span | None = _span()
+    __slots__ = ("value", "span")
+
+    def __init__(self, value: bool, span: Span | None = None):
+        self.value = value
+        self.span = span
 
 
-@dataclass(slots=True)
 class UnitLit(SurfaceExpr):
-    span: Span | None = _span()
+    __slots__ = ("span",)
+
+    def __init__(self, span: Span | None = None):
+        self.span = span
 
 
-@dataclass(slots=True)
 class VarE(SurfaceExpr):
-    name: str
-    span: Span | None = _span()
+    __slots__ = ("name", "span")
+
+    def __init__(self, name: str, span: Span | None = None):
+        self.name = name
+        self.span = span
 
 
-@dataclass(slots=True)
 class FieldE(SurfaceExpr):
-    base: SurfaceExpr
-    fieldname: str
-    span: Span | None = _span()
+    __slots__ = ("base", "fieldname", "span")
+
+    def __init__(self, base: SurfaceExpr, fieldname: str,
+                 span: Span | None = None):
+        self.base = base
+        self.fieldname = fieldname
+        self.span = span
 
 
-@dataclass(slots=True)
 class CtorE(SurfaceExpr):
     """A bare constructor value, e.g. Nil."""
-    name: str
-    span: Span | None = _span()
+    __slots__ = ("name", "span")
+
+    def __init__(self, name: str, span: Span | None = None):
+        self.name = name
+        self.span = span
 
 
-@dataclass(slots=True)
 class RecordAlloc(SurfaceExpr):
     """A record literal, optionally prefixed by a constructor name."""
-    ctor: str | None
-    inits: list[tuple[str, SurfaceExpr]]
-    span: Span | None = _span()
+    __slots__ = ("ctor", "inits", "span")
+
+    def __init__(self, ctor: str | None,
+                 inits: list[tuple[str, SurfaceExpr]],
+                 span: Span | None = None):
+        self.ctor = ctor
+        self.inits = inits
+        self.span = span
 
 
-@dataclass(slots=True)
 class AppE(SurfaceExpr):
     """Application of a named head: builtin, predicate, function or lemma."""
-    fn: str
-    args: list[SurfaceExpr]
-    ghost_args: list[SurfaceExpr] = field(default_factory=list)
-    span: Span | None = _span()
+    __slots__ = ("fn", "args", "ghost_args", "span")
+
+    def __init__(self, fn: str, args: list[SurfaceExpr],
+                 ghost_args: list[SurfaceExpr] | None = None,
+                 span: Span | None = None):
+        self.fn = fn
+        self.args = args
+        self.ghost_args = [] if ghost_args is None else ghost_args
+        self.span = span
 
 
-@dataclass(slots=True)
 class BinE(SurfaceExpr):
-    op: str
-    left: SurfaceExpr
-    right: SurfaceExpr
-    span: Span | None = _span()
+    __slots__ = ("op", "left", "right", "span")
+
+    def __init__(self, op: str, left: SurfaceExpr, right: SurfaceExpr,
+                 span: Span | None = None):
+        self.op = op
+        self.left = left
+        self.right = right
+        self.span = span
 
 
-@dataclass(slots=True)
 class UnE(SurfaceExpr):
-    op: str
-    operand: SurfaceExpr
-    span: Span | None = _span()
+    __slots__ = ("op", "operand", "span")
+
+    def __init__(self, op: str, operand: SurfaceExpr,
+                 span: Span | None = None):
+        self.op = op
+        self.operand = operand
+        self.span = span
 
 
-@dataclass(slots=True)
 class IndexE(SurfaceExpr):
-    seq: SurfaceExpr
-    index: SurfaceExpr
-    span: Span | None = _span()
+    __slots__ = ("seq", "index", "span")
+
+    def __init__(self, seq: SurfaceExpr, index: SurfaceExpr,
+                 span: Span | None = None):
+        self.seq = seq
+        self.index = index
+        self.span = span
 
 
-@dataclass(slots=True)
 class SliceFromE(SurfaceExpr):
     """v[k ..] : the suffix of v starting at k."""
-    seq: SurfaceExpr
-    lo: SurfaceExpr
-    span: Span | None = _span()
+    __slots__ = ("seq", "lo", "span")
+
+    def __init__(self, seq: SurfaceExpr, lo: SurfaceExpr,
+                 span: Span | None = None):
+        self.seq = seq
+        self.lo = lo
+        self.span = span
 
 
-@dataclass(slots=True)
 class LetIn(SurfaceExpr):
     """`let name : typ = rhs in`, an item of its block: it binds `name`
     from the next item to the end of that block."""
-    name: str
-    typ: SurfaceType | None
-    rhs: SurfaceExpr
-    span: Span | None = _span()
+    __slots__ = ("name", "typ", "rhs", "span")
+
+    def __init__(self, name: str, typ: SurfaceType | None, rhs: SurfaceExpr,
+                 span: Span | None = None):
+        self.name = name
+        self.typ = typ
+        self.rhs = rhs
+        self.span = span
 
 
-@dataclass(slots=True)
 class IfE(SurfaceExpr):
-    cond: SurfaceExpr
-    then: SurfaceExpr
-    els: SurfaceExpr | None
-    span: Span | None = _span()
+    __slots__ = ("cond", "then", "els", "span")
+
+    def __init__(self, cond: SurfaceExpr, then: SurfaceExpr,
+                 els: SurfaceExpr | None, span: Span | None = None):
+        self.cond = cond
+        self.then = then
+        self.els = els
+        self.span = span
 
 
-@dataclass(slots=True)
-class MatchArm:
-    ctor: str
-    binder: str | None
-    body: SurfaceExpr | GhostCommand
-    span: Span | None = _span()
+class MatchArm(Record):
+    __slots__ = ("ctor", "binder", "body", "span")
+
+    def __init__(self, ctor: str, binder: str | None,
+                 body: SurfaceExpr | GhostCommand, span: Span | None = None):
+        self.ctor = ctor
+        self.binder = binder
+        self.body = body
+        self.span = span
 
 
-@dataclass(slots=True)
 class MatchE(SurfaceExpr):
-    scrutinee: SurfaceExpr
-    arms: list[MatchArm]
-    span: Span | None = _span()
+    __slots__ = ("scrutinee", "arms", "span")
+
+    def __init__(self, scrutinee: SurfaceExpr, arms: list[MatchArm],
+                 span: Span | None = None):
+        self.scrutinee = scrutinee
+        self.arms = arms
+        self.span = span
 
 
-@dataclass(slots=True)
 class AssignE(SurfaceExpr):
-    target: FieldE
-    value: SurfaceExpr
-    span: Span | None = _span()
+    __slots__ = ("target", "value", "span")
+
+    def __init__(self, target: FieldE, value: SurfaceExpr,
+                 span: Span | None = None):
+        self.target = target
+        self.value = value
+        self.span = span
 
 
-@dataclass(slots=True)
 class SeqE(SurfaceExpr):
     """A block: a statement sequence, and the scope of the lets in it.
     Ghost commands are items too; the last item may be the result."""
-    items: list[SurfaceExpr | GhostCommand]
-    span: Span | None = _span()
+    __slots__ = ("items", "span")
+
+    def __init__(self, items: list[SurfaceExpr | GhostCommand],
+                 span: Span | None = None):
+        self.items = items
+        self.span = span
 
 
 # --------------------------------------------------------------------------
 # assertions
 
-class Assertion:
+class Assertion(Record):
     __slots__ = ()
 
 
-@dataclass(slots=True)
 class PureA(Assertion):
-    expr: SurfaceExpr
-    span: Span | None = _span()
+    __slots__ = ("expr", "span")
+
+    def __init__(self, expr: SurfaceExpr, span: Span | None = None):
+        self.expr = expr
+        self.span = span
 
 
-@dataclass(slots=True)
 class OwnsA(Assertion):
     """target ~> {f1; ...; fn}: whole permission to the listed fields."""
-    target: SurfaceExpr
-    fields: list[str]
-    span: Span | None = _span()
+    __slots__ = ("target", "fields", "span")
+
+    def __init__(self, target: SurfaceExpr, fields: list[str],
+                 span: Span | None = None):
+        self.target = target
+        self.fields = fields
+        self.span = span
 
 
-@dataclass(slots=True)
 class SepA(Assertion):
     """A && chain of two or more assertions, kept flat."""
-    parts: list[Assertion]
-    span: Span | None = _span()
+    __slots__ = ("parts", "span")
+
+    def __init__(self, parts: list[Assertion], span: Span | None = None):
+        self.parts = parts
+        self.span = span
 
 
-@dataclass(slots=True)
 class IfA(Assertion):
-    cond: SurfaceExpr
-    then: Assertion
-    els: Assertion
-    span: Span | None = _span()
+    __slots__ = ("cond", "then", "els", "span")
+
+    def __init__(self, cond: SurfaceExpr, then: Assertion, els: Assertion,
+                 span: Span | None = None):
+        self.cond = cond
+        self.then = then
+        self.els = els
+        self.span = span
 
 
-@dataclass(slots=True)
 class LetPatA(Assertion):
     """let C b = scrutinee in body, destructing a payload constructor."""
-    ctor: str
-    binder: str
-    scrutinee: SurfaceExpr
-    body: Assertion
-    span: Span | None = _span()
+    __slots__ = ("ctor", "binder", "scrutinee", "body", "span")
+
+    def __init__(self, ctor: str, binder: str, scrutinee: SurfaceExpr,
+                 body: Assertion, span: Span | None = None):
+        self.ctor = ctor
+        self.binder = binder
+        self.scrutinee = scrutinee
+        self.body = body
+        self.span = span
 
 
 # --------------------------------------------------------------------------
@@ -240,49 +307,70 @@ class GhostKind(Enum):
     APPLY = "apply"
 
 
-@dataclass(slots=True)
-class GhostCommand:
-    kind: GhostKind
-    target: str
-    args: list[SurfaceExpr]
-    span: Span | None = _span()
+class GhostCommand(Record):
+    __slots__ = ("kind", "target", "args", "span")
+
+    def __init__(self, kind: GhostKind, target: str, args: list[SurfaceExpr],
+                 span: Span | None = None):
+        self.kind = kind
+        self.target = target
+        self.args = args
+        self.span = span
 
 
-@dataclass(slots=True)
-class ContractSpec:
-    results: list[str]
-    fn_name: str
-    param_names: list[str]
-    ghost_params: list[tuple[str, SurfaceType]]
-    requires: list[Assertion]
-    ensures: list[Assertion]
-    span: Span | None = _span()
+class ContractSpec(Record):
+    __slots__ = ("results", "fn_name", "param_names", "ghost_params",
+                 "requires", "ensures", "span")
+
+    def __init__(self, results: list[str], fn_name: str,
+                 param_names: list[str],
+                 ghost_params: list[tuple[str, SurfaceType]],
+                 requires: list[Assertion], ensures: list[Assertion],
+                 span: Span | None = None):
+        self.results = results
+        self.fn_name = fn_name
+        self.param_names = param_names
+        self.ghost_params = ghost_params
+        self.requires = requires
+        self.ensures = ensures
+        self.span = span
 
 
-@dataclass(slots=True)
-class PredicateDef:
-    name: str
-    params: list[tuple[str, SurfaceType]]
-    body: Assertion
-    span: Span | None = _span()
+class PredicateDef(Record):
+    __slots__ = ("name", "params", "body", "span")
+
+    def __init__(self, name: str, params: list[tuple[str, SurfaceType]],
+                 body: Assertion, span: Span | None = None):
+        self.name = name
+        self.params = params
+        self.body = body
+        self.span = span
 
 
-@dataclass(slots=True)
-class LogicalFunctionDef:
-    name: str
-    params: list[tuple[str, SurfaceType]]
-    ret: SurfaceType
-    body: SurfaceExpr
-    span: Span | None = _span()
+class LogicalFunctionDef(Record):
+    __slots__ = ("name", "params", "ret", "body", "span")
+
+    def __init__(self, name: str, params: list[tuple[str, SurfaceType]],
+                 ret: SurfaceType, body: SurfaceExpr,
+                 span: Span | None = None):
+        self.name = name
+        self.params = params
+        self.ret = ret
+        self.body = body
+        self.span = span
 
 
-@dataclass(slots=True)
-class LemmaDef:
-    name: str
-    params: list[tuple[str, SurfaceType]]
-    requires: list[Assertion]
-    ensures: list[Assertion]
-    span: Span | None = _span()
+class LemmaDef(Record):
+    __slots__ = ("name", "params", "requires", "ensures", "span")
+
+    def __init__(self, name: str, params: list[tuple[str, SurfaceType]],
+                 requires: list[Assertion], ensures: list[Assertion],
+                 span: Span | None = None):
+        self.name = name
+        self.params = params
+        self.requires = requires
+        self.ensures = ensures
+        self.span = span
 
 
 AnnotationPayload = (ContractSpec | PredicateDef | LogicalFunctionDef
@@ -292,60 +380,82 @@ AnnotationPayload = (ContractSpec | PredicateDef | LogicalFunctionDef
 # --------------------------------------------------------------------------
 # declarations
 
-@dataclass(slots=True)
-class FieldDef:
-    name: str
-    typ: SurfaceType
-    mutable: bool
-    span: Span | None = _span()
+class FieldDef(Record):
+    __slots__ = ("name", "typ", "mutable", "span")
+
+    def __init__(self, name: str, typ: SurfaceType, mutable: bool,
+                 span: Span | None = None):
+        self.name = name
+        self.typ = typ
+        self.mutable = mutable
+        self.span = span
 
 
-@dataclass(slots=True)
-class RecordKind:
-    fields: list[FieldDef]
+class RecordKind(Record):
+    __slots__ = ("fields",)
+
+    def __init__(self, fields: list[FieldDef]):
+        self.fields = fields
 
 
-@dataclass(slots=True)
-class CtorDef:
-    name: str
-    payload: list[FieldDef]  # empty for nullary constructors
-    span: Span | None = _span()
+class CtorDef(Record):
+    __slots__ = ("name", "payload", "span")
+
+    def __init__(self, name: str, payload: list[FieldDef],
+                 span: Span | None = None):
+        self.name = name
+        self.payload = payload  # empty for nullary constructors
+        self.span = span
 
 
-@dataclass(slots=True)
-class VariantKind:
-    ctors: list[CtorDef]
+class VariantKind(Record):
+    __slots__ = ("ctors",)
+
+    def __init__(self, ctors: list[CtorDef]):
+        self.ctors = ctors
 
 
-@dataclass(slots=True)
-class TypeDecl:
-    name: str
-    kind: RecordKind | VariantKind
-    span: Span | None = _span()
+class TypeDecl(Record):
+    __slots__ = ("name", "kind", "span")
+
+    def __init__(self, name: str, kind: RecordKind | VariantKind,
+                 span: Span | None = None):
+        self.name = name
+        self.kind = kind
+        self.span = span
 
 
-@dataclass(slots=True)
-class FunDecl:
-    name: str
-    params: list[tuple[str, SurfaceType]]
-    ret: SurfaceType | None  # None means unit
-    body: SurfaceExpr | GhostCommand
-    spec: ContractSpec | None = None
-    span: Span | None = _span()
+class FunDecl(Record):
+    __slots__ = ("name", "params", "ret", "body", "spec", "span")
+
+    def __init__(self, name: str, params: list[tuple[str, SurfaceType]],
+                 ret: SurfaceType | None, body: SurfaceExpr | GhostCommand,
+                 spec: ContractSpec | None = None, span: Span | None = None):
+        self.name = name
+        self.params = params
+        self.ret = ret  # None means unit
+        self.body = body
+        self.spec = spec
+        self.span = span
 
 
-@dataclass(slots=True)
-class GhostDecl:
-    payload: PredicateDef | LogicalFunctionDef | LemmaDef
-    span: Span | None = _span()
+class GhostDecl(Record):
+    __slots__ = ("payload", "span")
+
+    def __init__(self, payload: PredicateDef | LogicalFunctionDef | LemmaDef,
+                 span: Span | None = None):
+        self.payload = payload
+        self.span = span
 
 
 SurfaceDecl = TypeDecl | FunDecl | GhostDecl
 
 
-@dataclass(slots=True)
-class SurfaceModule:
-    decls: list[SurfaceDecl]
+class SurfaceModule(Record):
+    __slots__ = ("decls",)
+
+    def __init__(self, decls: list[SurfaceDecl]):
+        self.decls = decls
 
     def predicates(self) -> dict[str, PredicateDef]:
         return {d.payload.name: d.payload for d in self.decls

@@ -34,10 +34,9 @@ which no parse produces, raises TypeError.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import viper_ast as V
-from .diagnostics import Category, Diagnostic, Span, error, has_errors, warning
+from .diagnostics import (Category, Diagnostic, Record, Span, error,
+                          has_errors, warning)
 from .parser import parse_source
 from .surface import (AppE, AssignE, Assertion, BinE, BoolLit, BoolT,
                       ContractSpec, CtorE, FieldDef, FieldE, FunDecl,
@@ -67,22 +66,27 @@ def prelude_decls() -> list[V.FunctionDecl]:
     ]
 
 
-@dataclass
-class _TypeInfo:
-    name: str
-    kind: RecordKind | VariantKind
+class _TypeInfo(Record):
+    __slots__ = ("name", "kind")
+
+    def __init__(self, name: str, kind: RecordKind | VariantKind):
+        self.name = name
+        self.kind = kind
 
     @property
     def is_variant(self) -> bool:
         return isinstance(self.kind, VariantKind)
 
 
-@dataclass
-class _CtorInfo:
-    name: str
-    type_name: str
-    proj: str | None  # projection/param name, None for nullary
-    payload: list[FieldDef]
+class _CtorInfo(Record):
+    __slots__ = ("name", "type_name", "proj", "payload")
+
+    def __init__(self, name: str, type_name: str, proj: str | None,
+                 payload: list[FieldDef]):
+        self.name = name
+        self.type_name = type_name
+        self.proj = proj  # projection/param name, None for nullary
+        self.payload = payload
 
 
 class _Tr:
@@ -716,13 +720,17 @@ class _Tr:
         return V.MethodDecl(d.name, params, returns, pres, posts, body)
 
 
-@dataclass
-class _FnCtx:
-    env: dict[str, V.VExpr]
-    result: str | None
-    # every name taken in the method, and the lowest suffix that may still
-    # be free after it; names are never released, so that never goes down
-    used: dict[str, int]
+class _FnCtx(Record):
+    __slots__ = ("env", "result", "used")
+
+    def __init__(self, env: dict[str, V.VExpr], result: str | None,
+                 used: dict[str, int]):
+        self.env = env
+        self.result = result
+        # every name taken in the method, and the lowest suffix that may
+        # still be free after it; names are never released, so that never
+        # goes down
+        self.used = used
 
     def fresh(self, base: str) -> str:
         """`base`, or `base` with the lowest numeric suffix not taken."""

@@ -299,6 +299,34 @@ def test_output_into_a_pipe(tmp_path):
     assert proc.stdout == expected + b"/dev/stdout\n"
 
 
+@pytest.mark.parametrize("stream", ["stdout", "stderr"])
+def test_output_into_a_standard_stream_that_is_a_regular_file(tmp_path,
+                                                               stream):
+    # a second handle on the file would start at offset 0: over the
+    # diagnostics printed before the program, and under the path
+    # announced after it
+    src = tmp_path / "bad.ml"
+    src.write_text(BAD_WRITE)
+    status, _, diag = invoke(src, check=True)
+    assert status == 1
+    program = (tmp_path / "bad.vpr").read_bytes()
+    announced = f"/dev/{stream}\n".encode()
+    root = Path(gospel2viper.__file__).resolve().parent.parent
+    path = os.pathsep.join([str(root), os.environ.get("PYTHONPATH", "")])
+    files = [tmp_path / "stdout.txt", tmp_path / "stderr.txt"]
+    with open(files[0], "wb") as out, open(files[1], "wb") as err:
+        proc = subprocess.run(
+            [sys.executable, "-m", "gospel2viper.cli", str(src), "--check",
+             "-o", f"/dev/{stream}"],
+            stdout=out, stderr=err, env=dict(os.environ, PYTHONPATH=path))
+    assert proc.returncode == 1
+    got = [f.read_bytes() for f in files]
+    if stream == "stdout":
+        assert got == [program + announced, diag.encode()]
+    else:
+        assert got == [announced, diag.encode() + program]
+
+
 def test_output_into_dev_null(tmp_path):
     # seekable, but it has no length to cut
     src = tmp_path / "good.ml"
@@ -625,19 +653,87 @@ def test_long_arithmetic_chain_checks_and_prints(tmp_path, op):
     assert f"c.v := 1 {op} 1 {op} 1" in (tmp_path / "sum.vpr").read_text()
 
 
+# 24 independent guards: the checker drops paths past MAX_PATHS
+PATH_CAP = """\
+type t = {{ mutable v : int }}
+(*@ predicate p (c: t) = c ~> {{v}} *)
+let many (c: t) {params} =
+  (*@ unfold p c *)
+{guards}  (*@ fold p c *)
+  ()
+(*@ many c {args} requires p c ensures p c *)
+""".format(params=" ".join(f"(x{i}: int)" for i in range(24)),
+           guards="".join(f"  if x{i} = 0 then c.v <- {i};\n"
+                          for i in range(24)),
+           args=" ".join(f"x{i}" for i in range(24)))
+
+
 def test_a_run_leaves_no_cyclic_garbage(tmp_path, corpus):
-    # every object of a run is freed by reference counting; a cycle (such
-    # as a recursive closure over the translator) would keep the whole
-    # surface tree alive until the cyclic collector ran
-    for path in sorted(corpus.glob("*.ml")):
-        gc.collect()
-        gc.disable()
-        try:
-            invoke(path, check=True, output=str(tmp_path) + os.sep)
-            garbage = gc.collect()
-        finally:
-            gc.enable()
-        assert garbage == 0, path.name
+    # every object of a run is freed by reference counting, which is what
+    # lets `run` pause the cyclic collector; a cycle (such as a recursive
+    # closure over the translator) would keep the whole surface tree alive
+    # until the collector ran.  Failing runs, the path cap and joins too.
+    inputs = {"parse": BAD_PARSE, "translation": WRONG_CALL,
+              "cap": PATH_CAP, "join": JOINS}
+    for name, text in inputs.items():
+        (tmp_path / f"{name}.ml").write_text(text)
+    paths = sorted(corpus.glob("*.ml")) + [tmp_path / f"{name}.ml"
+                                           for name in inputs]
+    out = str(tmp_path / "out") + os.sep
+    for path in paths:
+        for strict in (False, True):
+            gc.collect()
+            gc.disable()
+            try:
+                invoke(path, check=True, strict=strict, output=out)
+                garbage = gc.collect()
+            finally:
+                gc.enable()
+            assert garbage == 0, (path.name, strict)
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+@pytest.mark.parametrize("terms", [1, 1000])
+def test_run_restores_the_collector_setting(tmp_path, enabled, terms):
+    # 1,000 terms still overflow the stack (ROADMAP item 5), so that run
+    # leaves by an exception
+    src = tmp_path / "sum.ml"
+    src.write_text(NESTED.format(body="c.v <- " + " + ".join(["1"] * terms),
+                                 pre="p c"))
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        if terms < 1000:
+            assert invoke(src, check=True)[0] == 0
+        else:
+            with pytest.raises(RecursionError):
+                invoke(src, check=True)
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+
+
+def test_the_cli_imports_only_what_every_run_needs():
+    # every invocation pays for the CLI's imports: the reparser is for
+    # the tests, argparse for `main`, shlex and subprocess for a verifier.
+    # The import pauses the collector and leaves it as it found it.
+    root = Path(gospel2viper.__file__).resolve().parent.parent
+    path = os.pathsep.join([str(root), os.environ.get("PYTHONPATH", "")])
+    env = dict(os.environ, PYTHONPATH=path)
+    lazy = ["gospel2viper.viper_parser", "argparse", "shlex", "subprocess"]
+    for switch, enabled in (("enable", True), ("disable", False)):
+        code = (f"import gc, sys; gc.{switch}(); import gospel2viper.cli; "
+                f"print([m for m in {lazy!r} if m in sys.modules], "
+                "gc.isenabled())")
+        proc = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == f"[] {enabled}\n"
+    proc = subprocess.run([sys.executable, "-m", "gospel2viper.cli",
+                           "--help"], capture_output=True, text=True,
+                          env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("usage: gospel2viper ")
 
 
 def test_corpus_check_stderr_matches_golden(tmp_path, corpus, golden):

@@ -6,14 +6,14 @@ import sys
 from pathlib import Path
 
 from gospel2viper import parser
-from gospel2viper.diagnostics import Span
+from gospel2viper.diagnostics import Record, Span
 from gospel2viper.lexer import KEYWORDS, PUNCT, SPEC_KEYWORDS, T, lex
 from gospel2viper.parser import _BINOPS, parse_module, parse_source
-from gospel2viper.surface import (AppE, AssignE, BinE, BoolLit, CtorE,
+from gospel2viper.surface import (AppE, AssignE, BinE, BoolLit, BoolT, CtorE,
                                   FieldE, GhostCommand, GhostKind, IfA,
-                                  IndexE, IntLit, LetIn, LetPatA, MatchE,
-                                  OwnsA, PureA, RecordAlloc, SeqE,
-                                  SepA, SliceFromE, UnE, VarE)
+                                  IndexE, IntLit, IntT, LetIn, LetPatA,
+                                  MatchE, NamedT, OwnsA, PureA, RecordAlloc,
+                                  SeqE, SepA, SliceFromE, UnE, VarE)
 from gospel2viper.translate import translate_source
 
 import pytest
@@ -358,13 +358,31 @@ def test_token_kinds_are_distinct_ints():
                             T.STAR, T.SLASH}
 
 
+def test_nodes_compare_hash_and_print_as_dataclasses_do():
+    # equality and repr leave spans out; only the types are hashable
+    e = BinE("+", VarE("x", Span(0, 1)), IntLit(1, Span(4, 5)), Span(0, 5))
+    assert e == BinE("+", VarE("x"), IntLit(1))
+    assert e != BinE("-", VarE("x"), IntLit(1))
+    assert VarE("x") != CtorE("x")
+    assert repr(e) == ("BinE(op='+', left=VarE(name='x'), "
+                       "right=IntLit(value=1))")
+    assert AppE("f", []).ghost_args == []
+    assert IntT() == IntT() != BoolT()
+    assert {NamedT("t"), NamedT("t"), IntT()} == {NamedT("t"), IntT()}
+    with pytest.raises(TypeError):
+        hash(VarE("x"))
+
+
 def nodes(tree):
-    """Every syntax node under `tree`, spans excluded."""
+    """Every syntax node under `tree`, surface or Viper, spans excluded."""
     todo = [tree]
     while todo:
         x = todo.pop()
         if isinstance(x, (list, tuple)):
             todo.extend(x)
+        elif isinstance(x, Record):
+            yield x
+            todo.extend(getattr(x, f) for f in type(x).__slots__)
         elif dataclasses.is_dataclass(x) and not isinstance(x, Span):
             yield x
             todo.extend(getattr(x, f.name) for f in dataclasses.fields(x))
