@@ -46,14 +46,14 @@ Terms are hash-consed (Filliâtre and Conchon, "Type-Safe Modular
 Hash-Consing"): `Lit`, `Ctor`, `SeqV` and `App` are built through one
 table, `_TERMS`, keyed by class and fields, so equal terms are one object
 that hashes and compares by identity, in C.  A symbol is an `int`, its
-id, so it too hashes and compares in C.  Symbol ids restart in every
-method and a symbol's hint takes no part in equality, so the table hands
-out a term only when its children are the very objects asked for: a term
-that outlives its method never stands in for one over another method's
-symbols.  The table holds its terms by weak references whose callback
-removes the entry, so it keeps no term alive: a term leaves the table
-when nothing else refers to it.  Every checker in the process shares the
-table, which takes no lock: checkers run in one thread.
+id, so it too hashes and compares in C.  Every checker draws its symbol
+ids from one counter, `_IDS`, so no two symbols of a process share an id:
+an equal key means the same children, and the term found under it is the
+term asked for, even one that outlived its method.  The table holds its
+terms by weak references whose callback removes the entry, so it keeps no
+term alive: a term leaves the table when nothing else refers to it.
+Every checker in the process shares the table and the counter, which
+take no lock: checkers run in one thread.
 
 A value that K joins built is a term of K levels that shares its
 subterms; walked as a tree it has 2^K nodes.  So every walk over terms
@@ -90,7 +90,6 @@ mistake does not cascade into a wall of noise.
 from __future__ import annotations
 
 import itertools
-import operator
 import weakref
 from collections import Counter
 from enum import Enum
@@ -116,11 +115,11 @@ class Sym(int, SymVal):
 
     def __new__(cls, id: int, hint: str = ""):
         s = super().__new__(cls, id)
-        s.id, s.hint = int(id), hint
+        s.hint = hint
         return s
 
     def __repr__(self) -> str:
-        return f"Sym(id={self.id})"
+        return f"Sym(id={int(self)})"
 
 
 class _Ref(weakref.ref):
@@ -129,27 +128,14 @@ class _Ref(weakref.ref):
 
 
 _TERMS: dict = {}  # {(class, fields...): _Ref(term)}
+_IDS = itertools.count()  # every symbol's id, unique in the process
 
 
 def _forget(ref: _Ref, terms: dict = _TERMS) -> None:
-    """Drop the entry of a term that died, unless a newer term took its
-    key (see `_live`)."""
+    """Drop the entry of a term that died, unless a newer term already
+    took its key."""
     if terms.get(ref.key) is ref:
         del terms[ref.key]
-
-
-def _live(key: tuple):
-    """The live term interned under `key` whose children (the last field
-    of a key) are the very objects in `key`, else None.  A symbol equals
-    every symbol with its id and ids restart in every method, so a term
-    that outlives its method must not stand in for one over the new
-    method's symbols."""
-    ref = _TERMS.get(key)
-    if ref is not None:
-        t = ref()
-        if t is not None and all(map(operator.is_, ref.key[-1], key[-1])):
-            return t
-    return None
 
 
 def _intern(t: SymVal, key: tuple) -> None:
@@ -183,7 +169,8 @@ class _Node(SymVal):
 
     def __new__(cls, name: str, args: tuple = ()):
         key = (cls, name, args)
-        t = _live(key)
+        ref = _TERMS.get(key)
+        t = None if ref is None else ref()
         if t is None:
             t = object.__new__(cls)
             t.name, t.args, t.sortkey = name, args, None
@@ -210,7 +197,8 @@ class SeqV(SymVal):
 
     def __new__(cls, elems: tuple = ()):
         key = (cls, elems)
-        t = _live(key)
+        ref = _TERMS.get(key)
+        t = None if ref is None else ref()
         if t is None:
             t = object.__new__(cls)
             t.elems, t.sortkey = elems, None
@@ -233,7 +221,7 @@ def _key(v: SymVal) -> tuple:
     `hash()`, so the order does not depend on the hash seed.  The ranks
     follow the class names, as the order by `repr` did."""
     if isinstance(v, Sym):
-        return (4, v.id)
+        return (4, int(v))
     if isinstance(v, Lit):
         return (2, type(v.value).__name__, v.value)
     k = v.sortkey
@@ -256,7 +244,7 @@ def sym_str(v: SymVal, ites: int = 0) -> str:
     A value that K joins built nests K ites that share their arms, so
     printed in full it is 2^K long: past `_ITE_DEPTH` an ite is "..."."""
     if isinstance(v, Sym):
-        return v.hint if v.hint else f"_{v.id}"
+        return v.hint if v.hint else f"_{int(v)}"
     if isinstance(v, Lit):
         if isinstance(v.value, bool):
             return "true" if v.value else "false"
@@ -300,7 +288,7 @@ class SymState(Record, uncompared=("memo",)):
         # assumed; FALSE if the state is infeasible
         self.facts = {} if facts is None else facts  # {bool SymVal: None}
         self.store = {} if store is None else store  # {var: SymVal}
-        self.subst = {} if subst is None else subst  # {sym id: SymVal}
+        self.subst = {} if subst is None else subst  # {Sym: SymVal}
         # {term: normal form} under subst, replaced as subst grows
         self.memo = {} if memo is None else memo
         self.joins = joins  # the guards of the joins whose ites values hold
@@ -373,13 +361,12 @@ class Checker:
                 self.siblings[c.name] = names
                 for p, _ in c.params:
                     self.projections[p] = c.name
-        self._ids = itertools.count()
         self.diags: list[Diagnostic] = []
         self._splits = 0  # sides a consume may still split into (_Unjoin)
         self._ites = False  # whether _simplify has built an ite (_lifted)
 
-    def fresh(self, hint: str = "") -> Sym:
-        return Sym(next(self._ids), hint)
+    def fresh(self, hint: str) -> Sym:
+        return Sym(next(_IDS), hint)
 
     # -- normalization ------------------------------------------------------
 
@@ -705,7 +692,7 @@ class Checker:
         """Substitute the normal form `v` for `s` from now on, and bring
         the facts and the stored keys back to normal form.  Two cells that
         fall on one key make the state infeasible."""
-        st.subst[s.id] = v
+        st.subst[s] = v
         st.memo = {}
         st.facts = dict.fromkeys(self.norm(f, st) for f in st.facts)
         # a stored key stays normal unless it mentions s
@@ -1248,7 +1235,6 @@ class Checker:
     def check_method(self, m: V.MethodDecl) -> list[Diagnostic]:
         if m.body is None:
             return []
-        self._ids = itertools.count()
         self._ites = False  # terms do not outlive the method
         self.diags = []
         self.scalar_locals = _scalar_locals(m)
@@ -1328,7 +1314,7 @@ def _occurs(s: Sym, v: SymVal) -> bool:
     while todo:
         v = todo.pop()
         if isinstance(v, Sym):
-            if v.id == s.id:
+            if v == s:
                 return True
         elif not isinstance(v, Lit) and v not in seen:
             seen.add(v)
