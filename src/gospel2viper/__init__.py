@@ -21,7 +21,7 @@ try:
     from .parser import parse_module, parse_source
     from .permcheck import Checker, SymState, check_program
     from .translate import prelude_decls, translate, translate_source
-    from .viper_ast import ViperProgram, golden_equal, pretty, token_texts
+    from .viper_ast import ViperProgram, pretty
 finally:
     if _collecting:
         gc.enable()
@@ -37,7 +37,6 @@ __all__ = [
     "SymState",
     "ViperProgram",
     "check_program",
-    "golden_equal",
     "has_errors",
     "lex",
     "parse_module",
@@ -45,7 +44,6 @@ __all__ = [
     "prelude_decls",
     "pretty",
     "sort_key",
-    "token_texts",
     "translate",
     "translate_source",
 ]

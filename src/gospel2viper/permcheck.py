@@ -8,6 +8,14 @@ later queries.  As in Viper's heap chunks, a cell `(receiver, field) ->
 value` is both the value and the whole permission to it: a location is
 held exactly when it is a key of the heap.
 
+Every field read follows one rule: it takes the held cell's value, and
+for a cell not held, the value kept in the current step's cache, which the
+first such read makes a fresh symbol.  `produce` and `consume` each start
+from an empty cache.  `consume` moves each cell it gives up into its cache,
+so its reads see the heap as it was before the exhale, as in Viper.  A
+statement has no cache: reading a cell it does not hold is a permission
+error, and the read adds the cell.
+
 A three-valued `decide` settles guards: literal after normalization,
 assumed in the fact table, or unknown.  Producing a conditional
 assertion with an unknown guard forks the state; consuming one reports an
@@ -92,7 +100,6 @@ from __future__ import annotations
 import itertools
 import weakref
 from collections import Counter
-from enum import Enum
 
 from . import viper_ast as V
 from .diagnostics import (Category, Diagnostic, Record, Severity, error,
@@ -306,12 +313,6 @@ class _Unjoin(Exception):
     def __init__(self, guard: SymVal):
         super().__init__(guard)
         self.guard = guard
-
-
-class _Mode(Enum):
-    EXEC = "exec"  # reads require permission, writes go to the live heap
-    CONSUME = "consume"  # reads hit a frozen snapshot, no permission needed
-    PRODUCE = "produce"  # reads prefer live heap, unframed reads get a cache
 
 
 class _ConsumeCtx(Record):
@@ -573,8 +574,6 @@ class Checker:
         neg = self._simplify("not", (n,))
         if neg in st.facts:
             return False
-        if isinstance(n, App) and n.name == "not" and n.args[0] in st.facts:
-            return False
         return None
 
     def _sides(self, st: SymState, v: SymVal, budget: int = MAX_PATHS
@@ -712,78 +711,79 @@ class Checker:
 
     # -- expression evaluation ---------------------------------------------------
 
-    def eval(self, st: SymState, e: V.VExpr, store: dict, mode: _Mode,
-             heap: dict, span=None) -> SymVal:
+    def eval(self, st: SymState, e: V.VExpr, store: dict,
+             cache: dict | None, span=None) -> SymVal:
+        """The value of `e`; `cache` is the step's cache for the fields it
+        reads without holding them, None in a statement (`_read_field`)."""
         try:
             handler = self._EVAL[type(e)]
         except KeyError:
             raise TypeError(f"cannot evaluate {type(e).__name__}") from None
-        return handler(self, st, e, store, mode, heap, span)
+        return handler(self, st, e, store, cache, span)
 
     # One handler per expression class, looked up by `eval` in `_EVAL`.
-    # Each takes eval's arguments: (st, e, store, mode, heap, span).
+    # Each takes eval's arguments: (st, e, store, cache, span).
 
-    def _eval_lit(self, st, e, store, mode, heap, span) -> SymVal:
+    def _eval_lit(self, st, e, store, cache, span) -> SymVal:
         return Lit(e.value)
 
-    def _eval_var(self, st, e, store, mode, heap, span) -> SymVal:
+    def _eval_var(self, st, e, store, cache, span) -> SymVal:
         if e.name not in store:
             self._err(Category.TRANSLATION,
                       f"use of undeclared variable '{e.name}'", span)
             store[e.name] = self.fresh(e.name)
         return store[e.name]
 
-    def _eval_field(self, st, e, store, mode, heap, span) -> SymVal:
-        base = self.eval(st, e.base, store, mode, heap, span)
+    def _eval_field(self, st, e, store, cache, span) -> SymVal:
+        base = self.eval(st, e.base, store, cache, span)
         if e.fieldname in self.projections \
                 and e.fieldname not in self.fields:
             return self.norm(App(f"proj#{e.fieldname}", (base,)), st)
-        return self._read_field(st, base, e, mode, heap, span)
+        return self._read_field(st, base, e, cache, span)
 
-    def _eval_is(self, st, e, store, mode, heap, span) -> SymVal:
-        base = self.eval(st, e.base, store, mode, heap, span)
+    def _eval_is(self, st, e, store, cache, span) -> SymVal:
+        base = self.eval(st, e.base, store, cache, span)
         return self.norm(App(f"is#{e.ctor}", (base,)), st)
 
-    def _eval_ctor(self, st, e, store, mode, heap, span) -> SymVal:
-        return Ctor(e.name, tuple(self.eval(st, a, store, mode, heap, span)
+    def _eval_ctor(self, st, e, store, cache, span) -> SymVal:
+        return Ctor(e.name, tuple(self.eval(st, a, store, cache, span)
                                   for a in e.args))
 
-    def _eval_fun(self, st, e, store, mode, heap, span) -> SymVal:
-        args = tuple(self.eval(st, a, store, mode, heap, span)
-                     for a in e.args)
+    def _eval_fun(self, st, e, store, cache, span) -> SymVal:
+        args = tuple(self.eval(st, a, store, cache, span) for a in e.args)
         return self.norm(App(e.name, args), st)
 
-    def _eval_seq(self, st, e, store, mode, heap, span) -> SymVal:
-        return SeqV(tuple(self.eval(st, a, store, mode, heap, span)
+    def _eval_seq(self, st, e, store, cache, span) -> SymVal:
+        return SeqV(tuple(self.eval(st, a, store, cache, span)
                           for a in e.items))
 
-    def _eval_len(self, st, e, store, mode, heap, span) -> SymVal:
-        seq = self.eval(st, e.seq, store, mode, heap, span)
+    def _eval_len(self, st, e, store, cache, span) -> SymVal:
+        seq = self.eval(st, e.seq, store, cache, span)
         return self.norm(App("len", (seq,)), st)
 
-    def _eval_binop(self, st, e, store, mode, heap, span) -> SymVal:
-        left = self.eval(st, e.left, store, mode, heap, span)
-        right = self.eval(st, e.right, store, mode, heap, span)
+    def _eval_binop(self, st, e, store, cache, span) -> SymVal:
+        left = self.eval(st, e.left, store, cache, span)
+        right = self.eval(st, e.right, store, cache, span)
         return self.norm(App(e.op, (left, right)), st)
 
-    def _eval_unop(self, st, e, store, mode, heap, span) -> SymVal:
-        inner = self.eval(st, e.operand, store, mode, heap, span)
+    def _eval_unop(self, st, e, store, cache, span) -> SymVal:
+        inner = self.eval(st, e.operand, store, cache, span)
         return self.norm(App("not" if e.op == "!" else "neg", (inner,)), st)
 
-    def _eval_index(self, st, e, store, mode, heap, span) -> SymVal:
+    def _eval_index(self, st, e, store, cache, span) -> SymVal:
         return self.norm(App("index", (
-            self.eval(st, e.seq, store, mode, heap, span),
-            self.eval(st, e.index, store, mode, heap, span))), st)
+            self.eval(st, e.seq, store, cache, span),
+            self.eval(st, e.index, store, cache, span))), st)
 
-    def _eval_drop(self, st, e, store, mode, heap, span) -> SymVal:
+    def _eval_drop(self, st, e, store, cache, span) -> SymVal:
         return self.norm(App("drop", (
-            self.eval(st, e.seq, store, mode, heap, span),
-            self.eval(st, e.lo, store, mode, heap, span))), st)
+            self.eval(st, e.seq, store, cache, span),
+            self.eval(st, e.lo, store, cache, span))), st)
 
-    def _eval_take(self, st, e, store, mode, heap, span) -> SymVal:
+    def _eval_take(self, st, e, store, cache, span) -> SymVal:
         return self.norm(App("take", (
-            self.eval(st, e.seq, store, mode, heap, span),
-            self.eval(st, e.hi, store, mode, heap, span))), st)
+            self.eval(st, e.seq, store, cache, span),
+            self.eval(st, e.hi, store, cache, span))), st)
 
     _EVAL = {V.IntLit: _eval_lit, V.BoolLit: _eval_lit, V.Var: _eval_var,
              V.FieldAcc: _eval_field, V.IsTest: _eval_is,
@@ -793,62 +793,62 @@ class Checker:
              V.SeqDrop: _eval_drop, V.SeqTake: _eval_take}
 
     def _read_field(self, st: SymState, base: SymVal, src: V.FieldAcc,
-                    mode: _Mode, heap: dict, span) -> SymVal:
-        """The field `src` reads from `base`, the value of `src.base`.
-        The receiver is normalised once, for both the permission probe
-        and the heap read."""
+                    cache: dict | None, span) -> SymVal:
+        """The field `src` reads from `base`, the value of `src.base`: the
+        held cell's value, else the value kept for the cell in `cache`,
+        which the first such read makes a fresh symbol.  A statement has
+        no cache: there reading a cell it does not hold is a permission
+        error, and the read adds the cell (a repair).  The receiver is
+        normalised once, for both the permission probe and the read."""
         key = (self.norm(base, st), src.fieldname)
-        if mode is _Mode.EXEC:
-            heap = st.heap
-            if key not in heap:  # the read below adds the cell: repair
+        val = st.heap.get(key)
+        if val is None:
+            if cache is None:
                 self._err(Category.PERMISSION,
                           f"no permission to read {V.expr_str(src)}", span)
-        elif mode is _Mode.PRODUCE and key in st.heap:
-            heap = st.heap  # prefer the live heap to the unframed cache
-        val = heap.get(key)
-        if val is None:
-            val = heap[key] = self.fresh(src.fieldname)
+                cache = st.heap
+            val = cache.get(key)
+            if val is None:
+                val = cache[key] = self.fresh(src.fieldname)
         return val
 
     # -- produce / consume -------------------------------------------------------
 
     def produce(self, st: SymState, a: V.VAssertion,
                 store: dict) -> list[SymState]:
-        scratch: dict = {}
-        return self._produce(st, a, store, scratch)
+        return self._produce(st, a, store, {})
 
     def _produce(self, st: SymState, a: V.VAssertion, store: dict,
-                 scratch: dict) -> list[SymState]:
+                 cache: dict) -> list[SymState]:
         try:
             handler = self._PRODUCE[type(a)]
         except KeyError:
             raise TypeError(f"cannot produce {type(a).__name__}") from None
-        return handler(self, st, a, store, scratch)
+        return handler(self, st, a, store, cache)
 
     # One handler per assertion class, looked up by `_produce` in
-    # `_PRODUCE`.  Each takes _produce's arguments: (st, a, store, scratch).
+    # `_PRODUCE`.  Each takes _produce's arguments: (st, a, store, cache).
 
-    def _produce_pure(self, st, a, store, scratch) -> list[SymState]:
-        val = self.eval(st, a.expr, store, _Mode.PRODUCE, scratch, a.span)
+    def _produce_pure(self, st, a, store, cache) -> list[SymState]:
+        val = self.eval(st, a.expr, store, cache, a.span)
         return [st] if self.assume(st, val) else []
 
-    def _produce_acc(self, st, a, store, scratch) -> list[SymState]:
-        base = self.eval(st, a.loc.base, store, _Mode.PRODUCE, scratch,
-                         a.span)
+    def _produce_acc(self, st, a, store, cache) -> list[SymState]:
+        base = self.eval(st, a.loc.base, store, cache, a.span)
         key = (self.norm(base, st), a.loc.fieldname)
         if key in st.heap:
             return []  # a second whole permission cannot exist
         st.heap[key] = self.fresh(key[1])
         return [st]
 
-    def _produce_pred(self, st, a, store, scratch) -> list[SymState]:
+    def _produce_pred(self, st, a, store, cache) -> list[SymState]:
         args = tuple(self.norm(
-            self.eval(st, x, store, _Mode.PRODUCE, scratch, a.span), st)
+            self.eval(st, x, store, cache, a.span), st)
             for x in a.args)
         st.preds[(a.name, args)] += 1
         return [st]
 
-    def _produce_and(self, st, a, store, scratch) -> list[SymState]:
+    def _produce_and(self, st, a, store, cache) -> list[SymState]:
         # depth first: each state takes all remaining parts before the
         # next state starts, which fixes the order of fresh symbols
         out: list[SymState] = []
@@ -858,30 +858,29 @@ class Checker:
             if i == len(a.parts):
                 out.append(s)
             else:
-                nxt = self._produce(s, a.parts[i], store, scratch)
+                nxt = self._produce(s, a.parts[i], store, cache)
                 todo.extend((t, i + 1) for t in reversed(nxt))
         return out
 
-    def _produce_cond(self, st, a, store, scratch) -> list[SymState]:
-        cond = self.eval(st, a.cond, store, _Mode.PRODUCE, scratch, a.span)
+    def _produce_cond(self, st, a, store, cache) -> list[SymState]:
+        cond = self.eval(st, a.cond, store, cache, a.span)
         verdict = self.decide(st, cond)
         if verdict is True:
-            return self._produce(st, a.then, store, scratch)
+            return self._produce(st, a.then, store, cache)
         if verdict is False:
-            return self._produce(st, a.els, store, scratch)
+            return self._produce(st, a.els, store, cache)
         other = st.clone()
         out = []
         if self.assume(st, cond):
-            out.extend(self._produce(st, a.then, store, scratch))
+            out.extend(self._produce(st, a.then, store, cache))
         if self.assume(other, App("not", (cond,))):
-            out.extend(self._produce(other, a.els, store, scratch))
+            out.extend(self._produce(other, a.els, store, cache))
         return out
 
-    def _produce_let(self, st, a, store, scratch) -> list[SymState]:
+    def _produce_let(self, st, a, store, cache) -> list[SymState]:
         inner = dict(store)
-        inner[a.name] = self.eval(st, a.bound, store, _Mode.PRODUCE,
-                                  scratch, a.span)
-        return self._produce(st, a.body, inner, scratch)
+        inner[a.name] = self.eval(st, a.bound, store, cache, a.span)
+        return self._produce(st, a.body, inner, cache)
 
     _PRODUCE = {V.Pure: _produce_pure, V.Acc: _produce_acc,
                 V.PredApp: _produce_pred, V.AndA: _produce_and,
@@ -889,27 +888,29 @@ class Checker:
 
     def consume(self, st: SymState, a: V.VAssertion, store: dict,
                 ctx: _ConsumeCtx, span=None) -> bool:
-        """Exhale `a` from `st`; heap reads see a snapshot taken now.
-        Reports failures and repairs; returns False if anything failed."""
-        snapshot = dict(st.heap)
-        return self._consume(st, a, store, snapshot, ctx, span)
+        """Exhale `a` from `st`.  Its heap reads see the state before the
+        exhale, as in Viper: a read takes the held cell, else the cell kept
+        in the consume's cache, where `_consume_acc` moves each cell it
+        gives up.  Reports failures and repairs; returns False if anything
+        failed."""
+        return self._consume(st, a, store, {}, ctx, span)
 
     def _consume(self, st: SymState, a: V.VAssertion, store: dict,
-                 snapshot: dict, ctx: _ConsumeCtx, span) -> bool:
+                 cache: dict, ctx: _ConsumeCtx, span) -> bool:
         try:
             handler = self._CONSUME[type(a)]
         except KeyError:
             raise TypeError(f"cannot consume {type(a).__name__}") from None
-        return handler(self, st, a, store, snapshot, ctx, span)
+        return handler(self, st, a, store, cache, ctx, span)
 
     # One handler per assertion class, looked up by `_consume` in
-    # `_CONSUME`.  Each takes _consume's arguments: (st, a, store, snapshot,
+    # `_CONSUME`.  Each takes _consume's arguments: (st, a, store, cache,
     # ctx, span), `span` being the enclosing one; each reports at `a.span`,
     # else at `span`.
 
-    def _consume_pure(self, st, a, store, snapshot, ctx, span) -> bool:
+    def _consume_pure(self, st, a, store, cache, ctx, span) -> bool:
         at = a.span or span
-        val = self.eval(st, a.expr, store, _Mode.CONSUME, snapshot, at)
+        val = self.eval(st, a.expr, store, cache, at)
         verdict = self.decide(st, val)
         if verdict is None:
             sides = self._sides(st, val)
@@ -932,22 +933,21 @@ class Checker:
             at))
         return True
 
-    def _consume_acc(self, st, a, store, snapshot, ctx, span) -> bool:
+    def _consume_acc(self, st, a, store, cache, ctx, span) -> bool:
         at = a.span or span
-        base = self.eval(st, a.loc.base, store, _Mode.CONSUME, snapshot, at)
+        base = self.eval(st, a.loc.base, store, cache, at)
         key = (self.norm(base, st), a.loc.fieldname)
         if key not in st.heap:
             self._err(Category.PERMISSION,
                       f"{ctx.what}: no permission to give up "
                       f"{V.expr_str(a.loc)}", at)
             return False
-        del st.heap[key]
+        cache[key] = st.heap.pop(key)  # later reads still see its value
         return True
 
-    def _consume_pred(self, st, a, store, snapshot, ctx, span) -> bool:
+    def _consume_pred(self, st, a, store, cache, ctx, span) -> bool:
         at = a.span or span
-        args = tuple(self.eval(st, x, store, _Mode.CONSUME, snapshot, at)
-                     for x in a.args)
+        args = tuple(self.eval(st, x, store, cache, at) for x in a.args)
         key = (a.name, tuple(self.norm(x, st) for x in args))
         if key not in st.preds:
             self._err(ctx.pred_category,
@@ -960,15 +960,15 @@ class Checker:
             del st.preds[key]
         return True
 
-    def _consume_and(self, st, a, store, snapshot, ctx, span) -> bool:
+    def _consume_and(self, st, a, store, cache, ctx, span) -> bool:
         ok = True
         for part in a.parts:  # keep going after a failure: report all
-            ok = self._consume(st, part, store, snapshot, ctx, span) and ok
+            ok = self._consume(st, part, store, cache, ctx, span) and ok
         return ok
 
-    def _consume_cond(self, st, a, store, snapshot, ctx, span) -> bool:
+    def _consume_cond(self, st, a, store, cache, ctx, span) -> bool:
         at = a.span or span
-        cond = self.eval(st, a.cond, store, _Mode.CONSUME, snapshot, at)
+        cond = self.eval(st, a.cond, store, cache, at)
         verdict = self.decide(st, cond)
         if verdict is None:
             sides = self._sides(st, cond)
@@ -982,14 +982,13 @@ class Checker:
                       f"{V.expr_str(a.cond)} to pick a branch", at)
             return False
         branch = a.then if verdict else a.els
-        return self._consume(st, branch, store, snapshot, ctx, span)
+        return self._consume(st, branch, store, cache, ctx, span)
 
-    def _consume_let(self, st, a, store, snapshot, ctx, span) -> bool:
+    def _consume_let(self, st, a, store, cache, ctx, span) -> bool:
         at = a.span or span
         inner = dict(store)
-        inner[a.name] = self.eval(st, a.bound, store, _Mode.CONSUME,
-                                  snapshot, at)
-        return self._consume(st, a.body, inner, snapshot, ctx, span)
+        inner[a.name] = self.eval(st, a.bound, store, cache, at)
+        return self._consume(st, a.body, inner, cache, ctx, span)
 
     _CONSUME = {V.Pure: _consume_pure, V.Acc: _consume_acc,
                 V.PredApp: _consume_pred, V.AndA: _consume_and,
@@ -1011,18 +1010,16 @@ class Checker:
         if s.init is None:
             st.store[s.name] = self.fresh(s.name)
         else:
-            st.store[s.name] = self.eval(st, s.init, st.store, _Mode.EXEC,
-                                         st.heap, s.span)
+            st.store[s.name] = self.eval(st, s.init, st.store, None, s.span)
         return [st]
 
     def _exec_assign(self, st, s) -> list[SymState]:
-        value = self.eval(st, s.value, st.store, _Mode.EXEC, st.heap, s.span)
+        value = self.eval(st, s.value, st.store, None, s.span)
         if isinstance(s.target, V.Var):
             st.store[s.target.name] = value
             return [st]
         assert isinstance(s.target, V.FieldAcc)
-        base = self.eval(st, s.target.base, st.store, _Mode.EXEC, st.heap,
-                         s.span)
+        base = self.eval(st, s.target.base, st.store, None, s.span)
         key = (self.norm(base, st), s.target.fieldname)
         if key not in st.heap:  # the write adds the cell: repair
             self._err(Category.PERMISSION,
@@ -1039,17 +1036,17 @@ class Checker:
         return [st]
 
     def _exec_if(self, st, s) -> list[SymState]:
-        cond = self.eval(st, s.cond, st.store, _Mode.EXEC, st.heap, s.span)
+        cond = self.eval(st, s.cond, st.store, None, s.span)
         verdict = self.decide(st, cond)
         if verdict is True:
-            return self._exec_block(st, s.then)
+            return self._step_all([st], s.then, self.exec_stmt)
         if verdict is False:
-            return self._exec_block(st, s.els)
+            return self._step_all([st], s.els, self.exec_stmt)
         other = st.clone()
         mark = len(st.facts)
-        then = (self._exec_block(st, s.then)
+        then = (self._step_all([st], s.then, self.exec_stmt)
                 if self.assume(st, cond) else [])
-        els = (self._exec_block(other, s.els)
+        els = (self._step_all([other], s.els, self.exec_stmt)
                if self.assume(other, App("not", (cond,))) else [])
         if len(then) == 1 and len(els) == 1:
             joined = self._join(cond, mark, then[0], els[0])
@@ -1123,10 +1120,6 @@ class Checker:
         finally:
             self._splits = outer
 
-    def _exec_block(self, st: SymState, stmts: list[V.VStmt]
-                    ) -> list[SymState]:
-        return self._step_all([st], stmts, self.exec_stmt)
-
     def _step_all(self, states: list[SymState], steps, step,
                   at=None) -> list[SymState]:
         """Apply `step(state, item)` to every state for each item in turn,
@@ -1169,7 +1162,7 @@ class Checker:
                       s.span)
             return None
         names = [n for n, _ in decl.params]
-        binding = {n: self.eval(st, a, st.store, _Mode.EXEC, st.heap, s.span)
+        binding = {n: self.eval(st, a, st.store, None, s.span)
                    for n, a in zip(names, s.pred.args)}
         return decl, binding, V.PredApp(decl.name, list(map(V.Var, names)))
 
@@ -1207,7 +1200,7 @@ class Checker:
                       f"{s.method} returns {len(decl.returns)} values, "
                       f"{len(s.targets)} targets given", s.span)
             return [st]
-        vals = [self.eval(st, a, st.store, _Mode.EXEC, st.heap, s.span)
+        vals = [self.eval(st, a, st.store, None, s.span)
                 for a in s.args]
         binding = dict(zip((n for n, _ in decl.params), vals))
         ctx = _ConsumeCtx(Category.CONTRACT_VIOLATION,

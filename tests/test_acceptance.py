@@ -13,7 +13,7 @@ from conftest import record_criterion
 from gospel2viper import translate_source
 from gospel2viper.diagnostics import Category, Severity
 from gospel2viper.permcheck import (App, Checker, Lit, SeqV, SymState,
-                                    _ConsumeCtx, _Mode, check_program)
+                                    _ConsumeCtx, check_program)
 from gospel2viper.translate import prelude_decls
 from gospel2viper.viper_ast import (ViperProgram, golden_equal, pretty,
                                     pretty_stmts)
@@ -159,8 +159,8 @@ def test_prelude_oracle():
         for elems in product(range(-2, 3), repeat=n):
             sv = SeqV(tuple(Lit(x) for x in elems))
             store = {"v": sv}
-            d = ck.eval(st, bodies["drop_last"], store, _Mode.PRODUCE, {})
-            t = ck.eval(st, bodies["take_last"], store, _Mode.PRODUCE, {})
+            d = ck.eval(st, bodies["drop_last"], store, {})
+            t = ck.eval(st, bodies["take_last"], store, {})
             front, back = split_last(list(elems))
             assert [x.value for x in d.elems] == front, elems
             assert [x.value for x in t.elems] == back, elems

@@ -392,6 +392,69 @@ def test_no_prelude_suppresses_helpers(tmp_path):
     assert "function drop_last" not in (tmp_path / "seq.vpr").read_text()
 
 
+# A logical function, a Bool field, and a two-arm match whose payload arm
+# comes first: the translator tests the nullary constructor first.  The
+# match is parenthesised: without the parentheses the `fold` after it
+# belongs to its last arm, as in OCaml.
+LOGIC_AND_MATCH = """\
+type cell = Nil | Cons of { mutable content : int; mutable next : cell }
+type flag = { mutable ok : bool }
+(*@ function double (x: int) : int = x + x *)
+(*@ predicate p (f: flag) = f ~> {ok} *)
+let mark (f: flag) (l: cell) =
+  (*@ unfold p f *)
+  (match l with
+   | Cons c -> f.ok <- true
+   | Nil -> f.ok <- false);
+  (*@ fold p f *)
+  ()
+(*@ mark f l requires p f ensures p f *)
+"""
+
+LOGIC_AND_MATCH_VPR = """\
+adt Cell {
+  Nil()
+  Cons(cell: Ref)
+}
+
+field content: Int
+
+field next: Cell
+
+field ok: Bool
+
+function double(x: Int): Int
+{
+  x + x
+}
+
+predicate P(f: Ref) {
+  acc(f.ok)
+}
+
+method mark(f: Ref, l: Cell)
+  requires P(f)
+  ensures P(f)
+{
+  unfold P(f)
+  if (l.isNil) {
+    f.ok := false
+  } else {
+    f.ok := true
+  }
+  fold P(f)
+}
+"""
+
+
+def test_logical_function_bool_field_and_payload_arm_first(tmp_path):
+    src = tmp_path / "mark.ml"
+    src.write_text(LOGIC_AND_MATCH)
+    status, out, err = invoke(src, check=True)
+    assert (status, err) == (0, "")
+    assert (tmp_path / "mark.vpr").read_text() == LOGIC_AND_MATCH_VPR
+
+
 def test_external_verifier_reported_not_trusted(tmp_path):
     src = tmp_path / "good.ml"
     src.write_text(GOOD)
@@ -617,20 +680,38 @@ def _wide_record(n):
             "(*@ zero c requires p c ensures p c *)\n")
 
 
+def _long_match(n):
+    ctors = [f"C{i}" for i in range(n)]
+    return (f"type t = {{ mutable v : int }}\ntype u = {' | '.join(ctors)}\n"
+            "(*@ predicate p (c: t) = c ~> {v} *)\n"
+            "let zero (c: t) =\n"
+            "  (*@ unfold p c *)\n"
+            f"  (match {ctors[-1]} with\n"
+            + "".join(f"   | {k} -> c.v <- {i}\n" for i, k in enumerate(ctors))
+            + "  );\n"
+            "  (*@ fold p c *)\n"
+            "  ()\n"
+            "(*@ zero c requires p c ensures p c *)\n")
+
+
 # Chains are lists, not nesting: their length never meets MAX_NESTING.  A
 # conjunction is a list of parts and a block a list of items, so a chain of
 # `let … in` (all of one name here, each shadowing the last) is one block.
+# The arms of a `match` are a list too, but the translator nests one `if`
+# per arm, which the checker walks at three frames a level: matching the
+# last constructor, it descends through all of them.
 CHAINS = {
     "requires": lambda n: NESTED.format(
         body="c.v <- 0", pre=" && ".join(["p c"] + ["0 <= 1"] * (n - 1))),
     "record": _wide_record,
     "let": lambda n: NESTED.format(
         body="let x : int = c.v in " * n + "c.v <- x", pre="p c"),
+    "match": _long_match,
 }
 
 
 @pytest.mark.parametrize("shape,n", [("requires", 10_000), ("record", 1_000),
-                                     ("let", 10_000)])
+                                     ("let", 10_000), ("match", 300)])
 def test_long_conjunctions_check_and_round_trip(tmp_path, shape, n):
     src = tmp_path / "long.ml"
     src.write_text(CHAINS[shape](n))
@@ -651,6 +732,7 @@ def test_long_arithmetic_chain_checks_and_prints(tmp_path, op):
     status, out, err = invoke(src, check=True)
     assert (status, err) == (0, "")
     assert f"c.v := 1 {op} 1 {op} 1" in (tmp_path / "sum.vpr").read_text()
+
 
 
 # 24 independent guards: the checker drops paths past MAX_PATHS

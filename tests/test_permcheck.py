@@ -12,8 +12,7 @@ from pathlib import Path
 from gospel2viper import permcheck, viper_ast as V
 from gospel2viper.diagnostics import Category, Severity, Span
 from gospel2viper.permcheck import (App, Checker, Ctor, Lit, SeqV, Sym,
-                                    SymState, _ConsumeCtx, _Mode, _key,
-                                    check_program,
+                                    SymState, _ConsumeCtx, _key, check_program,
                                     FALSE, TRUE, MAX_PATHS, sym_str)
 from gospel2viper.translate import prelude_decls, translate_source
 from gospel2viper.viper_parser import reparse
@@ -473,7 +472,7 @@ def test_walks_reject_a_node_class_they_do_not_know(ck):
 
     st = SymState()
     with pytest.raises(TypeError, match="cannot evaluate Odd"):
-        ck.eval(st, Odd(), {}, _Mode.EXEC, st.heap)
+        ck.eval(st, Odd(), {}, None)
     with pytest.raises(TypeError, match="cannot produce Odd"):
         ck.produce(st, Odd(), {})
     with pytest.raises(TypeError, match="cannot consume Odd"):
@@ -1072,8 +1071,7 @@ def test_norm_memo_lives_only_as_long_as_its_states():
         tracemalloc.start()
         for i in range(states):
             st = SymState()
-            ck.eval(st, body, {"v": SeqV((Lit(i), Lit(-i)))},
-                    _Mode.PRODUCE, st.heap)
+            ck.eval(st, body, {"v": SeqV((Lit(i), Lit(-i)))}, {})
         gc.collect()  # also empties the allocator's free lists
         size = tracemalloc.get_traced_memory()[0]
         tracemalloc.stop()

@@ -5,7 +5,7 @@ oracle that never touches the implementation."""
 
 from itertools import product
 
-from gospel2viper.permcheck import App, Checker, Lit, SeqV, SymState, _Mode
+from gospel2viper.permcheck import App, Checker, Lit, SeqV, SymState
 from gospel2viper.translate import prelude_decls
 from gospel2viper.viper_ast import ViperProgram, golden_equal, pretty
 
@@ -36,7 +36,7 @@ def eval_body(checker, name, elems):
     decl = {d.name: d for d in prelude_decls()}[name]
     store = {"v": SeqV(tuple(Lit(x) for x in elems))}
     st = SymState()
-    got = checker.eval(st, decl.body, store, _Mode.PRODUCE, st.heap)
+    got = checker.eval(st, decl.body, store, {})
     assert isinstance(got, SeqV)
     return [v.value for v in got.elems]
 
