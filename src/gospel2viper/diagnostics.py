@@ -1,8 +1,9 @@
 """Source spans and diagnostics shared by every stage of the pipeline.
 
-A Span is a half-open byte-offset interval into the original source text.
-Line/column numbers are only computed when a diagnostic is rendered, via
-LineIndex, so the rest of the pipeline can stay offset-based.
+A Span is a half-open interval of character offsets (indices into the
+source `str`, not bytes of its UTF-8 encoding).  Line/column numbers are
+only computed when a diagnostic is rendered, via LineIndex, so the rest of
+the pipeline can stay offset-based.
 
 `Record` is the base of the package's plain classes, the surface AST's
 among them: a `__slots__` class with a hand-written `__init__` costs far
@@ -50,10 +51,11 @@ class Record:
 
 @dataclass(slots=True, unsafe_hash=True)
 class Span:
-    """Equal and hashed by value; never assigned after it is built, but not
-    frozen, because a frozen dataclass sets each field through
-    `object.__setattr__` and costs twice as much to build.  Unlike the
-    other records it stays a dataclass: the benchmark counts the spans
+    """Characters start..end-1 of the source (offsets into the `str`, not
+    its UTF-8 bytes).  Equal and hashed by value; never assigned after it
+    is built, but not frozen, because a frozen dataclass sets each field
+    through `object.__setattr__` and costs twice as much to build.  Unlike
+    the other records it stays a dataclass: the benchmark counts the spans
     held by Viper nodes among those nodes, through `dataclasses.fields`."""
 
     start: int
@@ -99,7 +101,8 @@ class Diagnostic(Record, uncompared=()):
 
 
 class LineIndex:
-    """Maps byte offsets to 1-based (line, column) pairs."""
+    """Maps character offsets to 1-based (line, column) pairs; a column
+    counts characters, so `⇝` (three bytes of UTF-8) is one column."""
 
     def __init__(self, source: str):
         self._starts = [0]

@@ -1,36 +1,34 @@
 """Lexer for the OCaml-light surface language.
 
-Each file is lexed once, into a `Tokens` stream: three parallel lists of
-token kinds, start offsets and texts.  No object is built per token.
-The code between two comments is read by one `split` over a compiled
-pattern of all tokens, which yields the gaps between tokens and the
-token texts alternately; the offsets are the running sums of their
-lengths, and every gap must be whitespace.  The token classes are:
+A file is lexed in one pass into a `Tokens` stream: parallel lists of
+token kinds, start offsets and texts, with no object per token.  One
+`split` of the whole file over a pattern of all tokens yields the gaps
+and the token texts alternately; offsets are the running sums of their
+lengths.  Every gap outside the comments must be ASCII space, tab, CR or
+LF, so a no-break space or a form feed is an unexpected character.  The
+tokens are integers (runs of the Unicode decimal digits that `int`
+reads, so `²` is unexpected), identifiers (a letter or `_`, then letters,
+digits, `_` and `'`), the punctuation in PUNCT, longest match first, and
+the comment edges `(*`, `(*@` and `*)`.
 
-* whitespace: ASCII space, tab, CR and LF only, so a no-break space or
-  a form feed is an unexpected character;
-* integers: runs of Unicode decimal digits, the ones `int` reads, so a
-  superscript `²` is an unexpected character;
-* identifiers: a letter or `_`, then letters, digits, `_` and `'`;
-* the punctuation in PUNCT, longest match first.
-
-Ordinary ``(* ... *)`` comments nest and are discarded.  An annotation
-comment ``(*@ ... *)`` becomes an ANNOTATION token whose text is the
-whole comment, followed at once by the tokens of its payload, lexed in
-spec mode, and an EOF token at the closing ``*)``; the parser reads an
-annotation as that slice of the stream.  A lexical error in a payload
-does not fail the file: its payload tokens are dropped and the error is
-kept in `Tokens.errors` under the ANNOTATION token's index, for the
-parser to report if it reaches that annotation.
+No other token holds a `(`, `*` or `)` after its first character, so a
+left-to-right `str.find` of `(*` and `*)` meets exactly the edge tokens,
+over which comments are found and their nesting counted: a file pays per
+comment, not per token.  Plain comments are dropped, and a `*)` outside
+every comment is a STAR and an RPAREN.  An annotation ``(*@ ... *)``
+stays in place as a slice of the stream: its `(*@` becomes an ANNOTATION
+token whose text is the whole comment, its payload tokens take spec-mode
+kinds, and its `*)` becomes the EOF that ends the payload.  A lexical
+error in a payload does not fail the file: the payload tokens are
+dropped and the error is kept in `Tokens.errors` under the ANNOTATION
+token's index, for the parser to report if it reaches that annotation.
 
 In spec mode, the contract keywords (requires, ensures, predicate,
 function, lemma, fold, unfold, apply) are hard keywords; in program mode
 they are plain identifiers.  `lex(..., spec_mode=True)` lexes one payload
 on its own, as the file's lexer does inline; an annotation nested in a
-payload stays a single ANNOTATION token.
-
-Token kinds are plain ints, the constants of class `T`; compare them
-with `==`.
+payload stays a single ANNOTATION token.  Token kinds are plain ints,
+the constants of class `T`; compare them with `==`.
 """
 
 from __future__ import annotations
@@ -59,46 +57,38 @@ class T:
 
 
 KEYWORDS = {
-    "type": T.TYPE, "of": T.OF, "mutable": T.MUTABLE,
-    "let": T.LET, "in": T.IN,
-    "if": T.IF, "then": T.THEN, "else": T.ELSE,
-    "match": T.MATCH, "with": T.WITH,
-    "true": T.TRUE, "false": T.FALSE,
-}
+    "type": T.TYPE, "of": T.OF, "mutable": T.MUTABLE, "let": T.LET,
+    "in": T.IN, "if": T.IF, "then": T.THEN, "else": T.ELSE,
+    "match": T.MATCH, "with": T.WITH, "true": T.TRUE, "false": T.FALSE}
 
 SPEC_KEYWORDS = {
-    "requires": T.REQUIRES, "ensures": T.ENSURES,
-    "predicate": T.PREDICATE, "function": T.FUNCTION, "lemma": T.LEMMA,
-    "fold": T.FOLD, "unfold": T.UNFOLD, "apply": T.APPLY,
-}
+    "requires": T.REQUIRES, "ensures": T.ENSURES, "predicate": T.PREDICATE,
+    "function": T.FUNCTION, "lemma": T.LEMMA, "fold": T.FOLD,
+    "unfold": T.UNFOLD, "apply": T.APPLY}
 
 # The ASCII digraph and the unicode wiggle arrows all denote ownership.
 PUNCT = {
-    "~>": T.OWNS, "⇝": T.OWNS, "↝": T.OWNS, "⤳": T.OWNS,
-    "<-": T.LARROW, "->": T.ARROW,
-    "++": T.PLUSPLUS, "&&": T.AMPAMP, "||": T.BARBAR,
-    "..": T.DOTDOT, "<>": T.NEQ, "<=": T.LE, ">=": T.GE,
-    "(": T.LPAREN, ")": T.RPAREN, "{": T.LBRACE, "}": T.RBRACE,
-    "[": T.LBRACKET, "]": T.RBRACKET,
-    ";": T.SEMI, ":": T.COLON, ",": T.COMMA, ".": T.DOT,
-    "|": T.PIPE, "=": T.EQ, "<": T.LT, ">": T.GT,
-    "+": T.PLUS, "-": T.MINUS, "*": T.STAR, "/": T.SLASH,
-}
+    "~>": T.OWNS, "⇝": T.OWNS, "↝": T.OWNS, "⤳": T.OWNS, "<-": T.LARROW,
+    "->": T.ARROW, "++": T.PLUSPLUS, "&&": T.AMPAMP, "||": T.BARBAR,
+    "..": T.DOTDOT, "<>": T.NEQ, "<=": T.LE, ">=": T.GE, "(": T.LPAREN,
+    ")": T.RPAREN, "{": T.LBRACE, "}": T.RBRACE, "[": T.LBRACKET,
+    "]": T.RBRACKET, ";": T.SEMI, ":": T.COLON, ",": T.COMMA, ".": T.DOT,
+    "|": T.PIPE, "=": T.EQ, "<": T.LT, ">": T.GT, "+": T.PLUS,
+    "-": T.MINUS, "*": T.STAR, "/": T.SLASH}
 
-# Kind by token text, for all but identifiers and integers.
-_KINDS = {**PUNCT, **KEYWORDS}
+# Kind by token text, for all but identifiers and integers.  An annotation's
+# `(*@` is its ANNOTATION token, its `*)` its payload's EOF; "" is the EOF.
+_KINDS = {**PUNCT, **KEYWORDS, "(*@": T.ANNOTATION, "*)": T.EOF, "": T.EOF}
 _SPEC_KINDS = {**_KINDS, **SPEC_KEYWORDS}
 _IDENT_OR_INT = (T.IDENT, T.INT)  # indexed by `text.isdecimal()`
 
-# One token: an identifier (which must still start with a letter or `_`),
-# punctuation, longest first, or an integer.  `split` keeps the group, so
-# it yields [gap, token, gap, token, ..., gap]; a gap that is not blank
-# holds a character that starts no token.
-_SPLIT = re.compile(r"([^\W\d][\w']*|%s|\d+)"
-                    % "|".join(map(re.escape,
-                                   sorted(PUNCT, key=len, reverse=True))))
-_BLANK = re.compile(r"[ \t\r\n]*")
-_COMMENT_EDGE = re.compile(r"\(\*|\*\)")
+# One token, in an order where most positions fail fast: an ASCII identifier,
+# punctuation grouped by first character, longest first, an integer, or any
+# other identifier.  `split` keeps the group: [gap, token, ..., token, gap].
+_SPLIT = re.compile(r"([A-Za-z_][\w']*|\((?:\*@?)?|\*\)?|<[-=>]?|->?"
+                    r"|\+\+?|\.\.?|\|\|?|>=?|&&|~>|[)\[\]{};:,=/]|⇝|↝|⤳"
+                    r"|\d+|[^\W\d][\w']*)")
+_BLANK = " \t\r\n"
 
 
 class Tokens:
@@ -128,89 +118,99 @@ class Tokens:
         return Span(start, start + len(self.texts[i]))
 
 
-def _unexpected(ch: str, at: int) -> Diagnostic:
-    return error(Category.PARSE, f"unexpected character {ch!r}",
-                 Span(at, at + 1))
-
-
 def lex(source: str, base: int = 0, spec_mode: bool = False
         ) -> tuple[Tokens, list[Diagnostic]]:
-    """Tokenize `source`.  Returns (empty stream, [diagnostic]) on a
-    lexical error outside every annotation.
-
-    `base` shifts all offsets, so a payload lexed on its own keeps file
-    positions.
-    """
-    toks = Tokens()
-    diag = _lex(toks, source, 0, len(source), base, spec_mode)
-    if diag is not None:
-        return Tokens(), [diag]
-    return toks, []
-
-
-def _lex(toks: Tokens, source: str, i: int, n: int, base: int,
-         spec: bool) -> Diagnostic | None:
-    """Append the tokens of source[i:n] and an EOF at its end, or return
-    the first lexical error."""
-    kinds = _SPEC_KINDS if spec else _KINDS
-    while True:
-        opener = source.find("(*", i, n)
-        end = n if opener < 0 else opener
-        bad = _code(toks, source[i:end], base + i, kinds)
-        if bad is not None:
-            return _unexpected(source[bad - base], bad)
-        if opener < 0:
-            break
-        depth = 1
-        for edge in _COMMENT_EDGE.finditer(source, opener + 2, n):
-            depth += 1 if edge.group() == "(*" else -1
-            if not depth:
-                break
-        else:
-            return error(Category.PARSE, "unterminated comment",
-                         Span(base + opener, base + n))
-        i = edge.end()
-        if source.startswith("(*@", opener, n):
-            at = len(toks)
-            toks.add(T.ANNOTATION, base + opener, source[opener:i])
-            if not spec:
-                diag = _lex(toks, source, opener + 3, i - 2, base, True)
-                if diag is not None:  # keep only the ANNOTATION token
-                    del toks.kinds[at + 1:], toks.starts[at + 1:], \
-                        toks.texts[at + 1:]
-                    toks.errors[at] = diag
-                    toks.add(T.EOF, base + i - 2, "")
-    toks.add(T.EOF, base + n, "")
-    return None
-
-
-def _code(toks: Tokens, code: str, offset: int, kinds: dict) -> int | None:
-    """Append the tokens of `code`, which holds no comment and starts at
-    file offset `offset`; return the offset of the first character that
-    starts no token, if there is one."""
-    parts = _SPLIT.split(code)
+    """Tokenize `source`, its offsets shifted by `base` (so that a payload
+    lexed on its own keeps file positions).  Returns (empty stream,
+    [diagnostic]) on a lexical error outside every annotation."""
+    parts = _SPLIT.split(source)
     texts = parts[1::2]
-    offsets = list(accumulate(map(len, parts), initial=offset))
-    new = list(map(kinds.get, texts,
-                   map(_IDENT_OR_INT.__getitem__, map(str.isdecimal, texts))))
-    if not (code.isascii() and _BLANK.fullmatch("".join(parts[::2]))):
-        bad = _first_bad(parts, offsets, new)
-        if bad is not None:
-            return bad
-    toks.kinds += new
-    toks.starts += offsets[1:-1:2]
-    toks.texts += texts
-    return None
+    texts.append("")  # the EOF
+    starts = list(accumulate(map(len, parts), initial=base))[1::2]
+    kinds = list(map((_SPEC_KINDS if spec_mode else _KINDS).get, texts,
+                     map(_IDENT_OR_INT.__getitem__,
+                         map(str.isdecimal, texts))))
+    clean = source.isascii() and not "".join(parts[::2]).strip(_BLANK)
 
+    def first_bad(lo: int, hi: int) -> Diagnostic | None:
+        """The first character that starts no token in tokens lo..hi-1 and
+        their gaps: in a gap, or at an identifier's start (`½` or `²`)."""
+        g = slice(2 * lo, 2 * hi + 1, 2)
+        if clean or (not "".join(parts[g]).strip(_BLANK)
+                     and "".join(texts[lo:hi]).isascii()):
+            return None
+        bad = [end - len(gap.lstrip(_BLANK))  # gap t ends at token t
+               for end, gap in zip(starts[lo:hi + 1], parts[g])
+               if gap.strip(_BLANK)]
+        bad += [starts[t] for t in range(lo, hi) if kinds[t] == T.IDENT
+                and not (texts[t][0].isalpha() or texts[t][0] == "_")]
+        at = min(bad, default=None)
+        return None if at is None else error(
+            Category.PARSE, f"unexpected character {source[at - base]!r}",
+            Span(at, at + 1))
 
-def _first_bad(parts: list[str], offsets: list[int], kinds: list[int]
-               ) -> int | None:
-    """The offset of the first character that starts no token: one in a
-    gap, or the first of an identifier that is not a letter or `_` (such
-    as `Ⅷ`, `½` or `²`, which `[^\\W\\d]` lets through)."""
-    bad = [offsets[g] + _BLANK.match(parts[g]).end()
-           for g in range(0, len(parts), 2) if not _BLANK.fullmatch(parts[g])]
-    bad += [offsets[t] for t, kind in zip(range(1, len(parts), 2), kinds)
-            if kind == T.IDENT and not (parts[t][0].isalpha()
-                                        or parts[t][0] == "_")]
-    return min(bad, default=None)
+    # (lo, hi, new, error): tokens lo..hi-1 become `new`; error is at lo - 1
+    edits: list[tuple] = []
+    # code: the first token of the code or payload being read
+    depth, code, at, close, inline = 0, 0, 0, -1, False
+    while True:  # over the edges from `at`; a `(*` before the next `*)` wins
+        close = close if close >= at else source.find("*)", at)
+        edge = source.find("(*", at, len(source) if close < 0 else close + 1)
+        if edge >= 0:
+            at, depth = edge + 2, depth + 1
+            if depth == 1:
+                opener, first = edge, starts.index(base + edge, code)
+                if diag := first_bad(code, first):
+                    return Tokens(), [diag]
+                inline = not spec_mode and kinds[first] == T.ANNOTATION
+                code, bad, mark = first + 1, None, len(edits)
+            elif depth == 2 and inline:
+                inner, nested = edge, starts.index(base + edge, code)
+                bad = bad or first_bad(code, nested)
+            continue
+        if close < 0:
+            break
+        at, depth = close + 2, depth - 1
+        if depth > 1 or depth == 1 and not inline:  # dropped with its parent
+            continue
+        last = starts.index(base + close, code)
+        if depth < 0:  # an edge `*)` outside every comment
+            depth = 0
+            edits.append((last, last + 1, [(T.STAR, base + close, "*"),
+                          (T.RPAREN, base + close + 1, ")")], None))
+            continue
+        if depth == 0 and inline:
+            bad = bad or first_bad(code, last)
+            if bad:  # keep only the ANNOTATION token and the EOF
+                del edits[mark:]
+                edits.append((first + 1, last, [], bad))
+            texts[first], texts[last] = source[opener:at], ""
+            payload = slice(first + 1, last)
+            kinds[payload] = map(SPEC_KEYWORDS.get, texts[payload],
+                                 kinds[payload])
+        else:  # drop the comment; an annotation stays one token
+            lo, start = (nested, inner) if depth else (first, opener)
+            edits.append((lo, last + 1, [(T.ANNOTATION, base + start,
+                                          source[start:at])]
+                           if kinds[lo] == T.ANNOTATION else [], None))
+        code = last + 1
+    if depth:
+        return Tokens(), [error(Category.PARSE, "unterminated comment",
+                                Span(base + opener, starts[-1]))]
+    if diag := first_bad(code, len(texts) - 1):
+        return Tokens(), [diag]
+    toks = Tokens()
+    if not edits:
+        toks.kinds, toks.starts, toks.texts = kinds, starts, texts
+        return toks, []
+    done = 0
+    for lo, hi, new, diag in edits + [(len(texts), 0, [], None)]:
+        toks.kinds += kinds[done:lo]
+        toks.starts += starts[done:lo]
+        toks.texts += texts[done:lo]
+        if diag:
+            toks.errors[len(toks) - 1] = diag
+        for tok in new:
+            toks.add(*tok)
+        done = hi
+    return toks, []

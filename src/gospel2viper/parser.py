@@ -153,11 +153,14 @@ class _P:
         return e
 
     def parse_binary(self, floor: int) -> SurfaceExpr:
-        """Precedence climbing over `_BINOPS`: an operand followed by
-        operators of precedence `floor` and tighter."""
+        """Precedence climbing over `_BINOPS`: an operand (a negation, or a
+        postfix term, applied to the atoms after it when it is a bare name)
+        followed by operators of precedence `floor` and tighter."""
         kinds = self.kinds
         e = (self.parse_unary() if kinds[self.pos] == T.MINUS
-             else self.parse_app())
+             else self.parse_postfix())
+        if kinds[self.pos] in _ATOM_START and isinstance(e, (VarE, CtorE)):
+            e = self.parse_app(e)
         ceil = _TIGHTEST
         while True:
             op = _BINOPS.get(kinds[self.pos])
@@ -175,19 +178,15 @@ class _P:
         """A prefix minus and its operand, itself possibly negated."""
         start = self.toks.span(self.next())
         self.enter()
-        e = UnE("-", self.parse_unary() if self.at(T.MINUS)
-                else self.parse_app(), span=start)
+        # no operator binds tighter than _TIGHTEST: just the operand
+        e = UnE("-", self.parse_binary(_TIGHTEST + 1), span=start)
         self.depth -= 1
         return e
 
-    def parse_app(self) -> SurfaceExpr:
-        """A postfix term, applied to the atoms after it when it is a bare
-        name: `f x (y + 1) z.a`, `f (x, y)` or `f ()`."""
-        head = self.parse_postfix()
+    def parse_app(self, head: VarE | CtorE) -> AppE:
+        """`head` applied to the atoms at the cursor: `f x (y + 1) z.a`,
+        `f (x, y)` or `f ()`."""
         kinds = self.kinds
-        if (kinds[self.pos] not in _ATOM_START
-                or not isinstance(head, (VarE, CtorE))):
-            return head
         args: list[SurfaceExpr] = []
         done = False
         while kinds[self.pos] in _ATOM_START:

@@ -49,6 +49,9 @@ from .surface import (AppE, AssignE, Assertion, BinE, BoolLit, BoolT,
 
 PRELUDE_NAMES = ("drop_last", "take_last")
 
+# Surface operators whose Viper spelling differs; the rest are the same.
+_VIPER_OPS = {"=": "==", "<>": "!="}
+
 
 def _cap(name: str) -> str:
     return name[:1].upper() + name[1:]
@@ -223,8 +226,7 @@ class _Tr:
                 return test if e.op == "=" else V.UnOp("!", test)
         left = self.tr_expr(e.left, env)
         right = self.tr_expr(e.right, env)
-        op = {"=": "==", "<>": "!="}.get(e.op, e.op)
-        return V.BinOp(op, left, right)
+        return V.BinOp(_VIPER_OPS.get(e.op, e.op), left, right)
 
     def _ctor_test(self, e: BinE,
                    env: dict[str, V.VExpr]) -> V.VExpr | None:

@@ -132,6 +132,18 @@ def test_diagnostic_format_and_position(tmp_path):
     assert severity_part.startswith("error[permission]")
 
 
+def test_columns_count_characters_not_bytes(tmp_path):
+    # `⇝` is one character and three bytes of UTF-8: `g` is character 37
+    # of line 2, byte 39
+    src = tmp_path / "cols.ml"
+    src.write_text("type t = { mutable f : int }\n"
+                   "(*@ predicate p (r: t) = r ⇝ {f} && r.g = 0 *)\n",
+                   encoding="utf-8")
+    status, _, err = invoke(src)
+    assert status == 1
+    assert err == f"{src}:2:37: error[translation]: unknown field 'g'\n"
+
+
 def test_diagnostics_are_sorted_by_position(tmp_path):
     src = tmp_path / "two.ml"
     src.write_text("""\

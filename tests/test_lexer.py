@@ -1,6 +1,8 @@
 from pathlib import Path
 
+from gospel2viper import lexer
 from gospel2viper.lexer import T, lex
+from gospel2viper.translate import translate_source
 from lexer_oracle import reference_lex
 from test_parser import wide_module
 
@@ -174,6 +176,53 @@ def test_corpus_lexes_as_the_reference_lexer_does(name):
     assert_same_as_reference(SOURCES[name])
 
 
+# Edge cases of the one-pass lexer, each checked against the reference
+EDGE_CASES = {
+    "nested comment holding (*@": "a (* x (*@ y *) z *) b",
+    "nested comment holding *)": "a (* x (* *) *) y *) b",
+    "plain comment holding odd text": 'a (* "why?" été\xa0 *) b',
+    "payload holding a plain comment": "a (*@ fold (* # é *) p *) b",
+    "payload holding an annotation": "a (*@ fold (*@ # *) p *) b",
+    "bad character in a payload": "a (*@ fold (* ½ *) p ² *) b",
+    "bad character first": "½ a",
+    "bad character after a comment": "x (* ok *) \xa0",
+    "stray closer": "a *) b",
+    "closer in an opener": "a (*) b *) c",
+    "empty comment": "a (**) b",
+    "starred comment": "a (***) b",
+    "non-ASCII identifiers": "été aé x²",
+    "ownership arrows": "a ⇝ b ↝ c ⤳ d",
+}
+
+
+@pytest.mark.parametrize("name", sorted(EDGE_CASES))
+def test_edge_case_lexes_as_the_reference_lexer_does(name):
+    assert_same_as_reference(EDGE_CASES[name])
+
+
+def test_closer_outside_a_comment_is_star_rparen():
+    toks, diags = lex("a *) b")
+    assert not diags
+    assert toks.kinds == [T.IDENT, T.STAR, T.RPAREN, T.IDENT, T.EOF]
+    assert toks.starts[1:3] == [2, 3] and toks.texts[1:3] == ["*", ")"]
+
+
+def test_each_file_is_split_once(monkeypatch):
+    calls = []
+
+    class Counted:
+        def split(self, source):
+            calls.append(source)
+            return split(source)
+
+    split = lexer._SPLIT.split
+    monkeypatch.setattr(lexer, "_SPLIT", Counted())
+    source = (CORPUS / "checker_queue.ml").read_text(encoding="utf-8")
+    program, diags = translate_source(source)
+    assert program is not None, [d.message for d in diags]
+    assert calls == [source]
+
+
 PIECES = ["(*@", "(*", "*)", "~>", "⇝", "\xa0", "é", "٣", "Ⅷ", "½", "²",
           " ", "\n", "\t", "\f", "x", "_", "'", "0", "9", "(", ")", "-",
           "<", ">", "=", ".", "|", "@", "#", "requires", "let"]
@@ -196,7 +245,8 @@ def mutate(source, edits):
     return source
 
 
-@settings(max_examples=300, deadline=None, database=None)
+@settings(max_examples=300, deadline=None, database=None,
+          derandomize=True)
 @given(hs.sampled_from(sorted(SOURCES)), EDITS)
 def test_mutated_corpus_lexes_as_the_reference_lexer_does(name, edits):
     assert_same_as_reference(mutate(SOURCES[name], edits))

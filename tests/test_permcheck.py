@@ -306,7 +306,8 @@ FACTS = hs.one_of(
               hs.integers(1, 4)))
 
 
-@settings(max_examples=300, deadline=None, database=None)
+@settings(max_examples=300, deadline=None, database=None,
+          derandomize=True)
 @given(TERMS, hs.lists(FACTS, max_size=3))
 def test_memoised_norm_is_idempotent_and_matches_a_fresh_checker(t, facts):
     ck = Checker(PROGRAM)
@@ -368,7 +369,8 @@ def scan(ck, st, keys, q):
     return sum(ck.norm(k, st) == q_n for k in keys)
 
 
-@settings(max_examples=200, deadline=None, database=None)
+@settings(max_examples=200, deadline=None, database=None,
+          derandomize=True)
 @given(hs.lists(TERMS, min_size=1, max_size=4), hs.lists(TERMS, max_size=3),
        hs.lists(FACTS, min_size=1, max_size=4))
 def test_bindings_keep_keys_normal_and_lookups_match_a_scan(keys, queries,
