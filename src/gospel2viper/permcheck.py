@@ -73,22 +73,28 @@ Diagnostics print an ite nested in two others as "...".
 
 A statement costs a few calls per node of its expressions.  `eval`,
 `_produce`, `_consume` and `exec_stmt` each find the handler for a node's
-class in one table (`_EVAL`, `_PRODUCE`, `_CONSUME`, `_EXEC`).  A field
-read normalises its receiver once, for the permission probe and the heap
-read alike.  `_simplify` tries the arithmetic operators first, and lifts
-an operator over an `ite` only in a method that has built one.
+class in one table (`_EVAL`, `_PRODUCE`, `_CONSUME`, `_EXEC`).  Each
+operator is simplified once, by `_simplify` over its evaluated operands,
+so the term interned is already its normal form.  A field read normalises
+its receiver once, for the permission probe and the heap read alike.
+`_simplify` tries the arithmetic operators first, and lifts an operator
+over an `ite` only in a method that has built one.
 
 Each term is normalised once per substitution: `norm` first probes the
 state's `memo`, for every kind of term, so a term already normalised costs
 one dict probe.  It memoises a symbol too (an unbound one to itself), and
 a normal form to itself; clones share the memo, and a binding starts a
 fresh one, so it lives only as long as the states that use it.
-Every heap key, instance argument and fact of a state is in normal form
-under the state's own substitution, as in Smallfoot's symbolic heaps.
-`Checker._bind` alone grows the substitution, and it restores that
-invariant: it renormalises the facts, and the stored keys when one
-mentions the bound symbol.  So a lookup is one probe of the normalised
-key, and `decide` finds a fact without normalising the table again.
+Every heap key, instance argument, fact and stored value of a state is
+in normal form under the state's own substitution, as in Smallfoot's
+symbolic heaps.  `Checker._bind` alone grows the substitution, and it
+restores that invariant: it renormalises the facts and the values, and
+the stored keys when one mentions the bound symbol.  So a lookup is one
+probe of the normalised key, `decide` finds a fact without normalising
+the table again, and a statement's operator result is memoised as its
+own normal form.  Not so under `produce` and `consume`: a conjunct's
+`_bind` leaves their binding dict stale, so their results are not
+memoised, and keys, instance arguments and facts are normalised there.
 
 On a failed access the checker reports once and then repairs the state
 (adds the missing cell or carries on past the missing instance) so one
@@ -345,13 +351,19 @@ class Checker:
     def __init__(self, program: V.ViperProgram, strict: bool = False):
         self.program = program
         self.strict = strict
-        self.predicates = program.predicates()
         self.methods = program.methods()
-        self.fields = set(program.fields())
+        # each predicate, its parameter names and its instance over them
+        self.instances = {
+            name: (d, [n for n, _ in d.params],
+                   V.PredApp(name, [V.Var(n) for n, _ in d.params]))
+            for name, d in program.predicates().items()}
+        fields = program.fields()
+        self.fields = set(fields)
         # joins may merge values of these fields and locals (see _join)
-        self.scalar_fields = {n for n, d in program.fields().items()
+        self.scalar_fields = {n for n, d in fields.items()
                               if d.typ.name in _SCALAR}
-        self.scalar_locals: set[str] = set()
+        self.scalar_locals: set[str] | None = set()
+        self.method: V.MethodDecl | None = None
         self.projections: dict[str, str] = {}  # proj name -> ctor name
         self.ctor_params: dict[str, list[str]] = {}
         self.siblings: dict[str, list[str]] = {}  # ctor -> all ctors of adt
@@ -689,17 +701,20 @@ class Checker:
 
     def _bind(self, st: SymState, s: Sym, v: SymVal) -> None:
         """Substitute the normal form `v` for `s` from now on, and bring
-        the facts and the stored keys back to normal form.  Two cells that
-        fall on one key make the state infeasible."""
+        the facts, the stored values and the stored keys back to normal
+        form, in new dicts: a produce may be reading the old store.  Two
+        cells that fall on one key make the state infeasible."""
         st.subst[s] = v
         st.memo = {}
         st.facts = dict.fromkeys(self.norm(f, st) for f in st.facts)
+        st.store = {k: self.norm(x, st) for k, x in st.store.items()}
         # a stored key stays normal unless it mentions s
         keys = itertools.chain((r for r, _ in st.heap),
                                (a for _, args in st.preds for a in args))
         if not any(_occurs(s, k) for k in keys):
+            st.heap = {k: self.norm(x, st) for k, x in st.heap.items()}
             return
-        heap = {(self.norm(r, st), f): val
+        heap = {(self.norm(r, st), f): self.norm(val, st)
                 for (r, f), val in st.heap.items()}
         if len(heap) < len(st.heap):
             st.facts[FALSE] = None
@@ -714,7 +729,9 @@ class Checker:
     def eval(self, st: SymState, e: V.VExpr, store: dict,
              cache: dict | None, span=None) -> SymVal:
         """The value of `e`; `cache` is the step's cache for the fields it
-        reads without holding them, None in a statement (`_read_field`)."""
+        reads without holding them, None in a statement (`_read_field`).
+        In a statement the value is in normal form, as the stored values
+        are; under `produce` and `consume` it may be stale (see `_op`)."""
         try:
             handler = self._EVAL[type(e)]
         except KeyError:
@@ -738,12 +755,12 @@ class Checker:
         base = self.eval(st, e.base, store, cache, span)
         if e.fieldname in self.projections \
                 and e.fieldname not in self.fields:
-            return self.norm(App(f"proj#{e.fieldname}", (base,)), st)
+            return self._op(st, cache, f"proj#{e.fieldname}", (base,))
         return self._read_field(st, base, e, cache, span)
 
     def _eval_is(self, st, e, store, cache, span) -> SymVal:
         base = self.eval(st, e.base, store, cache, span)
-        return self.norm(App(f"is#{e.ctor}", (base,)), st)
+        return self._op(st, cache, f"is#{e.ctor}", (base,))
 
     def _eval_ctor(self, st, e, store, cache, span) -> SymVal:
         return Ctor(e.name, tuple(self.eval(st, a, store, cache, span)
@@ -751,7 +768,7 @@ class Checker:
 
     def _eval_fun(self, st, e, store, cache, span) -> SymVal:
         args = tuple(self.eval(st, a, store, cache, span) for a in e.args)
-        return self.norm(App(e.name, args), st)
+        return self._op(st, cache, e.name, args)
 
     def _eval_seq(self, st, e, store, cache, span) -> SymVal:
         return SeqV(tuple(self.eval(st, a, store, cache, span)
@@ -759,31 +776,40 @@ class Checker:
 
     def _eval_len(self, st, e, store, cache, span) -> SymVal:
         seq = self.eval(st, e.seq, store, cache, span)
-        return self.norm(App("len", (seq,)), st)
+        return self._op(st, cache, "len", (seq,))
 
     def _eval_binop(self, st, e, store, cache, span) -> SymVal:
         left = self.eval(st, e.left, store, cache, span)
         right = self.eval(st, e.right, store, cache, span)
-        return self.norm(App(e.op, (left, right)), st)
+        return self._op(st, cache, e.op, (left, right))
 
     def _eval_unop(self, st, e, store, cache, span) -> SymVal:
         inner = self.eval(st, e.operand, store, cache, span)
-        return self.norm(App("not" if e.op == "!" else "neg", (inner,)), st)
+        return self._op(st, cache, "not" if e.op == "!" else "neg", (inner,))
 
     def _eval_index(self, st, e, store, cache, span) -> SymVal:
-        return self.norm(App("index", (
+        return self._op(st, cache, "index", (
             self.eval(st, e.seq, store, cache, span),
-            self.eval(st, e.index, store, cache, span))), st)
+            self.eval(st, e.index, store, cache, span)))
 
     def _eval_drop(self, st, e, store, cache, span) -> SymVal:
-        return self.norm(App("drop", (
+        return self._op(st, cache, "drop", (
             self.eval(st, e.seq, store, cache, span),
-            self.eval(st, e.lo, store, cache, span))), st)
+            self.eval(st, e.lo, store, cache, span)))
 
     def _eval_take(self, st, e, store, cache, span) -> SymVal:
-        return self.norm(App("take", (
+        return self._op(st, cache, "take", (
             self.eval(st, e.seq, store, cache, span),
-            self.eval(st, e.hi, store, cache, span))), st)
+            self.eval(st, e.hi, store, cache, span)))
+
+    def _op(self, st, cache, name: str, args: tuple) -> SymVal:
+        """`name(args)` simplified once.  In a statement the operands are
+        normal, so the result is memoised as its own normal form; not so
+        under `produce` and `consume`, whose binding dict may be stale."""
+        n = self._simplify(name, args)
+        if cache is None:
+            st.memo[n] = n
+        return n
 
     _EVAL = {V.IntLit: _eval_lit, V.BoolLit: _eval_lit, V.Var: _eval_var,
              V.FieldAcc: _eval_field, V.IsTest: _eval_is,
@@ -798,8 +824,8 @@ class Checker:
         held cell's value, else the value kept for the cell in `cache`,
         which the first such read makes a fresh symbol.  A statement has
         no cache: there reading a cell it does not hold is a permission
-        error, and the read adds the cell (a repair).  The receiver is
-        normalised once, for both the permission probe and the read."""
+        error, and the read adds the cell (a repair).  Only the receiver
+        is normalised, once for the permission probe and the read."""
         key = (self.norm(base, st), src.fieldname)
         val = st.heap.get(key)
         if val is None:
@@ -1067,12 +1093,16 @@ class Checker:
         They merge when each holds the `mark` facts before the `if` plus
         its guard, and they differ only in the values of Int or Bool heap
         cells and locals; each such value becomes `ite(cond, a's, b's)`.
-        The guards are dropped from the facts: `cond || !cond` holds."""
+        Values are normal, so equal values are one term.  The Int and Bool
+        locals are found at a method's first join.  The guards are dropped
+        from the facts: `cond || !cond` holds."""
         if (len(a.facts) != mark + 1 or len(b.facts) != mark + 1
                 or a.subst != b.subst or a.preds != b.preds
                 or a.heap.keys() != b.heap.keys()
                 or a.store.keys() != b.store.keys()):
             return None
+        if self.scalar_locals is None:
+            self.scalar_locals = _scalar_locals(self.method)
         heap = self._join_values(cond, a, a.heap, b.heap,
                                  lambda k: k[1] in self.scalar_fields)
         store = None if heap is None else self._join_values(
@@ -1149,22 +1179,22 @@ class Checker:
                   verb: str) -> tuple | None:
         """For the `verb` ("fold" or "unfold") statement `s`: the
         predicate's declaration, its parameters bound to the values of the
-        arguments, and its instance over those parameters.  None, after
-        reporting, for an unknown predicate or a wrong arity."""
-        decl = self.predicates.get(s.pred.name)
-        if decl is None:
+        arguments, and its instance over those parameters, built once per
+        checker.  None, after reporting, for an unknown predicate or a
+        wrong arity."""
+        found = self.instances.get(s.pred.name)
+        if found is None:
             self._err(Category.FOLD_MISMATCH,
                       f"{verb} of unknown predicate '{s.pred.name}'", s.span)
             return None
-        if len(s.pred.args) != len(decl.params):
+        decl, names, inst = found
+        if len(s.pred.args) != len(names):
             self._err(Category.FOLD_MISMATCH,
-                      f"{s.pred.name} takes {len(decl.params)} arguments",
-                      s.span)
+                      f"{s.pred.name} takes {len(names)} arguments", s.span)
             return None
-        names = [n for n, _ in decl.params]
         binding = {n: self.eval(st, a, st.store, None, s.span)
                    for n, a in zip(names, s.pred.args)}
-        return decl, binding, V.PredApp(decl.name, list(map(V.Var, names)))
+        return decl, binding, inst
 
     def _fold(self, st: SymState, s: V.FoldS) -> list[SymState]:
         found = self._instance(st, s, "fold")
@@ -1230,7 +1260,7 @@ class Checker:
             return []
         self._ites = False  # terms do not outlive the method
         self.diags = []
-        self.scalar_locals = _scalar_locals(m)
+        self.method, self.scalar_locals = m, None
         st = SymState()
         for name, _ in m.params:
             st.store[name] = self.fresh(name)
