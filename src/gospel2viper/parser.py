@@ -26,6 +26,10 @@ The explicit-typing rule is enforced here: a local `let` without a type
 annotation is a parse diagnostic.  Sequence indexing and slicing only
 exist in spec mode; in program mode a bracket group after a call denotes
 ghost arguments.
+
+After the parse, `_validate` checks the declared names and resolves the
+target of each ghost command, which the module parser lists as it places
+the command in its block: no second walk over the bodies looks for them.
 """
 
 from __future__ import annotations
@@ -503,6 +507,8 @@ class _ModuleParser(_P):
         super().__init__(tokens, spec=False)
         self.diags: list[Diagnostic] = []
         self.payloads: dict[int, tuple] = {}
+        # every ghost command placed in a block, for _validate
+        self.ghosts: list[GhostCommand] = []
 
     def _annotation(self) -> tuple[AnnotationPayload | None, list[Diagnostic]]:
         """parse_annotation of the annotation at the cursor, parsed once:
@@ -550,6 +556,7 @@ class _ModuleParser(_P):
                 self.diags.extend(diags)
                 if payload is not None:
                     items.append(payload)
+                    self.ghosts.append(payload)
                 continue
             if kind in _STMT_END:
                 break
@@ -786,21 +793,6 @@ class _ModuleParser(_P):
 # --------------------------------------------------------------------------
 # post-parse resolution and validation
 
-def _walk_ghosts(e: SurfaceExpr | GhostCommand):
-    if isinstance(e, GhostCommand):
-        yield e
-    elif isinstance(e, SeqE):
-        for item in e.items:
-            yield from _walk_ghosts(item)
-    elif isinstance(e, IfE):
-        yield from _walk_ghosts(e.then)
-        if e.els is not None:
-            yield from _walk_ghosts(e.els)
-    elif isinstance(e, MatchE):
-        for arm in e.arms:
-            yield from _walk_ghosts(arm.body)
-
-
 def _decap(name: str) -> str:
     return name[:1].lower() + name[1:]
 
@@ -814,7 +806,10 @@ def resolve_spec_name(name: str, table: dict) -> str | None:
     return None
 
 
-def _validate(m: SurfaceModule, diags: list[Diagnostic]) -> None:
+def _validate(m: SurfaceModule, ghosts: list[GhostCommand],
+              diags: list[Diagnostic]) -> None:
+    """Check the names `m` declares and uses, and resolve the target of
+    each of the ghost commands of its function bodies, `ghosts`."""
     preds = m.predicates()
     lemmas = m.lemmas()
 
@@ -859,57 +854,57 @@ def _validate(m: SurfaceModule, diags: list[Diagnostic]) -> None:
             distinct(d.payload.params, d.span)
 
     for d in m.decls:
-        if not isinstance(d, FunDecl):
+        spec = d.spec if isinstance(d, FunDecl) else None
+        if spec is None:
             continue
-        spec = d.spec
-        if spec is not None:
-            declared = {n for n, _ in d.params}
-            if set(spec.param_names) != declared:
+        declared = {n for n, _ in d.params}
+        if set(spec.param_names) != declared:
+            diags.append(error(
+                Category.PARSE,
+                f"contract for '{d.name}' names parameters "
+                f"{sorted(spec.param_names)} but the function declares "
+                f"{sorted(declared)}", spec.span))
+        if spec.fn_name != d.name:
+            diags.append(error(
+                Category.PARSE,
+                f"contract names '{spec.fn_name}' but follows "
+                f"'{d.name}'", spec.span))
+        if len(spec.results) > 1:
+            diags.append(error(Category.PARSE,
+                               "multiple results are unsupported",
+                               spec.span))
+        for g, _ in spec.ghost_params:
+            if g in declared:
                 diags.append(error(
                     Category.PARSE,
-                    f"contract for '{d.name}' names parameters "
-                    f"{sorted(spec.param_names)} but the function declares "
-                    f"{sorted(declared)}", spec.span))
-            if spec.fn_name != d.name:
+                    f"ghost parameter '{g}' shadows a parameter",
+                    spec.span))
+
+    for cmd in ghosts:
+        if cmd.kind in (GhostKind.FOLD, GhostKind.UNFOLD):
+            resolved = resolve_spec_name(cmd.target, preds)
+            if resolved is None:
                 diags.append(error(
                     Category.PARSE,
-                    f"contract names '{spec.fn_name}' but follows "
-                    f"'{d.name}'", spec.span))
-            if len(spec.results) > 1:
-                diags.append(error(Category.PARSE,
-                                   "multiple results are unsupported",
-                                   spec.span))
-            for g, _ in spec.ghost_params:
-                if g in declared:
-                    diags.append(error(
-                        Category.PARSE,
-                        f"ghost parameter '{g}' shadows a parameter",
-                        spec.span))
-        for cmd in _walk_ghosts(d.body):
-            if cmd.kind in (GhostKind.FOLD, GhostKind.UNFOLD):
-                resolved = resolve_spec_name(cmd.target, preds)
-                if resolved is None:
-                    diags.append(error(
-                        Category.PARSE,
-                        f"{cmd.kind.value} target '{cmd.target}' is not a "
-                        f"declared predicate", cmd.span))
-                    continue
-                arity = len(preds[resolved].params)
-            else:
-                resolved = resolve_spec_name(cmd.target, lemmas)
-                if resolved is None:
-                    diags.append(error(
-                        Category.PARSE,
-                        f"apply target '{cmd.target}' is not a declared "
-                        f"lemma", cmd.span))
-                    continue
-                arity = len(lemmas[resolved].params)
-            cmd.target = resolved
-            if len(cmd.args) != arity:
+                    f"{cmd.kind.value} target '{cmd.target}' is not a "
+                    f"declared predicate", cmd.span))
+                continue
+            arity = len(preds[resolved].params)
+        else:
+            resolved = resolve_spec_name(cmd.target, lemmas)
+            if resolved is None:
                 diags.append(error(
                     Category.PARSE,
-                    f"'{cmd.target}' takes {arity} arguments, "
-                    f"got {len(cmd.args)}", cmd.span))
+                    f"apply target '{cmd.target}' is not a declared "
+                    f"lemma", cmd.span))
+                continue
+            arity = len(lemmas[resolved].params)
+        cmd.target = resolved
+        if len(cmd.args) != arity:
+            diags.append(error(
+                Category.PARSE,
+                f"'{cmd.target}' takes {arity} arguments, "
+                f"got {len(cmd.args)}", cmd.span))
 
 
 def parse_module(tokens: Tokens) -> tuple[SurfaceModule | None, list[Diagnostic]]:
@@ -918,7 +913,7 @@ def parse_module(tokens: Tokens) -> tuple[SurfaceModule | None, list[Diagnostic]
         module = p.parse_module()
     except ParseError as e:
         return None, p.diags + [e.diag]
-    _validate(module, p.diags)
+    _validate(module, p.ghosts, p.diags)
     if has_errors(p.diags):
         return None, p.diags
     return module, p.diags

@@ -29,20 +29,22 @@ An `if` with an unknown guard `c` runs both sides, then joins them into
 one state when each side ends in one state whose facts are the facts
 before the `if` plus its guard, and the two agree on the substitution,
 the instances and the heap and store keys, differing only in the values
-of Int or Bool fields and locals.  Each differing value becomes
-`ite(c, then's, else's)` and the guard leaves the facts, since `c || !c`
-holds.  A joined Ref would match no held cell, so Ref values are never
-joined.  Otherwise both states go on, and past MAX_PATHS states the
-excess is dropped with a warning (an error under `strict`).  A chain of K
-joins costs time linear in K, not 2^K paths.
+of Int or Bool fields and locals, a local's type being recorded as its
+declaration runs.  Each differing value becomes `ite(c, then's,
+else's)` and the guard leaves the facts, since `c || !c` holds.  A
+joined Ref would match no held cell, so Ref values are never joined.
+Otherwise both states go on, and past MAX_PATHS states the excess is
+dropped with a warning (an error under `strict`).  A chain of K joins
+costs time linear in K, not 2^K paths.
 
 The state records the guards of its joins.  A consumed condition that the
 joined state leaves undecided is decided on each side of a join whose
-guard it mentions, with that join's ites resolved and the guard or its
-negation assumed, down to MAX_PATHS sides; false on any side is false,
-as on the two paths the join replaced.  When a conditional assertion
-takes a different branch on each side, the consuming step (a fold, a
-call, the postcondition) runs on each side instead.
+guard it mentions, with the state normalised under that guard taken as
+true or false and the guard or its negation assumed, down to MAX_PATHS
+sides; false on any side is false, as on the two paths the join
+replaced.  When a conditional assertion takes a different branch on
+each side, the consuming step (a fold, a call, the postcondition) runs
+on each side instead.
 
 Normalization evaluates the sequence helpers (`drop_last`, `take_last`)
 and all sequence/arithmetic/constructor operators on literal operands,
@@ -362,8 +364,8 @@ class Checker:
         # joins may merge values of these fields and locals (see _join)
         self.scalar_fields = {n for n, d in fields.items()
                               if d.typ.name in _SCALAR}
-        self.scalar_locals: set[str] | None = set()
-        self.method: V.MethodDecl | None = None
+        # each local's declared type name, None if declared at two types
+        self.local_types: dict[str, str | None] = {}
         self.projections: dict[str, str] = {}  # proj name -> ctor name
         self.ctor_params: dict[str, list[str]] = {}
         self.siblings: dict[str, list[str]] = {}  # ctor -> all ctors of adt
@@ -630,27 +632,22 @@ class Checker:
 
     def _side(self, st: SymState, guard: SymVal, side: bool,
               v: SymVal = TRUE) -> tuple | None:
-        """A copy of `st`, and `v`, on one side of the join on `guard`:
-        each `ite(guard, x, y)` is x on the true side and y on the false
-        side, and the guard or its negation is assumed.  None if that side
-        is infeasible."""
+        """A copy of `st`, and `v`, normalised with the guard of a join as
+        the literal `side`, which picks one arm of each `ite(guard, x, y)`,
+        and with the guard or its negation as a fact; None if infeasible.
+        The fact refines nothing: a guard that bound a symbol or split into
+        conjuncts would have stopped the join."""
         s = st.clone()
-        memo: dict = {}
-
-        def pick(t):
-            return self.norm(_resolve(t, guard, side, memo), s)
-
-        s.heap = {k: pick(t) for k, t in s.heap.items()}
-        s.store = {k: pick(t) for k, t in s.store.items()}
-        preds: Counter = Counter()
-        for (name, args), count in s.preds.items():
-            preds[(name, tuple(map(pick, args)))] += count
-        s.preds = preds
-        s.facts = dict.fromkeys(map(pick, s.facts))
+        s.memo = {guard: Lit(side)}
+        self._renormalise(s, True)
+        v = self.norm(v, s)
+        s.memo = st.memo  # the same substitution: its normal forms hold
         s.joins = tuple(g for g in s.joins if self.norm(g, s) != guard)
-        if not self.assume(s, guard if side else App("not", (guard,))):
+        fact = guard if side else self._simplify("not", (guard,))
+        if FALSE in s.facts or self._simplify("not", (fact,)) in s.facts:
             return None
-        return s, pick(v)
+        s.facts[fact] = None
+        return s, v
 
     def assume(self, st: SymState, v: SymVal) -> bool:
         """Add a fact; returns False when the state became infeasible."""
@@ -701,17 +698,22 @@ class Checker:
 
     def _bind(self, st: SymState, s: Sym, v: SymVal) -> None:
         """Substitute the normal form `v` for `s` from now on, and bring
-        the facts, the stored values and the stored keys back to normal
-        form, in new dicts: a produce may be reading the old store.  Two
-        cells that fall on one key make the state infeasible."""
+        the state back to normal form under the grown substitution."""
         st.subst[s] = v
         st.memo = {}
-        st.facts = dict.fromkeys(self.norm(f, st) for f in st.facts)
-        st.store = {k: self.norm(x, st) for k, x in st.store.items()}
         # a stored key stays normal unless it mentions s
         keys = itertools.chain((r for r, _ in st.heap),
                                (a for _, args in st.preds for a in args))
-        if not any(_occurs(s, k) for k in keys):
+        self._renormalise(st, any(_occurs(s, k) for k in keys))
+
+    def _renormalise(self, st: SymState, rekey: bool) -> None:
+        """Normalise the facts and the stored values of `st` under its
+        memo, and, if `rekey`, the heap keys and instance arguments too, in
+        new dicts: a produce may be reading the old store.  Two cells that
+        fall on one key make the state infeasible."""
+        st.facts = dict.fromkeys(self.norm(f, st) for f in st.facts)
+        st.store = {k: self.norm(x, st) for k, x in st.store.items()}
+        if not rekey:
             st.heap = {k: self.norm(x, st) for k, x in st.heap.items()}
             return
         heap = {(self.norm(r, st), f): self.norm(val, st)
@@ -1033,6 +1035,7 @@ class Checker:
     # (defined after `_call`).  Each takes (st, s).
 
     def _exec_var(self, st, s) -> list[SymState]:
+        self._declare(s.name, s.typ)
         if s.init is None:
             st.store[s.name] = self.fresh(s.name)
         else:
@@ -1093,20 +1096,20 @@ class Checker:
         They merge when each holds the `mark` facts before the `if` plus
         its guard, and they differ only in the values of Int or Bool heap
         cells and locals; each such value becomes `ite(cond, a's, b's)`.
-        Values are normal, so equal values are one term.  The Int and Bool
-        locals are found at a method's first join.  The guards are dropped
-        from the facts: `cond || !cond` holds."""
+        Values are normal, so equal values are one term.  A local is Int
+        or Bool by the declarations run so far (`local_types`); translated
+        methods declare each local once.  The guards are dropped from the
+        facts: `cond || !cond` holds."""
         if (len(a.facts) != mark + 1 or len(b.facts) != mark + 1
                 or a.subst != b.subst or a.preds != b.preds
                 or a.heap.keys() != b.heap.keys()
                 or a.store.keys() != b.store.keys()):
             return None
-        if self.scalar_locals is None:
-            self.scalar_locals = _scalar_locals(self.method)
         heap = self._join_values(cond, a, a.heap, b.heap,
                                  lambda k: k[1] in self.scalar_fields)
         store = None if heap is None else self._join_values(
-            cond, a, a.store, b.store, lambda k: k in self.scalar_locals)
+            cond, a, a.store, b.store,
+            lambda k: self.local_types.get(k) in _SCALAR)
         if store is None:
             return None
         a.heap, a.store = heap, store
@@ -1252,6 +1255,10 @@ class Checker:
 
     # -- whole-method checking ----------------------------------------------------
 
+    def _declare(self, name: str, typ: V.VType) -> None:
+        if self.local_types.setdefault(name, typ.name) != typ.name:
+            self.local_types[name] = None
+
     def _err(self, category: Category, message: str, span) -> None:
         self.diags.append(error(category, message, span))
 
@@ -1260,11 +1267,10 @@ class Checker:
             return []
         self._ites = False  # terms do not outlive the method
         self.diags = []
-        self.method, self.scalar_locals = m, None
+        self.local_types = {}
         st = SymState()
-        for name, _ in m.params:
-            st.store[name] = self.fresh(name)
-        for name, _ in m.returns:
+        for name, typ in itertools.chain(m.params, m.returns):
+            self._declare(name, typ)
             st.store[name] = self.fresh(name)
         states = self._step_all(
             [st], m.pres, lambda cur, pre: self.produce(cur, pre, cur.store),
@@ -1303,24 +1309,6 @@ class Checker:
         return _dedupe(self.diags)
 
 
-def _scalar_locals(m: V.MethodDecl) -> set[str]:
-    """The parameters, returns and locals of `m` declared Int or Bool, and
-    never declared with another type."""
-    types: dict[str, set] = {}
-    for name, typ in itertools.chain(m.params, m.returns):
-        types.setdefault(name, set()).add(typ.name)
-    todo = list(m.body or ())
-    while todo:
-        s = todo.pop()
-        if isinstance(s, V.VarDeclS):
-            types.setdefault(s.name, set()).add(s.typ.name)
-        elif isinstance(s, V.IfS):
-            todo.extend(s.then)
-            todo.extend(s.els)
-    return {n for n, ts in types.items()
-            if len(ts) == 1 and ts <= _SCALAR}
-
-
 def _flat(args: tuple, op: str):
     for a in args:
         if isinstance(a, App) and a.name == op:
@@ -1343,24 +1331,6 @@ def _occurs(s: Sym, v: SymVal) -> bool:
             seen.add(v)
             todo.extend(v.elems if isinstance(v, SeqV) else v.args)
     return False
-
-
-def _resolve(v: SymVal, guard: SymVal, side: bool, memo: dict) -> SymVal:
-    """`v` with each `ite(guard, x, y)` replaced by x if `side`, else y;
-    `memo` maps each node seen to its result, so a shared subterm is
-    rebuilt once and an untouched one is kept."""
-    if isinstance(v, (Sym, Lit)):
-        return v
-    r = memo.get(v)
-    if r is None:
-        if isinstance(v, App) and v.name == "ite" and v.args[0] == guard:
-            r = _resolve(v.args[1] if side else v.args[2], guard, side, memo)
-        else:
-            kids = v.elems if isinstance(v, SeqV) else v.args
-            new = tuple(_resolve(a, guard, side, memo) for a in kids)
-            r = SeqV(new) if isinstance(v, SeqV) else type(v)(v.name, new)
-        memo[v] = r
-    return r
 
 
 def _dedupe(diags: list[Diagnostic]) -> list[Diagnostic]:

@@ -13,7 +13,8 @@ Shape of the mapping:
   against a nullary constructor becomes `e.isC`, and a constructor
   pattern `let C x = e in ...` becomes `e.isC && let x == (e.<proj>) in`;
 * `match` lowers to an `if` on constructor tests, binding payload
-  binders by substituting the projection expression;
+  binders by substituting the projection expression; that is no snapshot,
+  so a use of a binder after its arm writes the scrutinee path is an error;
 * allocation `{f = e; ...}` lowers to `new` over every declared field in
   declaration order followed by the initializing assignments in source
   order.
@@ -51,6 +52,8 @@ PRELUDE_NAMES = ("drop_last", "take_last")
 
 # Surface operators whose Viper spelling differs; the rest are the same.
 _VIPER_OPS = {"=": "==", "<>": "!="}
+
+_CLEAN, _STALE, _REPORTED = range(3)  # states of a match binder (_Tr)
 
 
 def _cap(name: str) -> str:
@@ -106,6 +109,10 @@ class _Tr:
         self.lemmas = module.lemmas()
         self.logical = module.logical_functions()
         self.funs = module.functions()
+        # [binder, scrutinee path, state] of each arm being translated
+        # whose scrutinee is a path: _CLEAN until the arm writes that path
+        # or a prefix of it, then _STALE until a use of the binder is found
+        self.binders: list[list] = []
 
     def err(self, message: str, span: Span | None) -> None:
         self.diags.append(error(Category.TRANSLATION, message, span))
@@ -176,6 +183,8 @@ class _Tr:
         return V.BoolLit(e.value)
 
     def _tr_var(self, e: VarE, env: dict[str, V.VExpr]) -> V.VExpr:
+        if self.binders:
+            self._binder_use(e)
         if e.name in env:
             return env[e.name]
         if e.name == "empty":
@@ -374,14 +383,32 @@ class _Tr:
         return []
 
     def _tr_discard(self, e: VarE, ctx: "_FnCtx") -> list[V.VStmt]:
+        if self.binders:
+            self._binder_use(e)
         if ctx.result is None or e.name != ctx.result:
             self.warn(f"value '{e.name}' is discarded", e.span)
         return []
 
     def _tr_assign(self, e: AssignE, ctx: "_FnCtx") -> list[V.VStmt]:
-        target = self.tr_expr(e.target, ctx.env)
-        return [V.AssignS(target, self.tr_expr(e.value, ctx.env),
+        # the value is read before the write, the target after it
+        value = self.tr_expr(e.value, ctx.env)
+        written = _path_of(e.target) if self.binders else None
+        if written is not None:
+            for entry in self.binders:
+                if entry[2] == _CLEAN and _is_prefix(written, entry[1]):
+                    entry[2] = _STALE
+        return [V.AssignS(self.tr_expr(e.target, ctx.env), value,
                           span=e.span)]
+
+    def _binder_use(self, e: VarE) -> None:
+        """Report a use of a binder whose scrutinee path was written,
+        once per arm: the binder would silently read the new value."""
+        for entry in self.binders:
+            if entry[0] == e.name and entry[2] == _STALE:
+                entry[2] = _REPORTED
+                self.err(f"binder '{e.name}' is used after its scrutinee "
+                         f"path was reassigned; bind the payload before "
+                         f"mutating it", e.span)
 
     def _tr_if(self, e: IfE, ctx: "_FnCtx") -> list[V.VStmt]:
         cond = self.tr_expr(e.cond, ctx.env)
@@ -536,7 +563,9 @@ class _Tr:
                 arms.reverse()
 
         # arms are translated in order, then chained from the last one out
-        bodies = [self._tr_arm(arm, info, scrut, e, ctx) for arm, info in arms]
+        path = _path_of(e.scrutinee)
+        bodies = [self._tr_arm(arm, info, scrut, path, ctx)
+                  for arm, info in arms]
         out = bodies.pop()
         for (arm, _), body in zip(reversed(arms[:-1]), reversed(bodies)):
             out = [V.IfS(V.IsTest(scrut, arm.ctor), body, out, span=e.span)]
@@ -547,40 +576,23 @@ class _Tr:
               IfE: _tr_if, MatchE: _tr_match, AppE: _tr_call_stmt,
               RecordAlloc: _tr_alloc_stmt}
 
-    def _tr_arm(self, arm, info: _CtorInfo, scrut: V.VExpr, m: MatchE,
-                ctx: "_FnCtx") -> list[V.VStmt]:
+    def _tr_arm(self, arm, info: _CtorInfo, scrut: V.VExpr,
+                path: tuple[str, ...] | None, ctx: "_FnCtx") -> list[V.VStmt]:
         if arm.binder is None:
             return self.tr_stmts(arm.body, ctx)
         if info.proj is None:
             self.err(f"constructor '{arm.ctor}' has no payload to bind",
                      arm.span)
             return self.tr_stmts(arm.body, ctx)
-        self._check_substitution(arm, m)
+        if path is not None:
+            self.binders.append([arm.binder, path, _CLEAN])
         saved = ctx.env
         ctx.env = {**saved, arm.binder: V.FieldAcc(scrut, info.proj)}
         body = self.tr_stmts(arm.body, ctx)
         ctx.env = saved
+        if path is not None:
+            self.binders.pop()
         return body
-
-    def _check_substitution(self, arm, m: MatchE) -> None:
-        """Binders are substituted, not snapshotted: once the scrutinee
-        path (or a prefix of it) is assigned, later binder uses would
-        silently read the new value, so reject that ordering."""
-        scrut_path = _path_of(m.scrutinee)
-        if scrut_path is None:
-            return
-        dirty = False
-        for node in _walk_order(arm.body):
-            if isinstance(node, AssignE):
-                p = _path_of(node.target)
-                if p is not None and _is_prefix(p, scrut_path):
-                    dirty = True
-            elif dirty and isinstance(node, VarE) and node.name == arm.binder:
-                self.err(
-                    f"binder '{arm.binder}' is used after its scrutinee "
-                    f"path was reassigned; bind the payload before "
-                    f"mutating it", node.span)
-                return
 
     # -- declarations ---------------------------------------------------------------
 
@@ -759,45 +771,6 @@ def _path_of(e: SurfaceExpr) -> tuple[str, ...] | None:
 
 def _is_prefix(p: tuple[str, ...], of: tuple[str, ...]) -> bool:
     return len(p) <= len(of) and of[:len(p)] == p
-
-
-def _walk_order(e: SurfaceExpr | GhostCommand):
-    """All nodes in evaluation order (approximate but order-faithful for
-    statements).  An assignment's value is read before the write takes
-    effect, so it is yielded before the AssignE node; the target after."""
-    if isinstance(e, AssignE):
-        yield from _walk_order(e.value)
-        yield e
-        yield from _walk_order(e.target)
-        return
-    yield e
-    children: list[SurfaceExpr] = []
-    if isinstance(e, SeqE):
-        children = e.items
-    elif isinstance(e, LetIn):
-        children = [e.rhs]
-    elif isinstance(e, IfE):
-        children = [e.cond, e.then] + ([e.els] if e.els is not None else [])
-    elif isinstance(e, MatchE):
-        children = [e.scrutinee] + [a.body for a in e.arms]
-    elif isinstance(e, BinE):
-        children = [e.left, e.right]
-    elif isinstance(e, UnE):
-        children = [e.operand]
-    elif isinstance(e, FieldE):
-        children = [e.base]
-    elif isinstance(e, AppE):
-        children = list(e.args) + list(e.ghost_args)
-    elif isinstance(e, (IndexE,)):
-        children = [e.seq, e.index]
-    elif isinstance(e, SliceFromE):
-        children = [e.seq, e.lo]
-    elif isinstance(e, RecordAlloc):
-        children = [v for _, v in e.inits]
-    elif isinstance(e, GhostCommand):
-        children = list(e.args)
-    for c in children:
-        yield from _walk_order(c)
 
 
 def translate(module: SurfaceModule, no_prelude: bool = False

@@ -623,6 +623,29 @@ ANNOTATION_EDGES = {
     "bad annotation after a parse error": (
         FUN + "type =\n(*@ predicate q (x: int) = x # 1 *)\n",
         "3:6: error[parse]: expected type name, found '='"),
+    "unknown fold target in a parenthesised if branch": (
+        GOOD.replace("  c.v <- 0\n",
+                     "  if c.v = 0 then ((*@ fold q c *) c.v <- 0)\n"),
+        "5:20: error[parse]: fold target 'q' is not a declared predicate"),
+    "unknown unfold target in a match arm": (
+        "type u = A | B\n" + GOOD.replace("zero (c: t)", "zero (c: t) (x: u)")
+        .replace("zero c requires", "zero c x requires")
+        .replace("  c.v <- 0\n", "  match x with\n"
+                 "  | A -> (*@ unfold q c *) c.v <- 0\n  | B -> c.v <- 0\n"),
+        "7:10: error[parse]: unfold target 'q' is not a declared predicate"),
+    "unknown unfold target in a parenthesised block": (
+        GOOD.replace("  c.v <- 0\n", "  ((*@ unfold q c *) c.v <- 0)\n"),
+        "5:4: error[parse]: unfold target 'q' is not a declared predicate"),
+    "apply of an unknown lemma": (
+        GOOD.replace("  (*@ fold p c *)\n",
+                     "  (*@ fold p c *)\n  (*@ apply nolemma c *)\n"),
+        "7:3: error[parse]: apply target 'nolemma' is not a declared lemma"),
+    "apply with the wrong arity": (
+        GOOD.replace("let zero", "(*@ lemma keep (c: t) requires p c "
+                     "ensures p c *)\nlet zero")
+        .replace("  (*@ fold p c *)\n",
+                 "  (*@ fold p c *)\n  (*@ apply keep c c *)\n"),
+        "8:3: error[parse]: 'keep' takes 1 arguments, got 2"),
 }
 
 

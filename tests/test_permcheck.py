@@ -989,6 +989,25 @@ def test_condition_false_on_one_side_of_a_join_is_reported():
         assert "condition r.f0 == 1 is false" in found[0].message
 
 
+BOOL_JOIN = """\
+type t = { mutable b : bool }
+let set (c: t) (a: int) =
+  if a > 0 then c.b <- true else c.b <- false
+(*@ set c a requires c ~> {b}
+      ensures c ~> {b} && (c.b = true || c.b = false) *)
+"""
+
+
+def test_joined_bool_field_is_decided_on_each_side_of_the_join():
+    # c.b is ite(a > 0, true, false), which is the guard a > 0 itself;
+    # each side of the join takes the guard as a literal, so the
+    # postcondition holds on both, not only as an obligation
+    program, diags = translate_source(BOOL_JOIN)
+    assert program is not None and not diags
+    for strict in (False, True):
+        assert check_program(program, strict=strict) == []
+
+
 CONDP = """\
 type t = { mutable f0 : int }
 (*@ predicate q (r: t) =
@@ -1081,6 +1100,21 @@ def test_if_joins_int_locals():
         f"if (c > {k}) {{\nn := n + 1\n}} else {{\n}}" for k in range(6))
     prog = method_over("method count(c: Int) returns (n: Int)", body)
     assert check_program(prog) == []
+
+
+@pytest.mark.parametrize("other, diags", [
+    ("Ref", [f"more than {MAX_PATHS} symbolic paths; dropping the excess, "
+             f"the verdict may be incomplete"]),
+    ("Int", []),
+])
+def test_if_joins_a_local_only_at_its_one_scalar_type(other, diags):
+    # each if declares a new local, Int on the then side and `other` on the
+    # else side: a local declared at two types is never merged, so six
+    # ifs fork 64 paths
+    body = "\n".join(f"if (c > {k}) {{\nvar x{k}: Int\n}} else {{\n"
+                     f"var x{k}: {other}\n}}" for k in range(6))
+    prog = method_over("method m(c: Int)", body)
+    assert [d.message for d in check_program(prog)] == diags
 
 
 def test_if_does_not_join_different_refs():
