@@ -1277,13 +1277,12 @@ class Checker:
             at=m)
         states = self._step_all(states, m.body, self.exec_stmt)
         leaks: list[Diagnostic] = []
-        mspan = getattr(m, "span", None)
         ctx = _ConsumeCtx(Category.CONTRACT_VIOLATION,
                           f"postcondition of {m.name}")
 
         def consume_posts(cur: SymState) -> list[SymState]:
             for post in m.posts:
-                self.consume(cur, post, cur.store, ctx, mspan)
+                self.consume(cur, post, cur.store, ctx, m.span)
             return [cur]
 
         states = [s for cur in states
@@ -1294,7 +1293,7 @@ class Checker:
                 leaks.append(warning(
                     Category.PERMISSION,
                     f"{m.name} leaks permission to "
-                    f"{sym_str(rec)}.{fld}", mspan))
+                    f"{sym_str(rec)}.{fld}", m.span))
             for (name, args), count in sorted(
                     cur.preds.items(),
                     key=lambda kv: (kv[0][0], tuple(map(_key, kv[0][1])))):
@@ -1302,7 +1301,7 @@ class Checker:
                     Category.PERMISSION,
                     f"{m.name} leaks {count} instance(s) of "
                     f"{name}(" + ", ".join(sym_str(a) for a in args)
-                    + ")", mspan))
+                    + ")", m.span))
         had_errors = any(d.severity is Severity.ERROR for d in self.diags)
         if not had_errors:
             self.diags.extend(leaks)

@@ -694,7 +694,7 @@ class _Tr:
             _cap(l.name), self._params(l.params, l.span), [],
             pres=[self.tr_assertion(a, env) for a in l.requires],
             posts=[self.tr_assertion(a, env) for a in l.ensures],
-            body=None)
+            body=None, span=l.span)
 
     def _tr_fun(self, d: FunDecl) -> V.MethodDecl:
         spec = d.spec
@@ -731,7 +731,8 @@ class _Tr:
         ctx = _FnCtx(env=env, result=result,
                      used=dict.fromkeys([n for n, _ in params + returns], 1))
         body = self.tr_stmts(d.body, ctx)
-        return V.MethodDecl(d.name, params, returns, pres, posts, body)
+        return V.MethodDecl(d.name, params, returns, pres, posts, body,
+                            span=d.span)
 
 
 class _FnCtx(Record):

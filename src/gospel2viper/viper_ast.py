@@ -294,6 +294,7 @@ class MethodDecl:
     pres: list[VAssertion] = field(default_factory=list)
     posts: list[VAssertion] = field(default_factory=list)
     body: list[VStmt] | None = None  # None: abstract method (lemma)
+    span: object = field(default=None, compare=False, repr=False)
 
 
 VDecl = AdtDecl | FieldDecl | FunctionDecl | PredicateDecl | MethodDecl

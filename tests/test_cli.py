@@ -132,6 +132,15 @@ def test_diagnostic_format_and_position(tmp_path):
     assert severity_part.startswith("error[permission]")
 
 
+def test_leak_is_reported_at_its_function(tmp_path):
+    src = tmp_path / "leak.ml"
+    src.write_text("type t = { mutable v : int }\n\n"
+                   "let f (c: t) =\n  c.v <- 0\n(*@ f c requires c ~> {v} *)\n")
+    status, _, err = invoke(src, check=True)
+    assert status == 0
+    assert err == f"{src}:3:1: warning[permission]: f leaks permission to c.v\n"
+
+
 def test_columns_count_characters_not_bytes(tmp_path):
     # `⇝` is one character and three bytes of UTF-8: `g` is character 37
     # of line 2, byte 39

@@ -640,7 +640,7 @@ def test_translator_and_printer_calls_per_node_on_a_wide_module():
     (program, diags), translating = calls(translate, module)
     assert program is not None and not diags
     n = viper_nodes(program)
-    assert n == 1512
+    assert n == 1515
     _, printing = calls(pretty, program)
     assert translating / n <= 2.89
     assert printing / n <= 2.88
