@@ -75,10 +75,7 @@ Diagnostics print an ite nested in two others as "...".
 
 A statement costs a few calls per node of its expressions.  `eval`,
 `_produce`, `_consume` and `exec_stmt` each find the handler for a node's
-class in one table (`_EVAL`, `_PRODUCE`, `_CONSUME`, `_EXEC`).  Each
-operator is simplified once, by `_simplify` over its evaluated operands,
-so the term interned is already its normal form.  A field read normalises
-its receiver once, for the permission probe and the heap read alike.
+class in one table (`_EVAL`, `_PRODUCE`, `_CONSUME`, `_EXEC`).
 `_simplify` tries the arithmetic operators first, and lifts an operator
 over an `ite` only in a method that has built one.
 
@@ -91,12 +88,22 @@ Every heap key, instance argument, fact and stored value of a state is
 in normal form under the state's own substitution, as in Smallfoot's
 symbolic heaps.  `Checker._bind` alone grows the substitution, and it
 restores that invariant: it renormalises the facts and the values, and
-the stored keys when one mentions the bound symbol.  So a lookup is one
-probe of the normalised key, `decide` finds a fact without normalising
-the table again, and a statement's operator result is memoised as its
-own normal form.  Not so under `produce` and `consume`: a conjunct's
-`_bind` leaves their binding dict stale, so their results are not
-memoised, and keys, instance arguments and facts are normalised there.
+the stored keys when one mentions the bound symbol.
+
+One rule follows: every value `eval` returns is normal in the state it
+reads.  Its leaves are literals, held cells' values and the state's
+locals, and under `produce` and `consume` the values of the step's binding
+dict and cache, which a conjunct's `_bind` does not update, so `eval`
+normalises them as it reads them.  Each operator is simplified once, by
+`_simplify` over normal operands, so the term interned is already its
+normal form, and `_op` memoises it as its own.  No caller normalises what
+`eval` returns: a field read probes the heap with its receiver as it is,
+keys and instance arguments are stored as evaluated, and `decide` finds a
+fact without normalising the table again.  A value held across a step
+that binds goes stale, so a join takes its guard from the then side's
+facts.  `decide` and `assume` normalise what they are given: terms reach
+them from outside `eval`, and `assume` splits an `&&` whose later parts go
+stale once an earlier part binds a symbol.
 
 On a failed access the checker reports once and then repairs the state
 (adds the missing cell or carries on past the missing instance) so one
@@ -598,7 +605,6 @@ class Checker:
         how a condition false on one side is still found false."""
         if not st.joins or budget < 2:
             return {None}
-        v = self.norm(v, st)
         guard = self._join_guard(st, v)
         if guard is None:
             return {None}
@@ -730,10 +736,12 @@ class Checker:
 
     def eval(self, st: SymState, e: V.VExpr, store: dict,
              cache: dict | None, span=None) -> SymVal:
-        """The value of `e`; `cache` is the step's cache for the fields it
-        reads without holding them, None in a statement (`_read_field`).
-        In a statement the value is in normal form, as the stored values
-        are; under `produce` and `consume` it may be stale (see `_op`)."""
+        """The value of `e`, in normal form under `st`'s substitution;
+        `cache` is the step's cache for the fields it reads without holding
+        them, None in a statement (`_read_field`).  A statement's `store` is
+        `st.store`, which `_bind` keeps normal; under `produce` and
+        `consume` a conjunct's binding leaves `store` and `cache` stale, so
+        a value read from them is normalised."""
         try:
             handler = self._EVAL[type(e)]
         except KeyError:
@@ -751,18 +759,19 @@ class Checker:
             self._err(Category.TRANSLATION,
                       f"use of undeclared variable '{e.name}'", span)
             store[e.name] = self.fresh(e.name)
-        return store[e.name]
+        v = store[e.name]
+        return v if cache is None else self.norm(v, st)
 
     def _eval_field(self, st, e, store, cache, span) -> SymVal:
         base = self.eval(st, e.base, store, cache, span)
         if e.fieldname in self.projections \
                 and e.fieldname not in self.fields:
-            return self._op(st, cache, f"proj#{e.fieldname}", (base,))
+            return self._op(st, f"proj#{e.fieldname}", (base,))
         return self._read_field(st, base, e, cache, span)
 
     def _eval_is(self, st, e, store, cache, span) -> SymVal:
         base = self.eval(st, e.base, store, cache, span)
-        return self._op(st, cache, f"is#{e.ctor}", (base,))
+        return self._op(st, f"is#{e.ctor}", (base,))
 
     def _eval_ctor(self, st, e, store, cache, span) -> SymVal:
         return Ctor(e.name, tuple(self.eval(st, a, store, cache, span)
@@ -770,7 +779,7 @@ class Checker:
 
     def _eval_fun(self, st, e, store, cache, span) -> SymVal:
         args = tuple(self.eval(st, a, store, cache, span) for a in e.args)
-        return self._op(st, cache, e.name, args)
+        return self._op(st, e.name, args)
 
     def _eval_seq(self, st, e, store, cache, span) -> SymVal:
         return SeqV(tuple(self.eval(st, a, store, cache, span)
@@ -778,39 +787,38 @@ class Checker:
 
     def _eval_len(self, st, e, store, cache, span) -> SymVal:
         seq = self.eval(st, e.seq, store, cache, span)
-        return self._op(st, cache, "len", (seq,))
+        return self._op(st, "len", (seq,))
 
     def _eval_binop(self, st, e, store, cache, span) -> SymVal:
         left = self.eval(st, e.left, store, cache, span)
         right = self.eval(st, e.right, store, cache, span)
-        return self._op(st, cache, e.op, (left, right))
+        return self._op(st, e.op, (left, right))
 
     def _eval_unop(self, st, e, store, cache, span) -> SymVal:
         inner = self.eval(st, e.operand, store, cache, span)
-        return self._op(st, cache, "not" if e.op == "!" else "neg", (inner,))
+        return self._op(st, "not" if e.op == "!" else "neg", (inner,))
 
     def _eval_index(self, st, e, store, cache, span) -> SymVal:
-        return self._op(st, cache, "index", (
+        return self._op(st, "index", (
             self.eval(st, e.seq, store, cache, span),
             self.eval(st, e.index, store, cache, span)))
 
     def _eval_drop(self, st, e, store, cache, span) -> SymVal:
-        return self._op(st, cache, "drop", (
+        return self._op(st, "drop", (
             self.eval(st, e.seq, store, cache, span),
             self.eval(st, e.lo, store, cache, span)))
 
     def _eval_take(self, st, e, store, cache, span) -> SymVal:
-        return self._op(st, cache, "take", (
+        return self._op(st, "take", (
             self.eval(st, e.seq, store, cache, span),
             self.eval(st, e.hi, store, cache, span)))
 
-    def _op(self, st, cache, name: str, args: tuple) -> SymVal:
-        """`name(args)` simplified once.  In a statement the operands are
-        normal, so the result is memoised as its own normal form; not so
-        under `produce` and `consume`, whose binding dict may be stale."""
+    def _op(self, st, name: str, args: tuple) -> SymVal:
+        """`name(args)` simplified once.  The operands are normal, as every
+        value `eval` returns, so the result is, and it is memoised as its
+        own normal form."""
         n = self._simplify(name, args)
-        if cache is None:
-            st.memo[n] = n
+        st.memo[n] = n
         return n
 
     _EVAL = {V.IntLit: _eval_lit, V.BoolLit: _eval_lit, V.Var: _eval_var,
@@ -826,9 +834,11 @@ class Checker:
         held cell's value, else the value kept for the cell in `cache`,
         which the first such read makes a fresh symbol.  A statement has
         no cache: there reading a cell it does not hold is a permission
-        error, and the read adds the cell (a repair).  Only the receiver
-        is normalised, once for the permission probe and the read."""
-        key = (self.norm(base, st), src.fieldname)
+        error, and the read adds the cell (a repair).  The receiver is
+        normal, so it is the key as it is, and so is a held cell's value; a
+        value kept in `cache` is normalised, since a binding made after the
+        step kept it may have left it stale."""
+        key = (base, src.fieldname)
         val = st.heap.get(key)
         if val is None:
             if cache is None:
@@ -838,6 +848,8 @@ class Checker:
             val = cache.get(key)
             if val is None:
                 val = cache[key] = self.fresh(src.fieldname)
+            else:
+                val = self.norm(val, st)
         return val
 
     # -- produce / consume -------------------------------------------------------
@@ -862,17 +874,15 @@ class Checker:
         return [st] if self.assume(st, val) else []
 
     def _produce_acc(self, st, a, store, cache) -> list[SymState]:
-        base = self.eval(st, a.loc.base, store, cache, a.span)
-        key = (self.norm(base, st), a.loc.fieldname)
+        key = (self.eval(st, a.loc.base, store, cache, a.span),
+               a.loc.fieldname)
         if key in st.heap:
             return []  # a second whole permission cannot exist
         st.heap[key] = self.fresh(key[1])
         return [st]
 
     def _produce_pred(self, st, a, store, cache) -> list[SymState]:
-        args = tuple(self.norm(
-            self.eval(st, x, store, cache, a.span), st)
-            for x in a.args)
+        args = tuple(self.eval(st, x, store, cache, a.span) for x in a.args)
         st.preds[(a.name, args)] += 1
         return [st]
 
@@ -901,7 +911,7 @@ class Checker:
         out = []
         if self.assume(st, cond):
             out.extend(self._produce(st, a.then, store, cache))
-        if self.assume(other, App("not", (cond,))):
+        if self.assume(other, self._op(other, "not", (cond,))):
             out.extend(self._produce(other, a.els, store, cache))
         return out
 
@@ -963,8 +973,7 @@ class Checker:
 
     def _consume_acc(self, st, a, store, cache, ctx, span) -> bool:
         at = a.span or span
-        base = self.eval(st, a.loc.base, store, cache, at)
-        key = (self.norm(base, st), a.loc.fieldname)
+        key = (self.eval(st, a.loc.base, store, cache, at), a.loc.fieldname)
         if key not in st.heap:
             self._err(Category.PERMISSION,
                       f"{ctx.what}: no permission to give up "
@@ -975,8 +984,8 @@ class Checker:
 
     def _consume_pred(self, st, a, store, cache, ctx, span) -> bool:
         at = a.span or span
-        args = tuple(self.eval(st, x, store, cache, at) for x in a.args)
-        key = (a.name, tuple(self.norm(x, st) for x in args))
+        key = (a.name,
+               tuple(self.eval(st, x, store, cache, at) for x in a.args))
         if key not in st.preds:
             self._err(ctx.pred_category,
                       f"{ctx.what}: missing predicate instance "
@@ -1001,7 +1010,7 @@ class Checker:
         if verdict is None:
             sides = self._sides(st, cond)
             if sides == {True, False} and self._splits > 1:
-                raise _Unjoin(self._join_guard(st, self.norm(cond, st)))
+                raise _Unjoin(self._join_guard(st, cond))
             if None not in sides and len(sides) < 2:
                 verdict = False not in sides
         if verdict is None:
@@ -1048,8 +1057,8 @@ class Checker:
             st.store[s.target.name] = value
             return [st]
         assert isinstance(s.target, V.FieldAcc)
-        base = self.eval(st, s.target.base, st.store, None, s.span)
-        key = (self.norm(base, st), s.target.fieldname)
+        key = (self.eval(st, s.target.base, st.store, None, s.span),
+               s.target.fieldname)
         if key not in st.heap:  # the write adds the cell: repair
             self._err(Category.PERMISSION,
                       f"no permission to write {V.expr_str(s.target)}",
@@ -1076,9 +1085,9 @@ class Checker:
         then = (self._step_all([st], s.then, self.exec_stmt)
                 if self.assume(st, cond) else [])
         els = (self._step_all([other], s.els, self.exec_stmt)
-               if self.assume(other, App("not", (cond,))) else [])
+               if self.assume(other, self._op(other, "not", (cond,))) else [])
         if len(then) == 1 and len(els) == 1:
-            joined = self._join(cond, mark, then[0], els[0])
+            joined = self._join(mark, then[0], els[0])
             if joined is not None:
                 return [joined]
         return then + els
@@ -1089,36 +1098,36 @@ class Checker:
     def _exec_call(self, st, s) -> list[SymState]:
         return self._split_run(st, lambda cur: self._call(cur, s))
 
-    def _join(self, cond: SymVal, mark: int, a: SymState,
-              b: SymState) -> SymState | None:
-        """Merge the two sides of an `if` on `cond` into `a`, or None.
+    def _join(self, mark: int, a: SymState, b: SymState) -> SymState | None:
+        """Merge the two sides `a` and `b` of an `if` into `a`, or None.
 
         They merge when each holds the `mark` facts before the `if` plus
         its guard, and they differ only in the values of Int or Bool heap
-        cells and locals; each such value becomes `ite(cond, a's, b's)`.
-        Values are normal, so equal values are one term.  A local is Int
-        or Bool by the declarations run so far (`local_types`); translated
-        methods declare each local once.  The guards are dropped from the
-        facts: `cond || !cond` holds."""
+        cells and locals; each such value becomes `ite(guard, a's, b's)`.
+        The guard is the fact the then side assumed last, so it is normal
+        in `a`, as the values are, and equal values are one term.  A local
+        is Int or Bool by the declarations run so far (`local_types`);
+        translated methods declare each local once.  The guards are dropped
+        from the facts: `guard || !guard` holds."""
         if (len(a.facts) != mark + 1 or len(b.facts) != mark + 1
                 or a.subst != b.subst or a.preds != b.preds
                 or a.heap.keys() != b.heap.keys()
                 or a.store.keys() != b.store.keys()):
             return None
-        heap = self._join_values(cond, a, a.heap, b.heap,
+        guard = next(reversed(a.facts))
+        heap = self._join_values(guard, a, a.heap, b.heap,
                                  lambda k: k[1] in self.scalar_fields)
         store = None if heap is None else self._join_values(
-            cond, a, a.store, b.store,
+            guard, a, a.store, b.store,
             lambda k: self.local_types.get(k) in _SCALAR)
         if store is None:
             return None
         a.heap, a.store = heap, store
-        # the then side assumed the guard, in normal form, last
-        guard, _ = a.facts.popitem()
+        del a.facts[guard]
         a.joins = tuple(dict.fromkeys(a.joins + b.joins + (guard,)))
         return a
 
-    def _join_values(self, cond: SymVal, st: SymState, x: dict, y: dict,
+    def _join_values(self, guard: SymVal, st: SymState, x: dict, y: dict,
                      scalar) -> dict | None:
         out = {}
         for k, v in x.items():
@@ -1126,7 +1135,7 @@ class Checker:
             if v != w:
                 if not scalar(k):
                     return None
-                v = self.norm(App("ite", (cond, v, w)), st)
+                v = self._op(st, "ite", (guard, v, w))
             out[k] = v
         return out
 

@@ -3,6 +3,7 @@ decision procedure, produce/consume, statement execution, and whole-method
 verdicts.  States are built by hand so each behavior is pinned in isolation."""
 
 import gc
+import random
 import sys
 import time
 import tracemalloc
@@ -19,6 +20,7 @@ from gospel2viper.viper_parser import reparse
 
 import pytest
 from hypothesis import given, settings, strategies as hs
+from astgen import gen_program
 from test_parser import wide_module
 
 CORPUS = Path(__file__).parent / "corpus"
@@ -132,6 +134,8 @@ def test_bool_connectives_fold(ck):
     assert ck.norm(App("||", (p, TRUE)), st) == TRUE
     assert ck.norm(App("||", (p, FALSE)), st) == p
     assert ck.norm(App("&&", (p, p)), st) == p
+    assert ck.norm(App("&&", (TRUE, TRUE)), st) == TRUE
+    assert ck.norm(App("||", (FALSE, FALSE)), st) == FALSE
 
 
 def test_ite_folds_on_literal_or_equal_branches(ck):
@@ -442,11 +446,13 @@ def test_normalisation_work_stays_small(monkeypatch):
 
 @pytest.mark.parametrize("name, norms, decides", [
     # 158/18, 1,253/104, 7/0 and 3/0 when `eval` interned each operator
-    # unnormalised and then normalised it
+    # unnormalised and then normalised it; 119/18, 1,120/104, 7/0 and 3/0
+    # when produce and consume normalised receivers, keys and arguments
+    # that `eval` had left stale
     ("checker_queue.ml", 119, 18),
-    ("queue.ml", 1120, 104),
-    ("foo_fixed.ml", 7, 0),
-    ("foo_missing_unfold.ml", 3, 0),
+    ("queue.ml", 1043, 104),
+    ("foo_fixed.ml", 6, 0),
+    ("foo_missing_unfold.ml", 2, 0),
     ("empty.ml", 0, 0),
 ])
 def test_checker_work_on_the_corpus(monkeypatch, name, norms, decides):
@@ -480,6 +486,82 @@ def test_bindings_keep_stored_values_normal(monkeypatch):
         if program is not None:
             check_program(program)
     assert binds  # queue.ml binds
+
+
+STALE_GUARD = reparse("""
+field g: Int
+
+method set(n: Int, k: Int)
+  ensures n == k
+
+method m(x: Ref, a: Int, b: Int, n: Int, k: Int)
+  requires acc(x.g) && a == b
+  ensures acc(x.g) && x.g == 1
+{
+  if (n > 0) {
+    set(n, k)
+    x.g := 1
+  } else {
+    set(n, k)
+    x.g := 2
+  }
+}
+""")
+
+
+def test_join_takes_its_guard_after_the_branches_bind():
+    # both sides bind n to k, and `a == b` left a true fact that absorbs
+    # the binding's, so the sides join; the evaluated guard n > 0 is
+    # stale there, and an ite on it would leave x.g == 1 undecided
+    for strict in (False, True):
+        assert [d.message for d in check_program(STALE_GUARD, strict)] == [
+            "postcondition of m: condition x.g == 1 is false"]
+
+
+STALE_BINDING = reparse("""
+field f: Int
+
+method m(x: Ref, n: Int)
+  requires acc(x.f) && x.f == n && n > 0
+{
+}
+
+method u(x: Ref)
+  requires x.f == 3 && x.f > 0 && acc(x.f)
+{
+}
+""")
+
+
+def test_every_value_eval_returns_is_normal(monkeypatch):
+    # under produce and consume too, where a conjunct's binding leaves the
+    # step's binding dict and cache stale: in `m`, `x.f == n` binds n, so
+    # the later `n > 0` reads n as the cell's value and is `f > 0`; in `u`,
+    # `x.f == 3` binds the symbol cached for the unheld x.f, so the next
+    # read of it is 3.  The normal form is checked under a fresh memo too,
+    # since `_op` memoises its result as its own
+    evaluated = 0
+    evaluate = Checker.eval
+
+    def checked_eval(self, st, e, store, cache, span=None):
+        nonlocal evaluated
+        v = evaluate(self, st, e, store, cache, span)
+        evaluated += 1
+        assert self.norm(v, st) is v
+        assert self.norm(v, SymState(subst=st.subst)) is v
+        return v
+
+    monkeypatch.setattr(Checker, "eval", checked_eval)
+    programs = [translate_source(path.read_text(encoding="utf-8"))[0]
+                for path in sorted(CORPUS.glob("*.ml"))]
+    programs += [gen_program(random.Random(seed)) for seed in range(200)]
+    programs += [bump_chain(range(0, 90, 10)), STALE_GUARD]
+    for program in programs:
+        if program is not None:
+            check_program(program)
+    assert evaluated > 5000
+    assert [d.message for d in check_program(STALE_BINDING)] == [
+        "m leaks permission to x.f", "u leaks permission to x.f"]
 
 
 def test_checker_calls_per_statement_on_a_wide_module():
@@ -951,8 +1033,9 @@ def test_long_if_chain_joins_in_linear_work(monkeypatch):
         diags = check_program(bump_chain(range(0, 10 * k, 10)))
         assert diags == []  # no cap warning
         norms[k] = counts["norm"]
-    # {8: 158, 64: 1222} when `eval` normalised every operator it built
-    assert norms == {8: 110, 64: 838}
+    # {8: 158, 64: 1222} when `eval` normalised every operator it built,
+    # {8: 110, 64: 838} when each field read normalised its receiver
+    assert norms == {8: 46, 64: 326}
     assert norms[64] <= 10 * norms[8]
 
 
