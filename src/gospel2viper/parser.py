@@ -38,7 +38,7 @@ from .diagnostics import Category, Diagnostic, Span, error, has_errors
 from .lexer import T, Tokens, lex
 from .surface import (AnnotationPayload, AppE, Assertion, AssignE, BinE,
                       BoolLit, BoolT, ContractSpec, CtorDef, CtorE, FieldDef,
-                      FieldE, FunDecl, GhostCommand, GhostDecl,
+                      FieldE, FunDecl, GhostCommand,
                       GhostKind, IfA, IfE, IndexE, IntLit, IntT,
                       LemmaDef, LetIn, LetPatA, LogicalFunctionDef, MatchArm,
                       MatchE, NamedT, OwnsA, PredicateDef, PureA,
@@ -692,7 +692,7 @@ class _ModuleParser(_P):
     def _place_annotation(self, payload: AnnotationPayload,
                           decls: list[SurfaceDecl]) -> None:
         if isinstance(payload, (PredicateDef, LogicalFunctionDef, LemmaDef)):
-            decls.append(GhostDecl(payload, span=payload.span))
+            decls.append(payload)
         elif isinstance(payload, ContractSpec):
             host = decls[-1] if decls else None
             if not isinstance(host, FunDecl):
@@ -847,11 +847,11 @@ def _validate(m: SurfaceModule, ghosts: list[GhostCommand],
         elif isinstance(d, FunDecl):
             unique("function", d.name, d.span)
             distinct(d.params, d.span)
-        elif isinstance(d, GhostDecl):
+        else:
             kind = {PredicateDef: "predicate", LemmaDef: "lemma",
-                    LogicalFunctionDef: "logical function"}[type(d.payload)]
-            unique(kind, d.payload.name, d.span)
-            distinct(d.payload.params, d.span)
+                    LogicalFunctionDef: "logical function"}[type(d)]
+            unique(kind, d.name, d.span)
+            distinct(d.params, d.span)
 
     for d in m.decls:
         spec = d.spec if isinstance(d, FunDecl) else None

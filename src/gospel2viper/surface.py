@@ -439,16 +439,8 @@ class FunDecl(Record):
         self.span = span
 
 
-class GhostDecl(Record):
-    __slots__ = ("payload", "span")
-
-    def __init__(self, payload: PredicateDef | LogicalFunctionDef | LemmaDef,
-                 span: Span | None = None):
-        self.payload = payload
-        self.span = span
-
-
-SurfaceDecl = TypeDecl | FunDecl | GhostDecl
+SurfaceDecl = (TypeDecl | FunDecl | PredicateDef | LogicalFunctionDef
+               | LemmaDef)
 
 
 class SurfaceModule(Record):
@@ -458,17 +450,14 @@ class SurfaceModule(Record):
         self.decls = decls
 
     def predicates(self) -> dict[str, PredicateDef]:
-        return {d.payload.name: d.payload for d in self.decls
-                if isinstance(d, GhostDecl) and isinstance(d.payload, PredicateDef)}
+        return {d.name: d for d in self.decls if isinstance(d, PredicateDef)}
 
     def lemmas(self) -> dict[str, LemmaDef]:
-        return {d.payload.name: d.payload for d in self.decls
-                if isinstance(d, GhostDecl) and isinstance(d.payload, LemmaDef)}
+        return {d.name: d for d in self.decls if isinstance(d, LemmaDef)}
 
     def logical_functions(self) -> dict[str, LogicalFunctionDef]:
-        return {d.payload.name: d.payload for d in self.decls
-                if isinstance(d, GhostDecl)
-                and isinstance(d.payload, LogicalFunctionDef)}
+        return {d.name: d for d in self.decls
+                if isinstance(d, LogicalFunctionDef)}
 
     def functions(self) -> dict[str, FunDecl]:
         return {d.name: d for d in self.decls if isinstance(d, FunDecl)}

@@ -41,7 +41,7 @@ from .diagnostics import (Category, Diagnostic, Record, Span, error,
 from .parser import parse_source
 from .surface import (AppE, AssignE, Assertion, BinE, BoolLit, BoolT,
                       ContractSpec, CtorE, FieldDef, FieldE, FunDecl,
-                      GhostCommand, GhostDecl, GhostKind, IfA, IfE,
+                      GhostCommand, GhostKind, IfA, IfE,
                       IndexE, IntLit, IntT, LemmaDef, LetIn, LetPatA,
                       LogicalFunctionDef, MatchE, NamedT, OwnsA,
                       PredicateDef, PureA, RecordAlloc, RecordKind, SeqE,
@@ -72,18 +72,6 @@ def prelude_decls() -> list[V.FunctionDecl]:
     ]
 
 
-class _TypeInfo(Record):
-    __slots__ = ("name", "kind")
-
-    def __init__(self, name: str, kind: RecordKind | VariantKind):
-        self.name = name
-        self.kind = kind
-
-    @property
-    def is_variant(self) -> bool:
-        return isinstance(self.kind, VariantKind)
-
-
 class _CtorInfo(Record):
     __slots__ = ("name", "type_name", "proj", "payload")
 
@@ -102,7 +90,7 @@ class _Tr:
         self.no_prelude = no_prelude
         self.prelude_used: set[str] = set()
 
-        self.types: dict[str, _TypeInfo] = {}
+        self.types: dict[str, TypeDecl] = {}
         self.ctors: dict[str, _CtorInfo] = {}
         self.fields: dict[str, SurfaceType] = {}
         self.preds = module.predicates()
@@ -126,8 +114,7 @@ class _Tr:
         for d in self.module.decls:
             if not isinstance(d, TypeDecl):
                 continue
-            info = _TypeInfo(d.name, d.kind)
-            self.types[d.name] = info
+            self.types[d.name] = d
             if isinstance(d.kind, VariantKind):
                 for c in d.kind.ctors:
                     proj = d.name if c.payload else None
@@ -158,7 +145,7 @@ class _Tr:
             if info is None:
                 self.err(f"unknown type '{t.name}'", span)
                 return V.REF
-            if info.is_variant:
+            if isinstance(info.kind, VariantKind):
                 return V.VType(_cap(info.name))
             return V.REF
         raise TypeError(f"unknown surface type {t!r}")
@@ -485,11 +472,10 @@ class _Tr:
             self.err("allocation needs a declared record or variant type",
                      alloc.span)
             return []
-        if not info.is_variant:
+        if isinstance(info.kind, RecordKind):
             if alloc.ctor is not None:
                 self.warn(f"constructor '{alloc.ctor}' is redundant on a "
                           f"record allocation", alloc.span)
-            assert isinstance(info.kind, RecordKind)
             return self._alloc_into(name, info.kind.fields, alloc, ctx,
                                     declare=name != ctx.result)
         if alloc.ctor is None:
@@ -610,14 +596,12 @@ class _Tr:
             if isinstance(d, TypeDecl):
                 if isinstance(d.kind, VariantKind):
                     adts.append(self._tr_adt(d))
-            elif isinstance(d, GhostDecl):
-                p = d.payload
-                if isinstance(p, PredicateDef):
-                    predicates.append(self._tr_pred(p))
-                elif isinstance(p, LogicalFunctionDef):
-                    functions.append(self._tr_logical(p))
-                elif isinstance(p, LemmaDef):
-                    methods.append(self._tr_lemma(p))
+            elif isinstance(d, PredicateDef):
+                predicates.append(self._tr_pred(d))
+            elif isinstance(d, LogicalFunctionDef):
+                functions.append(self._tr_logical(d))
+            elif isinstance(d, LemmaDef):
+                methods.append(self._tr_lemma(d))
             elif isinstance(d, FunDecl):
                 methods.append(self._tr_fun(d))
 
@@ -647,7 +631,7 @@ class _Tr:
                 taken[name] = what
 
         for info in self.types.values():
-            if info.is_variant:
+            if isinstance(info.kind, VariantKind):
                 claim(_cap(info.name), f"type '{info.name}'", None)
         for c in self.ctors.values():
             claim(c.name, "constructor", None)
