@@ -20,7 +20,8 @@ an `if` branch that starts with `let`; it holds a flat list of items.  A
 local `let x : t = e in` is one item of its block, and `x` is bound from
 the next item to the end of that block: `if c then let x : t = e in a; b`
 keeps `b` in the then-branch, and a name bound inside parentheses is
-unbound after the `)`.
+unbound after the `)`.  Ghost commands that open an `if` branch belong to
+it, with the item after them, as OCaml reads them as comments.
 
 The explicit-typing rule is enforced here: a local `let` without a type
 annotation is a parse diagnostic.  Sequence indexing and slicing only
@@ -547,16 +548,8 @@ class _ModuleParser(_P):
         while True:
             kind = kinds[self.pos]
             if kind == T.ANNOTATION:
-                payload, diags = self._annotation()
-                if not (_annotation_is_ghost(self.texts[self.pos])
-                        if payload is None
-                        else isinstance(payload, GhostCommand)):
+                if not self._ghost(items):
                     break  # a contract or the next top-level declaration
-                self._skip_annotation()
-                self.diags.extend(diags)
-                if payload is not None:
-                    items.append(payload)
-                    self.ghosts.append(payload)
                 continue
             if kind in _STMT_END:
                 break
@@ -570,6 +563,20 @@ class _ModuleParser(_P):
         if items and isinstance(items[-1], LetIn):
             self.fail("expected an expression after 'in'")
         return items
+
+    def _ghost(self, items: list) -> bool:
+        """Step past the ghost command at the cursor, an annotation, adding
+        it to `items` if it parses; False, not moving, if it is none."""
+        payload, diags = self._annotation()
+        if not (_annotation_is_ghost(self.texts[self.pos]) if payload is None
+                else isinstance(payload, GhostCommand)):
+            return False
+        self._skip_annotation()
+        self.diags.extend(diags)
+        if payload is not None:
+            items.append(payload)
+            self.ghosts.append(payload)
+        return True
 
     def _stmt_item(self) -> SurfaceExpr | None:
         start = self.pos
@@ -620,10 +627,17 @@ class _ModuleParser(_P):
         return self._maybe_assign(e)
 
     def _branch(self) -> SurfaceExpr:
-        """An `if` branch: one item, or a block when it starts with `let`."""
-        if self.at(T.LET):
-            return self._block("expected a branch body")
-        return self._stmt_item()
+        """An `if` branch: one item, or a block when it starts with `let`,
+        after any ghost commands, which OCaml reads as comments."""
+        ghosts: list[GhostCommand] = []
+        while self.at(T.ANNOTATION) and self._ghost(ghosts):
+            pass
+        body = (self._block("expected a branch body") if self.at(T.LET)
+                else self._stmt_item())
+        if not ghosts:
+            return body
+        items = body.items if isinstance(body, SeqE) else [body]
+        return SeqE(ghosts + items, span=ghosts[0].span)
 
     def _postfix_tail(self, e: SurfaceExpr) -> SurfaceExpr:
         while self.at(T.DOT):

@@ -17,7 +17,9 @@ Shape of the mapping:
   so a use of a binder after its arm writes the scrutinee path is an error;
 * allocation `{f = e; ...}` lowers to `new` over every declared field in
   declaration order followed by the initializing assignments in source
-  order.
+  order;
+* a function body's last item, when it is a value other than the result's
+  name, is assigned to the result (a call, by the call's target).
 
 Sequence helpers `drop_last` and `take_last` are emitted as Viper
 functions once, and only when referenced (unless suppressed).
@@ -347,6 +349,8 @@ class _Tr:
         try:
             handler = self._STMTS[type(e)]
         except KeyError:  # a value whose only effect is its diagnostics
+            if e is ctx.tail:
+                return self._tr_result(e, ctx)
             self.warn("statement has no effect", getattr(e, "span", None))
             self.tr_expr(e, ctx.env)
             return []
@@ -366,13 +370,20 @@ class _Tr:
         ctx.env = saved
         return out
 
+    def _tr_result(self, e: SurfaceExpr, ctx: "_FnCtx") -> list[V.VStmt]:
+        """The function's final value `e`, assigned to its result."""
+        return [V.AssignS(V.Var(ctx.result), self.tr_expr(e, ctx.env),
+                          span=e.span)]
+
     def _tr_unit_stmt(self, e: UnitLit, ctx: "_FnCtx") -> list[V.VStmt]:
         return []
 
     def _tr_discard(self, e: VarE, ctx: "_FnCtx") -> list[V.VStmt]:
+        if e is ctx.tail and e.name != ctx.result:
+            return self._tr_result(e, ctx)
         if self.binders:
             self._binder_use(e)
-        if ctx.result is None or e.name != ctx.result:
+        if e.name != ctx.result:
             self.warn(f"value '{e.name}' is discarded", e.span)
         return []
 
@@ -404,7 +415,11 @@ class _Tr:
         return [V.IfS(cond, then, els, span=e.span)]
 
     def _tr_call_stmt(self, e: AppE, ctx: "_FnCtx") -> list[V.VStmt]:
-        return self._tr_call(e, None, None, ctx)
+        if e is not ctx.tail:
+            return self._tr_call(e, None, None, ctx)
+        if e.fn in self.funs:
+            return self._tr_call(e, ctx.result, None, ctx)
+        return self._tr_result(e, ctx)
 
     def _tr_alloc_stmt(self, e: RecordAlloc, ctx: "_FnCtx") -> list[V.VStmt]:
         self.err("allocation must be bound by a let", e.span)
@@ -712,20 +727,27 @@ class _Tr:
             env[result] = V.Var(result)
         posts = [self.tr_assertion(a, env) for a in spec.ensures]
 
+        tail = d.body
+        while isinstance(tail, SeqE):
+            tail = tail.items[-1]
         ctx = _FnCtx(env=env, result=result,
-                     used=dict.fromkeys([n for n, _ in params + returns], 1))
+                     used=dict.fromkeys([n for n, _ in params + returns], 1),
+                     tail=None if result is None else tail)
         body = self.tr_stmts(d.body, ctx)
         return V.MethodDecl(d.name, params, returns, pres, posts, body,
                             span=d.span)
 
 
 class _FnCtx(Record):
-    __slots__ = ("env", "result", "used")
+    __slots__ = ("env", "result", "used", "tail")
 
     def __init__(self, env: dict[str, V.VExpr], result: str | None,
-                 used: dict[str, int]):
+                 used: dict[str, int], tail: SurfaceExpr | None):
         self.env = env
         self.result = result
+        # the body's last item if the function has a result: its value,
+        # other than the result's own name, is assigned to the result
+        self.tail = tail
         # every name taken in the method, and the lowest suffix that may
         # still be free after it; names are never released, so that never
         # goes down

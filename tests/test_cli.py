@@ -658,6 +658,20 @@ ANNOTATION_EDGES = {
 }
 
 
+def test_final_value_is_the_result_under_a_strict_check(tmp_path):
+    # the value was dropped with "statement has no effect", and the
+    # postcondition on r was assumed, not proved
+    src = tmp_path / "value.ml"
+    src.write_text("type t = { mutable v : int }\n"
+                   "let f (c: t) : int = c.v\n"
+                   "(*@ r = f c requires c ~> {v} "
+                   "ensures c ~> {v} && r = c.v *)\n", encoding="utf-8")
+    status, _, err = invoke(src, check=True, strict=True)
+    assert (status, err) == (0, "")
+    vpr = (tmp_path / "value.vpr").read_text(encoding="utf-8")
+    assert "{\n  r := c.v\n}" in vpr
+
+
 @pytest.mark.parametrize("case", sorted(ANNOTATION_EDGES))
 def test_annotation_edge_case_gives_one_diagnostic(tmp_path, case):
     source, line = ANNOTATION_EDGES[case]

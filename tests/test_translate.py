@@ -317,6 +317,79 @@ let f (x: t) =
     assert body[0].els != []
 
 
+RESULT = """\
+type t = { mutable v : int }
+(*@ function get (c: int) : int = c *)
+let f (c: t) : int =
+  BODY
+(*@ r = f c requires c ~> {v} ensures c ~> {v} && r = c.v *)
+let g (c: t) : int =
+  c.v
+(*@ r = g c requires c ~> {v} ensures c ~> {v} && r = c.v *)
+"""
+
+
+@pytest.mark.parametrize("body, stmts", [
+    ("c.v", "r := c.v"),
+    ("let x : int = c.v in\n  x", "var x: Int := c.v\nr := x"),
+    ("let x : int = c.v in\n  (c.v <- x; c.v)",
+     "var x: Int := c.v\nc.v := x\nr := c.v"),
+    ("g c", "r := g(c)"),
+    ("let r : int = c.v in\n  r", "r := c.v"),
+], ids=["field", "local", "block", "call", "result"])
+def test_final_value_is_assigned_to_the_result(body, stmts):
+    # the function's value is its last item; it was dropped with a
+    # warning, leaving the result unconstrained
+    prog = tr(RESULT.replace("BODY", body))
+    assert pretty_stmts(prog.methods()["f"].body) == stmts
+    assert check_program(prog, strict=True) == []
+
+
+def test_final_application_of_a_logical_function_is_the_result():
+    prog = tr(RESULT.replace("BODY", "get c.v"))
+    assert pretty_stmts(prog.methods()["f"].body) == "r := get(c.v)"
+
+
+@pytest.mark.parametrize("source, warnings", [
+    ("type t = { mutable v : int }\n"
+     "let f (c: t) =\n  c.v\n"
+     "(*@ f c requires c ~> {v} ensures c ~> {v} *)\n",
+     ["statement has no effect"]),
+    (RESULT.replace("BODY", "if c.v > 0 then c.v else 0"),
+     ["statement has no effect"] * 2),
+    (RESULT.replace("BODY", "let x : int = c.v in\n  x;\n  c.v"),
+     ["value 'x' is discarded"]),
+], ids=["no-result", "branch-tails", "not-last"])
+def test_a_value_that_is_not_the_result_is_still_reported(source, warnings):
+    prog, diags = translate_source(source)
+    assert prog is not None
+    assert [d.message for d in diags] == warnings
+    assert all(d.severity is Severity.WARNING for d in diags)
+
+
+def test_ghost_command_opens_an_unparenthesised_if_branch():
+    # OCaml reads the annotation as a comment, so the write after it is
+    # the branch, and what follows the `;` runs after the `if`
+    prog = tr("""\
+type t = { mutable v : int }
+(*@ predicate p (c: t) = c ~> {v} *)
+let f (c: t) =
+  (*@ unfold p c *)
+  if c.v > 0 then (*@ fold p c *) (*@ unfold p c *) c.v <- 1;
+  c.v <- 2;
+  (*@ fold p c *)
+  ()
+(*@ f c requires p c ensures p c *)
+""")
+    body = prog.methods()["f"].body
+    assert [type(s) for s in body] == [UnfoldS, IfS, AssignS, FoldS]
+    assert [type(s) for s in body[1].then] == [FoldS, UnfoldS, AssignS]
+    assert pretty_stmts(body[1:3]) == (
+        "if (c.v > 0) {\n  fold P(c)\n  unfold P(c)\n  c.v := 1\n}\n"
+        "c.v := 2")
+    assert check_program(prog, strict=True) == []
+
+
 SCOPED = """\
 type t = { mutable v : int; mutable w : int }
 type u = A | B
