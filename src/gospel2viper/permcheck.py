@@ -52,8 +52,11 @@ so programs over concrete sequences are fully decidable.  An operator
 applied to an `ite` whose arms are literals is lifted over it, so that
 `ite(c, 1, 2) > 0` folds to true; `ite(c, true, false)` is `c`.
 
-Terms are hash-consed (Filliâtre and Conchon, "Type-Safe Modular
-Hash-Consing"): `Lit`, `Ctor`, `SeqV` and `App` are built through one
+A term is a symbol, a literal (`Lit`) or a compound term `name(args)`,
+one shape (`_Node`) in three classes: `App`, an operator or function
+applied; `Ctor`, a constructor applied; `SeqV`, a literal sequence, its
+name "".  Terms are hash-consed (Filliâtre and Conchon, "Type-Safe
+Modular Hash-Consing"): literals and compound terms are built through one
 table, `_TERMS`, keyed by class and fields, so equal terms are one object
 that hashes and compares by identity, in C.  A symbol is an `int`, its
 id, so it too hashes and compares in C.  Every checker draws its symbol
@@ -69,9 +72,10 @@ A value that K joins built is a term of K levels that shares its
 subterms; walked as a tree it has 2^K nodes.  So every walk over terms
 visits each node once: the arguments of `==`, `&&` and `||` are sorted by
 a structural key cached on each compound term (`_key`), not by `repr`;
-the occurs check remembers the nodes it saw; and normalising an unchanged
-term returns the term itself, as interning must, so the sharing survives.
-Diagnostics print an ite nested in two others as "...".
+the one search for a subterm, `_first`, which serves the occurs check and
+finds a join's guard, remembers the nodes it saw; and normalising an
+unchanged term returns the term itself, as interning must, so the sharing
+survives.  Diagnostics print an ite nested in two others as "...".
 
 A statement costs a few calls per node of its expressions.  `eval`,
 `_produce`, `_consume` and `exec_stmt` each find the handler for a node's
@@ -186,7 +190,8 @@ class Lit(SymVal):
 
 
 class _Node(SymVal):
-    """A compound term `name(args)`; `sortkey` caches `_key`."""
+    """A compound term `name(args)`; `sortkey` caches `_key`, whose first
+    element is the class's `rank`."""
     __slots__ = ("name", "args", "sortkey", "__weakref__")
 
     def __new__(cls, name: str, args: tuple = ()):
@@ -206,29 +211,19 @@ class _Node(SymVal):
 class Ctor(_Node):
     """A constructor of an ADT applied to its payload."""
     __slots__ = ()
+    rank = 1
 
 
 class App(_Node):
     """An operator or function applied to its arguments."""
     __slots__ = ()
+    rank = 0
 
 
-class SeqV(SymVal):
-    """A literal sequence."""
-    __slots__ = ("elems", "sortkey", "__weakref__")
-
-    def __new__(cls, elems: tuple = ()):
-        key = (cls, elems)
-        ref = _TERMS.get(key)
-        t = None if ref is None else ref()
-        if t is None:
-            t = object.__new__(cls)
-            t.elems, t.sortkey = elems, None
-            _intern(t, key)
-        return t
-
-    def __repr__(self) -> str:
-        return f"SeqV({self.elems!r})"
+class SeqV(_Node):
+    """A literal sequence, `SeqV("", elements)`."""
+    __slots__ = ()
+    rank = 3
 
 
 TRUE = Lit(True)
@@ -248,12 +243,7 @@ def _key(v: SymVal) -> tuple:
         return (2, type(v.value).__name__, v.value)
     k = v.sortkey
     if k is None:
-        if isinstance(v, SeqV):
-            k = (3, "", tuple(map(_key, v.elems)))
-        else:
-            k = (0 if isinstance(v, App) else 1, v.name,
-                 tuple(map(_key, v.args)))
-        v.sortkey = k
+        k = v.sortkey = (v.rank, v.name, tuple(map(_key, v.args)))
     return k
 
 
@@ -272,9 +262,9 @@ def sym_str(v: SymVal, ites: int = 0) -> str:
             return "true" if v.value else "false"
         return str(v.value)
     if isinstance(v, SeqV):
-        if not v.elems:
+        if not v.args:
             return "Seq[Int]()"
-        return "Seq(" + ", ".join(sym_str(a, ites) for a in v.elems) + ")"
+        return "Seq(" + ", ".join(sym_str(a, ites) for a in v.args) + ")"
     if isinstance(v, App) and v.name == "ite":
         if ites >= _ITE_DEPTH:
             return "..."
@@ -284,9 +274,7 @@ def sym_str(v: SymVal, ites: int = 0) -> str:
         return f" {v.name} ".join(
             f"({sym_str(a, ites)})" if _infix(a) and V._PREC[a.name] <= prec
             else sym_str(a, ites) for a in v.args)
-    if isinstance(v, (Ctor, App)):
-        return f"{v.name}(" + ", ".join(sym_str(a, ites) for a in v.args) + ")"
-    raise TypeError(type(v).__name__)
+    return f"{v.name}(" + ", ".join(sym_str(a, ites) for a in v.args) + ")"
 
 
 def _infix(v: SymVal) -> bool:
@@ -406,10 +394,8 @@ class Checker:
             n = v if repl is None else self.norm(repl, st)
         elif cls is Lit:
             n = v
-        elif cls is Ctor:
-            n = Ctor(v.name, tuple([self.norm(a, st) for a in v.args]))
-        elif cls is SeqV:
-            n = SeqV(tuple([self.norm(a, st) for a in v.elems]))
+        elif cls is Ctor or cls is SeqV:
+            n = cls(v.name, tuple([self.norm(a, st) for a in v.args]))
         else:
             raise TypeError(cls.__name__)
         memo[v] = n
@@ -437,24 +423,25 @@ class Checker:
         if name == "++":
             return self._concat(args)
         if name == "len" and isinstance(args[0], SeqV):
-            return Lit(len(args[0].elems))
+            return Lit(len(args[0].args))
         if name == "index" and isinstance(args[0], SeqV):
             idx = args[1]
             if isinstance(idx, Lit) and isinstance(idx.value, int):
-                if 0 <= idx.value < len(args[0].elems):
-                    return args[0].elems[idx.value]
+                if 0 <= idx.value < len(args[0].args):
+                    return args[0].args[idx.value]
         if name == "drop" and isinstance(args[0], SeqV):
             k = args[1]
             if isinstance(k, Lit) and isinstance(k.value, int):
-                return SeqV(args[0].elems[max(k.value, 0):])
+                return SeqV("", args[0].args[max(k.value, 0):])
         if name == "take" and isinstance(args[0], SeqV):
             k = args[1]
             if isinstance(k, Lit) and isinstance(k.value, int):
-                return SeqV(args[0].elems[:max(k.value, 0)])
+                return SeqV("", args[0].args[:max(k.value, 0)])
         if name in ("drop_last", "take_last") and isinstance(args[0], SeqV):
-            elems = args[0].elems
+            elems = args[0].args
             if elems:
-                return SeqV(elems[:-1] if name == "drop_last" else elems[-1:])
+                return SeqV("", elems[:-1] if name == "drop_last"
+                            else elems[-1:])
         if name == "neg" and isinstance(args[0], Lit) \
                 and isinstance(args[0].value, int):
             return Lit(-args[0].value)
@@ -475,30 +462,19 @@ class Checker:
             if isinstance(a, App) and a.name == "not":
                 return a.args[0]
             return App("not", args)
-        if name == "&&":
+        if name == "&&" or name == "||":
+            unit, zero = (TRUE, FALSE) if name == "&&" else (FALSE, TRUE)
             parts = []
-            for a in _flat(args, "&&"):
-                if a == FALSE:
-                    return FALSE
-                if a != TRUE and a not in parts:
+            for a in _flat(args, name):
+                if a is zero:
+                    return zero
+                if a is not unit and a not in parts:
                     parts.append(a)
             if not parts:
-                return TRUE
+                return unit
             if len(parts) == 1:
                 return parts[0]
-            return App("&&", tuple(sorted(parts, key=_key)))
-        if name == "||":
-            parts = []
-            for a in _flat(args, "||"):
-                if a == TRUE:
-                    return TRUE
-                if a != FALSE and a not in parts:
-                    parts.append(a)
-            if not parts:
-                return FALSE
-            if len(parts) == 1:
-                return parts[0]
-            return App("||", tuple(sorted(parts, key=_key)))
+            return App(name, tuple(sorted(parts, key=_key)))
         if name == "ite":
             cond, then, els = args
             if isinstance(cond, Lit):
@@ -545,14 +521,14 @@ class Checker:
         parts: list[SymVal] = []
         for a in _flat(args, "++"):
             if isinstance(a, SeqV):
-                if not a.elems:
+                if not a.args:
                     continue
                 if parts and isinstance(parts[-1], SeqV):
-                    parts[-1] = SeqV(parts[-1].elems + a.elems)
+                    parts[-1] = SeqV("", parts[-1].args + a.args)
                     continue
             parts.append(a)
         if not parts:
-            return SeqV()
+            return SeqV("", ())
         if len(parts) == 1:
             return parts[0]
         return App("++", tuple(parts))
@@ -562,25 +538,19 @@ class Checker:
             return TRUE
         if isinstance(a, Lit) and isinstance(b, Lit):
             return Lit(a.value == b.value)
-        if isinstance(a, Ctor) and isinstance(b, Ctor):
+        if type(a) is type(b) and type(a) in (Ctor, SeqV):
             if a.name != b.name or len(a.args) != len(b.args):
                 return FALSE
             eqs = tuple(self._norm_eq(x, y) for x, y in zip(a.args, b.args))
-            return self._simplify("&&", eqs)
-        if isinstance(a, SeqV) and isinstance(b, SeqV):
-            if len(a.elems) != len(b.elems):
-                return FALSE
-            eqs = tuple(self._norm_eq(x, y)
-                        for x, y in zip(a.elems, b.elems))
             return self._simplify("&&", eqs)
         if isinstance(a, SeqV) != isinstance(b, SeqV):
             # a literal sequence never equals a strictly longer concat
             other = b if isinstance(a, SeqV) else a
             lit = a if isinstance(a, SeqV) else b
             if isinstance(other, App) and other.name == "++":
-                known = sum(len(p.elems) for p in other.args
+                known = sum(len(p.args) for p in other.args
                             if isinstance(p, SeqV))
-                if known > len(lit.elems):
+                if known > len(lit.args):
                     return FALSE
         return self._lifted("==", tuple(sorted((a, b), key=_key)))
 
@@ -621,20 +591,7 @@ class Checker:
     def _join_guard(self, st: SymState, v: SymVal) -> SymVal | None:
         """The first guard of a join in normal `v`, in pre-order: as the
         condition of an ite, or itself, as a lift over an ite leaves it."""
-        guards = {self.norm(g, st) for g in st.joins}
-        seen = set()
-        todo = [v]
-        while todo:
-            t = todo.pop()
-            if isinstance(t, Lit) or t in seen:
-                continue
-            if t in guards:
-                return t
-            seen.add(t)
-            if not isinstance(t, Sym):
-                todo.extend(reversed(t.elems if isinstance(t, SeqV)
-                                     else t.args))
-        return None
+        return _first(v, {self.norm(g, st) for g in st.joins})
 
     def _side(self, st: SymState, guard: SymVal, side: bool,
               v: SymVal = TRUE) -> tuple | None:
@@ -678,29 +635,24 @@ class Checker:
         if n.name == "==":
             a, b = n.args
             for lhs, rhs in ((a, b), (b, a)):
-                if isinstance(lhs, Sym) and not _occurs(lhs, rhs):
+                if isinstance(lhs, Sym) and _first(rhs, (lhs,)) is None:
                     self._bind(st, lhs, rhs)
                     return
-        elif n.name.startswith("is#"):
-            ctor = n.name[3:]
-            target = n.args[0]
-            if isinstance(target, Sym):
-                params = self.ctor_params.get(ctor)
-                if params is not None:
-                    payload = tuple(self.fresh(p) for p in params)
-                    self._bind(st, target, Ctor(ctor, payload))
-        elif n.name == "not":
-            inner = n.args[0]
-            if isinstance(inner, App) and inner.name.startswith("is#"):
-                ctor = inner.name[3:]
-                target = inner.args[0]
-                others = [c for c in self.siblings.get(ctor, [])
-                          if c != ctor]
-                if isinstance(target, Sym) and len(others) == 1:
-                    other = others[0]
-                    payload = tuple(self.fresh(p)
-                                    for p in self.ctor_params[other])
-                    self._bind(st, target, Ctor(other, payload))
+            return
+        # `x.isC` binds x to C over fresh payload symbols, and `!x.isC`
+        # to the other constructor of an ADT that has two
+        test = n.args[0] if n.name == "not" else n
+        if not (isinstance(test, App) and test.name.startswith("is#")
+                and isinstance(test.args[0], Sym)):
+            return
+        ctor = test.name[3:]
+        if test is not n:
+            others = [c for c in self.siblings.get(ctor, []) if c != ctor]
+            ctor = others[0] if len(others) == 1 else None
+        params = self.ctor_params.get(ctor)
+        if params is not None:
+            payload = tuple(self.fresh(p) for p in params)
+            self._bind(st, test.args[0], Ctor(ctor, payload))
 
     def _bind(self, st: SymState, s: Sym, v: SymVal) -> None:
         """Substitute the normal form `v` for `s` from now on, and bring
@@ -710,7 +662,7 @@ class Checker:
         # a stored key stays normal unless it mentions s
         keys = itertools.chain((r for r, _ in st.heap),
                                (a for _, args in st.preds for a in args))
-        self._renormalise(st, any(_occurs(s, k) for k in keys))
+        self._renormalise(st, any(_first(k, (s,)) is not None for k in keys))
 
     def _renormalise(self, st: SymState, rekey: bool) -> None:
         """Normalise the facts and the stored values of `st` under its
@@ -782,8 +734,8 @@ class Checker:
         return self._op(st, e.name, args)
 
     def _eval_seq(self, st, e, store, cache, span) -> SymVal:
-        return SeqV(tuple(self.eval(st, a, store, cache, span)
-                          for a in e.items))
+        return SeqV("", tuple(self.eval(st, a, store, cache, span)
+                              for a in e.items))
 
     def _eval_len(self, st, e, store, cache, span) -> SymVal:
         seq = self.eval(st, e.seq, store, cache, span)
@@ -1325,20 +1277,22 @@ def _flat(args: tuple, op: str):
             yield a
 
 
-def _occurs(s: Sym, v: SymVal) -> bool:
-    """Whether `s` occurs in `v`; each node of a shared term is visited
-    once, since a chain of joins shares its subterms."""
+def _first(v: SymVal, targets) -> SymVal | None:
+    """The first term of `v` in `targets`, a tuple or a set, in pre-order,
+    or None; never a literal.  Each node of a shared term is visited once,
+    since a chain of joins shares its subterms."""
+    if not isinstance(v, _Node):  # most heap keys are symbols: no walk
+        return v if v in targets and not isinstance(v, Lit) else None
     seen = set()
     todo = [v]
     while todo:
-        v = todo.pop()
-        if isinstance(v, Sym):
-            if v == s:
-                return True
-        elif not isinstance(v, Lit) and v not in seen:
-            seen.add(v)
-            todo.extend(v.elems if isinstance(v, SeqV) else v.args)
-    return False
+        t = todo.pop()
+        if t in targets and not isinstance(t, Lit):
+            return t
+        if isinstance(t, _Node) and t not in seen:
+            seen.add(t)
+            todo.extend(t.args[::-1])
+    return None
 
 
 def _dedupe(diags: list[Diagnostic]) -> list[Diagnostic]:

@@ -157,13 +157,13 @@ def test_prelude_oracle():
     st = SymState()
     for n in range(1, 7):
         for elems in product(range(-2, 3), repeat=n):
-            sv = SeqV(tuple(Lit(x) for x in elems))
+            sv = SeqV("", tuple(Lit(x) for x in elems))
             store = {"v": sv}
             d = ck.eval(st, bodies["drop_last"], store, {})
             t = ck.eval(st, bodies["take_last"], store, {})
             front, back = split_last(list(elems))
-            assert [x.value for x in d.elems] == front, elems
-            assert [x.value for x in t.elems] == back, elems
+            assert [x.value for x in d.args] == front, elems
+            assert [x.value for x in t.args] == back, elems
             assert ck.norm(App("++", (d, t)), st) == sv, elems
             assert ck.norm(App("len", (t,)), st) == Lit(1), elems
 

@@ -62,7 +62,7 @@ CTX = _ConsumeCtx(Category.CONTRACT_VIOLATION, "test")
 
 
 def seq(*xs):
-    return SeqV(tuple(Lit(x) for x in xs))
+    return SeqV("", tuple(Lit(x) for x in xs))
 
 
 def test_concat_flattens_and_merges(ck):
@@ -80,7 +80,7 @@ def test_concat_keeps_symbolic_parts_in_order(ck):
 
 def test_empty_segments_vanish(ck):
     s = ck.fresh("s")
-    assert ck.norm(App("++", (SeqV(()), s)), SymState()) == s
+    assert ck.norm(App("++", (SeqV("", ()), s)), SymState()) == s
 
 
 def test_len_and_index(ck):
@@ -298,7 +298,8 @@ _ARITY = {"len": 1, "drop_last": 1, "take_last": 1, "neg": 1, "not": 1,
 TERMS = hs.recursive(_ATOMS, lambda sub: hs.one_of(
     hs.builds(lambda a: Ctor("Cons", (a,)), sub),
     hs.just(Ctor("Nil")),
-    hs.builds(lambda xs: SeqV(tuple(xs)), hs.lists(sub, max_size=3)),
+    hs.builds(lambda xs: SeqV("", tuple(xs)),
+              hs.lists(sub, max_size=3)),
     hs.sampled_from(_OPS).flatmap(lambda op: hs.builds(
         lambda xs: App(op, tuple(xs)),
         hs.lists(sub, min_size=_ARITY.get(op, 2),
@@ -1243,7 +1244,7 @@ def test_sym_str_is_readable(ck):
     assert sym_str(Ctor("Cons", (x,))).startswith("Cons(")
     assert sym_str(seq(1, 2)) == "Seq(1, 2)"
     v = ck.fresh("v")
-    assert sym_str(App("drop_last", (App("++", (v, SeqV((x,)))),))) \
+    assert sym_str(App("drop_last", (App("++", (v, SeqV("", (x,)))),))) \
         == "drop_last(v ++ Seq(x))"
     # operands that bind as tight or looser than their operator get parens
     assert sym_str(App("&&", (App("==", (x, Lit(1))), App("<", (v, x))))) \
@@ -1269,7 +1270,7 @@ def test_norm_memo_lives_only_as_long_as_its_states():
         tracemalloc.start()
         for i in range(states):
             st = SymState()
-            ck.eval(st, body, {"v": SeqV((Lit(i), Lit(-i)))}, {})
+            ck.eval(st, body, {"v": SeqV("", (Lit(i), Lit(-i)))}, {})
         gc.collect()  # also empties the allocator's free lists
         size = tracemalloc.get_traced_memory()[0]
         tracemalloc.stop()
@@ -1287,7 +1288,7 @@ def test_equal_terms_are_one_object(ck):
     x = ck.fresh("x")
     assert App("f", (x,)) is App("f", (x,))
     assert Ctor("Cons", (x,)) is Ctor("Cons", (x,))
-    assert SeqV((x, Lit(1))) is SeqV((x, Lit(1)))
+    assert SeqV("", (x, Lit(1))) is SeqV("", (x, Lit(1)))
     assert Lit(1) is Lit(1) and Lit(True) is TRUE
     # 1 == True, but they render differently
     assert Lit(1) is not Lit(True) and Lit(0) is not FALSE

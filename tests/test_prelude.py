@@ -34,11 +34,11 @@ def checker():
 
 def eval_body(checker, name, elems):
     decl = {d.name: d for d in prelude_decls()}[name]
-    store = {"v": SeqV(tuple(Lit(x) for x in elems))}
+    store = {"v": SeqV("", tuple(Lit(x) for x in elems))}
     st = SymState()
     got = checker.eval(st, decl.body, store, {})
     assert isinstance(got, SeqV)
-    return [v.value for v in got.elems]
+    return [v.value for v in got.args]
 
 
 def test_printed_form():
@@ -63,19 +63,19 @@ def test_bodies_match_oracle(checker):
 def test_builtin_shortcut_agrees_with_bodies(checker):
     st = SymState()
     for elems in seqs(4):
-        sv = SeqV(tuple(Lit(x) for x in elems))
+        sv = SeqV("", tuple(Lit(x) for x in elems))
         short = checker.norm(App("drop_last", (sv,)), st)
-        assert [v.value for v in short.elems] == \
+        assert [v.value for v in short.args] == \
             eval_body(checker, "drop_last", elems)
         short = checker.norm(App("take_last", (sv,)), st)
-        assert [v.value for v in short.elems] == \
+        assert [v.value for v in short.args] == \
             eval_body(checker, "take_last", elems)
 
 
 def test_concat_identity(checker):
     st = SymState()
     for elems in seqs(4):
-        sv = SeqV(tuple(Lit(x) for x in elems))
+        sv = SeqV("", tuple(Lit(x) for x in elems))
         whole = checker.norm(
             App("++", (App("drop_last", (sv,)), App("take_last", (sv,)))), st)
         assert whole == sv
@@ -84,5 +84,5 @@ def test_concat_identity(checker):
 def test_empty_sequence_stays_symbolic(checker):
     # the helpers require a nonempty argument, so nothing is computed
     st = SymState()
-    got = checker.norm(App("drop_last", (SeqV(()),)), st)
-    assert got == App("drop_last", (SeqV(()),))
+    got = checker.norm(App("drop_last", (SeqV("", ()),)), st)
+    assert got == App("drop_last", (SeqV("", ()),))
