@@ -50,18 +50,17 @@ VERIFIER_ENV = "GOSPEL2VIPER_VERIFIER"
 
 
 class RunConfig(Record, uncompared=(), unshown=("stdout", "stderr")):
-    __slots__ = ("inputs", "output", "check", "strict", "no_prelude",
-                 "verifier", "stdout", "stderr")
+    __slots__ = ("inputs", "output", "check", "strict", "verifier",
+                 "stdout", "stderr")
 
     def __init__(self, inputs: list[str], output: str | None = None,
                  check: bool = False, strict: bool = False,
-                 no_prelude: bool = False, verifier: str | None = None,
+                 verifier: str | None = None,
                  stdout: object = None, stderr: object = None):
         self.inputs = inputs
         self.output = output  # file for a single input, else directory
         self.check = check
         self.strict = strict
-        self.no_prelude = no_prelude
         self.verifier = verifier
         self.stdout = stdout
         self.stderr = stderr
@@ -184,8 +183,7 @@ def run(config: RunConfig) -> int:
                 print(f"gospel2viper: error: cannot read {inp}: {exc}",
                       file=err)
                 return 2
-            program, diags = translate_source(source,
-                                              no_prelude=config.no_prelude)
+            program, diags = translate_source(source)
             if program is not None and config.check:
                 diags = diags + check_program(program, strict=config.strict)
             _report(diags, inp, source, err)
@@ -225,15 +223,12 @@ def main(argv: list[str] | None = None) -> None:
                         help="run the symbolic permission checker")
     parser.add_argument("--strict", action="store_true",
                         help="treat unproved pure conditions as errors")
-    parser.add_argument("--no-prelude", action="store_true",
-                        help="never emit the sequence helper functions")
     args = parser.parse_args(argv)
     config = RunConfig(
         inputs=args.files,
         output=args.output,
         check=args.check,
         strict=args.strict,
-        no_prelude=args.no_prelude,
         verifier=os.environ.get(VERIFIER_ENV),
     )
     sys.exit(run(config))

@@ -18,11 +18,12 @@ Shape of the mapping:
 * allocation `{f = e; ...}` lowers to `new` over every declared field in
   declaration order followed by the initializing assignments in source
   order;
-* a function body's last item, when it is a value other than the result's
-  name, is assigned to the result (a call, by the call's target).
+* each value in tail position of a function with a result (the body's
+  last item, and through `if` and `match` each branch's) is translated as
+  `let <result> = value in`.
 
 Sequence helpers `drop_last` and `take_last` are emitted as Viper
-functions once, and only when referenced (unless suppressed).
+functions once, and only when referenced and not defined by the module.
 
 Translation is total: it accumulates diagnostics and returns
 (None, diags) when any is an error, never raising.
@@ -45,7 +46,7 @@ from .surface import (AppE, AssignE, Assertion, BinE, BoolLit, BoolT,
                       ContractSpec, CtorE, FieldDef, FieldE, FunDecl,
                       GhostCommand, GhostKind, IfA, IfE,
                       IndexE, IntLit, IntT, LemmaDef, LetIn, LetPatA,
-                      LogicalFunctionDef, MatchE, NamedT, OwnsA,
+                      LogicalFunctionDef, MatchArm, MatchE, NamedT, OwnsA,
                       PredicateDef, PureA, RecordAlloc, RecordKind, SeqE,
                       SeqT, SepA, SliceFromE, SurfaceExpr, SurfaceModule,
                       SurfaceType, TypeDecl, UnE, UnitLit, VariantKind, VarE)
@@ -86,10 +87,9 @@ class _CtorInfo(Record):
 
 
 class _Tr:
-    def __init__(self, module: SurfaceModule, no_prelude: bool):
+    def __init__(self, module: SurfaceModule):
         self.module = module
         self.diags: list[Diagnostic] = []
-        self.no_prelude = no_prelude
         self.prelude_used: set[str] = set()
 
         self.types: dict[str, TypeDecl] = {}
@@ -349,8 +349,6 @@ class _Tr:
         try:
             handler = self._STMTS[type(e)]
         except KeyError:  # a value whose only effect is its diagnostics
-            if e is ctx.tail:
-                return self._tr_result(e, ctx)
             self.warn("statement has no effect", getattr(e, "span", None))
             self.tr_expr(e, ctx.env)
             return []
@@ -370,17 +368,10 @@ class _Tr:
         ctx.env = saved
         return out
 
-    def _tr_result(self, e: SurfaceExpr, ctx: "_FnCtx") -> list[V.VStmt]:
-        """The function's final value `e`, assigned to its result."""
-        return [V.AssignS(V.Var(ctx.result), self.tr_expr(e, ctx.env),
-                          span=e.span)]
-
     def _tr_unit_stmt(self, e: UnitLit, ctx: "_FnCtx") -> list[V.VStmt]:
         return []
 
     def _tr_discard(self, e: VarE, ctx: "_FnCtx") -> list[V.VStmt]:
-        if e is ctx.tail and e.name != ctx.result:
-            return self._tr_result(e, ctx)
         if self.binders:
             self._binder_use(e)
         if e.name != ctx.result:
@@ -415,11 +406,7 @@ class _Tr:
         return [V.IfS(cond, then, els, span=e.span)]
 
     def _tr_call_stmt(self, e: AppE, ctx: "_FnCtx") -> list[V.VStmt]:
-        if e is not ctx.tail:
-            return self._tr_call(e, None, None, ctx)
-        if e.fn in self.funs:
-            return self._tr_call(e, ctx.result, None, ctx)
-        return self._tr_result(e, ctx)
+        return self._tr_call(e, None, None, ctx)
 
     def _tr_alloc_stmt(self, e: RecordAlloc, ctx: "_FnCtx") -> list[V.VStmt]:
         self.err("allocation must be bound by a let", e.span)
@@ -623,16 +610,11 @@ class _Tr:
         for fname, ftyp in self.fields.items():
             fields.append(V.FieldDecl(fname, self.map_type(ftyp, None)))
 
-        if not self.no_prelude:
-            pre = [f for f in prelude_decls()
-                   if f.name in self.prelude_used
-                   and f.name not in self.logical]
-            functions = pre + functions
-
         if has_errors(self.diags):
             return None
-        return V.ViperProgram(adts + fields + functions + predicates
-                              + methods)
+        prelude = [f for f in prelude_decls() if f.name in self.prelude_used]
+        return V.ViperProgram(adts + fields + prelude + functions
+                              + predicates + methods)
 
     def _check_names(self) -> None:
         taken: dict[str, str] = {}
@@ -727,27 +709,20 @@ class _Tr:
             env[result] = V.Var(result)
         posts = [self.tr_assertion(a, env) for a in spec.ensures]
 
-        tail = d.body
-        while isinstance(tail, SeqE):
-            tail = tail.items[-1]
         ctx = _FnCtx(env=env, result=result,
-                     used=dict.fromkeys([n for n, _ in params + returns], 1),
-                     tail=None if result is None else tail)
-        body = self.tr_stmts(d.body, ctx)
-        return V.MethodDecl(d.name, params, returns, pres, posts, body,
-                            span=d.span)
+                     used=dict.fromkeys([n for n, _ in params + returns], 1))
+        body = d.body if result is None else _to_result(d.body, result, d.ret)
+        return V.MethodDecl(d.name, params, returns, pres, posts,
+                            self.tr_stmts(body, ctx), span=d.span)
 
 
 class _FnCtx(Record):
-    __slots__ = ("env", "result", "used", "tail")
+    __slots__ = ("env", "result", "used")
 
     def __init__(self, env: dict[str, V.VExpr], result: str | None,
-                 used: dict[str, int], tail: SurfaceExpr | None):
+                 used: dict[str, int]):
         self.env = env
         self.result = result
-        # the body's last item if the function has a result: its value,
-        # other than the result's own name, is assigned to the result
-        self.tail = tail
         # every name taken in the method, and the lowest suffix that may
         # still be free after it; names are never released, so that never
         # goes down
@@ -765,6 +740,29 @@ class _FnCtx(Record):
         return base
 
 
+def _to_result(e: SurfaceExpr | GhostCommand, result: str,
+               ret: SurfaceType | None) -> SurfaceExpr | GhostCommand:
+    """`e` with each value in tail position (its last item, through `if`
+    and `match` each branch's) bound as `let <result> = value in`, which
+    `_tr_let` assigns to the result, a call or allocation included.  Only
+    an allocation needs the type `ret`: `_tr_fun` maps it for the method."""
+    if isinstance(e, SeqE):
+        return SeqE(e.items[:-1] + [_to_result(e.items[-1], result, ret)],
+                    e.span)
+    if isinstance(e, IfE):
+        els = None if e.els is None else _to_result(e.els, result, ret)
+        return IfE(e.cond, _to_result(e.then, result, ret), els, e.span)
+    if isinstance(e, MatchE):
+        return MatchE(e.scrutinee, [
+            MatchArm(a.ctor, a.binder, _to_result(a.body, result, ret),
+                     a.span) for a in e.arms], e.span)
+    if isinstance(e, (LetIn, AssignE, GhostCommand)) \
+            or isinstance(e, VarE) and e.name == result:
+        return e
+    return LetIn(result, ret if isinstance(e, RecordAlloc) else None, e,
+                 span=e.span)
+
+
 def _path_of(e: SurfaceExpr) -> tuple[str, ...] | None:
     if isinstance(e, VarE):
         return (e.name,)
@@ -780,17 +778,17 @@ def _is_prefix(p: tuple[str, ...], of: tuple[str, ...]) -> bool:
     return len(p) <= len(of) and of[:len(p)] == p
 
 
-def translate(module: SurfaceModule, no_prelude: bool = False
+def translate(module: SurfaceModule
               ) -> tuple[V.ViperProgram | None, list[Diagnostic]]:
-    tr = _Tr(module, no_prelude)
+    tr = _Tr(module)
     program = tr.run()
     return program, tr.diags
 
 
-def translate_source(source: str, no_prelude: bool = False
+def translate_source(source: str
                      ) -> tuple[V.ViperProgram | None, list[Diagnostic]]:
     module, diags = parse_source(source)
     if module is None:
         return None, diags
-    program, more = translate(module, no_prelude)
+    program, more = translate(module)
     return program, diags + more

@@ -88,10 +88,6 @@ class _R:
         t = self.peek()
         return t is not None and t.text == text
 
-    def at_ident(self) -> bool:
-        t = self.peek()
-        return t is not None and t.kind == "ident"
-
     def next(self) -> VToken:
         t = self.peek()
         if t is None:

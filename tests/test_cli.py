@@ -402,17 +402,6 @@ let keep (c: t) (n: int) =
     assert "error[pure-obligation]" in err_s
 
 
-def test_no_prelude_suppresses_helpers(tmp_path):
-    src = tmp_path / "seq.ml"
-    src.write_text("(*@ predicate p (v: int sequence) = "
-                   "drop_last v = empty *)\n")
-    invoke(src)
-    assert "function drop_last" in (tmp_path / "seq.vpr").read_text()
-    status, _, _ = invoke(src, no_prelude=True)
-    assert status == 0
-    assert "function drop_last" not in (tmp_path / "seq.vpr").read_text()
-
-
 # A logical function, a Bool field, and a two-arm match whose payload arm
 # comes first: the translator tests the nullary constructor first.  The
 # match is parenthesised: without the parentheses the `fold` after it
@@ -670,6 +659,25 @@ def test_final_value_is_the_result_under_a_strict_check(tmp_path):
     assert (status, err) == (0, "")
     vpr = (tmp_path / "value.vpr").read_text(encoding="utf-8")
     assert "{\n  r := c.v\n}" in vpr
+
+
+@pytest.mark.parametrize("body, ret, post", [
+    ("if c.v > 0 then 1 else 2", "int", "r >= 1"),
+    ("match c.k with A -> 1 | B -> 2", "int", "r >= 1"),
+    ("{ v = 1; k = A }", "t", "r ~> {v; k} && r.v = 1"),
+], ids=["if", "match", "allocation"])
+def test_final_value_in_any_shape_is_the_result(tmp_path, body, ret, post):
+    # an if's branches gave "statement has no effect" twice and left r
+    # unconstrained; an allocation gave "allocation must be bound by a let"
+    src = tmp_path / "tail.ml"
+    src.write_text("type u = A | B\n"
+                   "type t = { mutable v : int; mutable k : u }\n"
+                   f"let f (c: t) : {ret} =\n  {body}\n"
+                   "(*@ r = f c requires c ~> {v; k} "
+                   f"ensures c ~> {{v; k}} && {post} *)\n",
+                   encoding="utf-8")
+    status, _, err = invoke(src, check=True)
+    assert (status, err) == (0, "")
 
 
 @pytest.mark.parametrize("case", sorted(ANNOTATION_EDGES))

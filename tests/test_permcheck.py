@@ -81,6 +81,7 @@ def test_concat_keeps_symbolic_parts_in_order(ck):
 def test_empty_segments_vanish(ck):
     s = ck.fresh("s")
     assert ck.norm(App("++", (SeqV("", ()), s)), SymState()) == s
+    assert ck.norm(App("++", (seq(), seq())), SymState()) == seq()
 
 
 def test_len_and_index(ck):
@@ -1148,6 +1149,26 @@ def test_conditional_contract_splits_a_join(where):
     what = "call to g: precondition" if where == "pre" else "postcondition of m"
     assert check("(x.val > 0 ? x.val < 5 : x.val > -1)") \
         == [f"{what}: condition x.val > -1 is false"]
+
+
+def test_conditional_contract_decided_alike_on_both_sides_of_a_join():
+    # x.val > 0 holds on each side of the join, though not in the joined
+    # state, so the call takes the then branch without splitting
+    text = """
+field val: Int
+method g(x: Ref) requires acc(x.val) && (x.val > 0 ? true : false)
+  ensures acc(x.val)
+method m(x: Ref, a: Int) requires acc(x.val) ensures acc(x.val)
+{
+if (a > 0) {
+x.val := a
+} else {
+x.val := 1
+}
+g(x)
+}
+"""
+    assert check_program(reparse(text), strict=True) == []
 
 
 def joined_q(k, tail):

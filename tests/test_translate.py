@@ -336,7 +336,9 @@ let g (c: t) : int =
      "var x: Int := c.v\nc.v := x\nr := c.v"),
     ("g c", "r := g(c)"),
     ("let r : int = c.v in\n  r", "r := c.v"),
-], ids=["field", "local", "block", "call", "result"])
+    ("if c.v > 0 then c.v else (g c)",
+     "if (c.v > 0) {\n  r := c.v\n} else {\n  r := g(c)\n}"),
+], ids=["field", "local", "block", "call", "result", "branches"])
 def test_final_value_is_assigned_to_the_result(body, stmts):
     # the function's value is its last item; it was dropped with a
     # warning, leaving the result unconstrained
@@ -355,7 +357,9 @@ def test_final_application_of_a_logical_function_is_the_result():
      "let f (c: t) =\n  c.v\n"
      "(*@ f c requires c ~> {v} ensures c ~> {v} *)\n",
      ["statement has no effect"]),
-    (RESULT.replace("BODY", "if c.v > 0 then c.v else 0"),
+    ("type t = { mutable v : int }\n"
+     "let f (c: t) =\n  if c.v > 0 then c.v else 0\n"
+     "(*@ f c requires c ~> {v} ensures c ~> {v} *)\n",
      ["statement has no effect"] * 2),
     (RESULT.replace("BODY", "let x : int = c.v in\n  x;\n  c.v"),
      ["value 'x' is discarded"]),
@@ -604,9 +608,17 @@ def test_prelude_not_emitted_when_unused():
 
 
 def test_prelude_rules_can_be_overridden():
-    src = "(*@ predicate p (v: int sequence) = drop_last v = empty *)"
-    prog, _ = translate_source(src, no_prelude=True)
-    assert not prog.functions()
+    # a module that defines drop_last gets its own function, not the
+    # helper; take_last, which it does not define, is still the helper
+    prog = tr("""
+(*@ function drop_last (v: int sequence) : int sequence = v *)
+(*@ predicate p (v: int sequence) =
+      drop_last v = empty && take_last v = v *)
+""")
+    text = pretty(prog)
+    assert text.count("function drop_last") == 1
+    assert "function drop_last(v: Seq[Int]): Seq[Int]\n{\n  v\n}" in text
+    assert list(prog.functions()) == ["take_last", "drop_last"]
 
 
 def test_declaration_groups_are_ordered():
