@@ -1,12 +1,13 @@
 """Symbolic permission accounting for translated programs, without a solver.
 
 The checker walks each method body over a set of symbolic states.  A
-state is a heap of held cells, a multiset of folded predicate instances,
-an ordered table of assumed boolean facts, the local store, and an
-equality substitution used to propagate facts like `q.length == 0` into
-later queries.  As in Viper's heap chunks, a cell `(receiver, field) ->
-value` is both the value and the whole permission to it: a location is
-held exactly when it is a key of the heap.
+state is a heap of held cells, the folded predicate instances (a plain
+dict from each instance to its count, never 0), an ordered table of
+assumed boolean facts, the local store, and an equality substitution
+used to propagate facts like `q.length == 0` into later queries.  As in
+Viper's heap chunks, a cell `(receiver, field) -> value` is both the
+value and the whole permission to it: a location is held exactly when it
+is a key of the heap.
 
 Every field read follows one rule: it takes the held cell's value, and
 for a cell not held, the value kept in the current step's cache, which the
@@ -72,16 +73,20 @@ A value that K joins built is a term of K levels that shares its
 subterms; walked as a tree it has 2^K nodes.  So every walk over terms
 visits each node once: the arguments of `==`, `&&` and `||` are sorted by
 a structural key cached on each compound term (`_key`), not by `repr`;
-the one search for a subterm, `_first`, which serves the occurs check and
-finds a join's guard, remembers the nodes it saw; and normalising an
-unchanged term returns the term itself, as interning must, so the sharing
-survives.  Diagnostics print an ite nested in two others as "...".
+the set of symbols a term mentions is cached on each compound term too
+(`_syms`), so the occurs check is one probe of it; the one search for a
+subterm, `_first`, which finds a join's guard, remembers the nodes it
+saw; and normalising an unchanged term returns the term itself, as
+interning must, so the sharing survives.  Diagnostics print an ite
+nested in two others as "...".
 
 A statement costs a few calls per node of its expressions.  `eval`,
 `_produce`, `_consume` and `exec_stmt` each find the handler for a node's
 class in one table (`_EVAL`, `_PRODUCE`, `_CONSUME`, `_EXEC`).
-`_simplify` tries the arithmetic operators first, and lifts an operator
-over an `ite` only in a method that has built one.
+`_simplify` finds the rule for an operator's name in one table
+(`_RULES`); the sequence operators, the constructor tests and
+projections and the functions without a rule share one fallback.  It
+lifts an operator over an `ite` only in a method that has built one.
 
 Each term is normalised once per substitution: `norm` first probes the
 state's `memo`, for every kind of term, so a term already normalised costs
@@ -91,8 +96,12 @@ fresh one, so it lives only as long as the states that use it.
 Every heap key, instance argument, fact and stored value of a state is
 in normal form under the state's own substitution, as in Smallfoot's
 symbolic heaps.  `Checker._bind` alone grows the substitution, and it
-restores that invariant: it renormalises the facts and the values, and
-the stored keys when one mentions the bound symbol.
+restores that invariant for only the facts, values, keys and instance
+arguments that mention the bound symbol, as congruence closure revisits
+only the terms that use a merged one (Downey, Sethi and Tarjan,
+"Variations on the Common Subexpression Problem"); `_bind` says why a
+term without that symbol stays normal.  It memoises each such term as
+its own normal form in the fresh memo.
 
 One rule follows: every value `eval` returns is normal in the state it
 reads.  Its leaves are literals, held cells' values and the state's
@@ -117,8 +126,8 @@ mistake does not cascade into a wall of noise.
 from __future__ import annotations
 
 import itertools
+import operator
 import weakref
-from collections import Counter
 
 from . import viper_ast as V
 from .diagnostics import (Category, Diagnostic, Record, Severity, error,
@@ -126,6 +135,8 @@ from .diagnostics import (Category, Diagnostic, Record, Severity, error,
 
 MAX_PATHS = 32
 _SCALAR = frozenset({"Int", "Bool"})  # types whose values a join merges
+_COMPARE = {"<": operator.lt, "<=": operator.le, ">": operator.gt,
+            ">=": operator.ge}
 
 # -- symbolic values -----------------------------------------------------------
 
@@ -191,8 +202,8 @@ class Lit(SymVal):
 
 class _Node(SymVal):
     """A compound term `name(args)`; `sortkey` caches `_key`, whose first
-    element is the class's `rank`."""
-    __slots__ = ("name", "args", "sortkey", "__weakref__")
+    element is the class's `rank`, and `syms` caches `_syms`."""
+    __slots__ = ("name", "args", "sortkey", "syms", "__weakref__")
 
     def __new__(cls, name: str, args: tuple = ()):
         key = (cls, name, args)
@@ -200,7 +211,7 @@ class _Node(SymVal):
         t = None if ref is None else ref()
         if t is None:
             t = object.__new__(cls)
-            t.name, t.args, t.sortkey = name, args, None
+            t.name, t.args, t.sortkey, t.syms = name, args, None, None
             _intern(t, key)
         return t
 
@@ -287,13 +298,13 @@ def _infix(v: SymVal) -> bool:
 class SymState(Record, uncompared=("memo",)):
     __slots__ = ("heap", "preds", "facts", "store", "subst", "memo", "joins")
 
-    def __init__(self, heap: dict | None = None, preds: Counter | None = None,
+    def __init__(self, heap: dict | None = None, preds: dict | None = None,
                  facts: dict | None = None, store: dict | None = None,
                  subst: dict | None = None, memo: dict | None = None,
                  joins: tuple = ()):
         # the held cells: a key is a whole permission, its value the field's
         self.heap = {} if heap is None else heap  # {(recv, field): SymVal}
-        self.preds = Counter() if preds is None else preds  # {(name, args): n}
+        self.preds = {} if preds is None else preds  # {(name, args): n > 0}
         # the assumed facts, in normal form, in the order they were
         # assumed; FALSE if the state is infeasible
         self.facts = {} if facts is None else facts  # {bool SymVal: None}
@@ -304,7 +315,7 @@ class SymState(Record, uncompared=("memo",)):
         self.joins = joins  # the guards of the joins whose ites values hold
 
     def clone(self) -> "SymState":
-        return SymState(dict(self.heap), Counter(self.preds),
+        return SymState(dict(self.heap), dict(self.preds),
                         dict(self.facts), dict(self.store), dict(self.subst),
                         self.memo, self.joins)
 
@@ -404,22 +415,81 @@ class Checker:
         return n
 
     def _simplify(self, name: str, args: tuple) -> SymVal:
-        if name in ("+", "-", "*", "/"):
-            a, b = args
-            if not (isinstance(a, Lit) and isinstance(a.value, int)
-                    and isinstance(b, Lit) and isinstance(b.value, int)):
-                return self._lifted(name, args)
-            a, b = a.value, b.value
-            if name == "+":
-                return Lit(a + b)
-            if name == "-":
-                return Lit(a - b)
-            if name == "*":
-                return Lit(a * b)
-            if b == 0:
-                return App(name, args)
-            q = abs(a) // abs(b)  # truncating division
-            return Lit(q if (a < 0) == (b < 0) else -q)
+        """`name(args)` over normal `args`, in normal form: the rule for
+        `name` in `_RULES`, else `_s_other`."""
+        return self._RULES.get(name, Checker._s_other)(self, name, args)
+
+    # One rule per operator, looked up by `_simplify` in `_RULES`.  Each
+    # takes _simplify's arguments: (name, args).
+
+    def _s_arith(self, name, args) -> SymVal:
+        a, b = args
+        if not (isinstance(a, Lit) and isinstance(a.value, int)
+                and isinstance(b, Lit) and isinstance(b.value, int)):
+            return self._lifted(name, args)
+        a, b = a.value, b.value
+        if name == "+":
+            return Lit(a + b)
+        if name == "-":
+            return Lit(a - b)
+        if name == "*":
+            return Lit(a * b)
+        if b == 0:
+            return App(name, args)
+        q = abs(a) // abs(b)  # truncating division
+        return Lit(q if (a < 0) == (b < 0) else -q)
+
+    def _s_compare(self, name, args) -> SymVal:
+        a, b = args
+        if (isinstance(a, Lit) and isinstance(a.value, int)
+                and isinstance(b, Lit) and isinstance(b.value, int)):
+            return Lit(_COMPARE[name](a.value, b.value))
+        return self._lifted(name, args)
+
+    def _s_eq(self, name, args) -> SymVal:
+        return self._norm_eq(args[0], args[1])
+
+    def _s_ne(self, name, args) -> SymVal:
+        return self._s_not("not", (self._norm_eq(args[0], args[1]),))
+
+    def _s_not(self, name, args) -> SymVal:
+        (a,) = args
+        if isinstance(a, Lit):
+            return Lit(not a.value)
+        if isinstance(a, App) and a.name == "not":
+            return a.args[0]
+        return App("not", args)
+
+    def _s_andor(self, name, args) -> SymVal:
+        unit, zero = (TRUE, FALSE) if name == "&&" else (FALSE, TRUE)
+        parts = []
+        for a in _flat(args, name):
+            if a is zero:
+                return zero
+            if a is not unit and a not in parts:
+                parts.append(a)
+        if not parts:
+            return unit
+        if len(parts) == 1:
+            return parts[0]
+        return App(name, tuple(sorted(parts, key=_key)))
+
+    def _s_ite(self, name, args) -> SymVal:
+        cond, then, els = args
+        if isinstance(cond, Lit):
+            return then if cond.value else els
+        if then == els:
+            return then
+        if then == TRUE and els == FALSE:
+            return cond
+        if then == FALSE and els == TRUE:
+            return self._s_not("not", (cond,))
+        self._ites = True
+        return App(name, args)
+
+    def _s_other(self, name, args) -> SymVal:
+        """The sequence operators and `neg`, the `is#` and `proj#` tests
+        of a constructor, and every function without a rule of its own."""
         if name == "++":
             return self._concat(args)
         if name == "len" and isinstance(args[0], SeqV):
@@ -445,48 +515,6 @@ class Checker:
         if name == "neg" and isinstance(args[0], Lit) \
                 and isinstance(args[0].value, int):
             return Lit(-args[0].value)
-        if name in ("<", "<=", ">", ">=") and all(
-                isinstance(a, Lit) and isinstance(a.value, int)
-                for a in args):
-            a, b = args[0].value, args[1].value
-            return Lit({"<": a < b, "<=": a <= b,
-                        ">": a > b, ">=": a >= b}[name])
-        if name == "==":
-            return self._norm_eq(args[0], args[1])
-        if name == "!=":
-            return self._simplify("not", (self._norm_eq(args[0], args[1]),))
-        if name == "not":
-            (a,) = args
-            if isinstance(a, Lit):
-                return Lit(not a.value)
-            if isinstance(a, App) and a.name == "not":
-                return a.args[0]
-            return App("not", args)
-        if name == "&&" or name == "||":
-            unit, zero = (TRUE, FALSE) if name == "&&" else (FALSE, TRUE)
-            parts = []
-            for a in _flat(args, name):
-                if a is zero:
-                    return zero
-                if a is not unit and a not in parts:
-                    parts.append(a)
-            if not parts:
-                return unit
-            if len(parts) == 1:
-                return parts[0]
-            return App(name, tuple(sorted(parts, key=_key)))
-        if name == "ite":
-            cond, then, els = args
-            if isinstance(cond, Lit):
-                return then if cond.value else els
-            if then == els:
-                return then
-            if then == TRUE and els == FALSE:
-                return cond
-            if then == FALSE and els == TRUE:
-                return self._simplify("not", (cond,))
-            self._ites = True
-            return App(name, args)
         if name.startswith("is#"):
             ctor = name[3:]
             if isinstance(args[0], Ctor):
@@ -499,6 +527,13 @@ class Checker:
                 if pname in params:
                     return target.args[params.index(pname)]
         return self._lifted(name, args)
+
+    _RULES = {"+": _s_arith, "-": _s_arith, "*": _s_arith, "/": _s_arith,
+              "<": _s_compare, "<=": _s_compare, ">": _s_compare,
+              ">=": _s_compare, "==": _s_eq, "!=": _s_ne, "not": _s_not,
+              "&&": _s_andor, "||": _s_andor, "ite": _s_ite,
+              **dict.fromkeys(("++", "len", "index", "drop", "take",
+                               "drop_last", "take_last", "neg"), _s_other)}
 
     def _lifted(self, name: str, args: tuple) -> SymVal:
         """`name(args)`, lifted over an argument that is an `ite` with
@@ -541,8 +576,8 @@ class Checker:
         if type(a) is type(b) and type(a) in (Ctor, SeqV):
             if a.name != b.name or len(a.args) != len(b.args):
                 return FALSE
-            eqs = tuple(self._norm_eq(x, y) for x, y in zip(a.args, b.args))
-            return self._simplify("&&", eqs)
+            eqs = tuple([self._norm_eq(x, y) for x, y in zip(a.args, b.args)])
+            return self._s_andor("&&", eqs)
         if isinstance(a, SeqV) != isinstance(b, SeqV):
             # a literal sequence never equals a strictly longer concat
             other = b if isinstance(a, SeqV) else a
@@ -602,7 +637,7 @@ class Checker:
         conjuncts would have stopped the join."""
         s = st.clone()
         s.memo = {guard: Lit(side)}
-        self._renormalise(s, True)
+        self._renormalise(s)
         v = self.norm(v, s)
         s.memo = st.memo  # the same substitution: its normal forms hold
         s.joins = tuple(g for g in s.joins if self.norm(g, s) != guard)
@@ -635,7 +670,7 @@ class Checker:
         if n.name == "==":
             a, b = n.args
             for lhs, rhs in ((a, b), (b, a)):
-                if isinstance(lhs, Sym) and _first(rhs, (lhs,)) is None:
+                if isinstance(lhs, Sym) and not _mentions(rhs, lhs):
                     self._bind(st, lhs, rhs)
                     return
             return
@@ -656,32 +691,43 @@ class Checker:
 
     def _bind(self, st: SymState, s: Sym, v: SymVal) -> None:
         """Substitute the normal form `v` for `s` from now on, and bring
-        the state back to normal form under the grown substitution."""
+        the state back to normal form under the grown substitution.
+
+        Only a term that mentions `s` can change.  `norm` reads the
+        substitution, `ctor_params` and `_ites`, never the facts; the
+        symbols of a normal term are unbound, and every ite in it was built
+        after `_ites` turned true, so a term without `s` is still normal.
+        So the binding renormalises only the terms that mention `s`, found
+        by a probe of their cached symbol sets, and memoises each other one
+        as its own normal form."""
         st.subst[s] = v
         st.memo = {}
-        # a stored key stays normal unless it mentions s
-        keys = itertools.chain((r for r, _ in st.heap),
-                               (a for _, args in st.preds for a in args))
-        self._renormalise(st, any(_first(k, (s,)) is not None for k in keys))
+        self._renormalise(st, s)
 
-    def _renormalise(self, st: SymState, rekey: bool) -> None:
-        """Normalise the facts and the stored values of `st` under its
-        memo, and, if `rekey`, the heap keys and instance arguments too, in
-        new dicts: a produce may be reading the old store.  Two cells that
-        fall on one key make the state infeasible."""
-        st.facts = dict.fromkeys(self.norm(f, st) for f in st.facts)
-        st.store = {k: self.norm(x, st) for k, x in st.store.items()}
-        if not rekey:
-            st.heap = {k: self.norm(x, st) for k, x in st.heap.items()}
-            return
-        heap = {(self.norm(r, st), f): self.norm(val, st)
-                for (r, f), val in st.heap.items()}
+    def _renormalise(self, st: SymState, s: Sym | None = None) -> None:
+        """Normalise the facts, stored values, heap keys and instance
+        arguments of `st` under its memo, in new dicts: a produce may be
+        reading the old store.  Given `s`, only the terms that mention it
+        are normalised, and each other one is memoised as its own normal
+        form.  Two cells that fall on one key make the state infeasible."""
+        memo = st.memo
+
+        def norm(t: SymVal) -> SymVal:
+            if s is None or _mentions(t, s):
+                return self.norm(t, st)
+            memo[t] = t
+            return t
+
+        st.facts = dict.fromkeys([norm(f) for f in st.facts])
+        st.store = {k: norm(x) for k, x in st.store.items()}
+        heap = {(norm(r), f): norm(val) for (r, f), val in st.heap.items()}
         if len(heap) < len(st.heap):
             st.facts[FALSE] = None
         st.heap = heap
-        preds: Counter = Counter()
+        preds: dict = {}
         for (name, args), count in st.preds.items():
-            preds[(name, tuple(self.norm(a, st) for a in args))] += count
+            key = (name, tuple([norm(a) for a in args]))
+            preds[key] = preds.get(key, 0) + count
         st.preds = preds
 
     # -- expression evaluation ---------------------------------------------------
@@ -726,16 +772,16 @@ class Checker:
         return self._op(st, f"is#{e.ctor}", (base,))
 
     def _eval_ctor(self, st, e, store, cache, span) -> SymVal:
-        return Ctor(e.name, tuple(self.eval(st, a, store, cache, span)
-                                  for a in e.args))
+        return Ctor(e.name, tuple([self.eval(st, a, store, cache, span)
+                                   for a in e.args]))
 
     def _eval_fun(self, st, e, store, cache, span) -> SymVal:
-        args = tuple(self.eval(st, a, store, cache, span) for a in e.args)
+        args = tuple([self.eval(st, a, store, cache, span) for a in e.args])
         return self._op(st, e.name, args)
 
     def _eval_seq(self, st, e, store, cache, span) -> SymVal:
-        return SeqV("", tuple(self.eval(st, a, store, cache, span)
-                              for a in e.items))
+        return SeqV("", tuple([self.eval(st, a, store, cache, span)
+                               for a in e.items]))
 
     def _eval_len(self, st, e, store, cache, span) -> SymVal:
         seq = self.eval(st, e.seq, store, cache, span)
@@ -834,8 +880,9 @@ class Checker:
         return [st]
 
     def _produce_pred(self, st, a, store, cache) -> list[SymState]:
-        args = tuple(self.eval(st, x, store, cache, a.span) for x in a.args)
-        st.preds[(a.name, args)] += 1
+        key = (a.name,
+               tuple([self.eval(st, x, store, cache, a.span) for x in a.args]))
+        st.preds[key] = st.preds.get(key, 0) + 1
         return [st]
 
     def _produce_and(self, st, a, store, cache) -> list[SymState]:
@@ -937,16 +984,18 @@ class Checker:
     def _consume_pred(self, st, a, store, cache, ctx, span) -> bool:
         at = a.span or span
         key = (a.name,
-               tuple(self.eval(st, x, store, cache, at) for x in a.args))
-        if key not in st.preds:
+               tuple([self.eval(st, x, store, cache, at) for x in a.args]))
+        count = st.preds.get(key)
+        if count is None:
             self._err(ctx.pred_category,
                       f"{ctx.what}: missing predicate instance "
                       f"{a.name}(" + ", ".join(map(sym_str, key[1]))
                       + ")", at)
             return False
-        st.preds[key] -= 1
-        if st.preds[key] == 0:
+        if count == 1:
             del st.preds[key]
+        else:
+            st.preds[key] = count - 1
         return True
 
     def _consume_and(self, st, a, store, cache, ctx, span) -> bool:
@@ -1281,8 +1330,6 @@ def _first(v: SymVal, targets) -> SymVal | None:
     """The first term of `v` in `targets`, a tuple or a set, in pre-order,
     or None; never a literal.  Each node of a shared term is visited once,
     since a chain of joins shares its subterms."""
-    if not isinstance(v, _Node):  # most heap keys are symbols: no walk
-        return v if v in targets and not isinstance(v, Lit) else None
     seen = set()
     todo = [v]
     while todo:
@@ -1293,6 +1340,44 @@ def _first(v: SymVal, targets) -> SymVal | None:
             seen.add(t)
             todo.extend(t.args[::-1])
     return None
+
+
+_NO_SYMS: frozenset = frozenset()
+
+
+def _mentions(v: SymVal, s: Sym) -> bool:
+    """Whether the term `v` mentions the symbol `s`: the occurs check, one
+    probe of a compound term's cached symbol set."""
+    if isinstance(v, _Node):
+        syms = v.syms
+        return s in (_syms(v) if syms is None else syms)
+    return v == s  # a literal mentions nothing, a symbol itself
+
+
+def _syms(v: _Node) -> frozenset:
+    """The symbols `v` mentions, computed once per node of it and cached as
+    its `syms`, the children's before their parent's, on a stack of its
+    own as `_first` keeps.  Nodes that mention the same symbols as one of
+    their children share its set."""
+    todo = [v]
+    while todo:
+        t = todo[-1]
+        if t.syms is not None:
+            todo.pop()
+            continue
+        kids = [a for a in t.args if isinstance(a, _Node) and a.syms is None]
+        if kids:
+            todo += kids
+            continue
+        todo.pop()
+        found = _NO_SYMS
+        for a in t.args:
+            more = (a.syms if isinstance(a, _Node)
+                    else frozenset((a,)) if isinstance(a, Sym) else _NO_SYMS)
+            if not more <= found:
+                found = (found | more) if found else more
+        t.syms = found
+    return v.syms
 
 
 def _dedupe(diags: list[Diagnostic]) -> list[Diagnostic]:

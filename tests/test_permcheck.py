@@ -13,9 +13,11 @@ from pathlib import Path
 from gospel2viper import permcheck, viper_ast as V
 from gospel2viper.diagnostics import Category, Severity, Span
 from gospel2viper.permcheck import (App, Checker, Ctor, Lit, SeqV, Sym,
-                                    SymState, _ConsumeCtx, _key, check_program,
+                                    SymState, _ConsumeCtx, _first, _key,
+                                    _mentions, _Node, _syms, check_program,
                                     FALSE, TRUE, MAX_PATHS, sym_str)
-from gospel2viper.translate import prelude_decls, translate_source
+from gospel2viper.translate import (PRELUDE_NAMES, _VIPER_OPS, prelude_decls,
+                                    translate_source)
 from gospel2viper.viper_parser import reparse
 
 import pytest
@@ -326,6 +328,57 @@ def test_memoised_norm_is_idempotent_and_matches_a_fresh_checker(t, facts):
         assert fresh == n and sym_str(fresh) == sym_str(n)
 
 
+def walked_nodes(v):
+    """The compound terms of `v`, each once, by a fresh walk as `_first`
+    walks."""
+    seen, todo = {}, [v]
+    while todo:
+        t = todo.pop()
+        if isinstance(t, _Node) and t not in seen:
+            seen[t] = None
+            todo.extend(t.args)
+    return list(seen)
+
+
+def walked_syms(node):
+    """The symbols of the compound term `node`, by a fresh walk."""
+    return {a for n in walked_nodes(node) for a in n.args
+            if isinstance(a, Sym)}
+
+
+@settings(max_examples=300, deadline=None, database=None,
+          derandomize=True)
+@given(TERMS)
+def test_symbol_sets_match_a_walk(t):
+    for node in walked_nodes(t):
+        assert _syms(node) == walked_syms(node)
+    for i in range(1, 5):
+        s = Sym(-i, f"s{i}")
+        assert _mentions(t, s) == (_first(t, (s,)) is not None)
+
+
+def test_symbol_sets_match_a_walk_on_every_corpus_term(monkeypatch):
+    # every term the checker interns while it checks the corpus, kept
+    # alive here, and each symbol set taken after the checks
+    built = []
+    intern = permcheck._intern
+
+    def kept(t, key):
+        built.append(t)
+        intern(t, key)
+
+    monkeypatch.setattr(permcheck, "_intern", kept)
+    for path in sorted(CORPUS.glob("*.ml")):
+        program = translate_source(path.read_text(encoding="utf-8"))[0]
+        if program is not None:
+            check_program(program)
+    nodes = [t for t in built if isinstance(t, _Node)]
+    assert len(nodes) > 50
+    assert any(t.syms is not None for t in nodes)  # bindings probed some
+    for t in nodes:
+        assert _syms(t) == walked_syms(t)
+
+
 def test_lookups_see_through_a_later_substitution(ck):
     # stored under x, looked up through y after x == y binds x to y: the
     # binding re-keys the stored entries under y, so the lookups probe
@@ -386,7 +439,7 @@ def test_bindings_keep_keys_normal_and_lookups_match_a_scan(keys, queries,
     keys = list(dict.fromkeys(ck.norm(k, st) for k in keys))
     for i, k in enumerate(keys):
         st.heap[(k, "val")] = Lit(i)
-        st.preds[("P", (k,))] += 1
+        st.preds[("P", (k,))] = st.preds.get(("P", (k,)), 0) + 1
     for fact in facts:
         if not ck.assume(st, fact):
             break
@@ -451,9 +504,10 @@ def test_normalisation_work_stays_small(monkeypatch):
     # 158/18, 1,253/104, 7/0 and 3/0 when `eval` interned each operator
     # unnormalised and then normalised it; 119/18, 1,120/104, 7/0 and 3/0
     # when produce and consume normalised receivers, keys and arguments
-    # that `eval` had left stale
-    ("checker_queue.ml", 119, 18),
-    ("queue.ml", 1043, 104),
+    # that `eval` had left stale; 119/18 and 1,043/104 when each binding
+    # renormalised every fact, value and key of the state
+    ("checker_queue.ml", 105, 18),
+    ("queue.ml", 683, 104),
     ("foo_fixed.ml", 6, 0),
     ("foo_missing_unfold.ml", 2, 0),
     ("empty.ml", 0, 0),
@@ -477,8 +531,16 @@ def test_bindings_keep_stored_values_normal(monkeypatch):
         nonlocal binds
         binds += 1
         bind(self, st, s, v)
+        # under a fresh memo too: the binding memoised what it left alone
+        fresh = st.clone()
+        fresh.memo = {}
         for value in [*st.store.values(), *st.heap.values()]:
             assert self.norm(value, st) is value
+            assert self.norm(value, fresh) is value
+        keys = [r for r, _ in st.heap] \
+            + [a for _, args in st.preds for a in args]
+        for term in [*keys, *st.facts]:
+            assert self.norm(term, fresh) is term
 
     monkeypatch.setattr(Checker, "_bind", checked_bind)
     programs = [translate_source(path.read_text(encoding="utf-8"))[0]
@@ -599,6 +661,38 @@ def test_checker_calls_per_statement_on_a_wide_module():
         sys.setprofile(None)
     assert diags == []
     assert calls / stmts <= 73
+
+
+# each name `eval` can pass to `_op`, with operands on which its rule folds
+FOLDS = [("+", (Lit(1), Lit(2))), ("-", (Lit(1), Lit(2))),
+         ("*", (Lit(2), Lit(3))), ("/", (Lit(7), Lit(2))),
+         ("<", (Lit(1), Lit(2))), ("<=", (Lit(1), Lit(2))),
+         (">", (Lit(1), Lit(2))), (">=", (Lit(1), Lit(2))),
+         ("==", (Lit(1), Lit(2))), ("!=", (Lit(1), Lit(2))),
+         ("&&", (TRUE, FALSE)), ("||", (TRUE, FALSE)),
+         ("++", (seq(1), seq(2))), ("not", (TRUE,)), ("neg", (Lit(1),)),
+         ("len", (seq(1),)), ("index", (seq(1), Lit(0))),
+         ("drop", (seq(1, 2), Lit(1))), ("take", (seq(1, 2), Lit(1))),
+         ("drop_last", (seq(1, 2),)), ("take_last", (seq(1, 2),)),
+         ("ite", (TRUE, Lit(1), Lit(2))), ("is#Nil", (Ctor("Nil"),)),
+         ("proj#cell", (Ctor("Cons", (Lit(1),)),))]
+
+
+def test_every_operator_eval_builds_has_a_rule(ck):
+    # the Viper operators, the names `eval` gives unary and sequence
+    # nodes, the prelude's functions, and the constructor tests and
+    # projections, which alone reach the fallback unlisted; a function of
+    # the program without a rule of its own stays uninterpreted
+    names = {name for name, _ in FOLDS}
+    assert names >= set(V._PREC) | set(_VIPER_OPS.values()) | {
+        "not", "neg", "len", "index", "drop", "take", "ite",
+        *PRELUDE_NAMES}
+    for name, args in FOLDS:
+        assert name in Checker._RULES or name.startswith(("is#", "proj#"))
+        assert not (isinstance(ck._simplify(name, args), App)), name
+    assert set(Checker._RULES) <= names
+    s = ck.fresh("s")
+    assert ck._simplify("f", (s,)) == App("f", (s,))
 
 
 def test_walks_reject_a_node_class_they_do_not_know(ck):

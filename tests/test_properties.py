@@ -102,7 +102,7 @@ def test_calls_frame_unrelated_permissions():
         method = rng.choice(("mov", "grab"))
         if method == "grab":
             # the callee trades in a predicate, so hold one for x too
-            st.preds[("P", (x,))] += 1
+            st.preds[("P", (x,))] = st.preds.get(("P", (x,)), 0) + 1
         out = ck.exec_stmt(st, call_stmt(method))
         assert no_errors(ck), (seed, [d.message for d in ck.diags])
         for st2 in out:
