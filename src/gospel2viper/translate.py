@@ -451,7 +451,12 @@ class _Tr:
 
     def _tr_let(self, e: LetIn, ctx: "_FnCtx") -> list[V.VStmt]:
         name = e.name if e.name == ctx.result else ctx.fresh(e.name)
-        typ = self.map_type(e.typ, e.span) if e.typ is not None else V.REF
+        # `_to_result` gives the allocation a function ends in the return
+        # type itself, which `_tr_fun` has mapped: mapping it again would
+        # report an unknown type twice
+        typ = V.REF
+        if e.typ is not None and e.typ is not ctx.ret:
+            typ = self.map_type(e.typ, e.span)
         rhs = e.rhs
         out: list[V.VStmt] = []
         if isinstance(rhs, RecordAlloc):
@@ -709,7 +714,7 @@ class _Tr:
             env[result] = V.Var(result)
         posts = [self.tr_assertion(a, env) for a in spec.ensures]
 
-        ctx = _FnCtx(env=env, result=result,
+        ctx = _FnCtx(env=env, result=result, ret=d.ret,
                      used=dict.fromkeys([n for n, _ in params + returns], 1))
         body = d.body if result is None else _to_result(d.body, result, d.ret)
         return V.MethodDecl(d.name, params, returns, pres, posts,
@@ -717,12 +722,13 @@ class _Tr:
 
 
 class _FnCtx(Record):
-    __slots__ = ("env", "result", "used")
+    __slots__ = ("env", "result", "ret", "used")
 
     def __init__(self, env: dict[str, V.VExpr], result: str | None,
-                 used: dict[str, int]):
+                 ret: SurfaceType | None, used: dict[str, int]):
         self.env = env
         self.result = result
+        self.ret = ret  # the function's return type, as written
         # every name taken in the method, and the lowest suffix that may
         # still be free after it; names are never released, so that never
         # goes down

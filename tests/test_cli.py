@@ -680,6 +680,31 @@ def test_final_value_in_any_shape_is_the_result(tmp_path, body, ret, post):
     assert (status, err) == (0, "")
 
 
+def test_an_unknown_return_type_is_reported_once(tmp_path):
+    # the allocation that ends the function mapped the return type again
+    # and reported it a second time, at the allocation
+    src = tmp_path / "unknown.ml"
+    src.write_text("type t = { mutable v : int }\n\n"
+                   "let f (c: t) : foo = { v = 1 }\n"
+                   "(*@ r = f c requires c ~> {v} ensures c ~> {v} *)\n",
+                   encoding="utf-8")
+    status, _, err = invoke(src, check=True)
+    assert (status, err) == (1, (
+        f"{src}:3:1: error[translation]: unknown type 'foo'\n"
+        f"{src}:3:22: error[translation]: allocation needs a declared "
+        f"record or variant type\n"))
+    # a let of the result that the source annotates reports its own type
+    src.write_text("type t = { mutable v : int }\n\n"
+                   "let f (c: t) : t =\n  let r : foo = { v = 1 } in\n  r\n"
+                   "(*@ r = f c requires c ~> {v} ensures c ~> {v} *)\n",
+                   encoding="utf-8")
+    status, _, err = invoke(src, check=True)
+    assert (status, err) == (1, (
+        f"{src}:4:3: error[translation]: unknown type 'foo'\n"
+        f"{src}:4:17: error[translation]: allocation needs a declared "
+        f"record or variant type\n"))
+
+
 @pytest.mark.parametrize("case", sorted(ANNOTATION_EDGES))
 def test_annotation_edge_case_gives_one_diagnostic(tmp_path, case):
     source, line = ANNOTATION_EDGES[case]

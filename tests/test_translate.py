@@ -127,6 +127,51 @@ def test_sequence_builtins():
     assert "v == Seq(3)" in text
 
 
+REC = "type t = { mutable v : int }\n"
+
+# (source, message, where the span starts, the text it covers)
+MISPLACED = {
+    "singleton-arity": (
+        "(*@ function one (x: int) : int sequence = singleton 1 2 *)\n",
+        "singleton takes one argument", "singleton 1 2", "singleton"),
+    "length-arity": (
+        "(*@ function n (s: int sequence) : int = length s s *)\n",
+        "length takes one argument", "length s s", "length"),
+    "predicate-as-term": (
+        REC + "(*@ predicate p (c: t) = c ~> {v} *)\nlet f (c: t) = ()\n"
+        "(*@ f c requires p c = true ensures true *)\n",
+        "predicate 'p' used in expression position; predicates must stand "
+        "as whole conjuncts", "p c = true", "p"),
+    "call-as-term": (
+        REC + "let g (c: t) : int = 1\n"
+        "(*@ r = g c requires true ensures true *)\n"
+        "let h (c: t) = c.v <- g c + 1\n"
+        "(*@ h c requires c ~> {v} ensures c ~> {v} *)\n",
+        "'g' is a program function; calls are statements, not expressions",
+        "g c + 1", "g"),
+    "unit-result": (
+        REC + "let f (c: t) : int = ()\n"
+        "(*@ r = f c requires true ensures true *)\n",
+        "unit value has no translation in this position", "()", "("),
+    "allocation-as-value": (
+        REC + "let h (c: t) = c.v <- { v = 1 }\n"
+        "(*@ h c requires c ~> {v} ensures c ~> {v} *)\n",
+        "allocation must be bound by a let", "{ v = 1 }", "{"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MISPLACED))
+def test_a_term_in_the_wrong_place_is_one_translation_error(case):
+    source, message, marker, covered = MISPLACED[case]
+    prog, diags = translate_source(source)
+    assert prog is None
+    assert [(d.severity, d.category, d.message) for d in diags] == [
+        (Severity.ERROR, Category.TRANSLATION, message)]
+    span = diags[0].span
+    assert span.start == source.index(marker)
+    assert source[span.start:span.end] == covered
+
+
 def test_spec_indexing_and_suffix():
     prog = tr("(*@ predicate p (v: int sequence) = "
               "v[0] = 1 && v[1 ..] = empty *)")
