@@ -305,6 +305,55 @@ def test_inputs_into_one_directory_create_it_once(tmp_path, monkeypatch):
     assert made == [gen]
 
 
+@pytest.mark.parametrize("newline", ["\r\n", "\r"], ids=["crlf", "cr"])
+def test_crlf_and_lone_cr_read_as_lf(tmp_path, corpus, newline):
+    # an input is read with universal newlines: the same line:col
+    # diagnostics and the same .vpr bytes as its LF original
+    text = (corpus / "queue.ml").read_bytes()
+    assert b"\r" not in text
+    seen = []
+    for name, nl in (("lf", "\n"), ("other", newline)):
+        (tmp_path / name).mkdir()
+        src = tmp_path / name / "queue.ml"
+        src.write_bytes(text.replace(b"\n", nl.encode()))
+        status, out, err = invoke(src, check=True)
+        vpr = (tmp_path / name / "queue.vpr").read_bytes()
+        where = str(tmp_path / name)
+        seen.append((status, out.replace(where, "*"),
+                     err.replace(where, "*"), vpr))
+    assert seen[0] == seen[1]
+    assert ":23:9: error[fold-mismatch]: " in seen[0][2]
+
+
+# (inputs, -o, the directories made first) -> the paths announced, as
+# str(Path(...)) gives them
+ANNOUNCED = [
+    (["./x.ml"], None, [], ["x.vpr"]),
+    (["a//x.ml"], None, ["a"], ["a/x.vpr"]),
+    (["./a/./x.ml"], None, ["a"], ["a/x.vpr"]),
+    (["x.ml"], "dir", ["dir"], ["dir/x.vpr"]),
+    (["./x.ml", "a//y.ml"], "dir", ["a", "dir"], ["dir/x.vpr", "dir/y.vpr"]),
+    (["x.ml"], "new/", [], ["new/x.vpr"]),
+    (["x.ml"], "./new//sub/", [], ["new/sub/x.vpr"]),
+    (["x.ml"], "out.vpr", [], ["out.vpr"]),
+    (["x.ml"], "./gen//out.vpr", [], ["gen/out.vpr"]),
+]
+
+
+@pytest.mark.parametrize("inputs, output, dirs, expected", ANNOUNCED)
+def test_announced_paths(tmp_path, monkeypatch, inputs, output, dirs,
+                         expected):
+    monkeypatch.chdir(tmp_path)
+    for d in dirs:
+        (tmp_path / d).mkdir()
+    for inp in inputs:
+        (tmp_path / inp).write_text(GOOD)
+    status, out, err = invoke(*inputs, output=output)
+    assert (status, err) == (0, "")
+    assert out.splitlines() == expected
+    assert all((tmp_path / p).is_file() for p in expected)
+
+
 def test_output_into_a_pipe(tmp_path):
     # /dev/stdout is a pipe here, which cannot be cut to length
     src = tmp_path / "good.ml"
