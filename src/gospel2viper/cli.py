@@ -3,17 +3,19 @@
 All file I/O lives here; the rest of the package is pure.  Output is
 deterministic: inputs are processed in argument order, diagnostics are
 sorted within each file, and written files are announced on stdout one
-path per line.
+path per line, as `pathlib` spells it (`./x.ml` gives `x.vpr`).  Paths
+are plain strings; files are read and written as UTF-8 bytes, and an
+input's CRLF and lone CR line ends read as LF.
 
 Each output is written in place: its file is opened without truncating
 it, the new text is written over the old bytes, and a regular file is
 then cut to the new length.  The write is not atomic, and truncating
 first would not be either: a crash mid-write can leave a torn `.vpr`,
-which the next run rewrites.  Each output directory is created once per
-run.  When an output is the very file that stdout or stderr writes to,
-as with `-o /dev/stdout`, the program goes through that stream, so that
-neither the diagnostics before it nor the announcement of the path after
-it are written over.
+which the next run rewrites.  An output directory is made only when a
+target cannot be opened for want of it.  When an output is the very file
+that stdout or stderr writes to, as with `-o /dev/stdout`, the program
+goes through that stream, so that neither the diagnostics before it nor
+the announcement of the path after it are written over.
 
 `run` pauses the cyclic garbage collector and restores the caller's
 setting when it returns or raises.  A run makes no reference cycles:
@@ -41,7 +43,7 @@ import sys
 from pathlib import Path
 from stat import S_ISREG
 
-from .diagnostics import Diagnostic, LineIndex, Record, has_errors, sort_key
+from .diagnostics import LineIndex, Record, has_errors, sort_key
 from .permcheck import check_program
 from .translate import translate_source
 from .viper_ast import pretty
@@ -66,31 +68,22 @@ class RunConfig(Record, uncompared=(), unshown=("stdout", "stderr")):
         self.stderr = stderr
 
 
-def _out_paths(config: RunConfig) -> list[Path]:
+def _out_paths(config: RunConfig) -> list[str]:
     """The output path of each input, in input order."""
     if config.output is None:
-        return [Path(inp).with_suffix(".vpr") for inp in config.inputs]
+        return [str(Path(inp).with_suffix(".vpr")) for inp in config.inputs]
     out = Path(config.output)
     if (len(config.inputs) > 1 or config.output.endswith(os.sep)
             or out.is_dir()):
-        return [out / (Path(inp).stem + ".vpr") for inp in config.inputs]
-    return [out] * len(config.inputs)
+        return [str(out / f"{Path(inp).stem}.vpr") for inp in config.inputs]
+    return [str(out)] * len(config.inputs)
 
 
-def _report(diags: list[Diagnostic], path: str, source: str | None,
-            err) -> None:
-    if not diags:
-        return
-    index = LineIndex(source) if source is not None else None
-    for d in sorted(diags, key=sort_key):
-        print(d.render(path, index), file=err)
-
-
-def _run_verifier(command: str, target: Path, err) -> None:
+def _run_verifier(command: str, target: str, err) -> None:
     import shlex
     import subprocess
 
-    argv = shlex.split(command) + [str(target)]
+    argv = shlex.split(command) + [target]
     try:
         proc = subprocess.run(argv, check=False)
     except OSError as exc:
@@ -101,7 +94,7 @@ def _run_verifier(command: str, target: Path, err) -> None:
           f"{proc.returncode} for {target}", file=err)
 
 
-def _target_is_an_input(targets: dict[Path, str],
+def _target_is_an_input(targets: dict[str, str],
                         inputs: list[str]) -> str | None:
     """Say which target is the same file as an input, if one is.  Files
     are compared by device and inode: a target that does not exist yet
@@ -135,7 +128,7 @@ def _file_id(stream) -> tuple[int, int] | None:
     return st.st_dev, st.st_ino
 
 
-def _overwrite(target: Path, text: str, streams: dict) -> None:
+def _overwrite(target: str, text: str, streams: dict) -> None:
     """Write `text` over the bytes of `target`, then cut it to length.
     Truncating first would free the file's blocks only to allocate them
     again.  Only a regular file is cut: a pipe, a terminal or /dev/null
@@ -143,15 +136,19 @@ def _overwrite(target: Path, text: str, streams: dict) -> None:
     behind one of `streams` (keyed by `_file_id`) is written through that
     stream: a second handle on the file would start at offset 0, over
     what the stream wrote before, and the stream would then write over
-    `text`."""
-    fd = os.open(target, os.O_WRONLY | os.O_CREAT, 0o666)
-    with open(fd, "w", encoding="utf-8") as fh:
+    `text`.  A missing directory of `target` is made."""
+    try:
+        fd = os.open(target, os.O_WRONLY | os.O_CREAT, 0o666)
+    except FileNotFoundError:
+        os.makedirs(os.path.dirname(target) or os.curdir, exist_ok=True)
+        fd = os.open(target, os.O_WRONLY | os.O_CREAT, 0o666)
+    with open(fd, "wb") as fh:
         st = os.fstat(fd)
         stream = streams.get((st.st_dev, st.st_ino))
         if stream is not None:
             stream.write(text)
             return
-        fh.write(text)
+        fh.write(text.encode("utf-8"))
         if S_ISREG(st.st_mode):
             fh.truncate()
 
@@ -162,7 +159,7 @@ def run(config: RunConfig) -> int:
     collecting = gc.isenabled()
     gc.disable()
     try:
-        targets: dict[Path, str] = {}  # output path -> its input
+        targets: dict[str, str] = {}  # output path -> its input
         for inp, target in zip(config.inputs, _out_paths(config)):
             if target in targets:
                 print(f"gospel2viper: error: {targets[target]} and {inp} "
@@ -174,26 +171,27 @@ def run(config: RunConfig) -> int:
             print(f"gospel2viper: error: {clash}", file=err)
             return 2
         streams = {_file_id(err): err, _file_id(out): out}
-        made: set[Path] = {Path("")}  # output directories known to exist
         any_errors = False
         for target, inp in targets.items():
             try:
-                source = Path(inp).read_text(encoding="utf-8")
+                with open(inp, "rb") as fh:
+                    source = fh.read().decode("utf-8")
             except (OSError, UnicodeDecodeError) as exc:
                 print(f"gospel2viper: error: cannot read {inp}: {exc}",
                       file=err)
                 return 2
+            source = source.replace("\r\n", "\n").replace("\r", "\n")
             program, diags = translate_source(source)
             if program is not None and config.check:
                 diags = diags + check_program(program, strict=config.strict)
-            _report(diags, inp, source, err)
-            any_errors = any_errors or has_errors(diags)
+            if diags:
+                index = LineIndex(source)
+                for d in sorted(diags, key=sort_key):
+                    print(d.render(inp, index), file=err)
+                any_errors = any_errors or has_errors(diags)
             if program is None:
                 continue
             try:
-                if target.parent not in made:
-                    target.parent.mkdir(parents=True, exist_ok=True)
-                    made.add(target.parent)
                 _overwrite(target, pretty(program), streams)
             except OSError as exc:
                 print(f"gospel2viper: error: cannot write {target}: {exc}",

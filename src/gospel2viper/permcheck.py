@@ -63,11 +63,15 @@ that hashes and compares by identity, in C.  A symbol is an `int`, its
 id, so it too hashes and compares in C.  Every checker draws its symbol
 ids from one counter, `_IDS`, so no two symbols of a process share an id:
 an equal key means the same children, and the term found under it is the
-term asked for, even one that outlived its method.  The table holds its
-terms by weak references whose callback removes the entry, so it keeps no
-term alive: a term leaves the table when nothing else refers to it.
-Every checker in the process shares the table and the counter, which
-take no lock: checkers run in one thread.
+term asked for, even one that outlived its method.  A check owns its
+terms, as a region owns what is allocated in it (Tofte and Talpin,
+"Region-Based Memory Management"): while `check_program` runs, `_TERMS`
+is a plain dict seeded with `TRUE` and `FALSE`, so a lookup is one probe
+and a term lives, with its cached fields, until the check ends; the
+table before it comes back when the check returns or raises.  Outside a
+check, `_TERMS` is a `weakref.WeakValueDictionary`, so a `Checker`
+driven directly keeps no term alive.  The table and the counter take no
+lock: checkers run in one thread.
 
 A value that K joins built is a term of K levels that shares its
 subterms; walked as a tree it has 2^K nodes.  So every walk over terms
@@ -159,41 +163,22 @@ class Sym(int, SymVal):
         return f"Sym(id={int(self)})"
 
 
-class _Ref(weakref.ref):
-    """An entry of `_TERMS`: a weak reference to a term and its key."""
-    __slots__ = ("key",)
-
-
-_TERMS: dict = {}  # {(class, fields...): _Ref(term)}
+_TERMS = weakref.WeakValueDictionary()  # {(class, fields...): term}
 _IDS = itertools.count()  # every symbol's id, unique in the process
 
 
-def _forget(ref: _Ref, terms: dict = _TERMS) -> None:
-    """Drop the entry of a term that died, unless a newer term already
-    took its key."""
-    if terms.get(ref.key) is ref:
-        del terms[ref.key]
-
-
-def _intern(t: SymVal, key: tuple) -> None:
-    ref = _Ref(t, _forget)
-    ref.key = key
-    _TERMS[key] = ref
-
-
 class Lit(SymVal):
-    """An int or bool literal.  1 and True are different literals: equal
-    terms must render alike."""
+    """An int or bool literal, hash-consed in `_TERMS`: the check's own
+    table, or the weak one outside a check.  1 and True are different
+    literals: equal terms must render alike."""
     __slots__ = ("value", "__weakref__")
 
     def __new__(cls, value):
         key = (cls, value, type(value))
-        ref = _TERMS.get(key)
-        t = None if ref is None else ref()
+        t = _TERMS.get(key)
         if t is None:
-            t = object.__new__(cls)
+            t = _TERMS[key] = object.__new__(cls)
             t.value = value
-            _intern(t, key)
         return t
 
     def __repr__(self) -> str:
@@ -201,18 +186,18 @@ class Lit(SymVal):
 
 
 class _Node(SymVal):
-    """A compound term `name(args)`; `sortkey` caches `_key`, whose first
-    element is the class's `rank`, and `syms` caches `_syms`."""
+    """A compound term `name(args)`, hash-consed in `_TERMS`: the check's
+    own table, or the weak one outside a check.  `sortkey` caches `_key`,
+    whose first element is the class's `rank`, and `syms` caches
+    `_syms`."""
     __slots__ = ("name", "args", "sortkey", "syms", "__weakref__")
 
     def __new__(cls, name: str, args: tuple = ()):
         key = (cls, name, args)
-        ref = _TERMS.get(key)
-        t = None if ref is None else ref()
+        t = _TERMS.get(key)
         if t is None:
-            t = object.__new__(cls)
+            t = _TERMS[key] = object.__new__(cls)
             t.name, t.args, t.sortkey, t.syms = name, args, None, None
-            _intern(t, key)
         return t
 
     def __repr__(self) -> str:
@@ -1395,8 +1380,14 @@ def _dedupe(diags: list[Diagnostic]) -> list[Diagnostic]:
 
 def check_program(program: V.ViperProgram,
                   strict: bool = False) -> list[Diagnostic]:
-    checker = Checker(program, strict=strict)
-    out: list[Diagnostic] = []
-    for m in program.methods().values():
-        out.extend(checker.check_method(m))
-    return out
+    global _TERMS
+    outer = _TERMS
+    _TERMS = {(Lit, True, bool): TRUE, (Lit, False, bool): FALSE}
+    try:
+        checker = Checker(program, strict=strict)
+        out: list[Diagnostic] = []
+        for m in program.methods().values():
+            out.extend(checker.check_method(m))
+        return out
+    finally:
+        _TERMS = outer

@@ -288,21 +288,37 @@ def test_rewrite_equals_a_fresh_write(tmp_path, corpus, before):
 
 
 def test_inputs_into_one_directory_create_it_once(tmp_path, monkeypatch):
+    # the directory is made when the first target cannot be opened for
+    # want of it, and a second run into it makes none
     made = []
-    mkdir = Path.mkdir
+    makedirs = os.makedirs
 
-    def counted(self, *args, **kw):
-        made.append(self)
-        return mkdir(self, *args, **kw)
-    monkeypatch.setattr(Path, "mkdir", counted)
+    def counted(name, *args, **kw):
+        made.append(name)
+        return makedirs(name, *args, **kw)
+    monkeypatch.setattr(os, "makedirs", counted)
     srcs = [tmp_path / f"{name}.ml" for name in "abc"]
     for src in srcs:
         src.write_text(GOOD)
     gen = tmp_path / "gen"
-    status, out, _ = invoke(*srcs, output=str(gen))
-    assert status == 0
-    assert out.splitlines() == [str(gen / f"{n}.vpr") for n in "abc"]
-    assert made == [gen]
+    for run_made in ([str(gen)], []):
+        made.clear()
+        status, out, _ = invoke(*srcs, output=str(gen))
+        assert status == 0
+        assert out.splitlines() == [str(gen / f"{n}.vpr") for n in "abc"]
+        assert made == run_made
+
+
+@pytest.mark.parametrize("under", ["plain", "plain/sub"])
+def test_target_under_a_regular_file_exits_two(tmp_path, under):
+    src = tmp_path / "good.ml"
+    src.write_text(GOOD)
+    (tmp_path / "plain").write_text("")
+    target = tmp_path / under / "good.vpr"
+    status, out, err = invoke(src, output=str(target))
+    assert (status, out) == (2, "")
+    assert err.startswith(f"gospel2viper: error: cannot write {target}: ")
+    assert len(err.splitlines()) == 1
 
 
 @pytest.mark.parametrize("newline", ["\r\n", "\r"], ids=["crlf", "cr"])
@@ -762,6 +778,43 @@ def test_annotation_edge_case_gives_one_diagnostic(tmp_path, case):
     status, _, err = invoke(src, check=True)
     assert status == 1
     assert err == f"{src}:{line}\n"
+
+
+# Where a declaration or an annotation may stand, each with the one parse
+# error it must give; no output is written
+CELL = "type t = { mutable v : int }\n"
+PLACEMENT_ERRORS = {
+    "contract before any function": (
+        "(*@ f c requires true *)\n" + CELL + "let f (c: t) = c.v <- 0\n",
+        "1:1: error[parse]: contract annotation has no preceding function"),
+    "constructor of two types": (
+        "type a = A | B\ntype b = C | A\n",
+        "2:14: error[parse]: constructor 'A' already declared by type 'a'"),
+    "two results": (
+        CELL + "let f (c: t) : int = c.v\n(*@ r, s = f c *)\n",
+        "3:1: error[parse]: multiple results are unsupported"),
+    "two contracts": (
+        CELL + "let f (c: t) = c.v <- 0\n(*@ f c requires true *)\n"
+        "(*@ f c ensures true *)\n",
+        "4:1: error[parse]: function 'f' already has a contract"),
+    "ghost parameter named as a parameter": (
+        CELL + "let f (c: t) = c.v <- 0\n(*@ f c [c: int] requires true *)\n",
+        "3:1: error[parse]: ghost parameter 'c' shadows a parameter"),
+    "ghost command between declarations": (
+        CELL + "(*@ unfold p c *)\nlet f (c: t) = c.v <- 0\n",
+        "2:1: error[parse]: ghost command outside a function body"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PLACEMENT_ERRORS))
+def test_misplaced_declaration_gives_one_parse_error(tmp_path, case):
+    source, line = PLACEMENT_ERRORS[case]
+    src = tmp_path / "placed.ml"
+    src.write_text(source, encoding="utf-8")
+    status, out, err = invoke(src, check=True)
+    assert (status, out) == (1, "")
+    assert err == f"{src}:{line}\n"
+    assert not (tmp_path / "placed.vpr").exists()
 
 
 NESTED = """\

@@ -7,6 +7,7 @@ import random
 import sys
 import time
 import tracemalloc
+import weakref
 from collections import Counter
 from pathlib import Path
 
@@ -358,21 +359,22 @@ def test_symbol_sets_match_a_walk(t):
 
 
 def test_symbol_sets_match_a_walk_on_every_corpus_term(monkeypatch):
-    # every term the checker interns while it checks the corpus, kept
-    # alive here, and each symbol set taken after the checks
-    built = []
-    intern = permcheck._intern
+    # every term of each check's own table, kept alive here, and each
+    # symbol set taken after the checks
+    tables = []
+    check_method = Checker.check_method
 
-    def kept(t, key):
-        built.append(t)
-        intern(t, key)
+    def kept(self, m):
+        tables.append(permcheck._TERMS)
+        return check_method(self, m)
 
-    monkeypatch.setattr(permcheck, "_intern", kept)
+    monkeypatch.setattr(Checker, "check_method", kept)
     for path in sorted(CORPUS.glob("*.ml")):
         program = translate_source(path.read_text(encoding="utf-8"))[0]
         if program is not None:
             check_program(program)
-    nodes = [t for t in built if isinstance(t, _Node)]
+    nodes = {id(t): t for table in tables for t in table.values()
+             if isinstance(t, _Node)}.values()
     assert len(nodes) > 50
     assert any(t.syms is not None for t in nodes)  # bindings probed some
     for t in nodes:
@@ -1408,6 +1410,38 @@ def test_equal_terms_are_one_object(ck):
     # 1 == True, but they render differently
     assert Lit(1) is not Lit(True) and Lit(0) is not FALSE
     assert App("f", (x,)) is not Ctor("f", (x,))
+
+
+@pytest.mark.parametrize("raises", [False, True], ids=["returns", "raises"])
+def test_a_check_owns_its_term_table(monkeypatch, raises):
+    # inside a check, a plain table seeded with the two booleans; after
+    # it, the process's weak table again, and the check's terms are gone
+    outer = permcheck._TERMS
+    assert isinstance(outer, weakref.WeakValueDictionary)
+    seen = []
+    check_method = Checker.check_method
+
+    def probed(self, m):
+        x = self.fresh("x")
+        seen.append((type(permcheck._TERMS), App("f", (x,)) is App("f", (x,)),
+                     Lit(True) is TRUE, Lit(False) is FALSE,
+                     weakref.ref(App("g", (x, Lit(1))))))
+        if raises:
+            raise RuntimeError("mid-check")
+        return check_method(self, m)
+
+    monkeypatch.setattr(Checker, "check_method", probed)
+    program = translate_source(
+        (CORPUS / "foo_fixed.ml").read_text(encoding="utf-8"))[0]
+    if raises:
+        with pytest.raises(RuntimeError):
+            check_program(program)
+    else:
+        check_program(program)
+    gc.collect()
+    assert permcheck._TERMS is outer
+    assert seen and all(s[:4] == (dict, True, True, True) for s in seen)
+    assert all(s[4]() is None for s in seen)
 
 
 def test_the_term_table_keeps_no_term_of_a_finished_check():
