@@ -817,6 +817,107 @@ def test_misplaced_declaration_gives_one_parse_error(tmp_path, case):
     assert not (tmp_path / "placed.vpr").exists()
 
 
+# Translator diagnostics, each with the exit status and the lines it gives
+CELLS = "type cell = Nil | Cons of { mutable v : int }\n"
+TREES = "type tree = Leaf | Node of { mutable w : int }\n"
+TRANSLATOR_DIAGNOSTICS = {
+    "field redeclared at a different type": (
+        "type a = { mutable f : int }\ntype b = { mutable f : bool }\n", 1,
+        ["2:20: error[translation]: field 'f' redeclared at a different "
+         "type"]),
+    "payload constructor used bare": (
+        CELLS + "(*@ predicate p (x: cell) = x = Cons *)\n", 1,
+        ["2:33: error[translation]: constructor 'Cons' carries a payload "
+         "and cannot appear bare"]),
+    "unknown field in an ownership": (
+        CELL + "(*@ predicate p (x: t) = x ~> {w} *)\n", 1,
+        ["2:26: error[translation]: unknown field 'w'"]),
+    "unknown constructor in an assertion let": (
+        CELLS + "(*@ predicate p (x: cell) = let Node y = x in true *)\n", 1,
+        ["2:29: error[translation]: unknown constructor 'Node'"]),
+    "nullary constructor in an assertion let": (
+        CELLS + "(*@ predicate p (x: cell) = let Nil y = x in true *)\n", 1,
+        ["2:29: error[translation]: constructor 'Nil' has no payload to "
+         "bind"]),
+    "allocation as a statement": (
+        CELL + "let f (c: t) =\n  { v = 1 }\n(*@ f c *)\n", 1,
+        ["3:3: error[translation]: allocation must be bound by a let"]),
+    "length as a statement": (
+        "let f (s: int sequence) =\n  length s\n(*@ f s *)\n", 1,
+        ["2:3: error[translation]: 'length' is not a function that can be "
+         "called as a statement"]),
+    "constructor on a record allocation": (
+        CELL + "let f (c: t) : t =\n  let r : t = C { v = 1 } in\n  r\n"
+        "(*@ r = f c ensures r ~> {v} *)\n", 0,
+        ["3:15: warning[translation]: constructor 'C' is redundant on a "
+         "record allocation"]),
+    "wrong constructor for a variant": (
+        CELLS + TREES + "let f (x: cell) : cell =\n"
+        "  let r : cell = Node { w = 1 } in\n  r\n(*@ r = f x *)\n", 1,
+        ["4:18: error[translation]: constructor 'Node' does not build a "
+         "'cell' payload"]),
+    "field of another type": (
+        CELL + "type u = { mutable w : int }\nlet f (c: t) : t =\n"
+        "  let r : t = { v = 1; w = 2 } in\n  r\n(*@ r = f c *)\n", 1,
+        ["4:15: error[translation]: 'w' is not a field of this type"]),
+    "field initialized twice": (
+        CELL + "let f (c: t) : t =\n  let r : t = { v = 1; v = 2 } in\n"
+        "  r\n(*@ r = f c *)\n", 1,
+        ["3:15: error[translation]: field 'v' initialized twice"]),
+    "field left uninitialized": (
+        "type t = { mutable v : int; mutable w : int }\n"
+        "let f (c: t) : t =\n  let r : t = { v = 1 } in\n  r\n"
+        "(*@ r = f c ensures r ~> {v; w} *)\n", 0,
+        ["3:15: warning[translation]: field 'w' left uninitialized"]),
+    "match arms of two types": (
+        CELLS + TREES + "let f (x: cell) =\n  match x with\n"
+        "  | Nil -> ()\n  | Leaf -> ()\n(*@ f x *)\n", 1,
+        ["4:3: error[translation]: match arms mix constructors of different "
+         "types"]),
+    "binder on a nullary arm": (
+        CELLS + "let f (x: cell) =\n  match x with\n  | Nil y -> ()\n"
+        "  | Cons z -> ()\n(*@ f x *)\n", 1,
+        ["4:5: error[translation]: constructor 'Nil' has no payload to "
+         "bind"]),
+    "function and logical function of one name": (
+        "(*@ function g (x: int) : int = x *)\n"
+        "let g (x: int) =\n  ()\n(*@ g x *)\n", 1,
+        ["1:1: error[translation]: logical function 'g' collides with "
+         "function of the same name in the output"]),
+    "constructor named as its variant type": (
+        "type c = N | C of { mutable v : int }\n", 1,
+        ["0:0: error[translation]: constructor 'C' collides with type 'c' "
+         "of the same name in the output"]),
+    "predicate named as a variant type": (
+        CELLS + "(*@ predicate cell (x: int) = x = 0 *)\n", 1,
+        ["2:1: error[translation]: predicate 'cell' 'Cell' collides with "
+         "type 'cell' of the same name in the output"]),
+    "field named as a constructor test": (
+        "type cell = Nil | Cons of { mutable isNil : int }\n", 1,
+        ["0:0: error[translation]: field 'isNil' clashes with the "
+         "constructor test of 'Nil'"]),
+    "result without a return type": (
+        CELL + "let f (c: t) =\n  c.v <- 0\n(*@ r = f c *)\n", 1,
+        ["4:1: error[translation]: contract for 'f' names result 'r' but "
+         "the function has no return type"]),
+    "return type without a result": (
+        CELL + "let f (c: t) : int =\n  c.v\n(*@ f c *)\n", 1,
+        ["3:3: warning[translation]: statement has no effect",
+         "4:1: error[translation]: 'f' returns a value but its contract "
+         "names no result"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TRANSLATOR_DIAGNOSTICS))
+def test_translator_diagnostic_is_pinned(tmp_path, case):
+    source, expected, lines = TRANSLATOR_DIAGNOSTICS[case]
+    src = tmp_path / "diag.ml"
+    src.write_text(source, encoding="utf-8")
+    status, _, err = invoke(src, check=True)
+    assert (status, err) == (expected,
+                             "".join(f"{src}:{line}\n" for line in lines))
+
+
 NESTED = """\
 type t = {{ mutable v : int }}
 type u = A | B
