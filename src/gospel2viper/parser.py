@@ -28,9 +28,11 @@ annotation is a parse diagnostic.  Sequence indexing and slicing only
 exist in spec mode; in program mode a bracket group after a call denotes
 ghost arguments.
 
-After the parse, `_validate` checks the declared names and resolves the
-target of each ghost command, which the module parser lists as it places
-the command in its block: no second walk over the bodies looks for them.
+The parser checks syntax and where each annotation stands, and nothing
+about names: the translator resolves and checks every name.  The module
+it returns lists the ghost commands of the function bodies, as the parser
+placed them in their blocks, so no second walk over the bodies looks for
+them.
 """
 
 from __future__ import annotations
@@ -508,7 +510,7 @@ class _ModuleParser(_P):
         super().__init__(tokens, spec=False)
         self.diags: list[Diagnostic] = []
         self.payloads: dict[int, tuple] = {}
-        # every ghost command placed in a block, for _validate
+        # every ghost command placed in a block, for the translator
         self.ghosts: list[GhostCommand] = []
 
     def _annotation(self) -> tuple[AnnotationPayload | None, list[Diagnostic]]:
@@ -701,7 +703,7 @@ class _ModuleParser(_P):
             else:
                 self.fail("expected a declaration, found "
                           f"{self.texts[self.pos]!r}")
-        return SurfaceModule(decls)
+        return SurfaceModule(decls, self.ghosts)
 
     def _place_annotation(self, payload: AnnotationPayload,
                           decls: list[SurfaceDecl]) -> None:
@@ -804,130 +806,12 @@ class _ModuleParser(_P):
         return FunDecl(name, params, ret, body, span=self.toks.span(start))
 
 
-# --------------------------------------------------------------------------
-# post-parse resolution and validation
-
-def _decap(name: str) -> str:
-    return name[:1].lower() + name[1:]
-
-
-def resolve_spec_name(name: str, table: dict) -> str | None:
-    """Spec listings mix `cellSeg_trans` and `CellSeg_trans`; accept both."""
-    if name in table:
-        return name
-    if _decap(name) in table:
-        return _decap(name)
-    return None
-
-
-def _validate(m: SurfaceModule, ghosts: list[GhostCommand],
-              diags: list[Diagnostic]) -> None:
-    """Check the names `m` declares and uses, and resolve the target of
-    each of the ghost commands of its function bodies, `ghosts`."""
-    preds = m.predicates()
-    lemmas = m.lemmas()
-
-    seen: dict[tuple[str, str], Span | None] = {}
-
-    def unique(namespace: str, name: str, span: Span | None) -> None:
-        key = (namespace, name)
-        if key in seen:
-            diags.append(error(Category.PARSE,
-                               f"duplicate {namespace} name '{name}'", span))
-        seen[key] = span
-
-    def distinct(params: list[tuple[str, SurfaceType]],
-                 span: Span | None) -> None:
-        names: set[str] = set()
-        for name, _ in params:
-            if name in names:
-                diags.append(error(
-                    Category.PARSE, f"duplicate parameter name '{name}'",
-                    span))
-            names.add(name)
-
-    ctor_owner: dict[str, str] = {}
-    for d in m.decls:
-        if isinstance(d, TypeDecl):
-            unique("type", d.name, d.span)
-            if isinstance(d.kind, VariantKind):
-                for c in d.kind.ctors:
-                    if c.name in ctor_owner:
-                        diags.append(error(
-                            Category.PARSE,
-                            f"constructor '{c.name}' already declared by "
-                            f"type '{ctor_owner[c.name]}'", c.span))
-                    ctor_owner[c.name] = d.name
-        elif isinstance(d, FunDecl):
-            unique("function", d.name, d.span)
-            distinct(d.params, d.span)
-        else:
-            kind = {PredicateDef: "predicate", LemmaDef: "lemma",
-                    LogicalFunctionDef: "logical function"}[type(d)]
-            unique(kind, d.name, d.span)
-            distinct(d.params, d.span)
-
-    for d in m.decls:
-        spec = d.spec if isinstance(d, FunDecl) else None
-        if spec is None:
-            continue
-        declared = {n for n, _ in d.params}
-        if set(spec.param_names) != declared:
-            diags.append(error(
-                Category.PARSE,
-                f"contract for '{d.name}' names parameters "
-                f"{sorted(spec.param_names)} but the function declares "
-                f"{sorted(declared)}", spec.span))
-        if spec.fn_name != d.name:
-            diags.append(error(
-                Category.PARSE,
-                f"contract names '{spec.fn_name}' but follows "
-                f"'{d.name}'", spec.span))
-        if len(spec.results) > 1:
-            diags.append(error(Category.PARSE,
-                               "multiple results are unsupported",
-                               spec.span))
-        for g, _ in spec.ghost_params:
-            if g in declared:
-                diags.append(error(
-                    Category.PARSE,
-                    f"ghost parameter '{g}' shadows a parameter",
-                    spec.span))
-
-    for cmd in ghosts:
-        if cmd.kind in (GhostKind.FOLD, GhostKind.UNFOLD):
-            resolved = resolve_spec_name(cmd.target, preds)
-            if resolved is None:
-                diags.append(error(
-                    Category.PARSE,
-                    f"{cmd.kind.value} target '{cmd.target}' is not a "
-                    f"declared predicate", cmd.span))
-                continue
-            arity = len(preds[resolved].params)
-        else:
-            resolved = resolve_spec_name(cmd.target, lemmas)
-            if resolved is None:
-                diags.append(error(
-                    Category.PARSE,
-                    f"apply target '{cmd.target}' is not a declared "
-                    f"lemma", cmd.span))
-                continue
-            arity = len(lemmas[resolved].params)
-        cmd.target = resolved
-        if len(cmd.args) != arity:
-            diags.append(error(
-                Category.PARSE,
-                f"'{cmd.target}' takes {arity} arguments, "
-                f"got {len(cmd.args)}", cmd.span))
-
-
 def parse_module(tokens: Tokens) -> tuple[SurfaceModule | None, list[Diagnostic]]:
     p = _ModuleParser(tokens)
     try:
         module = p.parse_module()
     except ParseError as e:
         return None, p.diags + [e.diag]
-    _validate(module, p.ghosts, p.diags)
     if has_errors(p.diags):
         return None, p.diags
     return module, p.diags

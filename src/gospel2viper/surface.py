@@ -443,24 +443,11 @@ SurfaceDecl = (TypeDecl | FunDecl | PredicateDef | LogicalFunctionDef
                | LemmaDef)
 
 
-class SurfaceModule(Record):
-    __slots__ = ("decls",)
+class SurfaceModule(Record, uncompared=("ghosts",)):
+    __slots__ = ("decls", "ghosts")
 
-    def __init__(self, decls: list[SurfaceDecl]):
+    def __init__(self, decls: list[SurfaceDecl], ghosts: list[GhostCommand]):
         self.decls = decls
-
-    def predicates(self) -> dict[str, PredicateDef]:
-        return {d.name: d for d in self.decls if isinstance(d, PredicateDef)}
-
-    def lemmas(self) -> dict[str, LemmaDef]:
-        return {d.name: d for d in self.decls if isinstance(d, LemmaDef)}
-
-    def logical_functions(self) -> dict[str, LogicalFunctionDef]:
-        return {d.name: d for d in self.decls
-                if isinstance(d, LogicalFunctionDef)}
-
-    def functions(self) -> dict[str, FunDecl]:
-        return {d.name: d for d in self.decls if isinstance(d, FunDecl)}
-
-    def types(self) -> dict[str, TypeDecl]:
-        return {d.name: d for d in self.decls if isinstance(d, TypeDecl)}
+        # the ghost commands of the function bodies, in source order; they
+        # are compared as part of the bodies
+        self.ghosts = ghosts

@@ -28,6 +28,16 @@ functions once, and only when referenced and not defined by the module.
 Translation is total: it accumulates diagnostics and returns
 (None, diags) when any is an error, never raising.
 
+The translator owns the module's declaration table: `_Tr.declare` fills
+one dict per namespace in one pass over the declarations, and resolves the
+target of each ghost command, which the parser lists.  The checks that
+need no body report `error[parse]`: a duplicate name or parameter, a
+constructor of two types, a contract that does not match its function,
+and a ghost command whose target is undeclared or gets the wrong number
+of arguments.  They run before any body is translated, and when one
+fails, translation stops with those errors alone: a body would only add
+unknown functions and unbound names that repeat them.
+
 Each walk looks up the handler for a node's class in one table, as the
 checker's `eval` does: `tr_expr` in `_Tr._EXPR`, `tr_stmts` in
 `_Tr._STMTS` and `tr_assertion` in `_Tr._ASSERTION`.  A class missing
@@ -86,54 +96,126 @@ class _CtorInfo(Record):
         self.payload = payload
 
 
+def resolve_spec_name(name: str, table: dict) -> str | None:
+    """Spec listings mix `cellSeg_trans` and `CellSeg_trans`; accept both."""
+    for candidate in (name, name[:1].lower() + name[1:]):
+        if candidate in table:
+            return candidate
+    return None
+
+
 class _Tr:
     def __init__(self, module: SurfaceModule):
         self.module = module
         self.diags: list[Diagnostic] = []
         self.prelude_used: set[str] = set()
 
+        # the declaration table, one dict per namespace, filled by `declare`
         self.types: dict[str, TypeDecl] = {}
         self.ctors: dict[str, _CtorInfo] = {}
-        self.fields: dict[str, SurfaceType] = {}
-        self.preds = module.predicates()
-        self.lemmas = module.lemmas()
-        self.logical = module.logical_functions()
-        self.funs = module.functions()
+        self.fields: dict[str, FieldDef] = {}  # each name's first declaration
+        self.funs: dict[str, FunDecl] = {}
+        self.preds: dict[str, PredicateDef] = {}
+        self.lemmas: dict[str, LemmaDef] = {}
+        self.logical: dict[str, LogicalFunctionDef] = {}
         # [binder, scrutinee path, state] of each arm being translated
         # whose scrutinee is a path: _CLEAN until the arm writes that path
         # or a prefix of it, then _STALE until a use of the binder is found
         self.binders: list[list] = []
 
-    def err(self, message: str, span: Span | None) -> None:
-        self.diags.append(error(Category.TRANSLATION, message, span))
+    def err(self, message: str, span: Span | None,
+            category: Category = Category.TRANSLATION) -> None:
+        self.diags.append(error(category, message, span))
 
     def warn(self, message: str, span: Span | None) -> None:
         self.diags.append(warning(Category.TRANSLATION, message, span))
 
-    # -- types ----------------------------------------------------------
+    # -- the declaration table ------------------------------------------
 
-    def collect_types(self) -> None:
+    def declare(self) -> None:
+        """Fill the declaration table in one pass over the module, then
+        resolve the target of each ghost command.  A name already in its
+        namespace's table is a duplicate.  The checks on names that need
+        no body report `error[parse]`."""
+        namespaces = {TypeDecl: ("type", self.types),
+                      FunDecl: ("function", self.funs),
+                      PredicateDef: ("predicate", self.preds),
+                      LemmaDef: ("lemma", self.lemmas),
+                      LogicalFunctionDef: ("logical function", self.logical)}
         for d in self.module.decls:
-            if not isinstance(d, TypeDecl):
+            namespace, table = namespaces[type(d)]
+            if d.name in table:
+                self.err(f"duplicate {namespace} name '{d.name}'", d.span,
+                         Category.PARSE)
+            table[d.name] = d
+            if isinstance(d, TypeDecl):
+                self._declare_type(d)
                 continue
-            self.types[d.name] = d
-            if isinstance(d.kind, VariantKind):
-                for c in d.kind.ctors:
-                    proj = d.name if c.payload else None
-                    self.ctors[c.name] = _CtorInfo(c.name, d.name, proj,
-                                                   c.payload)
-                    self._add_fields(c.payload)
-            else:
-                self._add_fields(d.kind.fields)
+            names: set[str] = set()
+            for name, _ in d.params:
+                if name in names:
+                    self.err(f"duplicate parameter name '{name}'", d.span,
+                             Category.PARSE)
+                names.add(name)
+            if isinstance(d, FunDecl) and d.spec is not None:
+                self._check_contract(d, d.spec, names)
+        for cmd in self.module.ghosts:
+            self._resolve(cmd)
 
-    def _add_fields(self, defs: list[FieldDef]) -> None:
+    def _declare_type(self, d: TypeDecl) -> None:
+        if isinstance(d.kind, RecordKind):
+            self._declare_fields(d.kind.fields)
+            return
+        for c in d.kind.ctors:
+            if c.name in self.ctors:
+                self.err(f"constructor '{c.name}' already declared by type "
+                         f"'{self.ctors[c.name].type_name}'", c.span,
+                         Category.PARSE)
+            proj = d.name if c.payload else None
+            self.ctors[c.name] = _CtorInfo(c.name, d.name, proj, c.payload)
+            self._declare_fields(c.payload)
+
+    def _declare_fields(self, defs: list[FieldDef]) -> None:
         for f in defs:
-            if f.name in self.fields:
-                if self.fields[f.name] != f.typ:
-                    self.err(f"field '{f.name}' redeclared at a different "
-                             f"type", f.span)
-                continue
-            self.fields[f.name] = f.typ
+            first = self.fields.setdefault(f.name, f)
+            if first.typ != f.typ:
+                self.err(f"field '{f.name}' redeclared at a different "
+                         f"type", f.span)
+
+    def _check_contract(self, d: FunDecl, spec: ContractSpec,
+                        declared: set[str]) -> None:
+        if set(spec.param_names) != declared:
+            self.err(f"contract for '{d.name}' names parameters "
+                     f"{sorted(spec.param_names)} but the function declares "
+                     f"{sorted(declared)}", spec.span, Category.PARSE)
+        if spec.fn_name != d.name:
+            self.err(f"contract names '{spec.fn_name}' but follows "
+                     f"'{d.name}'", spec.span, Category.PARSE)
+        if len(spec.results) > 1:
+            self.err("multiple results are unsupported", spec.span,
+                     Category.PARSE)
+        for g, _ in spec.ghost_params:
+            if g in declared:
+                self.err(f"ghost parameter '{g}' shadows a parameter",
+                         spec.span, Category.PARSE)
+
+    def _resolve(self, cmd: GhostCommand) -> None:
+        """Point `cmd` at the predicate it folds or unfolds, or the lemma
+        it applies, and check its arity."""
+        table, what = ((self.lemmas, "lemma") if cmd.kind is GhostKind.APPLY
+                       else (self.preds, "predicate"))
+        resolved = resolve_spec_name(cmd.target, table)
+        if resolved is None:
+            self.err(f"{cmd.kind.value} target '{cmd.target}' is not a "
+                     f"declared {what}", cmd.span, Category.PARSE)
+            return
+        cmd.target = resolved
+        arity = len(table[resolved].params)
+        if len(cmd.args) != arity:
+            self.err(f"'{resolved}' takes {arity} arguments, "
+                     f"got {len(cmd.args)}", cmd.span, Category.PARSE)
+
+    # -- types ----------------------------------------------------------
 
     def map_type(self, t: SurfaceType, span: Span | None) -> V.VType:
         if isinstance(t, IntT):
@@ -590,7 +672,14 @@ class _Tr:
     # -- declarations ---------------------------------------------------------------
 
     def run(self) -> V.ViperProgram | None:
-        self.collect_types()
+        self.declare()
+        # a module whose names do not resolve is reported by those errors
+        # alone, before any body is translated: a body would add errors
+        # that only repeat them
+        named = [d for d in self.diags if d.category is Category.PARSE]
+        if named:
+            self.diags = named
+            return None
         self._check_names()
 
         adts: list[V.VDecl] = []
@@ -612,8 +701,8 @@ class _Tr:
             elif isinstance(d, FunDecl):
                 methods.append(self._tr_fun(d))
 
-        for fname, ftyp in self.fields.items():
-            fields.append(V.FieldDecl(fname, self.map_type(ftyp, None)))
+        for fname, fdef in self.fields.items():
+            fields.append(V.FieldDecl(fname, self.map_type(fdef.typ, None)))
 
         if has_errors(self.diags):
             return None

@@ -800,6 +800,14 @@ PLACEMENT_ERRORS = {
     "ghost parameter named as a parameter": (
         CELL + "let f (c: t) = c.v <- 0\n(*@ f c [c: int] requires true *)\n",
         "3:1: error[parse]: ghost parameter 'c' shadows a parameter"),
+    "contract of another function": (
+        CELL + "let f (c: t) = c.v <- 0\n(*@ g c requires true *)\n",
+        "3:1: error[parse]: contract names 'g' but follows 'f'"),
+    # the translator stops before the contract, whose `d` is unbound
+    "contract naming another parameter": (
+        CELL + "let f (c: t) = c.v <- 0\n(*@ f d requires d ~> {v} *)\n",
+        "3:1: error[parse]: contract for 'f' names parameters ['d'] but the "
+        "function declares ['c']"),
     "ghost command between declarations": (
         CELL + "(*@ unfold p c *)\nlet f (c: t) = c.v <- 0\n",
         "2:1: error[parse]: ghost command outside a function body"),

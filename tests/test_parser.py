@@ -1,12 +1,13 @@
-"""Surface parser tests: declarations, annotations, and the validation
-pass that resolves specification names against the program."""
+"""Surface parser tests: declarations, annotations, and where each
+annotation may stand.  The names they declare and use are resolved by the
+translator, whose checks are tested here through `translate_source`."""
 
 import dataclasses
 import sys
 from pathlib import Path
 
 from gospel2viper import parser
-from gospel2viper.diagnostics import Record, Span
+from gospel2viper.diagnostics import Record, Severity, Span
 from gospel2viper.lexer import KEYWORDS, PUNCT, SPEC_KEYWORDS, T, lex
 from gospel2viper.parser import _BINOPS, parse_module, parse_source
 from gospel2viper.surface import (AppE, AssignE, BinE, BoolLit, BoolT, CtorE,
@@ -15,6 +16,7 @@ from gospel2viper.surface import (AppE, AssignE, BinE, BoolLit, BoolT, CtorE,
                                   MatchE, NamedT, OwnsA, PureA, RecordAlloc,
                                   SeqE, SepA, SliceFromE, UnE, VarE)
 from gospel2viper.translate import translate_source
+from gospel2viper.viper_ast import CallS, Var
 
 import pytest
 
@@ -33,19 +35,29 @@ def errors(source):
     return [d.message for d in diags]
 
 
+def translation_errors(source):
+    _, diags = translate_source(source)
+    return [d.message for d in diags if d.severity is Severity.ERROR]
+
+
+def decl(module, name):
+    """The declaration of `name` in `module`."""
+    return next(d for d in module.decls if d.name == name)
+
+
 # -- type declarations -------------------------------------------------------
 
 
 def test_record_type():
     m = ok("type t = { mutable a : int; b : bool }")
-    t = m.types()["t"]
+    t = decl(m, "t")
     names = [(f.name, f.mutable) for f in t.kind.fields]
     assert names == [("a", True), ("b", False)]
 
 
 def test_variant_type_with_payload():
     m = ok("type cell = Nil | Cons of { mutable content : int }")
-    ctors = m.types()["cell"].kind.ctors
+    ctors = decl(m, "cell").kind.ctors
     assert [c.name for c in ctors] == ["Nil", "Cons"]
     assert ctors[0].payload == []
     assert ctors[1].payload[0].name == "content"
@@ -60,14 +72,14 @@ def test_type_name_must_be_lowercase():
 
 def test_fun_decl_with_params_and_result():
     m = ok("let f (x: int) (y: bool) : int = x")
-    f = m.functions()["f"]
+    f = decl(m, "f")
     assert [n for n, _ in f.params] == ["x", "y"]
     assert f.ret is not None
 
 
 def test_unit_param_is_skipped():
     m = ok("let f () : int = 0")
-    assert m.functions()["f"].params == []
+    assert decl(m, "f").params == []
 
 
 def test_let_without_type_annotation_is_rejected():
@@ -77,7 +89,7 @@ def test_let_without_type_annotation_is_rejected():
 
 def test_field_assignment():
     m = ok("let f (q: int) = q.a <- 1")
-    body = m.functions()["f"].body
+    body = decl(m, "f").body
     assert isinstance(body, AssignE)
     assert isinstance(body.target, FieldE)
 
@@ -88,7 +100,7 @@ def test_assignment_needs_field_target():
 
 def test_match_arms_and_binders():
     m = ok("let f (c: int) = match c with | Nil -> 0 | Cons x -> 1")
-    body = m.functions()["f"].body
+    body = decl(m, "f").body
     assert isinstance(body, MatchE)
     assert [(a.ctor, a.binder) for a in body.arms] == [
         ("Nil", None), ("Cons", "x")]
@@ -96,7 +108,7 @@ def test_match_arms_and_binders():
 
 def test_statement_sequence_with_semicolons():
     m = ok("let f (q: int) = q.a <- 1; q.b <- 2; 0")
-    body = m.functions()["f"].body
+    body = decl(m, "f").body
     assert isinstance(body, SeqE)
     assert len(body.items) == 3
 
@@ -104,7 +116,7 @@ def test_statement_sequence_with_semicolons():
 def test_parenthesized_sequence_keeps_tail():
     # the closing paren ends the inner sequence, the tail binds outside
     m = ok("let f (q: int) = (q.a <- 1; q.b <- 2); q.a <- 3")
-    body = m.functions()["f"].body
+    body = decl(m, "f").body
     assert isinstance(body, SeqE)
     assert isinstance(body.items[0], SeqE)
     assert isinstance(body.items[1], AssignE)
@@ -112,7 +124,7 @@ def test_parenthesized_sequence_keeps_tail():
 
 def test_record_allocation_with_ctor_prefix():
     m = ok("let f () = let c : cell = Cons { content = 1; next = Nil } in c")
-    body = m.functions()["f"].body
+    body = decl(m, "f").body
     assert isinstance(body, SeqE)
     let = body.items[0]
     assert isinstance(let, LetIn)
@@ -123,7 +135,7 @@ def test_record_allocation_with_ctor_prefix():
 
 def test_bare_record_allocation():
     m = ok("let f () = let q : queue = { length = 0 } in q")
-    assert m.functions()["f"].body.items[0].rhs.ctor is None
+    assert decl(m, "f").body.items[0].rhs.ctor is None
 
 
 # -- annotations ---------------------------------------------------------------
@@ -140,7 +152,7 @@ type cell = Nil | Cons of { mutable content : int; mutable next : cell }
 
 def test_predicate_definition_shape():
     m = ok(PRED)
-    p = m.predicates()["seg"]
+    p = decl(m, "seg")
     assert [n for n, _ in p.params] == ["from", "v", "to"]
     body = p.body
     assert isinstance(body, IfA)
@@ -157,7 +169,7 @@ def test_contract_attaches_to_preceding_function():
 let f (q: int) = q
 (*@ f q requires q = 0 ensures q = 0 *)
 """)
-    spec = m.functions()["f"].spec
+    spec = decl(m, "f").spec
     assert spec is not None
     assert spec.param_names == ["q"]
     assert len(spec.requires) == len(spec.ensures) == 1
@@ -165,11 +177,11 @@ let f (q: int) = q
 
 def test_contract_params_compared_as_a_set():
     # declaration order (q) (x), spec order x q: still the same set
-    ok("""
+    assert translation_errors("""
 let add (q: int) (x: int) = q
 (*@ add x q requires q = 0 ensures q = 0 *)
-""")
-    msgs = errors("""
+""") == []
+    msgs = translation_errors("""
 let add (q: int) (x: int) = q
 (*@ add x y requires q = 0 ensures q = 0 *)
 """)
@@ -181,13 +193,13 @@ def test_contract_with_result_and_ghosts():
 let create () : int = 0
 (*@ r = create () ensures r = 0 *)
 """)
-    spec = m.functions()["create"].spec
+    spec = decl(m, "create").spec
     assert spec.results == ["r"]
     m = ok("""
 let add (q: int) (x: int) = q
 (*@ add q x [v: int sequence] requires q = 0 ensures q = 0 *)
 """)
-    spec = m.functions()["add"].spec
+    spec = decl(m, "add").spec
     assert [g for g, _ in spec.ghost_params] == ["v"]
 
 
@@ -208,7 +220,7 @@ type cell = Nil | Cons of { mutable next : cell }
     requires seg(a, b) && seg(b, c)
     ensures seg(a, c) *)
 """)
-    lem = m.lemmas()["seg_trans"]
+    lem = decl(m, "seg_trans")
     req = lem.requires[0]
     assert isinstance(req, SepA)
     assert [type(a) for a in req.parts] == [PureA, PureA]
@@ -225,14 +237,14 @@ let f (x: t) =
   x.a <- 1
   (*@ fold p x *)
 """)
-    body = m.functions()["f"].body
+    body = decl(m, "f").body
     assert isinstance(body, SeqE)
     kinds = [i.kind for i in body.items if isinstance(i, GhostCommand)]
     assert kinds == [GhostKind.UNFOLD, GhostKind.FOLD]
 
 
 def test_fold_target_must_be_a_predicate():
-    msgs = errors("""
+    msgs = translation_errors("""
 let f (x: int) =
   (*@ fold nosuch x *)
   x
@@ -241,18 +253,21 @@ let f (x: int) =
 
 
 def test_apply_resolves_with_decapitalized_fallback():
-    m = ok("""
+    source = """
 type cell = Nil
 (*@ predicate seg (a: cell) = a = Nil *)
 (*@ lemma seg_refl (a: cell) requires seg(a) ensures seg(a) *)
 let f (c: cell) =
   (*@ apply Seg_refl c *)
   c
-""")
-    body = m.functions()["f"].body
-    ghost = body.items[0] if isinstance(body, SeqE) else body
-    assert isinstance(ghost, GhostCommand)
-    assert ghost.target == "seg_refl"
+"""
+    program, diags = translate_source(source)
+    assert program is not None, [d.message for d in diags]
+    assert program.methods()["f"].body[0] == CallS([], "Seg_refl", [Var("c")])
+    # no name in either spelling: an error
+    _, diags = translate_source(source.replace("Seg_refl", "Seg_sym"))
+    assert "apply target 'Seg_sym' is not a declared lemma" in [
+        d.message for d in diags]
 
 
 def test_ghost_argument_brackets_after_call():
@@ -262,7 +277,7 @@ let g (x: int) = x
 let f (x: int) = g x [empty]
 (*@ f x requires x = 0 ensures x = 0 *)
 """)
-    call = m.functions()["f"].body
+    call = decl(m, "f").body
     assert isinstance(call, AppE)
     assert len(call.ghost_args) == 1
 
@@ -272,13 +287,13 @@ def test_spec_sequence_syntax():
 (*@ predicate p (v: int sequence) =
       v[0] = 1 && v[1 ..] = empty *)
 """)
-    body = m.predicates()["p"].body
+    body = decl(m, "p").body
     assert isinstance(body, SepA)
 
 
 def test_annotation_span_points_into_file():
     source = "let f (x: int) = x\n(*@ f y ensures x = 0 *)\n"
-    _, diags = parse_source(source)
+    _, diags = translate_source(source)
     assert diags
     span = diags[0].span
     assert span is not None
@@ -303,7 +318,7 @@ def spec_function_body(expr):
     module, diags = parse_source(source)
     if module is None:
         return None, source, [d.message for d in diags]
-    return module.logical_functions()["f"].body, source, []
+    return decl(module, "f").body, source, []
 
 
 def assert_spans_start_at_left_operand(e):
