@@ -86,14 +86,15 @@ def prelude_decls() -> list[V.FunctionDecl]:
 
 
 class _CtorInfo(Record):
-    __slots__ = ("name", "type_name", "proj", "payload")
+    __slots__ = ("name", "type_name", "proj", "payload", "span")
 
     def __init__(self, name: str, type_name: str, proj: str | None,
-                 payload: list[FieldDef]):
+                 payload: list[FieldDef], span: Span | None):
         self.name = name
         self.type_name = type_name
         self.proj = proj  # projection/param name, None for nullary
         self.payload = payload
+        self.span = span
 
 
 def resolve_spec_name(name: str, table: dict) -> str | None:
@@ -172,7 +173,8 @@ class _Tr:
                          f"'{self.ctors[c.name].type_name}'", c.span,
                          Category.PARSE)
             proj = d.name if c.payload else None
-            self.ctors[c.name] = _CtorInfo(c.name, d.name, proj, c.payload)
+            self.ctors[c.name] = _CtorInfo(c.name, d.name, proj, c.payload,
+                                           c.span)
             self._declare_fields(c.payload)
 
     def _declare_fields(self, defs: list[FieldDef]) -> None:
@@ -711,34 +713,31 @@ class _Tr:
                               + predicates + methods)
 
     def _check_names(self) -> None:
-        taken: dict[str, str] = {}
-
-        def claim(name: str, what: str, span: Span | None) -> None:
-            if name in taken:
-                self.err(f"{what} '{name}' collides with "
-                         f"{taken[name]} of the same name in the output",
-                         span)
-            else:
-                taken[name] = what
-
-        for info in self.types.values():
-            if isinstance(info.kind, VariantKind):
-                claim(_cap(info.name), f"type '{info.name}'", None)
-        for c in self.ctors.values():
-            claim(c.name, "constructor", None)
-        for p in self.preds.values():
-            claim(_cap(p.name), f"predicate '{p.name}'", p.span)
-        for l in self.lemmas.values():
-            claim(_cap(l.name), f"lemma '{l.name}'", l.span)
-        for f in self.funs.values():
-            claim(f.name, "function", f.span)
-        for fn in self.logical.values():
-            claim(fn.name, "logical function", fn.span)
-        for fname in self.fields:
-            if (fname.startswith("is") and len(fname) > 2
-                    and fname[2].isupper() and fname[2:] in self.ctors):
-                self.err(f"field '{fname}' clashes with the constructor "
-                         f"test of '{fname[2:]}'", None)
+        """Report each declaration that Viper would spell as an earlier
+        one, and each field that Viper would read as a constructor test."""
+        taken: dict[str, str] = {}  # Viper name -> the declaration's words
+        variants = [t for t in self.types.values()
+                    if isinstance(t.kind, VariantKind)]
+        for kind, decls, spell in (
+                ("type", variants, _cap),
+                ("constructor", self.ctors.values(), str),
+                ("predicate", self.preds.values(), _cap),
+                ("lemma", self.lemmas.values(), _cap),
+                ("function", self.funs.values(), str),
+                ("logical function", self.logical.values(), str)):
+            for d in decls:
+                name, what = spell(d.name), f"{kind} '{d.name}'"
+                if name in taken:
+                    self.err(f"{what} collides with {taken[name]}: both are "
+                             f"'{name}' in the output", d.span)
+                else:
+                    taken[name] = what
+        for f in self.fields.values():
+            test = f.name[2:]
+            if f.name.startswith("is") and test[:1].isupper() \
+                    and test in self.ctors:
+                self.err(f"field '{f.name}' clashes with the constructor "
+                         f"test of '{test}'", f.span)
 
     def _tr_adt(self, d: TypeDecl) -> V.AdtDecl:
         assert isinstance(d.kind, VariantKind)

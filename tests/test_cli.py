@@ -891,18 +891,18 @@ TRANSLATOR_DIAGNOSTICS = {
         "(*@ function g (x: int) : int = x *)\n"
         "let g (x: int) =\n  ()\n(*@ g x *)\n", 1,
         ["1:1: error[translation]: logical function 'g' collides with "
-         "function of the same name in the output"]),
+         "function 'g': both are 'g' in the output"]),
     "constructor named as its variant type": (
         "type c = N | C of { mutable v : int }\n", 1,
-        ["0:0: error[translation]: constructor 'C' collides with type 'c' "
-         "of the same name in the output"]),
+        ["1:14: error[translation]: constructor 'C' collides with type "
+         "'c': both are 'C' in the output"]),
     "predicate named as a variant type": (
         CELLS + "(*@ predicate cell (x: int) = x = 0 *)\n", 1,
-        ["2:1: error[translation]: predicate 'cell' 'Cell' collides with "
-         "type 'cell' of the same name in the output"]),
+        ["2:1: error[translation]: predicate 'cell' collides with type "
+         "'cell': both are 'Cell' in the output"]),
     "field named as a constructor test": (
         "type cell = Nil | Cons of { mutable isNil : int }\n", 1,
-        ["0:0: error[translation]: field 'isNil' clashes with the "
+        ["1:37: error[translation]: field 'isNil' clashes with the "
          "constructor test of 'Nil'"]),
     "result without a return type": (
         CELL + "let f (c: t) =\n  c.v <- 0\n(*@ r = f c *)\n", 1,
