@@ -178,11 +178,17 @@ class _Tr:
             self._declare_fields(c.payload)
 
     def _declare_fields(self, defs: list[FieldDef]) -> None:
+        """A field name is one Viper field, whichever types declare it, so
+        its declarations must agree on its type and on `mutable`."""
         for f in defs:
             first = self.fields.setdefault(f.name, f)
             if first.typ != f.typ:
                 self.err(f"field '{f.name}' redeclared at a different "
                          f"type", f.span)
+            elif first.mutable != f.mutable:
+                self.err(f"field '{f.name}' redeclared "
+                         f"{'without' if first.mutable else 'with'} "
+                         f"'mutable'", f.span, Category.TYPE)
 
     def _check_contract(self, d: FunDecl, spec: ContractSpec,
                         declared: set[str]) -> None:
@@ -463,6 +469,10 @@ class _Tr:
         return []
 
     def _tr_assign(self, e: AssignE, ctx: "_FnCtx") -> list[V.VStmt]:
+        field = self.fields.get(e.target.fieldname)
+        if field is not None and not field.mutable:
+            self.err(f"field '{field.name}' is not mutable", e.span,
+                     Category.TYPE)
         # the value is read before the write, the target after it
         value = self.tr_expr(e.value, ctx.env)
         written = _path_of(e.target) if self.binders else None

@@ -908,6 +908,22 @@ TRANSLATOR_DIAGNOSTICS = {
         CELL + "let f (c: t) =\n  c.v <- 0\n(*@ r = f c *)\n", 1,
         ["4:1: error[translation]: contract for 'f' names result 'r' but "
          "the function has no return type"]),
+    # OCaml assigns only a field declared `mutable`
+    "assignment to an immutable field": (
+        "type t = { x : int }\nlet f (r: t) =\n  r.x <- 1\n"
+        "(*@ f r requires r ~> {x} ensures r ~> {x} *)\n", 1,
+        ["3:3: error[type]: field 'x' is not mutable"]),
+    "assignment to an immutable payload field": (
+        "type cell = Nil | Cons of { v : int }\nlet f (c: cell) =\n"
+        "  match c with\n  | Nil -> ()\n  | Cons p -> p.v <- 1\n(*@ f c *)\n",
+        1, ["5:15: error[type]: field 'v' is not mutable"]),
+    # a field name is one Viper field: its declarations agree on `mutable`
+    "field redeclared with mutable": (
+        "type t = { x : int }\ntype u = { mutable x : int }\n", 1,
+        ["2:20: error[type]: field 'x' redeclared with 'mutable'"]),
+    "field redeclared without mutable": (
+        "type t = { mutable x : int }\ntype u = { x : int }\n", 1,
+        ["2:12: error[type]: field 'x' redeclared without 'mutable'"]),
     "return type without a result": (
         CELL + "let f (c: t) : int =\n  c.v\n(*@ f c *)\n", 1,
         ["3:3: warning[translation]: statement has no effect",
