@@ -69,9 +69,12 @@ class RunConfig(Record, uncompared=(), unshown=("stdout", "stderr")):
 
 
 def _out_paths(config: RunConfig) -> list[str]:
-    """The output path of each input, in input order."""
+    """The output path of each input, in input order.  An input with no
+    name, as `/` and `.` are, gives `.vpr` in it; reading the input then
+    fails."""
     if config.output is None:
-        return [str(Path(inp).with_suffix(".vpr")) for inp in config.inputs]
+        return [str(Path(inp).parent / f"{Path(inp).stem}.vpr")
+                for inp in config.inputs]
     out = Path(config.output)
     if (len(config.inputs) > 1 or config.output.endswith(os.sep)
             or out.is_dir()):

@@ -370,6 +370,19 @@ def test_announced_paths(tmp_path, monkeypatch, inputs, output, dirs,
     assert all((tmp_path / p).is_file() for p in expected)
 
 
+@pytest.mark.parametrize("inp", ["/", "."])
+def test_input_without_a_name_cannot_be_read(tmp_path, monkeypatch, inp):
+    # naming its output raised ValueError: `/` and `.` have no suffix to
+    # replace
+    monkeypatch.chdir(tmp_path)
+    status, out, err = invoke(inp)
+    assert (status, out) == (2, "")
+    assert err == (f"gospel2viper: error: cannot read {inp}: [Errno 21] Is "
+                   f"a directory: '{inp}'\n")
+    assert list(tmp_path.iterdir()) == []
+    assert not os.path.exists("/.vpr")
+
+
 def test_output_into_a_pipe(tmp_path):
     # /dev/stdout is a pipe here, which cannot be cut to length
     src = tmp_path / "good.ml"
