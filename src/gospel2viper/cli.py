@@ -73,8 +73,8 @@ def _out_paths(config: RunConfig) -> list[str]:
     name, as `/` and `.` are, gives `.vpr` in it; reading the input then
     fails."""
     if config.output is None:
-        return [str(Path(inp).parent / f"{Path(inp).stem}.vpr")
-                for inp in config.inputs]
+        return [str(p.parent / f"{p.stem}.vpr")
+                for p in map(Path, config.inputs)]
     out = Path(config.output)
     if (len(config.inputs) > 1 or config.output.endswith(os.sep)
             or out.is_dir()):

@@ -6,7 +6,9 @@ Shape of the mapping:
   so a constructor with fields turns into `Ctor(<typename>: Ref)` and the
   payload fields become global heap field declarations;
 * a record type disappears as a type (its values are Refs) and
-  contributes its fields to the global field declarations;
+  contributes its fields to the global field declarations; every
+  declaration of a field name must agree on its type and on `mutable`,
+  and only a `mutable` field may be assigned (`error[type]`);
 * predicates and lemmas keep their names with the first letter
   capitalized, logical functions and program functions keep theirs;
 * ownership assertions expand to one `acc` conjunct per field, `e = C`
