@@ -687,9 +687,9 @@ class _Tr:
 
     def run(self) -> V.ViperProgram | None:
         self.declare()
-        # a module whose names do not resolve is reported by those errors
-        # alone, before any body is translated: a body would add errors
-        # that only repeat them
+        # when a name check fails, its errors are all that is reported,
+        # as when the parser made them: a body would only repeat them as
+        # unknown functions and unbound names
         named = [d for d in self.diags if d.category is Category.PARSE]
         if named:
             self.diags = named
