@@ -5,16 +5,16 @@ source `str`, not bytes of its UTF-8 encoding).  Line/column numbers are
 only computed when a diagnostic is rendered, via LineIndex, so the rest of
 the pipeline can stay offset-based.
 
-`Record` is the base of the package's plain classes, the surface AST's
-among them: a `__slots__` class with a hand-written `__init__` costs far
-less to define at import than a dataclass, whose methods are generated
-and compiled from source text when its module is imported.
+`Record` is the base of the package's plain classes, every node of the
+surface and Viper ASTs and `Span` among them: a `__slots__` class with a
+hand-written `__init__` costs far less to define at import than a
+dataclass, whose methods are generated and compiled from source text when
+its module is imported, and the package imports no `dataclasses`.
 """
 
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass
 from enum import Enum
 
 
@@ -49,17 +49,18 @@ class Record:
         return f"{self.__class__.__qualname__}({args})"
 
 
-@dataclass(slots=True, unsafe_hash=True)
-class Span:
+class Span(Record):
     """Characters start..end-1 of the source (offsets into the `str`, not
     its UTF-8 bytes).  Equal and hashed by value; never assigned after it
-    is built, but not frozen, because a frozen dataclass sets each field
-    through `object.__setattr__` and costs twice as much to build.  Unlike
-    the other records it stays a dataclass: the benchmark counts the spans
-    held by Viper nodes among those nodes, through `dataclasses.fields`."""
+    is built."""
+    __slots__ = ("start", "end")
 
-    start: int
-    end: int
+    def __init__(self, start: int, end: int):
+        self.start = start
+        self.end = end
+
+    def __hash__(self) -> int:
+        return hash((self.start, self.end))
 
     def slice(self, source: str) -> str:
         return source[self.start:self.end]

@@ -1,11 +1,15 @@
 """Viper output language: AST, pretty printer, tokenizer, golden equality.
 
-Every node is a slots dataclass, and the abstract bases declare no slots,
-so no node has a `__dict__`.  The printers (`expr_str`, `_assertion_str`,
-`stmt_lines`, `decl_lines`) find a node's handler by its class in one
-table each, with one lookup per printed node; an expression handler adds
-the parentheses its own precedence level needs, so printing a node costs
-one call into the printer and one into the handler.
+Every node is a `Record`: a plain class with `__slots__` and a
+hand-written `__init__`, as in `surface`, and the abstract bases declare
+no slots, so no node has a `__dict__`.  Equality and repr are those a
+dataclass would give, and leave out `span`.  Types and tokens are hashed
+by value; the other nodes are not hashable.  The printers (`expr_str`,
+`_assertion_str`, `stmt_lines`, `decl_lines`) find a node's handler by
+its class in one table each, with one lookup per printed node; an
+expression handler adds the parentheses its own precedence level needs,
+so printing a node costs one call into the printer and one into the
+handler.
 
 Golden comparisons are token-stream equality of pretty-printed text, so
 layout (indentation, line breaks, stray semicolons, comments) never
@@ -17,16 +21,22 @@ split one conjunct per line once a line would run past 80 columns.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+
+from .diagnostics import Record
 
 WIDTH = 80
 
 # -- types -------------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
-class VType:
-    name: str
+class VType(Record):
+    __slots__ = ("name",)
+
+    def __init__(self, name: str):
+        self.name = name
+
+    def __hash__(self) -> int:
+        return hash((self.name,))
 
     def __str__(self) -> str:
         return self.name
@@ -41,138 +51,180 @@ SEQ_INT = VType("Seq[Int]")
 # -- expressions ---------------------------------------------------------------
 
 
-class VExpr:
+class VExpr(Record):
     __slots__ = ()
 
 
-@dataclass(slots=True)
 class IntLit(VExpr):
-    value: int
+    __slots__ = ("value",)
+
+    def __init__(self, value: int):
+        self.value = value
 
 
-@dataclass(slots=True)
 class BoolLit(VExpr):
-    value: bool
+    __slots__ = ("value",)
+
+    def __init__(self, value: bool):
+        self.value = value
 
 
-@dataclass(slots=True)
 class Var(VExpr):
-    name: str
+    __slots__ = ("name",)
+
+    def __init__(self, name: str):
+        self.name = name
 
 
-@dataclass(slots=True)
 class FieldAcc(VExpr):
-    base: VExpr
-    fieldname: str
+    __slots__ = ("base", "fieldname")
+
+    def __init__(self, base: VExpr, fieldname: str):
+        self.base = base
+        self.fieldname = fieldname
 
 
-@dataclass(slots=True)
 class IsTest(VExpr):
-    base: VExpr
-    ctor: str  # prints `.is<Ctor>`
+    __slots__ = ("base", "ctor")
+
+    def __init__(self, base: VExpr, ctor: str):
+        self.base = base
+        self.ctor = ctor  # prints `.is<Ctor>`
 
 
-@dataclass(slots=True)
 class CtorCall(VExpr):
-    name: str
-    args: list[VExpr]
+    __slots__ = ("name", "args")
+
+    def __init__(self, name: str, args: list[VExpr]):
+        self.name = name
+        self.args = args
 
 
-@dataclass(slots=True)
 class FunApp(VExpr):
-    name: str
-    args: list[VExpr]
+    __slots__ = ("name", "args")
+
+    def __init__(self, name: str, args: list[VExpr]):
+        self.name = name
+        self.args = args
 
 
-@dataclass(slots=True)
 class SeqLit(VExpr):
-    items: list[VExpr]  # [] prints Seq[Int]()
+    __slots__ = ("items",)
+
+    def __init__(self, items: list[VExpr]):
+        self.items = items  # [] prints Seq[Int]()
 
 
-@dataclass(slots=True)
 class SeqLen(VExpr):
-    seq: VExpr
+    __slots__ = ("seq",)
+
+    def __init__(self, seq: VExpr):
+        self.seq = seq
 
 
-@dataclass(slots=True)
 class BinOp(VExpr):
-    op: str
-    left: VExpr
-    right: VExpr
+    __slots__ = ("op", "left", "right")
+
+    def __init__(self, op: str, left: VExpr, right: VExpr):
+        self.op = op
+        self.left = left
+        self.right = right
 
 
-@dataclass(slots=True)
 class UnOp(VExpr):
-    op: str
-    operand: VExpr
+    __slots__ = ("op", "operand")
+
+    def __init__(self, op: str, operand: VExpr):
+        self.op = op
+        self.operand = operand
 
 
-@dataclass(slots=True)
 class SeqIndex(VExpr):
-    seq: VExpr
-    index: VExpr
+    __slots__ = ("seq", "index")
+
+    def __init__(self, seq: VExpr, index: VExpr):
+        self.seq = seq
+        self.index = index
 
 
-@dataclass(slots=True)
 class SeqDrop(VExpr):
-    seq: VExpr
-    lo: VExpr  # v[lo ..]
+    __slots__ = ("seq", "lo")
+
+    def __init__(self, seq: VExpr, lo: VExpr):
+        self.seq = seq
+        self.lo = lo  # v[lo ..]
 
 
-@dataclass(slots=True)
 class SeqTake(VExpr):
-    seq: VExpr
-    hi: VExpr  # v[.. hi]
+    __slots__ = ("seq", "hi")
+
+    def __init__(self, seq: VExpr, hi: VExpr):
+        self.seq = seq
+        self.hi = hi  # v[.. hi]
 
 
 # -- assertions ----------------------------------------------------------------
 
 
-class VAssertion:
+class VAssertion(Record):
     __slots__ = ()
 
 
-@dataclass(slots=True)
 class Pure(VAssertion):
-    expr: VExpr
-    span: object = field(default=None, compare=False, repr=False)
+    __slots__ = ("expr", "span")
+
+    def __init__(self, expr: VExpr, span: object = None):
+        self.expr = expr
+        self.span = span
 
 
-@dataclass(slots=True)
 class Acc(VAssertion):
-    loc: FieldAcc
-    span: object = field(default=None, compare=False, repr=False)
+    __slots__ = ("loc", "span")
+
+    def __init__(self, loc: FieldAcc, span: object = None):
+        self.loc = loc
+        self.span = span
 
 
-@dataclass(slots=True)
 class PredApp(VAssertion):
-    name: str
-    args: list[VExpr]
-    span: object = field(default=None, compare=False, repr=False)
+    __slots__ = ("name", "args", "span")
+
+    def __init__(self, name: str, args: list[VExpr], span: object = None):
+        self.name = name
+        self.args = args
+        self.span = span
 
 
-@dataclass(slots=True)
 class AndA(VAssertion):
     """A conjunction of two or more parts, none of them an AndA; build it
     with `and_all`."""
-    parts: list[VAssertion]
-    span: object = field(default=None, compare=False, repr=False)
+    __slots__ = ("parts", "span")
+
+    def __init__(self, parts: list[VAssertion], span: object = None):
+        self.parts = parts
+        self.span = span
 
 
-@dataclass(slots=True)
 class CondA(VAssertion):
-    cond: VExpr
-    then: VAssertion
-    els: VAssertion
-    span: object = field(default=None, compare=False, repr=False)
+    __slots__ = ("cond", "then", "els", "span")
+
+    def __init__(self, cond: VExpr, then: VAssertion, els: VAssertion,
+                 span: object = None):
+        self.cond = cond
+        self.then = then
+        self.els = els
+        self.span = span
 
 
-@dataclass(slots=True)
 class LetA(VAssertion):
-    name: str
-    bound: VExpr
-    body: VAssertion
-    span: object = field(default=None, compare=False, repr=False)
+    __slots__ = ("name", "bound", "body", "span")
+
+    def __init__(self, name: str, bound: VExpr, body: VAssertion,
+                 span: object = None):
+        self.name = name
+        self.bound = bound
+        self.body = body
+        self.span = span
 
 
 def and_all(parts: list[VAssertion]) -> VAssertion:
@@ -193,116 +245,156 @@ def conjuncts(a: VAssertion) -> list[VAssertion]:
 # -- statements ----------------------------------------------------------------
 
 
-class VStmt:
+class VStmt(Record):
     __slots__ = ()
 
 
-@dataclass(slots=True)
 class VarDeclS(VStmt):
-    name: str
-    typ: VType
-    init: VExpr | None = None
-    span: object = field(default=None, compare=False, repr=False)
+    __slots__ = ("name", "typ", "init", "span")
+
+    def __init__(self, name: str, typ: VType, init: VExpr | None = None,
+                 span: object = None):
+        self.name = name
+        self.typ = typ
+        self.init = init
+        self.span = span
 
 
-@dataclass(slots=True)
 class AssignS(VStmt):
-    target: VExpr  # Var or FieldAcc
-    value: VExpr
-    span: object = field(default=None, compare=False, repr=False)
+    __slots__ = ("target", "value", "span")
+
+    def __init__(self, target: VExpr, value: VExpr, span: object = None):
+        self.target = target  # Var or FieldAcc
+        self.value = value
+        self.span = span
 
 
-@dataclass(slots=True)
 class NewS(VStmt):
-    target: str
-    fields: list[str]
-    declare: bool = False  # True prints `var x: Ref := new(...)`
-    span: object = field(default=None, compare=False, repr=False)
+    __slots__ = ("target", "fields", "declare", "span")
+
+    def __init__(self, target: str, fields: list[str], declare: bool = False,
+                 span: object = None):
+        self.target = target
+        self.fields = fields
+        self.declare = declare  # True prints `var x: Ref := new(...)`
+        self.span = span
 
 
-@dataclass(slots=True)
 class IfS(VStmt):
-    cond: VExpr
-    then: list[VStmt]
-    els: list[VStmt] = field(default_factory=list)
-    span: object = field(default=None, compare=False, repr=False)
+    __slots__ = ("cond", "then", "els", "span")
+
+    def __init__(self, cond: VExpr, then: list[VStmt],
+                 els: list[VStmt] | None = None, span: object = None):
+        self.cond = cond
+        self.then = then
+        self.els = [] if els is None else els
+        self.span = span
 
 
-@dataclass(slots=True)
 class FoldS(VStmt):
-    pred: PredApp
-    span: object = field(default=None, compare=False, repr=False)
+    __slots__ = ("pred", "span")
+
+    def __init__(self, pred: PredApp, span: object = None):
+        self.pred = pred
+        self.span = span
 
 
-@dataclass(slots=True)
 class UnfoldS(VStmt):
-    pred: PredApp
-    span: object = field(default=None, compare=False, repr=False)
+    __slots__ = ("pred", "span")
+
+    def __init__(self, pred: PredApp, span: object = None):
+        self.pred = pred
+        self.span = span
 
 
-@dataclass(slots=True)
 class CallS(VStmt):
-    targets: list[str]
-    method: str
-    args: list[VExpr]
-    span: object = field(default=None, compare=False, repr=False)
+    __slots__ = ("targets", "method", "args", "span")
+
+    def __init__(self, targets: list[str], method: str, args: list[VExpr],
+                 span: object = None):
+        self.targets = targets
+        self.method = method
+        self.args = args
+        self.span = span
 
 
 # -- declarations --------------------------------------------------------------
 
 
-@dataclass(slots=True)
-class CtorSig:
-    name: str
-    params: list[tuple[str, VType]]
+class CtorSig(Record):
+    __slots__ = ("name", "params")
+
+    def __init__(self, name: str, params: list[tuple[str, VType]]):
+        self.name = name
+        self.params = params
 
 
-@dataclass(slots=True)
-class AdtDecl:
-    name: str
-    ctors: list[CtorSig]
+class AdtDecl(Record):
+    __slots__ = ("name", "ctors")
+
+    def __init__(self, name: str, ctors: list[CtorSig]):
+        self.name = name
+        self.ctors = ctors
 
 
-@dataclass(slots=True)
-class FieldDecl:
-    name: str
-    typ: VType
+class FieldDecl(Record):
+    __slots__ = ("name", "typ")
+
+    def __init__(self, name: str, typ: VType):
+        self.name = name
+        self.typ = typ
 
 
-@dataclass(slots=True)
-class FunctionDecl:
-    name: str
-    params: list[tuple[str, VType]]
-    ret: VType
-    pres: list[VAssertion] = field(default_factory=list)
-    posts: list[VAssertion] = field(default_factory=list)
-    body: VExpr | None = None
+class FunctionDecl(Record):
+    __slots__ = ("name", "params", "ret", "pres", "posts", "body")
+
+    def __init__(self, name: str, params: list[tuple[str, VType]],
+                 ret: VType, pres: list[VAssertion] | None = None,
+                 posts: list[VAssertion] | None = None,
+                 body: VExpr | None = None):
+        self.name = name
+        self.params = params
+        self.ret = ret
+        self.pres = [] if pres is None else pres
+        self.posts = [] if posts is None else posts
+        self.body = body
 
 
-@dataclass(slots=True)
-class PredicateDecl:
-    name: str
-    params: list[tuple[str, VType]]
-    body: VAssertion
+class PredicateDecl(Record):
+    __slots__ = ("name", "params", "body")
+
+    def __init__(self, name: str, params: list[tuple[str, VType]],
+                 body: VAssertion):
+        self.name = name
+        self.params = params
+        self.body = body
 
 
-@dataclass(slots=True)
-class MethodDecl:
-    name: str
-    params: list[tuple[str, VType]]
-    returns: list[tuple[str, VType]]
-    pres: list[VAssertion] = field(default_factory=list)
-    posts: list[VAssertion] = field(default_factory=list)
-    body: list[VStmt] | None = None  # None: abstract method (lemma)
-    span: object = field(default=None, compare=False, repr=False)
+class MethodDecl(Record):
+    __slots__ = ("name", "params", "returns", "pres", "posts", "body", "span")
+
+    def __init__(self, name: str, params: list[tuple[str, VType]],
+                 returns: list[tuple[str, VType]],
+                 pres: list[VAssertion] | None = None,
+                 posts: list[VAssertion] | None = None,
+                 body: list[VStmt] | None = None, span: object = None):
+        self.name = name
+        self.params = params
+        self.returns = returns
+        self.pres = [] if pres is None else pres
+        self.posts = [] if posts is None else posts
+        self.body = body  # None: abstract method (lemma)
+        self.span = span
 
 
 VDecl = AdtDecl | FieldDecl | FunctionDecl | PredicateDecl | MethodDecl
 
 
-@dataclass(slots=True)
-class ViperProgram:
-    decls: list[VDecl]
+class ViperProgram(Record):
+    __slots__ = ("decls",)
+
+    def __init__(self, decls: list[VDecl]):
+        self.decls = decls
 
     def methods(self) -> dict[str, MethodDecl]:
         return {d.name: d for d in self.decls if isinstance(d, MethodDecl)}
@@ -688,11 +780,16 @@ _VTOKEN = re.compile(r"(?:[\s;]+|//[^\n]*\n?|/\*.*?\*/)*"
 _VKINDS = (None, "ident", "int", None, "sym")
 
 
-@dataclass(frozen=True, slots=True)
-class VToken:
-    kind: str  # "ident", "int", "sym"
-    text: str
-    pos: int
+class VToken(Record):
+    __slots__ = ("kind", "text", "pos")
+
+    def __init__(self, kind: str, text: str, pos: int):
+        self.kind = kind  # "ident", "int", "sym"
+        self.text = text
+        self.pos = pos
+
+    def __hash__(self) -> int:
+        return hash((self.kind, self.text, self.pos))
 
 
 class ViperLexError(ValueError):

@@ -5,7 +5,6 @@ whitespace never matters.  The whole module must stay under ten seconds."""
 
 import functools
 import random
-from dataclasses import replace
 from itertools import product
 
 from astgen import FIELDS, VARS, gen_dual_assertion, gen_program
@@ -15,8 +14,8 @@ from gospel2viper.diagnostics import Category, Severity
 from gospel2viper.permcheck import (App, Checker, Lit, SeqV, SymState,
                                     _ConsumeCtx, check_program)
 from gospel2viper.translate import prelude_decls
-from gospel2viper.viper_ast import (ViperProgram, golden_equal, pretty,
-                                    pretty_stmts)
+from gospel2viper.viper_ast import (MethodDecl, ViperProgram, golden_equal,
+                                    pretty, pretty_stmts)
 from gospel2viper.viper_parser import reparse
 
 
@@ -83,7 +82,8 @@ def test_method_goldens(corpus, golden):
     contracts = (("add", "add_contract.vpr"),
                  ("transfer", "transfer_contract.vpr"))
     for name, fname in contracts:
-        head = replace(methods[name], body=None)
+        m = methods[name]
+        head = MethodDecl(m.name, m.params, m.returns, m.pres, m.posts, None)
         assert golden_equal(decl_text(head),
                             (golden / fname).read_text()), name
     small = translated(corpus / "checker_queue.ml")

@@ -1149,6 +1149,20 @@ def test_the_cli_imports_only_what_every_run_needs():
     assert proc.stdout.startswith("usage: gospel2viper ")
 
 
+def test_the_cli_imports_no_dataclasses():
+    # `dataclasses` generates and compiles each class's methods, and it
+    # brings `inspect`; -S, because a site .pth file may import either
+    root = Path(gospel2viper.__file__).resolve().parent.parent
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); "
+            "import gospel2viper.cli; "
+            "print([m for m in ('dataclasses', 'inspect') "
+            "if m in sys.modules])")
+    proc = subprocess.run([sys.executable, "-S", "-c", code, str(root)],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
 def test_corpus_check_stderr_matches_golden(tmp_path, corpus, golden):
     # the argparse wiring of `main`, run as the README shows, with the
     # diagnostics of every corpus file pinned byte for byte

@@ -2,7 +2,6 @@
 annotation may stand.  The names they declare and use are resolved by the
 translator, whose checks are tested here through `translate_source`."""
 
-import dataclasses
 import sys
 from pathlib import Path
 
@@ -16,7 +15,8 @@ from gospel2viper.surface import (AppE, AssignE, BinE, BoolLit, BoolT, CtorE,
                                   MatchE, NamedT, OwnsA, PureA, RecordAlloc,
                                   SeqE, SepA, SliceFromE, UnE, VarE)
 from gospel2viper.translate import translate_source
-from gospel2viper.viper_ast import CallS, Var
+from gospel2viper import viper_ast as V
+from gospel2viper.viper_ast import CallS, Var, VToken
 
 import pytest
 
@@ -386,6 +386,36 @@ def test_nodes_compare_hash_and_print_as_dataclasses_do():
     assert {NamedT("t"), NamedT("t"), IntT()} == {NamedT("t"), IntT()}
     with pytest.raises(TypeError):
         hash(VarE("x"))
+    # the Viper nodes, spans and tokens too
+    pre, post = V.Pure(Var("x"), Span(3, 4)), V.Acc(V.FieldAcc(Var("x"), "v"))
+    assert pre == V.Pure(Var("x")) != V.Pure(Var("y"))
+    assert V.AssignS(Var("x"), V.IntLit(1), Span(0, 6)) == V.AssignS(
+        Var("x"), V.IntLit(1))
+    assert repr(pre) == "Pure(expr=Var(name='x'))"
+    assert repr(Span(0, 1)) == "Span(start=0, end=1)"
+    assert Span(0, 1) == Span(0, 1) != Span(0, 2)
+    first, second = V.IfS(Var("c"), []), V.IfS(Var("c"), [])
+    assert first.els == [] and first.els is not second.els
+    for make in (lambda: V.FunctionDecl("f", [], V.INT),
+                 lambda: V.MethodDecl("m", [], [])):
+        one, two = make(), make()
+        assert one.pres == one.posts == [] and one.pres is not one.posts
+        assert one.pres is not two.pres and one.posts is not two.posts
+    assert {V.VType("Int"), V.INT, Span(0, 1), Span(0, 1),
+            VToken("sym", "(", 0), VToken("sym", "(", 0)} == {
+                V.INT, Span(0, 1), VToken("sym", "(", 0)}
+    assert VToken("sym", "(", 0) != VToken("sym", "(", 1)
+    with pytest.raises(TypeError):
+        hash(Var("x"))
+    m = V.MethodDecl("m", [("x", V.REF)], [], [pre], [post], [], Span(0, 9))
+    assert (m.name, m.params, m.returns, m.pres, m.posts, m.body,
+            m.span) == ("m", [("x", V.REF)], [], [pre], [post], [],
+                        Span(0, 9))
+    assert m == V.MethodDecl("m", [("x", V.REF)], [], [pre], [post], [])
+    assert repr(m) == (
+        "MethodDecl(name='m', params=[('x', VType(name='Ref'))], returns=[], "
+        "pres=[Pure(expr=Var(name='x'))], posts=[Acc(loc=FieldAcc("
+        "base=Var(name='x'), fieldname='v'))], body=[])")
 
 
 def nodes(tree):
@@ -395,12 +425,9 @@ def nodes(tree):
         x = todo.pop()
         if isinstance(x, (list, tuple)):
             todo.extend(x)
-        elif isinstance(x, Record):
+        elif isinstance(x, Record) and not isinstance(x, Span):
             yield x
             todo.extend(getattr(x, f) for f in type(x).__slots__)
-        elif dataclasses.is_dataclass(x) and not isinstance(x, Span):
-            yield x
-            todo.extend(getattr(x, f.name) for f in dataclasses.fields(x))
 
 
 LEAF_TEXT = {VarE: lambda e: e.name, CtorE: lambda e: e.name,

@@ -2,12 +2,11 @@
 declaration it must produce.  Token-level comparisons use golden_equal
 so layout never matters."""
 
-import dataclasses
 import sys
 
 import pytest
 from gospel2viper import surface, translate_source
-from gospel2viper.diagnostics import Category, Severity
+from gospel2viper.diagnostics import Category, Record, Severity
 from gospel2viper.parser import parse_source
 from gospel2viper.permcheck import check_program
 from gospel2viper.translate import _Tr, translate
@@ -730,16 +729,16 @@ def test_no_node_of_the_corpus_has_a_dict(corpus):
 
 
 def viper_nodes(program):
-    """Viper nodes as the benchmark counts them: every dataclass but a
-    type, spans included."""
+    """Viper nodes as the benchmark counts them: every record but a type,
+    spans included."""
     count, todo = 0, [program]
     while todo:
         x = todo.pop()
         if isinstance(x, (list, tuple)):
             todo.extend(x)
-        elif dataclasses.is_dataclass(x) and not isinstance(x, VType):
+        elif isinstance(x, Record) and not isinstance(x, VType):
             count += 1
-            todo.extend(getattr(x, f.name) for f in dataclasses.fields(x))
+            todo.extend(getattr(x, f) for f in type(x).__slots__)
     return count
 
 
