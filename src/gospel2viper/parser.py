@@ -32,12 +32,15 @@ The parser checks syntax and where each annotation stands, and nothing
 about names: the translator resolves and checks every name.  The module
 it returns lists the ghost commands of the function bodies, as the parser
 placed them in their blocks, so no second walk over the bodies looks for
-them.
+them.  Only a syntax error stops the parse.  The other errors (an untyped
+local, an annotation that does not parse or stands where none may) leave
+out what they name, and the parse goes on to return its module beside
+them, so that the translator can still check the module's names.
 """
 
 from __future__ import annotations
 
-from .diagnostics import Category, Diagnostic, Span, error, has_errors
+from .diagnostics import Category, Diagnostic, Span, error
 from .lexer import T, Tokens, lex
 from .surface import (AnnotationPayload, AppE, Assertion, AssignE, BinE,
                       BoolLit, BoolT, ContractSpec, CtorDef, CtorE, FieldDef,
@@ -807,13 +810,14 @@ class _ModuleParser(_P):
 
 
 def parse_module(tokens: Tokens) -> tuple[SurfaceModule | None, list[Diagnostic]]:
+    """The module and the parse's diagnostics.  A parse that stops at a
+    syntax error gives no module; one that reaches the end of the file
+    gives its module even beside errors that did not stop it."""
     p = _ModuleParser(tokens)
     try:
         module = p.parse_module()
     except ParseError as e:
         return None, p.diags + [e.diag]
-    if has_errors(p.diags):
-        return None, p.diags
     return module, p.diags
 
 

@@ -38,7 +38,9 @@ constructor of two types, a contract that does not match its function,
 and a ghost command whose target is undeclared or gets the wrong number
 of arguments.  They run before any body is translated, and when one
 fails, translation stops with those errors alone: a body would only add
-unknown functions and unbound names that repeat them.
+unknown functions and unbound names that repeat them.  When the parse
+reported errors but went on to the end of the file, `translate_source`
+runs these checks alone and reports them beside the parse's errors.
 
 Each walk looks up the handler for a node's class in one table, as the
 checker's `eval` does: `tr_expr` in `_Tr._EXPR`, `tr_stmts` in
@@ -896,5 +898,11 @@ def translate_source(source: str
     module, diags = parse_source(source)
     if module is None:
         return None, diags
+    if has_errors(diags):
+        # the parse went on past its errors: its names are checked too,
+        # but no body is translated
+        tr = _Tr(module)
+        tr.declare()
+        return None, diags + tr.diags
     program, more = translate(module)
     return program, diags + more

@@ -52,8 +52,8 @@ def stages(source):
     toks, diags = lex(source)
     if diags:
         return
-    module, _ = parse_module(toks)
-    if module is None:
+    module, diags = parse_module(toks)
+    if module is None or diags:
         return
     program, _ = translate(module)
     if program is None:

@@ -316,7 +316,7 @@ def spec_function_body(expr):
     source = ("(*@ function f (a: int) (b: int) (c: int) (d: int) : int = "
               + expr + " *)")
     module, diags = parse_source(source)
-    if module is None:
+    if diags:
         return None, source, [d.message for d in diags]
     return decl(module, "f").body, source, []
 
