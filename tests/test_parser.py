@@ -6,6 +6,7 @@ import sys
 from pathlib import Path
 
 from gospel2viper import parser
+from gospel2viper import viper_ast as V
 from gospel2viper.diagnostics import Record, Severity, Span
 from gospel2viper.lexer import KEYWORDS, PUNCT, SPEC_KEYWORDS, T, lex
 from gospel2viper.parser import _BINOPS, parse_module, parse_source
@@ -15,7 +16,6 @@ from gospel2viper.surface import (AppE, AssignE, BinE, BoolLit, BoolT, CtorE,
                                   MatchE, NamedT, OwnsA, PureA, RecordAlloc,
                                   SeqE, SepA, SliceFromE, UnE, VarE)
 from gospel2viper.translate import translate_source
-from gospel2viper import viper_ast as V
 from gospel2viper.viper_ast import CallS, Var, VToken
 
 import pytest
