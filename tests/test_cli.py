@@ -838,28 +838,18 @@ def test_misplaced_declaration_gives_one_parse_error(tmp_path, case):
     assert not (tmp_path / "placed.vpr").exists()
 
 
-def test_name_errors_are_reported_beside_a_parse_error(tmp_path):
-    # an untyped local does not stop the parse, so the names are still
-    # checked; no body is translated and nothing is written
-    src = tmp_path / "both.ml"
-    src.write_text(CELL + "(*@ predicate p (c: t) = c ~> {v} *)\n"
-                   "let zero (c: t) =\n  let x = 1 in\n  (*@ fold q c *)\n"
-                   "  c.v <- x\n(*@ zero c requires p c ensures p c *)\n",
-                   encoding="utf-8")
-    status, out, err = invoke(src, check=True)
-    assert (status, out) == (1, "")
-    assert err == (
-        f"{src}:4:7: error[parse]: local 'x' needs an explicit type "
-        f"annotation\n"
-        f"{src}:5:3: error[parse]: fold target 'q' is not a declared "
-        f"predicate\n")
-    assert not (tmp_path / "both.vpr").exists()
-
-
 # Translator diagnostics, each with the exit status and the lines it gives
 CELLS = "type cell = Nil | Cons of { mutable v : int }\n"
 TREES = "type tree = Leaf | Node of { mutable w : int }\n"
 TRANSLATOR_DIAGNOSTICS = {
+    # an untyped local does not stop the parse, so the names are still
+    # checked, but no body is translated
+    "fold target beside an untyped local": (
+        CELL + "(*@ predicate p (c: t) = c ~> {v} *)\n"
+        "let zero (c: t) =\n  let x = 1 in\n  (*@ fold q c *)\n"
+        "  c.v <- x\n(*@ zero c requires p c ensures p c *)\n", 1,
+        ["4:7: error[parse]: local 'x' needs an explicit type annotation",
+         "5:3: error[parse]: fold target 'q' is not a declared predicate"]),
     "field redeclared at a different type": (
         "type a = { mutable f : int }\ntype b = { mutable f : bool }\n", 1,
         ["2:20: error[translation]: field 'f' redeclared at a different "
