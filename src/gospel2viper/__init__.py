@@ -16,7 +16,7 @@ _collecting = gc.isenabled()
 gc.disable()
 try:
     from .diagnostics import (Category, Diagnostic, LineIndex, Severity,
-                              Span, has_errors, sort_key)
+                              has_errors, sort_key)
     from .lexer import lex
     from .parser import parse_module, parse_source
     from .permcheck import Checker, SymState, check_program
@@ -33,7 +33,6 @@ __all__ = [
     "Diagnostic",
     "LineIndex",
     "Severity",
-    "Span",
     "SymState",
     "ViperProgram",
     "check_program",

@@ -1,12 +1,14 @@
-"""Source spans and diagnostics shared by every stage of the pipeline.
+"""Source positions and diagnostics shared by every stage of the pipeline.
 
-A Span is a half-open interval of character offsets (indices into the
-source `str`, not bytes of its UTF-8 encoding).  Line/column numbers are
-only computed when a diagnostic is rendered, via LineIndex, so the rest of
-the pipeline can stay offset-based.
+A position (the `span` field of a node or a diagnostic) is a plain `int`:
+the character offset where the construct starts (an index into the source
+`str`, not a byte of its UTF-8 encoding), or None for none.  Offset 0 is a
+real position, so test a span with `is None`, never by its truth.
+Line/column numbers are only computed when a diagnostic is rendered, via
+LineIndex, so the rest of the pipeline can stay offset-based.
 
 `Record` is the base of the package's plain classes, every node of the
-surface and Viper ASTs and `Span` among them: a `__slots__` class with a
+surface and Viper ASTs among them: a `__slots__` class with a
 hand-written `__init__` costs far less to define at import than a
 dataclass, whose methods are generated and compiled from source text when
 its module is imported, and the package imports no `dataclasses`.
@@ -49,23 +51,6 @@ class Record:
         return f"{self.__class__.__qualname__}({args})"
 
 
-class Span(Record):
-    """Characters start..end-1 of the source (offsets into the `str`, not
-    its UTF-8 bytes).  Equal and hashed by value; never assigned after it
-    is built."""
-    __slots__ = ("start", "end")
-
-    def __init__(self, start: int, end: int):
-        self.start = start
-        self.end = end
-
-    def __hash__(self) -> int:
-        return hash((self.start, self.end))
-
-    def slice(self, source: str) -> str:
-        return source[self.start:self.end]
-
-
 class Severity(Enum):
     ERROR = "error"
     WARNING = "warning"
@@ -87,7 +72,7 @@ class Diagnostic(Record, uncompared=()):
     __slots__ = ("severity", "category", "message", "span")
 
     def __init__(self, severity: Severity, category: Category, message: str,
-                 span: Span | None = None):
+                 span: int | None = None):
         self.severity = severity
         self.category = category
         self.message = message
@@ -96,7 +81,7 @@ class Diagnostic(Record, uncompared=()):
     def render(self, path: str, index: "LineIndex | None" = None) -> str:
         line, col = (0, 0)
         if self.span is not None and index is not None:
-            line, col = index.position(self.span.start)
+            line, col = index.position(self.span)
         return (f"{path}:{line}:{col}: {self.severity.value}"
                 f"[{self.category.value}]: {self.message}")
 
@@ -117,20 +102,20 @@ class LineIndex:
         return row + 1, offset - self._starts[row] + 1
 
 
-def error(category: Category, message: str, span: Span | None = None) -> Diagnostic:
+def error(category: Category, message: str, span: int | None = None) -> Diagnostic:
     return Diagnostic(Severity.ERROR, category, message, span)
 
 
-def warning(category: Category, message: str, span: Span | None = None) -> Diagnostic:
+def warning(category: Category, message: str, span: int | None = None) -> Diagnostic:
     return Diagnostic(Severity.WARNING, category, message, span)
 
 
-def obligation(message: str, span: Span | None = None) -> Diagnostic:
+def obligation(message: str, span: int | None = None) -> Diagnostic:
     return Diagnostic(Severity.OBLIGATION, Category.PURE_OBLIGATION, message, span)
 
 
 def sort_key(d: Diagnostic) -> tuple:
-    start = d.span.start if d.span is not None else 1 << 60
+    start = d.span if d.span is not None else 1 << 60
     return (start, d.severity.value, d.category.value, d.message)
 
 

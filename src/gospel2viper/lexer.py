@@ -28,7 +28,9 @@ function, lemma, fold, unfold, apply) are hard keywords; in program mode
 they are plain identifiers.  `lex(..., spec_mode=True)` lexes one payload
 on its own, as the file's lexer does inline; an annotation nested in a
 payload stays a single ANNOTATION token.  Token kinds are plain ints,
-the constants of class `T`; compare them with `==`.
+the constants of class `T`; compare them with `==`.  A token's kind is
+one probe of a `_KindTable` made per call, which calls into Python once
+per distinct identifier or integer, not once per token.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from __future__ import annotations
 import re
 from itertools import accumulate
 
-from .diagnostics import Category, Diagnostic, Span, error
+from .diagnostics import Category, Diagnostic, error
 
 
 class T:
@@ -80,7 +82,17 @@ PUNCT = {
 # `(*@` is its ANNOTATION token, its `*)` its payload's EOF; "" is the EOF.
 _KINDS = {**PUNCT, **KEYWORDS, "(*@": T.ANNOTATION, "*)": T.EOF, "": T.EOF}
 _SPEC_KINDS = {**_KINDS, **SPEC_KEYWORDS}
-_IDENT_OR_INT = (T.IDENT, T.INT)  # indexed by `text.isdecimal()`
+
+
+class _KindTable(dict):
+    """Kind by token text, seeded with `_KINDS` or `_SPEC_KINDS`; another
+    text is learned on first sight as INT if decimal, else IDENT."""
+    __slots__ = ()
+
+    def __missing__(self, text: str) -> int:
+        kind = self[text] = T.INT if text.isdecimal() else T.IDENT
+        return kind
+
 
 # One token, in an order where most positions fail fast: an ASCII identifier,
 # punctuation grouped by first character, longest first, an integer, or any
@@ -113,10 +125,6 @@ class Tokens:
         self.starts.append(start)
         self.texts.append(text)
 
-    def span(self, i: int) -> Span:
-        start = self.starts[i]
-        return Span(start, start + len(self.texts[i]))
-
 
 def lex(source: str, base: int = 0, spec_mode: bool = False
         ) -> tuple[Tokens, list[Diagnostic]]:
@@ -127,9 +135,8 @@ def lex(source: str, base: int = 0, spec_mode: bool = False
     texts = parts[1::2]
     texts.append("")  # the EOF
     starts = list(accumulate(map(len, parts), initial=base))[1::2]
-    kinds = list(map((_SPEC_KINDS if spec_mode else _KINDS).get, texts,
-                     map(_IDENT_OR_INT.__getitem__,
-                         map(str.isdecimal, texts))))
+    table = _KindTable(_SPEC_KINDS if spec_mode else _KINDS)
+    kinds = list(map(table.__getitem__, texts))
     clean = source.isascii() and not "".join(parts[::2]).strip(_BLANK)
 
     def first_bad(lo: int, hi: int) -> Diagnostic | None:
@@ -147,7 +154,7 @@ def lex(source: str, base: int = 0, spec_mode: bool = False
         at = min(bad, default=None)
         return None if at is None else error(
             Category.PARSE, f"unexpected character {source[at - base]!r}",
-            Span(at, at + 1))
+            at)
 
     # (lo, hi, new, error): tokens lo..hi-1 become `new`; error is at lo - 1
     edits: list[tuple] = []
@@ -196,7 +203,7 @@ def lex(source: str, base: int = 0, spec_mode: bool = False
         code = last + 1
     if depth:
         return Tokens(), [error(Category.PARSE, "unterminated comment",
-                                Span(base + opener, starts[-1]))]
+                                base + opener)]
     if diag := first_bad(code, len(texts) - 1):
         return Tokens(), [diag]
     toks = Tokens()

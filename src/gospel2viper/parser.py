@@ -6,8 +6,9 @@ Operator Precedence") in one loop, `_P.parse_binary`, over the table
 `_BINOPS` of operators and their precedences.
 
 The parser reads the file's one token stream (`lexer.Tokens`) by index:
-`kinds[pos]` and `texts[pos]`, and a `Span` built from the start offset
-only where a node keeps one.  An annotation is the slice of that stream
+`kinds[pos]`, `texts[pos]`, and `starts[pos]` where a node keeps its
+position, which is its first token's start offset.  An annotation is the
+slice of that stream
 from its ANNOTATION token to the EOF that ends its payload, which the
 lexer has already lexed in spec mode; nothing is lexed here.  A payload
 is dispatched on its leading keyword: predicate / function / lemma
@@ -40,7 +41,9 @@ them, so that the translator can still check the module's names.
 
 from __future__ import annotations
 
-from .diagnostics import Category, Diagnostic, Span, error
+import re
+
+from .diagnostics import Category, Diagnostic, error
 from .lexer import T, Tokens, lex
 from .surface import (AnnotationPayload, AppE, Assertion, AssignE, BinE,
                       BoolLit, BoolT, ContractSpec, CtorDef, CtorE, FieldDef,
@@ -122,7 +125,7 @@ class _P:
 
     def fail(self, message: str) -> None:
         raise ParseError(error(Category.PARSE, message,
-                               self.toks.span(self.pos)))
+                               self.starts[self.pos]))
 
     def ident(self, what: str = "identifier") -> str:
         """Step past an identifier; return its text."""
@@ -186,7 +189,7 @@ class _P:
 
     def parse_unary(self) -> SurfaceExpr:
         """A prefix minus and its operand, itself possibly negated."""
-        start = self.toks.span(self.next())
+        start = self.starts[self.next()]
         self.enter()
         # no operator binds tighter than _TIGHTEST: just the operand
         e = UnE("-", self.parse_binary(_TIGHTEST + 1), span=start)
@@ -246,8 +249,7 @@ class _P:
             self.expect(T.RPAREN, "')'")
         elif kind in _ATOM_START:
             text = self.texts[pos]
-            start = self.starts[pos]
-            span = Span(start, start + len(text))
+            span = self.starts[pos]
             if kind == T.LBRACE:
                 e = self._record_body(None, span)
             else:
@@ -293,7 +295,7 @@ class _P:
             else:
                 return e
 
-    def _record_body(self, ctor: str | None, span: Span) -> RecordAlloc:
+    def _record_body(self, ctor: str | None, span: int) -> RecordAlloc:
         self.expect(T.LBRACE, "'{'")
         inits: list[tuple[str, SurfaceExpr]] = []
         while not self.at(T.RBRACE):
@@ -321,7 +323,7 @@ def parse_annotation(toks: Tokens, at: int
         return None, [toks.errors[at]]
     p = _P(toks, spec=True, pos=at + 1)
     try:
-        payload = _annotation_payload(p, toks.span(at))
+        payload = _annotation_payload(p, toks.starts[at])
         if not p.at(T.EOF):
             p.fail(f"unexpected {p.texts[p.pos]!r} at end of annotation")
         return payload, []
@@ -333,7 +335,7 @@ _GHOST_KINDS = {T.FOLD: GhostKind.FOLD, T.UNFOLD: GhostKind.UNFOLD,
                 T.APPLY: GhostKind.APPLY}
 
 
-def _annotation_payload(p: _P, span: Span):
+def _annotation_payload(p: _P, span: int):
     kind = p.kinds[p.pos]
     if kind == T.PREDICATE:
         p.next()
@@ -391,7 +393,7 @@ def _command_args(p: _P) -> list[SurfaceExpr]:
     return args
 
 
-def _contract(p: _P, span: Span) -> ContractSpec:
+def _contract(p: _P, span: int) -> ContractSpec:
     first = p.ident("contract header")
     results: list[str] = []
     if p.at(T.COMMA) or p.at(T.EQ):
@@ -452,14 +454,14 @@ def _assertion(p: _P) -> Assertion:
 def _assertion_atom(p: _P) -> Assertion:
     kind = p.kinds[p.pos]
     if kind == T.IF:
-        span = p.toks.span(p.next())
+        span = p.starts[p.next()]
         cond = p.parse_binary(_CMP)
         p.expect(T.THEN, "'then'")
         then = _assertion(p)
         p.expect(T.ELSE, "'else'")
         return IfA(cond, then, _assertion(p), span=span)
     if kind == T.LET:
-        span = p.toks.span(p.next())
+        span = p.starts[p.next()]
         ctor = p.ident("constructor pattern")
         if not ctor[0].isupper():
             p.fail("assertion let expects a constructor pattern")
@@ -496,6 +498,9 @@ def _assertion_atom(p: _P) -> Assertion:
 # module parsing
 
 _GHOST_LEADS = ("fold", "unfold", "apply")
+# the keyword and name that open a declaring annotation's text
+_DECL_HEAD = re.compile(r"\(\*@\s*(predicate|function|lemma)\s+"
+                        r"([^\W\d][\w']*)")
 
 
 def _annotation_is_ghost(text: str) -> bool:
@@ -515,6 +520,7 @@ class _ModuleParser(_P):
         self.payloads: dict[int, tuple] = {}
         # every ghost command placed in a block, for the translator
         self.ghosts: list[GhostCommand] = []
+        self.unparsed: dict[str, str] = {}  # see SurfaceModule
 
     def _annotation(self) -> tuple[AnnotationPayload | None, list[Diagnostic]]:
         """parse_annotation of the annotation at the cursor, parsed once:
@@ -543,7 +549,7 @@ class _ModuleParser(_P):
         if len(items) == 1:
             return items[0]
         return SeqE(items, span=items[0].span if opener is None
-                    else self.toks.span(opener))
+                    else self.starts[opener])
 
     def _stmt_seq(self) -> list[SurfaceExpr | GhostCommand]:
         """The items of a block, up to the token that ends it.  A `let … in`
@@ -605,9 +611,9 @@ class _ModuleParser(_P):
                 self.diags.append(error(
                     Category.PARSE,
                     f"local '{name}' needs an explicit type annotation",
-                    self.toks.span(at)))
+                    self.starts[at]))
             self.next()
-            return LetIn(name, typ, rhs, span=self.toks.span(start))
+            return LetIn(name, typ, rhs, span=self.starts[start])
         if kind == T.MATCH:
             return self._match()
         if kind == T.IF:
@@ -621,7 +627,7 @@ class _ModuleParser(_P):
                 self.next()
                 els = self._branch()
             self.depth -= 1
-            return IfE(cond, then, els, span=self.toks.span(start))
+            return IfE(cond, then, els, span=self.starts[start])
         if kind == T.LPAREN and self.kinds[start + 1] != T.RPAREN:
             self.next()
             self.enter()
@@ -656,7 +662,7 @@ class _ModuleParser(_P):
             if not isinstance(e, FieldE):
                 raise ParseError(error(Category.PARSE,
                                        "only fields can be assigned",
-                                       self.toks.span(arrow)))
+                                       self.starts[arrow]))
             return AssignE(e, self.parse_expr(), span=e.span)
         return e
 
@@ -679,13 +685,13 @@ class _ModuleParser(_P):
             self.expect(T.ARROW, "'->'")
             arms.append(MatchArm(ctor, binder,
                                  self._block("empty match arm"),
-                                 span=self.toks.span(at)))
+                                 span=self.starts[at]))
             if self.at(T.PIPE):
                 self.next()
             else:
                 break
         self.depth -= 1
-        return MatchE(scrut, arms, span=self.toks.span(start))
+        return MatchE(scrut, arms, span=self.starts[start])
 
     # declarations ----------------------------------------------------------
 
@@ -699,6 +705,9 @@ class _ModuleParser(_P):
                 decls.append(self._fun_decl())
             elif kind == T.ANNOTATION:
                 payload, diags = self._annotation()
+                if payload is None and (
+                        head := _DECL_HEAD.match(self.texts[self.pos])):
+                    self.unparsed[head[2]] = head[1]
                 self._skip_annotation()
                 self.diags.extend(diags)
                 if payload is not None:
@@ -706,7 +715,7 @@ class _ModuleParser(_P):
             else:
                 self.fail("expected a declaration, found "
                           f"{self.texts[self.pos]!r}")
-        return SurfaceModule(decls, self.ghosts)
+        return SurfaceModule(decls, self.ghosts, self.unparsed)
 
     def _place_annotation(self, payload: AnnotationPayload,
                           decls: list[SurfaceDecl]) -> None:
@@ -741,7 +750,7 @@ class _ModuleParser(_P):
             kind = self._record_kind()
         else:
             kind = self._variant()
-        return TypeDecl(name, kind, span=self.toks.span(start))
+        return TypeDecl(name, kind, span=self.starts[start])
 
     def _variant(self):
         if self.at(T.PIPE):
@@ -761,7 +770,7 @@ class _ModuleParser(_P):
         if self.at(T.OF):
             self.next()
             payload = self._record_kind().fields
-        return CtorDef(name, payload, span=self.toks.span(at))
+        return CtorDef(name, payload, span=self.starts[at])
 
     def _record_kind(self) -> RecordKind:
         self.expect(T.LBRACE, "'{'")
@@ -775,7 +784,7 @@ class _ModuleParser(_P):
             name = self.ident("field name")
             self.expect(T.COLON, "':'")
             fields.append(FieldDef(name, self.parse_type(), mutable,
-                                   span=self.toks.span(at)))
+                                   span=self.starts[at]))
             if self.at(T.SEMI):
                 self.next()
             elif not self.at(T.RBRACE):
@@ -806,7 +815,7 @@ class _ModuleParser(_P):
             ret = self.parse_type()
         self.expect(T.EQ, "'='")
         body = self._block("expected a function body")
-        return FunDecl(name, params, ret, body, span=self.toks.span(start))
+        return FunDecl(name, params, ret, body, span=self.starts[start])
 
 
 def parse_module(tokens: Tokens) -> tuple[SurfaceModule | None, list[Diagnostic]]:

@@ -873,15 +873,17 @@ class Checker:
     def _produce_and(self, st, a, store, cache) -> list[SymState]:
         # depth first: each state takes all remaining parts before the
         # next state starts, which fixes the order of fresh symbols
-        out: list[SymState] = []
-        todo = [(st, 0)]
+        parts, out, todo = a.parts, [], [(st, 0)]
         while todo:
             s, i = todo.pop()
-            if i == len(a.parts):
-                out.append(s)
+            live = [s]
+            while len(live) == 1 and i < len(parts):  # no fork, no stack
+                live = self._produce(live[0], parts[i], store, cache)
+                i += 1
+            if i == len(parts):
+                out += live
             else:
-                nxt = self._produce(s, a.parts[i], store, cache)
-                todo.extend((t, i + 1) for t in reversed(nxt))
+                todo.extend((t, i) for t in reversed(live))
         return out
 
     def _produce_cond(self, st, a, store, cache) -> list[SymState]:
@@ -931,7 +933,7 @@ class Checker:
     # else at `span`.
 
     def _consume_pure(self, st, a, store, cache, ctx, span) -> bool:
-        at = a.span or span
+        at = span if a.span is None else a.span
         val = self.eval(st, a.expr, store, cache, at)
         verdict = self.decide(st, val)
         if verdict is None:
@@ -956,7 +958,7 @@ class Checker:
         return True
 
     def _consume_acc(self, st, a, store, cache, ctx, span) -> bool:
-        at = a.span or span
+        at = span if a.span is None else a.span
         key = (self.eval(st, a.loc.base, store, cache, at), a.loc.fieldname)
         if key not in st.heap:
             self._err(Category.PERMISSION,
@@ -967,7 +969,7 @@ class Checker:
         return True
 
     def _consume_pred(self, st, a, store, cache, ctx, span) -> bool:
-        at = a.span or span
+        at = span if a.span is None else a.span
         key = (a.name,
                tuple([self.eval(st, x, store, cache, at) for x in a.args]))
         count = st.preds.get(key)
@@ -990,7 +992,7 @@ class Checker:
         return ok
 
     def _consume_cond(self, st, a, store, cache, ctx, span) -> bool:
-        at = a.span or span
+        at = span if a.span is None else a.span
         cond = self.eval(st, a.cond, store, cache, at)
         verdict = self.decide(st, cond)
         if verdict is None:
@@ -1008,7 +1010,7 @@ class Checker:
         return self._consume(st, branch, store, cache, ctx, span)
 
     def _consume_let(self, st, a, store, cache, ctx, span) -> bool:
-        at = a.span or span
+        at = span if a.span is None else a.span
         inner = dict(store)
         inner[a.name] = self.eval(st, a.bound, store, cache, at)
         return self._consume(st, a.body, inner, cache, ctx, span)
@@ -1154,15 +1156,18 @@ class Checker:
         capping the states after each item (reported at `at`, else at the
         item)."""
         for item in steps:
-            nxt: list[SymState] = []
-            for cur in states:
-                nxt.extend(step(cur, item))
-            states = self._capped(nxt, item if at is None else at)
+            if len(states) == 1:  # the common case: no list of its own
+                states = step(states[0], item)
+            else:
+                nxt: list[SymState] = []
+                for cur in states:
+                    nxt += step(cur, item)
+                states = nxt
+            if len(states) > MAX_PATHS:
+                states = self._capped(states, item if at is None else at)
         return states
 
     def _capped(self, states: list[SymState], at) -> list[SymState]:
-        if len(states) <= MAX_PATHS:
-            return states
         span = getattr(at, "span", None)
         msg = (f"more than {MAX_PATHS} symbolic paths; "
                f"dropping the excess, the verdict may be incomplete")
@@ -1369,8 +1374,7 @@ def _dedupe(diags: list[Diagnostic]) -> list[Diagnostic]:
     seen = set()
     out = []
     for d in diags:
-        key = (d.severity, d.category, d.message,
-               (d.span.start, d.span.end) if d.span else None)
+        key = (d.severity, d.category, d.message, d.span)
         if key in seen:
             continue
         seen.add(key)

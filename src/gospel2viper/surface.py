@@ -4,8 +4,10 @@ Every node is a plain class with `__slots__` and a hand-written
 `__init__`, and the abstract bases declare no slots, so a node has no
 `__dict__`: it is smaller and cheaper to build, and no stage can hang an
 undeclared attribute on it.  Equality and repr come from `Record` and are
-those a dataclass would give.  Span fields never participate in
-structural equality, so tests can build expected trees without positions.
+those a dataclass would give.  A node's `span` is the source offset of
+its first character, an `int` or None (see `diagnostics`); spans never
+participate in structural equality, so tests can build expected trees
+without positions.
 The types are hashable, like frozen dataclasses; the other nodes are not.
 """
 
@@ -13,7 +15,7 @@ from __future__ import annotations
 
 from enum import Enum
 
-from .diagnostics import Record, Span
+from .diagnostics import Record
 
 
 # --------------------------------------------------------------------------
@@ -59,7 +61,7 @@ class SurfaceExpr(Record):
 class IntLit(SurfaceExpr):
     __slots__ = ("value", "span")
 
-    def __init__(self, value: int, span: Span | None = None):
+    def __init__(self, value: int, span: int | None = None):
         self.value = value
         self.span = span
 
@@ -67,7 +69,7 @@ class IntLit(SurfaceExpr):
 class BoolLit(SurfaceExpr):
     __slots__ = ("value", "span")
 
-    def __init__(self, value: bool, span: Span | None = None):
+    def __init__(self, value: bool, span: int | None = None):
         self.value = value
         self.span = span
 
@@ -75,14 +77,14 @@ class BoolLit(SurfaceExpr):
 class UnitLit(SurfaceExpr):
     __slots__ = ("span",)
 
-    def __init__(self, span: Span | None = None):
+    def __init__(self, span: int | None = None):
         self.span = span
 
 
 class VarE(SurfaceExpr):
     __slots__ = ("name", "span")
 
-    def __init__(self, name: str, span: Span | None = None):
+    def __init__(self, name: str, span: int | None = None):
         self.name = name
         self.span = span
 
@@ -91,7 +93,7 @@ class FieldE(SurfaceExpr):
     __slots__ = ("base", "fieldname", "span")
 
     def __init__(self, base: SurfaceExpr, fieldname: str,
-                 span: Span | None = None):
+                 span: int | None = None):
         self.base = base
         self.fieldname = fieldname
         self.span = span
@@ -101,7 +103,7 @@ class CtorE(SurfaceExpr):
     """A bare constructor value, e.g. Nil."""
     __slots__ = ("name", "span")
 
-    def __init__(self, name: str, span: Span | None = None):
+    def __init__(self, name: str, span: int | None = None):
         self.name = name
         self.span = span
 
@@ -112,7 +114,7 @@ class RecordAlloc(SurfaceExpr):
 
     def __init__(self, ctor: str | None,
                  inits: list[tuple[str, SurfaceExpr]],
-                 span: Span | None = None):
+                 span: int | None = None):
         self.ctor = ctor
         self.inits = inits
         self.span = span
@@ -124,7 +126,7 @@ class AppE(SurfaceExpr):
 
     def __init__(self, fn: str, args: list[SurfaceExpr],
                  ghost_args: list[SurfaceExpr] | None = None,
-                 span: Span | None = None):
+                 span: int | None = None):
         self.fn = fn
         self.args = args
         self.ghost_args = [] if ghost_args is None else ghost_args
@@ -135,7 +137,7 @@ class BinE(SurfaceExpr):
     __slots__ = ("op", "left", "right", "span")
 
     def __init__(self, op: str, left: SurfaceExpr, right: SurfaceExpr,
-                 span: Span | None = None):
+                 span: int | None = None):
         self.op = op
         self.left = left
         self.right = right
@@ -146,7 +148,7 @@ class UnE(SurfaceExpr):
     __slots__ = ("op", "operand", "span")
 
     def __init__(self, op: str, operand: SurfaceExpr,
-                 span: Span | None = None):
+                 span: int | None = None):
         self.op = op
         self.operand = operand
         self.span = span
@@ -156,7 +158,7 @@ class IndexE(SurfaceExpr):
     __slots__ = ("seq", "index", "span")
 
     def __init__(self, seq: SurfaceExpr, index: SurfaceExpr,
-                 span: Span | None = None):
+                 span: int | None = None):
         self.seq = seq
         self.index = index
         self.span = span
@@ -167,7 +169,7 @@ class SliceFromE(SurfaceExpr):
     __slots__ = ("seq", "lo", "span")
 
     def __init__(self, seq: SurfaceExpr, lo: SurfaceExpr,
-                 span: Span | None = None):
+                 span: int | None = None):
         self.seq = seq
         self.lo = lo
         self.span = span
@@ -179,7 +181,7 @@ class LetIn(SurfaceExpr):
     __slots__ = ("name", "typ", "rhs", "span")
 
     def __init__(self, name: str, typ: SurfaceType | None, rhs: SurfaceExpr,
-                 span: Span | None = None):
+                 span: int | None = None):
         self.name = name
         self.typ = typ
         self.rhs = rhs
@@ -190,7 +192,7 @@ class IfE(SurfaceExpr):
     __slots__ = ("cond", "then", "els", "span")
 
     def __init__(self, cond: SurfaceExpr, then: SurfaceExpr,
-                 els: SurfaceExpr | None, span: Span | None = None):
+                 els: SurfaceExpr | None, span: int | None = None):
         self.cond = cond
         self.then = then
         self.els = els
@@ -201,7 +203,7 @@ class MatchArm(Record):
     __slots__ = ("ctor", "binder", "body", "span")
 
     def __init__(self, ctor: str, binder: str | None,
-                 body: SurfaceExpr | GhostCommand, span: Span | None = None):
+                 body: SurfaceExpr | GhostCommand, span: int | None = None):
         self.ctor = ctor
         self.binder = binder
         self.body = body
@@ -212,7 +214,7 @@ class MatchE(SurfaceExpr):
     __slots__ = ("scrutinee", "arms", "span")
 
     def __init__(self, scrutinee: SurfaceExpr, arms: list[MatchArm],
-                 span: Span | None = None):
+                 span: int | None = None):
         self.scrutinee = scrutinee
         self.arms = arms
         self.span = span
@@ -222,7 +224,7 @@ class AssignE(SurfaceExpr):
     __slots__ = ("target", "value", "span")
 
     def __init__(self, target: FieldE, value: SurfaceExpr,
-                 span: Span | None = None):
+                 span: int | None = None):
         self.target = target
         self.value = value
         self.span = span
@@ -234,7 +236,7 @@ class SeqE(SurfaceExpr):
     __slots__ = ("items", "span")
 
     def __init__(self, items: list[SurfaceExpr | GhostCommand],
-                 span: Span | None = None):
+                 span: int | None = None):
         self.items = items
         self.span = span
 
@@ -249,7 +251,7 @@ class Assertion(Record):
 class PureA(Assertion):
     __slots__ = ("expr", "span")
 
-    def __init__(self, expr: SurfaceExpr, span: Span | None = None):
+    def __init__(self, expr: SurfaceExpr, span: int | None = None):
         self.expr = expr
         self.span = span
 
@@ -259,7 +261,7 @@ class OwnsA(Assertion):
     __slots__ = ("target", "fields", "span")
 
     def __init__(self, target: SurfaceExpr, fields: list[str],
-                 span: Span | None = None):
+                 span: int | None = None):
         self.target = target
         self.fields = fields
         self.span = span
@@ -269,7 +271,7 @@ class SepA(Assertion):
     """A && chain of two or more assertions, kept flat."""
     __slots__ = ("parts", "span")
 
-    def __init__(self, parts: list[Assertion], span: Span | None = None):
+    def __init__(self, parts: list[Assertion], span: int | None = None):
         self.parts = parts
         self.span = span
 
@@ -278,7 +280,7 @@ class IfA(Assertion):
     __slots__ = ("cond", "then", "els", "span")
 
     def __init__(self, cond: SurfaceExpr, then: Assertion, els: Assertion,
-                 span: Span | None = None):
+                 span: int | None = None):
         self.cond = cond
         self.then = then
         self.els = els
@@ -290,7 +292,7 @@ class LetPatA(Assertion):
     __slots__ = ("ctor", "binder", "scrutinee", "body", "span")
 
     def __init__(self, ctor: str, binder: str, scrutinee: SurfaceExpr,
-                 body: Assertion, span: Span | None = None):
+                 body: Assertion, span: int | None = None):
         self.ctor = ctor
         self.binder = binder
         self.scrutinee = scrutinee
@@ -311,7 +313,7 @@ class GhostCommand(Record):
     __slots__ = ("kind", "target", "args", "span")
 
     def __init__(self, kind: GhostKind, target: str, args: list[SurfaceExpr],
-                 span: Span | None = None):
+                 span: int | None = None):
         self.kind = kind
         self.target = target
         self.args = args
@@ -326,7 +328,7 @@ class ContractSpec(Record):
                  param_names: list[str],
                  ghost_params: list[tuple[str, SurfaceType]],
                  requires: list[Assertion], ensures: list[Assertion],
-                 span: Span | None = None):
+                 span: int | None = None):
         self.results = results
         self.fn_name = fn_name
         self.param_names = param_names
@@ -340,7 +342,7 @@ class PredicateDef(Record):
     __slots__ = ("name", "params", "body", "span")
 
     def __init__(self, name: str, params: list[tuple[str, SurfaceType]],
-                 body: Assertion, span: Span | None = None):
+                 body: Assertion, span: int | None = None):
         self.name = name
         self.params = params
         self.body = body
@@ -352,7 +354,7 @@ class LogicalFunctionDef(Record):
 
     def __init__(self, name: str, params: list[tuple[str, SurfaceType]],
                  ret: SurfaceType, body: SurfaceExpr,
-                 span: Span | None = None):
+                 span: int | None = None):
         self.name = name
         self.params = params
         self.ret = ret
@@ -365,7 +367,7 @@ class LemmaDef(Record):
 
     def __init__(self, name: str, params: list[tuple[str, SurfaceType]],
                  requires: list[Assertion], ensures: list[Assertion],
-                 span: Span | None = None):
+                 span: int | None = None):
         self.name = name
         self.params = params
         self.requires = requires
@@ -384,7 +386,7 @@ class FieldDef(Record):
     __slots__ = ("name", "typ", "mutable", "span")
 
     def __init__(self, name: str, typ: SurfaceType, mutable: bool,
-                 span: Span | None = None):
+                 span: int | None = None):
         self.name = name
         self.typ = typ
         self.mutable = mutable
@@ -402,7 +404,7 @@ class CtorDef(Record):
     __slots__ = ("name", "payload", "span")
 
     def __init__(self, name: str, payload: list[FieldDef],
-                 span: Span | None = None):
+                 span: int | None = None):
         self.name = name
         self.payload = payload  # empty for nullary constructors
         self.span = span
@@ -419,7 +421,7 @@ class TypeDecl(Record):
     __slots__ = ("name", "kind", "span")
 
     def __init__(self, name: str, kind: RecordKind | VariantKind,
-                 span: Span | None = None):
+                 span: int | None = None):
         self.name = name
         self.kind = kind
         self.span = span
@@ -430,7 +432,7 @@ class FunDecl(Record):
 
     def __init__(self, name: str, params: list[tuple[str, SurfaceType]],
                  ret: SurfaceType | None, body: SurfaceExpr | GhostCommand,
-                 spec: ContractSpec | None = None, span: Span | None = None):
+                 spec: ContractSpec | None = None, span: int | None = None):
         self.name = name
         self.params = params
         self.ret = ret  # None means unit
@@ -444,10 +446,14 @@ SurfaceDecl = (TypeDecl | FunDecl | PredicateDef | LogicalFunctionDef
 
 
 class SurfaceModule(Record, uncompared=("ghosts",)):
-    __slots__ = ("decls", "ghosts")
+    __slots__ = ("decls", "ghosts", "unparsed")
 
-    def __init__(self, decls: list[SurfaceDecl], ghosts: list[GhostCommand]):
+    def __init__(self, decls: list[SurfaceDecl], ghosts: list[GhostCommand],
+                 unparsed: dict[str, str]):
         self.decls = decls
         # the ghost commands of the function bodies, in source order; they
         # are compared as part of the bodies
         self.ghosts = ghosts
+        # name -> keyword ("predicate", "function" or "lemma") of each
+        # declaration whose annotation did not parse, and so is not in decls
+        self.unparsed = unparsed

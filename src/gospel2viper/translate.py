@@ -53,7 +53,7 @@ which no parse produces, raises TypeError.
 from __future__ import annotations
 
 from . import viper_ast as V
-from .diagnostics import (Category, Diagnostic, Record, Span, error,
+from .diagnostics import (Category, Diagnostic, Record, error,
                           has_errors, warning)
 from .parser import parse_source
 from .surface import (AppE, AssignE, Assertion, BinE, BoolLit, BoolT,
@@ -93,7 +93,7 @@ class _CtorInfo(Record):
     __slots__ = ("name", "type_name", "proj", "payload", "span")
 
     def __init__(self, name: str, type_name: str, proj: str | None,
-                 payload: list[FieldDef], span: Span | None):
+                 payload: list[FieldDef], span: int | None):
         self.name = name
         self.type_name = type_name
         self.proj = proj  # projection/param name, None for nullary
@@ -128,11 +128,11 @@ class _Tr:
         # or a prefix of it, then _STALE until a use of the binder is found
         self.binders: list[list] = []
 
-    def err(self, message: str, span: Span | None,
+    def err(self, message: str, span: int | None,
             category: Category = Category.TRANSLATION) -> None:
         self.diags.append(error(category, message, span))
 
-    def warn(self, message: str, span: Span | None) -> None:
+    def warn(self, message: str, span: int | None) -> None:
         self.diags.append(warning(Category.TRANSLATION, message, span))
 
     # -- the declaration table ------------------------------------------
@@ -218,8 +218,11 @@ class _Tr:
                        else (self.preds, "predicate"))
         resolved = resolve_spec_name(cmd.target, table)
         if resolved is None:
-            self.err(f"{cmd.kind.value} target '{cmd.target}' is not a "
-                     f"declared {what}", cmd.span, Category.PARSE)
+            # a declaration that did not parse was reported by the parser
+            broken = resolve_spec_name(cmd.target, self.module.unparsed)
+            if broken is None or self.module.unparsed[broken] != what:
+                self.err(f"{cmd.kind.value} target '{cmd.target}' is not a "
+                         f"declared {what}", cmd.span, Category.PARSE)
             return
         cmd.target = resolved
         arity = len(table[resolved].params)
@@ -229,7 +232,7 @@ class _Tr:
 
     # -- types ----------------------------------------------------------
 
-    def map_type(self, t: SurfaceType, span: Span | None) -> V.VType:
+    def map_type(self, t: SurfaceType, span: int | None) -> V.VType:
         if isinstance(t, IntT):
             return V.INT
         if isinstance(t, BoolT):
@@ -762,7 +765,7 @@ class _Tr:
         return V.AdtDecl(_cap(d.name), ctors)
 
     def _params(self, params: list[tuple[str, SurfaceType]],
-                span: Span | None) -> list[tuple[str, V.VType]]:
+                span: int | None) -> list[tuple[str, V.VType]]:
         return [(n, self.map_type(t, span)) for n, t in params]
 
     def _tr_pred(self, p: PredicateDef) -> V.PredicateDecl:
@@ -807,7 +810,7 @@ class _Tr:
                 returns = [(result, self.map_type(d.ret, d.span))]
         elif d.ret is not None:
             self.err(f"'{d.name}' returns a value but its contract names "
-                     f"no result", spec.span or d.span)
+                     f"no result", d.span if spec.span is None else spec.span)
 
         env: dict[str, V.VExpr] = {n: V.Var(n) for n, _ in d.params}
         env.update({n: V.Var(n) for n, _ in spec.ghost_params})

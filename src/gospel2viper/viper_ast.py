@@ -2,8 +2,10 @@
 
 Every node is a `Record`: a plain class with `__slots__` and a
 hand-written `__init__`, as in `surface`, and the abstract bases declare
-no slots, so no node has a `__dict__`.  Equality and repr are those a
-dataclass would give, and leave out `span`.  Types and tokens are hashed
+no slots, so no node has a `__dict__`.  An assertion, statement or
+method keeps the source offset it came from in `span`, an `int` or None
+(see `diagnostics`).  Equality and repr are those a dataclass would
+give, and leave out `span`.  Types and tokens are hashed
 by value; the other nodes are not hashable.  The printers (`expr_str`,
 `_assertion_str`, `stmt_lines`, `decl_lines`) find a node's handler by
 its class in one table each, with one lookup per printed node; an
@@ -173,7 +175,7 @@ class VAssertion(Record):
 class Pure(VAssertion):
     __slots__ = ("expr", "span")
 
-    def __init__(self, expr: VExpr, span: object = None):
+    def __init__(self, expr: VExpr, span: int | None = None):
         self.expr = expr
         self.span = span
 
@@ -181,7 +183,7 @@ class Pure(VAssertion):
 class Acc(VAssertion):
     __slots__ = ("loc", "span")
 
-    def __init__(self, loc: FieldAcc, span: object = None):
+    def __init__(self, loc: FieldAcc, span: int | None = None):
         self.loc = loc
         self.span = span
 
@@ -189,7 +191,7 @@ class Acc(VAssertion):
 class PredApp(VAssertion):
     __slots__ = ("name", "args", "span")
 
-    def __init__(self, name: str, args: list[VExpr], span: object = None):
+    def __init__(self, name: str, args: list[VExpr], span: int | None = None):
         self.name = name
         self.args = args
         self.span = span
@@ -200,7 +202,7 @@ class AndA(VAssertion):
     with `and_all`."""
     __slots__ = ("parts", "span")
 
-    def __init__(self, parts: list[VAssertion], span: object = None):
+    def __init__(self, parts: list[VAssertion], span: int | None = None):
         self.parts = parts
         self.span = span
 
@@ -209,7 +211,7 @@ class CondA(VAssertion):
     __slots__ = ("cond", "then", "els", "span")
 
     def __init__(self, cond: VExpr, then: VAssertion, els: VAssertion,
-                 span: object = None):
+                 span: int | None = None):
         self.cond = cond
         self.then = then
         self.els = els
@@ -220,7 +222,7 @@ class LetA(VAssertion):
     __slots__ = ("name", "bound", "body", "span")
 
     def __init__(self, name: str, bound: VExpr, body: VAssertion,
-                 span: object = None):
+                 span: int | None = None):
         self.name = name
         self.bound = bound
         self.body = body
@@ -253,7 +255,7 @@ class VarDeclS(VStmt):
     __slots__ = ("name", "typ", "init", "span")
 
     def __init__(self, name: str, typ: VType, init: VExpr | None = None,
-                 span: object = None):
+                 span: int | None = None):
         self.name = name
         self.typ = typ
         self.init = init
@@ -263,7 +265,7 @@ class VarDeclS(VStmt):
 class AssignS(VStmt):
     __slots__ = ("target", "value", "span")
 
-    def __init__(self, target: VExpr, value: VExpr, span: object = None):
+    def __init__(self, target: VExpr, value: VExpr, span: int | None = None):
         self.target = target  # Var or FieldAcc
         self.value = value
         self.span = span
@@ -273,7 +275,7 @@ class NewS(VStmt):
     __slots__ = ("target", "fields", "declare", "span")
 
     def __init__(self, target: str, fields: list[str], declare: bool = False,
-                 span: object = None):
+                 span: int | None = None):
         self.target = target
         self.fields = fields
         self.declare = declare  # True prints `var x: Ref := new(...)`
@@ -284,7 +286,7 @@ class IfS(VStmt):
     __slots__ = ("cond", "then", "els", "span")
 
     def __init__(self, cond: VExpr, then: list[VStmt],
-                 els: list[VStmt] | None = None, span: object = None):
+                 els: list[VStmt] | None = None, span: int | None = None):
         self.cond = cond
         self.then = then
         self.els = [] if els is None else els
@@ -294,7 +296,7 @@ class IfS(VStmt):
 class FoldS(VStmt):
     __slots__ = ("pred", "span")
 
-    def __init__(self, pred: PredApp, span: object = None):
+    def __init__(self, pred: PredApp, span: int | None = None):
         self.pred = pred
         self.span = span
 
@@ -302,7 +304,7 @@ class FoldS(VStmt):
 class UnfoldS(VStmt):
     __slots__ = ("pred", "span")
 
-    def __init__(self, pred: PredApp, span: object = None):
+    def __init__(self, pred: PredApp, span: int | None = None):
         self.pred = pred
         self.span = span
 
@@ -311,7 +313,7 @@ class CallS(VStmt):
     __slots__ = ("targets", "method", "args", "span")
 
     def __init__(self, targets: list[str], method: str, args: list[VExpr],
-                 span: object = None):
+                 span: int | None = None):
         self.targets = targets
         self.method = method
         self.args = args
@@ -377,7 +379,7 @@ class MethodDecl(Record):
                  returns: list[tuple[str, VType]],
                  pres: list[VAssertion] | None = None,
                  posts: list[VAssertion] | None = None,
-                 body: list[VStmt] | None = None, span: object = None):
+                 body: list[VStmt] | None = None, span: int | None = None):
         self.name = name
         self.params = params
         self.returns = returns

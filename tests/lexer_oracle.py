@@ -1,9 +1,11 @@
 """The character-at-a-time lexer that the master-regex lexer replaced,
-kept unchanged as a reference oracle for the differential tests."""
+kept as a reference oracle for the differential tests.  Its only change
+since then: a token's or an error's `span` is its start offset, as the
+package's positions are."""
 
 from dataclasses import dataclass, field
 
-from gospel2viper.diagnostics import Category, Span, error
+from gospel2viper.diagnostics import Category, error
 from gospel2viper.lexer import KEYWORDS, SPEC_KEYWORDS, T
 
 OWNS_ARROWS = ("⇝", "↝", "⤳")
@@ -24,7 +26,7 @@ PUNCT = [
 class Token:
     kind: T
     text: str
-    span: Span
+    span: int
     # only set on ANNOTATION tokens
     payload: str | None = field(default=None, repr=False)
     payload_offset: int = field(default=0, repr=False)
@@ -43,8 +45,7 @@ def reference_lex(source, base=0, spec_mode=False):
     i, n = 0, len(source)
 
     def tok(kind, start, end, **kw):
-        toks.append(Token(kind, source[start:end],
-                          Span(base + start, base + end), **kw))
+        toks.append(Token(kind, source[start:end], base + start, **kw))
 
     while i < n:
         ch = source[i]
@@ -65,7 +66,7 @@ def reference_lex(source, base=0, spec_mode=False):
                     j += 1
             if depth:
                 return [], [error(Category.PARSE, "unterminated comment",
-                                  Span(base + start, base + n))]
+                                  base + start)]
             if is_annot:
                 payload_start = start + 3
                 tok(T.ANNOTATION, start, j,
@@ -106,7 +107,7 @@ def reference_lex(source, base=0, spec_mode=False):
                 break
         else:
             return [], [error(Category.PARSE, f"unexpected character {ch!r}",
-                              Span(base + i, base + i + 1))]
+                              base + i)]
 
-    toks.append(Token(T.EOF, "", Span(base + n, base + n)))
+    toks.append(Token(T.EOF, "", base + n))
     return toks, []

@@ -838,6 +838,68 @@ def test_misplaced_declaration_gives_one_parse_error(tmp_path, case):
     assert not (tmp_path / "placed.vpr").exists()
 
 
+# Parse errors, each with the lines it gives; each exits 1 and writes nothing
+UNPARSED_PREDICATE = (
+    CELL + "(*@ predicate p (c: t) = c ~> {v} && *)\nlet f (c: t) =\n"
+    "  (*@ unfold p c *)\n  c.v <- 1;\n  (*@ fold p c *)\n  ()\n")
+PARSE_ERRORS = {
+    "bool sequence field": (
+        "type t = { mutable v : bool sequence }\n",
+        ["1:38: error[parse]: only int sequences are supported"]),
+    "record without fields": (
+        "type t = { }\n",
+        ["2:1: error[parse]: record declarations need at least one field"]),
+    "prefix slice": (
+        "(*@ function f (s: int sequence) : int sequence = s[.. 1] *)\n",
+        ["1:53: error[parse]: prefix slices are not part of the surface "
+         "language"]),
+    # offset 0 is a position like any other
+    "wrong first token": (
+        "in x\n", ["1:1: error[parse]: expected a declaration, found 'in'"]),
+    "wrong first character": (
+        "½ a\n", ["1:1: error[parse]: unexpected character '½'"]),
+    # a declaration whose annotation does not parse was reported there:
+    # its uses are not reported again as undeclared, as predicate, lemma
+    # or logical function alike, and whether it failed to lex or to parse
+    "fold and unfold of an unparsed predicate": (
+        UNPARSED_PREDICATE,
+        ["2:38: error[parse]: expected an expression, found 'end of input'"]),
+    "unfold of a predicate that does not lex": (
+        UNPARSED_PREDICATE.replace("&& *)", "# *)"),
+        ["2:35: error[parse]: unexpected character '#'"]),
+    "apply of an unparsed lemma": (
+        CELL + "(*@ lemma l (c: t) requires c ~> {v} ensures *)\n"
+        "let f (c: t) =\n  (*@ apply L c *)\n  ()\n",
+        ["2:46: error[parse]: expected an expression, found 'end of input'"]),
+    "fold of an unparsed logical function": (
+        UNPARSED_PREDICATE.replace("predicate p (c: t) = c ~> {v} &&",
+                                   "function p (c: t) : int = c.v +"),
+        ["2:37: error[parse]: expected an expression, found 'end of input'",
+         "4:3: error[parse]: unfold target 'p' is not a declared predicate",
+         "6:3: error[parse]: fold target 'p' is not a declared predicate"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PARSE_ERRORS))
+def test_parse_error_is_pinned(tmp_path, case):
+    source, lines = PARSE_ERRORS[case]
+    src = tmp_path / "bad.ml"
+    src.write_text(source, encoding="utf-8")
+    status, out, err = invoke(src, check=True)
+    assert (status, out) == (1, "")
+    assert err == "".join(f"{src}:{line}\n" for line in lines)
+    assert not (tmp_path / "bad.vpr").exists()
+
+
+def test_a_leak_of_the_first_function_is_reported_at_1_1(tmp_path):
+    src = tmp_path / "leak.ml"
+    src.write_text("let f (c: t) =\n  ()\n(*@ f c requires c ~> {v} *)\n"
+                   + CELL, encoding="utf-8")
+    status, _, err = invoke(src, check=True)
+    assert (status, err) == (
+        0, f"{src}:1:1: warning[permission]: f leaks permission to c.v\n")
+
+
 # Translator diagnostics, each with the exit status and the lines it gives
 CELLS = "type cell = Nil | Cons of { mutable v : int }\n"
 TREES = "type tree = Leaf | Node of { mutable w : int }\n"

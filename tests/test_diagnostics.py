@@ -1,5 +1,5 @@
 from gospel2viper.diagnostics import (Category, Diagnostic, LineIndex,
-                                      Severity, Span, error, has_errors,
+                                      Severity, error, has_errors,
                                       obligation, sort_key, warning)
 from hypothesis import given, settings, strategies as hs
 
@@ -31,7 +31,7 @@ def test_line_index_matches_a_character_walk(source, data):
 
 
 def test_render_with_and_without_span():
-    d = error(Category.PERMISSION, "boom", Span(3, 4))
+    d = error(Category.PERMISSION, "boom", 3)
     assert d.render("f.ml", LineIndex("ab\ncd")) == \
         "f.ml:2:1: error[permission]: boom"
     assert error(Category.PARSE, "gone").render("f.ml") == \
@@ -39,9 +39,12 @@ def test_render_with_and_without_span():
 
 
 def test_sort_key_orders_spanless_last():
-    first = warning(Category.PERMISSION, "a", Span(0, 1))
+    # offset 0 is a position like any other, and sorts first
+    first = warning(Category.PERMISSION, "a", 0)
     last = warning(Category.PERMISSION, "a")
     assert sorted([last, first], key=sort_key) == [first, last]
+    assert first.render("f.ml", LineIndex("a")) == \
+        "f.ml:1:1: warning[permission]: a"
 
 
 def test_severity_helpers():
@@ -51,10 +54,7 @@ def test_severity_helpers():
     assert obligation("m").severity is Severity.OBLIGATION
 
 
-def test_span_slice():
-    assert Span(3, 5).slice("hello!") == "lo"
-
-
 def test_diagnostic_is_plain_data():
-    d = Diagnostic(Severity.ERROR, Category.TYPE, "m", Span(0, 1))
-    assert d == Diagnostic(Severity.ERROR, Category.TYPE, "m", Span(0, 1))
+    d = Diagnostic(Severity.ERROR, Category.TYPE, "m", 0)
+    assert d == Diagnostic(Severity.ERROR, Category.TYPE, "m", 0)
+    assert d != Diagnostic(Severity.ERROR, Category.TYPE, "m")

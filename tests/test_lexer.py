@@ -1,7 +1,9 @@
+import sys
+from collections import Counter
 from pathlib import Path
 
 from gospel2viper import lexer
-from gospel2viper.lexer import T, lex
+from gospel2viper.lexer import SPEC_KEYWORDS, T, lex
 from gospel2viper.translate import translate_source
 from lexer_oracle import reference_lex
 from test_parser import wide_module
@@ -79,12 +81,12 @@ def test_unexpected_character():
 def test_error_in_a_payload_is_kept_for_the_parser():
     toks, diags = lex("a (*@ b # c *) d # e")
     assert len(toks) == 0 and len(diags) == 1  # an error outside fails all
-    assert diags[0].span.start == len("a (*@ b # c *) d ")
+    assert diags[0].span == len("a (*@ b # c *) d ")
     toks, diags = lex("a (*@ b # c *) d")
     assert not diags
     assert toks.kinds == [T.IDENT, T.ANNOTATION, T.EOF, T.IDENT, T.EOF]
     assert toks.errors[1].message == "unexpected character '#'"
-    assert toks.errors[1].span.start == len("a (*@ b ")
+    assert toks.errors[1].span == len("a (*@ b ")
 
 
 @pytest.mark.parametrize("source,n", [("", 1), ("  \n\t ", 1)])
@@ -96,8 +98,7 @@ def test_blank_input_is_just_eof(source, n):
 
 def test_spans_shift_with_base():
     toks, _ = lex("ab cd", base=100)
-    assert toks.span(0).start == 100
-    assert toks.span(1).start == 103
+    assert toks.starts[:2] == [100, 103]
 
 
 # -- differential tests against the character-at-a-time lexer ---------------
@@ -114,7 +115,7 @@ def stream(toks):
 
 
 def reference_stream(toks):
-    return [(t.kind, t.text, t.span.start) for t in toks]
+    return [(t.kind, t.text, t.span) for t in toks]
 
 
 def reads_non_decimal_int(source, base, spec_mode):
@@ -122,7 +123,7 @@ def reads_non_decimal_int(source, base, spec_mode):
     it stops, which `lex` reports as an error instead."""
     toks, diags = reference_lex(source, base, spec_mode)
     if diags:
-        toks, _ = reference_lex(source[:diags[0].span.start - base], base,
+        toks, _ = reference_lex(source[:diags[0].span - base], base,
                                 spec_mode)
     return any(t.kind is T.INT and not t.text.isdecimal() for t in toks)
 
@@ -134,7 +135,7 @@ def inline(toks):
     start of the message is known)."""
     out, errors = [], {}
     for t in toks:
-        out.append((t.kind, t.text, t.span.start))
+        out.append((t.kind, t.text, t.span))
         if t.kind is not T.ANNOTATION:
             continue
         inner, diags = reference_lex(t.payload, t.payload_offset, True)
@@ -221,6 +222,32 @@ def test_each_file_is_split_once(monkeypatch):
     program, diags = translate_source(source)
     assert program is not None, [d.message for d in diags]
     assert calls == [source]
+
+
+def test_lexer_calls_per_distinct_text_on_a_wide_module():
+    # A count of calls, unlike a time, does not depend on the machine.
+    # Each token's kind is one probe of a table that learns an identifier
+    # or integer the first time it meets one (one Python-level call), and
+    # a spec keyword first lexed as an identifier is one of those.  Three
+    # chained `map`s over every token made three C calls per token, which
+    # a profile does not see, and no call per distinct text.
+    source = wide_module()
+    calls = Counter()
+
+    def count(frame, event, arg):
+        if event == "call":
+            calls[frame.f_code.co_name] += 1
+
+    sys.setprofile(count)
+    try:
+        toks, diags = lex(source)
+    finally:
+        sys.setprofile(None)
+    assert not diags
+    words = {text for text, kind in zip(toks.texts, toks.kinds)
+             if kind in (T.IDENT, T.INT) or text in SPEC_KEYWORDS}
+    assert calls["__missing__"] == len(words) == 76
+    assert sum(calls.values()) <= len(set(toks.texts)) + 20
 
 
 PIECES = ["(*@", "(*", "*)", "~>", "⇝", "\xa0", "é", "٣", "Ⅷ", "½", "²",

@@ -12,7 +12,7 @@ from collections import Counter
 from pathlib import Path
 
 from gospel2viper import permcheck, viper_ast as V
-from gospel2viper.diagnostics import Category, Severity, Span
+from gospel2viper.diagnostics import Category, Severity
 from gospel2viper.permcheck import (App, Checker, Ctor, Lit, SeqV, Sym,
                                     SymState, _ConsumeCtx, _first, _key,
                                     _mentions, _Node, _syms, check_program,
@@ -645,7 +645,9 @@ def test_checker_calls_per_statement_on_a_wide_module():
     # normal form, 63.4 (8,495) once `eval` simplifies each operator
     # once and each predicate's instance is built once per checker, and
     # 57.6 (7,722) once a field read takes its receiver as `eval`
-    # returns it
+    # returns it; 56.5 (7,576) on Python 3.11 later, and 52.6 (7,055;
+    # 52.4 on Python 3.12 and 3.13) once one live state is stepped
+    # without a list of its own per statement and per conjunct
     program, diags = translate_source(wide_module())
     assert program is not None and not diags
     stmts = sum(len(m.body or ()) for m in program.methods().values())
@@ -662,7 +664,7 @@ def test_checker_calls_per_statement_on_a_wide_module():
     finally:
         sys.setprofile(None)
     assert diags == []
-    assert calls / stmts <= 73
+    assert calls / stmts <= 62
 
 
 # each name `eval` can pass to `_op`, with operands on which its rule folds
@@ -1083,11 +1085,11 @@ def test_an_undeclared_variable_is_a_translation_error():
     prog = method_over(
         "method m(x: Ref) requires acc(x.val) ensures acc(x.val)",
         "x.val := y")
-    prog.methods()["m"].body[0].span = Span(40, 50)
+    prog.methods()["m"].body[0].span = 40
     assert [(d.severity, d.category, d.message, d.span)
             for d in check_program(prog)] == [
         (Severity.ERROR, Category.TRANSLATION,
-         "use of undeclared variable 'y'", Span(40, 50))]
+         "use of undeclared variable 'y'", 40)]
 
 
 def test_a_call_with_too_few_targets_is_a_contract_violation():
@@ -1096,11 +1098,11 @@ def test_a_call_with_too_few_targets_is_a_contract_violation():
     prog = method_over(
         "method two() returns (a: Int, b: Int)\n{\n}\nmethod m()",
         "var c: Int\nc := two()")
-    prog.methods()["m"].body[1].span = Span(60, 70)
+    prog.methods()["m"].body[1].span = 60
     assert [(d.severity, d.category, d.message, d.span)
             for d in check_program(prog)] == [
         (Severity.ERROR, Category.CONTRACT_VIOLATION,
-         "two returns 2 values, 1 targets given", Span(60, 70))]
+         "two returns 2 values, 1 targets given", 60)]
 
 
 def test_path_explosion_is_capped_and_reported():
