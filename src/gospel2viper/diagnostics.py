@@ -51,6 +51,23 @@ class Record:
         return f"{self.__class__.__qualname__}({args})"
 
 
+class Handlers(dict):
+    """A walk's handler for each node class, which a handler looks up for
+    each child, `table[type(child)](...)`: one Python frame per node.  A
+    class without a handler, wherever it sits, gets the handler `default`,
+    or without one raises TypeError(f"{unknown} {class name}")."""
+    __slots__ = ("unknown", "default")
+
+    def __init__(self, handlers: dict, unknown: str = "", default=None):
+        super().__init__(handlers)
+        self.unknown, self.default = unknown, default
+
+    def __missing__(self, cls: type):
+        if self.default is None:
+            raise TypeError(f"{self.unknown} {cls.__name__}")
+        return self.default
+
+
 class Severity(Enum):
     ERROR = "error"
     WARNING = "warning"

@@ -84,10 +84,12 @@ saw; and normalising an unchanged term returns the term itself, as
 interning must, so the sharing survives.  Diagnostics print an ite
 nested in two others as "...".
 
-A statement costs a few calls per node of its expressions.  `eval`,
-`_produce`, `_consume` and `exec_stmt` each find the handler for a node's
-class in one table (`_EVAL`, `_PRODUCE`, `_CONSUME`, `_EXEC`).
-`_simplify` finds the rule for an operator's name in one table
+A statement costs a few calls per node of its expressions.  Each walk
+keeps a handler per node class in one table (`_EVAL`, `_PRODUCE`,
+`_CONSUME`, `_EXEC`), and a handler calls its children's straight from
+it: one Python frame per node.  `eval`, `produce`, `consume` and
+`exec_stmt` are the entries from outside; a variable receiver `r.f` is
+read in place.  `_simplify` finds the rule for an operator's name in one table
 (`_RULES`); the sequence operators, the constructor tests and
 projections and the functions without a rule share one fallback.  It
 lifts an operator over an `ite` only in a method that has built one.
@@ -134,8 +136,8 @@ import operator
 import weakref
 
 from . import viper_ast as V
-from .diagnostics import (Category, Diagnostic, Record, Severity, error,
-                          obligation, warning)
+from .diagnostics import (Category, Diagnostic, Handlers, Record, Severity,
+                          error, obligation, warning)
 
 MAX_PATHS = 32
 _SCALAR = frozenset({"Int", "Bool"})  # types whose values a join merges
@@ -721,18 +723,14 @@ class Checker:
              cache: dict | None, span=None) -> SymVal:
         """The value of `e`, in normal form under `st`'s substitution;
         `cache` is the step's cache for the fields it reads without holding
-        them, None in a statement (`_read_field`).  A statement's `store` is
-        `st.store`, which `_bind` keeps normal; under `produce` and
+        them, None in a statement (`_eval_field`).  A statement's `store`
+        is `st.store`, which `_bind` keeps normal; under `produce` and
         `consume` a conjunct's binding leaves `store` and `cache` stale, so
         a value read from them is normalised."""
-        try:
-            handler = self._EVAL[type(e)]
-        except KeyError:
-            raise TypeError(f"cannot evaluate {type(e).__name__}") from None
-        return handler(self, st, e, store, cache, span)
+        return self._EVAL[type(e)](self, st, e, store, cache, span)
 
-    # One handler per expression class, looked up by `eval` in `_EVAL`.
-    # Each takes eval's arguments: (st, e, store, cache, span).
+    # One handler per expression class, in `_EVAL`.  Each takes eval's
+    # arguments: (st, e, store, cache, span).
 
     def _eval_lit(self, st, e, store, cache, span) -> SymVal:
         return Lit(e.value)
@@ -746,55 +744,88 @@ class Checker:
         return v if cache is None else self.norm(v, st)
 
     def _eval_field(self, st, e, store, cache, span) -> SymVal:
-        base = self.eval(st, e.base, store, cache, span)
-        if e.fieldname in self.projections \
-                and e.fieldname not in self.fields:
-            return self._op(st, f"proj#{e.fieldname}", (base,))
-        return self._read_field(st, base, e, cache, span)
+        """The held cell's value, else the value kept for the cell in
+        `cache`, which the first such read makes a fresh symbol.  A
+        statement has no cache: there reading a cell it does not hold is a
+        permission error, and the read adds the cell (a repair).  The
+        receiver is normal, so it is the key as it is, and so is a held
+        cell's value; a value kept in `cache` is normalised, since a
+        binding made after the step kept it may have left it stale."""
+        base = e.base
+        if type(base) is V.Var and base.name in store:  # `_eval_var`
+            base = store[base.name]
+            if cache is not None:
+                base = self.norm(base, st)
+        else:
+            base = self._EVAL[type(base)](self, st, base, store, cache, span)
+        name = e.fieldname
+        if name in self.projections and name not in self.fields:
+            return self._op(st, f"proj#{name}", (base,))
+        key = (base, name)
+        val = st.heap.get(key)
+        if val is None:
+            if cache is None:
+                self._err(Category.PERMISSION,
+                          f"no permission to read {V.expr_str(e)}", span)
+                cache = st.heap
+            val = cache.get(key)
+            if val is None:
+                val = cache[key] = self.fresh(name)
+            else:
+                val = self.norm(val, st)
+        return val
 
     def _eval_is(self, st, e, store, cache, span) -> SymVal:
-        base = self.eval(st, e.base, store, cache, span)
+        base = self._EVAL[type(e.base)](self, st, e.base, store, cache, span)
         return self._op(st, f"is#{e.ctor}", (base,))
 
     def _eval_ctor(self, st, e, store, cache, span) -> SymVal:
-        return Ctor(e.name, tuple([self.eval(st, a, store, cache, span)
+        ev = self._EVAL
+        return Ctor(e.name, tuple([ev[type(a)](self, st, a, store, cache, span)
                                    for a in e.args]))
 
     def _eval_fun(self, st, e, store, cache, span) -> SymVal:
-        args = tuple([self.eval(st, a, store, cache, span) for a in e.args])
-        return self._op(st, e.name, args)
+        ev = self._EVAL
+        return self._op(st, e.name, tuple([
+            ev[type(a)](self, st, a, store, cache, span) for a in e.args]))
 
     def _eval_seq(self, st, e, store, cache, span) -> SymVal:
-        return SeqV("", tuple([self.eval(st, a, store, cache, span)
+        ev = self._EVAL
+        return SeqV("", tuple([ev[type(a)](self, st, a, store, cache, span)
                                for a in e.items]))
 
     def _eval_len(self, st, e, store, cache, span) -> SymVal:
-        seq = self.eval(st, e.seq, store, cache, span)
+        seq = self._EVAL[type(e.seq)](self, st, e.seq, store, cache, span)
         return self._op(st, "len", (seq,))
 
     def _eval_binop(self, st, e, store, cache, span) -> SymVal:
-        left = self.eval(st, e.left, store, cache, span)
-        right = self.eval(st, e.right, store, cache, span)
-        return self._op(st, e.op, (left, right))
+        ev, left, right = self._EVAL, e.left, e.right
+        return self._op(st, e.op, (
+            ev[type(left)](self, st, left, store, cache, span),
+            ev[type(right)](self, st, right, store, cache, span)))
 
     def _eval_unop(self, st, e, store, cache, span) -> SymVal:
-        inner = self.eval(st, e.operand, store, cache, span)
+        inner = self._EVAL[type(e.operand)](self, st, e.operand, store, cache,
+                                            span)
         return self._op(st, "not" if e.op == "!" else "neg", (inner,))
 
     def _eval_index(self, st, e, store, cache, span) -> SymVal:
+        ev, seq, index = self._EVAL, e.seq, e.index
         return self._op(st, "index", (
-            self.eval(st, e.seq, store, cache, span),
-            self.eval(st, e.index, store, cache, span)))
+            ev[type(seq)](self, st, seq, store, cache, span),
+            ev[type(index)](self, st, index, store, cache, span)))
 
     def _eval_drop(self, st, e, store, cache, span) -> SymVal:
+        ev, seq, lo = self._EVAL, e.seq, e.lo
         return self._op(st, "drop", (
-            self.eval(st, e.seq, store, cache, span),
-            self.eval(st, e.lo, store, cache, span)))
+            ev[type(seq)](self, st, seq, store, cache, span),
+            ev[type(lo)](self, st, lo, store, cache, span)))
 
     def _eval_take(self, st, e, store, cache, span) -> SymVal:
+        ev, seq, hi = self._EVAL, e.seq, e.hi
         return self._op(st, "take", (
-            self.eval(st, e.seq, store, cache, span),
-            self.eval(st, e.hi, store, cache, span)))
+            ev[type(seq)](self, st, seq, store, cache, span),
+            ev[type(hi)](self, st, hi, store, cache, span)))
 
     def _op(self, st, name: str, args: tuple) -> SymVal:
         """`name(args)` simplified once.  The operands are normal, as every
@@ -804,60 +835,31 @@ class Checker:
         st.memo[n] = n
         return n
 
-    _EVAL = {V.IntLit: _eval_lit, V.BoolLit: _eval_lit, V.Var: _eval_var,
-             V.FieldAcc: _eval_field, V.IsTest: _eval_is,
-             V.CtorCall: _eval_ctor, V.FunApp: _eval_fun,
-             V.SeqLit: _eval_seq, V.SeqLen: _eval_len, V.BinOp: _eval_binop,
-             V.UnOp: _eval_unop, V.SeqIndex: _eval_index,
-             V.SeqDrop: _eval_drop, V.SeqTake: _eval_take}
-
-    def _read_field(self, st: SymState, base: SymVal, src: V.FieldAcc,
-                    cache: dict | None, span) -> SymVal:
-        """The field `src` reads from `base`, the value of `src.base`: the
-        held cell's value, else the value kept for the cell in `cache`,
-        which the first such read makes a fresh symbol.  A statement has
-        no cache: there reading a cell it does not hold is a permission
-        error, and the read adds the cell (a repair).  The receiver is
-        normal, so it is the key as it is, and so is a held cell's value; a
-        value kept in `cache` is normalised, since a binding made after the
-        step kept it may have left it stale."""
-        key = (base, src.fieldname)
-        val = st.heap.get(key)
-        if val is None:
-            if cache is None:
-                self._err(Category.PERMISSION,
-                          f"no permission to read {V.expr_str(src)}", span)
-                cache = st.heap
-            val = cache.get(key)
-            if val is None:
-                val = cache[key] = self.fresh(src.fieldname)
-            else:
-                val = self.norm(val, st)
-        return val
+    _EVAL = Handlers({
+        V.IntLit: _eval_lit, V.BoolLit: _eval_lit, V.Var: _eval_var,
+        V.FieldAcc: _eval_field, V.IsTest: _eval_is, V.CtorCall: _eval_ctor,
+        V.FunApp: _eval_fun, V.SeqLit: _eval_seq, V.SeqLen: _eval_len,
+        V.BinOp: _eval_binop, V.UnOp: _eval_unop, V.SeqIndex: _eval_index,
+        V.SeqDrop: _eval_drop, V.SeqTake: _eval_take},
+        unknown="cannot evaluate")
 
     # -- produce / consume -------------------------------------------------------
 
     def produce(self, st: SymState, a: V.VAssertion,
                 store: dict) -> list[SymState]:
-        return self._produce(st, a, store, {})
+        return self._PRODUCE[type(a)](self, st, a, store, {})
 
-    def _produce(self, st: SymState, a: V.VAssertion, store: dict,
-                 cache: dict) -> list[SymState]:
-        try:
-            handler = self._PRODUCE[type(a)]
-        except KeyError:
-            raise TypeError(f"cannot produce {type(a).__name__}") from None
-        return handler(self, st, a, store, cache)
-
-    # One handler per assertion class, looked up by `_produce` in
-    # `_PRODUCE`.  Each takes _produce's arguments: (st, a, store, cache).
+    # One handler per assertion class, in `_PRODUCE`.  Each takes (st, a,
+    # store, cache), `cache` being the produce's (`_eval_field`).
 
     def _produce_pure(self, st, a, store, cache) -> list[SymState]:
-        val = self.eval(st, a.expr, store, cache, a.span)
+        e = a.expr
+        val = self._EVAL[type(e)](self, st, e, store, cache, a.span)
         return [st] if self.assume(st, val) else []
 
     def _produce_acc(self, st, a, store, cache) -> list[SymState]:
-        key = (self.eval(st, a.loc.base, store, cache, a.span),
+        base = a.loc.base
+        key = (self._EVAL[type(base)](self, st, base, store, cache, a.span),
                a.loc.fieldname)
         if key in st.heap:
             return []  # a second whole permission cannot exist
@@ -865,20 +867,22 @@ class Checker:
         return [st]
 
     def _produce_pred(self, st, a, store, cache) -> list[SymState]:
-        key = (a.name,
-               tuple([self.eval(st, x, store, cache, a.span) for x in a.args]))
+        ev = self._EVAL
+        key = (a.name, tuple([ev[type(x)](self, st, x, store, cache, a.span)
+                              for x in a.args]))
         st.preds[key] = st.preds.get(key, 0) + 1
         return [st]
 
     def _produce_and(self, st, a, store, cache) -> list[SymState]:
         # depth first: each state takes all remaining parts before the
         # next state starts, which fixes the order of fresh symbols
-        parts, out, todo = a.parts, [], [(st, 0)]
+        parts, out, todo, table = a.parts, [], [(st, 0)], self._PRODUCE
         while todo:
             s, i = todo.pop()
             live = [s]
             while len(live) == 1 and i < len(parts):  # no fork, no stack
-                live = self._produce(live[0], parts[i], store, cache)
+                part = parts[i]
+                live = table[type(part)](self, live[0], part, store, cache)
                 i += 1
             if i == len(parts):
                 out += live
@@ -887,28 +891,31 @@ class Checker:
         return out
 
     def _produce_cond(self, st, a, store, cache) -> list[SymState]:
-        cond = self.eval(st, a.cond, store, cache, a.span)
+        table, then, els = self._PRODUCE, a.then, a.els
+        cond = self._EVAL[type(a.cond)](self, st, a.cond, store, cache, a.span)
         verdict = self.decide(st, cond)
         if verdict is True:
-            return self._produce(st, a.then, store, cache)
+            return table[type(then)](self, st, then, store, cache)
         if verdict is False:
-            return self._produce(st, a.els, store, cache)
+            return table[type(els)](self, st, els, store, cache)
         other = st.clone()
         out = []
         if self.assume(st, cond):
-            out.extend(self._produce(st, a.then, store, cache))
+            out.extend(table[type(then)](self, st, then, store, cache))
         if self.assume(other, self._op(other, "not", (cond,))):
-            out.extend(self._produce(other, a.els, store, cache))
+            out.extend(table[type(els)](self, other, els, store, cache))
         return out
 
     def _produce_let(self, st, a, store, cache) -> list[SymState]:
         inner = dict(store)
-        inner[a.name] = self.eval(st, a.bound, store, cache, a.span)
-        return self._produce(st, a.body, inner, cache)
+        inner[a.name] = self._EVAL[type(a.bound)](self, st, a.bound, store,
+                                                  cache, a.span)
+        return self._PRODUCE[type(a.body)](self, st, a.body, inner, cache)
 
-    _PRODUCE = {V.Pure: _produce_pure, V.Acc: _produce_acc,
-                V.PredApp: _produce_pred, V.AndA: _produce_and,
-                V.CondA: _produce_cond, V.LetA: _produce_let}
+    _PRODUCE = Handlers({
+        V.Pure: _produce_pure, V.Acc: _produce_acc, V.PredApp: _produce_pred,
+        V.AndA: _produce_and, V.CondA: _produce_cond, V.LetA: _produce_let},
+        unknown="cannot produce")
 
     def consume(self, st: SymState, a: V.VAssertion, store: dict,
                 ctx: _ConsumeCtx, span=None) -> bool:
@@ -917,24 +924,15 @@ class Checker:
         in the consume's cache, where `_consume_acc` moves each cell it
         gives up.  Reports failures and repairs; returns False if anything
         failed."""
-        return self._consume(st, a, store, {}, ctx, span)
+        return self._CONSUME[type(a)](self, st, a, store, {}, ctx, span)
 
-    def _consume(self, st: SymState, a: V.VAssertion, store: dict,
-                 cache: dict, ctx: _ConsumeCtx, span) -> bool:
-        try:
-            handler = self._CONSUME[type(a)]
-        except KeyError:
-            raise TypeError(f"cannot consume {type(a).__name__}") from None
-        return handler(self, st, a, store, cache, ctx, span)
-
-    # One handler per assertion class, looked up by `_consume` in
-    # `_CONSUME`.  Each takes _consume's arguments: (st, a, store, cache,
-    # ctx, span), `span` being the enclosing one; each reports at `a.span`,
-    # else at `span`.
+    # One handler per assertion class, in `_CONSUME`.  Each takes (st, a,
+    # store, cache, ctx, span), `span` being the enclosing one; each
+    # reports at `a.span`, else at `span`.
 
     def _consume_pure(self, st, a, store, cache, ctx, span) -> bool:
         at = span if a.span is None else a.span
-        val = self.eval(st, a.expr, store, cache, at)
+        val = self._EVAL[type(a.expr)](self, st, a.expr, store, cache, at)
         verdict = self.decide(st, val)
         if verdict is None:
             sides = self._sides(st, val)
@@ -959,7 +957,9 @@ class Checker:
 
     def _consume_acc(self, st, a, store, cache, ctx, span) -> bool:
         at = span if a.span is None else a.span
-        key = (self.eval(st, a.loc.base, store, cache, at), a.loc.fieldname)
+        base = a.loc.base
+        key = (self._EVAL[type(base)](self, st, base, store, cache, at),
+               a.loc.fieldname)
         if key not in st.heap:
             self._err(Category.PERMISSION,
                       f"{ctx.what}: no permission to give up "
@@ -969,9 +969,9 @@ class Checker:
         return True
 
     def _consume_pred(self, st, a, store, cache, ctx, span) -> bool:
-        at = span if a.span is None else a.span
-        key = (a.name,
-               tuple([self.eval(st, x, store, cache, at) for x in a.args]))
+        at, ev = span if a.span is None else a.span, self._EVAL
+        key = (a.name, tuple([ev[type(x)](self, st, x, store, cache, at)
+                              for x in a.args]))
         count = st.preds.get(key)
         if count is None:
             self._err(ctx.pred_category,
@@ -986,14 +986,15 @@ class Checker:
         return True
 
     def _consume_and(self, st, a, store, cache, ctx, span) -> bool:
-        ok = True
+        ok, table = True, self._CONSUME
         for part in a.parts:  # keep going after a failure: report all
-            ok = self._consume(st, part, store, cache, ctx, span) and ok
+            ok = table[type(part)](self, st, part, store, cache, ctx,
+                                   span) and ok
         return ok
 
     def _consume_cond(self, st, a, store, cache, ctx, span) -> bool:
         at = span if a.span is None else a.span
-        cond = self.eval(st, a.cond, store, cache, at)
+        cond = self._EVAL[type(a.cond)](self, st, a.cond, store, cache, at)
         verdict = self.decide(st, cond)
         if verdict is None:
             sides = self._sides(st, cond)
@@ -1007,50 +1008,53 @@ class Checker:
                       f"{V.expr_str(a.cond)} to pick a branch", at)
             return False
         branch = a.then if verdict else a.els
-        return self._consume(st, branch, store, cache, ctx, span)
+        return self._CONSUME[type(branch)](self, st, branch, store, cache,
+                                           ctx, span)
 
     def _consume_let(self, st, a, store, cache, ctx, span) -> bool:
         at = span if a.span is None else a.span
         inner = dict(store)
-        inner[a.name] = self.eval(st, a.bound, store, cache, at)
-        return self._consume(st, a.body, inner, cache, ctx, span)
+        inner[a.name] = self._EVAL[type(a.bound)](self, st, a.bound, store,
+                                                  cache, at)
+        return self._CONSUME[type(a.body)](self, st, a.body, inner, cache,
+                                           ctx, span)
 
-    _CONSUME = {V.Pure: _consume_pure, V.Acc: _consume_acc,
-                V.PredApp: _consume_pred, V.AndA: _consume_and,
-                V.CondA: _consume_cond, V.LetA: _consume_let}
+    _CONSUME = Handlers({
+        V.Pure: _consume_pure, V.Acc: _consume_acc, V.PredApp: _consume_pred,
+        V.AndA: _consume_and, V.CondA: _consume_cond, V.LetA: _consume_let},
+        unknown="cannot consume")
 
     # -- statements ------------------------------------------------------------------
 
     def exec_stmt(self, st: SymState, s: V.VStmt) -> list[SymState]:
-        try:
-            handler = self._EXEC[type(s)]
-        except KeyError:
-            raise TypeError(f"cannot execute {type(s).__name__}") from None
-        return handler(self, st, s)
+        return self._EXEC[type(s)](self, st, s)
 
-    # One handler per statement class, looked up by `exec_stmt` in `_EXEC`
-    # (defined after `_call`).  Each takes (st, s).
+    # One handler per statement class, in `_EXEC` (defined after
+    # `_call`).  Each takes (st, s).
 
     def _exec_var(self, st, s) -> list[SymState]:
         self._declare(s.name, s.typ)
-        if s.init is None:
-            st.store[s.name] = self.fresh(s.name)
-        else:
-            st.store[s.name] = self.eval(st, s.init, st.store, None, s.span)
+        e = s.init
+        st.store[s.name] = (self.fresh(s.name) if e is None else
+                            self._EVAL[type(e)](self, st, e, st.store, None,
+                                                s.span))
         return [st]
 
     def _exec_assign(self, st, s) -> list[SymState]:
-        value = self.eval(st, s.value, st.store, None, s.span)
-        if isinstance(s.target, V.Var):
-            st.store[s.target.name] = value
+        store, target, e = st.store, s.target, s.value
+        value = self._EVAL[type(e)](self, st, e, store, None, s.span)
+        if type(target) is V.Var:
+            store[target.name] = value
             return [st]
-        assert isinstance(s.target, V.FieldAcc)
-        key = (self.eval(st, s.target.base, st.store, None, s.span),
-               s.target.fieldname)
+        base = target.base
+        if type(base) is V.Var and base.name in store:  # `_eval_var`
+            base = store[base.name]
+        else:
+            base = self._EVAL[type(base)](self, st, base, store, None, s.span)
+        key = (base, target.fieldname)
         if key not in st.heap:  # the write adds the cell: repair
             self._err(Category.PERMISSION,
-                      f"no permission to write {V.expr_str(s.target)}",
-                      s.span)
+                      f"no permission to write {V.expr_str(target)}", s.span)
         st.heap[key] = value
         return [st]
 
@@ -1062,7 +1066,8 @@ class Checker:
         return [st]
 
     def _exec_if(self, st, s) -> list[SymState]:
-        cond = self.eval(st, s.cond, st.store, None, s.span)
+        cond = self._EVAL[type(s.cond)](self, st, s.cond, st.store, None,
+                                        s.span)
         verdict = self.decide(st, cond)
         if verdict is True:
             return self._step_all([st], s.then, self.exec_stmt)
@@ -1195,7 +1200,8 @@ class Checker:
             self._err(Category.FOLD_MISMATCH,
                       f"{s.pred.name} takes {len(names)} arguments", s.span)
             return None
-        binding = {n: self.eval(st, a, st.store, None, s.span)
+        ev = self._EVAL
+        binding = {n: ev[type(a)](self, st, a, st.store, None, s.span)
                    for n, a in zip(names, s.pred.args)}
         return decl, binding, inst
 
@@ -1233,7 +1239,8 @@ class Checker:
                       f"{s.method} returns {len(decl.returns)} values, "
                       f"{len(s.targets)} targets given", s.span)
             return [st]
-        vals = [self.eval(st, a, st.store, None, s.span)
+        ev = self._EVAL
+        vals = [ev[type(a)](self, st, a, st.store, None, s.span)
                 for a in s.args]
         binding = dict(zip((n for n, _ in decl.params), vals))
         ctx = _ConsumeCtx(Category.CONTRACT_VIOLATION,
@@ -1249,9 +1256,10 @@ class Checker:
             [st], decl.posts,
             lambda cur, post: self.produce(cur, post, binding), at=s)
 
-    _EXEC = {V.VarDeclS: _exec_var, V.AssignS: _exec_assign,
-             V.NewS: _exec_new, V.IfS: _exec_if, V.FoldS: _exec_fold,
-             V.UnfoldS: _unfold, V.CallS: _exec_call}
+    _EXEC = Handlers({
+        V.VarDeclS: _exec_var, V.AssignS: _exec_assign, V.NewS: _exec_new,
+        V.IfS: _exec_if, V.FoldS: _exec_fold, V.UnfoldS: _unfold,
+        V.CallS: _exec_call}, unknown="cannot execute")
 
     # -- whole-method checking ----------------------------------------------------
 

@@ -42,18 +42,20 @@ unknown functions and unbound names that repeat them.  When the parse
 reported errors but went on to the end of the file, `translate_source`
 runs these checks alone and reports them beside the parse's errors.
 
-Each walk looks up the handler for a node's class in one table, as the
-checker's `eval` does: `tr_expr` in `_Tr._EXPR`, `tr_stmts` in
-`_Tr._STMTS` and `tr_assertion` in `_Tr._ASSERTION`.  A class missing
-from `_EXPR` is a statement used as a value, one missing from `_STMTS` a
-value without effect; both are diagnosed.  Only an unknown assertion class,
-which no parse produces, raises TypeError.
+Each walk keeps a handler per node class in one table, `_Tr._EXPR`,
+`_Tr._STMTS` or `_Tr._ASSERTION`, and a handler calls its children's
+straight from it, as the checker's do: one Python frame per node.
+`tr_expr`, `tr_stmts` and `tr_assertion` are the entries from outside.  A
+class missing from `_EXPR` is a statement used as a value, one missing
+from `_STMTS` a value without effect; both are diagnosed, wherever they
+sit.  Only an unknown assertion class, which no parse produces, raises
+TypeError.
 """
 
 from __future__ import annotations
 
 from . import viper_ast as V
-from .diagnostics import (Category, Diagnostic, Record, error,
+from .diagnostics import (Category, Diagnostic, Handlers, Record, error,
                           has_errors, warning)
 from .parser import parse_source
 from .surface import (AppE, AssignE, Assertion, BinE, BoolLit, BoolT,
@@ -252,15 +254,15 @@ class _Tr:
     # -- expressions ------------------------------------------------------
 
     def tr_expr(self, e: SurfaceExpr, env: dict[str, V.VExpr]) -> V.VExpr:
-        try:
-            handler = self._EXPR[type(e)]
-        except KeyError:  # AssignE, LetIn, IfE, MatchE, SeqE, GhostCommand
-            self.err("a statement cannot be used as a value", e.span)
-            return V.IntLit(0)
-        return handler(self, e, env)
+        return self._EXPR[type(e)](self, e, env)
 
-    # One handler per expression class, looked up by `tr_expr` in `_EXPR`;
-    # each takes tr_expr's arguments (e, env).
+    # One handler per expression class, in `_EXPR`; each takes tr_expr's
+    # arguments (e, env).  A class without one gets `_tr_not_value`.
+
+    def _tr_not_value(self, e, env: dict[str, V.VExpr]) -> V.VExpr:
+        # AssignE, LetIn, IfE, MatchE, SeqE, GhostCommand
+        self.err("a statement cannot be used as a value", e.span)
+        return V.IntLit(0)
 
     def _tr_int(self, e: IntLit, env: dict[str, V.VExpr]) -> V.VExpr:
         return V.IntLit(e.value)
@@ -288,22 +290,30 @@ class _Tr:
         return V.CtorCall(e.name, [])
 
     def _tr_field(self, e: FieldE, env: dict[str, V.VExpr]) -> V.VExpr:
-        base = self.tr_expr(e.base, env)
+        base = e.base
+        if type(base) is VarE and base.name in env and not self.binders:
+            base = env[base.name]  # `_tr_var`
+        else:
+            base = self._EXPR[type(base)](self, base, env)
         if e.fieldname not in self.fields:
             self.err(f"unknown field '{e.fieldname}'", e.span)
         return V.FieldAcc(base, e.fieldname)
 
     def _tr_un(self, e: UnE, env: dict[str, V.VExpr]) -> V.VExpr:
-        inner = self.tr_expr(e.operand, env)
+        inner = self._EXPR[type(e.operand)](self, e.operand, env)
         if e.op == "-" and isinstance(inner, V.IntLit):
             return V.IntLit(-inner.value)
         return V.UnOp(e.op, inner)
 
     def _tr_index(self, e: IndexE, env: dict[str, V.VExpr]) -> V.VExpr:
-        return V.SeqIndex(self.tr_expr(e.seq, env), self.tr_expr(e.index, env))
+        table, seq, index = self._EXPR, e.seq, e.index
+        return V.SeqIndex(table[type(seq)](self, seq, env),
+                          table[type(index)](self, index, env))
 
     def _tr_slice(self, e: SliceFromE, env: dict[str, V.VExpr]) -> V.VExpr:
-        return V.SeqDrop(self.tr_expr(e.seq, env), self.tr_expr(e.lo, env))
+        table, seq, lo = self._EXPR, e.seq, e.lo
+        return V.SeqDrop(table[type(seq)](self, seq, env),
+                         table[type(lo)](self, lo, env))
 
     def _tr_unit(self, e: UnitLit, env: dict[str, V.VExpr]) -> V.VExpr:
         self.err("unit value has no translation in this position", e.span)
@@ -319,9 +329,10 @@ class _Tr:
             test = self._ctor_test(e, env)
             if test is not None:
                 return test if e.op == "=" else V.UnOp("!", test)
-        left = self.tr_expr(e.left, env)
-        right = self.tr_expr(e.right, env)
-        return V.BinOp(_VIPER_OPS.get(e.op, e.op), left, right)
+        table, left, right = self._EXPR, e.left, e.right
+        return V.BinOp(_VIPER_OPS.get(e.op, e.op),
+                       table[type(left)](self, left, env),
+                       table[type(right)](self, right, env))
 
     def _ctor_test(self, e: BinE,
                    env: dict[str, V.VExpr]) -> V.VExpr | None:
@@ -336,12 +347,11 @@ class _Tr:
         lc, rc = nullary(e.left), nullary(e.right)
         if (lc is None) == (rc is None):
             return None
-        if lc is not None:
-            return V.IsTest(self.tr_expr(e.right, env), lc)
-        return V.IsTest(self.tr_expr(e.left, env), rc)
+        side = e.right if lc is not None else e.left
+        return V.IsTest(self._EXPR[type(side)](self, side, env), lc or rc)
 
     def _tr_app(self, e: AppE, env: dict[str, V.VExpr]) -> V.VExpr:
-        args = [self.tr_expr(a, env) for a in e.args]
+        args = [self._EXPR[type(a)](self, a, env) for a in e.args]
         if e.fn == "singleton":
             if len(args) != 1:
                 self.err("singleton takes one argument", e.span)
@@ -371,36 +381,32 @@ class _Tr:
         self.err(f"unknown function '{e.fn}'", e.span)
         return V.FunApp(e.fn, args)
 
-    _EXPR = {IntLit: _tr_int, BoolLit: _tr_bool, VarE: _tr_var,
-             CtorE: _tr_ctor, FieldE: _tr_field, BinE: _tr_bin, UnE: _tr_un,
-             IndexE: _tr_index, SliceFromE: _tr_slice, AppE: _tr_app,
-             UnitLit: _tr_unit, RecordAlloc: _tr_alloc_value}
+    _EXPR = Handlers({
+        IntLit: _tr_int, BoolLit: _tr_bool, VarE: _tr_var, CtorE: _tr_ctor,
+        FieldE: _tr_field, BinE: _tr_bin, UnE: _tr_un, IndexE: _tr_index,
+        SliceFromE: _tr_slice, AppE: _tr_app, UnitLit: _tr_unit,
+        RecordAlloc: _tr_alloc_value}, default=_tr_not_value)
 
     # -- assertions -----------------------------------------------------------
 
     def tr_assertion(self, a: Assertion,
                      env: dict[str, V.VExpr]) -> V.VAssertion:
-        try:
-            handler = self._ASSERTION[type(a)]
-        except KeyError:
-            raise TypeError(f"unknown assertion {type(a).__name__}") from None
-        return handler(self, a, env)
+        return self._ASSERTION[type(a)](self, a, env)
 
-    # One handler per assertion class, looked up by `tr_assertion` in
-    # `_ASSERTION`; each takes (a, env).
+    # One handler per assertion class, in `_ASSERTION`; each takes (a, env).
 
     def _tr_pure(self, a: PureA, env: dict[str, V.VExpr]) -> V.VAssertion:
-        e = a.expr
+        e, table = a.expr, self._EXPR
         # a whole conjunct that applies a predicate is an instance;
         # specs are parsed in spec mode, so it has no ghost arguments
-        if isinstance(e, AppE) and e.fn in self.preds:
+        if type(e) is AppE and e.fn in self.preds:
             return V.PredApp(_cap(e.fn),
-                             [self.tr_expr(x, env) for x in e.args],
+                             [table[type(x)](self, x, env) for x in e.args],
                              span=a.span)
-        return V.Pure(self.tr_expr(e, env), span=a.span)
+        return V.Pure(table[type(e)](self, e, env), span=a.span)
 
     def _tr_owns(self, a: OwnsA, env: dict[str, V.VExpr]) -> V.VAssertion:
-        target = self.tr_expr(a.target, env)
+        target = self._EXPR[type(a.target)](self, a.target, env)
         accs: list[V.VAssertion] = []
         for f in a.fields:
             if f not in self.fields:
@@ -409,17 +415,19 @@ class _Tr:
         return V.and_all(accs)
 
     def _tr_sep(self, a: SepA, env: dict[str, V.VExpr]) -> V.VAssertion:
-        return V.and_all([self.tr_assertion(x, env) for x in a.parts])
+        return V.and_all([self._ASSERTION[type(x)](self, x, env)
+                          for x in a.parts])
 
     def _tr_if_a(self, a: IfA, env: dict[str, V.VExpr]) -> V.VAssertion:
-        return V.CondA(self.tr_expr(a.cond, env),
-                       self.tr_assertion(a.then, env),
-                       self.tr_assertion(a.els, env), span=a.span)
+        table, then, els = self._ASSERTION, a.then, a.els
+        return V.CondA(self._EXPR[type(a.cond)](self, a.cond, env),
+                       table[type(then)](self, then, env),
+                       table[type(els)](self, els, env), span=a.span)
 
     def _tr_let_pat(self, a: LetPatA,
                     env: dict[str, V.VExpr]) -> V.VAssertion:
         info = self.ctors.get(a.ctor)
-        scrut = self.tr_expr(a.scrutinee, env)
+        scrut = self._EXPR[type(a.scrutinee)](self, a.scrutinee, env)
         if info is None:
             self.err(f"unknown constructor '{a.ctor}'", a.span)
             return V.Pure(V.BoolLit(True))
@@ -429,39 +437,41 @@ class _Tr:
             return V.Pure(V.BoolLit(True))
         inner_env = dict(env)
         inner_env[a.binder] = V.Var(a.binder)
-        body = self.tr_assertion(a.body, inner_env)
+        body = self._ASSERTION[type(a.body)](self, a.body, inner_env)
         guard = V.Pure(V.IsTest(scrut, a.ctor))
         bound = V.FieldAcc(scrut, info.proj)
         guard.span = a.span
         let = V.LetA(a.binder, bound, body, span=a.span)
         return V.AndA([guard, let])
 
-    _ASSERTION = {PureA: _tr_pure, OwnsA: _tr_owns, SepA: _tr_sep,
-                  IfA: _tr_if_a, LetPatA: _tr_let_pat}
+    _ASSERTION = Handlers({
+        PureA: _tr_pure, OwnsA: _tr_owns, SepA: _tr_sep, IfA: _tr_if_a,
+        LetPatA: _tr_let_pat}, unknown="unknown assertion")
 
     # -- statements --------------------------------------------------------------
 
     def tr_stmts(self, e: SurfaceExpr | GhostCommand,
                  ctx: "_FnCtx") -> list[V.VStmt]:
-        try:
-            handler = self._STMTS[type(e)]
-        except KeyError:  # a value whose only effect is its diagnostics
-            self.warn("statement has no effect", getattr(e, "span", None))
-            self.tr_expr(e, ctx.env)
-            return []
-        return handler(self, e, ctx)
+        return self._STMTS[type(e)](self, e, ctx)
 
-    # One handler per statement class, looked up by `tr_stmts` in `_STMTS`
-    # (the table follows `_tr_match`); each takes (e, ctx).
+    # One handler per statement class, in `_STMTS` (after `_tr_match`);
+    # each takes (e, ctx).  A class without one gets `_tr_no_effect`.
+
+    def _tr_no_effect(self, e, ctx: "_FnCtx") -> list[V.VStmt]:
+        # a value whose only effect is its diagnostics
+        self.warn("statement has no effect", getattr(e, "span", None))
+        self._EXPR[type(e)](self, e, ctx.env)
+        return []
 
     def _tr_block(self, e: SeqE, ctx: "_FnCtx") -> list[V.VStmt]:
-        # a block is a scope: its lets end with it.  Items go to their
-        # handlers directly (to tr_stmts only when a class has none), so a
-        # block adds no frame to the depth of the expressions in it.
+        # a block is a scope: its lets end with it.  Going to the items'
+        # handlers directly, it adds no frame to the depth of the
+        # expressions in it
         saved, ctx.env = ctx.env, dict(ctx.env)
         out: list[V.VStmt] = []
+        table = self._STMTS
         for item in e.items:
-            out += self._STMTS.get(type(item), _Tr.tr_stmts)(self, item, ctx)
+            out += table[type(item)](self, item, ctx)
         ctx.env = saved
         return out
 
@@ -481,14 +491,15 @@ class _Tr:
             self.err(f"field '{field.name}' is not mutable", e.span,
                      Category.TYPE)
         # the value is read before the write, the target after it
-        value = self.tr_expr(e.value, ctx.env)
+        table = self._EXPR
+        value = table[type(e.value)](self, e.value, ctx.env)
         written = _path_of(e.target) if self.binders else None
         if written is not None:
             for entry in self.binders:
                 if entry[2] == _CLEAN and _is_prefix(written, entry[1]):
                     entry[2] = _STALE
-        return [V.AssignS(self.tr_expr(e.target, ctx.env), value,
-                          span=e.span)]
+        return [V.AssignS(table[type(e.target)](self, e.target, ctx.env),
+                          value, span=e.span)]
 
     def _binder_use(self, e: VarE) -> None:
         """Report a use of a binder whose scrutinee path was written,
@@ -501,9 +512,10 @@ class _Tr:
                          f"mutating it", e.span)
 
     def _tr_if(self, e: IfE, ctx: "_FnCtx") -> list[V.VStmt]:
-        cond = self.tr_expr(e.cond, ctx.env)
-        then = self.tr_stmts(e.then, ctx)
-        els = self.tr_stmts(e.els, ctx) if e.els is not None else []
+        table, then, els = self._STMTS, e.then, e.els
+        cond = self._EXPR[type(e.cond)](self, e.cond, ctx.env)
+        then = table[type(then)](self, then, ctx)
+        els = [] if els is None else table[type(els)](self, els, ctx)
         return [V.IfS(cond, then, els, span=e.span)]
 
     def _tr_call_stmt(self, e: AppE, ctx: "_FnCtx") -> list[V.VStmt]:
@@ -514,7 +526,7 @@ class _Tr:
         return []
 
     def _tr_ghost(self, cmd: GhostCommand, ctx: "_FnCtx") -> list[V.VStmt]:
-        args = [self.tr_expr(a, ctx.env) for a in cmd.args]
+        args = [self._EXPR[type(a)](self, a, ctx.env) for a in cmd.args]
         if cmd.kind is GhostKind.FOLD:
             return [V.FoldS(V.PredApp(_cap(cmd.target), args), span=cmd.span)]
         if cmd.kind is GhostKind.UNFOLD:
@@ -528,8 +540,8 @@ class _Tr:
             self.err(f"'{e.fn}' is not a function that can be called as a "
                      f"statement", e.span)
             return []
-        args = [self.tr_expr(a, ctx.env) for a in e.args]
-        args += [self.tr_expr(a, ctx.env) for a in e.ghost_args]
+        args = [self._EXPR[type(a)](self, a, ctx.env)
+                for a in (*e.args, *e.ghost_args)]
         callee = self.funs[e.fn]
         spec = callee.spec
         arity = len(callee.params) + (len(spec.ghost_params) if spec else 0)
@@ -565,7 +577,7 @@ class _Tr:
         elif isinstance(rhs, AppE) and rhs.fn in self.funs:
             out.extend(self._tr_call(rhs, name, typ, ctx))
         else:
-            init = self.tr_expr(rhs, ctx.env)
+            init = self._EXPR[type(rhs)](self, rhs, ctx.env)
             if name == ctx.result:
                 out.append(V.AssignS(V.Var(name), init, span=e.span))
             else:
@@ -620,8 +632,8 @@ class _Tr:
                 self.err(f"field '{fname}' initialized twice", alloc.span)
                 continue
             seen.add(fname)
-            out.append(V.AssignS(V.FieldAcc(V.Var(name), fname),
-                                 self.tr_expr(val, ctx.env),
+            value = self._EXPR[type(val)](self, val, ctx.env)
+            out.append(V.AssignS(V.FieldAcc(V.Var(name), fname), value,
                                  span=alloc.span))
         for fname in declared:
             if fname not in seen:
@@ -629,7 +641,7 @@ class _Tr:
         return out
 
     def _tr_match(self, e: MatchE, ctx: "_FnCtx") -> list[V.VStmt]:
-        scrut = self.tr_expr(e.scrutinee, ctx.env)
+        scrut = self._EXPR[type(e.scrutinee)](self, e.scrutinee, ctx.env)
         infos: list[_CtorInfo] = []
         for arm in e.arms:
             info = self.ctors.get(arm.ctor)
@@ -665,24 +677,26 @@ class _Tr:
             out = [V.IfS(V.IsTest(scrut, arm.ctor), body, out, span=e.span)]
         return out
 
-    _STMTS = {SeqE: _tr_block, UnitLit: _tr_unit_stmt, VarE: _tr_discard,
-              GhostCommand: _tr_ghost, AssignE: _tr_assign, LetIn: _tr_let,
-              IfE: _tr_if, MatchE: _tr_match, AppE: _tr_call_stmt,
-              RecordAlloc: _tr_alloc_stmt}
+    _STMTS = Handlers({
+        SeqE: _tr_block, UnitLit: _tr_unit_stmt, VarE: _tr_discard,
+        GhostCommand: _tr_ghost, AssignE: _tr_assign, LetIn: _tr_let,
+        IfE: _tr_if, MatchE: _tr_match, AppE: _tr_call_stmt,
+        RecordAlloc: _tr_alloc_stmt}, default=_tr_no_effect)
 
     def _tr_arm(self, arm, info: _CtorInfo, scrut: V.VExpr,
                 path: tuple[str, ...] | None, ctx: "_FnCtx") -> list[V.VStmt]:
+        tr_body = self._STMTS[type(arm.body)]
         if arm.binder is None:
-            return self.tr_stmts(arm.body, ctx)
+            return tr_body(self, arm.body, ctx)
         if info.proj is None:
             self.err(f"constructor '{arm.ctor}' has no payload to bind",
                      arm.span)
-            return self.tr_stmts(arm.body, ctx)
+            return tr_body(self, arm.body, ctx)
         if path is not None:
             self.binders.append([arm.binder, path, _CLEAN])
         saved = ctx.env
         ctx.env = {**saved, arm.binder: V.FieldAcc(scrut, info.proj)}
-        body = self.tr_stmts(arm.body, ctx)
+        body = tr_body(self, arm.body, ctx)
         ctx.env = saved
         if path is not None:
             self.binders.pop()

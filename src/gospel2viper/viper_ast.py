@@ -6,12 +6,13 @@ no slots, so no node has a `__dict__`.  An assertion, statement or
 method keeps the source offset it came from in `span`, an `int` or None
 (see `diagnostics`).  Equality and repr are those a dataclass would
 give, and leave out `span`.  Types and tokens are hashed
-by value; the other nodes are not hashable.  The printers (`expr_str`,
-`_assertion_str`, `stmt_lines`, `decl_lines`) find a node's handler by
-its class in one table each, with one lookup per printed node; an
-expression handler adds the parentheses its own precedence level needs,
-so printing a node costs one call into the printer and one into the
-handler.
+by value; the other nodes are not hashable.  Each printer keeps a
+handler per node class in one table (`_EXPR`, `_ASSERTION`, `_STMT`,
+`_DECL`), and a handler prints its children with their handlers straight
+from it; an expression handler adds the parentheses its own precedence
+level needs, so printing a node costs one call.  `expr_str`,
+`_assertion_str`, `stmt_lines` and `decl_lines` are the entries from
+outside.
 
 Golden comparisons are token-stream equality of pretty-printed text, so
 layout (indentation, line breaks, stray semicolons, comments) never
@@ -24,7 +25,7 @@ from __future__ import annotations
 
 import re
 
-from .diagnostics import Record
+from .diagnostics import Handlers, Record
 
 WIDTH = 80
 
@@ -442,17 +443,11 @@ _BIN_LEVELS = {op: _levels(op) for op in _PREC}
 
 def expr_str(e: VExpr, parent: int = _LOW) -> str:
     """`e` as text, parenthesized when its level is below `parent`."""
-    try:
-        show = _EXPR[type(e)]
-    except KeyError:
-        raise TypeError(
-            f"unknown expression node {type(e).__name__}") from None
-    return show(e, parent)
+    return _EXPR[type(e)](e, parent)
 
 
-# One handler per expression class, looked up by `expr_str` in `_EXPR`.
-# Each takes (e, parent) and adds the parentheses its own level needs;
-# atoms never need any.
+# One handler per expression class, in `_EXPR`.  Each takes (e, parent)
+# and adds the parentheses its own level needs; atoms never need any.
 
 def _int_str(e: IntLit, parent: int) -> str:
     if e.value < 0 and _UNARY < parent:
@@ -469,27 +464,30 @@ def _var_str(e: Var, parent: int) -> str:
 
 
 def _field_str(e: FieldAcc, parent: int) -> str:
-    return f"{expr_str(e.base, _ATOM)}.{e.fieldname}"
+    base = e.base
+    if type(base) is Var:  # `_var_str`
+        return f"{base.name}.{e.fieldname}"
+    return f"{_EXPR[type(base)](base, _ATOM)}.{e.fieldname}"
 
 
 def _is_str(e: IsTest, parent: int) -> str:
-    return f"{expr_str(e.base, _ATOM)}.is{e.ctor}"
+    return f"{_EXPR[type(e.base)](e.base, _ATOM)}.is{e.ctor}"
 
 
 def _app_str(e: CtorCall | FunApp | PredApp, parent: object = None) -> str:
     # never parenthesized: it also prints a predicate instance, for
     # `_ASSERTION` (whose second argument is `under_and`) and `fold`
-    return f"{e.name}({', '.join(map(expr_str, e.args))})"
+    return f"{e.name}({', '.join([_EXPR[type(x)](x, _LOW) for x in e.args])})"
 
 
 def _seq_str(e: SeqLit, parent: int) -> str:
     if not e.items:
         return "Seq[Int]()"
-    return f"Seq({', '.join(map(expr_str, e.items))})"
+    return f"Seq({', '.join([_EXPR[type(x)](x, _LOW) for x in e.items])})"
 
 
 def _len_str(e: SeqLen, parent: int) -> str:
-    s = expr_str(e.seq)
+    s = _EXPR[type(e.seq)](e.seq, _LOW)
     # adjacent bars would lex as ||, so keep them apart
     if s.startswith("|"):
         s = " " + s
@@ -500,32 +498,38 @@ def _len_str(e: SeqLen, parent: int) -> str:
 
 def _binop_str(e: BinOp, parent: int) -> str:
     p, lf, rf = _BIN_LEVELS[e.op]
-    text = f"{expr_str(e.left, lf)} {e.op} {expr_str(e.right, rf)}"
+    left, right = e.left, e.right
+    text = (f"{_EXPR[type(left)](left, lf)} {e.op} "
+            f"{_EXPR[type(right)](right, rf)}")
     return f"({text})" if p < parent else text
 
 
 def _unop_str(e: UnOp, parent: int) -> str:
-    text = f"{e.op}{expr_str(e.operand, _ATOM)}"
+    text = f"{e.op}{_EXPR[type(e.operand)](e.operand, _ATOM)}"
     return f"({text})" if _UNARY < parent else text
 
 
 def _index_str(e: SeqIndex, parent: int) -> str:
-    return f"{expr_str(e.seq, _ATOM)}[{expr_str(e.index)}]"
+    return (f"{_EXPR[type(e.seq)](e.seq, _ATOM)}"
+            f"[{_EXPR[type(e.index)](e.index, _LOW)}]")
 
 
 def _drop_str(e: SeqDrop, parent: int) -> str:
-    return f"{expr_str(e.seq, _ATOM)}[{expr_str(e.lo)} ..]"
+    return (f"{_EXPR[type(e.seq)](e.seq, _ATOM)}"
+            f"[{_EXPR[type(e.lo)](e.lo, _LOW)} ..]")
 
 
 def _take_str(e: SeqTake, parent: int) -> str:
-    return f"{expr_str(e.seq, _ATOM)}[.. {expr_str(e.hi)}]"
+    return (f"{_EXPR[type(e.seq)](e.seq, _ATOM)}"
+            f"[.. {_EXPR[type(e.hi)](e.hi, _LOW)}]")
 
 
-_EXPR = {IntLit: _int_str, BoolLit: _bool_str, Var: _var_str,
-         FieldAcc: _field_str, IsTest: _is_str, CtorCall: _app_str,
-         FunApp: _app_str, SeqLit: _seq_str, SeqLen: _len_str,
-         BinOp: _binop_str, UnOp: _unop_str, SeqIndex: _index_str,
-         SeqDrop: _drop_str, SeqTake: _take_str}
+_EXPR = Handlers({
+    IntLit: _int_str, BoolLit: _bool_str, Var: _var_str,
+    FieldAcc: _field_str, IsTest: _is_str, CtorCall: _app_str,
+    FunApp: _app_str, SeqLit: _seq_str, SeqLen: _len_str, BinOp: _binop_str,
+    UnOp: _unop_str, SeqIndex: _index_str, SeqDrop: _drop_str,
+    SeqTake: _take_str}, unknown="unknown expression node")
 
 
 # -- assertion printing ----------------------------------------------------------
@@ -534,57 +538,53 @@ _EXPR = {IntLit: _int_str, BoolLit: _bool_str, Var: _var_str,
 def _assertion_str(a: VAssertion, under_and: bool = False) -> str:
     """`a` as text, parenthesized when it is a conjunct (`under_and`) that
     would otherwise swallow the conjuncts after it."""
-    try:
-        show = _ASSERTION[type(a)]
-    except KeyError:
-        raise TypeError(f"unknown assertion node {type(a).__name__}") from None
-    return show(a, under_and)
+    return _ASSERTION[type(a)](a, under_and)
 
 
-# One handler per assertion class, looked up by `_assertion_str` in
-# `_ASSERTION`; each takes (a, under_and).
+# One handler per assertion class, in `_ASSERTION`; each takes (a,
+# under_and).
 
 def _pure_str(a: Pure, under_and: bool) -> str:
     # floor 5 keeps pure conjuncts unambiguous against && and ? :
-    return expr_str(a.expr, 5)
+    return _EXPR[type(a.expr)](a.expr, 5)
 
 
 def _acc_str(a: Acc, under_and: bool) -> str:
-    return f"acc({expr_str(a.loc)})"
+    return f"acc({_EXPR[type(a.loc)](a.loc, _LOW)})"
 
 
 def _and_str(a: AndA, under_and: bool) -> str:
-    parts = a.parts
-    rendered = []
-    for i, c in enumerate(parts):
-        # a trailing let can stay bare: its body just runs to the end
-        bare = i == len(parts) - 1 and isinstance(c, LetA)
-        rendered.append(_assertion_str(c, under_and=not bare))
-    text = " && ".join(rendered)
+    last = len(a.parts) - 1
+    # a trailing let can stay bare: its body just runs to the end
+    text = " && ".join([_ASSERTION[type(c)](c, i < last or type(c) is not LetA)
+                        for i, c in enumerate(a.parts)])
     return f"({text})" if under_and else text
 
 
 def _cond_str(a: CondA, under_and: bool) -> str:
     # ?: binds loosest, so the branches never need parentheses
-    text = (f"{expr_str(a.cond, 5)} ? {_assertion_str(a.then)} : "
-            f"{_assertion_str(a.els)}")
+    then, els = a.then, a.els
+    text = (f"{_EXPR[type(a.cond)](a.cond, 5)} ? "
+            f"{_ASSERTION[type(then)](then, False)} : "
+            f"{_ASSERTION[type(els)](els, False)}")
     return f"({text})" if under_and else text
 
 
 def _let_str(a: LetA, under_and: bool) -> str:
-    text = (f"let {a.name} == ({expr_str(a.bound)}) in "
-            f"{_assertion_str(a.body)}")
+    text = (f"let {a.name} == ({_EXPR[type(a.bound)](a.bound, _LOW)}) in "
+            f"{_ASSERTION[type(a.body)](a.body, False)}")
     return f"({text})" if under_and else text
 
 
-_ASSERTION = {Pure: _pure_str, Acc: _acc_str, PredApp: _app_str,
-              AndA: _and_str, CondA: _cond_str, LetA: _let_str}
+_ASSERTION = Handlers({
+    Pure: _pure_str, Acc: _acc_str, PredApp: _app_str, AndA: _and_str,
+    CondA: _cond_str, LetA: _let_str}, unknown="unknown assertion node")
 
 
 def _emit_assertion(out: list[str], a: VAssertion, indent: str,
                     head: str = "") -> None:
     """One line if it fits, else one conjunct per line with trailing &&."""
-    flat = _assertion_str(a)
+    flat = _ASSERTION[type(a)](a, False)
     if len(indent) + len(head) + len(flat) <= WIDTH:
         out.append(f"{indent}{head}{flat}")
         return
@@ -608,7 +608,7 @@ def _emit_assertion(out: list[str], a: VAssertion, indent: str,
         if i == len(parts) - 1 and isinstance(part, LetA):
             _emit_assertion(out, part, indent, lead)
             continue
-        piece = _assertion_str(part, under_and=True)
+        piece = _ASSERTION[type(part)](part, True)
         if (len(indent) + len(lead) + len(piece) + len(tail) <= WIDTH
                 or not isinstance(part, (CondA, LetA))):
             out.append(f"{indent}{lead}{piece}{tail}")
@@ -622,24 +622,22 @@ def _emit_assertion(out: list[str], a: VAssertion, indent: str,
 
 
 def stmt_lines(s: VStmt, indent: str) -> list[str]:
-    try:
-        show = _STMT[type(s)]
-    except KeyError:
-        raise TypeError(f"unknown statement node {type(s).__name__}") from None
-    return show(s, indent)
+    return _STMT[type(s)](s, indent)
 
 
-# One handler per statement class, looked up by `stmt_lines` in `_STMT`;
-# each takes (s, indent).
+# One handler per statement class, in `_STMT`; each takes (s, indent).
 
 def _var_lines(s: VarDeclS, indent: str) -> list[str]:
-    if s.init is None:
+    e = s.init
+    if e is None:
         return [f"{indent}var {s.name}: {s.typ}"]
-    return [f"{indent}var {s.name}: {s.typ} := {expr_str(s.init)}"]
+    return [f"{indent}var {s.name}: {s.typ} := {_EXPR[type(e)](e, _LOW)}"]
 
 
 def _assign_lines(s: AssignS, indent: str) -> list[str]:
-    return [f"{indent}{expr_str(s.target)} := {expr_str(s.value)}"]
+    target, value = s.target, s.value
+    return [f"{indent}{_EXPR[type(target)](target, _LOW)} := "
+            f"{_EXPR[type(value)](value, _LOW)}"]
 
 
 def _new_lines(s: NewS, indent: str) -> list[str]:
@@ -650,17 +648,16 @@ def _new_lines(s: NewS, indent: str) -> list[str]:
 
 
 def _if_lines(s: IfS, indent: str) -> list[str]:
-    # Inner statements go to their handlers directly (stmt_lines only when
-    # a class has none, to raise): a match nests one `if` per arm, and this
-    # keeps it to one frame per level, as the recursion does without tables.
+    # a match nests one `if` per arm: going to the inner statements'
+    # handlers directly keeps it to one frame per level
     inner = indent + "  "
-    lines = [f"{indent}if ({expr_str(s.cond)}) {{"]
+    lines = [f"{indent}if ({_EXPR[type(s.cond)](s.cond, _LOW)}) {{"]
     for t in s.then:
-        lines += _STMT.get(type(t), stmt_lines)(t, inner)
+        lines += _STMT[type(t)](t, inner)
     if s.els:
         lines.append(f"{indent}}} else {{")
         for t in s.els:
-            lines += _STMT.get(type(t), stmt_lines)(t, inner)
+            lines += _STMT[type(t)](t, inner)
     lines.append(f"{indent}}}")
     return lines
 
@@ -674,15 +671,17 @@ def _unfold_lines(s: UnfoldS, indent: str) -> list[str]:
 
 
 def _call_lines(s: CallS, indent: str) -> list[str]:
-    call = f"{s.method}({', '.join(map(expr_str, s.args))})"
+    args = ", ".join([_EXPR[type(x)](x, _LOW) for x in s.args])
+    call = f"{s.method}({args})"
     if s.targets:
         return [f"{indent}{', '.join(s.targets)} := {call}"]
     return [f"{indent}{call}"]
 
 
-_STMT = {VarDeclS: _var_lines, AssignS: _assign_lines, NewS: _new_lines,
-         IfS: _if_lines, FoldS: _fold_lines, UnfoldS: _unfold_lines,
-         CallS: _call_lines}
+_STMT = Handlers({
+    VarDeclS: _var_lines, AssignS: _assign_lines, NewS: _new_lines,
+    IfS: _if_lines, FoldS: _fold_lines, UnfoldS: _unfold_lines,
+    CallS: _call_lines}, unknown="unknown statement node")
 
 
 def pretty_stmts(stmts: list[VStmt], indent: str = "") -> str:
@@ -700,15 +699,10 @@ def _params_str(params: list[tuple[str, VType]]) -> str:
 
 
 def decl_lines(d: VDecl) -> list[str]:
-    try:
-        show = _DECL[type(d)]
-    except KeyError:
-        raise TypeError(
-            f"unknown declaration node {type(d).__name__}") from None
-    return show(d)
+    return _DECL[type(d)](d)
 
 
-# One handler per declaration class, looked up by `decl_lines` in `_DECL`.
+# One handler per declaration class, in `_DECL`.
 
 def _adt_lines(d: AdtDecl) -> list[str]:
     lines = [f"adt {d.name} {{"]
@@ -753,14 +747,15 @@ def _method_lines(d: MethodDecl) -> list[str]:
     if d.body is not None:
         lines.append("{")
         for s in d.body:
-            lines += stmt_lines(s, "  ")
+            lines += _STMT[type(s)](s, "  ")
         lines.append("}")
     return lines
 
 
-_DECL = {AdtDecl: _adt_lines, FieldDecl: _field_lines,
-         FunctionDecl: _function_lines, PredicateDecl: _predicate_lines,
-         MethodDecl: _method_lines}
+_DECL = Handlers({
+    AdtDecl: _adt_lines, FieldDecl: _field_lines,
+    FunctionDecl: _function_lines, PredicateDecl: _predicate_lines,
+    MethodDecl: _method_lines}, unknown="unknown declaration node")
 
 
 def pretty(program: ViperProgram) -> str:

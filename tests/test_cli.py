@@ -871,6 +871,18 @@ PARSE_ERRORS = {
         CELL + "(*@ lemma l (c: t) requires c ~> {v} ensures *)\n"
         "let f (c: t) =\n  (*@ apply L c *)\n  ()\n",
         ["2:46: error[parse]: expected an expression, found 'end of input'"]),
+    # each is reported at the token after the name it rejects
+    "lowercase constructor in an assertion let": (
+        "type cell = Nil | Cons of { mutable v : int }\n"
+        "(*@ predicate p (x: cell) = let nil y = x in true *)\n",
+        ["2:37: error[parse]: assertion let expects a constructor pattern"]),
+    "constructor pattern in a let statement": (
+        CELL + "let f (c: t) =\n  let C x = c in\n  ()\n(*@ f c *)\n",
+        ["3:9: error[parse]: constructor patterns are only allowed in "
+         "assertions"]),
+    "lowercase constructor declared": (
+        "type cell = nil | Cons of { mutable v : int }\n",
+        ["1:17: error[parse]: constructor names are capitalized"]),
     "fold of an unparsed logical function": (
         UNPARSED_PREDICATE.replace("predicate p (c: t) = c ~> {v} &&",
                                    "function p (c: t) : int = c.v +"),
@@ -1124,7 +1136,9 @@ def test_long_conjunctions_check_and_round_trip(tmp_path, shape, n):
 
 # `+` and `-` chains are loops in the parser, but the tree nests one level
 # per term, and the translator, the checker and the printer each walk it at
-# two frames a level; a printer at three frames a level fails at 400 terms.
+# one frame a level, a handler calling its operands' from its table (two,
+# through a dispatcher, before); a printer at three frames a level fails at
+# 400 terms.
 @pytest.mark.parametrize("op", ["+", "-"])
 def test_long_arithmetic_chain_checks_and_prints(tmp_path, op):
     src = tmp_path / "sum.ml"
@@ -1134,6 +1148,35 @@ def test_long_arithmetic_chain_checks_and_prints(tmp_path, op):
     assert (status, err) == (0, "")
     assert f"c.v := 1 {op} 1 {op} 1" in (tmp_path / "sum.vpr").read_text()
 
+
+
+# Inputs that check clean, each with a line its .vpr must hold
+VPR_LINES = {
+    # a ghost command's arguments as one group, empty or of two
+    "apply with ()": (
+        CELL + "(*@ lemma l requires true ensures true *)\nlet f (c: t) =\n"
+        "  (*@ apply l () *)\n  c.v <- 1\n"
+        "(*@ f c requires c ~> {v} ensures c ~> {v} *)\n", "  L()"),
+    "unfold with (c, d)": (
+        CELL + "(*@ predicate q (c: t) (d: t) = c ~> {v} *)\n"
+        "let f (c: t) (d: t) =\n  (*@ unfold q (c, d) *)\n  c.v <- 1;\n"
+        "  (*@ fold q (c, d) *)\n  ()\n"
+        "(*@ f c d requires q c d ensures q c d *)\n", "  unfold Q(c, d)"),
+    # the nullary constructor on the left of `=` is a test of the right
+    "constructor on the left of =": (
+        "type cell = Nil | Cons of { mutable v : int }\n"
+        "(*@ predicate p (x: cell) = Nil = x *)\n", "  x.isNil"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(VPR_LINES))
+def test_vpr_line_is_pinned(tmp_path, case):
+    source, line = VPR_LINES[case]
+    src = tmp_path / "good.ml"
+    src.write_text(source, encoding="utf-8")
+    status, out, err = invoke(src, check=True)
+    assert (status, out, err) == (0, f"{tmp_path / 'good.vpr'}\n", "")
+    assert line in (tmp_path / "good.vpr").read_text().splitlines()
 
 
 # 24 independent guards: the checker drops paths past MAX_PATHS

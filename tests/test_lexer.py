@@ -6,7 +6,7 @@ from gospel2viper import lexer
 from gospel2viper.lexer import SPEC_KEYWORDS, T, lex
 from gospel2viper.translate import translate_source
 from lexer_oracle import reference_lex
-from test_parser import wide_module
+from work_counts import wide_module
 
 import pytest
 from hypothesis import given, settings, strategies as hs

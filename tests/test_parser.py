@@ -2,14 +2,13 @@
 annotation may stand.  The names they declare and use are resolved by the
 translator, whose checks are tested here through `translate_source`."""
 
-import sys
 from pathlib import Path
 
 from gospel2viper import parser
 from gospel2viper import viper_ast as V
 from gospel2viper.diagnostics import Record, Severity
 from gospel2viper.lexer import KEYWORDS, PUNCT, SPEC_KEYWORDS, T, lex
-from gospel2viper.parser import _BINOPS, parse_module, parse_source
+from gospel2viper.parser import _BINOPS, parse_source
 from gospel2viper.surface import (AppE, AssignE, BinE, BoolLit, BoolT, CtorE,
                                   FieldE, GhostCommand, GhostKind, IfA,
                                   IndexE, IntLit, IntT, LetIn, LetPatA,
@@ -19,6 +18,7 @@ from gospel2viper.translate import translate_source
 from gospel2viper.viper_ast import CallS, Var, VToken
 
 import pytest
+from work_counts import calls_per_token, wide_module
 
 CORPUS = Path(__file__).parent / "corpus"
 
@@ -450,48 +450,6 @@ def test_corpus_spans_cover_names_and_leftmost_operands():
 
 
 # -- parser work per token -------------------------------------------------------
-
-
-def wide_module(n_fields=64, n_methods=2):
-    """The benchmark's `wide` shape: a record behind one predicate and
-    methods that rewrite every field from one to three others."""
-    fields = [f"f{j}" for j in range(n_fields)]
-    methods = [f"rewrite_{i}" for i in range(n_methods)]
-    lines = ["type t = { " + "; ".join(f"mutable {x} : int" for x in fields)
-             + " }",
-             "(*@ predicate p (r: t) = r ~> {" + "; ".join(fields) + "} *)"]
-    for m in methods:
-        lines += [f"let {m} (r: t) =", "  (*@ unfold p r *)"]
-        for j, x in enumerate(fields):
-            srcs = [fields[(j + 7 * d + 1) % n_fields]
-                    for d in range(1 + j % 3)]
-            lines.append(f"  r.{x} <- " + " + ".join(f"r.{s}" for s in srcs)
-                         + ";")
-        lines += ["  (*@ fold p r *)", f"(*@ {m} r requires p r ensures p r *)"]
-    lines.append("let caller (r: t) =")
-    lines += [f"  {m} r;" for m in methods]
-    lines += ["  ()", "(*@ caller r requires p r ensures p r *)"]
-    return "\n".join(lines) + "\n"
-
-
-def calls_per_token(source):
-    """Python-level calls made by parse_module, per source token.  A count
-    of calls, unlike a time, does not depend on the machine."""
-    tokens, diags = lex(source)
-    assert not diags
-    calls = 0
-
-    def count(frame, event, arg):
-        nonlocal calls
-        calls += event == "call"
-
-    sys.setprofile(count)
-    try:
-        module, diags = parse_module(tokens)
-    finally:
-        sys.setprofile(None)
-    assert module is not None, [d.message for d in diags]
-    return calls / len(tokens), len(tokens)
 
 
 def test_parser_calls_per_token_on_a_wide_module():

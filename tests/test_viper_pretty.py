@@ -204,14 +204,25 @@ def test_empty_body_prints_empty_block():
 
 
 def test_printers_reject_a_node_class_they_do_not_know():
+    # a handler takes its children's handlers from the table itself, so
+    # an unknown class nested in a known node fails as one at the top does
     class Odd:
         pass
 
-    for show in (expr_str, V._assertion_str, decl_lines,
-                 lambda x: stmt_lines(x, ""),
-                 lambda x: stmt_lines(IfS(X, [], [x]), "")):
-        with pytest.raises(TypeError, match=r"\bOdd\b"):
-            show(Odd())
+    odd = Odd()
+    for show, node, what in (
+            (expr_str, odd, "expression"),
+            (expr_str, BinOp("+", odd, X), "expression"),
+            (expr_str, FieldAcc(odd, "f"), "expression"),
+            (V._assertion_str, odd, "assertion"),
+            (V._assertion_str, AndA([odd]), "assertion"),
+            (V._assertion_str, Acc(FieldAcc(odd, "f")), "expression"),
+            (decl_lines, odd, "declaration"),
+            (lambda x: stmt_lines(x, ""), odd, "statement"),
+            (lambda x: stmt_lines(x, ""), IfS(X, [odd]), "statement"),
+            (lambda x: stmt_lines(x, ""), IfS(X, [], [odd]), "statement")):
+        with pytest.raises(TypeError, match=f"^unknown {what} node Odd$"):
+            show(node)
 
 
 def test_every_viper_node_class_has_a_printer():
