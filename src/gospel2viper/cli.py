@@ -51,21 +51,12 @@ from .viper_ast import pretty
 VERIFIER_ENV = "GOSPEL2VIPER_VERIFIER"
 
 
-class RunConfig(Record, uncompared=(), unshown=("stdout", "stderr")):
-    __slots__ = ("inputs", "output", "check", "strict", "verifier",
-                 "stdout", "stderr")
-
-    def __init__(self, inputs: list[str], output: str | None = None,
-                 check: bool = False, strict: bool = False,
-                 verifier: str | None = None,
-                 stdout: object = None, stderr: object = None):
-        self.inputs = inputs
-        self.output = output  # file for a single input, else directory
-        self.check = check
-        self.strict = strict
-        self.verifier = verifier
-        self.stdout = stdout
-        self.stderr = stderr
+class RunConfig(Record, uncompared=(), unshown=("stdout", "stderr"),
+                output=None, check=False, strict=False, verifier=None,
+                stdout=None, stderr=None):
+    __slots__ = ("inputs",
+                 "output",  # file for a single input, else directory
+                 "check", "strict", "verifier", "stdout", "stderr")
 
 
 def _out_paths(config: RunConfig) -> list[str]:

@@ -282,24 +282,21 @@ def _infix(v: SymVal) -> bool:
 # -- symbolic state --------------------------------------------------------------
 
 
-class SymState(Record, uncompared=("memo",)):
-    __slots__ = ("heap", "preds", "facts", "store", "subst", "memo", "joins")
-
-    def __init__(self, heap: dict | None = None, preds: dict | None = None,
-                 facts: dict | None = None, store: dict | None = None,
-                 subst: dict | None = None, memo: dict | None = None,
-                 joins: tuple = ()):
+class SymState(Record, uncompared=("memo",), heap={}, preds={}, facts={},
+               store={}, subst={}, memo={}, joins=()):
+    __slots__ = (
         # the held cells: a key is a whole permission, its value the field's
-        self.heap = {} if heap is None else heap  # {(recv, field): SymVal}
-        self.preds = {} if preds is None else preds  # {(name, args): n > 0}
+        "heap",  # {(recv, field): SymVal}
+        "preds",  # {(name, args): n > 0}
         # the assumed facts, in normal form, in the order they were
         # assumed; FALSE if the state is infeasible
-        self.facts = {} if facts is None else facts  # {bool SymVal: None}
-        self.store = {} if store is None else store  # {var: SymVal}
-        self.subst = {} if subst is None else subst  # {Sym: SymVal}
+        "facts",  # {bool SymVal: None}
+        "store",  # {var: SymVal}
+        "subst",  # {Sym: SymVal}
         # {term: normal form} under subst, replaced as subst grows
-        self.memo = {} if memo is None else memo
-        self.joins = joins  # the guards of the joins whose ites values hold
+        "memo",
+        "joins",  # the guards of the joins whose ites values hold
+    )
 
     def clone(self) -> "SymState":
         return SymState(dict(self.heap), dict(self.preds),
@@ -318,21 +315,15 @@ class _Unjoin(Exception):
 
 class _ConsumeCtx(Record):
     """What a failed consume should be reported as."""
-    __slots__ = ("pred_category", "what")
-
-    def __init__(self, pred_category: Category, what: object):
-        self.pred_category = pred_category
-        # printed by str(): "postcondition of m", or a _FoldName
-        self.what = what
+    __slots__ = ("pred_category",
+                 # printed by str(): "postcondition of m", or a _FoldName
+                 "what")
 
 
 class _FoldName(Record):
     """`fold P(args)`, rendered only when a diagnostic prints it: most
     folds never fail."""
     __slots__ = ("pred",)
-
-    def __init__(self, pred: V.PredApp):
-        self.pred = pred
 
     def __str__(self) -> str:
         call = V.FunApp(self.pred.name, self.pred.args)

@@ -92,15 +92,9 @@ def prelude_decls() -> list[V.FunctionDecl]:
 
 
 class _CtorInfo(Record):
-    __slots__ = ("name", "type_name", "proj", "payload", "span")
-
-    def __init__(self, name: str, type_name: str, proj: str | None,
-                 payload: list[FieldDef], span: int | None):
-        self.name = name
-        self.type_name = type_name
-        self.proj = proj  # projection/param name, None for nullary
-        self.payload = payload
-        self.span = span
+    __slots__ = ("name", "type_name",
+                 "proj",  # projection/param name, None for nullary
+                 "payload", "span")
 
 
 def resolve_spec_name(name: str, table: dict) -> str | None:
@@ -841,17 +835,12 @@ class _Tr:
 
 
 class _FnCtx(Record):
-    __slots__ = ("env", "result", "ret", "used")
-
-    def __init__(self, env: dict[str, V.VExpr], result: str | None,
-                 ret: SurfaceType | None, used: dict[str, int]):
-        self.env = env
-        self.result = result
-        self.ret = ret  # the function's return type, as written
-        # every name taken in the method, and the lowest suffix that may
-        # still be free after it; names are never released, so that never
-        # goes down
-        self.used = used
+    __slots__ = ("env", "result",
+                 "ret",  # the function's return type, as written
+                 # every name taken in the method, and the lowest suffix
+                 # that may still be free after it; names are never
+                 # released, so that never goes down
+                 "used")
 
     def fresh(self, base: str) -> str:
         """`base`, or `base` with the lowest numeric suffix not taken."""

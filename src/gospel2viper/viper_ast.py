@@ -1,12 +1,13 @@
 """Viper output language: AST, pretty printer, tokenizer, golden equality.
 
-Every node is a `Record`: a plain class with `__slots__` and a
-hand-written `__init__`, as in `surface`, and the abstract bases declare
-no slots, so no node has a `__dict__`.  An assertion, statement or
-method keeps the source offset it came from in `span`, an `int` or None
-(see `diagnostics`).  Equality and repr are those a dataclass would
-give, and leave out `span`.  Types and tokens are hashed
-by value; the other nodes are not hashable.  Each printer keeps a
+Every node is a `Record`, as in `surface`: a plain class with
+`__slots__`, whose constructor takes the slots in order with the defaults
+its class header names, and the abstract bases declare no slots, so no
+node has a `__dict__`.  An assertion, statement or method keeps the
+source offset it came from in `span`, an `int` or None (see
+`diagnostics`).  Equality and repr are those a dataclass would give, and
+leave out `span`.  Types and tokens are hashed by value; the other nodes
+are not hashable.  Each printer keeps a
 handler per node class in one table (`_EXPR`, `_ASSERTION`, `_STMT`,
 `_DECL`), and a handler prints its children with their handlers straight
 from it; an expression handler adds the parentheses its own precedence
@@ -35,9 +36,6 @@ WIDTH = 80
 class VType(Record):
     __slots__ = ("name",)
 
-    def __init__(self, name: str):
-        self.name = name
-
     def __hash__(self) -> int:
         return hash((self.name,))
 
@@ -61,109 +59,60 @@ class VExpr(Record):
 class IntLit(VExpr):
     __slots__ = ("value",)
 
-    def __init__(self, value: int):
-        self.value = value
-
 
 class BoolLit(VExpr):
     __slots__ = ("value",)
-
-    def __init__(self, value: bool):
-        self.value = value
 
 
 class Var(VExpr):
     __slots__ = ("name",)
 
-    def __init__(self, name: str):
-        self.name = name
-
 
 class FieldAcc(VExpr):
     __slots__ = ("base", "fieldname")
 
-    def __init__(self, base: VExpr, fieldname: str):
-        self.base = base
-        self.fieldname = fieldname
-
 
 class IsTest(VExpr):
-    __slots__ = ("base", "ctor")
-
-    def __init__(self, base: VExpr, ctor: str):
-        self.base = base
-        self.ctor = ctor  # prints `.is<Ctor>`
+    __slots__ = ("base",
+                 "ctor")  # prints `.is<Ctor>`
 
 
 class CtorCall(VExpr):
     __slots__ = ("name", "args")
 
-    def __init__(self, name: str, args: list[VExpr]):
-        self.name = name
-        self.args = args
-
 
 class FunApp(VExpr):
     __slots__ = ("name", "args")
 
-    def __init__(self, name: str, args: list[VExpr]):
-        self.name = name
-        self.args = args
-
 
 class SeqLit(VExpr):
-    __slots__ = ("items",)
-
-    def __init__(self, items: list[VExpr]):
-        self.items = items  # [] prints Seq[Int]()
+    __slots__ = ("items",)  # [] prints Seq[Int]()
 
 
 class SeqLen(VExpr):
     __slots__ = ("seq",)
 
-    def __init__(self, seq: VExpr):
-        self.seq = seq
-
 
 class BinOp(VExpr):
     __slots__ = ("op", "left", "right")
-
-    def __init__(self, op: str, left: VExpr, right: VExpr):
-        self.op = op
-        self.left = left
-        self.right = right
 
 
 class UnOp(VExpr):
     __slots__ = ("op", "operand")
 
-    def __init__(self, op: str, operand: VExpr):
-        self.op = op
-        self.operand = operand
-
 
 class SeqIndex(VExpr):
     __slots__ = ("seq", "index")
 
-    def __init__(self, seq: VExpr, index: VExpr):
-        self.seq = seq
-        self.index = index
-
 
 class SeqDrop(VExpr):
-    __slots__ = ("seq", "lo")
-
-    def __init__(self, seq: VExpr, lo: VExpr):
-        self.seq = seq
-        self.lo = lo  # v[lo ..]
+    __slots__ = ("seq",
+                 "lo")  # v[lo ..]
 
 
 class SeqTake(VExpr):
-    __slots__ = ("seq", "hi")
-
-    def __init__(self, seq: VExpr, hi: VExpr):
-        self.seq = seq
-        self.hi = hi  # v[.. hi]
+    __slots__ = ("seq",
+                 "hi")  # v[.. hi]
 
 
 # -- assertions ----------------------------------------------------------------
@@ -173,61 +122,30 @@ class VAssertion(Record):
     __slots__ = ()
 
 
-class Pure(VAssertion):
+class Pure(VAssertion, span=None):
     __slots__ = ("expr", "span")
 
-    def __init__(self, expr: VExpr, span: int | None = None):
-        self.expr = expr
-        self.span = span
 
-
-class Acc(VAssertion):
+class Acc(VAssertion, span=None):
     __slots__ = ("loc", "span")
 
-    def __init__(self, loc: FieldAcc, span: int | None = None):
-        self.loc = loc
-        self.span = span
 
-
-class PredApp(VAssertion):
+class PredApp(VAssertion, span=None):
     __slots__ = ("name", "args", "span")
 
-    def __init__(self, name: str, args: list[VExpr], span: int | None = None):
-        self.name = name
-        self.args = args
-        self.span = span
 
-
-class AndA(VAssertion):
+class AndA(VAssertion, span=None):
     """A conjunction of two or more parts, none of them an AndA; build it
     with `and_all`."""
     __slots__ = ("parts", "span")
 
-    def __init__(self, parts: list[VAssertion], span: int | None = None):
-        self.parts = parts
-        self.span = span
 
-
-class CondA(VAssertion):
+class CondA(VAssertion, span=None):
     __slots__ = ("cond", "then", "els", "span")
 
-    def __init__(self, cond: VExpr, then: VAssertion, els: VAssertion,
-                 span: int | None = None):
-        self.cond = cond
-        self.then = then
-        self.els = els
-        self.span = span
 
-
-class LetA(VAssertion):
+class LetA(VAssertion, span=None):
     __slots__ = ("name", "bound", "body", "span")
-
-    def __init__(self, name: str, bound: VExpr, body: VAssertion,
-                 span: int | None = None):
-        self.name = name
-        self.bound = bound
-        self.body = body
-        self.span = span
 
 
 def and_all(parts: list[VAssertion]) -> VAssertion:
@@ -252,73 +170,35 @@ class VStmt(Record):
     __slots__ = ()
 
 
-class VarDeclS(VStmt):
+class VarDeclS(VStmt, init=None, span=None):
     __slots__ = ("name", "typ", "init", "span")
 
-    def __init__(self, name: str, typ: VType, init: VExpr | None = None,
-                 span: int | None = None):
-        self.name = name
-        self.typ = typ
-        self.init = init
-        self.span = span
+
+class AssignS(VStmt, span=None):
+    __slots__ = ("target",  # Var or FieldAcc
+                 "value", "span")
 
 
-class AssignS(VStmt):
-    __slots__ = ("target", "value", "span")
-
-    def __init__(self, target: VExpr, value: VExpr, span: int | None = None):
-        self.target = target  # Var or FieldAcc
-        self.value = value
-        self.span = span
+class NewS(VStmt, declare=False, span=None):
+    __slots__ = ("target", "fields",
+                 "declare",  # True prints `var x: Ref := new(...)`
+                 "span")
 
 
-class NewS(VStmt):
-    __slots__ = ("target", "fields", "declare", "span")
-
-    def __init__(self, target: str, fields: list[str], declare: bool = False,
-                 span: int | None = None):
-        self.target = target
-        self.fields = fields
-        self.declare = declare  # True prints `var x: Ref := new(...)`
-        self.span = span
-
-
-class IfS(VStmt):
+class IfS(VStmt, els=[], span=None):
     __slots__ = ("cond", "then", "els", "span")
 
-    def __init__(self, cond: VExpr, then: list[VStmt],
-                 els: list[VStmt] | None = None, span: int | None = None):
-        self.cond = cond
-        self.then = then
-        self.els = [] if els is None else els
-        self.span = span
 
-
-class FoldS(VStmt):
+class FoldS(VStmt, span=None):
     __slots__ = ("pred", "span")
 
-    def __init__(self, pred: PredApp, span: int | None = None):
-        self.pred = pred
-        self.span = span
 
-
-class UnfoldS(VStmt):
+class UnfoldS(VStmt, span=None):
     __slots__ = ("pred", "span")
 
-    def __init__(self, pred: PredApp, span: int | None = None):
-        self.pred = pred
-        self.span = span
 
-
-class CallS(VStmt):
+class CallS(VStmt, span=None):
     __slots__ = ("targets", "method", "args", "span")
-
-    def __init__(self, targets: list[str], method: str, args: list[VExpr],
-                 span: int | None = None):
-        self.targets = targets
-        self.method = method
-        self.args = args
-        self.span = span
 
 
 # -- declarations --------------------------------------------------------------
@@ -327,67 +207,27 @@ class CallS(VStmt):
 class CtorSig(Record):
     __slots__ = ("name", "params")
 
-    def __init__(self, name: str, params: list[tuple[str, VType]]):
-        self.name = name
-        self.params = params
-
 
 class AdtDecl(Record):
     __slots__ = ("name", "ctors")
-
-    def __init__(self, name: str, ctors: list[CtorSig]):
-        self.name = name
-        self.ctors = ctors
 
 
 class FieldDecl(Record):
     __slots__ = ("name", "typ")
 
-    def __init__(self, name: str, typ: VType):
-        self.name = name
-        self.typ = typ
 
-
-class FunctionDecl(Record):
+class FunctionDecl(Record, pres=[], posts=[], body=None):
     __slots__ = ("name", "params", "ret", "pres", "posts", "body")
-
-    def __init__(self, name: str, params: list[tuple[str, VType]],
-                 ret: VType, pres: list[VAssertion] | None = None,
-                 posts: list[VAssertion] | None = None,
-                 body: VExpr | None = None):
-        self.name = name
-        self.params = params
-        self.ret = ret
-        self.pres = [] if pres is None else pres
-        self.posts = [] if posts is None else posts
-        self.body = body
 
 
 class PredicateDecl(Record):
     __slots__ = ("name", "params", "body")
 
-    def __init__(self, name: str, params: list[tuple[str, VType]],
-                 body: VAssertion):
-        self.name = name
-        self.params = params
-        self.body = body
 
-
-class MethodDecl(Record):
-    __slots__ = ("name", "params", "returns", "pres", "posts", "body", "span")
-
-    def __init__(self, name: str, params: list[tuple[str, VType]],
-                 returns: list[tuple[str, VType]],
-                 pres: list[VAssertion] | None = None,
-                 posts: list[VAssertion] | None = None,
-                 body: list[VStmt] | None = None, span: int | None = None):
-        self.name = name
-        self.params = params
-        self.returns = returns
-        self.pres = [] if pres is None else pres
-        self.posts = [] if posts is None else posts
-        self.body = body  # None: abstract method (lemma)
-        self.span = span
+class MethodDecl(Record, pres=[], posts=[], body=None, span=None):
+    __slots__ = ("name", "params", "returns", "pres", "posts",
+                 "body",  # None: abstract method (lemma)
+                 "span")
 
 
 VDecl = AdtDecl | FieldDecl | FunctionDecl | PredicateDecl | MethodDecl
@@ -395,9 +235,6 @@ VDecl = AdtDecl | FieldDecl | FunctionDecl | PredicateDecl | MethodDecl
 
 class ViperProgram(Record):
     __slots__ = ("decls",)
-
-    def __init__(self, decls: list[VDecl]):
-        self.decls = decls
 
     def methods(self) -> dict[str, MethodDecl]:
         return {d.name: d for d in self.decls if isinstance(d, MethodDecl)}
@@ -778,12 +615,8 @@ _VKINDS = (None, "ident", "int", None, "sym")
 
 
 class VToken(Record):
-    __slots__ = ("kind", "text", "pos")
-
-    def __init__(self, kind: str, text: str, pos: int):
-        self.kind = kind  # "ident", "int", "sym"
-        self.text = text
-        self.pos = pos
+    __slots__ = ("kind",  # "ident", "int", "sym"
+                 "text", "pos")
 
     def __hash__(self) -> int:
         return hash((self.kind, self.text, self.pos))
