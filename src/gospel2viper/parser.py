@@ -123,9 +123,11 @@ class _P:
         self.pos = i + 1
         return i
 
-    def fail(self, message: str) -> None:
+    def fail(self, message: str, at: int | None = None) -> None:
+        """Raise a parse error at the token of index `at`, by default the
+        one at the cursor."""
         raise ParseError(error(Category.PARSE, message,
-                               self.starts[self.pos]))
+                               self.starts[self.pos if at is None else at]))
 
     def ident(self, what: str = "identifier") -> str:
         """Step past an identifier; return its text."""
@@ -140,6 +142,7 @@ class _P:
     # -- types -------------------------------------------------------------
 
     def parse_type(self) -> SurfaceType:
+        at = self.pos
         name = self.ident("type name")
         base: SurfaceType
         if name == "int":
@@ -151,7 +154,7 @@ class _P:
         if self.at(T.IDENT) and self.texts[self.pos] == "sequence":
             self.pos += 1
             if not isinstance(base, IntT):
-                self.fail("only int sequences are supported")
+                self.fail("only int sequences are supported", at)
             return SeqT()
         return base
 
@@ -462,9 +465,10 @@ def _assertion_atom(p: _P) -> Assertion:
         return IfA(cond, then, _assertion(p), span=span)
     if kind == T.LET:
         span = p.starts[p.next()]
+        at = p.pos
         ctor = p.ident("constructor pattern")
         if not ctor[0].isupper():
-            p.fail("assertion let expects a constructor pattern")
+            p.fail("assertion let expects a constructor pattern", at)
         binder = p.ident("binder name")
         p.expect(T.EQ, "'='")
         scrut = p.parse_binary(_CMP)
@@ -597,7 +601,8 @@ class _ModuleParser(_P):
             at = self.pos
             name = self.ident("binder name")
             if name[0].isupper():
-                self.fail("constructor patterns are only allowed in assertions")
+                self.fail("constructor patterns are only allowed in "
+                          "assertions", at)
             typ = None
             if self.at(T.COLON):
                 self.next()
@@ -678,7 +683,7 @@ class _ModuleParser(_P):
             at = self.pos
             ctor = self.ident("constructor name")
             if not ctor[0].isupper():
-                self.fail("match arms must start with a constructor")
+                self.fail("match arms must start with a constructor", at)
             binder = None
             if self.at(T.IDENT) and not self.texts[self.pos][0].isupper():
                 binder = self.texts[self.next()]
@@ -742,9 +747,10 @@ class _ModuleParser(_P):
 
     def _type_decl(self) -> TypeDecl:
         start = self.expect(T.TYPE, "'type'")
+        at = self.pos
         name = self.ident("type name")
         if name[0].isupper():
-            self.fail("type names are lowercase")
+            self.fail("type names are lowercase", at)
         self.expect(T.EQ, "'='")
         if self.at(T.LBRACE):
             kind = self._record_kind()
@@ -765,7 +771,7 @@ class _ModuleParser(_P):
         at = self.pos
         name = self.ident("constructor name")
         if not name[0].isupper():
-            self.fail("constructor names are capitalized")
+            self.fail("constructor names are capitalized", at)
         payload: list[FieldDef] = []
         if self.at(T.OF):
             self.next()
@@ -773,7 +779,7 @@ class _ModuleParser(_P):
         return CtorDef(name, payload, span=self.starts[at])
 
     def _record_kind(self) -> RecordKind:
-        self.expect(T.LBRACE, "'{'")
+        start = self.expect(T.LBRACE, "'{'")
         fields: list[FieldDef] = []
         while not self.at(T.RBRACE):
             mutable = False
@@ -791,7 +797,7 @@ class _ModuleParser(_P):
                 self.fail("expected ';' or '}' in record declaration")
         self.next()
         if not fields:
-            self.fail("record declarations need at least one field")
+            self.fail("record declarations need at least one field", start)
         return RecordKind(fields)
 
     def _fun_decl(self) -> FunDecl:

@@ -845,10 +845,10 @@ UNPARSED_PREDICATE = (
 PARSE_ERRORS = {
     "bool sequence field": (
         "type t = { mutable v : bool sequence }\n",
-        ["1:38: error[parse]: only int sequences are supported"]),
+        ["1:24: error[parse]: only int sequences are supported"]),
     "record without fields": (
         "type t = { }\n",
-        ["2:1: error[parse]: record declarations need at least one field"]),
+        ["1:10: error[parse]: record declarations need at least one field"]),
     "prefix slice": (
         "(*@ function f (s: int sequence) : int sequence = s[.. 1] *)\n",
         ["1:53: error[parse]: prefix slices are not part of the surface "
@@ -871,18 +871,25 @@ PARSE_ERRORS = {
         CELL + "(*@ lemma l (c: t) requires c ~> {v} ensures *)\n"
         "let f (c: t) =\n  (*@ apply L c *)\n  ()\n",
         ["2:46: error[parse]: expected an expression, found 'end of input'"]),
-    # each is reported at the token after the name it rejects
     "lowercase constructor in an assertion let": (
         "type cell = Nil | Cons of { mutable v : int }\n"
         "(*@ predicate p (x: cell) = let nil y = x in true *)\n",
-        ["2:37: error[parse]: assertion let expects a constructor pattern"]),
+        ["2:33: error[parse]: assertion let expects a constructor pattern"]),
     "constructor pattern in a let statement": (
         CELL + "let f (c: t) =\n  let C x = c in\n  ()\n(*@ f c *)\n",
-        ["3:9: error[parse]: constructor patterns are only allowed in "
+        ["3:7: error[parse]: constructor patterns are only allowed in "
          "assertions"]),
     "lowercase constructor declared": (
         "type cell = nil | Cons of { mutable v : int }\n",
-        ["1:17: error[parse]: constructor names are capitalized"]),
+        ["1:13: error[parse]: constructor names are capitalized"]),
+    "capitalized type name": (
+        "type T = { mutable v : int }\n",
+        ["1:6: error[parse]: type names are lowercase"]),
+    "lowercase match arm": (
+        "type cell = Nil | Cons of { mutable v : int }\n"
+        "let f (c: cell) =\n  match c with\n  | nil -> ()\n"
+        "  | Cons x -> ()\n",
+        ["4:5: error[parse]: match arms must start with a constructor"]),
     "fold of an unparsed logical function": (
         UNPARSED_PREDICATE.replace("predicate p (c: t) = c ~> {v} &&",
                                    "function p (c: t) : int = c.v +"),
