@@ -560,6 +560,14 @@ s := get(x)
     assert check_program(prog, strict=True) == []
 
 
+def test_a_local_steps_past_a_taken_suffix():
+    # `x` and `x1` are parameters, so the local `x` becomes `x2`
+    prog = tr("let f (x: int) (x1: int) = let x : int = 0 in ()\n"
+              "(*@ f x x1 *)\n")
+    assert pretty(prog) == ("method f(x: Int, x1: Int)\n{\n"
+                            "  var x2: Int := 0\n}\n")
+
+
 @pytest.mark.parametrize("caller, message", [
     ("let f (x: c) =\n  zero x x\n", "'zero' takes 1 arguments, got 2"),
     ("let f (x: c) =\n  keep x\n", "'keep' takes 2 arguments, got 1"),
