@@ -16,6 +16,13 @@ child times `bench/calibrate.py`'s kernel between requests and scales each
 request time to the kernel's reference speed.  The child's sample is the
 median scaled request time.
 
+WORKLOAD `import` times set-up instead, as `bench/run.py`'s `setup_s`
+does: each child runs fresh interpreters that `import gospel2viper.cli`
+from its side's `src/`, one after another for SECONDS seconds, times the
+calibration kernel (median of three runs) between them, and its sample
+is the median scaled import time.  No bytecode cache is written, as for
+the other workloads.
+
 It prints each pair, each side's median and quartiles over the pairs, and
 how many pairs the working tree won (took less time).  It only reads
 `bench/`, it needs only the standard library, and pytest does not collect
@@ -78,6 +85,30 @@ def child(src: str, workload: str, seconds: float) -> None:
     print(statistics.median(scaled(times, kernels)) * 1e3)
 
 
+def child_import(src: str, seconds: float) -> None:
+    """Print the median scaled time, in ms, of a fresh interpreter
+    importing the CLI from `src`."""
+    sys.path[:0] = [str(ROOT / "bench")]
+    from time import perf_counter
+
+    from calibrate import kernel_seconds, scaled
+
+    env = dict(os.environ, PYTHONPATH=src)
+    argv = [sys.executable, "-c", "import gospel2viper.cli"]
+
+    def kernel() -> float:
+        return statistics.median(kernel_seconds() for _ in range(3))
+
+    times, kernels = [], [kernel()]
+    start = perf_counter()
+    while len(times) < 3 or perf_counter() - start < seconds:
+        t = perf_counter()
+        subprocess.run(argv, env=env, cwd=ROOT, check=True)
+        times.append(perf_counter() - t)
+        kernels.append(kernel())
+    print(statistics.median(scaled(times, kernels)) * 1e3)
+
+
 def sample(src: Path, workload: str, seconds: float, hashseed: int) -> float:
     env = dict(os.environ, PYTHONHASHSEED=str(hashseed),
                PYTHONDONTWRITEBYTECODE="1")
@@ -126,7 +157,9 @@ def main(ref: str, workload: str, pairs: int, seconds: float) -> int:
 
 
 if __name__ == "__main__":
-    if sys.argv[1:2] == ["--child"]:
+    if sys.argv[1:2] == ["--child"] and sys.argv[3] == "import":
+        child_import(sys.argv[2], float(sys.argv[4]))
+    elif sys.argv[1:2] == ["--child"]:
         child(sys.argv[2], sys.argv[3], float(sys.argv[4]))
     elif len(sys.argv) in (3, 4, 5):
         n = int(sys.argv[3]) if len(sys.argv) > 3 else 10
