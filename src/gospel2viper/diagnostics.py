@@ -89,6 +89,7 @@ def _derived_init(cls: type, slots: tuple, defaults: dict):
         made: dict = {}
         exec(f"def __init__(self{params}):\n{body}", _INIT_GLOBALS, made)
         code = _SHAPES[shape] = made["__init__"].__code__
+    # the body's only names are its attributes s0, s1, ..., in that order
     init = FunctionType(code.replace(co_varnames=("self", *slots),
                                      co_names=slots), _INIT_GLOBALS)
     init.__defaults__ = tuple(None if type(d) in (list, dict) else d
