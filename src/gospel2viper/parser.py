@@ -2,8 +2,9 @@
 
 Token kinds are the plain ints of `lexer.T`, compared with `==`.
 Binary operators are parsed by precedence climbing (Pratt's "Top Down
-Operator Precedence") in one loop, `_P.parse_binary`, over the table
-`_BINOPS` of operators and their precedences.
+Operator Precedence") in one loop, `_P.parse_binary`, over `_BINOPS`,
+which is derived from the operator table `viper_ast.BINARY` that every
+stage reads.
 
 The parser reads the file's one token stream (`lexer.Tokens`) by index:
 `kinds[pos]`, `texts[pos]`, and `starts[pos]` where a node keeps its
@@ -44,7 +45,7 @@ from __future__ import annotations
 import re
 
 from .diagnostics import Category, Diagnostic, error
-from .lexer import T, Tokens, lex
+from .lexer import PUNCT, T, Tokens, lex
 from .surface import (AnnotationPayload, AppE, Assertion, AssignE, BinE,
                       BoolLit, BoolT, ContractSpec, CtorDef, CtorE, FieldDef,
                       FieldE, FunDecl, GhostCommand,
@@ -54,6 +55,7 @@ from .surface import (AnnotationPayload, AppE, Assertion, AssignE, BinE,
                       RecordAlloc, RecordKind, SeqE, SeqT, SepA, SliceFromE,
                       SurfaceDecl, SurfaceExpr, SurfaceModule, SurfaceType,
                       TypeDecl, UnE, UnitLit, VarE, VariantKind)
+from .viper_ast import BINARY, CMP, LEVELS, LOW, UNARY
 
 
 class ParseError(Exception):
@@ -62,15 +64,9 @@ class ParseError(Exception):
         self.diag = diag
 
 
-# Binary operators by token kind: (operator, precedence), loosest first.
-# `++` is right-associative, the comparisons do not associate, and the
-# rest are left-associative.
-_CMP, _TIGHTEST = 3, 6
-_BINOPS = {T.BARBAR: ("||", 1), T.AMPAMP: ("&&", 2),
-           T.EQ: ("=", _CMP), T.NEQ: ("<>", _CMP), T.LT: ("<", _CMP),
-           T.LE: ("<=", _CMP), T.GT: (">", _CMP), T.GE: (">=", _CMP),
-           T.PLUSPLUS: ("++", 4), T.PLUS: ("+", 5), T.MINUS: ("-", 5),
-           T.STAR: ("*", 6), T.SLASH: ("/", 6)}
+# Binary operators by token kind: (operator, precedence, floors of the left
+# and right operands), as `viper_ast.LEVELS` has them.
+_BINOPS = {PUNCT[op.surface]: (op.surface, *LEVELS[op.viper]) for op in BINARY}
 _ATOM_START = frozenset((T.INT, T.TRUE, T.FALSE, T.IDENT, T.LPAREN, T.LBRACE))
 
 # Expressions, prefix minus, assertion atoms, and parenthesised, `if` and
@@ -164,7 +160,7 @@ class _P:
         if self.depth > MAX_NESTING:
             self.fail(f"nesting deeper than {MAX_NESTING} levels")
         self.depth += 1
-        e = self.parse_binary(1)
+        e = self.parse_binary(LOW)
         self.depth -= 1
         return e
 
@@ -177,25 +173,22 @@ class _P:
              else self.parse_postfix())
         if kinds[self.pos] in _ATOM_START and isinstance(e, (VarE, CtorE)):
             e = self.parse_app(e)
-        ceil = _TIGHTEST
+        level = UNARY  # of `e`, the next operator's left operand
         while True:
             op = _BINOPS.get(kinds[self.pos])
-            if op is None or not floor <= op[1] <= ceil:
+            # a comparison after one is below its left floor: left to the
+            # caller, which rejects it
+            if op is None or op[1] < floor or op[2] > level:
                 return e
             self.pos += 1
-            sym, prec = op
-            # after a comparison only tighter operators may follow, so a
-            # second comparison is left to the caller, which rejects it
-            ceil = prec - 1 if prec == _CMP else prec
-            right = self.parse_binary(prec if sym == "++" else prec + 1)
-            e = BinE(sym, e, right, e.span)
+            sym, level, _, right_floor = op
+            e = BinE(sym, e, self.parse_binary(right_floor), e.span)
 
     def parse_unary(self) -> SurfaceExpr:
         """A prefix minus and its operand, itself possibly negated."""
         start = self.starts[self.next()]
         self.enter()
-        # no operator binds tighter than _TIGHTEST: just the operand
-        e = UnE("-", self.parse_binary(_TIGHTEST + 1), span=start)
+        e = UnE("-", self.parse_binary(UNARY), span=start)
         self.depth -= 1
         return e
 
@@ -440,7 +433,7 @@ def _clauses(p: _P) -> tuple[list[Assertion], list[Assertion]]:
 # -- assertions -------------------------------------------------------------
 
 _EXPR_CONT = (T.DOT, T.LBRACKET, T.OWNS,
-              *(k for k, (_, prec) in _BINOPS.items() if prec >= _CMP))
+              *(k for k, op in _BINOPS.items() if op[1] >= CMP))
 
 
 def _assertion(p: _P) -> Assertion:
@@ -458,7 +451,7 @@ def _assertion_atom(p: _P) -> Assertion:
     kind = p.kinds[p.pos]
     if kind == T.IF:
         span = p.starts[p.next()]
-        cond = p.parse_binary(_CMP)
+        cond = p.parse_binary(CMP)
         p.expect(T.THEN, "'then'")
         then = _assertion(p)
         p.expect(T.ELSE, "'else'")
@@ -471,7 +464,7 @@ def _assertion_atom(p: _P) -> Assertion:
             p.fail("assertion let expects a constructor pattern", at)
         binder = p.ident("binder name")
         p.expect(T.EQ, "'='")
-        scrut = p.parse_binary(_CMP)
+        scrut = p.parse_binary(CMP)
         p.expect(T.IN, "'in'")
         return LetPatA(ctor, binder, scrut, _assertion(p), span=span)
     if kind == T.LPAREN:
@@ -485,7 +478,7 @@ def _assertion_atom(p: _P) -> Assertion:
         except ParseError:
             pass
         p.pos, p.depth = mark
-    e = p.parse_binary(_CMP)
+    e = p.parse_binary(CMP)
     if p.at(T.OWNS):
         p.next()
         p.expect(T.LBRACE, "'{'")

@@ -132,7 +132,6 @@ mistake does not cascade into a wall of noise.
 from __future__ import annotations
 
 import itertools
-import operator
 import weakref
 
 from . import viper_ast as V
@@ -141,8 +140,7 @@ from .diagnostics import (Category, Diagnostic, Handlers, Record, Severity,
 
 MAX_PATHS = 32
 _SCALAR = frozenset({"Int", "Bool"})  # types whose values a join merges
-_COMPARE = {"<": operator.lt, "<=": operator.le, ">": operator.gt,
-            ">=": operator.ge}
+_FOLD = {op.viper: op.fold for op in V.BINARY if op.fold is not None}
 
 # -- symbolic values -----------------------------------------------------------
 
@@ -268,15 +266,15 @@ def sym_str(v: SymVal, ites: int = 0) -> str:
             return "..."
         ites += 1
     if isinstance(v, App) and _infix(v):
-        prec = V._PREC[v.name]
+        prec = V.LEVELS[v.name][0]
         return f" {v.name} ".join(
-            f"({sym_str(a, ites)})" if _infix(a) and V._PREC[a.name] <= prec
+            f"({sym_str(a, ites)})" if _infix(a) and V.LEVELS[a.name][0] <= prec
             else sym_str(a, ites) for a in v.args)
     return f"{v.name}(" + ", ".join(sym_str(a, ites) for a in v.args) + ")"
 
 
 def _infix(v: SymVal) -> bool:
-    return isinstance(v, App) and v.name in V._PREC and len(v.args) > 1
+    return isinstance(v, App) and v.name in V.LEVELS and len(v.args) > 1
 
 
 # -- symbolic state --------------------------------------------------------------
@@ -400,29 +398,14 @@ class Checker:
     # One rule per operator, looked up by `_simplify` in `_RULES`.  Each
     # takes _simplify's arguments: (name, args).
 
-    def _s_arith(self, name, args) -> SymVal:
+    def _s_fold(self, name, args) -> SymVal:
+        """Fold two int literals by `_FOLD`; a None fold keeps the term."""
         a, b = args
         if not (isinstance(a, Lit) and isinstance(a.value, int)
                 and isinstance(b, Lit) and isinstance(b.value, int)):
             return self._lifted(name, args)
-        a, b = a.value, b.value
-        if name == "+":
-            return Lit(a + b)
-        if name == "-":
-            return Lit(a - b)
-        if name == "*":
-            return Lit(a * b)
-        if b == 0:
-            return App(name, args)
-        q = abs(a) // abs(b)  # truncating division
-        return Lit(q if (a < 0) == (b < 0) else -q)
-
-    def _s_compare(self, name, args) -> SymVal:
-        a, b = args
-        if (isinstance(a, Lit) and isinstance(a.value, int)
-                and isinstance(b, Lit) and isinstance(b.value, int)):
-            return Lit(_COMPARE[name](a.value, b.value))
-        return self._lifted(name, args)
+        value = _FOLD[name](a.value, b.value)
+        return App(name, args) if value is None else Lit(value)
 
     def _s_eq(self, name, args) -> SymVal:
         return self._norm_eq(args[0], args[1])
@@ -506,10 +489,8 @@ class Checker:
                     return target.args[params.index(pname)]
         return self._lifted(name, args)
 
-    _RULES = {"+": _s_arith, "-": _s_arith, "*": _s_arith, "/": _s_arith,
-              "<": _s_compare, "<=": _s_compare, ">": _s_compare,
-              ">=": _s_compare, "==": _s_eq, "!=": _s_ne, "not": _s_not,
-              "&&": _s_andor, "||": _s_andor, "ite": _s_ite,
+    _RULES = {**dict.fromkeys(_FOLD, _s_fold), "==": _s_eq, "!=": _s_ne,
+              "not": _s_not, "&&": _s_andor, "||": _s_andor, "ite": _s_ite,
               **dict.fromkeys(("++", "len", "index", "drop", "take",
                                "drop_last", "take_last", "neg"), _s_other)}
 

@@ -69,8 +69,8 @@ from .surface import (AppE, AssignE, Assertion, BinE, BoolLit, BoolT,
 
 PRELUDE_NAMES = ("drop_last", "take_last")
 
-# Surface operators whose Viper spelling differs; the rest are the same.
-_VIPER_OPS = {"=": "==", "<>": "!="}
+# The Viper spelling of each surface operator
+_VIPER_OPS = {op.surface: op.viper for op in V.BINARY}
 
 _CLEAN, _STALE, _REPORTED = range(3)  # states of a match binder (_Tr)
 
@@ -324,7 +324,7 @@ class _Tr:
             if test is not None:
                 return test if e.op == "=" else V.UnOp("!", test)
         table, left, right = self._EXPR, e.left, e.right
-        return V.BinOp(_VIPER_OPS.get(e.op, e.op),
+        return V.BinOp(_VIPER_OPS[e.op],
                        table[type(left)](self, left, env),
                        table[type(right)](self, right, env))
 

@@ -1,4 +1,4 @@
-"""Viper output language: AST, pretty printer, tokenizer, golden equality.
+"""Viper output language: AST, operators, printer, tokenizer, golden equality.
 
 Every node is a `Record`, as in `surface`: a plain class with
 `__slots__`, whose constructor takes the slots in order with the defaults
@@ -7,13 +7,13 @@ node has a `__dict__`.  An assertion, statement or method keeps the
 source offset it came from in `span`, an `int` or None (see
 `diagnostics`).  Equality and repr are those a dataclass would give, and
 leave out `span`.  Types and tokens are hashed by value; the other nodes
-are not hashable.  Each printer keeps a
-handler per node class in one table (`_EXPR`, `_ASSERTION`, `_STMT`,
-`_DECL`), and a handler prints its children with their handlers straight
-from it; an expression handler adds the parentheses its own precedence
-level needs, so printing a node costs one call.  `expr_str`,
-`_assertion_str`, `stmt_lines` and `decl_lines` are the entries from
-outside.
+are not hashable.  `BINARY` declares each binary operator once, for
+every stage.  Each printer keeps a handler per node class in one table
+(`_EXPR`, `_ASSERTION`, `_STMT`, `_DECL`), and a handler prints its
+children with their handlers straight from it; an expression handler
+adds the parentheses its level in `LEVELS` needs, so printing a node
+costs one call.  `expr_str`, `_assertion_str`, `stmt_lines` and
+`decl_lines` are the entries from outside.
 
 Golden comparisons are token-stream equality of pretty-printed text, so
 layout (indentation, line breaks, stray semicolons, comments) never
@@ -24,6 +24,7 @@ split one conjunct per line once a line would run past 80 columns.
 
 from __future__ import annotations
 
+import operator
 import re
 
 from .diagnostics import Handlers, Record
@@ -252,33 +253,57 @@ class ViperProgram(Record):
         return {d.name: d for d in self.decls if isinstance(d, FieldDecl)}
 
 
+# -- binary operators ------------------------------------------------------------
+
+
+class BinaryOp(Record):
+    """A binary operator: its `surface` and `viper` text, its precedence
+    `prec` (tighter is higher), how a chain of it groups (`group`: "left",
+    "right" or "none"), and the function that folds two int literals
+    (`fold`), or None where the checker has a rule of its own."""
+    __slots__ = ("surface", "viper", "prec", "group", "fold")
+
+
+def _div(a: int, b: int) -> int | None:
+    """Truncating division; None, no fold, for a zero divisor."""
+    if b == 0:
+        return None
+    q = abs(a) // abs(b)
+    return q if (a < 0) == (b < 0) else -q
+
+
+# Every binary operator, loosest first; each stage derives what it reads.
+BINARY = (
+    BinaryOp("||", "||", 1, "left", None),
+    BinaryOp("&&", "&&", 2, "left", None),
+    BinaryOp("=", "==", 3, "none", None),
+    BinaryOp("<>", "!=", 3, "none", None),
+    BinaryOp("<", "<", 3, "none", operator.lt),
+    BinaryOp("<=", "<=", 3, "none", operator.le),
+    BinaryOp(">", ">", 3, "none", operator.gt),
+    BinaryOp(">=", ">=", 3, "none", operator.ge),
+    BinaryOp("++", "++", 4, "right", None),
+    BinaryOp("+", "+", 5, "left", operator.add),
+    BinaryOp("-", "-", 5, "left", operator.sub),
+    BinaryOp("*", "*", 6, "left", operator.mul),
+    BinaryOp("/", "/", 6, "left", _div))
+
+# By Viper text: the operator's level, and the floors of its left and right
+# operands.  The printer parenthesizes an operand of a lower level, and the
+# parsers take an operator only after a left operand that reaches its floor.
+LEVELS = {op.viper: (op.prec, op.prec if op.group == "left" else op.prec + 1,
+                     op.prec if op.group == "right" else op.prec + 1)
+          for op in BINARY}
+# The loosest level, the comparisons' level, and the prefix operators',
+# tighter than every binary one; an atom is tighter still.
+LOW, CMP, UNARY = BINARY[0].prec, LEVELS["=="][0], BINARY[-1].prec + 1
+_ATOM = UNARY + 1
+
+
 # -- expression printing ---------------------------------------------------------
 
-# parent precedence levels; operands at strictly lower levels get parens
-_PREC = {"||": 3, "&&": 4,
-         "==": 5, "!=": 5, "<": 5, "<=": 5, ">": 5, ">=": 5,
-         "++": 6, "+": 7, "-": 7, "*": 8, "/": 8}
-_RIGHT_ASSOC = {"++"}
-_NON_ASSOC = {"==", "!=", "<", "<=", ">", ">="}
-_ATOM = 10
-_UNARY = 9
-_LOW = 0
 
-
-def _levels(op: str) -> tuple[int, int, int]:
-    """The level of `op` and the floors of its left and right operands."""
-    p = _PREC[op]
-    if op in _RIGHT_ASSOC:
-        return p, p + 1, p
-    if op in _NON_ASSOC:
-        return p, p + 1, p + 1
-    return p, p, p + 1
-
-
-_BIN_LEVELS = {op: _levels(op) for op in _PREC}
-
-
-def expr_str(e: VExpr, parent: int = _LOW) -> str:
+def expr_str(e: VExpr, parent: int = LOW) -> str:
     """`e` as text, parenthesized when its level is below `parent`."""
     return _EXPR[type(e)](e, parent)
 
@@ -287,7 +312,7 @@ def expr_str(e: VExpr, parent: int = _LOW) -> str:
 # and adds the parentheses its own level needs; atoms never need any.
 
 def _int_str(e: IntLit, parent: int) -> str:
-    if e.value < 0 and _UNARY < parent:
+    if e.value < 0 and UNARY < parent:
         return f"({e.value})"
     return str(e.value)
 
@@ -314,17 +339,17 @@ def _is_str(e: IsTest, parent: int) -> str:
 def _app_str(e: CtorCall | FunApp | PredApp, parent: object = None) -> str:
     # never parenthesized: it also prints a predicate instance, for
     # `_ASSERTION` (whose second argument is `under_and`) and `fold`
-    return f"{e.name}({', '.join([_EXPR[type(x)](x, _LOW) for x in e.args])})"
+    return f"{e.name}({', '.join([_EXPR[type(x)](x, LOW) for x in e.args])})"
 
 
 def _seq_str(e: SeqLit, parent: int) -> str:
     if not e.items:
         return "Seq[Int]()"
-    return f"Seq({', '.join([_EXPR[type(x)](x, _LOW) for x in e.items])})"
+    return f"Seq({', '.join([_EXPR[type(x)](x, LOW) for x in e.items])})"
 
 
 def _len_str(e: SeqLen, parent: int) -> str:
-    s = _EXPR[type(e.seq)](e.seq, _LOW)
+    s = _EXPR[type(e.seq)](e.seq, LOW)
     # adjacent bars would lex as ||, so keep them apart
     if s.startswith("|"):
         s = " " + s
@@ -334,7 +359,7 @@ def _len_str(e: SeqLen, parent: int) -> str:
 
 
 def _binop_str(e: BinOp, parent: int) -> str:
-    p, lf, rf = _BIN_LEVELS[e.op]
+    p, lf, rf = LEVELS[e.op]
     left, right = e.left, e.right
     text = (f"{_EXPR[type(left)](left, lf)} {e.op} "
             f"{_EXPR[type(right)](right, rf)}")
@@ -343,22 +368,22 @@ def _binop_str(e: BinOp, parent: int) -> str:
 
 def _unop_str(e: UnOp, parent: int) -> str:
     text = f"{e.op}{_EXPR[type(e.operand)](e.operand, _ATOM)}"
-    return f"({text})" if _UNARY < parent else text
+    return f"({text})" if UNARY < parent else text
 
 
 def _index_str(e: SeqIndex, parent: int) -> str:
     return (f"{_EXPR[type(e.seq)](e.seq, _ATOM)}"
-            f"[{_EXPR[type(e.index)](e.index, _LOW)}]")
+            f"[{_EXPR[type(e.index)](e.index, LOW)}]")
 
 
 def _drop_str(e: SeqDrop, parent: int) -> str:
     return (f"{_EXPR[type(e.seq)](e.seq, _ATOM)}"
-            f"[{_EXPR[type(e.lo)](e.lo, _LOW)} ..]")
+            f"[{_EXPR[type(e.lo)](e.lo, LOW)} ..]")
 
 
 def _take_str(e: SeqTake, parent: int) -> str:
     return (f"{_EXPR[type(e.seq)](e.seq, _ATOM)}"
-            f"[.. {_EXPR[type(e.hi)](e.hi, _LOW)}]")
+            f"[.. {_EXPR[type(e.hi)](e.hi, LOW)}]")
 
 
 _EXPR = Handlers({
@@ -382,12 +407,13 @@ def _assertion_str(a: VAssertion, under_and: bool = False) -> str:
 # under_and).
 
 def _pure_str(a: Pure, under_and: bool) -> str:
-    # floor 5 keeps pure conjuncts unambiguous against && and ? :
-    return _EXPR[type(a.expr)](a.expr, 5)
+    # the comparisons' floor keeps pure conjuncts unambiguous against &&
+    # and ? :
+    return _EXPR[type(a.expr)](a.expr, CMP)
 
 
 def _acc_str(a: Acc, under_and: bool) -> str:
-    return f"acc({_EXPR[type(a.loc)](a.loc, _LOW)})"
+    return f"acc({_EXPR[type(a.loc)](a.loc, LOW)})"
 
 
 def _and_str(a: AndA, under_and: bool) -> str:
@@ -401,14 +427,14 @@ def _and_str(a: AndA, under_and: bool) -> str:
 def _cond_str(a: CondA, under_and: bool) -> str:
     # ?: binds loosest, so the branches never need parentheses
     then, els = a.then, a.els
-    text = (f"{_EXPR[type(a.cond)](a.cond, 5)} ? "
+    text = (f"{_EXPR[type(a.cond)](a.cond, CMP)} ? "
             f"{_ASSERTION[type(then)](then, False)} : "
             f"{_ASSERTION[type(els)](els, False)}")
     return f"({text})" if under_and else text
 
 
 def _let_str(a: LetA, under_and: bool) -> str:
-    text = (f"let {a.name} == ({_EXPR[type(a.bound)](a.bound, _LOW)}) in "
+    text = (f"let {a.name} == ({_EXPR[type(a.bound)](a.bound, LOW)}) in "
             f"{_ASSERTION[type(a.body)](a.body, False)}")
     return f"({text})" if under_and else text
 
@@ -426,7 +452,7 @@ def _emit_assertion(out: list[str], a: VAssertion, indent: str,
         out.append(f"{indent}{head}{flat}")
         return
     if isinstance(a, CondA):
-        out.append(f"{indent}{head}{expr_str(a.cond, 5)} ?")
+        out.append(f"{indent}{head}{expr_str(a.cond, CMP)} ?")
         _emit_assertion(out, a.then, indent + "  ")
         out[-1] += " :"
         _emit_assertion(out, a.els, indent + "  ")
@@ -468,13 +494,13 @@ def _var_lines(s: VarDeclS, indent: str) -> list[str]:
     e = s.init
     if e is None:
         return [f"{indent}var {s.name}: {s.typ}"]
-    return [f"{indent}var {s.name}: {s.typ} := {_EXPR[type(e)](e, _LOW)}"]
+    return [f"{indent}var {s.name}: {s.typ} := {_EXPR[type(e)](e, LOW)}"]
 
 
 def _assign_lines(s: AssignS, indent: str) -> list[str]:
     target, value = s.target, s.value
-    return [f"{indent}{_EXPR[type(target)](target, _LOW)} := "
-            f"{_EXPR[type(value)](value, _LOW)}"]
+    return [f"{indent}{_EXPR[type(target)](target, LOW)} := "
+            f"{_EXPR[type(value)](value, LOW)}"]
 
 
 def _new_lines(s: NewS, indent: str) -> list[str]:
@@ -488,7 +514,7 @@ def _if_lines(s: IfS, indent: str) -> list[str]:
     # a match nests one `if` per arm: going to the inner statements'
     # handlers directly keeps it to one frame per level
     inner = indent + "  "
-    lines = [f"{indent}if ({_EXPR[type(s.cond)](s.cond, _LOW)}) {{"]
+    lines = [f"{indent}if ({_EXPR[type(s.cond)](s.cond, LOW)}) {{"]
     for t in s.then:
         lines += _STMT[type(t)](t, inner)
     if s.els:
@@ -508,7 +534,7 @@ def _unfold_lines(s: UnfoldS, indent: str) -> list[str]:
 
 
 def _call_lines(s: CallS, indent: str) -> list[str]:
-    args = ", ".join([_EXPR[type(x)](x, _LOW) for x in s.args])
+    args = ", ".join([_EXPR[type(x)](x, LOW) for x in s.args])
     call = f"{s.method}({args})"
     if s.targets:
         return [f"{indent}{', '.join(s.targets)} := {call}"]

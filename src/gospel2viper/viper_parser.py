@@ -9,9 +9,9 @@ constructor, and a statement-level call naming a method is a method call
 rather than an assignment.
 
 Binary operators are parsed by precedence climbing in one loop,
-`_R._binary`, over the printer's own table in `viper_ast` (`_PREC`,
-`_RIGHT_ASSOC`, `_NON_ASSOC`), so printer and reparser cannot disagree
-about precedence or associativity.
+`_R._binary`, over the levels that the printer reads too,
+`viper_ast.LEVELS`, derived from the operator table `viper_ast.BINARY`,
+so printer and reparser cannot disagree about precedence or grouping.
 """
 
 from __future__ import annotations
@@ -22,8 +22,8 @@ from .viper_ast import (Acc, AdtDecl, AssignS, BinOp, BoolLit, CallS, CondA,
                         NewS, PredApp, PredicateDecl, Pure, SeqDrop, SeqIndex,
                         SeqLen, SeqLit, SeqTake, UnOp, UnfoldS, VAssertion,
                         Var, VarDeclS, VDecl, VExpr, ViperProgram, VStmt,
-                        VToken, VType, _NON_ASSOC, _PREC, _RIGHT_ASSOC,
-                        and_all, lex_viper)
+                        VToken, VType, CMP, LEVELS, LOW, UNARY, and_all,
+                        lex_viper)
 
 
 class ViperParseError(ValueError):
@@ -67,8 +67,7 @@ def _scan_names(toks: list[VToken]) -> tuple[set, set, set, set]:
     return preds, methods, functions, ctors
 
 
-_TIGHTEST = max(_PREC.values())
-_EXPR_CONT = {".", "[", "?", *_PREC} - {"&&", "||"}
+_EXPR_CONT = {".", "[", "?", *(t for t in LEVELS if LEVELS[t][0] >= CMP)}
 
 
 class _R:
@@ -136,21 +135,20 @@ class _R:
     # expressions -----------------------------------------------------------
 
     def parse_expr(self) -> VExpr:
-        return self._binary(_PREC["||"])
+        return self._binary(LOW)
 
     def _binary(self, floor: int) -> VExpr:
-        """Precedence climbing over the printer's `_PREC`: an operand
-        followed by operators of precedence `floor` and tighter."""
-        e, ceil = self._unary(), _TIGHTEST
+        """Precedence climbing over `LEVELS`: an operand, then each operator
+        of level `floor` or tighter whose left floor that operand reaches."""
+        e, level = self._unary(), UNARY
         while True:
             t = self.peek()
-            prec = _PREC.get(t.text) if t is not None else None
-            if prec is None or not floor <= prec <= ceil:
+            op = LEVELS.get(t.text) if t is not None else None
+            if op is None or op[0] < floor or op[1] > level:
                 return e
             self.next()
-            ceil = prec - 1 if t.text in _NON_ASSOC else prec
-            right = self._binary(prec if t.text in _RIGHT_ASSOC else prec + 1)
-            e = BinOp(t.text, e, right)
+            level, _, right_floor = op
+            e = BinOp(t.text, e, self._binary(right_floor))
 
     def _unary(self) -> VExpr:
         if self.at("-"):
@@ -296,7 +294,7 @@ class _R:
             except ViperParseError:
                 pass
             self.pos = mark
-        return Pure(self._binary(_PREC["=="]))
+        return Pure(self._binary(CMP))
 
     def _pred_app(self) -> PredApp:
         name = self.ident()

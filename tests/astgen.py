@@ -17,15 +17,16 @@ from __future__ import annotations
 
 import random
 
-from gospel2viper.viper_ast import (INT, REF, SEQ_INT, Acc, AdtDecl,
-                                    AssignS, BinOp, BoolLit, CallS, CondA,
-                                    CtorCall, CtorSig, FieldAcc, FieldDecl,
-                                    FoldS, FunApp, FunctionDecl, IfS, IntLit,
-                                    IsTest, LetA, MethodDecl, NewS, PredApp,
-                                    PredicateDecl, Pure, SeqDrop, SeqIndex,
-                                    SeqLen, SeqLit, SeqTake, UnOp, UnfoldS,
-                                    Var, VarDeclS, VAssertion, VExpr,
-                                    ViperProgram, VStmt, and_all)
+from gospel2viper.viper_ast import (BINARY, INT, REF, SEQ_INT, Acc,
+                                    AdtDecl, AssignS, BinOp, BoolLit, CallS,
+                                    CondA, CtorCall, CtorSig, FieldAcc,
+                                    FieldDecl, FoldS, FunApp, FunctionDecl,
+                                    IfS, IntLit, IsTest, LetA, MethodDecl,
+                                    NewS, PredApp, PredicateDecl, Pure,
+                                    SeqDrop, SeqIndex, SeqLen, SeqLit,
+                                    SeqTake, UnOp, UnfoldS, Var, VarDeclS,
+                                    VAssertion, VExpr, ViperProgram, VStmt,
+                                    and_all)
 
 VARS = ("a", "b", "q", "r", "x", "y")
 FIELDS = ("val", "nxt", "fst", "lst")
@@ -35,8 +36,12 @@ METHODS = ("mov", "grab")
 CTORS = {"Nil": 0, "Cons": 1, "Leaf": 0, "Node": 2}
 LET_NAMES = ("t0", "t1")
 
-_ARITH = ("+", "-", "*", "/")
-_CMP = ("==", "!=", "<", "<=", ">", ">=")
+# From the operator table: every operator, the arithmetic ones (which fold
+# int literals and group to the left) and the comparisons (which do not
+# group)
+_BINARY = tuple(op.viper for op in BINARY)
+_ARITH = tuple(op.viper for op in BINARY if op.fold and op.group == "left")
+_CMP = tuple(op.viper for op in BINARY if op.group == "none")
 
 
 def gen_expr(rng: random.Random, depth: int = 3) -> VExpr:
@@ -69,7 +74,7 @@ def gen_expr(rng: random.Random, depth: int = 3) -> VExpr:
     if pick == 7:
         return SeqLen(gen_expr(rng, sub))
     if pick == 8:
-        return BinOp(rng.choice(_ARITH + _CMP + ("&&", "||", "++")),
+        return BinOp(rng.choice(_BINARY),
                      gen_expr(rng, sub), gen_expr(rng, sub))
     if pick == 9:
         # unary minus on a literal would reparse as a negative literal

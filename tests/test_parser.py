@@ -16,6 +16,7 @@ from gospel2viper.surface import (AppE, AssignE, BinE, BoolLit, BoolT, CtorE,
                                   SeqE, SepA, SliceFromE, UnE, VarE)
 from gospel2viper.translate import translate_source
 from gospel2viper.viper_ast import CallS, Var, VToken
+from gospel2viper.viper_parser import ViperParseError, reparse
 
 import pytest
 from work_counts import calls_per_token, wide_module
@@ -346,6 +347,65 @@ def test_binary_operator_pair(op1, op2):
     assert_spans_start_at_left_operand(body)
 
 
+# The same pairs, read from the operator table `viper_ast.BINARY`, through
+# the surface parser, the printer and the reparser.
+CHAINING = [op for op in V.BINARY if op.group != "none"]
+NONCHAINING = [op for op in V.BINARY if op.group == "none"]
+
+
+def reparse_expr(text):
+    return reparse(f"function f(): Int {{ {text} }}").decls[0].body
+
+
+def test_table_is_loosest_first_and_groups_a_level_alike():
+    # the parsers take an operator after a left operand whose level
+    # reaches its left floor, which relies on both
+    assert [op.prec for op in V.BINARY] == sorted(op.prec for op in V.BINARY)
+    for op in V.BINARY:
+        assert {o.group for o in V.BINARY if o.prec == op.prec} == {op.group}
+
+
+@pytest.mark.parametrize("op1", CHAINING, ids=lambda op: op.surface)
+@pytest.mark.parametrize("op2", CHAINING, ids=lambda op: op.surface)
+def test_table_groups_a_pair_alike_in_every_stage(op1, op2):
+    # the tighter operator takes `b`; at one level, the level's grouping
+    left_first = (op1.prec > op2.prec
+                  or op1.prec == op2.prec and op1.group == "left")
+
+    def tree(node, s1, s2, a, b, c, left):
+        if left:
+            return node(s2, node(s1, a, b), c)
+        return node(s1, a, node(s2, b, c))
+
+    body, _, diags = spec_function_body(f"a {op1.surface} b {op2.surface} c")
+    assert body == tree(BinE, op1.surface, op2.surface, VarE("a"),
+                        VarE("b"), VarE("c"), left_first), diags
+    text = f"a {op1.viper} b {op2.viper} c"
+    for left in (left_first, not left_first):
+        e = tree(V.BinOp, op1.viper, op2.viper, V.Var("a"), V.Var("b"),
+                 V.Var("c"), left)
+        printed = V.expr_str(e)
+        # the table's grouping needs no parentheses, the other one does
+        assert (printed == text) == (left == left_first), printed
+        assert reparse_expr(printed) == e
+
+
+@pytest.mark.parametrize("op1", NONCHAINING, ids=lambda op: op.surface)
+@pytest.mark.parametrize("op2", NONCHAINING, ids=lambda op: op.surface)
+def test_no_stage_reads_two_comparisons_as_a_chain(op1, op2):
+    body, _, diags = spec_function_body(f"a {op1.surface} b {op2.surface} c")
+    assert body is None and diags
+    with pytest.raises(ViperParseError):
+        reparse_expr(f"a {op1.viper} b {op2.viper} c")
+    a, b, c = V.Var("a"), V.Var("b"), V.Var("c")
+    left = V.BinOp(op2.viper, V.BinOp(op1.viper, a, b), c)
+    right = V.BinOp(op1.viper, a, V.BinOp(op2.viper, b, c))
+    assert V.expr_str(left) == f"(a {op1.viper} b) {op2.viper} c"
+    assert V.expr_str(right) == f"a {op1.viper} (b {op2.viper} c)"
+    assert [reparse_expr(V.expr_str(e)) for e in (left, right)] \
+        == [left, right]
+
+
 def test_comparison_after_a_looser_operator_does_not_associate():
     body, _, diags = spec_function_body("a && b < c < d")
     assert body is None and diags
@@ -367,9 +427,8 @@ def test_token_kinds_are_distinct_ints():
     assert len(set(kinds.values())) == len(kinds)
     for table in (PUNCT, KEYWORDS, SPEC_KEYWORDS):
         assert set(table.values()) <= set(kinds.values())
-    assert set(_BINOPS) == {T.BARBAR, T.AMPAMP, T.EQ, T.NEQ, T.LT, T.LE,
-                            T.GT, T.GE, T.PLUSPLUS, T.PLUS, T.MINUS,
-                            T.STAR, T.SLASH}
+    assert {kind: op[0] for kind, op in _BINOPS.items()} \
+        == {PUNCT[op.surface]: op.surface for op in V.BINARY}
 
 
 def test_nodes_compare_hash_and_print_as_dataclasses_do():

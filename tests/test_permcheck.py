@@ -16,7 +16,7 @@ from gospel2viper.permcheck import (App, Checker, Ctor, Lit, SeqV, Sym,
                                     SymState, _ConsumeCtx, _first, _key,
                                     _mentions, _Node, _syms, check_program,
                                     FALSE, TRUE, MAX_PATHS, sym_str)
-from gospel2viper.translate import (PRELUDE_NAMES, _VIPER_OPS, prelude_decls,
+from gospel2viper.translate import (PRELUDE_NAMES, prelude_decls,
                                     translate_source)
 from gospel2viper.viper_parser import reparse
 
@@ -684,7 +684,7 @@ def test_every_operator_eval_builds_has_a_rule(ck):
     # projections, which alone reach the fallback unlisted; a function of
     # the program without a rule of its own stays uninterpreted
     names = {name for name, _ in FOLDS}
-    assert names >= set(V._PREC) | set(_VIPER_OPS.values()) | {
+    assert names >= {op.viper for op in V.BINARY} | {
         "not", "neg", "len", "index", "drop", "take", "ite",
         *PRELUDE_NAMES}
     for name, args in FOLDS:
