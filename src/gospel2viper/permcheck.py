@@ -1070,37 +1070,42 @@ class Checker:
         its guard, and they differ only in the values of Int or Bool heap
         cells and locals; each such value becomes `ite(guard, a's, b's)`.
         The guard is the fact the then side assumed last, so it is normal
-        in `a`, as the values are, and equal values are one term.  A local
-        is Int or Bool by the declarations run so far (`local_types`);
-        translated methods declare each local once.  The guards are dropped
-        from the facts: `guard || !guard` holds."""
+        in `a`, as the values are, and equal values are one term.  A guard
+        `not(g)` is kept as `g`, with the arms swapped, so that a later
+        condition on `g` finds it.  A local is Int or Bool by the
+        declarations run so far (`local_types`); translated methods declare
+        each local once.  The guards are dropped from the facts:
+        `guard || !guard` holds."""
         if (len(a.facts) != mark + 1 or len(b.facts) != mark + 1
                 or a.subst != b.subst or a.preds != b.preds
                 or a.heap.keys() != b.heap.keys()
                 or a.store.keys() != b.store.keys()):
             return None
-        guard = next(reversed(a.facts))
-        heap = self._join_values(guard, a, a.heap, b.heap,
+        fact = next(reversed(a.facts))
+        negated = isinstance(fact, App) and fact.name == "not"
+        guard = fact.args[0] if negated else fact
+        heap = self._join_values(guard, negated, a, a.heap, b.heap,
                                  lambda k: k[1] in self.scalar_fields)
         store = None if heap is None else self._join_values(
-            guard, a, a.store, b.store,
+            guard, negated, a, a.store, b.store,
             lambda k: self.local_types.get(k) in _SCALAR)
         if store is None:
             return None
         a.heap, a.store = heap, store
-        del a.facts[guard]
+        del a.facts[fact]
         a.joins = tuple(dict.fromkeys(a.joins + b.joins + (guard,)))
         return a
 
-    def _join_values(self, guard: SymVal, st: SymState, x: dict, y: dict,
-                     scalar) -> dict | None:
+    def _join_values(self, guard: SymVal, negated: bool, st: SymState,
+                     x: dict, y: dict, scalar) -> dict | None:
         out = {}
         for k, v in x.items():
             w = y[k]
             if v != w:
                 if not scalar(k):
                     return None
-                v = self._op(st, "ite", (guard, v, w))
+                v = self._op(st, "ite", (guard, w, v) if negated
+                             else (guard, v, w))
             out[k] = v
         return out
 

@@ -1275,6 +1275,38 @@ g(x)
     assert check_program(reparse(text), strict=True) == []
 
 
+NEGATED_GUARD = """
+field b: Bool
+field v: Int
+field w: Int
+predicate Q(c: Ref) { acc(c.b) && (c.b ? acc(c.w) : true) }
+method m(c: Ref) requires acc(c.b) && acc(c.v) ensures Q(c) && acc(c.v)
+{
+if (!c.b) {
+c.v := 1
+} else {
+c.v := 2
+}
+fold Q(c)
+}
+"""
+
+
+def test_join_on_a_negated_guard_reports_what_the_two_paths_report(
+        monkeypatch):
+    # the join keeps the guard !c.b as c.b, with its arms swapped, so the
+    # fold's condition c.b finds it and the fold runs on each side: the
+    # side where c.b holds gives up c.w, which it does not hold
+    program = reparse(NEGATED_GUARD)
+    for strict in (False, True):
+        joined = check_program(program, strict=strict)
+        with monkeypatch.context() as m:
+            m.setattr(Checker, "_join", lambda self, mark, a, b: None)
+            assert check_program(program, strict=strict) == joined
+        assert [(d.category, d.message) for d in joined] == [
+            (Category.PERMISSION, "fold Q(c): no permission to give up c.w")]
+
+
 def joined_q(k, tail):
     """k guarded increments of r.f0, then `tail`: r.f0 ends as a value
     that k joins built."""
