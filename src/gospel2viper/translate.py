@@ -235,15 +235,13 @@ class _Tr:
             return V.BOOL
         if isinstance(t, SeqT):
             return V.SEQ_INT
-        if isinstance(t, NamedT):
-            info = self.types.get(t.name)
-            if info is None:
-                self.err(f"unknown type '{t.name}'", span)
-                return V.REF
-            if isinstance(info.kind, VariantKind):
-                return V.VType(_cap(info.name))
+        info = self.types.get(t.name)  # the only type left: a NamedT
+        if info is None:
+            self.err(f"unknown type '{t.name}'", span)
             return V.REF
-        raise TypeError(f"unknown surface type {t!r}")
+        if isinstance(info.kind, VariantKind):
+            return V.VType(_cap(info.name))
+        return V.REF
 
     # -- expressions ------------------------------------------------------
 

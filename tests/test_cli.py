@@ -1026,6 +1026,14 @@ TRANSLATOR_DIAGNOSTICS = {
     "field redeclared without mutable": (
         "type t = { mutable x : int }\ntype u = { x : int }\n", 1,
         ["2:12: error[type]: field 'x' redeclared without 'mutable'"]),
+    # a field of a call is no path that an arm's write could make stale
+    # (`_path_of`), and the call itself is rejected
+    "match on a field of a call": (
+        CELLS + "type t = { mutable c : cell }\nlet g (x: t) : t = x\n"
+        "(*@ r = g x *)\nlet f (x: t) =\n  match (g x).c with\n"
+        "  | Nil -> ()\n  | Cons p -> p.v <- 1\n(*@ f x *)\n", 1,
+        ["6:10: error[translation]: 'g' is a program function; calls are "
+         "statements, not expressions"]),
     "return type without a result": (
         CELL + "let f (c: t) : int =\n  c.v\n(*@ f c *)\n", 1,
         ["3:3: warning[translation]: statement has no effect",
