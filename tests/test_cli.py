@@ -13,8 +13,9 @@ import gospel2viper
 import pytest
 from gospel2viper.cli import RunConfig, run
 from gospel2viper.parser import MAX_NESTING
-from gospel2viper.viper_ast import pretty
+from gospel2viper.viper_ast import BINARY, pretty
 from gospel2viper.viper_parser import reparse
+from work_counts import frames_per_element
 
 GOOD = """\
 type t = { mutable v : int }
@@ -1164,6 +1165,25 @@ def test_long_arithmetic_chain_checks_and_prints(tmp_path, op):
     assert f"c.v := 1 {op} 1 {op} 1" in (tmp_path / "sum.vpr").read_text()
 
 
+
+# The Python frames that each stage spends per element of a chain of each
+# operator that chains (`work_counts.frames_per_element`): a walk that
+# adds one lowers the longest chain that fits in the stack.  A chain of
+# `++` nests to the right, so each parser recurses per element; it is a
+# logical function's body, which the checker does not walk.
+FRAMES_PER_ELEMENT = {"parse": 0, "translate": 1, "check": 1, "pretty": 1,
+                      "reparse": 0}
+FRAMES_PER_CONCAT = {**FRAMES_PER_ELEMENT, "parse": 1, "check": 0,
+                     "reparse": 1}
+
+
+@pytest.mark.parametrize("op", [op for op in BINARY if op.group != "none"],
+                         ids=lambda op: op.surface)
+def test_chain_costs_each_stage_at_most_its_frames_per_element(op):
+    bound = FRAMES_PER_CONCAT if op.surface == "++" else FRAMES_PER_ELEMENT
+    frames = frames_per_element(op)
+    assert {stage: n for stage, n in frames.items() if n > bound[stage]} \
+        == {}, frames
 
 # Inputs that check clean, each with a line its .vpr must hold
 VPR_LINES = {

@@ -8,14 +8,17 @@ file, and prints:
 - on `wide_module()`, the benchmark's `wide` shape: the parser's Python
   calls per token, the translator's and the printer's Python and C calls
   per Viper node, and the checker's per method-body statement;
-- on the corpus, the checker's `norm` and `decide` calls in all.
+- on the corpus, the checker's `norm` and `decide` calls in all;
+- for each binary operator that chains, each stage's Python frames per
+  chain element: how much deeper its deepest frame is on a chain of 100
+  elements than on one of 50, per element.
 
 A count of calls, unlike a time, repeats exactly on any host, so a change
 that claims a speed-up can quote the counts at its base and at its head:
 `python tests/work_counts.py BASE/src` runs this file's inputs and
 counting on the base's code.  The tests import `wide_module`, `calls`,
-`calls_per_token` and `viper_nodes` from here, so the pinned counts are
-the printed ones.  It needs only the standard library, and pytest does not
+`calls_per_token`, `viper_nodes` and `frames_per_element` from here, so
+the pinned counts are the printed ones.  It needs only the standard library, and pytest does not
 collect it.
 """
 
@@ -63,6 +66,27 @@ def calls(fn, *args, events=("call", "c_call")):
     finally:
         sys.setprofile(None)
     return result, n
+
+
+def depth(fn, *args):
+    """fn(*args) and the depth of the deepest Python frame it reached,
+    its own frame being 1."""
+    level = deepest = 0
+
+    def count(frame, event, arg):
+        nonlocal level, deepest
+        if event == "call":
+            level += 1
+            deepest = max(deepest, level)
+        elif event == "return":
+            level -= 1
+
+    sys.setprofile(count)
+    try:
+        result = fn(*args)
+    finally:
+        sys.setprofile(None)
+    return result, deepest
 
 
 def calls_per_token(source):
@@ -122,6 +146,50 @@ def corpus_work() -> tuple:
     return counts["norm"], counts["decide"]
 
 
+STAGES = ("parse", "translate", "check", "pretty", "reparse")
+
+
+def chain_source(op, n):
+    """A module holding a chain of `n` operands of `op`, a row of
+    `viper_ast.BINARY`: for `++`, the body of a logical function over a
+    sequence, else a method's update of an int field, for an operator that
+    folds ints, or of a bool field."""
+    ops = f" {op.surface} "
+    if op.surface == "++":
+        return ("(*@ function f (s: int sequence) : int sequence = "
+                + ops.join(["s"] * n) + " *)\n")
+    x = "c.v" if op.fold else "c.b"
+    return ("type t = { mutable v : int; mutable b : bool }\n"
+            f"let f (c: t) =\n  {x} <- " + ops.join([x] * n) + "\n"
+            "(*@ f c requires c ~> {v; b} ensures c ~> {v; b} *)\n")
+
+
+def chain_depths(op, n):
+    """{stage: its deepest Python frame} on `chain_source(op, n)`."""
+    from gospel2viper.parser import parse_source
+    from gospel2viper.permcheck import check_program
+    from gospel2viper.translate import translate
+    from gospel2viper.viper_ast import pretty
+    from gospel2viper.viper_parser import reparse
+
+    (module, diags), parsing = depth(parse_source, chain_source(op, n))
+    assert module is not None and not diags, [d.message for d in diags]
+    (program, diags), translating = depth(translate, module)
+    assert program is not None and not diags, [d.message for d in diags]
+    _, checking = depth(check_program, program)
+    text, printing = depth(pretty, program)
+    _, reparsing = depth(reparse, text)
+    return dict(zip(STAGES, (parsing, translating, checking, printing,
+                             reparsing)))
+
+
+def frames_per_element(op, n=50):
+    """{stage: Python frames per chain element of `op`}: how much deeper
+    the stage goes on 2n elements than on n, over n."""
+    short, long = chain_depths(op, n), chain_depths(op, 2 * n)
+    return {stage: (long[stage] - short[stage]) / n for stage in STAGES}
+
+
 def main(src: str) -> int:
     sys.path.insert(0, src)
     from gospel2viper.parser import parse_source
@@ -149,6 +217,17 @@ def main(src: str) -> int:
     norms, decides = corpus_work()
     print(f"checker on the corpus: {norms} norm calls, "
           f"{decides} decide calls")
+    try:
+        from gospel2viper.viper_ast import BINARY
+    except ImportError:
+        print("frames per chain element: no operator table in this source")
+        return 0
+    print("frames per chain element, 50 to 100 elements:")
+    for op in BINARY:
+        if op.group != "none":
+            frames = frames_per_element(op)
+            print(f"  {op.surface:>2}: " + ", ".join(
+                f"{stage} {frames[stage]:g}" for stage in STAGES))
     return 0
 
 
