@@ -1165,7 +1165,6 @@ def test_long_arithmetic_chain_checks_and_prints(tmp_path, op):
     assert f"c.v := 1 {op} 1 {op} 1" in (tmp_path / "sum.vpr").read_text()
 
 
-
 # The Python frames that each stage spends per element of a chain of each
 # operator that chains (`work_counts.frames_per_element`): a walk that
 # adds one lowers the longest chain that fits in the stack.  A chain of
@@ -1184,6 +1183,7 @@ def test_chain_costs_each_stage_at_most_its_frames_per_element(op):
     frames = frames_per_element(op)
     assert {stage: n for stage, n in frames.items() if n > bound[stage]} \
         == {}, frames
+
 
 # Inputs that check clean, each with a line its .vpr must hold
 VPR_LINES = {

@@ -18,8 +18,8 @@ that claims a speed-up can quote the counts at its base and at its head:
 `python tests/work_counts.py BASE/src` runs this file's inputs and
 counting on the base's code.  The tests import `wide_module`, `calls`,
 `calls_per_token`, `viper_nodes` and `frames_per_element` from here, so
-the pinned counts are the printed ones.  It needs only the standard library, and pytest does not
-collect it.
+the pinned counts are the printed ones.  It needs only the standard
+library, and pytest does not collect it.
 """
 
 import sys
