@@ -36,7 +36,7 @@ per distinct identifier or integer, not once per token.
 from __future__ import annotations
 
 import re
-from itertools import accumulate
+from itertools import accumulate, islice
 
 from .diagnostics import Category, Diagnostic, error
 
@@ -134,7 +134,8 @@ def lex(source: str, base: int = 0, spec_mode: bool = False
     parts = _SPLIT.split(source)
     texts = parts[1::2]
     texts.append("")  # the EOF
-    starts = list(accumulate(map(len, parts), initial=base))[1::2]
+    starts = list(islice(accumulate(map(len, parts), initial=base),
+                         1, None, 2))
     table = _KindTable(_SPEC_KINDS if spec_mode else _KINDS)
     kinds = list(map(table.__getitem__, texts))
     clean = source.isascii() and not "".join(parts[::2]).strip(_BLANK)

@@ -2,9 +2,11 @@
 
 Token kinds are the plain ints of `lexer.T`, compared with `==`.
 Binary operators are parsed by precedence climbing (Pratt's "Top Down
-Operator Precedence") in one loop, `_P.parse_binary`, over `_BINOPS`,
-which is derived from the operator table `viper_ast.BINARY` that every
-stage reads.
+Operator Precedence") in one frame per expression, `_P.parse_binary`,
+whose loop keeps the right operands it has yet to finish on a stack: no
+chain, `++` included, takes a frame per element.  Its operators come
+from `_BINOPS`, derived from the operator table `viper_ast.BINARY` that
+every stage reads.
 
 The parser reads the file's one token stream (`lexer.Tokens`) by index:
 `kinds[pos]`, `texts[pos]`, and `starts[pos]` where a node keeps its
@@ -67,7 +69,11 @@ class ParseError(Exception):
 # Binary operators by token kind: (operator, precedence, floors of the left
 # and right operands), as `viper_ast.LEVELS` has them.
 _BINOPS = {PUNCT[op.surface]: (op.surface, *LEVELS[op.viper]) for op in BINARY}
+# the same, indexed by token kind, None for a kind that is no operator
+_OPERATORS = [_BINOPS.get(kind) for kind in range(T.EOF + 1)]
 _ATOM_START = frozenset((T.INT, T.TRUE, T.FALSE, T.IDENT, T.LPAREN, T.LBRACE))
+# what may extend a term into a longer one
+_TERM_TAIL = _ATOM_START | {T.LBRACKET, T.DOT}
 
 # Expressions, prefix minus, assertion atoms, and parenthesised, `if` and
 # `match` statements nest at most this deep inside the outermost one, so the
@@ -83,7 +89,8 @@ class _P:
     indexing/slicing, program terms have ghost-argument brackets.
     `depth` counts open nesting levels; a ParseError leaves it raised, so
     whoever catches one and parses on restores it together with `pos`.
-    Hot paths read `kinds[pos]` inline: a call costs more than its test.
+    Hot paths read `kinds[pos]` inline: a call costs more than its test,
+    so `parse_binary` reads a name or field path `x.f.g` itself.
     Every slice the parser reads ends in an EOF, which `next` never steps
     past, so a lookahead of one from any other token stays in the slice.
     """
@@ -164,25 +171,53 @@ class _P:
         self.depth -= 1
         return e
 
-    def parse_binary(self, floor: int) -> SurfaceExpr:
-        """Precedence climbing over `_BINOPS`: an operand (a negation, or a
-        postfix term, applied to the atoms after it when it is a bare name)
-        followed by operators of precedence `floor` and tighter."""
-        kinds = self.kinds
-        e = (self.parse_unary() if kinds[self.pos] == T.MINUS
-             else self.parse_postfix())
-        if kinds[self.pos] in _ATOM_START and isinstance(e, (VarE, CtorE)):
-            e = self.parse_app(e)
-        level = UNARY  # of `e`, the next operator's left operand
+    def parse_binary(self, floor: int, term: SurfaceExpr | None = None
+                     ) -> SurfaceExpr:
+        """Operands and the operators of precedence `floor` and tighter
+        between them, by precedence climbing in one loop.  An operand is a
+        negation, or a postfix term applied to the atoms after it when it
+        is a bare name.  A name or field path `x.f.g` is read here, and
+        `parse_postfix` goes on from it only when an atom, `[` or `.`
+        follows; so it does from `term`, a parenthesised term that ends
+        at the cursor, if given, which begins the first operand."""
+        kinds, texts, starts = self.kinds, self.texts, self.starts
+        # (floor, left operand, operator) of each right operand being read
+        pending: list[tuple] = []
         while True:
-            op = _BINOPS.get(kinds[self.pos])
-            # a comparison after one is below its left floor: left to the
-            # caller, which rejects it
-            if op is None or op[1] < floor or op[2] > level:
-                return e
+            pos = self.pos
+            if (kinds[pos] == T.IDENT and term is None
+                    and not texts[pos][0].isupper()):
+                term = VarE(texts[pos], starts[pos])
+                pos += 1
+                while kinds[pos] == T.DOT and kinds[pos + 1] == T.IDENT:
+                    term = FieldE(term, texts[pos + 1], term.span)
+                    pos += 2
+                self.pos = pos
+            if term is not None and kinds[pos] not in _TERM_TAIL:
+                e = term
+            elif term is None and kinds[pos] == T.MINUS:
+                e = self.parse_unary()
+            else:
+                e = self.parse_postfix(term)
+                if (kinds[self.pos] in _ATOM_START
+                        and isinstance(e, (VarE, CtorE))):
+                    e = self.parse_app(e)
+            term = None
+            level = UNARY  # of `e`, the next operator's left operand
+            while True:
+                op = _OPERATORS[kinds[self.pos]]
+                # a comparison after one is below its left floor: left to
+                # the caller, which rejects it
+                if op is not None and op[1] >= floor and op[2] <= level:
+                    break
+                if not pending:
+                    return e
+                floor, left, op = pending.pop()
+                e = BinE(op[0], left, e, left.span)
+                level = op[1]
             self.pos += 1
-            sym, level, _, right_floor = op
-            e = BinE(sym, e, self.parse_binary(right_floor), e.span)
+            pending.append((floor, e, op))
+            floor = op[3]
 
     def parse_unary(self) -> SurfaceExpr:
         """A prefix minus and its operand, itself possibly negated."""
@@ -233,13 +268,15 @@ class _P:
         self.expect(T.RPAREN, "')'")
         return args, closed
 
-    def parse_postfix(self) -> SurfaceExpr:
-        """An atom, then `.field` and, in spec terms, `[i]` and `[i ..]`."""
+    def parse_postfix(self, e: SurfaceExpr | None = None) -> SurfaceExpr:
+        """An atom, or the term `e` that ends at the cursor, then `.field`
+        and, in spec terms, `[i]` and `[i ..]`."""
         kinds = self.kinds
         pos = self.pos
         kind = kinds[pos]
-        e: SurfaceExpr
-        if kind == T.LPAREN and kinds[pos + 1] != T.RPAREN:
+        if e is not None:
+            pass
+        elif kind == T.LPAREN and kinds[pos + 1] != T.RPAREN:
             self.pos = pos + 1
             e = self.parse_expr()
             self.expect(T.RPAREN, "')'")
@@ -467,18 +504,22 @@ def _assertion_atom(p: _P) -> Assertion:
         scrut = p.parse_binary(CMP)
         p.expect(T.IN, "'in'")
         return LetPatA(ctor, binder, scrut, _assertion(p), span=span)
+    term = None
     if kind == T.LPAREN:
         mark = p.pos, p.depth
         p.next()
         try:
             inner = _assertion(p)
             p.expect(T.RPAREN, "')'")
-            if not isinstance(inner, PureA) and not p.at(*_EXPR_CONT):
+            if isinstance(inner, PureA):
+                term = inner.expr  # `(e)`: the expression goes on from it
+            elif not p.at(*_EXPR_CONT):
                 return inner
         except ParseError:
             pass
-        p.pos, p.depth = mark
-    e = p.parse_binary(CMP)
+        if term is None:
+            p.pos, p.depth = mark
+    e = p.parse_binary(CMP, term)
     if p.at(T.OWNS):
         p.next()
         p.expect(T.LBRACE, "'{'")
@@ -631,9 +672,15 @@ class _ModuleParser(_P):
             self.enter()
             inner = self._block("empty parenthesized statement", opener=start)
             self.depth -= 1
-            return self._maybe_assign(self._postfix_tail(inner))
-        e = self.parse_expr()
-        return self._maybe_assign(e)
+            e = self.parse_postfix(inner)
+        else:
+            e = self.parse_expr()
+        if self.kinds[self.pos] != T.LARROW:
+            return e
+        self.pos += 1
+        if not isinstance(e, FieldE):
+            self.fail("only fields can be assigned", self.pos - 1)
+        return AssignE(e, self.parse_expr(), span=e.span)
 
     def _branch(self) -> SurfaceExpr:
         """An `if` branch: one item, or a block when it starts with `let`,
@@ -647,22 +694,6 @@ class _ModuleParser(_P):
             return body
         items = body.items if isinstance(body, SeqE) else [body]
         return SeqE(ghosts + items, span=ghosts[0].span)
-
-    def _postfix_tail(self, e: SurfaceExpr) -> SurfaceExpr:
-        while self.at(T.DOT):
-            self.next()
-            e = FieldE(e, self.ident("field name"), span=e.span)
-        return e
-
-    def _maybe_assign(self, e: SurfaceExpr) -> SurfaceExpr:
-        if self.at(T.LARROW):
-            arrow = self.next()
-            if not isinstance(e, FieldE):
-                raise ParseError(error(Category.PARSE,
-                                       "only fields can be assigned",
-                                       self.starts[arrow]))
-            return AssignE(e, self.parse_expr(), span=e.span)
-        return e
 
     def _match(self) -> MatchE:
         self.enter()
