@@ -3,9 +3,12 @@
     python tests/pair_timing.py REF WORKLOAD [PAIRS] [SECONDS]
 
 It exports REF's `src/` with `git archive`, as `tests/equivalence.py`
-does.  Then it runs PAIRS (default 10, at least 10) pairs of child
-processes, one per side, alternating which side runs first.  Both children
-of a pair get the same PYTHONHASHSEED, the pair's number.
+does, and copies the working tree's `src/` beside it, so that both sides
+import from paths of one length: with the working tree imported from the
+checkout, identical code read 1.4% faster there on `paper`, 9 and 10 of
+10 pairs in two runs.  Then it runs PAIRS (default 10, at least 10) pairs
+of child processes, one per side, alternating which side runs first.
+Both children of a pair get the same PYTHONHASHSEED, the pair's number.
 
 Each child imports `gospel2viper` from its side's `src/` and writes the
 seed-11 inputs of WORKLOAD (from `bench/workloads.py`) to a temporary
@@ -24,14 +27,18 @@ is the median scaled import time.  No bytecode cache is written, as for
 the other workloads.
 
 It prints each pair, each side's median and quartiles over the pairs, and
-how many pairs the working tree won (took less time).  It only reads
-`bench/`, it needs only the standard library, and pytest does not collect
-it.
+how many pairs the working tree won (took less time).  Last, it says
+whether the gain rule holds for the side with the lower median: that side
+won at least nine tenths of the pairs, ties counting for neither, and the
+medians differ by more than the other side's interquartile range.  It
+only reads `bench/`, it needs only the standard library, and pytest does
+not collect it.
 """
 
 import io
 import os
 import random
+import shutil
 import statistics
 import subprocess
 import sys
@@ -126,17 +133,32 @@ def quartiles(xs: list) -> str:
             f"(IQR {q3 - q1:.3f})")
 
 
+def gain_rule(winner: str, loser: str, wins: int, pairs: int,
+              fast: list, slow: list) -> str:
+    """The verdict of the gain rule on `winner`, whose times are `fast`,
+    over `loser`, whose times are `slow`."""
+    q1, q2, q3 = statistics.quantiles(slow, n=4)
+    gap = q2 - statistics.median(fast)
+    holds = 10 * wins >= 9 * pairs and gap > q3 - q1
+    return (f"gain rule, {winner} over {loser}: "
+            f"{'holds' if holds else 'does not hold'}; won {wins} of "
+            f"{pairs} pairs, medians {gap:.3f} ms apart, {loser}'s IQR "
+            f"{q3 - q1:.3f} ms")
+
+
 def main(ref: str, workload: str, pairs: int, seconds: float) -> int:
     archive = subprocess.run(["git", "archive", ref, "src"], cwd=ROOT,
                              capture_output=True, check=True).stdout
-    parent, change, won = [], [], 0
+    parent, change, won, lost = [], [], 0, 0
     with tempfile.TemporaryDirectory() as tmp:
+        sides = (Path(tmp, "0", "src"), Path(tmp, "1", "src"))
         with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
             if hasattr(tarfile, "data_filter"):
-                tar.extractall(tmp, filter="data")
+                tar.extractall(sides[0].parent, filter="data")
             else:
-                tar.extractall(tmp)
-        sides = (Path(tmp) / "src", ROOT / "src")
+                tar.extractall(sides[0].parent)
+        shutil.copytree(ROOT / "src", sides[1],
+                        ignore=shutil.ignore_patterns("__pycache__"))
         for pair in range(pairs):
             first = pair % 2  # alternate which side runs first
             times = {}
@@ -145,6 +167,7 @@ def main(ref: str, workload: str, pairs: int, seconds: float) -> int:
             parent.append(times[0])
             change.append(times[1])
             won += times[1] < times[0]
+            lost += times[0] < times[1]
             print(f"pair {pair}: {ref} {times[0]:.3f} ms, working tree "
                   f"{times[1]:.3f} ms ({times[1] / times[0] - 1:+.1%})",
                   flush=True)
@@ -153,6 +176,10 @@ def main(ref: str, workload: str, pairs: int, seconds: float) -> int:
     delta = statistics.median(change) / statistics.median(parent) - 1
     print(f"median {delta:+.1%}; the working tree won {won} of {pairs} "
           f"pairs")
+    if delta <= 0:
+        print(gain_rule("the working tree", ref, won, pairs, change, parent))
+    else:
+        print(gain_rule(ref, "the working tree", lost, pairs, parent, change))
     return 0
 
 
