@@ -178,8 +178,8 @@ class _P:
         negation, or a postfix term applied to the atoms after it when it
         is a bare name.  A name or field path `x.f.g` is read here, and
         `parse_postfix` goes on from it only when an atom, `[` or `.`
-        follows; so it does from `term`, a parenthesised term that ends
-        at the cursor, if given, which begins the first operand."""
+        follows.  `term`, if given, is a parenthesised term that ends at
+        the cursor: the first operand goes on from it."""
         kinds, texts, starts = self.kinds, self.texts, self.starts
         # (floor, left operand, operator) of each right operand being read
         pending: list[tuple] = []
