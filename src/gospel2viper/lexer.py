@@ -4,24 +4,33 @@ A file is lexed in one pass into a `Tokens` stream: parallel lists of
 token kinds, start offsets and texts, with no object per token.  One
 `split` of the whole file over a pattern of all tokens yields the gaps
 and the token texts alternately; offsets are the running sums of their
-lengths.  Every gap outside the comments must be ASCII space, tab, CR or
-LF, so a no-break space or a form feed is an unexpected character.  The
-tokens are integers (runs of the Unicode decimal digits that `int`
-reads, so `²` is unexpected), identifiers (a letter or `_`, then letters,
-digits, `_` and `'`), the punctuation in PUNCT, longest match first, and
-the comment edges `(*`, `(*@` and `*)`.
+lengths.  The pattern first tests that the next character is not a
+blank.  No token starts with one, so the test only filters, and a blank
+costs that one test instead of a failed try of every alternative.  Every
+gap outside the comments must be ASCII space, tab, CR or LF, so a no-break
+space or a form feed is an unexpected character.  The tokens are integers
+(runs of the Unicode decimal digits that `int` reads, so `²` is
+unexpected), identifiers (a letter or `_`, then letters, digits, `_` and
+`'`), the punctuation in PUNCT, longest match first, and the comment
+edges `(*`, `(*@` and `*)`.
 
-No other token holds a `(`, `*` or `)` after its first character, so a
-left-to-right `str.find` of `(*` and `*)` meets exactly the edge tokens,
-over which comments are found and their nesting counted: a file pays per
-comment, not per token.  Plain comments are dropped, and a `*)` outside
-every comment is a STAR and an RPAREN.  An annotation ``(*@ ... *)``
-stays in place as a slice of the stream: its `(*@` becomes an ANNOTATION
-token whose text is the whole comment, its payload tokens take spec-mode
-kinds, and its `*)` becomes the EOF that ends the payload.  A lexical
-error in a payload does not fail the file: the payload tokens are
-dropped and the error is kept in `Tokens.errors` under the ANNOTATION
-token's index, for the parser to report if it reaches that annotation.
+No other token holds a `(`, `*` or `)` after its first character, so the
+edges are tokens of their own and comments are found over them by token
+index.  Both openers take the kind ANNOTATION and `*)` the kind EOF, so
+`list.index` over the kinds finds the next of each, and every edge costs
+a constant number of steps: a file pays per comment, not per token.  A
+contract keyword is found the same way and costs as much: it is a spec
+keyword in a payload and an identifier elsewhere.  A `clean` file
+(ASCII, every gap blank) holds no unexpected character, so only another
+file has the code and payload between edges searched for one.  Plain
+comments are dropped, and a `*)` outside every comment is a STAR and an
+RPAREN.  An annotation ``(*@ ... *)`` stays in place as a slice of the
+stream: its `(*@` becomes an ANNOTATION token whose text is the whole
+comment, its payload tokens take spec-mode kinds, and its `*)` becomes
+the EOF that ends the payload.  A lexical error in a payload does not
+fail the file: the payload tokens are dropped and the error is kept in
+`Tokens.errors` under the ANNOTATION token's index, for the parser to
+report if it reaches that annotation.
 
 In spec mode, the contract keywords (requires, ensures, predicate,
 function, lemma, fold, unfold, apply) are hard keywords; in program mode
@@ -80,7 +89,13 @@ PUNCT = {
 
 # Kind by token text, for all but identifiers and integers.  An annotation's
 # `(*@` is its ANNOTATION token, its `*)` its payload's EOF; "" is the EOF.
-_KINDS = {**PUNCT, **KEYWORDS, "(*@": T.ANNOTATION, "*)": T.EOF, "": T.EOF}
+# A plain `(*` is always dropped: its kind ANNOTATION only lets `lex` find
+# both openers with one `list.index`.  In program mode a contract keyword
+# is first `_KEYWORD`, which `lex` resolves by where it stands: a spec
+# keyword in a payload, else an identifier.
+_KEYWORD = -1
+_KINDS = {**PUNCT, **KEYWORDS, "(*@": T.ANNOTATION, "(*": T.ANNOTATION,
+          "*)": T.EOF, "": T.EOF, **dict.fromkeys(SPEC_KEYWORDS, _KEYWORD)}
 _SPEC_KINDS = {**_KINDS, **SPEC_KEYWORDS}
 
 
@@ -94,12 +109,13 @@ class _KindTable(dict):
         return kind
 
 
-# One token, in an order where most positions fail fast: an ASCII identifier,
-# punctuation grouped by first character, longest first, an integer, or any
-# other identifier.  `split` keeps the group: [gap, token, ..., token, gap].
-_SPLIT = re.compile(r"([A-Za-z_][\w']*|\((?:\*@?)?|\*\)?|<[-=>]?|->?"
-                    r"|\+\+?|\.\.?|\|\|?|>=?|&&|~>|[)\[\]{};:,=/]|⇝|↝|⤳"
-                    r"|\d+|[^\W\d][\w']*)")
+# One token, after a test that skips a blank at once, in an order where most
+# positions fail fast: an ASCII identifier, punctuation grouped by first
+# character, longest first, an integer, or any other identifier.  `split`
+# keeps the group: [gap, token, ..., token, gap].
+_SPLIT = re.compile(r"(?=[^ \t\r\n])([A-Za-z_][\w']*|\((?:\*@?)?|\*\)?"
+                    r"|<[-=>]?|->?|\+\+?|\.\.?|\|\|?|>=?|&&|~>|[)\[\]{};:,=/]"
+                    r"|⇝|↝|⤳|\d+|[^\W\d][\w']*)")
 _BLANK = " \t\r\n"
 
 
@@ -130,7 +146,8 @@ def lex(source: str, base: int = 0, spec_mode: bool = False
         ) -> tuple[Tokens, list[Diagnostic]]:
     """Tokenize `source`, its offsets shifted by `base` (so that a payload
     lexed on its own keeps file positions).  Returns (empty stream,
-    [diagnostic]) on a lexical error outside every annotation."""
+    [diagnostic]) on a lexical error outside every annotation.  Only a
+    file that is not `clean` calls `first_bad`, once per region."""
     parts = _SPLIT.split(source)
     texts = parts[1::2]
     texts.append("")  # the EOF
@@ -144,8 +161,8 @@ def lex(source: str, base: int = 0, spec_mode: bool = False
         """The first character that starts no token in tokens lo..hi-1 and
         their gaps: in a gap, or at an identifier's start (`½` or `²`)."""
         g = slice(2 * lo, 2 * hi + 1, 2)
-        if clean or (not "".join(parts[g]).strip(_BLANK)
-                     and "".join(texts[lo:hi]).isascii()):
+        if (not "".join(parts[g]).strip(_BLANK)
+                and "".join(texts[lo:hi]).isascii()):
             return None
         bad = [end - len(gap.lstrip(_BLANK))  # gap t ends at token t
                for end, gap in zip(starts[lo:hi + 1], parts[g])
@@ -159,53 +176,59 @@ def lex(source: str, base: int = 0, spec_mode: bool = False
 
     # (lo, hi, new, error): tokens lo..hi-1 become `new`; error is at lo - 1
     edits: list[tuple] = []
+    eof = len(kinds) - 1  # the `*)` found when none is left
+    kinds += (T.ANNOTATION, _KEYWORD)  # the `(*` and keyword found then
+    opener, closer = kinds.index(T.ANNOTATION), kinds.index(T.EOF)
+    keyword = kinds.index(_KEYWORD)
     # code: the first token of the code or payload being read
-    depth, code, at, close, inline = 0, 0, 0, -1, False
-    while True:  # over the edges from `at`; a `(*` before the next `*)` wins
-        close = close if close >= at else source.find("*)", at)
-        edge = source.find("(*", at, len(source) if close < 0 else close + 1)
-        if edge >= 0:
-            at, depth = edge + 2, depth + 1
+    depth, code, inline = 0, 0, False
+    while True:  # over the edges; a `(*` before the next `*)` wins
+        if keyword < closer and keyword < opener:
+            kinds[keyword] = (SPEC_KEYWORDS[texts[keyword]]
+                              if depth == 1 and inline else T.IDENT)
+            keyword = kinds.index(_KEYWORD, keyword + 1)
+            continue
+        if opener < closer:
+            depth += 1
             if depth == 1:
-                opener, first = edge, starts.index(base + edge, code)
-                if diag := first_bad(code, first):
+                first = opener
+                if not clean and (diag := first_bad(code, first)):
                     return Tokens(), [diag]
-                inline = not spec_mode and kinds[first] == T.ANNOTATION
+                inline = not spec_mode and texts[first] == "(*@"
                 code, bad, mark = first + 1, None, len(edits)
             elif depth == 2 and inline:
-                inner, nested = edge, starts.index(base + edge, code)
-                bad = bad or first_bad(code, nested)
+                nested = opener
+                bad = bad or not clean and first_bad(code, nested)
+            opener = kinds.index(T.ANNOTATION, opener + 1)
             continue
-        if close < 0:
+        if closer == eof:
             break
-        at, depth = close + 2, depth - 1
+        last, depth = closer, depth - 1
+        closer = kinds.index(T.EOF, last + 1)
         if depth > 1 or depth == 1 and not inline:  # dropped with its parent
             continue
-        last = starts.index(base + close, code)
         if depth < 0:  # an edge `*)` outside every comment
-            depth = 0
-            edits.append((last, last + 1, [(T.STAR, base + close, "*"),
-                          (T.RPAREN, base + close + 1, ")")], None))
+            depth, at = 0, starts[last]
+            edits.append((last, last + 1, [(T.STAR, at, "*"),
+                                           (T.RPAREN, at + 1, ")")], None))
             continue
+        lo = nested if depth else first
+        text = source[starts[lo] - base:starts[last] + 2 - base]
         if depth == 0 and inline:
-            bad = bad or first_bad(code, last)
+            bad = bad or not clean and first_bad(code, last)
             if bad:  # keep only the ANNOTATION token and the EOF
                 del edits[mark:]
                 edits.append((first + 1, last, [], bad))
-            texts[first], texts[last] = source[opener:at], ""
-            payload = slice(first + 1, last)
-            kinds[payload] = map(SPEC_KEYWORDS.get, texts[payload],
-                                 kinds[payload])
+            texts[first], texts[last] = text, ""
         else:  # drop the comment; an annotation stays one token
-            lo, start = (nested, inner) if depth else (first, opener)
-            edits.append((lo, last + 1, [(T.ANNOTATION, base + start,
-                                          source[start:at])]
-                           if kinds[lo] == T.ANNOTATION else [], None))
+            edits.append((lo, last + 1, [(T.ANNOTATION, starts[lo], text)]
+                          if texts[lo] == "(*@" else [], None))
         code = last + 1
+    del kinds[eof + 1:]
     if depth:
         return Tokens(), [error(Category.PARSE, "unterminated comment",
-                                base + opener)]
-    if diag := first_bad(code, len(texts) - 1):
+                                starts[first])]
+    if not clean and (diag := first_bad(code, eof)):
         return Tokens(), [diag]
     toks = Tokens()
     if not edits:

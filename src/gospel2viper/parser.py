@@ -66,6 +66,11 @@ class ParseError(Exception):
         self.diag = diag
 
 
+class TooDeep(ParseError):
+    """Nesting past MAX_NESTING.  Every reading of the same tokens nests as
+    deep, so a parser that would rewind and try another lets it pass."""
+
+
 # Binary operators by token kind: (operator, precedence, floors of the left
 # and right operands), as `viper_ast.LEVELS` has them.
 _BINOPS = {PUNCT[op.surface]: (op.surface, *LEVELS[op.viper]) for op in BINARY}
@@ -139,7 +144,9 @@ class _P:
     def enter(self) -> None:
         """Open one nesting level; the caller closes it with depth -= 1."""
         if self.depth > MAX_NESTING:
-            self.fail(f"nesting deeper than {MAX_NESTING} levels")
+            raise TooDeep(error(Category.PARSE,
+                                f"nesting deeper than {MAX_NESTING} levels",
+                                self.starts[self.pos]))
         self.depth += 1
 
     # -- types -------------------------------------------------------------
@@ -165,7 +172,7 @@ class _P:
 
     def parse_expr(self) -> SurfaceExpr:
         if self.depth > MAX_NESTING:
-            self.fail(f"nesting deeper than {MAX_NESTING} levels")
+            self.enter()  # raises TooDeep
         self.depth += 1
         e = self.parse_binary(LOW)
         self.depth -= 1
@@ -515,6 +522,8 @@ def _assertion_atom(p: _P) -> Assertion:
                 term = inner.expr  # `(e)`: the expression goes on from it
             elif not p.at(*_EXPR_CONT):
                 return inner
+        except TooDeep:
+            raise
         except ParseError:
             pass
         if term is None:

@@ -321,10 +321,18 @@ class _Tr:
             test = self._ctor_test(e, env)
             if test is not None:
                 return test if e.op == "=" else V.UnOp("!", test)
-        table, left, right = self._EXPR, e.left, e.right
-        return V.BinOp(_VIPER_OPS[e.op],
-                       table[type(left)](self, left, env),
-                       table[type(right)](self, right, env))
+        # `++` groups right: a chain of it is walked by its spine, not by a
+        # frame per element, and its operands translated left to right
+        table, op, lefts = self._EXPR, _VIPER_OPS[e.op], []
+        while e.op == "++" and type(e.right) is BinE and e.right.op == "++":
+            lefts.append(table[type(e.left)](self, e.left, env))
+            e = e.right
+        left, right = e.left, e.right
+        v = V.BinOp(op, table[type(left)](self, left, env),
+                    table[type(right)](self, right, env))
+        while lefts:
+            v = V.BinOp(op, lefts.pop(), v)
+        return v
 
     def _ctor_test(self, e: BinE,
                    env: dict[str, V.VExpr]) -> V.VExpr | None:

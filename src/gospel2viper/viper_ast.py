@@ -359,9 +359,15 @@ def _len_str(e: SeqLen, parent: int) -> str:
 
 
 def _binop_str(e: BinOp, parent: int) -> str:
-    p, lf, rf = LEVELS[e.op]
+    op, head = e.op, ""
+    p, lf, rf = LEVELS[op]
+    # a chain of an operator that groups right, as `++` does, is walked by
+    # its spine: each right operand of the same operator stays bare
+    while type(e.right) is BinOp and e.right.op == op and rf <= p:
+        head += f"{_EXPR[type(e.left)](e.left, lf)} {op} "
+        e = e.right
     left, right = e.left, e.right
-    text = (f"{_EXPR[type(left)](left, lf)} {e.op} "
+    text = (f"{head}{_EXPR[type(left)](left, lf)} {op} "
             f"{_EXPR[type(right)](right, rf)}")
     return f"({text})" if p < parent else text
 

@@ -15,7 +15,8 @@ from gospel2viper.cli import RunConfig, run
 from gospel2viper.parser import MAX_NESTING
 from gospel2viper.viper_ast import BINARY, pretty
 from gospel2viper.viper_parser import reparse
-from work_counts import frames_per_element
+import work_counts
+from work_counts import frames_per_element, frames_per_level
 
 GOOD = """\
 type t = { mutable v : int }
@@ -1169,11 +1170,13 @@ def test_long_arithmetic_chain_checks_and_prints(tmp_path, op):
 # operator that chains (`work_counts.frames_per_element`): a walk that
 # adds one lowers the longest chain that fits in the stack.  A chain of
 # `++` nests to the right: the surface parser keeps its right operands on
-# a stack of its own, but the reparser recurses per element.  It is a
-# logical function's body, which the checker does not walk.
+# a stack of its own, the translator and the printer walk its spine, but
+# the reparser recurses per element.  It is a logical function's body,
+# which the checker does not walk.
 FRAMES_PER_ELEMENT = {"parse": 0, "translate": 1, "check": 1, "pretty": 1,
                       "reparse": 0}
-FRAMES_PER_CONCAT = {**FRAMES_PER_ELEMENT, "check": 0, "reparse": 1}
+FRAMES_PER_CONCAT = {"parse": 0, "translate": 0, "check": 0, "pretty": 0,
+                     "reparse": 1}
 
 
 @pytest.mark.parametrize("op", [op for op in BINARY if op.group != "none"],
@@ -1183,6 +1186,46 @@ def test_chain_costs_each_stage_at_most_its_frames_per_element(op):
     frames = frames_per_element(op)
     assert {stage: n for stage, n in frames.items() if n > bound[stage]} \
         == {}, frames
+
+
+@pytest.mark.parametrize("check", [False, True])
+def test_long_concatenation_chain_translates_and_prints(tmp_path, check):
+    # the translator and the printer once took a frame per `++`, and 1,000
+    # elements raised `RecursionError` out of `cli.run`
+    src = tmp_path / "concat.ml"
+    src.write_text("(*@ function f (s: int sequence) : int sequence = "
+                   + " ++ ".join(["s"] * 2000) + " *)\n")
+    status, out, err = invoke(src, check=check)
+    assert (status, err) == (0, "")
+    assert " ++ ".join(["s"] * 2000) in (tmp_path / "concat.vpr").read_text()
+
+
+# The Python frames that each stage spends per level of each way to nest
+# (`work_counts.frames_per_level`).  A parenthesised `if` or `match` level
+# counts twice against MAX_NESTING, so MAX_NESTING levels of any shape
+# take at most MAX_NESTING times its frames per level, which leaves half
+# of the recursion limit to the frames below the walk.
+FRAMES_PER_LEVEL = {
+    "parentheses": {"parse": 3, "translate": 0, "check": 0, "pretty": 0,
+                    "reparse": 0},
+    "if": {"parse": 5, "translate": 1, "check": 3, "pretty": 1,
+           "reparse": 2},
+    "match": {"parse": 7, "translate": 3, "check": 3, "pretty": 1,
+              "reparse": 2},
+}
+
+
+@pytest.mark.parametrize("shape", sorted(work_counts.NESTINGS))
+def test_nesting_costs_each_stage_at_most_its_frames_per_level(shape):
+    bound = FRAMES_PER_LEVEL[shape]
+    frames = frames_per_level(shape)
+    assert {stage: n for stage, n in frames.items() if n > bound[stage]} \
+        == {}, frames
+
+
+def test_nesting_at_the_limit_fits_the_recursion_limit():
+    deepest = max(max(bound.values()) for bound in FRAMES_PER_LEVEL.values())
+    assert MAX_NESTING * deepest < sys.getrecursionlimit() // 2
 
 
 # Inputs that check clean, each with a line its .vpr must hold

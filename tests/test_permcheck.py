@@ -23,7 +23,8 @@ from gospel2viper.viper_parser import reparse
 import pytest
 from hypothesis import given, settings, strategies as hs
 from astgen import gen_program
-from work_counts import calls, wide_module
+from work_counts import (calls, checker_calls_per_statement, module_source,
+                         wide_module)
 
 CORPUS = Path(__file__).parent / "corpus"
 
@@ -661,6 +662,17 @@ def test_checker_calls_per_statement_on_a_wide_module():
     diags, n = calls(check_program, program)
     assert diags == []
     assert n / stmts <= 36.5
+
+
+def test_checker_calls_per_statement_on_a_module():
+    # the `module` shape: 105.6 Python and C calls per method-body
+    # statement on Python 3.10 and 3.11, 99.9 on 3.12 and 3.13; a method
+    # body's `match` is one statement, and its arms are counted in it
+    program, diags = translate_source(module_source())
+    assert program is not None and not diags
+    per_statement, stmts = checker_calls_per_statement(program)
+    assert stmts == 360
+    assert per_statement <= 108.5
 
 
 # each name `eval` can pass to `_op`, with operands on which its rule folds

@@ -5,23 +5,29 @@
 It imports `gospel2viper` from SRC, by default the `src/` beside this
 file, and prints:
 
-- on `wide_module()`, the benchmark's `wide` shape: the parser's Python
-  calls per token, the translator's and the printer's Python and C calls
-  per Viper node, and the checker's per method-body statement;
+- on `wide_module()` and `module_source()`, the benchmark's `wide` and
+  `module` shapes: the lexer's Python calls, the parser's Python calls
+  per token, the translator's and the printer's Python and C calls per
+  Viper node, and the checker's per method-body statement;
 - on the corpus, the checker's `norm` and `decide` calls in all;
 - for each binary operator that chains, each stage's Python frames per
   chain element: how much deeper its deepest frame is on a chain of 100
-  elements than on one of 50, per element.
+  elements than on one of 50, per element;
+- for each way to nest (parentheses, `if … then (…)` and
+  `match … with | C -> (…)`), each stage's Python frames per level, on
+  30 levels against 15: a parenthesised `if` or `match` level counts
+  twice against the parser's nesting limit.
 
 A count of calls, unlike a time, repeats exactly on any host, so a change
 that claims a speed-up can quote the counts at its base and at its head:
 `python tests/work_counts.py BASE/src` runs this file's inputs and
-counting on the base's code.  The tests import `wide_module`, `calls`,
-`calls_per_token`, `viper_nodes` and `frames_per_element` from here, so
-the pinned counts are the printed ones.  It needs only the standard
+counting on the base's code.  The tests import the sources, the counters
+and `frames_per_element` and `frames_per_level` from here, so the pinned
+counts are the printed ones.  It needs only the standard
 library, and pytest does not collect it.
 """
 
+import re
 import sys
 from pathlib import Path
 
@@ -49,6 +55,20 @@ def wide_module(n_fields=64, n_methods=2):
     lines += [f"  {m} r;" for m in methods]
     lines += ["  ()", "(*@ caller r requires p r ensures p r *)"]
     return "\n".join(lines) + "\n"
+
+
+_QUEUE_FUNCTIONS = re.compile(r"\b(create|add_empty)\b")
+
+
+def module_source(n_copies=30):
+    """The benchmark's `module` shape: the types and predicates of
+    `checker_queue.ml`, then `n_copies` copies of its two functions, each
+    renamed with a four-character tag."""
+    source = (CORPUS / "checker_queue.ml").read_text(encoding="utf-8")
+    head, let, functions = source.partition("let create ")
+    return "\n".join([head] + [
+        _QUEUE_FUNCTIONS.sub(lambda m: f"{m.group(1)}_{i:04d}", let + functions)
+        for i in range(n_copies)])
 
 
 def calls(fn, *args, events=("call", "c_call")):
@@ -100,6 +120,27 @@ def calls_per_token(source):
     (module, diags), n = calls(parse_module, tokens, events=("call",))
     assert module is not None, [d.message for d in diags]
     return n / len(tokens), len(tokens)
+
+
+def lexer_calls(source):
+    """Python-level calls made by `lex`, the distinct token texts and the
+    tokens."""
+    from gospel2viper.lexer import lex
+
+    (tokens, diags), n = calls(lex, source, events=("call",))
+    assert not diags
+    return n, len(set(tokens.texts)), len(tokens)
+
+
+def checker_calls_per_statement(program):
+    """Python and C calls made by `check_program`, per method-body
+    statement, and the number of statements."""
+    from gospel2viper.permcheck import check_program
+
+    stmts = sum(len(m.body or ()) for m in program.methods().values())
+    diags, n = calls(check_program, program)
+    assert diags == [], [d.message for d in diags]
+    return n / stmts, stmts
 
 
 def viper_nodes(program):
@@ -164,15 +205,15 @@ def chain_source(op, n):
             "(*@ f c requires c ~> {v; b} ensures c ~> {v; b} *)\n")
 
 
-def chain_depths(op, n):
-    """{stage: its deepest Python frame} on `chain_source(op, n)`."""
+def stage_depths(source):
+    """{stage: its deepest Python frame} on `source`."""
     from gospel2viper.parser import parse_source
     from gospel2viper.permcheck import check_program
     from gospel2viper.translate import translate
     from gospel2viper.viper_ast import pretty
     from gospel2viper.viper_parser import reparse
 
-    (module, diags), parsing = depth(parse_source, chain_source(op, n))
+    (module, diags), parsing = depth(parse_source, source)
     assert module is not None and not diags, [d.message for d in diags]
     (program, diags), translating = depth(translate, module)
     assert program is not None and not diags, [d.message for d in diags]
@@ -186,34 +227,62 @@ def chain_depths(op, n):
 def frames_per_element(op, n=50):
     """{stage: Python frames per chain element of `op`}: how much deeper
     the stage goes on 2n elements than on n, over n."""
-    short, long = chain_depths(op, n), chain_depths(op, 2 * n)
+    short = stage_depths(chain_source(op, n))
+    long = stage_depths(chain_source(op, 2 * n))
+    return {stage: (long[stage] - short[stage]) / n for stage in STAGES}
+
+
+# a method body nested n levels deep, by each way to nest
+NESTINGS = {
+    "parentheses": lambda n: "c.v <- " + "(" * n + "0" + ")" * n,
+    "if": lambda n: "if true then (" * n + "c.v <- 0" + ")" * n,
+    "match": lambda n: ("match A with | A -> (" * n + "c.v <- 0"
+                        + ") | B -> ()" * n),
+}
+
+
+def nesting_source(shape, n):
+    """A module whose one method body nests `n` levels of `shape`."""
+    return ("type t = { mutable v : int }\ntype u = A | B\n"
+            f"let f (c: t) =\n  {NESTINGS[shape](n)}\n"
+            "(*@ f c requires c ~> {v} ensures c ~> {v} *)\n")
+
+
+def frames_per_level(shape, n=15):
+    """{stage: Python frames per nesting level of `shape`}: how much
+    deeper the stage goes on 2n levels than on n, over n."""
+    short = stage_depths(nesting_source(shape, n))
+    long = stage_depths(nesting_source(shape, 2 * n))
     return {stage: (long[stage] - short[stage]) / n for stage in STAGES}
 
 
 def main(src: str) -> int:
     sys.path.insert(0, src)
     from gospel2viper.parser import parse_source
-    from gospel2viper.permcheck import check_program
     from gospel2viper.translate import translate
     from gospel2viper.viper_ast import pretty
 
     print(f"gospel2viper from {src}, Python {sys.version.split()[0]}")
-    source = wide_module()
-    per_token, tokens = calls_per_token(source)
-    print(f"parser: {per_token:.3f} calls per token ({tokens} tokens)")
-    module, diags = parse_source(source)
-    (program, diags), translating = calls(translate, module)
-    assert program is not None and not diags, [d.message for d in diags]
-    n = viper_nodes(program)
-    _, printing = calls(pretty, program)
-    print(f"translator: {translating / n:.3f} calls per node "
-          f"({translating} calls, {n} nodes)")
-    print(f"printer: {printing / n:.3f} calls per node "
-          f"({printing} calls, {n} nodes)")
-    stmts = sum(len(m.body or ()) for m in program.methods().values())
-    _, checking = calls(check_program, program)
-    print(f"checker: {checking / stmts:.2f} calls per statement "
-          f"({checking} calls, {stmts} statements)")
+    for name, source in (("wide_module()", wide_module()),
+                         ("module_source()", module_source())):
+        print(f"{name}:")
+        lexing, texts, tokens = lexer_calls(source)
+        print(f"  lexer: {lexing} Python calls ({texts} distinct texts, "
+              f"{tokens} tokens)")
+        per_token, tokens = calls_per_token(source)
+        print(f"  parser: {per_token:.3f} calls per token ({tokens} tokens)")
+        module, diags = parse_source(source)
+        (program, diags), translating = calls(translate, module)
+        assert program is not None and not diags, [d.message for d in diags]
+        n = viper_nodes(program)
+        _, printing = calls(pretty, program)
+        print(f"  translator: {translating / n:.3f} calls per node "
+              f"({translating} calls, {n} nodes)")
+        print(f"  printer: {printing / n:.3f} calls per node "
+              f"({printing} calls, {n} nodes)")
+        per_stmt, stmts = checker_calls_per_statement(program)
+        print(f"  checker: {per_stmt:.2f} calls per statement "
+              f"({stmts} statements)")
     norms, decides = corpus_work()
     print(f"checker on the corpus: {norms} norm calls, "
           f"{decides} decide calls")
@@ -221,13 +290,18 @@ def main(src: str) -> int:
         from gospel2viper.viper_ast import BINARY
     except ImportError:
         print("frames per chain element: no operator table in this source")
-        return 0
-    print("frames per chain element, 50 to 100 elements:")
-    for op in BINARY:
-        if op.group != "none":
-            frames = frames_per_element(op)
-            print(f"  {op.surface:>2}: " + ", ".join(
-                f"{stage} {frames[stage]:g}" for stage in STAGES))
+    else:
+        print("frames per chain element, 50 to 100 elements:")
+        for op in BINARY:
+            if op.group != "none":
+                frames = frames_per_element(op)
+                print(f"  {op.surface:>2}: " + ", ".join(
+                    f"{stage} {frames[stage]:g}" for stage in STAGES))
+    print("frames per nesting level, 15 to 30 levels:")
+    for shape in NESTINGS:
+        frames = frames_per_level(shape)
+        print(f"  {shape}: " + ", ".join(
+            f"{stage} {frames[stage]:g}" for stage in STAGES))
     return 0
 
 
