@@ -15,22 +15,21 @@ unexpected), identifiers (a letter or `_`, then letters, digits, `_` and
 edges `(*`, `(*@` and `*)`.
 
 No other token holds a `(`, `*` or `)` after its first character, so the
-edges are tokens of their own and comments are found over them by token
-index.  Both openers take the kind ANNOTATION and `*)` the kind EOF, so
-`list.index` over the kinds finds the next of each, and every edge costs
-a constant number of steps: a file pays per comment, not per token.  A
-contract keyword is found the same way and costs as much: it is a spec
-keyword in a payload and an identifier elsewhere.  A `clean` file
-(ASCII, every gap blank) holds no unexpected character, so only another
-file has the code and payload between edges searched for one.  Plain
-comments are dropped, and a `*)` outside every comment is a STAR and an
-RPAREN.  An annotation ``(*@ ... *)`` stays in place as a slice of the
-stream: its `(*@` becomes an ANNOTATION token whose text is the whole
-comment, its payload tokens take spec-mode kinds, and its `*)` becomes
-the EOF that ends the payload.  A lexical error in a payload does not
-fail the file: the payload tokens are dropped and the error is kept in
-`Tokens.errors` under the ANNOTATION token's index, for the parser to
-report if it reaches that annotation.
+edges are tokens of their own.  The kind of an edge, and in program mode
+of a contract keyword, is deferred until `lex` knows where the token
+stands.  `list.index` finds the next deferred token, and each costs a
+constant number of steps, so a file pays per comment and keyword, not
+per token.  A keyword is a spec keyword in a payload and an identifier
+elsewhere.  A `clean` file (ASCII, every gap blank) holds no unexpected
+character, so only another file has the code and payload between edges
+searched for one.  Plain comments are dropped, and a `*)` outside every
+comment is a STAR and an RPAREN.  An annotation ``(*@ ... *)`` stays in
+place as a slice of the stream: its `(*@` becomes an ANNOTATION token
+whose text is the whole comment, its payload tokens take spec-mode
+kinds, and its `*)` becomes the EOF that ends the payload.  A lexical
+error in a payload does not fail the file: the payload tokens are
+dropped and the error is kept in `Tokens.errors` under the ANNOTATION
+token's index, for the parser to report if it reaches that annotation.
 
 In spec mode, the contract keywords (requires, ensures, predicate,
 function, lemma, fold, unfold, apply) are hard keywords; in program mode
@@ -87,15 +86,12 @@ PUNCT = {
     "|": T.PIPE, "=": T.EQ, "<": T.LT, ">": T.GT, "+": T.PLUS,
     "-": T.MINUS, "*": T.STAR, "/": T.SLASH}
 
-# Kind by token text, for all but identifiers and integers.  An annotation's
-# `(*@` is its ANNOTATION token, its `*)` its payload's EOF; "" is the EOF.
-# A plain `(*` is always dropped: its kind ANNOTATION only lets `lex` find
-# both openers with one `list.index`.  In program mode a contract keyword
-# is first `_KEYWORD`, which `lex` resolves by where it stands: a spec
-# keyword in a payload, else an identifier.
-_KEYWORD = -1
-_KINDS = {**PUNCT, **KEYWORDS, "(*@": T.ANNOTATION, "(*": T.ANNOTATION,
-          "*)": T.EOF, "": T.EOF, **dict.fromkeys(SPEC_KEYWORDS, _KEYWORD)}
+# Kind by token text, for all but identifiers and integers; "" is the EOF.
+# The kind of a comment edge, and in program mode of a contract keyword, is
+# `_DEFERRED` until `lex` knows where the token stands.
+_DEFERRED = -1
+_KINDS = {**PUNCT, **KEYWORDS, "": T.EOF,
+          **dict.fromkeys(("(*", "(*@", "*)", *SPEC_KEYWORDS), _DEFERRED)}
 _SPEC_KINDS = {**_KINDS, **SPEC_KEYWORDS}
 
 
@@ -176,41 +172,35 @@ def lex(source: str, base: int = 0, spec_mode: bool = False
 
     # (lo, hi, new, error): tokens lo..hi-1 become `new`; error is at lo - 1
     edits: list[tuple] = []
-    eof = len(kinds) - 1  # the `*)` found when none is left
-    kinds += (T.ANNOTATION, _KEYWORD)  # the `(*` and keyword found then
-    opener, closer = kinds.index(T.ANNOTATION), kinds.index(T.EOF)
-    keyword = kinds.index(_KEYWORD)
+    eof = len(kinds) - 1
+    kinds.append(_DEFERRED)  # the one found when none is left
     # code: the first token of the code or payload being read
-    depth, code, inline = 0, 0, False
-    while True:  # over the edges; a `(*` before the next `*)` wins
-        if keyword < closer and keyword < opener:
-            kinds[keyword] = (SPEC_KEYWORDS[texts[keyword]]
-                              if depth == 1 and inline else T.IDENT)
-            keyword = kinds.index(_KEYWORD, keyword + 1)
+    depth, code, inline, at = 0, 0, False, -1
+    while (at := kinds.index(_DEFERRED, at + 1)) < eof:  # in token order
+        text = texts[at]
+        if text[0] not in "(*":  # a contract keyword
+            kinds[at] = (SPEC_KEYWORDS[text] if depth == 1 and inline
+                         else T.IDENT)
             continue
-        if opener < closer:
+        if text != "*)":  # `(*` or `(*@`
             depth += 1
             if depth == 1:
-                first = opener
+                first = at
                 if not clean and (diag := first_bad(code, first)):
                     return Tokens(), [diag]
-                inline = not spec_mode and texts[first] == "(*@"
+                inline = not spec_mode and text == "(*@"
                 code, bad, mark = first + 1, None, len(edits)
             elif depth == 2 and inline:
-                nested = opener
+                nested = at
                 bad = bad or not clean and first_bad(code, nested)
-            opener = kinds.index(T.ANNOTATION, opener + 1)
             continue
-        if closer == eof:
-            break
-        last, depth = closer, depth - 1
-        closer = kinds.index(T.EOF, last + 1)
+        last, depth = at, depth - 1
         if depth > 1 or depth == 1 and not inline:  # dropped with its parent
             continue
         if depth < 0:  # an edge `*)` outside every comment
-            depth, at = 0, starts[last]
-            edits.append((last, last + 1, [(T.STAR, at, "*"),
-                                           (T.RPAREN, at + 1, ")")], None))
+            depth, star = 0, starts[last]
+            edits.append((last, last + 1, [(T.STAR, star, "*"),
+                                           (T.RPAREN, star + 1, ")")], None))
             continue
         lo = nested if depth else first
         text = source[starts[lo] - base:starts[last] + 2 - base]
@@ -220,11 +210,12 @@ def lex(source: str, base: int = 0, spec_mode: bool = False
                 del edits[mark:]
                 edits.append((first + 1, last, [], bad))
             texts[first], texts[last] = text, ""
+            kinds[first], kinds[last] = T.ANNOTATION, T.EOF
         else:  # drop the comment; an annotation stays one token
             edits.append((lo, last + 1, [(T.ANNOTATION, starts[lo], text)]
                           if texts[lo] == "(*@" else [], None))
         code = last + 1
-    del kinds[eof + 1:]
+    kinds.pop()
     if depth:
         return Tokens(), [error(Category.PARSE, "unterminated comment",
                                 starts[first])]

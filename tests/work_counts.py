@@ -67,7 +67,8 @@ def module_source(n_copies=30):
     source = (CORPUS / "checker_queue.ml").read_text(encoding="utf-8")
     head, let, functions = source.partition("let create ")
     return "\n".join([head] + [
-        _QUEUE_FUNCTIONS.sub(lambda m: f"{m.group(1)}_{i:04d}", let + functions)
+        _QUEUE_FUNCTIONS.sub(lambda m: f"{m.group(1)}_{i:04d}",
+                             let + functions)
         for i in range(n_copies)])
 
 
