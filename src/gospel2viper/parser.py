@@ -67,8 +67,9 @@ class ParseError(Exception):
 
 
 class TooDeep(ParseError):
-    """Nesting past MAX_NESTING.  Every reading of the same tokens nests as
-    deep, so a parser that would rewind and try another lets it pass."""
+    """Nesting past MAX_NESTING: a limit of this parser, not a sign that
+    the tokens were read the wrong way, so a parser that would rewind and
+    read them another way lets it pass."""
 
 
 # Binary operators by token kind: (operator, precedence, floors of the left
