@@ -23,8 +23,8 @@ that claims a speed-up can quote the counts at its base and at its head:
 `python tests/work_counts.py BASE/src` runs this file's inputs and
 counting on the base's code.  The tests import the sources, the counters
 and `frames_per_element` and `frames_per_level` from here, so the pinned
-counts are the printed ones.  It needs only the standard
-library, and pytest does not collect it.
+counts are the printed ones.  It needs only the standard library, and
+pytest does not collect it.
 """
 
 import re
@@ -225,12 +225,16 @@ def stage_depths(source):
                              reparsing)))
 
 
-def frames_per_element(op, n=50):
-    """{stage: Python frames per chain element of `op`}: how much deeper
-    the stage goes on 2n elements than on n, over n."""
-    short = stage_depths(chain_source(op, n))
-    long = stage_depths(chain_source(op, 2 * n))
+def frames_per_step(source, n):
+    """{stage: Python frames per step}: how much deeper the stage goes on
+    `source(2 * n)` than on `source(n)`, over n."""
+    short, long = stage_depths(source(n)), stage_depths(source(2 * n))
     return {stage: (long[stage] - short[stage]) / n for stage in STAGES}
+
+
+def frames_per_element(op, n=50):
+    """{stage: Python frames per chain element of `op`}."""
+    return frames_per_step(lambda k: chain_source(op, k), n)
 
 
 # a method body nested n levels deep, by each way to nest
@@ -250,11 +254,8 @@ def nesting_source(shape, n):
 
 
 def frames_per_level(shape, n=15):
-    """{stage: Python frames per nesting level of `shape`}: how much
-    deeper the stage goes on 2n levels than on n, over n."""
-    short = stage_depths(nesting_source(shape, n))
-    long = stage_depths(nesting_source(shape, 2 * n))
-    return {stage: (long[stage] - short[stage]) / n for stage in STAGES}
+    """{stage: Python frames per nesting level of `shape`}."""
+    return frames_per_step(lambda k: nesting_source(shape, k), n)
 
 
 def main(src: str) -> int:
