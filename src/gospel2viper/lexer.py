@@ -203,16 +203,16 @@ def lex(source: str, base: int = 0, spec_mode: bool = False
                                            (T.RPAREN, star + 1, ")")], None))
             continue
         lo = nested if depth else first
-        text = source[starts[lo] - base:starts[last] + 2 - base]
+        comment = source[starts[lo] - base:starts[last] + 2 - base]
         if depth == 0 and inline:
             bad = bad or not clean and first_bad(code, last)
             if bad:  # keep only the ANNOTATION token and the EOF
                 del edits[mark:]
                 edits.append((first + 1, last, [], bad))
-            texts[first], texts[last] = text, ""
+            texts[first], texts[last] = comment, ""
             kinds[first], kinds[last] = T.ANNOTATION, T.EOF
         else:  # drop the comment; an annotation stays one token
-            edits.append((lo, last + 1, [(T.ANNOTATION, starts[lo], text)]
+            edits.append((lo, last + 1, [(T.ANNOTATION, starts[lo], comment)]
                           if texts[lo] == "(*@" else [], None))
         code = last + 1
     kinds.pop()

@@ -1201,10 +1201,11 @@ def test_long_concatenation_chain_translates_and_prints(tmp_path, check):
 
 
 # The Python frames that each stage spends per level of each way to nest
-# (`work_counts.frames_per_level`).  A parenthesised `if` or `match` level
-# counts twice against MAX_NESTING, so MAX_NESTING levels of any shape
-# take at most MAX_NESTING times its frames per level, which leaves half
-# of the recursion limit to the frames below the walk.
+# (`work_counts.frames_per_level`).  No input that parses nests more than
+# MAX_NESTING levels of a shape (a parenthesised `if` or `match` level
+# counts twice), so a stage goes at most MAX_NESTING times its frames per
+# level deep, which must leave half of the recursion limit to the frames
+# below the walk.
 FRAMES_PER_LEVEL = {
     "parentheses": {"parse": 3, "translate": 0, "check": 0, "pretty": 0,
                     "reparse": 0},
