@@ -10,14 +10,18 @@ every stage reads.
 
 The parser reads the file's one token stream (`lexer.Tokens`) by index:
 `kinds[pos]`, `texts[pos]`, and `starts[pos]` where a node keeps its
-position, which is its first token's start offset.  An annotation is the
-slice of that stream
-from its ANNOTATION token to the EOF that ends its payload, which the
-lexer has already lexed in spec mode; nothing is lexed here.  A payload
-is dispatched on its leading keyword: predicate / function / lemma
-introduce top-level ghost declarations, fold / unfold / apply are ghost
-commands legal only inside a function body, and anything else is parsed
-as a contract attached to the preceding function.
+position, which is its first token's start offset.  Every path, in
+declarations, types, statements, annotations and expressions alike,
+tests `kinds[pos]` inline and steps with `pos += 1`; there is no `at` or
+`next` helper, and `expect` and `ident` are called where a token cannot
+be tested in place or only to raise the error on a miss.  An annotation
+is the slice of that stream from its ANNOTATION token to the EOF that
+ends its payload, which the lexer has already lexed in spec mode;
+nothing is lexed here, and the module parser reads the slice with its
+own cursor.  A payload is dispatched on its leading keyword: predicate /
+function / lemma introduce top-level ghost declarations, fold / unfold /
+apply are ghost commands legal only inside a function body, and anything
+else is parsed as a contract attached to the preceding function.
 
 A block is a function body, a match arm, a parenthesised statement, or
 an `if` branch that starts with `let`; it holds a flat list of items.  A
@@ -95,32 +99,27 @@ class _P:
     indexing/slicing, program terms have ghost-argument brackets.
     `depth` counts open nesting levels; a ParseError leaves it raised, so
     whoever catches one and parses on restores it together with `pos`.
-    Hot paths read `kinds[pos]` inline: a call costs more than its test,
-    so `parse_binary` reads a name or field path `x.f.g` itself.
-    Every slice the parser reads ends in an EOF, which `next` never steps
-    past, so a lookahead of one from any other token stays in the slice.
+    Every path reads `kinds[pos]` inline, as a call costs more than its
+    test: it tests the token it needs and steps past it with `pos += 1`.
+    `ident` and `expect` step past a token that the caller has not
+    tested; where it has, it calls them only to raise the error on a miss,
+    as `parse_expr` and `_assertion` call `enter` only past MAX_NESTING.
+    `parse_binary` reads a name or field path `x.f.g` itself.  Every slice
+    the parser reads ends in an EOF, and the cursor steps only past a
+    token it has tested, never past that EOF, so a lookahead of one from
+    any other token stays in the slice.
     """
 
-    def __init__(self, tokens: Tokens, spec: bool, pos: int = 0):
+    def __init__(self, tokens: Tokens):
         self.toks = tokens
         self.kinds = tokens.kinds
         self.starts = tokens.starts
         self.texts = tokens.texts
-        self.pos = pos
-        self.spec = spec
+        self.pos = 0
+        self.spec = False
         self.depth = 0
 
     # -- cursor helpers ----------------------------------------------------
-
-    def at(self, *kinds: int) -> bool:
-        return self.kinds[self.pos] in kinds
-
-    def next(self) -> int:
-        """Step past the token at the cursor; return its index."""
-        i = self.pos
-        if self.kinds[i] != T.EOF:
-            self.pos = i + 1
-        return i
 
     def expect(self, kind: int, what: str) -> int:
         """Step past a token of `kind`, which is never EOF; return its
@@ -140,7 +139,11 @@ class _P:
 
     def ident(self, what: str = "identifier") -> str:
         """Step past an identifier; return its text."""
-        return self.texts[self.expect(T.IDENT, what)]
+        i = self.pos
+        if self.kinds[i] != T.IDENT:
+            self.expect(T.IDENT, what)  # raises
+        self.pos = i + 1
+        return self.texts[i]
 
     def enter(self) -> None:
         """Open one nesting level; the caller closes it with depth -= 1."""
@@ -162,8 +165,9 @@ class _P:
             base = BoolT()
         else:
             base = NamedT(name)
-        if self.at(T.IDENT) and self.texts[self.pos] == "sequence":
-            self.pos += 1
+        pos = at + 1
+        if self.kinds[pos] == T.IDENT and self.texts[pos] == "sequence":
+            self.pos = pos + 1
             if not isinstance(base, IntT):
                 self.fail("only int sequences are supported", at)
             return SeqT()
@@ -229,7 +233,8 @@ class _P:
 
     def parse_unary(self) -> SurfaceExpr:
         """A prefix minus and its operand, itself possibly negated."""
-        start = self.starts[self.next()]
+        start = self.starts[self.pos]
+        self.pos += 1
         self.enter()
         e = UnE("-", self.parse_binary(UNARY), span=start)
         self.depth -= 1
@@ -251,7 +256,7 @@ class _P:
                 args.append(self.parse_postfix())
         app = AppE(head.name, args, span=head.span)
         if not self.spec and not done:
-            while self.at(T.LBRACKET):
+            while kinds[self.pos] == T.LBRACKET:
                 self.pos += 1
                 was = self.spec
                 self.spec = True
@@ -323,10 +328,10 @@ class _P:
                 e = FieldE(e, self.texts[pos], e.span)
             elif kind == T.LBRACKET and self.spec:
                 self.pos += 1
-                if self.at(T.DOTDOT):
+                if kinds[self.pos] == T.DOTDOT:
                     self.fail("prefix slices are not part of the surface language")
                 idx = self.parse_expr()
-                if self.at(T.DOTDOT):
+                if kinds[self.pos] == T.DOTDOT:
                     self.pos += 1
                     self.expect(T.RBRACKET, "']'")
                     e = SliceFromE(e, idx, span=e.span)
@@ -337,79 +342,76 @@ class _P:
                 return e
 
     def _record_body(self, ctor: str | None, span: int) -> RecordAlloc:
-        self.expect(T.LBRACE, "'{'")
+        """The `{ f = e; ... }` at the cursor, its `{` already tested."""
+        kinds, texts = self.kinds, self.texts
         inits: list[tuple[str, SurfaceExpr]] = []
-        while not self.at(T.RBRACE):
-            f = self.ident("field name")
-            self.expect(T.EQ, "'='")
-            inits.append((f, self.parse_expr()))
-            if self.at(T.SEMI):
-                self.pos += 1
-            elif not self.at(T.RBRACE):
+        pos = self.pos + 1
+        while kinds[pos] != T.RBRACE:
+            if kinds[pos] != T.IDENT or kinds[pos + 1] != T.EQ:
+                self.pos = pos
+                self.ident("field name")
+                self.expect(T.EQ, "'='")  # raises
+            self.pos = pos + 2
+            inits.append((texts[pos], self.parse_expr()))
+            pos = self.pos
+            if kinds[pos] == T.SEMI:
+                pos += 1
+            elif kinds[pos] != T.RBRACE:
                 self.fail("expected ';' or '}' in record literal")
-        self.pos += 1
+        self.pos = pos + 1
         return RecordAlloc(ctor, inits, span=span)
 
 
 # --------------------------------------------------------------------------
 # annotation parsing
 
-def parse_annotation(toks: Tokens, at: int
-                     ) -> tuple[AnnotationPayload | None, list[Diagnostic]]:
-    """Parse the annotation whose ANNOTATION token is `toks[at]`, from the
-    payload tokens that follow it up to their EOF, or report the lexical
-    error found in its payload.  The payload's span is the ANNOTATION
-    token's."""
-    if at in toks.errors:
-        return None, [toks.errors[at]]
-    p = _P(toks, spec=True, pos=at + 1)
-    try:
-        payload = _annotation_payload(p, toks.starts[at])
-        if not p.at(T.EOF):
-            p.fail(f"unexpected {p.texts[p.pos]!r} at end of annotation")
-        return payload, []
-    except ParseError as e:
-        return None, [e.diag]
-
-
 _GHOST_KINDS = {T.FOLD: GhostKind.FOLD, T.UNFOLD: GhostKind.UNFOLD,
                 T.APPLY: GhostKind.APPLY}
 
 
 def _annotation_payload(p: _P, span: int):
-    kind = p.kinds[p.pos]
-    if kind == T.PREDICATE:
-        p.next()
+    """The payload at the cursor, which stands just past its ANNOTATION
+    token, up to the EOF that ends it."""
+    kinds = p.kinds
+    kind = kinds[p.pos]
+    if kind in _GHOST_KINDS:
+        p.pos += 1
+        target = p.ident("fold/unfold/apply target")
+        payload = GhostCommand(_GHOST_KINDS[kind], target, _command_args(p),
+                               span=span)
+    elif kind == T.PREDICATE:
+        p.pos += 1
         name = p.ident("predicate name")
         params = _spec_params(p)
         p.expect(T.EQ, "'='")
-        return PredicateDef(name, params, _assertion(p), span=span)
-    if kind == T.FUNCTION:
-        p.next()
+        payload = PredicateDef(name, params, _assertion(p), span=span)
+    elif kind == T.FUNCTION:
+        p.pos += 1
         name = p.ident("function name")
         params = _spec_params(p)
         p.expect(T.COLON, "':'")
         ret = p.parse_type()
         p.expect(T.EQ, "'='")
-        return LogicalFunctionDef(name, params, ret, p.parse_expr(), span=span)
-    if kind == T.LEMMA:
-        p.next()
+        payload = LogicalFunctionDef(name, params, ret, p.parse_expr(),
+                                     span=span)
+    elif kind == T.LEMMA:
+        p.pos += 1
         name = p.ident("lemma name")
         params = _spec_params(p)
         req, ens = _clauses(p)
-        return LemmaDef(name, params, req, ens, span=span)
-    if kind in _GHOST_KINDS:
-        p.next()
-        target = p.ident("fold/unfold/apply target")
-        args = _command_args(p)
-        return GhostCommand(_GHOST_KINDS[kind], target, args, span=span)
-    return _contract(p, span)
+        payload = LemmaDef(name, params, req, ens, span=span)
+    else:
+        payload = _contract(p, span)
+    if kinds[p.pos] != T.EOF:
+        p.fail(f"unexpected {p.texts[p.pos]!r} at end of annotation")
+    return payload
 
 
 def _spec_params(p: _P) -> list[tuple[str, SurfaceType]]:
+    kinds = p.kinds
     params = []
-    while p.at(T.LPAREN):
-        p.next()
+    while kinds[p.pos] == T.LPAREN:
+        p.pos += 1
         name = p.ident("parameter name")
         p.expect(T.COLON, "':'")
         params.append((name, p.parse_type()))
@@ -419,14 +421,15 @@ def _spec_params(p: _P) -> list[tuple[str, SurfaceType]]:
 
 def _command_args(p: _P) -> list[SurfaceExpr]:
     """`(a, b)`, `()` or curried arguments; only the first may be a list."""
+    kinds = p.kinds
     args: list[SurfaceExpr] = []
-    if p.at(T.LPAREN):
+    if kinds[p.pos] == T.LPAREN:
         args, closed = p._paren_args()
         if closed:
             return args
-    while p.kinds[p.pos] in _ATOM_START:
-        if p.at(T.LPAREN):
-            p.next()
+    while (kind := kinds[p.pos]) in _ATOM_START:
+        if kind == T.LPAREN:
+            p.pos += 1
             args.append(p.parse_expr())
             p.expect(T.RPAREN, "')'")
         else:
@@ -435,12 +438,13 @@ def _command_args(p: _P) -> list[SurfaceExpr]:
 
 
 def _contract(p: _P, span: int) -> ContractSpec:
+    kinds, texts = p.kinds, p.texts
     first = p.ident("contract header")
     results: list[str] = []
-    if p.at(T.COMMA) or p.at(T.EQ):
+    if kinds[p.pos] in (T.COMMA, T.EQ):
         results = [first]
-        while p.at(T.COMMA):
-            p.next()
+        while kinds[p.pos] == T.COMMA:
+            p.pos += 1
             results.append(p.ident("result name"))
         p.expect(T.EQ, "'='")
         fn = p.ident("function name")
@@ -448,15 +452,17 @@ def _contract(p: _P, span: int) -> ContractSpec:
         fn = first
     param_names: list[str] = []
     while True:
-        if p.at(T.LPAREN) and p.kinds[p.pos + 1] == T.RPAREN:
-            p.pos += 2  # `()`: explicitly no parameters
-        elif p.at(T.IDENT):
-            param_names.append(p.texts[p.next()])
+        pos = p.pos
+        if kinds[pos] == T.LPAREN and kinds[pos + 1] == T.RPAREN:
+            p.pos = pos + 2  # `()`: explicitly no parameters
+        elif kinds[pos] == T.IDENT:
+            param_names.append(texts[pos])
+            p.pos = pos + 1
         else:
             break
     ghost_params: list[tuple[str, SurfaceType]] = []
-    while p.at(T.LBRACKET):
-        p.next()
+    while kinds[p.pos] == T.LBRACKET:
+        p.pos += 1
         name = p.ident("ghost parameter name")
         p.expect(T.COLON, "':'")
         ghost_params.append((name, p.parse_type()))
@@ -467,43 +473,48 @@ def _contract(p: _P, span: int) -> ContractSpec:
 
 
 def _clauses(p: _P) -> tuple[list[Assertion], list[Assertion]]:
+    kinds = p.kinds
     req: list[Assertion] = []
     ens: list[Assertion] = []
-    while p.at(T.REQUIRES, T.ENSURES):
-        into = req if p.kinds[p.next()] == T.REQUIRES else ens
-        into.append(_assertion(p))
+    while (kind := kinds[p.pos]) == T.REQUIRES or kind == T.ENSURES:
+        p.pos += 1
+        (req if kind == T.REQUIRES else ens).append(_assertion(p))
     return req, ens
 
 
 # -- assertions -------------------------------------------------------------
 
-_EXPR_CONT = (T.DOT, T.LBRACKET, T.OWNS,
-              *(k for k, op in _BINOPS.items() if op[1] >= CMP))
+_EXPR_CONT = frozenset((T.DOT, T.LBRACKET, T.OWNS,
+                        *(k for k, op in _BINOPS.items() if op[1] >= CMP)))
 
 
 def _assertion(p: _P) -> Assertion:
     # one nesting level for the whole chain: parentheses count, length not
-    p.enter()
+    if p.depth > MAX_NESTING:
+        p.enter()  # raises TooDeep
+    p.depth += 1
+    kinds = p.kinds
     parts = [_assertion_atom(p)]
-    while p.at(T.AMPAMP):
-        p.next()
+    while kinds[p.pos] == T.AMPAMP:
+        p.pos += 1
         parts.append(_assertion_atom(p))
     p.depth -= 1
     return parts[0] if len(parts) == 1 else SepA(parts, span=parts[0].span)
 
 
 def _assertion_atom(p: _P) -> Assertion:
-    kind = p.kinds[p.pos]
+    kinds = p.kinds
+    pos = p.pos
+    kind = kinds[pos]
     if kind == T.IF:
-        span = p.starts[p.next()]
+        p.pos = pos + 1
         cond = p.parse_binary(CMP)
         p.expect(T.THEN, "'then'")
         then = _assertion(p)
         p.expect(T.ELSE, "'else'")
-        return IfA(cond, then, _assertion(p), span=span)
+        return IfA(cond, then, _assertion(p), span=p.starts[pos])
     if kind == T.LET:
-        span = p.starts[p.next()]
-        at = p.pos
+        p.pos = at = pos + 1
         ctor = p.ident("constructor pattern")
         if not ctor[0].isupper():
             p.fail("assertion let expects a constructor pattern", at)
@@ -511,35 +522,35 @@ def _assertion_atom(p: _P) -> Assertion:
         p.expect(T.EQ, "'='")
         scrut = p.parse_binary(CMP)
         p.expect(T.IN, "'in'")
-        return LetPatA(ctor, binder, scrut, _assertion(p), span=span)
+        return LetPatA(ctor, binder, scrut, _assertion(p), span=p.starts[pos])
     term = None
     if kind == T.LPAREN:
-        mark = p.pos, p.depth
-        p.next()
+        depth = p.depth
+        p.pos = pos + 1
         try:
             inner = _assertion(p)
             p.expect(T.RPAREN, "')'")
             if isinstance(inner, PureA):
                 term = inner.expr  # `(e)`: the expression goes on from it
-            elif not p.at(*_EXPR_CONT):
+            elif kinds[p.pos] not in _EXPR_CONT:
                 return inner
         except TooDeep:
             raise
         except ParseError:
             pass
         if term is None:
-            p.pos, p.depth = mark
+            p.pos, p.depth = pos, depth
     e = p.parse_binary(CMP, term)
-    if p.at(T.OWNS):
-        p.next()
-        p.expect(T.LBRACE, "'{'")
-        fields = [p.ident("field name")]
-        while p.at(T.SEMI):
-            p.next()
-            fields.append(p.ident("field name"))
-        p.expect(T.RBRACE, "'}'")
-        return OwnsA(e, fields, span=e.span)
-    return PureA(e, span=e.span)
+    if kinds[p.pos] != T.OWNS:
+        return PureA(e, span=e.span)
+    p.pos += 1
+    p.expect(T.LBRACE, "'{'")
+    fields = [p.ident("field name")]
+    while kinds[p.pos] == T.SEMI:
+        p.pos += 1
+        fields.append(p.ident("field name"))
+    p.expect(T.RBRACE, "'}'")
+    return OwnsA(e, fields, span=e.span)
 
 
 # --------------------------------------------------------------------------
@@ -563,7 +574,7 @@ _STMT_END = frozenset((T.EOF, T.RPAREN, T.PIPE, T.TYPE, T.ELSE))
 
 class _ModuleParser(_P):
     def __init__(self, tokens: Tokens):
-        super().__init__(tokens, spec=False)
+        super().__init__(tokens)
         self.diags: list[Diagnostic] = []
         self.payloads: dict[int, tuple] = {}
         # every ghost command placed in a block, for the translator
@@ -571,16 +582,29 @@ class _ModuleParser(_P):
         self.unparsed: dict[str, str] = {}  # see SurfaceModule
 
     def _annotation(self) -> tuple[AnnotationPayload | None, list[Diagnostic]]:
-        """parse_annotation of the annotation at the cursor, parsed once:
-        an annotation that ends a body is parsed there and placed by
+        """The payload of the annotation at the cursor and its diagnostics:
+        the lexical error found in the payload, or the one that stopped its
+        parse.  The payload's span is the ANNOTATION token's.  Its tokens
+        are read by this cursor, in spec terms, from nesting depth 0, and
+        the cursor comes back to the ANNOTATION token.  Each annotation is
+        parsed once: one that ends a body is parsed there and placed by
         parse_module.  Whoever steps past it reports its diagnostics."""
-        if self.pos not in self.payloads:
-            self.payloads[self.pos] = parse_annotation(self.toks, self.pos)
-        return self.payloads[self.pos]
-
-    def _skip_annotation(self) -> None:
-        """Step past the annotation at the cursor and its payload."""
-        self.pos = self.kinds.index(T.EOF, self.pos + 1) + 1
+        at = self.pos
+        found = self.payloads.get(at)
+        if found is not None:
+            return found
+        if at in self.toks.errors:
+            found = None, [self.toks.errors[at]]
+        else:
+            spec, depth = self.spec, self.depth
+            self.pos, self.spec, self.depth = at + 1, True, 0
+            try:
+                found = _annotation_payload(self, self.starts[at]), []
+            except ParseError as e:
+                found = None, [e.diag]
+            self.pos, self.spec, self.depth = at, spec, depth
+        self.payloads[at] = found
+        return found
 
     # statement sequences ---------------------------------------------------
 
@@ -624,13 +648,14 @@ class _ModuleParser(_P):
         return items
 
     def _ghost(self, items: list) -> bool:
-        """Step past the ghost command at the cursor, an annotation, adding
-        it to `items` if it parses; False, not moving, if it is none."""
+        """Step past the ghost command at the cursor, an annotation, and
+        its payload, adding it to `items` if it parses; False, not moving,
+        if it is none."""
         payload, diags = self._annotation()
         if not (_annotation_is_ghost(self.texts[self.pos]) if payload is None
                 else isinstance(payload, GhostCommand)):
             return False
-        self._skip_annotation()
+        self.pos = self.kinds.index(T.EOF, self.pos + 1) + 1
         self.diags.extend(diags)
         if payload is not None:
             items.append(payload)
@@ -638,22 +663,22 @@ class _ModuleParser(_P):
         return True
 
     def _stmt_item(self) -> SurfaceExpr | None:
+        kinds = self.kinds
         start = self.pos
-        kind = self.kinds[start]
+        kind = kinds[start]
         if kind == T.LET:
-            self.pos += 1
-            at = self.pos
+            self.pos = at = start + 1
             name = self.ident("binder name")
             if name[0].isupper():
                 self.fail("constructor patterns are only allowed in "
                           "assertions", at)
             typ = None
-            if self.at(T.COLON):
-                self.next()
+            if kinds[self.pos] == T.COLON:
+                self.pos += 1
                 typ = self.parse_type()
             self.expect(T.EQ, "'='")
             rhs = self.parse_expr()
-            if not self.at(T.IN):
+            if kinds[self.pos] != T.IN:
                 self.pos = start  # a new top-level declaration begins here
                 return None
             if typ is None:
@@ -661,31 +686,31 @@ class _ModuleParser(_P):
                     Category.PARSE,
                     f"local '{name}' needs an explicit type annotation",
                     self.starts[at]))
-            self.next()
+            self.pos += 1
             return LetIn(name, typ, rhs, span=self.starts[start])
         if kind == T.MATCH:
             return self._match()
         if kind == T.IF:
             self.enter()
-            self.next()
+            self.pos = start + 1
             cond = self.parse_expr()
             self.expect(T.THEN, "'then'")
             then = self._branch()
             els = None
-            if self.at(T.ELSE):
-                self.next()
+            if kinds[self.pos] == T.ELSE:
+                self.pos += 1
                 els = self._branch()
             self.depth -= 1
             return IfE(cond, then, els, span=self.starts[start])
-        if kind == T.LPAREN and self.kinds[start + 1] != T.RPAREN:
-            self.next()
+        if kind == T.LPAREN and kinds[start + 1] != T.RPAREN:
+            self.pos = start + 1
             self.enter()
             inner = self._block("empty parenthesized statement", opener=start)
             self.depth -= 1
             e = self.parse_postfix(inner)
         else:
             e = self.parse_expr()
-        if self.kinds[self.pos] != T.LARROW:
+        if kinds[self.pos] != T.LARROW:
             return e
         self.pos += 1
         if not isinstance(e, FieldE):
@@ -695,49 +720,57 @@ class _ModuleParser(_P):
     def _branch(self) -> SurfaceExpr:
         """An `if` branch: one item, or a block when it starts with `let`,
         after any ghost commands, which OCaml reads as comments."""
+        kinds = self.kinds
         ghosts: list[GhostCommand] = []
-        while self.at(T.ANNOTATION) and self._ghost(ghosts):
+        while kinds[self.pos] == T.ANNOTATION and self._ghost(ghosts):
             pass
-        body = (self._block("expected a branch body") if self.at(T.LET)
-                else self._stmt_item())
+        body = (self._block("expected a branch body")
+                if kinds[self.pos] == T.LET else self._stmt_item())
         if not ghosts:
             return body
         items = body.items if isinstance(body, SeqE) else [body]
         return SeqE(ghosts + items, span=ghosts[0].span)
 
     def _match(self) -> MatchE:
+        """The `match` at the cursor, its keyword already tested."""
+        kinds, texts = self.kinds, self.texts
         self.enter()
-        start = self.expect(T.MATCH, "'match'")
+        start = self.pos
+        self.pos += 1
         scrut = self.parse_expr()
         self.expect(T.WITH, "'with'")
         arms: list[MatchArm] = []
-        if self.at(T.PIPE):
-            self.next()
+        if kinds[self.pos] == T.PIPE:
+            self.pos += 1
         while True:
             at = self.pos
             ctor = self.ident("constructor name")
             if not ctor[0].isupper():
                 self.fail("match arms must start with a constructor", at)
             binder = None
-            if self.at(T.IDENT) and not self.texts[self.pos][0].isupper():
-                binder = self.texts[self.next()]
-            self.expect(T.ARROW, "'->'")
+            pos = at + 1
+            if kinds[pos] == T.IDENT and not texts[pos][0].isupper():
+                binder = texts[pos]
+                pos += 1
+            if kinds[pos] != T.ARROW:
+                self.pos = pos
+                self.expect(T.ARROW, "'->'")  # raises
+            self.pos = pos + 1
             arms.append(MatchArm(ctor, binder,
                                  self._block("empty match arm"),
                                  span=self.starts[at]))
-            if self.at(T.PIPE):
-                self.next()
-            else:
+            if kinds[self.pos] != T.PIPE:
                 break
+            self.pos += 1
         self.depth -= 1
         return MatchE(scrut, arms, span=self.starts[start])
 
     # declarations ----------------------------------------------------------
 
     def parse_module(self) -> SurfaceModule:
+        kinds = self.kinds
         decls: list[SurfaceDecl] = []
-        while not self.at(T.EOF):
-            kind = self.kinds[self.pos]
+        while (kind := kinds[self.pos]) != T.EOF:
             if kind == T.TYPE:
                 decls.append(self._type_decl())
             elif kind == T.LET:
@@ -747,7 +780,7 @@ class _ModuleParser(_P):
                 if payload is None and (
                         head := _DECL_HEAD.match(self.texts[self.pos])):
                     self.unparsed[head[2]] = head[1]
-                self._skip_annotation()
+                self.pos = kinds.index(T.EOF, self.pos + 1) + 1
                 self.diags.extend(diags)
                 if payload is not None:
                     self._place_annotation(payload, decls)
@@ -780,24 +813,27 @@ class _ModuleParser(_P):
                 "ghost command outside a function body", payload.span))
 
     def _type_decl(self) -> TypeDecl:
-        start = self.expect(T.TYPE, "'type'")
-        at = self.pos
+        """The `type` declaration at the cursor, its keyword already
+        tested."""
+        start = self.pos
+        self.pos = at = start + 1
         name = self.ident("type name")
         if name[0].isupper():
             self.fail("type names are lowercase", at)
         self.expect(T.EQ, "'='")
-        if self.at(T.LBRACE):
+        if self.kinds[self.pos] == T.LBRACE:
             kind = self._record_kind()
         else:
             kind = self._variant()
         return TypeDecl(name, kind, span=self.starts[start])
 
     def _variant(self):
-        if self.at(T.PIPE):
-            self.next()
+        kinds = self.kinds
+        if kinds[self.pos] == T.PIPE:
+            self.pos += 1
         ctors = [self._ctor()]
-        while self.at(T.PIPE):
-            self.next()
+        while kinds[self.pos] == T.PIPE:
+            self.pos += 1
             ctors.append(self._ctor())
         return VariantKind(ctors)
 
@@ -807,51 +843,64 @@ class _ModuleParser(_P):
         if not name[0].isupper():
             self.fail("constructor names are capitalized", at)
         payload: list[FieldDef] = []
-        if self.at(T.OF):
-            self.next()
+        if self.kinds[self.pos] == T.OF:
+            self.pos += 1
             payload = self._record_kind().fields
         return CtorDef(name, payload, span=self.starts[at])
 
     def _record_kind(self) -> RecordKind:
+        kinds, texts = self.kinds, self.texts
         start = self.expect(T.LBRACE, "'{'")
         fields: list[FieldDef] = []
-        while not self.at(T.RBRACE):
-            mutable = False
-            if self.at(T.MUTABLE):
-                self.next()
-                mutable = True
+        while (kind := kinds[self.pos]) != T.RBRACE:
             at = self.pos
-            name = self.ident("field name")
-            self.expect(T.COLON, "':'")
-            fields.append(FieldDef(name, self.parse_type(), mutable,
+            mutable = kind == T.MUTABLE
+            if mutable:
+                at += 1
+            if kinds[at] != T.IDENT or kinds[at + 1] != T.COLON:
+                self.pos = at
+                self.ident("field name")
+                self.expect(T.COLON, "':'")  # raises
+            self.pos = at + 2
+            fields.append(FieldDef(texts[at], self.parse_type(), mutable,
                                    span=self.starts[at]))
-            if self.at(T.SEMI):
-                self.next()
-            elif not self.at(T.RBRACE):
+            kind = kinds[self.pos]
+            if kind == T.SEMI:
+                self.pos += 1
+            elif kind != T.RBRACE:
                 self.fail("expected ';' or '}' in record declaration")
-        self.next()
+        self.pos += 1
         if not fields:
             self.fail("record declarations need at least one field", start)
         return RecordKind(fields)
 
     def _fun_decl(self) -> FunDecl:
-        start = self.expect(T.LET, "'let'")
+        """The `let` declaration at the cursor, its keyword already
+        tested."""
+        kinds, texts = self.kinds, self.texts
+        start = self.pos
+        self.pos += 1
         name = self.ident("function name")
         params: list[tuple[str, SurfaceType]] = []
-        while self.at(T.LPAREN):
-            self.next()
-            if self.at(T.RPAREN):
-                self.next()
+        while kinds[self.pos] == T.LPAREN:
+            pos = self.pos + 1
+            if kinds[pos] == T.RPAREN:
+                self.pos = pos + 1
                 continue  # unit parameter: contributes nothing
-            pname = self.ident("parameter name")
-            self.expect(T.COLON,
-                        f"a type annotation on parameter '{pname}'")
+            if kinds[pos] != T.IDENT or kinds[pos + 1] != T.COLON:
+                self.pos = pos
+                pname = self.ident("parameter name")
+                self.expect(T.COLON,
+                            f"a type annotation on parameter '{pname}'")
+            self.pos = pos + 2
             ptype = self.parse_type()
-            self.expect(T.RPAREN, "')'")
-            params.append((pname, ptype))
+            if kinds[self.pos] != T.RPAREN:
+                self.expect(T.RPAREN, "')'")  # raises
+            self.pos += 1
+            params.append((texts[pos], ptype))
         ret = None
-        if self.at(T.COLON):
-            self.next()
+        if kinds[self.pos] == T.COLON:
+            self.pos += 1
             ret = self.parse_type()
         self.expect(T.EQ, "'='")
         body = self._block("expected a function body")

@@ -89,16 +89,22 @@ keeps a handler per node class in one table (`_EVAL`, `_PRODUCE`,
 `_CONSUME`, `_EXEC`), and a handler calls its children's straight from
 it: one Python frame per node.  `eval`, `produce`, `consume` and
 `exec_stmt` are the entries from outside; a variable receiver `r.f` is
-read in place.  `_simplify` finds the rule for an operator's name in one table
-(`_RULES`); the sequence operators, the constructor tests and
-projections and the functions without a rule share one fallback.  It
-lifts an operator over an `ite` only in a method that has built one.
+read in place.  `_simplify` finds the rule for an operator's name in one
+probe of one table, `rules`, built once per checker: `_RULES` holds a
+rule for each arithmetic, boolean and sequence operator, and the checker
+adds one for each constructor test `is#C` and projection `proj#p` that
+the program's ADTs declare.  A function without a rule stays
+uninterpreted (`_lifted`).  An operator is lifted over an `ite` only in
+a method that has built one.
 
 Each term is normalised once per substitution: `norm` first probes the
 state's `memo`, for every kind of term, so a term already normalised costs
-one dict probe.  It memoises a symbol too (an unbound one to itself), and
-a normal form to itself; clones share the memo, and a binding starts a
-fresh one, so it lives only as long as the states that use it.
+one dict probe.  The hot readers (`decide`, and `eval` reading a local or
+a cached cell under `produce` and `consume`) make that probe themselves
+and call `norm` only on a miss.  `norm` memoises a symbol too (an
+unbound one to itself), and a normal form to itself; clones share the
+memo, and a binding starts a fresh one, so it lives only as long as the
+states that use it.
 Every heap key, instance argument, fact and stored value of a state is
 in normal form under the state's own substitution, as in Smallfoot's
 symbolic heaps.  `Checker._bind` alone grows the substitution, and it
@@ -358,6 +364,10 @@ class Checker:
                 self.siblings[c.name] = names
                 for p, _ in c.params:
                     self.projections[p] = c.name
+        self.rules = {**self._RULES,
+                      **{f"is#{c}": Checker._s_is for c in self.ctor_params},
+                      **{f"proj#{p}": Checker._s_proj
+                         for p in self.projections}}
         self.diags: list[Diagnostic] = []
         self._splits = 0  # sides a consume may still split into (_Unjoin)
         self._ites = False  # whether _simplify has built an ite (_lifted)
@@ -392,11 +402,12 @@ class Checker:
 
     def _simplify(self, name: str, args: tuple) -> SymVal:
         """`name(args)` over normal `args`, in normal form: the rule for
-        `name` in `_RULES`, else `_s_other`."""
-        return self._RULES.get(name, Checker._s_other)(self, name, args)
+        `name` in `rules`, else `_lifted`, for a function without one."""
+        return self.rules.get(name, Checker._lifted)(self, name, args)
 
-    # One rule per operator, looked up by `_simplify` in `_RULES`.  Each
-    # takes _simplify's arguments: (name, args).
+    # One rule per operator, looked up by `_simplify` in `rules`: `_RULES`,
+    # and a constructor test or projection rule for each name the ADTs
+    # declare.  Each takes _simplify's arguments: (name, args).
 
     def _s_fold(self, name, args) -> SymVal:
         """Fold two int literals by `_FOLD`; a None fold keeps the term."""
@@ -448,51 +459,85 @@ class Checker:
         self._ites = True
         return App(name, args)
 
-    def _s_other(self, name, args) -> SymVal:
-        """The sequence operators and `neg`, the `is#` and `proj#` tests
-        of a constructor, and every function without a rule of its own."""
-        if name == "++":
-            return self._concat(args)
-        if name == "len" and isinstance(args[0], SeqV):
+    def _s_neg(self, name, args) -> SymVal:
+        a = args[0]
+        if isinstance(a, Lit) and isinstance(a.value, int):
+            return Lit(-a.value)
+        return self._lifted(name, args)
+
+    def _s_concat(self, name, args) -> SymVal:
+        parts: list[SymVal] = []
+        for a in _flat(args, "++"):
+            if isinstance(a, SeqV):
+                if not a.args:
+                    continue
+                if parts and isinstance(parts[-1], SeqV):
+                    parts[-1] = SeqV("", parts[-1].args + a.args)
+                    continue
+            parts.append(a)
+        if not parts:
+            return SeqV("", ())
+        if len(parts) == 1:
+            return parts[0]
+        return App("++", tuple(parts))
+
+    def _s_len(self, name, args) -> SymVal:
+        if isinstance(args[0], SeqV):
             return Lit(len(args[0].args))
-        if name == "index" and isinstance(args[0], SeqV):
-            idx = args[1]
-            if isinstance(idx, Lit) and isinstance(idx.value, int):
-                if 0 <= idx.value < len(args[0].args):
-                    return args[0].args[idx.value]
-        if name == "drop" and isinstance(args[0], SeqV):
-            k = args[1]
-            if isinstance(k, Lit) and isinstance(k.value, int):
-                return SeqV("", args[0].args[max(k.value, 0):])
-        if name == "take" and isinstance(args[0], SeqV):
-            k = args[1]
-            if isinstance(k, Lit) and isinstance(k.value, int):
-                return SeqV("", args[0].args[:max(k.value, 0)])
-        if name in ("drop_last", "take_last") and isinstance(args[0], SeqV):
-            elems = args[0].args
-            if elems:
-                return SeqV("", elems[:-1] if name == "drop_last"
-                            else elems[-1:])
-        if name == "neg" and isinstance(args[0], Lit) \
-                and isinstance(args[0].value, int):
-            return Lit(-args[0].value)
-        if name.startswith("is#"):
-            ctor = name[3:]
-            if isinstance(args[0], Ctor):
-                return Lit(args[0].name == ctor)
-        if name.startswith("proj#"):
-            pname = name[5:]
-            target = args[0]
-            if isinstance(target, Ctor) and target.args:
-                params = self.ctor_params.get(target.name, [])
-                if pname in params:
-                    return target.args[params.index(pname)]
+        return self._lifted(name, args)
+
+    def _s_index(self, name, args) -> SymVal:
+        seq, idx = args[0], args[1]
+        if (isinstance(seq, SeqV) and isinstance(idx, Lit)
+                and isinstance(idx.value, int)
+                and 0 <= idx.value < len(seq.args)):
+            return seq.args[idx.value]
+        return self._lifted(name, args)
+
+    def _s_drop(self, name, args) -> SymVal:
+        seq, k = args[0], args[1]
+        if (isinstance(seq, SeqV) and isinstance(k, Lit)
+                and isinstance(k.value, int)):
+            return SeqV("", seq.args[max(k.value, 0):])
+        return self._lifted(name, args)
+
+    def _s_take(self, name, args) -> SymVal:
+        seq, k = args[0], args[1]
+        if (isinstance(seq, SeqV) and isinstance(k, Lit)
+                and isinstance(k.value, int)):
+            return SeqV("", seq.args[:max(k.value, 0)])
+        return self._lifted(name, args)
+
+    def _s_drop_last(self, name, args) -> SymVal:
+        if isinstance(args[0], SeqV) and args[0].args:
+            return SeqV("", args[0].args[:-1])
+        return self._lifted(name, args)
+
+    def _s_take_last(self, name, args) -> SymVal:
+        if isinstance(args[0], SeqV) and args[0].args:
+            return SeqV("", args[0].args[-1:])
+        return self._lifted(name, args)
+
+    def _s_is(self, name, args) -> SymVal:
+        """`is#C`: whether a constructor term is a `C`."""
+        if isinstance(args[0], Ctor):
+            return Lit(args[0].name == name[3:])
+        return self._lifted(name, args)
+
+    def _s_proj(self, name, args) -> SymVal:
+        """`proj#p`: the payload `p` of a constructor term that has one."""
+        target = args[0]
+        if isinstance(target, Ctor) and target.args:
+            params = self.ctor_params.get(target.name, [])
+            if name[5:] in params:
+                return target.args[params.index(name[5:])]
         return self._lifted(name, args)
 
     _RULES = {**dict.fromkeys(_FOLD, _s_fold), "==": _s_eq, "!=": _s_ne,
               "not": _s_not, "&&": _s_andor, "||": _s_andor, "ite": _s_ite,
-              **dict.fromkeys(("++", "len", "index", "drop", "take",
-                               "drop_last", "take_last", "neg"), _s_other)}
+              "neg": _s_neg, "++": _s_concat, "len": _s_len,
+              "index": _s_index, "drop": _s_drop, "take": _s_take,
+              "drop_last": _s_drop_last, "take_last": _s_take_last}
 
     def _lifted(self, name: str, args: tuple) -> SymVal:
         """`name(args)`, lifted over an argument that is an `ite` with
@@ -510,22 +555,6 @@ class Checker:
                     c, self._simplify(name, args[:i] + (x,) + args[i + 1:]),
                     self._simplify(name, args[:i] + (y,) + args[i + 1:])))
         return App(name, args)
-
-    def _concat(self, args: tuple) -> SymVal:
-        parts: list[SymVal] = []
-        for a in _flat(args, "++"):
-            if isinstance(a, SeqV):
-                if not a.args:
-                    continue
-                if parts and isinstance(parts[-1], SeqV):
-                    parts[-1] = SeqV("", parts[-1].args + a.args)
-                    continue
-            parts.append(a)
-        if not parts:
-            return SeqV("", ())
-        if len(parts) == 1:
-            return parts[0]
-        return App("++", tuple(parts))
 
     def _norm_eq(self, a: SymVal, b: SymVal) -> SymVal:
         if a == b:
@@ -551,7 +580,9 @@ class Checker:
     # -- deciding and assuming ------------------------------------------------
 
     def decide(self, st: SymState, v: SymVal) -> bool | None:
-        n = self.norm(v, st)
+        n = st.memo.get(v)
+        if n is None:
+            n = self.norm(v, st)
         if isinstance(n, Lit):
             return bool(n.value)
         if n in st.facts:
@@ -713,7 +744,10 @@ class Checker:
                       f"use of undeclared variable '{e.name}'", span)
             store[e.name] = self.fresh(e.name)
         v = store[e.name]
-        return v if cache is None else self.norm(v, st)
+        if cache is None:
+            return v
+        n = st.memo.get(v)
+        return self.norm(v, st) if n is None else n
 
     def _eval_field(self, st, e, store, cache, span) -> SymVal:
         """The held cell's value, else the value kept for the cell in
@@ -727,7 +761,8 @@ class Checker:
         if type(base) is V.Var and base.name in store:  # `_eval_var`
             base = store[base.name]
             if cache is not None:
-                base = self.norm(base, st)
+                n = st.memo.get(base)
+                base = self.norm(base, st) if n is None else n
         else:
             base = self._EVAL[type(base)](self, st, base, store, cache, span)
         name = e.fieldname
@@ -744,7 +779,8 @@ class Checker:
             if val is None:
                 val = cache[key] = self.fresh(name)
             else:
-                val = self.norm(val, st)
+                n = st.memo.get(val)
+                val = self.norm(val, st) if n is None else n
         return val
 
     def _eval_is(self, st, e, store, cache, span) -> SymVal:

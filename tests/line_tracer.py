@@ -16,7 +16,8 @@ and again before each test call: Python removes a tracer that raises, and
 a test that overflows the stack on purpose makes it raise.  Installed only
 once, it saw 456 unreached lines instead of 170.
 
-Code that runs only in a subprocess is not seen: most of `cli.main` runs
+Code that runs only in a subprocess is not seen: `cli.main` also runs in
+process, but the `main()` call under `if __name__ == "__main__"` runs
 only in the subprocess of the golden-stderr test, so it is listed.
 """
 

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import gospel2viper
 import pytest
-from gospel2viper.cli import RunConfig, run
+from gospel2viper.cli import VERIFIER_ENV, RunConfig, main, run
 from gospel2viper.parser import MAX_NESTING
 from gospel2viper.viper_ast import BINARY, pretty
 from gospel2viper.viper_parser import reparse
@@ -1370,3 +1370,18 @@ def test_corpus_check_stderr_matches_golden(tmp_path, corpus, golden):
     assert proc.returncode == 1, proc.stderr
     expected = (golden / "corpus_check.stderr").read_text(encoding="utf-8")
     assert proc.stderr == expected
+
+
+@pytest.mark.parametrize("flags", [["--check"], ["--check", "--strict"]])
+def test_main_in_process_gives_what_run_gives(tmp_path, corpus, capsys,
+                                              monkeypatch, flags):
+    # `main`'s argparse wiring, run in this process: its exit status,
+    # stdout and stderr are those of `run` on the same inputs and options
+    monkeypatch.delenv(VERIFIER_ENV, raising=False)
+    files = sorted(str(p) for p in corpus.glob("*.ml"))
+    with pytest.raises(SystemExit) as stop:
+        main([*files, *flags, "-o", str(tmp_path)])
+    out, err = capsys.readouterr()
+    assert (stop.value.code, out, err) == invoke(
+        *files, output=str(tmp_path), check=True, strict="--strict" in flags)
+    assert stop.value.code == 1 and "error[" in err
