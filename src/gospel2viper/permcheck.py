@@ -38,14 +38,17 @@ Otherwise both states go on, and past MAX_PATHS states the excess is
 dropped with a warning (an error under `strict`).  A chain of K joins
 costs time linear in K, not 2^K paths.
 
-The state records the guards of its joins.  A consumed condition that the
-joined state leaves undecided is decided on each side of a join whose
-guard it mentions, with the state normalised under that guard taken as
-true or false and the guard or its negation assumed, down to MAX_PATHS
-sides; false on any side is false, as on the two paths the join
-replaced.  When a conditional assertion takes a different branch on
-each side, the consuming step (a fold, a call, the postcondition) runs
-on each side instead.
+The state records the guards of its joins.  A join dropped its guard
+from the facts, so a consumed condition, pure or the guard of a
+conditional assertion, can be undecided in the joined state and decided
+on each side.  One mechanism reads it there: when such a condition
+mentions a join's guard, the consuming step (a fold, a call, the
+postcondition) stops and runs again on each feasible side, the state
+normalised under that guard taken as true or false and the guard or its
+negation assumed, as on the two paths the join replaced.  Each side may
+split again, down to MAX_PATHS sides, and the two sides' states are
+joined again as after an `if`.  A condition that mentions no guard, or
+that is undecided past the last split, is reported as undecided.
 
 Normalization evaluates the sequence helpers (`drop_last`, `take_last`)
 and all sequence/arithmetic/constructor operators on literal operands,
@@ -309,8 +312,8 @@ class SymState(Record, uncompared=("memo",), heap={}, preds={}, facts={},
 
 
 class _Unjoin(Exception):
-    """A consume must pick a different branch on each side of the join on
-    `guard`; `Checker._split_run` catches it and splits the state."""
+    """A condition a consume reads is undecided but mentions `guard`, the
+    guard of a join; `Checker._split_run` catches it and splits the state."""
 
     def __init__(self, guard: SymVal):
         super().__init__(guard)
@@ -592,50 +595,33 @@ class Checker:
             return False
         return None
 
-    def _sides(self, st: SymState, v: SymVal, budget: int = MAX_PATHS
-               ) -> set:
-        """The verdicts on `v`, undecided in `st`, on each side of the joins
-        whose ites it holds, down to at most `budget` sides; {None} if it
-        holds none.  A join dropped its guard from the facts, so this is
-        how a condition false on one side is still found false."""
-        if not st.joins or budget < 2:
-            return {None}
-        guard = self._join_guard(st, v)
-        if guard is None:
-            return {None}
-        out = set()
-        for side in (True, False):
-            found = self._side(st, guard, side, v)
-            if found is not None:
-                s, w = found
-                verdict = self.decide(s, w)
-                out |= ({verdict} if verdict is not None
-                        else self._sides(s, w, budget // 2))
-        return out
+    def _unjoin(self, st: SymState, v: SymVal) -> None:
+        """Raise `_Unjoin` on the first guard of a join in normal `v`,
+        undecided in `st`, in pre-order (as the condition of an ite, or
+        itself, as a lift over an ite leaves it), if `_split_run` may still
+        split `st`."""
+        if st.joins and self._splits > 1:
+            guard = _first(v, {self.norm(g, st) for g in st.joins})
+            if guard is not None:
+                raise _Unjoin(guard)
 
-    def _join_guard(self, st: SymState, v: SymVal) -> SymVal | None:
-        """The first guard of a join in normal `v`, in pre-order: as the
-        condition of an ite, or itself, as a lift over an ite leaves it."""
-        return _first(v, {self.norm(g, st) for g in st.joins})
-
-    def _side(self, st: SymState, guard: SymVal, side: bool,
-              v: SymVal = TRUE) -> tuple | None:
-        """A copy of `st`, and `v`, normalised with the guard of a join as
-        the literal `side`, which picks one arm of each `ite(guard, x, y)`,
-        and with the guard or its negation as a fact; None if infeasible.
-        The fact refines nothing: a guard that bound a symbol or split into
+    def _side(self, st: SymState, guard: SymVal, side: bool
+              ) -> SymState | None:
+        """A copy of `st` normalised with the guard of a join as the literal
+        `side`, which picks one arm of each `ite(guard, x, y)`, and with the
+        guard or its negation as a fact; None if infeasible.  The fact
+        refines nothing: a guard that bound a symbol or split into
         conjuncts would have stopped the join."""
         s = st.clone()
         s.memo = {guard: Lit(side)}
         self._renormalise(s)
-        v = self.norm(v, s)
         s.memo = st.memo  # the same substitution: its normal forms hold
         s.joins = tuple(g for g in s.joins if self.norm(g, s) != guard)
         fact = guard if side else self._simplify("not", (guard,))
         if FALSE in s.facts or self._simplify("not", (fact,)) in s.facts:
             return None
         s.facts[fact] = None
-        return s, v
+        return s
 
     def assume(self, st: SymState, v: SymVal) -> bool:
         """Add a fact; returns False when the state became infeasible."""
@@ -942,10 +928,6 @@ class Checker:
         at = span if a.span is None else a.span
         val = self._EVAL[type(a.expr)](self, st, a.expr, store, cache, at)
         verdict = self.decide(st, val)
-        if verdict is None:
-            sides = self._sides(st, val)
-            verdict = (False if False in sides
-                       else None if None in sides else True)
         if verdict is True:
             return True
         if verdict is False:
@@ -953,6 +935,7 @@ class Checker:
                       f"{ctx.what}: condition {V.expr_str(a.expr)} "
                       f"is false", at)
             return False
+        self._unjoin(st, val)
         if self.strict:
             self._err(Category.PURE_OBLIGATION,
                       f"{ctx.what}: cannot establish "
@@ -1005,12 +988,7 @@ class Checker:
         cond = self._EVAL[type(a.cond)](self, st, a.cond, store, cache, at)
         verdict = self.decide(st, cond)
         if verdict is None:
-            sides = self._sides(st, cond)
-            if sides == {True, False} and self._splits > 1:
-                raise _Unjoin(self._join_guard(st, cond))
-            if None not in sides and len(sides) < 2:
-                verdict = False not in sides
-        if verdict is None:
+            self._unjoin(st, cond)
             self._err(Category.UNDECIDABLE_BRANCH,
                       f"{ctx.what}: cannot decide "
                       f"{V.expr_str(a.cond)} to pick a branch", at)
@@ -1087,11 +1065,7 @@ class Checker:
                 if self.assume(st, cond) else [])
         els = (self._step_all([other], s.els, self.exec_stmt)
                if self.assume(other, self._op(other, "not", (cond,))) else [])
-        if len(then) == 1 and len(els) == 1:
-            joined = self._join(mark, then[0], els[0])
-            if joined is not None:
-                return [joined]
-        return then + els
+        return self._rejoin(mark, then, els)
 
     def _exec_fold(self, st, s) -> list[SymState]:
         return self._split_run(st, lambda cur: self._fold(cur, s))
@@ -1099,8 +1073,19 @@ class Checker:
     def _exec_call(self, st, s) -> list[SymState]:
         return self._split_run(st, lambda cur: self._call(cur, s))
 
+    def _rejoin(self, mark: int, then: list[SymState], els: list[SymState]
+                ) -> list[SymState]:
+        """The states of the two sides of a fork: the one state `_join`
+        makes of them when each side ends in one, else all of them."""
+        if len(then) == 1 and len(els) == 1:
+            joined = self._join(mark, then[0], els[0])
+            if joined is not None:
+                return [joined]
+        return then + els
+
     def _join(self, mark: int, a: SymState, b: SymState) -> SymState | None:
-        """Merge the two sides `a` and `b` of an `if` into `a`, or None.
+        """Merge the two sides `a` and `b` of an `if` or a split into `a`,
+        or None.
 
         They merge when each holds the `mark` facts before the `if` plus
         its guard, and they differ only in the values of Int or Bool heap
@@ -1147,10 +1132,11 @@ class Checker:
 
     def _split_run(self, st: SymState, run, budget: int = MAX_PATHS
                    ) -> list[SymState]:
-        """`run(st)`, a step that consumes.  If a conditional assertion it
-        consumes takes a different branch on the two sides of a join, the
-        step instead runs on each side, as if that `if` had forked, down to
-        at most `budget` sides."""
+        """`run(st)`, a step that consumes.  If a condition it consumes is
+        undecided in `st` and mentions the guard of a join, the step instead
+        runs on each feasible side of that join, as if the `if` had forked,
+        down to at most `budget` sides, and the two sides' states are joined
+        again (`_rejoin`)."""
         if not st.joins:
             return run(st)
         saved, mark, outer = st.clone(), len(self.diags), self._splits
@@ -1159,12 +1145,12 @@ class Checker:
             return run(st)
         except _Unjoin as e:
             del self.diags[mark:]
-            out = []
+            sides = []
             for side in (True, False):
-                found = self._side(saved, e.guard, side)
-                if found is not None:
-                    out.extend(self._split_run(found[0], run, budget // 2))
-            return out
+                s = self._side(saved, e.guard, side)
+                sides.append([] if s is None
+                             else self._split_run(s, run, budget // 2))
+            return self._rejoin(len(saved.facts), *sides)
         finally:
             self._splits = outer
 

@@ -455,10 +455,4 @@ class _R:
 
 def reparse(text: str) -> ViperProgram:
     """Parse printer-shaped Viper text back into an AST."""
-    toks = lex_viper(text)
-    r = _R(toks, len(text))
-    program = r.parse_program()
-    if r.peek() is not None:
-        raise ViperParseError("trailing input after program",
-                              r.peek().pos)  # pragma: no cover
-    return program
+    return _R(lex_viper(text), len(text)).parse_program()

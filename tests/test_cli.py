@@ -122,6 +122,31 @@ def test_without_check_the_same_file_passes(tmp_path):
     assert status == 0 and err == ""
 
 
+SPLIT_JOIN = """\
+type t = { mutable v : int; mutable w : int; mutable b : bool }
+(*@ predicate q (c: t) = c ~> {b} && (if c.b then c ~> {w} else true) *)
+let f (c: t) (n: int) =
+  if c.v > n then c.v <- n else (c.w <- 1; c.b <- true);
+  (*@ fold q c *)
+  c.w <- 1
+(*@ f c n requires c ~> {v; w; b} ensures q c && c ~> {v} *)
+"""
+
+
+def test_a_join_hides_no_error_after_a_fold_it_splits(tmp_path):
+    # c.b is undecided on the then side of the join and true on the else
+    # side: the fold runs on each, so the else side gives up c.w and the
+    # write after the fold has no permission, as on the two paths
+    src = tmp_path / "split.ml"
+    src.write_text(SPLIT_JOIN)
+    status, _, err = invoke(src, check=True)
+    assert status == 1
+    assert err.splitlines() == [
+        f"{src}:2:39: error[undecidable-branch]: fold Q(c): cannot decide "
+        f"c.b to pick a branch",
+        f"{src}:6:3: error[permission]: no permission to write c.w"]
+
+
 def test_diagnostic_format_and_position(tmp_path):
     src = tmp_path / "bad.ml"
     src.write_text(BAD_WRITE)

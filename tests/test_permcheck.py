@@ -1316,7 +1316,8 @@ def test_conditional_contract_splits_a_join(where):
 
 def test_conditional_contract_decided_alike_on_both_sides_of_a_join():
     # x.val > 0 holds on each side of the join, though not in the joined
-    # state, so the call takes the then branch without splitting
+    # state, so the call runs on each side, takes the then branch on both,
+    # and the two sides join again
     text = """
 field val: Int
 method g(x: Ref) requires acc(x.val) && (x.val > 0 ? true : false)
@@ -1366,16 +1367,19 @@ def test_join_on_a_negated_guard_reports_what_the_two_paths_report(
             (Category.PERMISSION, "fold Q(c): no permission to give up c.w")]
 
 
-def joined_q(k, tail):
+def joined_q(k, tail, g=False):
     """k guarded increments of r.f0, then `tail`: r.f0 ends as a value
-    that k joins built."""
-    lines = ["type t = { mutable f0 : int }",
+    that k joins built.  With `g`, the record has a second field `g`,
+    held from start to end."""
+    lines = ["type t = { mutable f0 : int" + ("; mutable g : int }" if g
+                                               else " }"),
              "(*@ predicate p (r: t) = r ~> {f0} *)",
              "(*@ predicate q (r: t) (n: int) = r ~> {f0} && r.f0 = n *)",
              "let bump (r: t) (a: int) (b: int) =", "  (*@ unfold p r *)"]
     lines += [f"  if a > {i} then r.f0 <- r.f0 + {i};"
               for i in range(1, k + 1)]
-    lines += [tail, "  ()", "(*@ bump r a b requires p r *)"]
+    lines += [tail, "  ()", "(*@ bump r a b requires p r"
+              + (" && r ~> {g} ensures r ~> {g} *)" if g else " *)")]
     program, diags = translate_source("\n".join(lines) + "\n")
     assert program is not None and not diags
     return program
@@ -1395,6 +1399,105 @@ def test_diagnostics_on_shared_joined_values_stay_cheap(tail, message):
     assert time.perf_counter() - start < 1.0
     assert any(message in d.message for d in diags)
     assert all(len(d.message) < 200 for d in diags)
+
+
+@pytest.mark.parametrize("k", [6, 22])
+def test_a_split_that_decides_nothing_goes_on_as_one_state(k):
+    # the fold's condition r.f0 == n is undecided on every side of every
+    # join, so the fold splits down to MAX_PATHS sides; each side ends in
+    # one state and the sides join again, so the two ifs that follow, on
+    # guards that bind b, leave three states, not three times 32
+    program = joined_q(k, "  (*@ fold q r b *)\n"
+                       "  if b = 0 then r.g <- 1 else r.g <- 2;\n"
+                       "  if b = 1 then r.g <- 1 else r.g <- 2;", g=True)
+    assert [(d.severity, d.message) for d in check_program(program)] == [
+        (Severity.OBLIGATION,
+         "fold Q(r, b): r.f0 == n is assumed, not proved")] + [
+        (Severity.WARNING, f"bump leaks 1 instance(s) of Q(r, {n})")
+        for n in ("0", "1", "b")]
+
+
+# -- joins against path enumeration --------------------------------------------
+
+JOIN_HEADER = """
+field v: Int
+field w: Int
+field b: Bool
+predicate P(c: Ref) { acc(c.v) }
+predicate Q(c: Ref) { acc(c.b) && (c.b ? acc(c.w) : true) }
+"""
+JOIN_GUARDS = ["c.b", "!c.b", "c.v > n", "n == 2", "c.w > 0", "c.v == 1",
+               "n > 0", "c.w == n"]
+JOIN_WRITES = ["c.v := n", "c.v := 1", "c.v := c.v + 1", "c.w := 1",
+               "c.w := n", "c.b := true", "c.b := false"]
+JOIN_GHOSTS = ["fold P(c)", "unfold P(c)", "fold Q(c)", "unfold Q(c)"]
+JOIN_PRES = ["acc(c.v) && acc(c.w) && acc(c.b)", "P(c) && Q(c)",
+             "acc(c.v) && Q(c)", "P(c) && acc(c.w) && acc(c.b)"]
+JOIN_POSTS = JOIN_PRES + ["Q(c) && acc(c.v)", "Q(c) && acc(c.v) && c.v > n",
+                          "P(c) && acc(c.b) && acc(c.w) && c.w == 1"]
+
+
+def join_method(rng):
+    """A method over P and Q of 2-5 statements: field writes, ghost
+    commands and ifs nested at most twice, each side 0-2 statements."""
+    def stmt(depth):
+        r = rng.random()
+        if r < 0.35 and depth < 2:
+            then, els = (block(rng.randint(0, 2), depth + 1)
+                         for _ in range(2))
+            return (f"if ({rng.choice(JOIN_GUARDS)}) {{\n{then}\n}} "
+                    f"else {{\n{els}\n}}")
+        return rng.choice(JOIN_WRITES if r < 0.7 else JOIN_GHOSTS)
+
+    def block(k, depth):
+        return "\n".join(stmt(depth) for _ in range(k))
+
+    return (f"{JOIN_HEADER}method m(c: Ref, n: Int)\n"
+            f"  requires {rng.choice(JOIN_PRES)}\n"
+            f"  ensures {rng.choice(JOIN_POSTS)}\n"
+            f"{{\n{block(rng.randint(2, 5), 0)}\n}}\n")
+
+
+def test_joins_never_hide_an_error(monkeypatch):
+    """Every permission, fold-mismatch and contract-violation error that
+    path enumeration reports is reported with joins too: merging may change
+    what a query costs, not its answer (Kuznetsov et al., "Efficient State
+    Merging in Symbolic Execution", PLDI 2012).
+
+    Path enumeration is the checker with `_join` refusing every merge.  It
+    also drops a state whose facts hold some `f` and `not f`: a binding can
+    turn two facts into such a pair, which the checker does not notice, and
+    an error on that infeasible path would be a false alarm of the oracle.
+    Two differences are allowed:
+    - the joined run can report more errors: a join drops the facts that
+      made a path infeasible;
+    - the joined run can decide a branch that path enumeration reports as
+      undecidable, by splitting on a join's guard: it is more precise."""
+    kept = (Category.PERMISSION, Category.FOLD_MISMATCH,
+            Category.CONTRACT_VIOLATION)
+
+    def errors(diags):
+        return {(d.category, d.message, d.span) for d in diags
+                if d.severity is Severity.ERROR and d.category in kept}
+
+    renormalise = Checker._renormalise
+
+    def pruning(self, st, s=None):
+        renormalise(self, st, s)
+        if any(self._simplify("not", (f,)) in st.facts for f in st.facts):
+            st.facts[FALSE] = None
+
+    rng = random.Random(1)
+    for _ in range(2000):
+        text = join_method(rng)
+        program = reparse(text)
+        for strict in (False, True):
+            joined = errors(check_program(program, strict=strict))
+            with monkeypatch.context() as m:
+                m.setattr(Checker, "_join", lambda self, mark, a, b: None)
+                m.setattr(Checker, "_renormalise", pruning)
+                paths = errors(check_program(program, strict=strict))
+            assert paths <= joined, (text, strict)
 
 
 def test_if_joins_int_locals():

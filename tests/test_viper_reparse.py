@@ -8,7 +8,8 @@ import random
 
 from gospel2viper.viper_ast import (AndA, AssignS, CallS, CondA, FieldAcc,
                                     FunApp, IntLit, IsTest, LetA, NewS,
-                                    PredApp, Pure, UnOp, Var, pretty)
+                                    PredApp, Pure, UnOp, Var, ViperLexError,
+                                    pretty)
 from gospel2viper.viper_parser import ViperParseError, reparse
 
 from astgen import gen_program
@@ -133,6 +134,30 @@ def test_trailing_garbage_is_rejected():
 def test_unbalanced_input_is_rejected():
     with pytest.raises(ViperParseError):
         reparse("method m() {")
+
+
+@pytest.mark.parametrize("text, error, message, pos", [
+    ("field x: Int #", ViperLexError, "unexpected character '#'", 13),
+    ("field x: Int /* oops", ViperLexError, "unterminated comment", 13),
+    ("field ²x: Int", ViperLexError, "unexpected character '²'", 6),
+    ("field", ViperParseError, "expected an identifier", 5),
+    ("function f(): Int\n{\n  1 +", ViperParseError,
+     "expected an expression", 25),
+    ("function f(): Int\n{\n  )\n}", ViperParseError,
+     "unexpected ')' in expression", 22),
+    ("method m()\n  requires", ViperParseError, "expected an assertion", 21),
+    ("field val: Int\nmethod g() returns (r: Int)\nmethod m(x: Ref)\n{\n"
+     "  x.val := g()\n}", ViperParseError,
+     "call targets must be plain variables", 73),
+])
+def test_each_lex_and_parse_error_names_its_cause(text, error, message, pos):
+    # one malformed input per error that `lex_viper` and `reparse` raise;
+    # a call's field target is reported at the callee's name
+    with pytest.raises(error) as caught:
+        reparse(text)
+    assert type(caught.value) is error
+    assert str(caught.value).startswith(message)
+    assert caught.value.pos == pos
 
 
 # -- the round trip ---------------------------------------------------------------
