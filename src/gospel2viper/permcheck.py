@@ -47,8 +47,10 @@ postcondition) stops and runs again on each feasible side, the state
 normalised under that guard taken as true or false and the guard or its
 negation assumed, as on the two paths the join replaced.  Each side may
 split again, down to MAX_PATHS sides, and the two sides' states are
-joined again as after an `if`.  A condition that mentions no guard, or
-that is undecided past the last split, is reported as undecided.
+joined again as after an `if`, if they still agree on the facts before
+the split: taking the guard as true or false rewrites a fact that read a
+joined value.  A condition that mentions no guard, or that is undecided
+past the last split, is reported as undecided.
 
 Normalization evaluates the sequence helpers (`drop_last`, `take_last`)
 and all sequence/arithmetic/constructor operators on literal operands,
@@ -1087,9 +1089,12 @@ class Checker:
         """Merge the two sides `a` and `b` of an `if` or a split into `a`,
         or None.
 
-        They merge when each holds the `mark` facts before the `if` plus
-        its guard, and they differ only in the values of Int or Bool heap
-        cells and locals; each such value becomes `ite(guard, a's, b's)`.
+        They merge when each holds the same `mark` facts, those before the
+        fork, plus its guard, and they differ only in the values of Int or
+        Bool heap cells and locals; each such value becomes
+        `ite(guard, a's, b's)`.  The two sides of a split each rewrite the
+        facts before it with the guard true or false, so a fact that read a
+        joined value can differ between them, and then they stay apart.
         The guard is the fact the then side assumed last, so it is normal
         in `a`, as the values are, and equal values are one term.  A guard
         `not(g)` is kept as `g`, with the arms swapped, so that a later
@@ -1098,6 +1103,7 @@ class Checker:
         each local once.  The guards are dropped from the facts:
         `guard || !guard` holds."""
         if (len(a.facts) != mark + 1 or len(b.facts) != mark + 1
+                or list(a.facts)[:mark] != list(b.facts)[:mark]
                 or a.subst != b.subst or a.preds != b.preds
                 or a.heap.keys() != b.heap.keys()
                 or a.store.keys() != b.store.keys()):
