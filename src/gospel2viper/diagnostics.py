@@ -136,6 +136,9 @@ class Category(Enum):
 class Diagnostic(Record, uncompared=(), span=None):
     __slots__ = ("severity", "category", "message", "span")
 
+    def __hash__(self) -> int:
+        return hash((self.severity, self.category, self.message, self.span))
+
     def render(self, path: str, index: "LineIndex | None" = None) -> str:
         line, col = (0, 0)
         if self.span is not None and index is not None:

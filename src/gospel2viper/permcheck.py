@@ -27,30 +27,33 @@ the body, so an instance is added only by `produce` and removed only by
 `consume`.
 
 An `if` with an unknown guard `c` runs both sides, then joins them into
-one state when each side ends in one state whose facts are the facts
-before the `if` plus its guard, and the two agree on the substitution,
-the instances and the heap and store keys, differing only in the values
-of Int or Bool fields and locals, a local's type being recorded as its
-declaration runs.  Each differing value becomes `ite(c, then's,
-else's)` and the guard leaves the facts, since `c || !c` holds.  A
-joined Ref would match no held cell, so Ref values are never joined.
-Otherwise both states go on, and past MAX_PATHS states the excess is
-dropped with a warning (an error under `strict`).  A chain of K joins
-costs time linear in K, not 2^K paths.
+one state when each side ends in one state, the two sides' facts agree
+apart from `c` and its negation, and the sides agree on the
+substitution, the instances and the heap and store keys, differing only
+in the values of Int or Bool fields and locals, a local's type being
+recorded as its declaration runs.  Each differing value becomes `ite(c,
+then's, else's)`, the facts both sides hold stay, and the guard leaves
+them, since `c || !c` holds: as in state merging, two states that agree
+apart from the guard merge (Kuznetsov et al., "Efficient State Merging in
+Symbolic Execution", PLDI 2012).  A joined Ref would match no held cell,
+so Ref values are never joined.  Otherwise both states go on, and past
+MAX_PATHS states the excess is dropped with a warning (an error under
+`strict`).  A chain of K joins costs time linear in K, not 2^K paths.
 
-The state records the guards of its joins.  A join dropped its guard
-from the facts, so a consumed condition, pure or the guard of a
-conditional assertion, can be undecided in the joined state and decided
-on each side.  One mechanism reads it there: when such a condition
-mentions a join's guard, the consuming step (a fold, a call, the
-postcondition) stops and runs again on each feasible side, the state
-normalised under that guard taken as true or false and the guard or its
-negation assumed, as on the two paths the join replaced.  Each side may
-split again, down to MAX_PATHS sides, and the two sides' states are
-joined again as after an `if`, if they still agree on the facts before
-the split: taking the guard as true or false rewrites a fact that read a
-joined value.  A condition that mentions no guard, or that is undecided
-past the last split, is reported as undecided.
+The state keeps the guards of its joins, in normal form as its facts
+are.  A join dropped its guard from the facts, so a consumed condition,
+pure or the guard of a conditional assertion, can be undecided in the
+joined state and decided on each side.  One mechanism reads it there:
+when such a condition mentions a join's guard, the consuming step (a
+fold, a call, the postcondition) stops and runs again on each feasible
+side, the state normalised under that guard taken as true or false and
+the guard or its negation assumed, as on the two paths the join
+replaced.  Each side may split again, down to MAX_PATHS sides, and the
+two sides' states are joined on that guard as after an `if`, by the same
+rule: taking the guard as true or false rewrites a fact that read a
+joined value, and sides whose facts then differ stay apart.  A condition
+that mentions no guard, or that is undecided past the last split, is
+reported as undecided.
 
 Normalization evaluates the sequence helpers (`drop_last`, `take_last`)
 and all sequence/arithmetic/constructor operators on literal operands,
@@ -110,15 +113,15 @@ and call `norm` only on a miss.  `norm` memoises a symbol too (an
 unbound one to itself), and a normal form to itself; clones share the
 memo, and a binding starts a fresh one, so it lives only as long as the
 states that use it.
-Every heap key, instance argument, fact and stored value of a state is
-in normal form under the state's own substitution, as in Smallfoot's
-symbolic heaps.  `Checker._bind` alone grows the substitution, and it
-restores that invariant for only the facts, values, keys and instance
-arguments that mention the bound symbol, as congruence closure revisits
-only the terms that use a merged one (Downey, Sethi and Tarjan,
-"Variations on the Common Subexpression Problem"); `_bind` says why a
-term without that symbol stays normal.  It memoises each such term as
-its own normal form in the fresh memo.
+Every heap key, instance argument, fact, join guard and stored value of
+a state is in normal form under the state's own substitution, as in
+Smallfoot's symbolic heaps.  `Checker._bind` alone grows the
+substitution, and it restores that invariant for only the facts, guards,
+values, keys and instance arguments that mention the bound symbol, as
+congruence closure revisits only the terms that use a merged one (Downey,
+Sethi and Tarjan, "Variations on the Common Subexpression Problem");
+`_bind` says why a term without that symbol stays normal.  It memoises
+each such term as its own normal form in the fresh memo.
 
 One rule follows: every value `eval` returns is normal in the state it
 reads.  Its leaves are literals, held cells' values and the state's
@@ -130,10 +133,10 @@ normal form, and `_op` memoises it as its own.  No caller normalises what
 `eval` returns: a field read probes the heap with its receiver as it is,
 keys and instance arguments are stored as evaluated, and `decide` finds a
 fact without normalising the table again.  A value held across a step
-that binds goes stale, so a join takes its guard from the then side's
-facts.  `decide` and `assume` normalise what they are given: terms reach
-them from outside `eval`, and `assume` splits an `&&` whose later parts go
-stale once an earlier part binds a symbol.
+that binds goes stale, so a join normalises the guard that its fork
+evaluated.  `decide` and `assume` normalise what they are given: terms
+reach them from outside `eval`, and `assume` splits an `&&` whose later
+parts go stale once an earlier part binds a symbol.
 
 On a failed access the checker reports once and then repairs the state
 (adds the missing cell or carries on past the missing instance) so one
@@ -152,6 +155,14 @@ from .diagnostics import (Category, Diagnostic, Handlers, Record, Severity,
 MAX_PATHS = 32
 _SCALAR = frozenset({"Int", "Bool"})  # types whose values a join merges
 _FOLD = {op.viper: op.fold for op in V.BINARY if op.fold is not None}
+# what each sequence operator gives on the elements `xs` of a literal
+# sequence and, for a binary one, an int `k`; None where it is undefined
+_SEQ = {"len": lambda xs: Lit(len(xs)),
+        "index": lambda xs, k: xs[k] if 0 <= k < len(xs) else None,
+        "drop": lambda xs, k: SeqV("", xs[max(k, 0):]),
+        "take": lambda xs, k: SeqV("", xs[:max(k, 0)]),
+        "drop_last": lambda xs: SeqV("", xs[:-1]) if xs else None,
+        "take_last": lambda xs: SeqV("", xs[-1:]) if xs else None}
 
 # -- symbolic values -----------------------------------------------------------
 
@@ -292,7 +303,7 @@ def _infix(v: SymVal) -> bool:
 
 
 class SymState(Record, uncompared=("memo",), heap={}, preds={}, facts={},
-               store={}, subst={}, memo={}, joins=()):
+               store={}, subst={}, memo={}, joins={}):
     __slots__ = (
         # the held cells: a key is a whole permission, its value the field's
         "heap",  # {(recv, field): SymVal}
@@ -304,7 +315,9 @@ class SymState(Record, uncompared=("memo",), heap={}, preds={}, facts={},
         "subst",  # {Sym: SymVal}
         # {term: normal form} under subst, replaced as subst grows
         "memo",
-        "joins",  # the guards of the joins whose ites values hold
+        # the guards of the joins whose ites values hold, in normal form;
+        # replaced, never changed in place, so clones share it
+        "joins",  # {bool SymVal: None}
     )
 
     def clone(self) -> "SymState":
@@ -486,41 +499,20 @@ class Checker:
             return parts[0]
         return App("++", tuple(parts))
 
-    def _s_len(self, name, args) -> SymVal:
-        if isinstance(args[0], SeqV):
-            return Lit(len(args[0].args))
-        return self._lifted(name, args)
-
-    def _s_index(self, name, args) -> SymVal:
-        seq, idx = args[0], args[1]
-        if (isinstance(seq, SeqV) and isinstance(idx, Lit)
-                and isinstance(idx.value, int)
-                and 0 <= idx.value < len(seq.args)):
-            return seq.args[idx.value]
-        return self._lifted(name, args)
-
-    def _s_drop(self, name, args) -> SymVal:
-        seq, k = args[0], args[1]
-        if (isinstance(seq, SeqV) and isinstance(k, Lit)
-                and isinstance(k.value, int)):
-            return SeqV("", seq.args[max(k.value, 0):])
-        return self._lifted(name, args)
-
-    def _s_take(self, name, args) -> SymVal:
-        seq, k = args[0], args[1]
-        if (isinstance(seq, SeqV) and isinstance(k, Lit)
-                and isinstance(k.value, int)):
-            return SeqV("", seq.args[:max(k.value, 0)])
-        return self._lifted(name, args)
-
-    def _s_drop_last(self, name, args) -> SymVal:
-        if isinstance(args[0], SeqV) and args[0].args:
-            return SeqV("", args[0].args[:-1])
-        return self._lifted(name, args)
-
-    def _s_take_last(self, name, args) -> SymVal:
-        if isinstance(args[0], SeqV) and args[0].args:
-            return SeqV("", args[0].args[-1:])
+    def _s_seq(self, name, args) -> SymVal:
+        """A sequence operator on a literal sequence and, for a binary one,
+        an int literal, by `_SEQ`; else, or where it is undefined, the
+        term is kept (`_lifted`)."""
+        seq, rest = args[0], args[1:]
+        if isinstance(seq, SeqV):
+            if not rest:
+                v = _SEQ[name](seq.args)
+            elif isinstance(rest[0], Lit) and isinstance(rest[0].value, int):
+                v = _SEQ[name](seq.args, rest[0].value)
+            else:
+                v = None
+            if v is not None:
+                return v
         return self._lifted(name, args)
 
     def _s_is(self, name, args) -> SymVal:
@@ -540,9 +532,7 @@ class Checker:
 
     _RULES = {**dict.fromkeys(_FOLD, _s_fold), "==": _s_eq, "!=": _s_ne,
               "not": _s_not, "&&": _s_andor, "||": _s_andor, "ite": _s_ite,
-              "neg": _s_neg, "++": _s_concat, "len": _s_len,
-              "index": _s_index, "drop": _s_drop, "take": _s_take,
-              "drop_last": _s_drop_last, "take_last": _s_take_last}
+              "neg": _s_neg, "++": _s_concat, **dict.fromkeys(_SEQ, _s_seq)}
 
     def _lifted(self, name: str, args: tuple) -> SymVal:
         """`name(args)`, lifted over an argument that is an `ite` with
@@ -598,12 +588,11 @@ class Checker:
         return None
 
     def _unjoin(self, st: SymState, v: SymVal) -> None:
-        """Raise `_Unjoin` on the first guard of a join in normal `v`,
-        undecided in `st`, in pre-order (as the condition of an ite, or
-        itself, as a lift over an ite leaves it), if `_split_run` may still
-        split `st`."""
+        """Raise `_Unjoin` on the first guard of a join of `st` in normal
+        `v`, in pre-order (as the condition of an ite, or itself, as a lift
+        over an ite leaves it), if `_split_run` may still split `st`."""
         if st.joins and self._splits > 1:
-            guard = _first(v, {self.norm(g, st) for g in st.joins})
+            guard = _first(v, st.joins)
             if guard is not None:
                 raise _Unjoin(guard)
 
@@ -618,7 +607,6 @@ class Checker:
         s.memo = {guard: Lit(side)}
         self._renormalise(s)
         s.memo = st.memo  # the same substitution: its normal forms hold
-        s.joins = tuple(g for g in s.joins if self.norm(g, s) != guard)
         fact = guard if side else self._simplify("not", (guard,))
         if FALSE in s.facts or self._simplify("not", (fact,)) in s.facts:
             return None
@@ -683,9 +671,10 @@ class Checker:
         self._renormalise(st, s)
 
     def _renormalise(self, st: SymState, s: Sym | None = None) -> None:
-        """Normalise the facts, stored values, heap keys and instance
-        arguments of `st` under its memo, in new dicts: a produce may be
-        reading the old store.  Given `s`, only the terms that mention it
+        """Normalise the facts, join guards, stored values, heap keys and
+        instance arguments of `st` under its memo, in new dicts, never
+        changed in place: a produce may be reading the old store, and
+        clones share the guards.  Given `s`, only the terms that mention it
         are normalised, and each other one is memoised as its own normal
         form.  Two cells that fall on one key make the state infeasible."""
         memo = st.memo
@@ -697,6 +686,8 @@ class Checker:
             return t
 
         st.facts = dict.fromkeys([norm(f) for f in st.facts])
+        if st.joins:
+            st.joins = dict.fromkeys([norm(g) for g in st.joins])
         st.store = {k: norm(x) for k, x in st.store.items()}
         heap = {(norm(r), f): norm(val) for (r, f), val in st.heap.items()}
         if len(heap) < len(st.heap):
@@ -870,21 +861,16 @@ class Checker:
         return [st]
 
     def _produce_and(self, st, a, store, cache) -> list[SymState]:
-        # depth first: each state takes all remaining parts before the
-        # next state starts, which fixes the order of fresh symbols
-        parts, out, todo, table = a.parts, [], [(st, 0)], self._PRODUCE
-        while todo:
-            s, i = todo.pop()
-            live = [s]
-            while len(live) == 1 and i < len(parts):  # no fork, no stack
-                part = parts[i]
-                live = table[type(part)](self, live[0], part, store, cache)
-                i += 1
-            if i == len(parts):
-                out += live
+        states, table = [st], self._PRODUCE
+        for part in a.parts:
+            if len(states) == 1:  # the common case: no list of its own
+                states = table[type(part)](self, states[0], part, store, cache)
             else:
-                todo.extend((t, i) for t in reversed(live))
-        return out
+                nxt: list[SymState] = []
+                for cur in states:
+                    nxt += table[type(part)](self, cur, part, store, cache)
+                states = nxt
+        return states
 
     def _produce_cond(self, st, a, store, cache) -> list[SymState]:
         table, then, els = self._PRODUCE, a.then, a.els
@@ -1062,12 +1048,11 @@ class Checker:
         if verdict is False:
             return self._step_all([st], s.els, self.exec_stmt)
         other = st.clone()
-        mark = len(st.facts)
         then = (self._step_all([st], s.then, self.exec_stmt)
                 if self.assume(st, cond) else [])
         els = (self._step_all([other], s.els, self.exec_stmt)
                if self.assume(other, self._op(other, "not", (cond,))) else [])
-        return self._rejoin(mark, then, els)
+        return self._rejoin(cond, then, els)
 
     def _exec_fold(self, st, s) -> list[SymState]:
         return self._split_run(st, lambda cur: self._fold(cur, s))
@@ -1075,52 +1060,52 @@ class Checker:
     def _exec_call(self, st, s) -> list[SymState]:
         return self._split_run(st, lambda cur: self._call(cur, s))
 
-    def _rejoin(self, mark: int, then: list[SymState], els: list[SymState]
-                ) -> list[SymState]:
-        """The states of the two sides of a fork: the one state `_join`
-        makes of them when each side ends in one, else all of them."""
+    def _rejoin(self, guard: SymVal, then: list[SymState],
+                els: list[SymState]) -> list[SymState]:
+        """The states of the two sides of a fork on `guard`: the one state
+        `_join` makes of them when each side ends in one, else all of
+        them."""
         if len(then) == 1 and len(els) == 1:
-            joined = self._join(mark, then[0], els[0])
+            joined = self._join(guard, then[0], els[0])
             if joined is not None:
                 return [joined]
         return then + els
 
-    def _join(self, mark: int, a: SymState, b: SymState) -> SymState | None:
-        """Merge the two sides `a` and `b` of an `if` or a split into `a`,
-        or None.
+    def _join(self, guard: SymVal, a: SymState, b: SymState
+              ) -> SymState | None:
+        """Merge `a` and `b`, the sides of a fork on `guard` (an `if` or a
+        split), into `a`, or None.
 
-        They merge when each holds the same `mark` facts, those before the
-        fork, plus its guard, and they differ only in the values of Int or
-        Bool heap cells and locals; each such value becomes
-        `ite(guard, a's, b's)`.  The two sides of a split each rewrite the
-        facts before it with the guard true or false, so a fact that read a
-        joined value can differ between them, and then they stay apart.
-        The guard is the fact the then side assumed last, so it is normal
-        in `a`, as the values are, and equal values are one term.  A guard
-        `not(g)` is kept as `g`, with the arms swapped, so that a later
-        condition on `g` finds it.  A local is Int or Bool by the
-        declarations run so far (`local_types`); translated methods declare
-        each local once.  The guards are dropped from the facts:
-        `guard || !guard` holds."""
-        if (len(a.facts) != mark + 1 or len(b.facts) != mark + 1
-                or list(a.facts)[:mark] != list(b.facts)[:mark]
-                or a.subst != b.subst or a.preds != b.preds
+        They merge when their facts agree apart from the guard and its
+        negation, and they differ only in the values of Int or Bool heap
+        cells and locals; each such value becomes `ite(guard, a's, b's)`.
+        The fork evaluated the guard before either side ran, so it is
+        normalised under `a`'s substitution, which a binding on both sides
+        may have grown.  A guard `not(g)` is kept as `g`, with the arms
+        swapped, so that a later condition on `g` finds it.  A local is Int
+        or Bool by the declarations run so far (`local_types`); translated
+        methods declare each local once.  The guard leaves the facts, since
+        `guard || !guard` holds, and joins the guards of both sides."""
+        n = a.memo.get(guard)
+        guard = self.norm(guard, a) if n is None else n
+        neg = self._simplify("not", (guard,))
+        if (guard not in a.facts or a.subst != b.subst or a.preds != b.preds
                 or a.heap.keys() != b.heap.keys()
-                or a.store.keys() != b.store.keys()):
+                or a.store.keys() != b.store.keys()
+                or a.facts.keys() ^ b.facts.keys() != {guard, neg}):
             return None
-        fact = next(reversed(a.facts))
-        negated = isinstance(fact, App) and fact.name == "not"
-        guard = fact.args[0] if negated else fact
-        heap = self._join_values(guard, negated, a, a.heap, b.heap,
+        negated = isinstance(guard, App) and guard.name == "not"
+        cond = neg if negated else guard
+        heap = self._join_values(cond, negated, a, a.heap, b.heap,
                                  lambda k: k[1] in self.scalar_fields)
         store = None if heap is None else self._join_values(
-            guard, negated, a, a.store, b.store,
+            cond, negated, a, a.store, b.store,
             lambda k: self.local_types.get(k) in _SCALAR)
         if store is None:
             return None
         a.heap, a.store = heap, store
-        del a.facts[fact]
-        a.joins = tuple(dict.fromkeys(a.joins + b.joins + (guard,)))
+        del a.facts[guard]
+        a.joins = {**a.joins, **b.joins, cond: None}
         return a
 
     def _join_values(self, guard: SymVal, negated: bool, st: SymState,
@@ -1142,7 +1127,7 @@ class Checker:
         undecided in `st` and mentions the guard of a join, the step instead
         runs on each feasible side of that join, as if the `if` had forked,
         down to at most `budget` sides, and the two sides' states are joined
-        again (`_rejoin`)."""
+        again (`_rejoin`) on that guard."""
         if not st.joins:
             return run(st)
         saved, mark, outer = st.clone(), len(self.diags), self._splits
@@ -1156,7 +1141,7 @@ class Checker:
                 s = self._side(saved, e.guard, side)
                 sides.append([] if s is None
                              else self._split_run(s, run, budget // 2))
-            return self._rejoin(len(saved.facts), *sides)
+            return self._rejoin(e.guard, *sides)
         finally:
             self._splits = outer
 
@@ -1318,7 +1303,7 @@ class Checker:
         had_errors = any(d.severity is Severity.ERROR for d in self.diags)
         if not had_errors:
             self.diags.extend(leaks)
-        return _dedupe(self.diags)
+        return list(dict.fromkeys(self.diags))
 
 
 def _flat(args: tuple, op: str):
@@ -1381,18 +1366,6 @@ def _syms(v: _Node) -> frozenset:
                 found = (found | more) if found else more
         t.syms = found
     return v.syms
-
-
-def _dedupe(diags: list[Diagnostic]) -> list[Diagnostic]:
-    seen = set()
-    out = []
-    for d in diags:
-        key = (d.severity, d.category, d.message, d.span)
-        if key in seen:
-            continue
-        seen.add(key)
-        out.append(d)
-    return out
 
 
 def check_program(program: V.ViperProgram,

@@ -1361,7 +1361,7 @@ def test_join_on_a_negated_guard_reports_what_the_two_paths_report(
     for strict in (False, True):
         joined = check_program(program, strict=strict)
         with monkeypatch.context() as m:
-            m.setattr(Checker, "_join", lambda self, mark, a, b: None)
+            m.setattr(Checker, "_join", lambda self, guard, a, b: None)
             assert check_program(program, strict=strict) == joined
         assert [(d.category, d.message) for d in joined] == [
             (Category.PERMISSION, "fold Q(c): no permission to give up c.w")]
@@ -1396,7 +1396,7 @@ def test_split_sides_with_different_facts_stay_apart(monkeypatch):
     for strict in (False, True):
         joined = check_program(program, strict=strict)
         with monkeypatch.context() as m:
-            m.setattr(Checker, "_join", lambda self, mark, a, b: None)
+            m.setattr(Checker, "_join", lambda self, guard, a, b: None)
             assert check_program(program, strict=strict) == joined
         assert [(d.category, d.message) for d in joined] == [
             (Category.CONTRACT_VIOLATION,
@@ -1404,6 +1404,41 @@ def test_split_sides_with_different_facts_stay_apart(monkeypatch):
             (Category.PURE_OBLIGATION, "call to need: precondition: "
              + ("cannot establish n > 5" if strict
                 else "n > 5 is assumed, not proved"))]
+
+
+SHARED_FACT = reparse("""
+field val: Int
+method need(n: Int) ensures n > 0
+method m(x: Ref, a: Int, n: Int) requires acc(x.val) ensures acc(x.val)
+{
+if (a > 0) {
+need(n)
+x.val := 1
+} else {
+need(n)
+x.val := 2
+}
+}
+""")
+
+
+def test_sides_that_assumed_the_same_fact_join():
+    # each side assumes n > 0 beside its guard; the facts agree apart from
+    # the guard and its negation, so the body ends in one state that
+    # keeps n > 0
+    ck = Checker(SHARED_FACT)
+    m = SHARED_FACT.methods()["m"]
+    st = SymState()
+    for name, _ in m.params:
+        st.store[name] = ck.fresh(name)
+    states = ck._step_all(ck.produce(st, m.pres[0], st.store), m.body,
+                          ck.exec_stmt)
+    assert len(states) == 1
+    x, a, n = (states[0].store[v] for v in ("x", "a", "n"))
+    assert states[0].heap[(x, "val")] == App(
+        "ite", (App(">", (a, Lit(0))), Lit(1), Lit(2)))
+    assert states[0].facts == {App(">", (n, Lit(0))): None}
+    assert check_program(SHARED_FACT, strict=True) == []
 
 
 def joined_q(k, tail, g=False):
@@ -1543,7 +1578,7 @@ def test_joins_never_hide_an_error(monkeypatch):
         for strict in (False, True):
             joined = errors(check_program(program, strict=strict))
             with monkeypatch.context() as m:
-                m.setattr(Checker, "_join", lambda self, mark, a, b: None)
+                m.setattr(Checker, "_join", lambda self, guard, a, b: None)
                 m.setattr(Checker, "_renormalise", pruning)
                 paths = errors(check_program(program, strict=strict))
             assert all(found(e, joined) for e in paths), (text, strict)
