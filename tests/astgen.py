@@ -1,5 +1,5 @@
 """Random program generators for the print/reparse and produce/consume
-properties.
+properties, and for the methods that check joins against path enumeration.
 
 The printer canonicalizes, so generated trees must already be in canonical
 form or the round trip cannot be the identity:
@@ -260,3 +260,44 @@ def gen_program(rng: random.Random) -> ViperProgram:
             body = None
         decls.append(MethodDecl(name, params, returns, pres, posts, body))
     return ViperProgram(decls)
+
+
+# -- methods that join and split, as Viper text -------------------------------
+
+JOIN_HEADER = """
+field v: Int
+field w: Int
+field b: Bool
+predicate P(c: Ref) { acc(c.v) }
+predicate Q(c: Ref) { acc(c.b) && (c.b ? acc(c.w) : true) }
+"""
+JOIN_GUARDS = ["c.b", "!c.b", "c.v > n", "n == 2", "c.w > 0", "c.v == 1",
+               "n > 0", "c.w == n"]
+JOIN_WRITES = ["c.v := n", "c.v := 1", "c.v := c.v + 1", "c.w := 1",
+               "c.w := n", "c.b := true", "c.b := false"]
+JOIN_GHOSTS = ["fold P(c)", "unfold P(c)", "fold Q(c)", "unfold Q(c)"]
+JOIN_PRES = ["acc(c.v) && acc(c.w) && acc(c.b)", "P(c) && Q(c)",
+             "acc(c.v) && Q(c)", "P(c) && acc(c.w) && acc(c.b)"]
+JOIN_POSTS = JOIN_PRES + ["Q(c) && acc(c.v)", "Q(c) && acc(c.v) && c.v > n",
+                          "P(c) && acc(c.b) && acc(c.w) && c.w == 1"]
+
+
+def join_method(rng):
+    """A method over P and Q of 2-5 statements: field writes, ghost
+    commands and ifs nested at most twice, each side 0-2 statements."""
+    def stmt(depth):
+        r = rng.random()
+        if r < 0.35 and depth < 2:
+            then, els = (block(rng.randint(0, 2), depth + 1)
+                         for _ in range(2))
+            return (f"if ({rng.choice(JOIN_GUARDS)}) {{\n{then}\n}} "
+                    f"else {{\n{els}\n}}")
+        return rng.choice(JOIN_WRITES if r < 0.7 else JOIN_GHOSTS)
+
+    def block(k, depth):
+        return "\n".join(stmt(depth) for _ in range(k))
+
+    return (f"{JOIN_HEADER}method m(c: Ref, n: Int)\n"
+            f"  requires {rng.choice(JOIN_PRES)}\n"
+            f"  ensures {rng.choice(JOIN_POSTS)}\n"
+            f"{{\n{block(rng.randint(2, 5), 0)}\n}}\n")

@@ -10,7 +10,11 @@ diagnostics without and with `strict`, for the same inputs:
 - every token mutant of the corpus, all ~940 of them, where
   `mutant_digests.txt` pins only every third;
 - every input of the four bench workloads at seeds 11 and 12, from
-  `bench/workloads.py`.
+  `bench/workloads.py`;
+- the 2,000 seed-1 Viper methods of `astgen.join_method`, which the
+  join-on/off test runs: they join, split and rejoin, which no other
+  input does.  A method's digest is its sorted checker diagnostics,
+  without and with `strict`.
 
 It prints each input whose digest differs and exits 1 if there is any.
 It needs only the standard library, and pytest does not collect it.  A
@@ -29,11 +33,13 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SEEDS = (11, 12)
+JOIN_METHODS = 2000  # of `astgen.join_method`, at seed 1
 
 
 def inputs() -> dict:
     """{name: source} for every input, built with the working tree."""
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
+    from astgen import join_method
     from test_mutants import mutants
     from workloads import WORKLOADS
 
@@ -43,6 +49,9 @@ def inputs() -> dict:
             for i, request in enumerate(make(random.Random(seed), ROOT)):
                 for inp in request:
                     out[f"{workload}:{seed}:{i}:{inp.name}"] = inp.source
+    rng = random.Random(1)
+    for i in range(JOIN_METHODS):
+        out[f"join:1:{i}"] = join_method(rng)
     return out
 
 
@@ -61,8 +70,21 @@ def worker(src: str, sources: str) -> None:
     from test_mutants import digest
 
     table = json.loads(Path(sources).read_text(encoding="utf-8"))
-    json.dump({name: digest(source) for name, source in table.items()},
-              sys.stdout)
+    json.dump({name: (viper_digest if name.startswith("join:") else digest)(
+        source) for name, source in table.items()}, sys.stdout)
+
+
+def viper_digest(text: str) -> str:
+    """The sorted rendered diagnostics of checking the Viper `text`,
+    without and with `strict`."""
+    from gospel2viper.diagnostics import LineIndex
+    from gospel2viper.permcheck import check_program
+    from gospel2viper.viper_parser import reparse
+
+    program, index = reparse(text), LineIndex(text)
+    return "\0".join("\n".join(sorted(
+        d.render("m.vpr", index) for d in check_program(program, strict)))
+        for strict in (False, True))
 
 
 def main(ref: str) -> int:

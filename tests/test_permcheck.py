@@ -22,7 +22,7 @@ from gospel2viper.viper_parser import reparse
 
 import pytest
 from hypothesis import given, settings, strategies as hs
-from astgen import gen_program
+from astgen import gen_program, join_method
 from work_counts import checker_calls_per_statement, module_source, wide_module
 
 CORPUS = Path(__file__).parent / "corpus"
@@ -1492,45 +1492,6 @@ def test_a_split_that_decides_nothing_goes_on_as_one_state(k):
 
 
 # -- joins against path enumeration --------------------------------------------
-
-JOIN_HEADER = """
-field v: Int
-field w: Int
-field b: Bool
-predicate P(c: Ref) { acc(c.v) }
-predicate Q(c: Ref) { acc(c.b) && (c.b ? acc(c.w) : true) }
-"""
-JOIN_GUARDS = ["c.b", "!c.b", "c.v > n", "n == 2", "c.w > 0", "c.v == 1",
-               "n > 0", "c.w == n"]
-JOIN_WRITES = ["c.v := n", "c.v := 1", "c.v := c.v + 1", "c.w := 1",
-               "c.w := n", "c.b := true", "c.b := false"]
-JOIN_GHOSTS = ["fold P(c)", "unfold P(c)", "fold Q(c)", "unfold Q(c)"]
-JOIN_PRES = ["acc(c.v) && acc(c.w) && acc(c.b)", "P(c) && Q(c)",
-             "acc(c.v) && Q(c)", "P(c) && acc(c.w) && acc(c.b)"]
-JOIN_POSTS = JOIN_PRES + ["Q(c) && acc(c.v)", "Q(c) && acc(c.v) && c.v > n",
-                          "P(c) && acc(c.b) && acc(c.w) && c.w == 1"]
-
-
-def join_method(rng):
-    """A method over P and Q of 2-5 statements: field writes, ghost
-    commands and ifs nested at most twice, each side 0-2 statements."""
-    def stmt(depth):
-        r = rng.random()
-        if r < 0.35 and depth < 2:
-            then, els = (block(rng.randint(0, 2), depth + 1)
-                         for _ in range(2))
-            return (f"if ({rng.choice(JOIN_GUARDS)}) {{\n{then}\n}} "
-                    f"else {{\n{els}\n}}")
-        return rng.choice(JOIN_WRITES if r < 0.7 else JOIN_GHOSTS)
-
-    def block(k, depth):
-        return "\n".join(stmt(depth) for _ in range(k))
-
-    return (f"{JOIN_HEADER}method m(c: Ref, n: Int)\n"
-            f"  requires {rng.choice(JOIN_PRES)}\n"
-            f"  ensures {rng.choice(JOIN_POSTS)}\n"
-            f"{{\n{block(rng.randint(2, 5), 0)}\n}}\n")
-
 
 def test_joins_never_hide_an_error(monkeypatch):
     """Every permission, fold-mismatch and contract-violation error, and
