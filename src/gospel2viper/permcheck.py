@@ -676,8 +676,9 @@ class Checker:
         changed in place: a produce may be reading the old store, and
         clones share the guards.  Given `s`, only the terms that mention it
         are normalised, and each other one is memoised as its own normal
-        form.  Two cells that fall on one key make the state infeasible."""
-        memo = st.memo
+        form.  The state becomes infeasible, as `assume` makes it, when two
+        cells fall on one key or a rewritten fact is another's negation."""
+        memo, old = st.memo, st.facts
 
         def norm(t: SymVal) -> SymVal:
             if s is None or _mentions(t, s):
@@ -685,7 +686,11 @@ class Checker:
             memo[t] = t
             return t
 
-        st.facts = dict.fromkeys([norm(f) for f in st.facts])
+        st.facts = dict.fromkeys([norm(f) for f in old])
+        for f in st.facts:
+            if f not in old and self._simplify("not", (f,)) in st.facts:
+                st.facts = {**st.facts, FALSE: None}
+                break
         if st.joins:
             st.joins = dict.fromkeys([norm(g) for g in st.joins])
         st.store = {k: norm(x) for k, x in st.store.items()}
