@@ -246,6 +246,7 @@ class SeqV(_Node):
 
 TRUE = Lit(True)
 FALSE = Lit(False)
+_REFLEXIVE = {"<": FALSE, ">": FALSE, "<=": TRUE, ">=": TRUE}  # t op t
 
 
 def _key(v: SymVal) -> tuple:
@@ -428,10 +429,13 @@ class Checker:
     # declare.  Each takes _simplify's arguments: (name, args).
 
     def _s_fold(self, name, args) -> SymVal:
-        """Fold two int literals by `_FOLD`; a None fold keeps the term."""
+        """Fold two int literals by `_FOLD`; a None fold keeps the term.  A
+        term compared with itself folds by `_REFLEXIVE`."""
         a, b = args
         if not (isinstance(a, Lit) and isinstance(a.value, int)
                 and isinstance(b, Lit) and isinstance(b.value, int)):
+            if a == b and name in _REFLEXIVE:
+                return _REFLEXIVE[name]
             return self._lifted(name, args)
         value = _FOLD[name](a.value, b.value)
         return App(name, args) if value is None else Lit(value)

@@ -270,12 +270,15 @@ field w: Int
 field b: Bool
 predicate P(c: Ref) { acc(c.v) }
 predicate Q(c: Ref) { acc(c.b) && (c.b ? acc(c.w) : true) }
+method pos(k: Int) requires k > 0
+method big(k: Int) requires k > 5
 """
 JOIN_GUARDS = ["c.b", "!c.b", "c.v > n", "n == 2", "c.w > 0", "c.v == 1",
                "n > 0", "c.w == n"]
 JOIN_WRITES = ["c.v := n", "c.v := 1", "c.v := c.v + 1", "c.w := 1",
                "c.w := n", "c.b := true", "c.b := false"]
 JOIN_GHOSTS = ["fold P(c)", "unfold P(c)", "fold Q(c)", "unfold Q(c)"]
+JOIN_CALLS = ["pos(n)", "big(n)", "pos(c.v)", "big(c.w)"]
 JOIN_PRES = ["acc(c.v) && acc(c.w) && acc(c.b)", "P(c) && Q(c)",
              "acc(c.v) && Q(c)", "P(c) && acc(c.w) && acc(c.b)"]
 JOIN_POSTS = JOIN_PRES + ["Q(c) && acc(c.v)", "Q(c) && acc(c.v) && c.v > n",
@@ -284,7 +287,8 @@ JOIN_POSTS = JOIN_PRES + ["Q(c) && acc(c.v)", "Q(c) && acc(c.v) && c.v > n",
 
 def join_method(rng):
     """A method over P and Q of 2-5 statements: field writes, ghost
-    commands and ifs nested at most twice, each side 0-2 statements."""
+    commands, calls of the bodiless `pos` and `big`, and ifs nested at
+    most twice, each side 0-2 statements."""
     def stmt(depth):
         r = rng.random()
         if r < 0.35 and depth < 2:
@@ -292,7 +296,8 @@ def join_method(rng):
                          for _ in range(2))
             return (f"if ({rng.choice(JOIN_GUARDS)}) {{\n{then}\n}} "
                     f"else {{\n{els}\n}}")
-        return rng.choice(JOIN_WRITES if r < 0.7 else JOIN_GHOSTS)
+        return rng.choice(JOIN_WRITES if r < 0.6
+                          else JOIN_CALLS if r < 0.75 else JOIN_GHOSTS)
 
     def block(k, depth):
         return "\n".join(stmt(depth) for _ in range(k))

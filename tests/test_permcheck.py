@@ -114,6 +114,43 @@ def test_division_by_zero_stays_symbolic(ck):
     assert out == App("/", (Lit(1), Lit(0)))
 
 
+def test_a_term_compared_with_itself_folds(ck):
+    st = SymState()
+    n = ck.fresh("n")
+    t = App("+", (n, Lit(1)))
+    for x in (n, t):
+        assert [ck.norm(App(op, (x, x)), st) for op in ("<", ">", "<=", ">=")
+                ] == [FALSE, FALSE, TRUE, TRUE]
+    assert isinstance(ck.norm(App("<", (n, t)), st), App)
+
+
+SELF_COMPARED = reparse("""
+field v: Int
+method m(c: Ref, n: Int, b: Bool) requires acc(c.v) ensures acc(c.v) && c.v > n
+{
+if (b) {
+c.v := n
+} else {
+c.v := n + 1
+}
+}
+""")
+
+
+def test_a_joined_value_compared_with_itself_is_decided_on_its_side():
+    # the postcondition splits on b: the side b reads n > n, which is
+    # false; the other side reads n + 1 > n, which stays an obligation
+    for strict in (False, True):
+        assert [(d.severity, d.category, d.message) for d in check_program(
+            SELF_COMPARED, strict=strict)] == [
+            (Severity.ERROR, Category.CONTRACT_VIOLATION,
+             "postcondition of m: condition c.v > n is false"),
+            (Severity.ERROR, Category.PURE_OBLIGATION,
+             "postcondition of m: cannot establish c.v > n") if strict else
+            (Severity.OBLIGATION, Category.PURE_OBLIGATION,
+             "postcondition of m: c.v > n is assumed, not proved")]
+
+
 def test_equality_distributes_over_ctors(ck):
     st = SymState()
     a, b = ck.fresh("a"), ck.fresh("b")
