@@ -55,7 +55,8 @@ joined value, and sides whose facts then differ stay apart.  A condition
 that mentions no guard, or that is undecided past the last split, is
 reported as undecided.
 
-Normalization evaluates the sequence helpers (`drop_last`, `take_last`)
+Normalization evaluates the prelude's sequence helpers (`drop_last`,
+`take_last`; a program's own definition of either is left uninterpreted)
 and all sequence/arithmetic/constructor operators on literal operands,
 so programs over concrete sequences are fully decidable.  An operator
 applied to an `ite` whose arms are literals is lifted over it, so that
@@ -151,9 +152,11 @@ import weakref
 from . import viper_ast as V
 from .diagnostics import (Category, Diagnostic, Handlers, Record, Severity,
                           error, obligation, warning)
+from .translate import prelude_decls
 
 MAX_PATHS = 32
 _SCALAR = frozenset({"Int", "Bool"})  # types whose values a join merges
+_PRELUDE = {f.name: f for f in prelude_decls()}  # the helpers `_SEQ` folds
 _FOLD = {op.viper: op.fold for op in V.BINARY if op.fold is not None}
 # what each sequence operator gives on the elements `xs` of a literal
 # sequence and, for a binary one, an int `k`; None where it is undefined
@@ -387,6 +390,9 @@ class Checker:
                       **{f"is#{c}": Checker._s_is for c in self.ctor_params},
                       **{f"proj#{p}": Checker._s_proj
                          for p in self.projections}}
+        for d in program.decls:  # a program's own helper is not folded
+            if d.name in _PRELUDE and d != _PRELUDE[d.name]:
+                del self.rules[d.name]
         self.diags: list[Diagnostic] = []
         self._splits = 0  # sides a consume may still split into (_Unjoin)
         self._ites = False  # whether _simplify has built an ite (_lifted)
@@ -1385,7 +1391,7 @@ def check_program(program: V.ViperProgram,
     try:
         checker = Checker(program, strict=strict)
         out: list[Diagnostic] = []
-        for m in program.methods().values():
+        for m in checker.methods.values():
             out.extend(checker.check_method(m))
         return out
     finally:

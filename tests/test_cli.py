@@ -147,6 +147,31 @@ def test_a_join_hides_no_error_after_a_fold_it_splits(tmp_path):
         f"{src}:6:3: error[permission]: no permission to write c.w"]
 
 
+OWN_DROP_LAST = """\
+type t = { mutable v : int }
+(*@ function drop_last (s: int sequence) : int sequence = s *)
+(*@ predicate p (c: t) (s: int sequence) = c ~> {v} && length s = 1 *)
+let f (c: t) =
+  (*@ fold p c (drop_last (singleton 1 ++ singleton 2)) *)
+  ()
+(*@ f c requires c ~> {v} ensures p c (drop_last (singleton 1 ++ singleton 2)) *)
+"""
+
+
+@pytest.mark.parametrize("strict", [False, True])
+def test_a_modules_own_drop_last_is_not_the_preludes(tmp_path, strict):
+    # this drop_last is the identity, so |s| == 1 does not follow from the
+    # prelude's meaning, under which the fold was proved
+    src = tmp_path / "own.ml"
+    src.write_text(OWN_DROP_LAST)
+    status, _, err = invoke(src, check=True, strict=strict)
+    what = (f"{src}:3:56: error[pure-obligation]: fold P(c, drop_last(Seq(1) "
+            f"++ Seq(2))): cannot establish |s| == 1" if strict else
+            f"{src}:3:56: obligation[pure-obligation]: fold P(c, drop_last("
+            f"Seq(1) ++ Seq(2))): |s| == 1 is assumed, not proved")
+    assert (status, err.splitlines()) == (int(strict), [what])
+
+
 def test_diagnostic_format_and_position(tmp_path):
     src = tmp_path / "bad.ml"
     src.write_text(BAD_WRITE)
