@@ -27,32 +27,30 @@ the body, so an instance is added only by `produce` and removed only by
 `consume`.
 
 An `if` with an unknown guard `c` runs both sides, then joins them into
-one state when each side ends in one state, the two sides' facts agree
-apart from `c` and its negation, and the sides agree on the
-substitution, the instances and the heap and store keys, differing only
-in the values of Int or Bool fields and locals, a local's type being
-recorded as its declaration runs.  Each differing value becomes `ite(c,
-then's, else's)`, the facts both sides hold stay, and the guard leaves
-them, since `c || !c` holds: as in state merging, two states that agree
-apart from the guard merge (Kuznetsov et al., "Efficient State Merging in
-Symbolic Execution", PLDI 2012).  A joined Ref would match no held cell,
-so Ref values are never joined.  Otherwise both states go on, and past
-MAX_PATHS states the excess is dropped with a warning (an error under
-`strict`).  A chain of K joins costs time linear in K, not 2^K paths.
+one state when each side ends in one state and the two agree apart from
+`c` (Kuznetsov et al., "Efficient State Merging in Symbolic Execution"):
+their facts agree apart from `c` and its negation, and their
+substitutions, instances and heap and store keys are equal, so they
+differ only in the values of Int or Bool fields and locals, a local's
+type being recorded as its declaration runs.  Each differing value
+becomes `ite(c, then's, else's)` and `c` leaves the facts, since
+`c || !c` holds.  A joined Ref would match no held cell, so Ref values
+are never joined.  Otherwise both states go on, and past MAX_PATHS
+states the excess is dropped with a warning (an error under `strict`).
+A chain of K joins costs time linear in K, not 2^K paths.
 
-The state keeps the guards of its joins, in normal form as its facts
-are.  A join dropped its guard from the facts, so a consumed condition,
-pure or the guard of a conditional assertion, can be undecided in the
-joined state and decided on each side.  One mechanism reads it there:
-when such a condition mentions a join's guard, the consuming step (a
-fold, a call, the postcondition) stops and runs again on each feasible
-side, the state normalised under that guard taken as true or false and
-the guard or its negation assumed, as on the two paths the join
-replaced.  Each side may split again, down to MAX_PATHS sides, and the
-two sides' states are joined on that guard as after an `if`, by the same
-rule: taking the guard as true or false rewrites a fact that read a
-joined value, and sides whose facts then differ stay apart.  A condition
-that mentions no guard, or that is undecided past the last split, is
+The state keeps the guards of its joins, normal as its facts are.
+A join dropped its guard from the facts, so a consumed condition, pure
+or the guard of a conditional assertion, can be undecided in the joined
+state and decided on each side.  One mechanism reads it there: when such
+a condition mentions a join's guard, the consuming step (a fold, a call,
+the postcondition) stops and runs again on each feasible side, the
+state normalised under that guard taken as true or false and the guard
+or its negation assumed, as on the two paths the join replaced.  Each
+side may split again, down to MAX_PATHS sides, and the two sides join
+again on that guard by the same rule, unless taking the guard as true
+or false rewrote a fact that read a joined value.  A condition that
+mentions no guard, or that is undecided past the last split, is
 reported as undecided.
 
 Normalization evaluates the prelude's sequence helpers (`drop_last`,
@@ -159,11 +157,11 @@ _SCALAR = frozenset({"Int", "Bool"})  # types whose values a join merges
 _PRELUDE = {f.name: f for f in prelude_decls()}  # the helpers `_SEQ` folds
 _FOLD = {op.viper: op.fold for op in V.BINARY if op.fold is not None}
 # what each sequence operator gives on the elements `xs` of a literal
-# sequence and, for a binary one, an int `k`; None where it is undefined
+# sequence and, for a binary one, an int literal `k`; None if undefined
 _SEQ = {"len": lambda xs: Lit(len(xs)),
-        "index": lambda xs, k: xs[k] if 0 <= k < len(xs) else None,
-        "drop": lambda xs, k: SeqV("", xs[max(k, 0):]),
-        "take": lambda xs, k: SeqV("", xs[:max(k, 0)]),
+        "index": lambda xs, k: xs[k.value] if 0 <= k.value < len(xs) else None,
+        "drop": lambda xs, k: SeqV("", xs[max(k.value, 0):]),
+        "take": lambda xs, k: SeqV("", xs[:max(k.value, 0)]),
         "drop_last": lambda xs: SeqV("", xs[:-1]) if xs else None,
         "take_last": lambda xs: SeqV("", xs[-1:]) if xs else None}
 
@@ -312,8 +310,7 @@ class SymState(Record, uncompared=("memo",), heap={}, preds={}, facts={},
         # the held cells: a key is a whole permission, its value the field's
         "heap",  # {(recv, field): SymVal}
         "preds",  # {(name, args): n > 0}
-        # the assumed facts, in normal form, in the order they were
-        # assumed; FALSE if the state is infeasible
+        # the assumed facts, in normal form; FALSE if the state is infeasible
         "facts",  # {bool SymVal: None}
         "store",  # {var: SymVal}
         "subst",  # {Sym: SymVal}
@@ -331,12 +328,8 @@ class SymState(Record, uncompared=("memo",), heap={}, preds={}, facts={},
 
 
 class _Unjoin(Exception):
-    """A condition a consume reads is undecided but mentions `guard`, the
+    """A condition a consume reads is undecided but mentions `args[0]`, the
     guard of a join; `Checker._split_run` catches it and splits the state."""
-
-    def __init__(self, guard: SymVal):
-        super().__init__(guard)
-        self.guard = guard
 
 
 class _ConsumeCtx(Record):
@@ -361,7 +354,6 @@ class _FoldName(Record):
 
 class Checker:
     def __init__(self, program: V.ViperProgram, strict: bool = False):
-        self.program = program
         self.strict = strict
         self.methods = program.methods()
         # each predicate, its parameter names and its instance over them
@@ -510,17 +502,12 @@ class Checker:
         return App("++", tuple(parts))
 
     def _s_seq(self, name, args) -> SymVal:
-        """A sequence operator on a literal sequence and, for a binary one,
-        an int literal, by `_SEQ`; else, or where it is undefined, the
-        term is kept (`_lifted`)."""
+        """A sequence operator by `_SEQ`, on a literal sequence and, for a
+        binary one, an int literal; else, or where undefined, `_lifted`."""
         seq, rest = args[0], args[1:]
-        if isinstance(seq, SeqV):
-            if not rest:
-                v = _SEQ[name](seq.args)
-            elif isinstance(rest[0], Lit) and isinstance(rest[0].value, int):
-                v = _SEQ[name](seq.args, rest[0].value)
-            else:
-                v = None
+        if isinstance(seq, SeqV) and (not rest or isinstance(rest[0], Lit)
+                                      and isinstance(rest[0].value, int)):
+            v = _SEQ[name](seq.args, *rest)
             if v is not None:
                 return v
         return self._lifted(name, args)
@@ -1070,16 +1057,15 @@ class Checker:
         return self._rejoin(cond, then, els)
 
     def _exec_fold(self, st, s) -> list[SymState]:
-        return self._split_run(st, lambda cur: self._fold(cur, s))
+        return self._split_run(st, lambda cur: self._ghost(cur, s))
 
     def _exec_call(self, st, s) -> list[SymState]:
         return self._split_run(st, lambda cur: self._call(cur, s))
 
     def _rejoin(self, guard: SymVal, then: list[SymState],
                 els: list[SymState]) -> list[SymState]:
-        """The states of the two sides of a fork on `guard`: the one state
-        `_join` makes of them when each side ends in one, else all of
-        them."""
+        """The states of the two sides of a fork on `guard`: the one that
+        `_join` makes of them if each side ends in one, else all."""
         if len(then) == 1 and len(els) == 1:
             joined = self._join(guard, then[0], els[0])
             if joined is not None:
@@ -1093,14 +1079,12 @@ class Checker:
 
         They merge when their facts agree apart from the guard and its
         negation, and they differ only in the values of Int or Bool heap
-        cells and locals; each such value becomes `ite(guard, a's, b's)`.
-        The fork evaluated the guard before either side ran, so it is
-        normalised under `a`'s substitution, which a binding on both sides
-        may have grown.  A guard `not(g)` is kept as `g`, with the arms
-        swapped, so that a later condition on `g` finds it.  A local is Int
-        or Bool by the declarations run so far (`local_types`); translated
-        methods declare each local once.  The guard leaves the facts, since
-        `guard || !guard` holds, and joins the guards of both sides."""
+        cells and locals (by the declarations run so far, `local_types`);
+        each such value becomes `ite(guard, a's, b's)`.  The fork evaluated
+        the guard before a binding on both sides could make it stale, so it
+        is normalised in `a`.  A guard `not(g)` is kept as `g`, with the
+        arms swapped, so that a later condition on `g` finds it.  The guard
+        leaves the facts and joins the guards of both sides."""
         n = a.memo.get(guard)
         guard = self.norm(guard, a) if n is None else n
         neg = self._simplify("not", (guard,))
@@ -1153,10 +1137,10 @@ class Checker:
             del self.diags[mark:]
             sides = []
             for side in (True, False):
-                s = self._side(saved, e.guard, side)
+                s = self._side(saved, e.args[0], side)
                 sides.append([] if s is None
                              else self._split_run(s, run, budget // 2))
-            return self._rejoin(e.guard, *sides)
+            return self._rejoin(e.args[0], *sides)
         finally:
             self._splits = outer
 
@@ -1210,23 +1194,19 @@ class Checker:
                    for n, a in zip(names, s.pred.args)}
         return decl, binding, inst
 
-    def _fold(self, st: SymState, s: V.FoldS) -> list[SymState]:
-        found = self._instance(st, s, "fold")
+    def _ghost(self, st: SymState, s: V.FoldS | V.UnfoldS
+               ) -> list[SymState]:
+        """`fold` trades a predicate's body for its instance, `unfold` the
+        instance for the body."""
+        fold = type(s) is V.FoldS
+        found = self._instance(st, s, "fold" if fold else "unfold")
         if found is None:
             return [st]
         decl, binding, inst = found
-        ctx = _ConsumeCtx(Category.FOLD_MISMATCH, _FoldName(s.pred))
-        self.consume(st, decl.body, binding, ctx, s.span)
-        return self.produce(st, inst, binding)
-
-    def _unfold(self, st: SymState, s: V.UnfoldS) -> list[SymState]:
-        found = self._instance(st, s, "unfold")
-        if found is None:
-            return [st]
-        decl, binding, inst = found
-        ctx = _ConsumeCtx(Category.FOLD_MISMATCH, "unfold")
-        self.consume(st, inst, binding, ctx, s.span)
-        return self.produce(st, decl.body, binding)
+        ctx = _ConsumeCtx(Category.FOLD_MISMATCH,
+                          _FoldName(s.pred) if fold else "unfold")
+        self.consume(st, decl.body if fold else inst, binding, ctx, s.span)
+        return self.produce(st, inst if fold else decl.body, binding)
 
     def _call(self, st: SymState, s: V.CallS) -> list[SymState]:
         decl = self.methods.get(s.method)
@@ -1263,7 +1243,7 @@ class Checker:
 
     _EXEC = Handlers({
         V.VarDeclS: _exec_var, V.AssignS: _exec_assign, V.NewS: _exec_new,
-        V.IfS: _exec_if, V.FoldS: _exec_fold, V.UnfoldS: _unfold,
+        V.IfS: _exec_if, V.FoldS: _exec_fold, V.UnfoldS: _ghost,
         V.CallS: _exec_call}, unknown="cannot execute")
 
     # -- whole-method checking ----------------------------------------------------
