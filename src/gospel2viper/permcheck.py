@@ -154,7 +154,8 @@ from .translate import prelude_decls
 
 MAX_PATHS = 32
 _SCALAR = frozenset({"Int", "Bool"})  # types whose values a join merges
-_PRELUDE = {f.name: f for f in prelude_decls()}  # the helpers `_SEQ` folds
+# the helpers that `_SEQ` folds, as Viper reads them
+_PRELUDE = {f.name: V.decl_lines(f) for f in prelude_decls()}
 _FOLD = {op.viper: op.fold for op in V.BINARY if op.fold is not None}
 # what each sequence operator gives on the elements `xs` of a literal
 # sequence and, for a binary one, an int literal `k`; None if undefined
@@ -383,7 +384,7 @@ class Checker:
                       **{f"proj#{p}": Checker._s_proj
                          for p in self.projections}}
         for d in program.decls:  # a program's own helper is not folded
-            if d.name in _PRELUDE and d != _PRELUDE[d.name]:
+            if d.name in _PRELUDE and V.decl_lines(d) != _PRELUDE[d.name]:
                 del self.rules[d.name]
         self.diags: list[Diagnostic] = []
         self._splits = 0  # sides a consume may still split into (_Unjoin)

@@ -703,7 +703,9 @@ def test_checker_calls_per_statement_on_a_wide_module():
     # and `_consume`, and a variable receiver is read in place, bounded by
     # 36.5; 34.25 (4,589; 33.96 on Python 3.12 and 3.13) once `decide` and
     # `eval` probe the memo before they call `norm`, and every operator,
-    # constructor test and projection has a rule of its own
+    # constructor test and projection has a rule of its own; 32.71 (4,383
+    # on Python 3.11.7) once `check_program` reuses the checker's table of
+    # methods and `_produce_and` steps its states without a stack
     program, diags = translate_source(wide_module())
     assert program is not None and not diags
     per_statement, stmts = checker_calls_per_statement(program)
@@ -717,8 +719,10 @@ def test_checker_calls_per_statement_on_a_module():
     # by 108.5; 98.8 (35,582 calls) on 3.10 and 3.11 and 93.1 on 3.12 and
     # 3.13 once `decide` and `eval` probe the memo before they call `norm`,
     # and every operator, constructor test and projection has a rule of
-    # its own.  A method body's `match` is one statement, and its arms are
-    # counted in it.
+    # its own; 98.75 (35,550) on 3.11.7 once `_produce_and` steps its
+    # states without a stack and the checker compares a program's
+    # sequence helpers with the prelude's.  A method body's `match` is one
+    # statement, and its arms are counted in it.
     program, diags = translate_source(module_source())
     assert program is not None and not diags
     per_statement, stmts = checker_calls_per_statement(program)
