@@ -719,7 +719,7 @@ def test_checker_calls_per_statement_on_a_module():
     # by 108.5; 98.8 (35,582 calls) on 3.10 and 3.11 and 93.1 on 3.12 and
     # 3.13 once `decide` and `eval` probe the memo before they call `norm`,
     # and every operator, constructor test and projection has a rule of
-    # its own; 98.75 (35,550) on 3.11.7 once `_produce_and` steps its
+    # its own; 98.47 (35,450) on 3.11.7 once `_produce_and` steps its
     # states without a stack and the checker compares a program's
     # sequence helpers with the prelude's.  A method body's `match` is one
     # statement, and its arms are counted in it.
