@@ -1081,20 +1081,20 @@ class Checker:
         They merge when their facts agree apart from the guard and its
         negation, and they differ only in the values of Int or Bool heap
         cells and locals (by the declarations run so far, `local_types`);
-        each such value becomes `ite(guard, a's, b's)`.  The fork evaluated
-        the guard before a binding on both sides could make it stale, so it
-        is normalised in `a`.  A guard `not(g)` is kept as `g`, with the
-        arms swapped, so that a later condition on `g` finds it.  The guard
-        leaves the facts and joins the guards of both sides."""
-        n = a.memo.get(guard)
-        guard = self.norm(guard, a) if n is None else n
-        neg = self._simplify("not", (guard,))
+        each such value becomes `ite(guard, a's, b's)`.  A guard `not(g)`
+        is kept as `g`, with the arms swapped, so that a later condition on
+        `g` finds it.  The guard leaves the facts and joins the guards of
+        both sides."""
+        if guard not in a.facts:  # the fork's, stale after a binding in both
+            n = a.memo.get(guard)
+            guard = self.norm(guard, a) if n is None else n
+        negated = isinstance(guard, App) and guard.name == "not"
+        neg = guard.args[0] if negated else App("not", (guard,))  # `_s_not`
         if (guard not in a.facts or a.subst != b.subst or a.preds != b.preds
                 or a.heap.keys() != b.heap.keys()
                 or a.store.keys() != b.store.keys()
                 or a.facts.keys() ^ b.facts.keys() != {guard, neg}):
             return None
-        negated = isinstance(guard, App) and guard.name == "not"
         cond = neg if negated else guard
         heap = self._join_values(cond, negated, a, a.heap, b.heap,
                                  lambda k: k[1] in self.scalar_fields)
