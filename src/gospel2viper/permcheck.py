@@ -385,7 +385,7 @@ class Checker:
                          for p in self.projections}}
         for d in program.decls:  # a program's own helper is not folded
             if d.name in _PRELUDE and V.decl_lines(d) != _PRELUDE[d.name]:
-                del self.rules[d.name]
+                self.rules.pop(d.name, None)
         self.diags: list[Diagnostic] = []
         self._splits = 0  # sides a consume may still split into (_Unjoin)
         self._ites = False  # whether _simplify has built an ite (_lifted)
